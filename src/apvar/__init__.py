@@ -14,7 +14,7 @@ from .circle import ArcSystem, Spectrum, build_spectrum, minor_arc_integral
 from .pipeline import (BoundReport, ExperimentConfig, run_theorem1,
                        run_theorem2)
 from .variance import (check_identity_prop1, exp_variance_H, variance_mod_q,
-                       variance_total)
+                       variance_sweep, variance_total)
 from .windows import SmoothWindow, WeightSet, build_weights, build_window
 
 __all__ = [
@@ -23,5 +23,5 @@ __all__ = [
     "build_spectrum", "build_weights", "build_window", "check_identity_prop1",
     "exp_variance_H", "load_sequence", "minor_arc_integral",
     "ramanujan_correlation", "ramanujan_sum", "run_theorem1", "run_theorem2",
-    "sieve_all", "variance_mod_q", "variance_total",
+    "sieve_all", "variance_mod_q", "variance_sweep", "variance_total",
 ]

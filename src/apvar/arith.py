@@ -157,11 +157,30 @@ def ramanujan_sum(q: int, n: int) -> int:
 
 
 def multiple_sums(values: np.ndarray, emax: int) -> np.ndarray:
-    """M[e] = sum of values[n] over multiples n of e, for 1 <= e <= emax."""
-    m = np.zeros(emax + 1)
+    """M[e] = sum of values[n] over multiples n of e, for 1 <= e <= emax.
+
+    The result has the dtype of `values`, so integer inputs sum exactly.
+    """
+    m = np.zeros(emax + 1, dtype=values.dtype)
     for e in range(1, emax + 1):
         m[e] = values[e::e].sum()
     return m
+
+
+def ramanujan_convolution(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """C[d] = sum_{e | d} e mu(d/e) m[e] for 1 <= d < m.size.
+
+    With m the multiple sums M[e] of a sequence this is the correlation
+    sum_n a_n c_d(n) for every d at once (c_d(n) = sum_{e | (d,n)} e
+    mu(d/e)), done as one strided update per e rather than a walk over
+    the divisors of each d.  `mu` is a Moebius table of length >= m.size.
+    """
+    dmax = m.size - 1
+    c = np.zeros_like(m)
+    for e in range(1, dmax + 1):
+        if m[e]:
+            c[e::e] += (e * m[e]) * mu[1 : dmax // e + 1]
+    return c
 
 
 def ramanujan_correlation(seq: Sequence, d: int, window=None):
@@ -199,28 +218,22 @@ def ramanujan_correlation(seq: Sequence, d: int, window=None):
 def ramanujan_correlations(seq: Sequence, ds, window=None) -> np.ndarray:
     """Bulk version of ramanujan_correlation over many moduli.
 
-    Precomputes multiple-sums up to max(ds) once; each modulus then
-    costs one pass over its divisors.
+    Precomputes multiple-sums up to max(ds) once and convolves them with
+    the Moebius table up to max(ds) (ramanujan_convolution).
     """
-    ds = list(ds)
-    if not ds:
+    ds = np.asarray(list(ds), dtype=np.int64)
+    if not ds.size:
         return np.zeros(0)
-    dmax = max(ds)
+    if ds.min() < 1:
+        raise ValueError("moduli d must be positive")
+    dmax = int(ds.max())
     n = seq.n
     if window is not None:
         vals = seq.values * window.phi(np.arange(n + 1) / n)
     else:
         vals = seq.values
-    m = multiple_sums(vals, dmax)
-    out = np.empty(len(ds))
-    for i, d in enumerate(ds):
-        s = 0.0
-        for e in divisors(d):
-            mu = mobius(d // e)
-            if mu:
-                s += e * mu * m[e]
-        out[i] = s
-    return out
+    mu, _ = mobius_totient(dmax)
+    return ramanujan_convolution(multiple_sums(vals, dmax), mu)[ds]
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +271,7 @@ class SieveTable:
     dk: dict = field(default_factory=dict)
 
     def primes(self) -> np.ndarray:
-        idx = np.arange(self.n + 1)
-        return idx[(idx >= 2) & (self.spf == idx)]
+        return _primes_from_spf(self.spf)
 
     def lambda_sequence(self) -> Sequence:
         return Sequence(self.lam.copy(), is_integer_valued=False, name="lambda")
@@ -290,9 +302,37 @@ def _d2_sieve(n: int) -> np.ndarray:
     return d2
 
 
+def _primes_from_spf(spf: np.ndarray) -> np.ndarray:
+    idx = np.arange(spf.size)
+    return idx[(idx >= 2) & (spf == idx)]
+
+
+def _mu_phi_sieve(n: int, primes: np.ndarray):
+    mu = np.ones(n + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes:
+        mu[p::p] = -mu[p::p]
+        p2 = int(p) * int(p)
+        if p2 <= n:
+            mu[p2::p2] = 0
+
+    phi = np.arange(n + 1)
+    for p in primes:
+        phi[p::p] -= phi[p::p] // p
+    return mu, phi
+
+
+def mobius_totient(n: int):
+    """(mu, phi) on 0..n, slot 0 holding 0: sieve_all's mu and phi
+    tables without the rest, for a range of moduli (n = Q, not N)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _mu_phi_sieve(n, _primes_from_spf(_spf_sieve(n)))
+
+
 def _convolve_ones(f: np.ndarray) -> np.ndarray:
-    """Dirichlet convolution f * 1 on 1..n."""
-    n = f.size - 1
+    """Dirichlet convolution f * 1 on 1..n, along the first axis."""
+    n = len(f) - 1
     g = np.zeros_like(f)
     for d in range(1, n + 1):
         g[d::d] += f[1 : n // d + 1]
@@ -313,21 +353,8 @@ def sieve_all(n: int, k: int = 2) -> SieveTable:
         return cached
 
     spf = _spf_sieve(n)
-    idx = np.arange(n + 1)
-    primes = idx[(idx >= 2) & (spf == idx)]
-
-    mu = np.ones(n + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in primes:
-        mu[p::p] = -mu[p::p]
-        p2 = int(p) * int(p)
-        if p2 <= n:
-            mu[p2::p2] = 0
-
-    phi = idx.copy()
-    phi[0] = 0
-    for p in primes:
-        phi[p::p] -= phi[p::p] // p
+    primes = _primes_from_spf(spf)
+    mu, phi = _mu_phi_sieve(n, primes)
 
     lam = np.zeros(n + 1, dtype=np.float64)
     for p in primes:

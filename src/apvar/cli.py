@@ -23,7 +23,7 @@ from .arith import (check_lemma1_matrix, load_sequence, ramanujan_row,
 from .dirichlet import (check_Fq1_bound, euler_F_q, residue_dk_correlation,
                         zeta_near_one)
 from .pipeline import ExperimentConfig, run_theorem1, run_theorem2
-from .variance import check_identity_prop1, variance_mod_q
+from .variance import check_identity_prop1, variance_mod_q, variance_sweep
 from .windows import build_weights, build_window, check_lemma5
 
 MAX_N = 2 * 10**7
@@ -167,8 +167,7 @@ def cmd_experiment(args) -> int:
         config = ExperimentConfig(
             experiment=args.kind, n=n, q_exp=args.Q_exp, k=args.k,
             delta=args.delta, epsilon=args.epsilon, k_exp=args.K_exp,
-            r_override=args.R, t_grid=args.T, threads=args.threads,
-            ending=args.ending, seed=args.seed)
+            r_override=args.R, t_grid=args.T, ending=args.ending)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -206,9 +205,9 @@ def cmd_experiment(args) -> int:
             fh.write("q,V\n")
             seq_name = "lambda" if args.kind == "theorem1" else f"d{config.k}"
             seq = load_sequence(seq_name, min(n, 10**5))
-            for q in range(1, min(int(report.params["Q"]), 400) + 1):
-                v = variance_mod_q(seq, q, exact=False).v
-                fh.write(f"{q},{float(v):.12g}\n")
+            sweep = variance_sweep(seq, min(int(report.params["Q"]), 400))
+            for q in range(1, sweep.v.size):
+                fh.write(f"{q},{sweep.v[q]:.12g}\n")
     outputs.append(plot_path)
 
     wall = time.time() - t0
@@ -300,10 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--K-exp", dest="K_exp", type=float, default=None)
         p.add_argument("--R", type=float, default=None)
         p.add_argument("--T", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out-dir", default="apvar_runs")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
 
     p_verify = sub.add_parser("verify", help="run property suites")
     p_verify.add_argument("suite",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (Sequence, d_k_of, factorize, is_squarefree, mobius,
+                    mobius_totient, multiple_sums, ramanujan_convolution,
                     ramanujan_correlations, sieve_all, totient)
 from .circle import ArcSystem, Spectrum, build_spectrum, major_mask, \
     minor_arc_integral
@@ -52,9 +53,7 @@ class ExperimentConfig:
     k_exp: float | None = None   # K = (log N)^k_exp
     r_override: float | None = None
     t_grid: int | None = None
-    threads: int = 1
     ending: str = "second"
-    seed: int = 0
 
     def __post_init__(self):
         if self.experiment not in ("theorem1", "theorem2"):
@@ -147,19 +146,18 @@ def resolve_params(config: ExperimentConfig) -> ResolvedParams:
 def ramanujan_tail(seq: Sequence, q_max: float, q0: float) -> float:
     """sum over q <= Q of (1/q) sum over divisors d > Q0 of
     |correlation(d)|^2 / phi(d); grouped by d with the harmonic weight
-    w_d = sum_{m <= Q/d} 1/(dm)."""
+    w_d = sum_{m <= Q/d} 1/(dm).  The correlations for all d <= Q are one
+    Moebius convolution of the multiple sums (ramanujan_convolution)."""
     q_max = int(q_max)
     d_lo = int(math.floor(q0)) + 1
     if d_lo > q_max:
         return 0.0
-    ds = list(range(d_lo, q_max + 1))
-    corrs = np.asarray(ramanujan_correlations(seq, ds), dtype=np.float64)
+    mu, phi = mobius_totient(q_max)
+    corrs = ramanujan_convolution(multiple_sums(seq.values, q_max), mu)
+    ds = np.arange(d_lo, q_max + 1)
     harmonic = np.cumsum(1.0 / np.arange(1, q_max + 1))
-    total = 0.0
-    for i, d in enumerate(ds):
-        w = harmonic[q_max // d - 1] / d
-        total += w * corrs[i] ** 2 / totient(d)
-    return total
+    weights = harmonic[q_max // ds - 1] / ds
+    return math.fsum(weights * corrs[d_lo:] ** 2 / phi[d_lo:])
 
 
 @dataclass
@@ -205,7 +203,7 @@ class BoundReport:
 
 def assemble_prop13(seq: Sequence, params: ResolvedParams,
                     spectrum: Spectrum | None = None,
-                    threads: int = 1, t_grid: int | None = None,
+                    t_grid: int | None = None,
                     restricted_lhs: float | None = None) -> BoundReport:
     """The three-term variance inequality as a checked report.
 
@@ -216,8 +214,7 @@ def assemble_prop13(seq: Sequence, params: ResolvedParams,
     if restricted_lhs is not None:
         lhs = restricted_lhs
     else:
-        lhs = variance_total(seq, int(params.q), int(math.floor(params.q0)) + 1,
-                             threads=threads)
+        lhs = variance_total(seq, int(params.q), int(math.floor(params.q0)) + 1)
     if spectrum is None:
         spectrum = build_spectrum(seq, t_grid)
     minor = minor_arc_integral(spectrum, arcs)
@@ -475,8 +472,7 @@ def run_theorem2(config: ExperimentConfig):
     arcs = params.arcs()
     kq0 = arcs.kq0
 
-    lhs = variance_total(seq, int(params.q), int(math.floor(params.q0)) + 1,
-                         threads=config.threads)
+    lhs = variance_total(seq, int(params.q), int(math.floor(params.q0)) + 1)
     tail = ramanujan_tail(seq, params.q, params.q0)
     slack = (5.0 + math.log(params.k_param)) / params.k_param
     oterm = n * params.k_param / params.q0 * seq.l2()

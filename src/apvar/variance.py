@@ -4,23 +4,32 @@ V(q) measures the mean-square deviation of progression sums from their
 gcd-class averages; H(q) does the same for the exponential sums A(a/q)
 over reduced residues.  The two are linked by the exact identity
 q V(q) = sum_{d|q} H(d), which is the backbone of the test suite.
+variance_sweep evaluates V(q) for every modulus up to Q at once, with an
+a-priori error bound; the sums over moduli are built on it, and the
+per-modulus variance_mod_q stays as its oracle and exact path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import (Sequence, divisors, mobius, ramanujan_sum, totient)
+from .arith import (Sequence, _convolve_ones, _primes_from_spf, divisors,
+                    mobius, mobius_totient, multiple_sums,
+                    ramanujan_convolution, ramanujan_sum, totient)
 
 # Sequences longer than this always take the float path even when
 # integer-valued; the exact path is the identity tester, not the scaler.
 EXACT_N_LIMIT = 10_000
+
+# Unit roundoff of float64, and the constant c of the per-lag FFT
+# autocorrelation bound c u log2(L) ||a||^2 derived in variance_sweep.
+UNIT_ROUNDOFF = 2.0**-53
+FFT_ERROR_CONSTANT = 32
 
 
 def residue_sums(seq: Sequence, q: int) -> np.ndarray:
@@ -95,17 +104,146 @@ def variance_mod_q(seq: Sequence, q: int, exact: bool | None = None) -> Variance
     return VarianceReport(q=q, v=v, method="direct", per_class_terms=per_class)
 
 
-def variance_total(seq: Sequence, q_max: int, q_min: int = 1, threads: int = 1) -> float:
-    """Sum of V(q) over q_min <= q <= q_max (float path)."""
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), the relative error bound of k roundings."""
+    ku = np.asarray(k, dtype=np.float64) * UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
 
-    def one(q):
-        return float(variance_mod_q(seq, q, exact=False).v)
 
-    qs = range(q_min, q_max + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return math.fsum(pool.map(one, qs))
-    return math.fsum(one(q) for q in qs)
+def _check_moduli(q_max: int, q_min: int) -> None:
+    if q_max < 1:
+        raise ValueError(f"q_max must be at least 1, got {q_max}")
+    if q_min < 1:
+        raise ValueError(f"q_min must be at least 1, got {q_min}")
+
+
+def _square_sums(seq: Sequence, q_max: int):
+    """(T, err, exact): T[q] = sum_a t_a(q)^2 for 1 <= q <= q_max, an
+    a-priori bound on |T[q] - computed|, and whether T is exact.
+
+    T[q] = r(0) + 2 sum_{j >= 1} r(jq) with r(h) = sum_n a_n a_{n+h}
+    from one real FFT of length L > 2N.  See variance_sweep for the bound.
+    """
+    a = seq.values
+    n = seq.n
+    length = 1 << (2 * n).bit_length()
+    spec = np.fft.rfft(a, length)
+    r = np.fft.irfft(spec.real**2 + spec.imag**2, length)[: n + 1]
+    del spec
+    l2 = float(np.dot(a, a))
+    l1 = float(np.abs(a).sum())
+    eps = FFT_ERROR_CONSTANT * UNIT_ROUNDOFF * math.log2(length) * l2
+    exact = seq.is_integer_valued and eps < 0.5 and l1 * l1 < 2.0**62
+    if exact:
+        r = np.rint(r).astype(np.int64)
+        return r[0] + 2 * multiple_sums(r, q_max), np.zeros(q_max + 1), True
+    lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
+    err = np.zeros(q_max + 1)
+    err[1:] = lags * eps + _gamma(lags) * (l1 * l1 + lags * eps)
+    return r[0] + 2.0 * multiple_sums(r, q_max), err, False
+
+
+@dataclass
+class VarianceSweep:
+    """V(q) for every modulus 1 <= q <= q_max (slot 0 unused).
+
+    `error[q]` bounds |v[q] - V(q)| a priori; `square_sums[q]` is
+    sum_a t_a(q)^2, an exact int64 when `exact_squares`.
+    """
+
+    v: np.ndarray
+    error: np.ndarray
+    square_sums: np.ndarray
+    exact_squares: bool
+
+
+def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
+    """V(q) for all q <= q_max from one autocorrelation and the multiple
+    sums M[e] = sum_{e | n} a_n: O(N log N + (N + Q) log Q) in all.
+
+    This is the Montgomery / Hooley form of the Barban-Davenport-
+    Halberstam sum, in the Ramanujan-sum terms of variance_mod_q's
+    closed form V(q) = sum_a t_a^2 - sum_{h|q} S_h^2 / phi(q/h):
+
+    * sum_a t_a(q)^2 = r(0) + 2 sum_{j>=1} r(jq), r(h) = sum_n a_n a_{n+h};
+    * S_h(q) = sum_{(n,q) = h} a_n = sum_{e | q/h} mu(e) M[he], and by the
+      orthogonality of Ramanujan sums (check_lemma1_matrix)
+      sum_{h|q} S_h(q)^2 / phi(q/h) = (1/q) sum_{d|q} C_d^2 / phi(d),
+      where C_d = sum_n a_n c_d(n) = sum_{e|d} e mu(d/e) M[e];
+    * so V(q) = T(q) - G(q)/q with G(q) = sum_{d|q} C_d^2 / phi(d).
+
+    The Moebius convolution (C from M) and the divisor sum (G from C)
+    are strided numpy updates, one per e and one per d; no array is
+    larger than the FFT buffer or a few rows of length q_max.
+
+    Error bound, in the standard rounding model (no underflow; u = 2^-53,
+    gamma_k = ku/(1-ku), L the FFT length):
+
+    * FFT: each computed lag satisfies |r^(h) - r(h)| <= eps with
+      eps = c u log2(L) ||a||_2^2, c = FFT_ERROR_CONSTANT.  The forward
+      transform X^ = X + E has ||E||_2 <= eta log2(L) ||X||_2 with
+      eta <= 7u (Higham, Accuracy and Stability, Thm 24.2) and
+      ||X||_2^2 = L ||a||_2^2; since the normalized inverse transform maps
+      l1 into l-infinity with norm 1/L, the error of |X^|^2 costs at most
+      (2 eta log2 L + (eta log2 L)^2 + 3u) ||a||_2^2 per lag, and the
+      inverse transform's own rounding at most eta log2(L) ||P||_1 / L =
+      eta log2(L) ||a||_2^2 (every stage of the butterfly cone over P sums
+      to ||P||_1).  That is under 22 u log2(L) ||a||_2^2; c = 32 keeps
+      room for the mixed-radix kernels.
+    * Integer sequences: when eps < 1/2 every r(h) is rounded to the
+      integer it must be and T is summed exactly in int64 (guarded
+      against overflow), so sum_a t_a^2 is exact.  Otherwise T[q] sums
+      1 + 2 floor(N/q) lags: error <= (1 + 2N/q) eps plus gamma of that
+      count times ||a||_1^2 >= r(0) + 2 sum_j |r(jq)|.
+    * C_d: exact in int64 on the integer path while sum_e e |M[e]|, which
+      bounds every partial sum, stays below 2^62.  Otherwise each
+      M[e] sums at most N terms and each C_d at most d products, so
+      |C^_d - C_d| <= gamma_{2(N + d + 1)} C_abs[d], where C_abs
+      is the same convolution of sum_{e|n} |a_n| with |mu| (the doubled
+      index absorbs the rounding of the bound's own evaluation).
+    * w_d = C_d^2/phi(d) then carries (2|C^_d| + dC_d) dC_d / phi(d) +
+      gamma_4 w^_d, G(q) adds tau(q) nonnegative terms and is divided
+      by q (gamma_{tau+1} G^/q), and converting T and the final
+      subtraction add gamma_2 (T^ + |V^|).
+    V(q) >= 0, so negative rounding residue is clipped to 0; that only
+    moves a value toward the exact one.
+    """
+    _check_moduli(q_max, 1)
+    squares, err, exact = _square_sums(seq, q_max)
+    mu, phi = mobius_totient(q_max)
+    n = seq.n
+    m = multiple_sums(seq.int_values() if exact else seq.values, q_max)
+    if exact and float(np.arange(q_max + 1) @ np.abs(m)) < 2.0**62:
+        # Every partial sum of every C_d stays below 2^62.
+        c = ramanujan_convolution(m, mu).astype(np.float64)
+        dc = np.zeros(q_max + 1)
+    else:
+        c = ramanujan_convolution(m.astype(np.float64), mu)
+        c_abs = ramanujan_convolution(
+            multiple_sums(np.abs(seq.values), q_max), np.abs(mu))
+        dc = _gamma(2 * (n + np.arange(q_max + 1) + 1)) * c_abs
+    w = np.zeros((q_max + 1, 3))
+    w[1:, 0] = c[1:] ** 2 / phi[1:]
+    w[1:, 1] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
+        + _gamma(4) * w[1:, 0]
+    w[1:, 2] = 1.0
+    g = _convolve_ones(w)        # columns: G, its error, tau(q)
+    q = np.arange(1, q_max + 1)
+    v = np.zeros(q_max + 1)
+    v[1:] = squares[1:] - g[1:, 0] / q
+    err[1:] += ((g[1:, 1] + _gamma(g[1:, 2] + 1) * g[1:, 0]) / q
+                + _gamma(2) * (np.abs(squares[1:]) + np.abs(v[1:])))
+    np.maximum(v, 0.0, out=v)
+    return VarianceSweep(v=v, error=err, square_sums=squares,
+                         exact_squares=exact)
+
+
+def variance_total(seq: Sequence, q_max: int, q_min: int = 1) -> float:
+    """Sum of V(q) over q_min <= q <= q_max, from one variance_sweep."""
+    _check_moduli(q_max, q_min)
+    if q_min > q_max:
+        return 0.0
+    return math.fsum(variance_sweep(seq, q_max).v[q_min:])
 
 
 def _ramanujan_table(q: int) -> np.ndarray:
@@ -259,17 +397,49 @@ def psi_counts(table, q: int) -> PsiCounts:
 
 
 def restricted_variance_total(table, q_max: int, q_min: int = 1) -> float:
-    """Sum over q of the reduced-class prime variance, computed off the
-    nonzero support of Lambda only (fast path for large scans)."""
-    nz = np.nonzero(table.lam)[0]
-    w = table.lam[nz]
-    total = 0.0
-    for q in range(q_min, q_max + 1):
-        t = np.bincount(nz % q, weights=w, minlength=q)
-        coprime = _gcd_classes(q) == 1
-        if q == 1:
-            coprime[:] = True
-        psi = t[coprime]
-        mean = psi.sum() / totient(q)
-        total += float(((psi - mean) ** 2).sum())
-    return total
+    """Sum over q_min <= q <= q_max of the reduced-class prime variance
+    sum_{(b,q)=1} (psi(N;q,b) - S_1(q)/phi(q))^2.
+
+    It is the full square sum T(q) of the variance sweep minus the
+    classes b with (b, q) > 1, minus S_1(q)^2/phi(q), where
+    S_1(q) = sum_{(n,q)=1} Lambda(n) = sum_{e|q} mu(e) M[e].  A class
+    with (b, q) > 1 holds only powers p^j <= N of primes p | q, and
+    powers of two different primes never share one (see
+    _prime_power_class_squares).
+    """
+    _check_moduli(q_max, q_min)
+    if q_min > q_max:
+        return 0.0
+    seq = table.lambda_sequence()
+    squares, _, _ = _square_sums(seq, q_max)
+    mu, phi = mobius_totient(q_max)
+    s1 = _convolve_ones(mu * multiple_sums(seq.values, q_max))
+    per_q = (squares - _prime_power_class_squares(table, q_max))[1:] \
+        - s1[1:] ** 2 / phi[1:]
+    return math.fsum(per_q[q_min - 1:])
+
+
+def _prime_power_class_squares(table, q_max: int) -> np.ndarray:
+    """NR[q] = sum of t_b(q)^2 over the classes b mod q with (b, q) > 1,
+    for Lambda, at every q <= q_max.
+
+    For p | q the powers p^i and p^j fall in one class exactly when
+    p^i = p^j mod q, and several may (mod 6: 2, 8 and 32), so
+    NR[q] = sum_{p|q} sum_{i,j: p^i = p^j mod q} Lambda(p^i) Lambda(p^j).
+    Each prime is one vectorized pass over its multiples q.
+    """
+    n = table.n
+    nr = np.zeros(q_max + 1)
+    for p in _primes_from_spf(table.spf[: min(q_max, n) + 1]).tolist():
+        powers = [p]
+        while powers[-1] * p <= n:
+            powers.append(powers[-1] * p)
+        pw = np.array(powers, dtype=np.int64)
+        w = table.lam[pw]
+        nr[p::p] += float(np.dot(w, w))
+        if len(powers) > 1:
+            cls = pw % np.arange(p, q_max + 1, p)[:, None]
+            for s in range(1, len(powers)):
+                same = cls[:, s:] == cls[:, :-s]
+                nr[p::p] += 2.0 * (same @ (w[s:] * w[:-s]))
+    return nr

@@ -190,7 +190,7 @@ def test_criterion_7_chain_soundness():
                    name="d2")
     cfg = ExperimentConfig(experiment="theorem2", n=n, q_exp=0.8, k=2)
     params = resolve_params(cfg)
-    prop = assemble_prop13(seq, params, threads=4)
+    prop = assemble_prop13(seq, params)
 
     window = build_window(cfg.epsilon)
     w = build_weights("divisor_k", int(params.r), k=2)

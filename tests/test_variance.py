@@ -12,15 +12,15 @@ from apvar.arith import Sequence, divisors, ramanujan_sum, totient
 from apvar.variance import (check_identity_prop1, cor1_lower_bound,
                             exp_variance_H, psi_counts, residue_sums,
                             restricted_variance_total, variance_mod_q,
-                            variance_total)
+                            variance_sweep, variance_total)
 
 
 def brute_variance(seq, q):
-    """Direct double sum over h | q and residue classes with (a,q) = h."""
+    """Direct double sum over h | q and residue classes with (a,q) = h,
+    in exact rationals (every float is one)."""
     t = [Fraction(0)] * q
-    iv = seq.int_values()
     for n in range(1, seq.n + 1):
-        t[n % q] += int(iv[n])
+        t[n % q] += Fraction(float(seq.values[n]))
     total = Fraction(0)
     for h in divisors(q):
         classes = [a for a in range(q) if math.gcd(a if a else q, q) == h]
@@ -90,11 +90,81 @@ def test_residue_sums_basic():
     assert t.tolist() == [2, 3, 3, 2]
 
 
-def test_variance_total_threads_agree(table_300):
-    seq = Sequence(table_300.lam[:301].copy(), name="lambda")
-    a = variance_total(seq, 40)
-    b = variance_total(seq, 40, threads=4)
-    assert a == pytest.approx(b, rel=1e-12)
+def test_sweep_matches_exact_per_q(table_300, rng):
+    """The batched V(q) lies within its stated bound of the exact per-q
+    value for every q <= 300, and sum_a t_a^2 is exact on integers."""
+    seqs = [table_300.dk_sequence(2), table_300.dk_sequence(3),
+            Sequence.from_coeffs(rng.choice([-1.0, 1.0], size=300),
+                                 is_integer_valued=True, name="pm1")]
+    for seq in seqs:
+        sweep = variance_sweep(seq, 300)
+        assert sweep.exact_squares
+        iv = seq.int_values()
+        for q in range(1, 301):
+            exact = variance_mod_q(seq, q, exact=True).v
+            assert abs(Fraction(float(sweep.v[q])) - exact) \
+                <= Fraction(float(sweep.error[q])), (seq.name, q)
+            t = [int(iv[a::q].sum()) for a in range(q)]
+            assert int(sweep.square_sums[q]) == sum(x * x for x in t)
+
+
+def test_variance_total_matches_per_q_closed_form(table_300):
+    """Lambda and d_2 at N = 300, including q_max > N and q_min > q_max."""
+    for seq in (table_300.lambda_sequence(), table_300.dk_sequence(2)):
+        for q_min, q_max in ((1, 40), (7, 120), (1, 350), (290, 420)):
+            per_q = math.fsum(float(variance_mod_q(seq, q, exact=False).v)
+                              for q in range(q_min, q_max + 1))
+            assert variance_total(seq, q_max, q_min) == pytest.approx(
+                per_q, rel=1e-12), (seq.name, q_min, q_max)
+        assert variance_total(seq, 40, 41) == 0.0
+
+
+def test_restricted_variance_total_matches_psi_counts(table_300):
+    # q = 6, 12 and 30 have classes holding several powers of 2 or 3
+    # (mod 6: 2, 8, 32, 128 are all 2).
+    per_q = [psi_counts(table_300, q).restricted_variance
+             for q in range(1, 61)]
+    assert restricted_variance_total(table_300, 60) == pytest.approx(
+        math.fsum(per_q), rel=1e-12)
+    scale = table_300.lam.sum() ** 2
+    for q in range(1, 61):
+        assert restricted_variance_total(table_300, q, q) == pytest.approx(
+            per_q[q - 1], abs=1e-13 * scale)
+    assert restricted_variance_total(table_300, 30, 31) == 0.0
+
+
+@st.composite
+def float_sequences(draw):
+    # The bound holds in the standard rounding model, i.e. without
+    # underflow, so values too small to square are flushed to zero.
+    n = draw(st.integers(1, 60))
+    value = st.floats(-1e3, 1e3, allow_nan=False).map(
+        lambda x: x if abs(x) >= 1e-100 else 0.0)
+    vals = draw(st.lists(value, min_size=n, max_size=n))
+    return Sequence.from_coeffs(vals)
+
+
+@given(float_sequences(), st.integers(1, 80))
+@settings(max_examples=40, deadline=None)
+def test_sweep_within_bound_on_random_floats(seq, q_max):
+    sweep = variance_sweep(seq, q_max)
+    for q in range(1, q_max + 1):
+        assert abs(Fraction(float(sweep.v[q])) - brute_variance(seq, q)) \
+            <= Fraction(float(sweep.error[q])), q
+
+
+def test_moduli_must_be_positive(table_300):
+    seq = table_300.dk_sequence(2)
+    with pytest.raises(ValueError, match="q_max"):
+        variance_total(seq, 0)
+    with pytest.raises(ValueError, match="q_min"):
+        variance_total(seq, 10, 0)
+    with pytest.raises(ValueError, match="q_max"):
+        variance_sweep(seq, -3)
+    with pytest.raises(ValueError, match="q_max"):
+        restricted_variance_total(table_300, 0)
+    with pytest.raises(ValueError, match="q_min"):
+        restricted_variance_total(table_300, 10, -1)
 
 
 def test_corollary_bound_below_qV(table_300, rng):
