@@ -183,6 +183,78 @@ def ramanujan_convolution(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return c
 
 
+# Unit roundoff of float64, and the constant c of the per-lag FFT
+# correlation bound c u log2(L) ||a||_2 ||b||_2 derived in lag_correlations.
+UNIT_ROUNDOFF = 2.0**-53
+FFT_ERROR_CONSTANT = 32
+
+
+def gamma(k):
+    """gamma_k = k u / (1 - k u), the relative error bound of k roundings."""
+    ku = np.asarray(k, dtype=np.float64) * UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+@dataclass
+class LagCorrelation:
+    """rho(h) = (x(h) + x(-h)) / 2 for 0 <= h <= N, x(h) = sum_n a_{n+h} b_n.
+
+    `error` bounds |rho^(h) - rho(h)| at every lag a priori; when `exact`,
+    rho is an int64 array of the exact values and every sum of its
+    entries stays below 2^62 in magnitude.
+    """
+
+    rho: np.ndarray
+    error: float
+    exact: bool
+
+
+def lag_correlations(seqs, pairs) -> list:
+    """The symmetrized lag correlation of each pair (i, j) of `seqs`, from
+    one real FFT of length L > 2N per sequence (all of one length N).
+
+    For a pair (a, b), rho = irfft(Re(X conj Y)) with X, Y the length-L
+    transforms; L > 2N keeps the circular correlation free of aliasing.
+    For b = a, rho(h) = r(h) = sum_n a_n a_{n+h} is the autocorrelation.
+
+    Error bound, in the standard rounding model (no underflow; u = 2^-53,
+    gamma_k = ku/(1-ku)): every computed lag satisfies
+    |rho^(h) - rho(h)| <= eps, eps = c u log2(L) ||a||_2 ||b||_2 with
+    c = FFT_ERROR_CONSTANT.  The forward transforms X^ = X + E, Y^ = Y + F
+    have ||E||_2 <= eta log2(L) ||X||_2 with eta <= 7u (Higham, Accuracy
+    and Stability, Thm 24.2) and ||X||_2 ||Y||_2 = L ||a||_2 ||b||_2 by
+    Parseval.  The normalized inverse transform maps l1 into l-infinity
+    with norm 1/L, so by Cauchy-Schwarz the error of Re(X^ conj Y^) costs
+    at most (2 eta log2 L + (eta log2 L)^2 + 3u) ||a||_2 ||b||_2 per lag,
+    and the inverse transform's own rounding at most
+    eta log2(L) ||P||_1 / L <= eta log2(L) ||a||_2 ||b||_2 (every stage of
+    the butterfly cone over P sums to ||P||_1).  That is under
+    22 u log2(L) ||a||_2 ||b||_2; c = 32 keeps room for the mixed-radix
+    kernels.  For an integer sequence paired with itself, when eps < 1/2
+    every r(h) is rounded to the integer it must be (`exact`), provided
+    ||a||_1^2, which bounds sum_h |r(h)|, is below 2^62.
+    """
+    n = seqs[0].n
+    if any(s.n != n for s in seqs):
+        raise ValueError("sequences must share their length N")
+    length = 1 << (2 * n).bit_length()
+    spectra = [np.fft.rfft(s.values, length) for s in seqs]
+    scale = FFT_ERROR_CONSTANT * UNIT_ROUNDOFF * math.log2(length)
+    out = []
+    for i, j in pairs:
+        x, y = spectra[i], spectra[j]
+        rho = np.fft.irfft(x.real * y.real + x.imag * y.imag, length)[: n + 1]
+        a, b = seqs[i].values, seqs[j].values
+        eps = scale * math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+        l1 = float(np.abs(a).sum())
+        if (i == j and seqs[i].is_integer_valued and eps < 0.5
+                and l1 * l1 < 2.0**62):
+            out.append(LagCorrelation(np.rint(rho).astype(np.int64), 0.0, True))
+        else:
+            out.append(LagCorrelation(rho.copy(), eps, False))
+    return out
+
+
 def ramanujan_correlation(seq: Sequence, d: int, window=None):
     """Sum_{n<=N} a_n c_d(n), optionally weighted by Phi(n/N).
 

@@ -8,6 +8,7 @@ byte-identical CSV/JSON outputs.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import math
 import sys
@@ -40,7 +41,6 @@ def _fmt(x) -> str:
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
                     wall_time: float):
     import numpy
-    import scipy
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
@@ -48,7 +48,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
                    for k, v in sorted(config.items())
                    if not callable(v)},
         "versions": {"apvar": __version__, "numpy": numpy.__version__,
-                     "scipy": scipy.__version__,
+                     "scipy": importlib.metadata.version("scipy"),
                      "python": sys.version.split()[0]},
         "wall_time_s": round(wall_time, 3),
         "outputs": [str(p) for p in outputs],
@@ -167,13 +167,14 @@ def cmd_experiment(args) -> int:
         config = ExperimentConfig(
             experiment=args.kind, n=n, q_exp=args.Q_exp, k=args.k,
             delta=args.delta, epsilon=args.epsilon, k_exp=args.K_exp,
-            r_override=args.R, t_grid=args.T, ending=args.ending)
+            r_override=args.R, ending=args.ending)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runner = run_theorem1 if args.kind == "theorem1" else run_theorem2
     try:
-        report, summary = runner(config)
+        table = sieve_all(n, 2 if args.kind == "theorem1" else config.k)
+        report, summary = runner(config, table)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -203,8 +204,9 @@ def cmd_experiment(args) -> int:
                 fh.write(f"{alpha:.12g},{val:.12g}\n")
         else:
             fh.write("q,V\n")
+            # From the run's own sieve table, truncated at N = 10^5.
             seq_name = "lambda" if args.kind == "theorem1" else f"d{config.k}"
-            seq = load_sequence(seq_name, min(n, 10**5))
+            seq = load_sequence(seq_name, min(n, 10**5), table)
             sweep = variance_sweep(seq, min(int(report.params["Q"]), 400))
             for q in range(1, sweep.v.size):
                 fh.write(f"{q},{sweep.v[q]:.12g}\n")
@@ -298,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=0.05)
         p.add_argument("--K-exp", dest="K_exp", type=float, default=None)
         p.add_argument("--R", type=float, default=None)
-        p.add_argument("--T", type=int, default=None)
         p.add_argument("--out-dir", default="apvar_runs")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 

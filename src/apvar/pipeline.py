@@ -3,10 +3,12 @@
 The chain runs: sum of variances over moduli >= (modulus range) x
 (1 - slack) x (minor-arc integral) - (Ramanujan-sum tail) - (allowance
 term), with the minor-arc integral itself bounded below through
-Cauchy-Schwarz against an auxiliary sieve-weighted sequence.  At desk
-scale the asymptotic parameter recipes routinely overflow their
-theoretical ceilings, so every derived parameter is clipped into its
-admissible window and the clip is recorded in the report.
+Cauchy-Schwarz against an auxiliary sieve-weighted sequence.  Every arc
+integral comes from circle.arc_masses, exact up to a stated rounding
+bound.  At desk scale the asymptotic parameter recipes routinely
+overflow their theoretical ceilings, so every derived parameter is
+clipped into its admissible window and the clip is recorded in the
+report.
 """
 
 from __future__ import annotations
@@ -17,18 +19,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import (Sequence, d_k_of, factorize, is_squarefree, mobius,
-                    mobius_totient, multiple_sums, ramanujan_convolution,
-                    ramanujan_correlations, sieve_all, totient)
-from .circle import ArcSystem, Spectrum, build_spectrum, major_mask, \
-    minor_arc_integral
+from .arith import (Sequence, SieveTable, d_k_of, factorize, is_squarefree,
+                    mobius, mobius_totient, multiple_sums,
+                    ramanujan_convolution, ramanujan_correlations, sieve_all,
+                    totient)
+from .circle import ArcMass, ArcSystem, Spectrum, arc_masses, arcs_disjoint
+# Grid path: the validation tests use it and perfbench/spans.py wraps it.
+from .circle import build_spectrum, major_mask, minor_arc_integral  # noqa: F401
 from .dirichlet import choose_R_chebyshev, contour_nodes, f_q_value, \
     residue_ramdkeval, zeta_near_one
 from .variance import restricted_variance_total, variance_mod_q, variance_total
 from .windows import SmoothWindow, build_tilde_sequence, build_weights, \
     build_window, weight_sum_q
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Allowance multiplier for the unspecified O(N K / Q0 * sum |a_n|^2)
 # term; the per-run fitted constant is reported alongside.
@@ -52,7 +56,6 @@ class ExperimentConfig:
     epsilon: float = 0.05
     k_exp: float | None = None   # K = (log N)^k_exp
     r_override: float | None = None
-    t_grid: int | None = None
     ending: str = "second"
 
     def __post_init__(self):
@@ -123,6 +126,18 @@ def resolve_params(config: ExperimentConfig) -> ResolvedParams:
     if k_param < 5.0:
         clips.append(f"K: {k_param:.6g} -> 5")
         k_param = 5.0
+    # The K cap keeps 2 K^2 Q0 <= Q/4, so the major arcs are disjoint
+    # unless K sits on its floor of 5; then Q0 gives way.
+    if not arcs_disjoint(k_param, q0, q):
+        m_top = math.ceil((q / k_param + 1.0) / 2.0) - 1   # K(2M - 1) < Q
+        clipped = m_top / k_param
+        if clipped < 1.0 or not arcs_disjoint(k_param, clipped, q):
+            raise ValueError(
+                f"no Q0 >= 1 keeps the major arcs disjoint: K={k_param:.6g}, "
+                f"Q0={q0:.6g}, Q={q:.6g}")
+        clips.append(f"Q0: {q0:.6g} -> {clipped:.6g} (disjoint arcs, "
+                     f"Q > K(2KQ0 - 1))")
+        q0 = clipped
 
     kq0 = k_param * q0
     if config.r_override is not None:
@@ -202,8 +217,6 @@ class BoundReport:
 
 
 def assemble_prop13(seq: Sequence, params: ResolvedParams,
-                    spectrum: Spectrum | None = None,
-                    t_grid: int | None = None,
                     restricted_lhs: float | None = None) -> BoundReport:
     """The three-term variance inequality as a checked report.
 
@@ -215,29 +228,26 @@ def assemble_prop13(seq: Sequence, params: ResolvedParams,
         lhs = restricted_lhs
     else:
         lhs = variance_total(seq, int(params.q), int(math.floor(params.q0)) + 1)
-    if spectrum is None:
-        spectrum = build_spectrum(seq, t_grid)
-    minor = minor_arc_integral(spectrum, arcs)
+    minor = arc_masses(arcs, seq).a
     tail = ramanujan_tail(seq, params.q, params.q0)
     slack = (5.0 + math.log(arcs.k_param)) / arcs.k_param
     oterm = params.n * params.k_param / params.q0 * seq.l2()
-    rhs_central = params.q * (1.0 - slack) * minor.value - tail
+    rhs_central = params.q * (1.0 - slack) * minor.minor - tail
     fitted = max(0.0, (rhs_central - lhs) / oterm) if oterm else 0.0
-    sound = lhs >= (rhs_central - params.q * minor.error_bound
+    sound = lhs >= (rhs_central - params.q * minor.error
                     - OTERM_ALLOWANCE * oterm)
     final = rhs_central - OTERM_ALLOWANCE * oterm
     return BoundReport(
         schema_version=SCHEMA_VERSION, kind="prop13",
         params={"N": params.n, "Q": params.q, "K": params.k_param,
                 "Q0": params.q0},
-        lhs_variance_sum=lhs, minor_integral=minor.value,
-        minor_error=minor.error_bound, ramanujan_tail=tail, slack=slack,
+        lhs_variance_sum=lhs, minor_integral=minor.minor,
+        minor_error=minor.error, ramanujan_tail=tail, slack=slack,
         oterm_allowance=OTERM_ALLOWANCE * oterm, fitted_oterm_constant=fitted,
         cs_numerator=0.0, cs_denominator=0.0, final_lower_bound=final,
         comparison_target=lhs, ratio=final / lhs if lhs else 0.0,
         chain_sound=bool(sound), clips=list(params.clips),
-        extras={"minor_major_value": minor.major_value,
-                "minor_complement": minor.complement_value})
+        extras={"minor_major_value": minor.major})
 
 
 @dataclass
@@ -252,7 +262,8 @@ class CauchySchwarzBounds:
 
 def cauchy_schwarz_bound(seq: Sequence, tilde_seq: Sequence, arcs: ArcSystem,
                          spec_a: Spectrum, spec_tilde: Spectrum) -> CauchySchwarzBounds:
-    """Both Cauchy-Schwarz reductions of the minor |A|^2 integral.
+    """Both Cauchy-Schwarz reductions of the minor |A|^2 integral on grid
+    spectra: the validation path of the chains' exact arc_masses.
 
     bound_17 uses the signed inner product, evaluated through the
     complement identity (full inner product minus the major-arc part);
@@ -341,16 +352,16 @@ def bulk_residue_predictions(qs, k: int, n: int, window: SmoothWindow,
 # Full experiments
 
 
-def _finalize(kind, params, lhs, minor, tail, slack, oterm, cs_num, cs_den,
-              target, clips, extras) -> BoundReport:
+def _finalize(kind, params, lhs, minor: ArcMass, tail, slack, oterm, cs_num,
+              cs_den, target, clips, extras) -> BoundReport:
     bound = cs_num**2 / cs_den if cs_den > 0 else 0.0
     # The main-term chain value; the desk-scale-dominant subtractions are
     # reported separately and enter the soundness check below.
     final = params.q * (1.0 - slack) * bound
-    rhs_central = params.q * (1.0 - slack) * minor.value - tail
+    rhs_central = params.q * (1.0 - slack) * minor.minor - tail
     fitted = max(0.0, (rhs_central - lhs) / oterm) if oterm else 0.0
-    sound = (bound <= minor.value + minor.error_bound + 1e-9 * abs(minor.value)
-             and lhs >= rhs_central - params.q * minor.error_bound
+    sound = (bound <= minor.minor + minor.error + 1e-9 * abs(minor.minor)
+             and lhs >= rhs_central - params.q * minor.error
              - OTERM_ALLOWANCE * oterm)
     extras = dict(extras)
     extras["final_with_subtractions"] = final - tail - OTERM_ALLOWANCE * oterm
@@ -360,8 +371,8 @@ def _finalize(kind, params, lhs, minor, tail, slack, oterm, cs_num, cs_den,
         schema_version=SCHEMA_VERSION, kind=kind,
         params={"N": params.n, "Q": params.q, "K": params.k_param,
                 "Q0": params.q0, "R": params.r},
-        lhs_variance_sum=lhs, minor_integral=minor.value,
-        minor_error=minor.error_bound, ramanujan_tail=tail, slack=slack,
+        lhs_variance_sum=lhs, minor_integral=minor.minor,
+        minor_error=minor.error, ramanujan_tail=tail, slack=slack,
         oterm_allowance=OTERM_ALLOWANCE * oterm, fitted_oterm_constant=fitted,
         cs_numerator=cs_num, cs_denominator=cs_den,
         final_lower_bound=final, comparison_target=target,
@@ -369,9 +380,20 @@ def _finalize(kind, params, lhs, minor, tail, slack, oterm, cs_num, cs_den,
         chain_sound=bool(sound), clips=list(clips), extras=extras)
 
 
-def run_theorem1(config: ExperimentConfig):
+def _chain_table(config: ExperimentConfig, table: SieveTable | None,
+                 k: int) -> SieveTable:
+    if table is None:
+        return sieve_all(config.n, k)
+    if table.n != config.n or table.k < k:
+        raise ValueError(f"sieve table (N={table.n}, k={table.k}) does not "
+                         f"fit N={config.n}, k={k}")
+    return table
+
+
+def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
     """Full prime-variance chain: Lambda against the mu log(R/r) sieve.
 
+    `table` is the sieve table on 1..N, sieved here when not given.
     Returns (BoundReport, summary dict).
     """
     if config.experiment != "theorem1":
@@ -382,7 +404,7 @@ def run_theorem1(config: ExperimentConfig):
     params = resolve_params(config)
     arcs = params.arcs()
     log_n = math.log(n)
-    table = sieve_all(n, 2)
+    table = _chain_table(config, table, 2)
     seq = table.lambda_sequence()
     window = build_window(config.epsilon)
     r_int = int(params.r)
@@ -398,11 +420,9 @@ def run_theorem1(config: ExperimentConfig):
         abs(weight_sum_q(weights, q) - mobius(q) / totient(q))
         for q in range(1, 31) if is_squarefree(q))
 
-    t_grid = config.t_grid
-    spec_a = build_spectrum(seq, t_grid)
-    spec_t = build_spectrum(tilde, spec_a.t_grid)
-    cs = cauchy_schwarz_bound(seq, tilde, arcs, spec_a, spec_t)
-    minor = minor_arc_integral(spec_a, arcs)
+    masses = arc_masses(arcs, seq, tilde)
+    minor, minor_inner, minor_tilde = (masses.a, masses.cross.minor,
+                                       masses.tilde.minor)
 
     lhs = restricted_variance_total(table, int(params.q),
                                     int(math.floor(params.q0)) + 1)
@@ -421,19 +441,19 @@ def run_theorem1(config: ExperimentConfig):
         "calibration_dot": calib_dot,            # ~1 if (5.2)-shaped
         "calibration_tilde_sq": calib_sq,        # ~1 if (5.3)-shaped
         "weight_sum_max_dev": wsum_dev,
-        "minor_inner_scale": abs(cs.minor_inner)
+        "minor_inner_scale": abs(minor_inner)
         / (n * window.phi_int * max(log_ratio, 1e-9)),
-        "minor_tilde_scale": cs.minor_tilde
+        "minor_tilde_scale": minor_tilde
         / (n * window.phi_sq_int * max(log_ratio, 1e-9)),
         "fitted_target_constant": fitted_c,
         "near_degenerate_range": near_degenerate,
-        "bound_113": cs.bound_113,
     }
     report = _finalize("theorem1", params, lhs, minor, tail, slack, oterm,
-                       abs(cs.minor_inner), cs.minor_tilde, target,
+                       abs(minor_inner), minor_tilde, target,
                        params.clips, extras)
+    bound_17 = minor_inner**2 / minor_tilde if minor_tilde > 0 else 0.0
     summary = {"N": n, "Q": params.q, "R": params.r, "lhs": lhs,
-               "bound_17": cs.bound_17, "minor": minor.value,
+               "bound_17": bound_17, "minor": minor.minor,
                "chain_sound": report.chain_sound}
     return report, summary
 
@@ -454,10 +474,11 @@ def _admissible_qs(params: ResolvedParams, config: ExperimentConfig,
     return out
 
 
-def run_theorem2(config: ExperimentConfig):
+def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
     """Divisor-function chain for d_k, with either ending.
 
-    Returns (BoundReport, summary dict).
+    `table` is the sieve table on 1..N (with d_k), sieved here when not
+    given.  Returns (BoundReport, summary dict).
     """
     if config.experiment != "theorem2":
         raise ValueError("config is not a theorem2 config")
@@ -466,7 +487,7 @@ def run_theorem2(config: ExperimentConfig):
     n, k = config.n, config.k
     params = resolve_params(config)
     log_n = math.log(n)
-    table = sieve_all(n, k)
+    table = _chain_table(config, table, k)
     seq = table.dk_sequence(k)
     window = build_window(config.epsilon)
     arcs = params.arcs()
@@ -476,8 +497,7 @@ def run_theorem2(config: ExperimentConfig):
     tail = ramanujan_tail(seq, params.q, params.q0)
     slack = (5.0 + math.log(params.k_param)) / params.k_param
     oterm = n * params.k_param / params.q0 * seq.l2()
-    spec = build_spectrum(seq, config.t_grid)
-    minor = minor_arc_integral(spec, arcs)
+    minor = arc_masses(arcs, seq).a
     dk_sq = float(np.dot(seq.values, seq.values))  # upper bound for minor tilde
     target = params.q * n * log_n ** (k * k - 1)
     extras: dict = {}

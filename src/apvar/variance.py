@@ -19,17 +19,13 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (Sequence, _convolve_ones, _primes_from_spf, divisors,
-                    mobius, mobius_totient, multiple_sums,
-                    ramanujan_convolution, ramanujan_sum, totient)
+                    gamma, lag_correlations, mobius,
+                    mobius_totient, multiple_sums, ramanujan_convolution,
+                    ramanujan_sum, totient)
 
 # Sequences longer than this always take the float path even when
 # integer-valued; the exact path is the identity tester, not the scaler.
 EXACT_N_LIMIT = 10_000
-
-# Unit roundoff of float64, and the constant c of the per-lag FFT
-# autocorrelation bound c u log2(L) ||a||^2 derived in variance_sweep.
-UNIT_ROUNDOFF = 2.0**-53
-FFT_ERROR_CONSTANT = 32
 
 
 def residue_sums(seq: Sequence, q: int) -> np.ndarray:
@@ -104,12 +100,6 @@ def variance_mod_q(seq: Sequence, q: int, exact: bool | None = None) -> Variance
     return VarianceReport(q=q, v=v, method="direct", per_class_terms=per_class)
 
 
-def _gamma(k):
-    """gamma_k = k u / (1 - k u), the relative error bound of k roundings."""
-    ku = np.asarray(k, dtype=np.float64) * UNIT_ROUNDOFF
-    return ku / (1.0 - ku)
-
-
 def _check_moduli(q_max: int, q_min: int) -> None:
     if q_max < 1:
         raise ValueError(f"q_max must be at least 1, got {q_max}")
@@ -121,25 +111,17 @@ def _square_sums(seq: Sequence, q_max: int):
     """(T, err, exact): T[q] = sum_a t_a(q)^2 for 1 <= q <= q_max, an
     a-priori bound on |T[q] - computed|, and whether T is exact.
 
-    T[q] = r(0) + 2 sum_{j >= 1} r(jq) with r(h) = sum_n a_n a_{n+h}
-    from one real FFT of length L > 2N.  See variance_sweep for the bound.
+    T[q] = r(0) + 2 sum_{j >= 1} r(jq) with the autocorrelation r from
+    lag_correlations.  See variance_sweep for the bound.
     """
-    a = seq.values
-    n = seq.n
-    length = 1 << (2 * n).bit_length()
-    spec = np.fft.rfft(a, length)
-    r = np.fft.irfft(spec.real**2 + spec.imag**2, length)[: n + 1]
-    del spec
-    l2 = float(np.dot(a, a))
-    l1 = float(np.abs(a).sum())
-    eps = FFT_ERROR_CONSTANT * UNIT_ROUNDOFF * math.log2(length) * l2
-    exact = seq.is_integer_valued and eps < 0.5 and l1 * l1 < 2.0**62
-    if exact:
-        r = np.rint(r).astype(np.int64)
+    corr, = lag_correlations([seq], [(0, 0)])
+    r, eps = corr.rho, corr.error
+    if corr.exact:
         return r[0] + 2 * multiple_sums(r, q_max), np.zeros(q_max + 1), True
-    lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
+    l1 = float(np.abs(seq.values).sum())
+    lags = 1.0 + 2.0 * (seq.n // np.arange(1, q_max + 1))
     err = np.zeros(q_max + 1)
-    err[1:] = lags * eps + _gamma(lags) * (l1 * l1 + lags * eps)
+    err[1:] = lags * eps + gamma(lags) * (l1 * l1 + lags * eps)
     return r[0] + 2.0 * multiple_sums(r, q_max), err, False
 
 
@@ -179,17 +161,8 @@ def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
     Error bound, in the standard rounding model (no underflow; u = 2^-53,
     gamma_k = ku/(1-ku), L the FFT length):
 
-    * FFT: each computed lag satisfies |r^(h) - r(h)| <= eps with
-      eps = c u log2(L) ||a||_2^2, c = FFT_ERROR_CONSTANT.  The forward
-      transform X^ = X + E has ||E||_2 <= eta log2(L) ||X||_2 with
-      eta <= 7u (Higham, Accuracy and Stability, Thm 24.2) and
-      ||X||_2^2 = L ||a||_2^2; since the normalized inverse transform maps
-      l1 into l-infinity with norm 1/L, the error of |X^|^2 costs at most
-      (2 eta log2 L + (eta log2 L)^2 + 3u) ||a||_2^2 per lag, and the
-      inverse transform's own rounding at most eta log2(L) ||P||_1 / L =
-      eta log2(L) ||a||_2^2 (every stage of the butterfly cone over P sums
-      to ||P||_1).  That is under 22 u log2(L) ||a||_2^2; c = 32 keeps
-      room for the mixed-radix kernels.
+    * FFT: each lag of r (lag_correlations) is within
+      eps = c u log2(L) ||a||_2^2, c = FFT_ERROR_CONSTANT.
     * Integer sequences: when eps < 1/2 every r(h) is rounded to the
       integer it must be and T is summed exactly in int64 (guarded
       against overflow), so sum_a t_a^2 is exact.  Otherwise T[q] sums
@@ -221,18 +194,18 @@ def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
         c = ramanujan_convolution(m.astype(np.float64), mu)
         c_abs = ramanujan_convolution(
             multiple_sums(np.abs(seq.values), q_max), np.abs(mu))
-        dc = _gamma(2 * (n + np.arange(q_max + 1) + 1)) * c_abs
+        dc = gamma(2 * (n + np.arange(q_max + 1) + 1)) * c_abs
     w = np.zeros((q_max + 1, 3))
     w[1:, 0] = c[1:] ** 2 / phi[1:]
     w[1:, 1] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
-        + _gamma(4) * w[1:, 0]
+        + gamma(4) * w[1:, 0]
     w[1:, 2] = 1.0
     g = _convolve_ones(w)        # columns: G, its error, tau(q)
     q = np.arange(1, q_max + 1)
     v = np.zeros(q_max + 1)
     v[1:] = squares[1:] - g[1:, 0] / q
-    err[1:] += ((g[1:, 1] + _gamma(g[1:, 2] + 1) * g[1:, 0]) / q
-                + _gamma(2) * (np.abs(squares[1:]) + np.abs(v[1:])))
+    err[1:] += ((g[1:, 1] + gamma(g[1:, 2] + 1) * g[1:, 0]) / q
+                + gamma(2) * (np.abs(squares[1:]) + np.abs(v[1:])))
     np.maximum(v, 0.0, out=v)
     return VarianceSweep(v=v, error=err, square_sums=squares,
                          exact_squares=exact)

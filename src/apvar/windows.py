@@ -2,19 +2,20 @@
 
 The window is the usual C-infinity plateau bump built from exp(-1/x)
 cutoffs: identically 1 on [eps, 1-eps], supported in [0, 1].  Its
-Fourier transform is tabulated once on a fine grid by a chirp-z
-evaluation of the sample sums (spectrally accurate because the bump
-vanishes to all orders at both endpoints) and interpolated cubically.
+Fourier transform is tabulated on a fine grid by a chirp-z evaluation of
+the sample sums (spectrally accurate because the bump vanishes to all
+orders at both endpoints) and interpolated cubically.  The table, its
+spline and the decay constants are built, and scipy imported, on first
+use: the chains read only Phi, its integrals and its Mellin transform.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import czt
 
 from .arith import Sequence, d_k_of, mobius
 
@@ -48,28 +49,42 @@ class SmoothWindow:
     xi_max: float
     phi_int: float = field(init=False)
     phi_sq_int: float = field(init=False)
-    decay_constants: dict = field(init=False)
-    _spline: object = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps < 0.25:
             raise ValueError("eps must lie in (0, 1/4)")
-        m = _SAMPLES
-        t = np.arange(m) / m
-        samples = self.phi(t)
+        samples = self._samples()
         # Rectangle rule is spectrally accurate here: the integrand is
         # smooth and vanishes to all orders at 0 and 1.
-        self.phi_int = float(samples.sum() / m)
-        self.phi_sq_int = float((samples**2).sum() / m)
+        self.phi_int = float(samples.sum() / _SAMPLES)
+        self.phi_sq_int = float((samples**2).sum() / _SAMPLES)
+
+    def _samples(self) -> np.ndarray:
+        return self.phi(np.arange(_SAMPLES) / _SAMPLES)
+
+    @cached_property
+    def _table(self):
+        """(xi, Phi^(xi)) on the tabulation grid, by chirp-z."""
+        from scipy.signal import czt
+
+        m = _SAMPLES
         npts = int(self.xi_max / _XI_STEP) + 1
         w = np.exp(-2j * np.pi * _XI_STEP / m)
-        table = czt(samples.astype(np.complex128), m=npts, w=w) / m
-        xi = np.arange(npts) * _XI_STEP
-        self._spline = CubicSpline(xi, table)
+        table = czt(self._samples().astype(np.complex128), m=npts, w=w) / m
+        return np.arange(npts) * _XI_STEP, table
+
+    @cached_property
+    def _spline(self):
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline(*self._table)
+
+    @cached_property
+    def decay_constants(self) -> dict:
+        """C_a = max over the table of |Phi^(xi)| (1 + xi)^a, a = 1, 2, 4."""
+        xi, table = self._table
         mags = np.abs(table)
-        self.decay_constants = {
-            a: float(np.max(mags * (1.0 + xi) ** a)) for a in (1, 2, 4)
-        }
+        return {a: float(np.max(mags * (1.0 + xi) ** a)) for a in (1, 2, 4)}
 
     def phi(self, t):
         """The bump Phi(t): 0 outside [0,1], 1 on [eps, 1-eps]."""

@@ -1,17 +1,16 @@
-"""Spectra, arc dissection, and certified minor-arc integrals."""
+"""Spectra, arc dissection, certified grid integrals and exact arc masses."""
 
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apvar.arith import CapacityError, Sequence
-from apvar.circle import (ArcSystem, build_spectrum, default_grid_size,
-                          eval_exp_sum, export_classification,
-                          export_spectrum, farey_density_f,
-                          import_spectrum_power, is_major, major_mask,
-                          minor_arc_integral)
+from apvar.arith import CapacityError, Sequence, UNIT_ROUNDOFF, gamma
+from apvar.circle import (ArcSystem, arc_masses, build_spectrum,
+                          default_grid_size, eval_exp_sum, farey_density_f,
+                          is_major, major_mask, minor_arc_integral)
 
 
 def small_arcs(n=1000):
@@ -94,36 +93,168 @@ def test_farey_enumeration_cap():
         farey_density_f(0.5, arcs)
 
 
-def test_spectrum_export_roundtrip(tmp_path, rng):
-    seq = Sequence.from_coeffs(rng.standard_normal(100))
-    spec = build_spectrum(seq, 2048)
-    path = tmp_path / "spec.bin"
-    export_spectrum(spec, path)
-    t, power = import_spectrum_power(path)
-    assert t == 2048
-    assert np.allclose(power, spec.power)
-    # header is 8-byte little-endian
-    raw = path.read_bytes()
-    assert int.from_bytes(raw[:8], "little") == 2048
-    assert len(raw) == 8 + 2048 * 8
-
-
-def test_classification_rle_roundtrip(tmp_path):
-    arcs = small_arcs()
-    mask = major_mask(arcs, 4096)
-    path = tmp_path / "arcs.json"
-    export_classification(mask, path)
-    data = json.loads(path.read_text())
-    assert data["grid"] == 4096
-    rebuilt = np.zeros(4096, dtype=bool)
-    total = 0
-    for run in data["runs"]:
-        rebuilt[run["start"] : run["start"] + run["length"]] = run["major"]
-        total += run["length"]
-    assert total == 4096
-    assert np.array_equal(rebuilt, mask)
-
-
 def test_arc_system_warnings():
     with pytest.warns(UserWarning):
         ArcSystem(k_param=3.0, q0=1.0, q=100.0, n=100)
+
+
+# ---------------------------------------------------------------------------
+# Exact arc masses
+
+
+def direct_major(a, b, arcs):
+    """(value, rounding bound) of the integral of A conj(B) over the major
+    arcs as the direct double sum over n, m and the reduced r/q of
+    w_q(n - m) e((n - m) r/q), w_q(h) = sin(2 pi h d_q)/(pi h), w_q(0) = 2 d_q,
+    d_q = K/(qQ): no FFT and no Ramanujan sums.  The pairs (n, m) are
+    grouped by h = n - m, x(h) = sum_m a_{m+h} b_m by fsum, and e(.) is
+    summed over r and q - r together as a cosine.
+
+    Bound: x(h) is within 2u X(h), X(h) = sum_m |a_{m+h} b_m|; the sine's
+    argument carries gamma_5 and the cosine's gamma_4 (on at most 2 pi),
+    each trig value 4 ulp (8u), the quotient and the products gamma_4, so
+    a term is within X(h) (2 d_q gamma_50 + 8u/(pi |h|)); the final fsum
+    adds u |value|.  The sum is doubled for the bound's own rounding.
+    """
+    n = a.size - 1
+    hs = np.arange(-(n - 1), n)
+    x = np.array([math.fsum(a[1 + h:] * b[1:n + 1 - h]) if h >= 0 else
+                  math.fsum(a[1:n + 1 + h] * b[1 - h:]) for h in hs])
+    x_abs = np.array([np.abs(a[1 + h:] * b[1:n + 1 - h]).sum() if h >= 0
+                      else np.abs(a[1:n + 1 + h] * b[1 - h:]).sum()
+                      for h in hs])
+    terms, bound = [], 0.0
+    for q in range(1, arcs.kq0 + 1):
+        d = arcs.k_param / (q * arcs.q)
+        safe = np.where(hs == 0, 1, hs)
+        w = np.where(hs == 0, 2 * d, np.sin(2 * np.pi * hs * d) / (np.pi * safe))
+        per_term = x_abs * (2 * d * gamma(50)
+                            + np.where(hs == 0, 0.0,
+                                       8 * UNIT_ROUNDOFF / (np.pi * np.abs(safe))))
+        for r in range(q):
+            if math.gcd(r, q) == 1:
+                terms.extend(x * w * np.cos(2 * np.pi * ((hs * r) % q) / q))
+                bound += float(per_term.sum())
+    value = math.fsum(terms)
+    return value, 2.0 * (bound + UNIT_ROUNDOFF * abs(value))
+
+
+def disjoint_arcs(n=300):
+    # K >= 5, N log N / Q <= Q0 <= Q/K^2, Q > K (2 KQ0 - 1): no warnings.
+    return ArcSystem(k_param=5.0, q0=6.0, q=300.0, n=n)
+
+
+def check_against_direct(arcs, a, b, mass):
+    value, bound = direct_major(a.values, b.values, arcs)
+    assert abs(mass.major - value) <= mass.error + bound
+    assert mass.major + mass.minor == pytest.approx(mass.total, abs=mass.error)
+    assert mass.total == pytest.approx(float(np.dot(a.values, b.values)),
+                                       rel=1e-12)
+
+
+def test_arc_masses_match_direct_double_sum(rng, table_300, window):
+    from apvar.windows import build_tilde_sequence, build_weights
+
+    arcs = disjoint_arcs()
+    floats = Sequence.from_coeffs(rng.standard_normal(300))
+    d2 = Sequence(table_300.dk[2].astype(float), is_integer_valued=True)
+    tilde = build_tilde_sequence(300, build_weights("prime_sieve", 12), window)
+    check_against_direct(arcs, floats, floats, arc_masses(arcs, floats).a)
+    exact = arc_masses(arcs, d2).a
+    check_against_direct(arcs, d2, d2, exact)
+    pair = arc_masses(arcs, d2, tilde)
+    check_against_direct(arcs, tilde, tilde, pair.tilde)
+    check_against_direct(arcs, d2, tilde, pair.cross)
+    assert pair.a.major == pytest.approx(exact.major, abs=exact.error)
+    # The exact integer lags leave only the kernel's summation error.
+    assert exact.error < 1e-9 * exact.major
+
+
+def mp_major(a, arcs):
+    """The major-arc mass of |A|^2 as the same double sum in 40-digit
+    arithmetic on the exact binary values of a, K and Q."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        n = a.size - 1
+        vals = [mp.mpf(float(v)) for v in a]
+        x = {h: mp.fsum(vals[m + h] * vals[m] for m in range(1, n + 1 - h))
+             for h in range(n)}
+        total = mp.mpf(0)
+        for q in range(1, arcs.kq0 + 1):
+            d = mp.mpf(arcs.k_param) / (q * mp.mpf(arcs.q))
+            for r in range(q):
+                if math.gcd(r, q) == 1:
+                    total += 2 * d * x[0] + 2 * mp.fsum(
+                        x[h] * mp.sin(2 * mp.pi * h * d) / (mp.pi * h)
+                        * mp.cos(2 * mp.pi * ((h * r) % q) / q)
+                        for h in range(1, n))
+        return float(total)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # ArcSystem regime notes
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
+       st.integers(1, 6))
+def test_arc_masses_property(coeffs, m_top):
+    """Random float sequences: the direct double sum within both bounds,
+    and the 40-digit value within the engine's own bound alone."""
+    seq = Sequence.from_coeffs(np.array(coeffs))
+    k_param = 5.0
+    arcs = ArcSystem(k_param=k_param, q0=m_top / k_param,
+                     q=k_param * (2 * m_top + 1), n=seq.n)
+    mass = arc_masses(arcs, seq).a
+    check_against_direct(arcs, seq, seq, mass)
+    exact = mp_major(seq.values, arcs)
+    assert abs(mass.major - exact) <= mass.error + UNIT_ROUNDOFF * abs(exact)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # ArcSystem regime notes
+def test_grid_converges_to_exact(table_1e4):
+    n = 2000
+    seq = Sequence(table_1e4.dk[2][: n + 1].astype(float),
+                   is_integer_valued=True)
+    arcs = ArcSystem(k_param=5.0, q0=2.0, q=300.0, n=n)
+    exact = arc_masses(arcs, seq).a
+    devs = []
+    for t in (1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19):
+        grid = minor_arc_integral(build_spectrum(seq, t), arcs)
+        devs.append(abs(grid.value - exact.minor))
+        assert devs[-1] <= grid.error_bound + exact.error
+    assert devs[-1] < devs[0]
+
+
+def test_exact_cauchy_schwarz_matches_grid(table_1e5):
+    """Criterion 7's d_2 configuration: bound_17 from the exact masses
+    against the grid cauchy_schwarz_bound, within its quadrature error."""
+    from apvar.pipeline import (ExperimentConfig, cauchy_schwarz_bound,
+                                resolve_params)
+    from apvar.windows import build_tilde_sequence, build_weights, build_window
+
+    n = 10**5
+    seq = Sequence(table_1e5.dk[2].astype(float), is_integer_valued=True)
+    cfg = ExperimentConfig(experiment="theorem2", n=n, q_exp=0.8, k=2)
+    params = resolve_params(cfg)
+    tilde = build_tilde_sequence(
+        n, build_weights("divisor_k", int(params.r), k=2),
+        build_window(cfg.epsilon))
+    arcs = params.arcs()
+    spec_a = build_spectrum(seq)
+    grid = cauchy_schwarz_bound(seq, tilde, arcs, spec_a,
+                                build_spectrum(tilde, spec_a.t_grid))
+    masses = arc_masses(arcs, seq, tilde)
+    bound_17 = masses.cross.minor**2 / masses.tilde.minor
+    assert abs(bound_17 - grid.bound_17) <= grid.quadrature_error
+    assert abs(masses.a.minor - grid.minor_a) <= grid.quadrature_error
+
+
+def test_overlapping_arcs_rejected():
+    seq = Sequence.from_coeffs(np.ones(600))
+    with pytest.warns(UserWarning):
+        overlapping = ArcSystem(k_param=6.0, q0=2.0, q=100.0, n=600)
+    with pytest.raises(ValueError, match="K=6.*Q0=2.*Q=100"):
+        arc_masses(overlapping, seq)
+    with pytest.warns(UserWarning):   # one arc, about 0, wider than 1/2
+        wide = ArcSystem(k_param=5.0, q0=0.2, q=10.0, n=600)
+    with pytest.raises(ValueError):
+        arc_masses(wide, seq)

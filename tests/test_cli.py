@@ -98,7 +98,7 @@ def test_experiment_theorem2_files(tmp_path, capsys):
          "--N", "2e4", "--Q-exp", "0.8"], tmp_path, capsys)
     assert code == 0
     report = json.loads((tmp_path / "bound_report.json").read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["chain_sound"] is True
     assert float(report["ratio"]) > 0
     summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
@@ -129,3 +129,38 @@ def test_experiment_validation_errors(tmp_path, capsys):
          "--N", "1e4"], tmp_path, capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_cli_and_theorem1_leave_scipy_unloaded():
+    """scipy is imported only by the window's Fourier table, which the
+    chains never read."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import apvar
+
+    code = ("import sys\n"
+            "import apvar.cli\n"
+            "from apvar.pipeline import ExperimentConfig, run_theorem1\n"
+            "run_theorem1(ExperimentConfig(experiment='theorem1', n=3000))\n"
+            "print('scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(apvar.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_experiment_plot_rows_from_run_sequence(tmp_path, capsys):
+    """Above N = 10^5 the V(q) rows come from the run's own Lambda,
+    truncated at 10^5."""
+    from apvar.arith import load_sequence
+    from apvar.variance import variance_sweep
+
+    code, _, _ = run_cli(["experiment", "theorem1", "--N", "120000"],
+                         tmp_path, capsys)
+    assert code == 0
+    rows = (tmp_path / "plot_data.csv").read_text().splitlines()
+    sweep = variance_sweep(load_sequence("lambda", 10**5), 400)
+    assert rows == ["q,V"] + [f"{q},{sweep.v[q]:.12g}" for q in range(1, 401)]

@@ -64,12 +64,33 @@ def test_config_validation():
 
 def test_assemble_prop13_zero_sequence():
     z = Sequence.from_coeffs(np.zeros(600))
-    params = ResolvedParams(n=600, q=100.0, k_param=6.0, q0=2.0)
+    # KQ0 = 10 and Q > K (2 KQ0 - 1) = 95: disjoint arcs.
+    params = ResolvedParams(n=600, q=100.0, k_param=5.0, q0=2.0)
     report = assemble_prop13(z, params)
     assert report.lhs_variance_sum == 0
     assert report.minor_integral == 0
     assert report.ramanujan_tail == 0
     assert report.chain_sound
+    # KQ0 = 12 and Q <= K (2 KQ0 - 1) = 138: the arcs overlap.
+    overlapping = ResolvedParams(n=600, q=100.0, k_param=6.0, q0=2.0)
+    with pytest.raises(ValueError, match="overlap"):
+        assemble_prop13(z, overlapping)
+
+
+def test_resolve_params_keeps_arcs_disjoint():
+    # K = (log N)^0 = 1 is floored at 5 with Q0 = Q: Q0 gives way.
+    cfg = ExperimentConfig(experiment="theorem1", n=10**4, q_exp=0.75,
+                           k_exp=0.0)
+    params = resolve_params(cfg)
+    assert params.k_param == 5.0
+    assert any("disjoint" in clip for clip in params.clips)
+    kq0 = int(params.k_param * params.q0)
+    assert params.q > params.k_param * (2 * kq0 - 1)
+    assert params.q <= params.k_param * (2 * (kq0 + 1) - 1)
+    # Q = 31.6 < K (2 K - 1) = 45: no Q0 >= 1 works.
+    with pytest.raises(ValueError, match="disjoint"):
+        resolve_params(ExperimentConfig(experiment="theorem1", n=1000,
+                                        q_exp=0.5, k_exp=0.0))
 
 
 def test_assemble_prop13_d2(table_1e4):
@@ -82,7 +103,7 @@ def test_assemble_prop13_d2(table_1e4):
     assert report.chain_sound
     assert report.lhs_variance_sum >= report.final_lower_bound
     assert report.minor_integral > 0
-    assert report.schema_version == 1
+    assert report.schema_version == 2
 
 
 def test_cauchy_schwarz_equality_case(rng):
@@ -180,7 +201,7 @@ def test_bound_report_serialization():
     report, _ = run_theorem2(cfg)
     import json
     payload = json.loads(report.to_json())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert "final_lower_bound" in payload
     header = report.csv_header().split(",")
     row = report.csv_row().split(",")
