@@ -195,6 +195,15 @@ def gamma(k):
     return ku / (1.0 - ku)
 
 
+def underflow(k):
+    """k e0, e0 = 2^-1074: the absolute error k rounded products or
+    quotients may add under gradual underflow, where fl(x op y) =
+    (x op y)(1 + delta) + e, |e| <= e0, and sums that underflow are exact
+    (Higham, Accuracy and Stability, sec. 2.1).  k is rounded up to an
+    integer, so the product is exact."""
+    return np.ceil(np.asarray(k, dtype=np.float64)) * 2.0**-1074
+
+
 @dataclass
 class LagCorrelation:
     """rho(h) = (x(h) + x(-h)) / 2 for 0 <= h <= N, x(h) = sum_n a_{n+h} b_n.
@@ -217,22 +226,31 @@ def lag_correlations(seqs, pairs) -> list:
     transforms; L > 2N keeps the circular correlation free of aliasing.
     For b = a, rho(h) = r(h) = sum_n a_n a_{n+h} is the autocorrelation.
 
-    Error bound, in the standard rounding model (no underflow; u = 2^-53,
-    gamma_k = ku/(1-ku)): every computed lag satisfies
-    |rho^(h) - rho(h)| <= eps, eps = c u log2(L) ||a||_2 ||b||_2 with
-    c = FFT_ERROR_CONSTANT.  The forward transforms X^ = X + E, Y^ = Y + F
-    have ||E||_2 <= eta log2(L) ||X||_2 with eta <= 7u (Higham, Accuracy
-    and Stability, Thm 24.2) and ||X||_2 ||Y||_2 = L ||a||_2 ||b||_2 by
-    Parseval.  The normalized inverse transform maps l1 into l-infinity
+    Error bound, in the standard rounding model (u = 2^-53,
+    gamma_k = ku/(1-ku)) extended to gradual underflow (`underflow`,
+    e0 = 2^-1074): every computed lag satisfies |rho^(h) - rho(h)| <= eps,
+    eps = c u log2(L) ||a||_2 ||b||_2 + c L log2(L) (||a||_2 + ||b||_2 + 2) e0
+    with c = FFT_ERROR_CONSTANT.  The forward transforms X^ = X + E,
+    Y^ = Y + F have ||E||_2 <= eta log2(L) ||X||_2 with eta <= 7u (Higham,
+    Accuracy and Stability, Thm 24.2) and ||X||_2 ||Y||_2 = L ||a||_2 ||b||_2
+    by Parseval.  The normalized inverse transform maps l1 into l-infinity
     with norm 1/L, so by Cauchy-Schwarz the error of Re(X^ conj Y^) costs
     at most (2 eta log2 L + (eta log2 L)^2 + 3u) ||a||_2 ||b||_2 per lag,
     and the inverse transform's own rounding at most
     eta log2(L) ||P||_1 / L <= eta log2(L) ||a||_2 ||b||_2 (every stage of
     the butterfly cone over P sums to ||P||_1).  That is under
     22 u log2(L) ||a||_2 ||b||_2; c = 32 keeps room for the mixed-radix
-    kernels.  For an integer sequence paired with itself, when eps < 1/2
-    every r(h) is rounded to the integer it must be (`exact`), provided
-    ||a||_1^2, which bounds sum_h |r(h)|, is below 2^62.
+    kernels.  Under underflow each output of a length-L transform, fed by
+    each intermediate value along one path of butterflies and twiddles of
+    modulus at most 1, carries fewer than P = c L log2(L) e0 absolute
+    (one e0 per real product).  Through the product with the other
+    spectrum and the normalized inverse that costs
+    P (||X||_1 + ||Y||_1) / L <= P (||a||_2 + ||b||_2) per lag; the
+    spectrum products (2 e0) and the inverse itself (P + e0) add under
+    2P, and the slack in c covers second-order terms.  For an integer
+    sequence paired with itself, when eps < 1/2 every r(h) is rounded to
+    the integer it must be (`exact`), provided ||a||_1^2, which bounds
+    sum_h |r(h)|, is below 2^62.
     """
     n = seqs[0].n
     if any(s.n != n for s in seqs):
@@ -240,12 +258,15 @@ def lag_correlations(seqs, pairs) -> list:
     length = 1 << (2 * n).bit_length()
     spectra = [np.fft.rfft(s.values, length) for s in seqs]
     scale = FFT_ERROR_CONSTANT * UNIT_ROUNDOFF * math.log2(length)
+    products = FFT_ERROR_CONSTANT * length * math.log2(length)
     out = []
     for i, j in pairs:
         x, y = spectra[i], spectra[j]
         rho = np.fft.irfft(x.real * y.real + x.imag * y.imag, length)[: n + 1]
         a, b = seqs[i].values, seqs[j].values
-        eps = scale * math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
+        aa, bb = float(np.dot(a, a)), float(np.dot(b, b))
+        eps = scale * math.sqrt(aa * bb) + float(
+            underflow(products * (math.sqrt(aa) + math.sqrt(bb) + 2.0)))
         l1 = float(np.abs(a).sum())
         if (i == j and seqs[i].is_integer_valued and eps < 0.5
                 and l1 * l1 < 2.0**62):
@@ -539,10 +560,12 @@ def load_sequence(name: str, n: int, table: SieveTable | None = None) -> Sequenc
 
 
 def ramanujan_row(d: int, n_max: int) -> np.ndarray:
-    """c_d(n) for n = 1..n_max as an integer array."""
-    vals = {h: ramanujan_sum(d, h) for h in divisors(d)}
-    g = np.gcd(np.arange(1, n_max + 1), d)
-    return np.array([vals[int(h)] for h in g], dtype=np.int64)
+    """c_d(n) for n = 1..n_max as an integer array: c_d(n) depends only on
+    gcd(n, d), so it is looked up from a table over the divisors of d."""
+    table = np.zeros(d + 1, dtype=np.int64)
+    for h in divisors(d):
+        table[h] = ramanujan_sum(d, h)
+    return table[np.gcd(np.arange(1, n_max + 1), d)]
 
 
 def check_lemma1_matrix(q: int, m_max: int, n_max: int,

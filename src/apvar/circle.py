@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (CapacityError, Sequence, UNIT_ROUNDOFF, gamma,
-                    lag_correlations, mobius_totient)
+                    lag_correlations, mobius_totient, underflow)
 
 SPECTRUM_BUDGET = 1 << 24
 FAREY_ENUMERATION_CAP = 10_000
@@ -271,7 +271,8 @@ def arc_masses(arcs: ArcSystem, seq: Sequence,
     all, and memory is two arrays of length N + 1 per pair.  The minor
     mass is total - major, with total = rho(0).
 
-    Error bound, in the rounding model of lag_correlations (u, gamma_k),
+    Error bound, in the rounding model of lag_correlations (u, gamma_k,
+    and e0 = 2^-1074 per product or quotient under gradual underflow),
     with cos and sin of a float within 4 ulp (8u absolute):
 
     * Lags: each rho(h) is within eps (zero on the exact integer path).
@@ -296,11 +297,15 @@ def arc_masses(arcs: ArcSystem, seq: Sequence,
       2 n_b, n_b = ceil((N + 1)/B), each term at most 2 |P~| in modulus
       (gamma_{2B + 4 n_b + 4}).  With the 40u above that is
       gamma_{D + 2B + 4 n_b + 47} S1_D per m.
-    * The h = 0 term carries gamma_5 |rho(0)| sum_q 2 d_q phi(q); fsum
-      over m rounds once (u |major|) and minor = total - major once more
-      (u |minor|).
+    * Underflow: P~_D(j) holds at most D products, and the matrix product
+      and final dots one more per term, over weights of modulus <= 1, so
+      the sine and cosine parts of m carry at most 2 n_b B (D + 2) e0.
+    * The h = 0 term carries gamma_5 |rho(0)| sum_q 2 d_q phi(q) + 2 e0
+      (with its evaluation); fsum over m rounds once (u |major|) and
+      minor = total - major once more (u |minor|); sums that underflow
+      are exact.
     The sum of these terms is doubled, which covers the rounding of the
-    bound's own evaluation.
+    bound's own evaluation (each term has as many e0 as it has products).
     """
     arcs.check_disjoint()
     seqs = [seq] if tilde is None else [seq, tilde]
@@ -324,7 +329,8 @@ def arc_masses(arcs: ArcSystem, seq: Sequence,
             for d in range(1, min(m_max, n) + 1))
         for i, total in enumerate(totals):
             majors[i].append(total * zero_weight)
-            bounds[i].append(gamma(5) * abs(total) * zero_weight)
+            bounds[i].append(gamma(5) * abs(total) * zero_weight
+                             + float(underflow(2)))
         for row in rows:
             row *= 2.0                            # s(h) = x(h) + x(-h)
         for i, (parts, errs) in enumerate(_sine_sums(rows, arcs, mu)):
@@ -381,9 +387,10 @@ def _sine_sums(rows, arcs: ArcSystem, mu: np.ndarray) -> list:
                 + np.einsum("iak,ak->ik", prod[:, :, group.size :],
                             np.sin(np.outer(hi, dms))))
         count = d_top + 2 * block + 4 * n_b + 47
+        tiny = float(underflow(2 * n_b * block * (d_top + 2)))
         for k, m in enumerate(group.tolist()):
             for i, (parts, errs) in enumerate(out):
                 parts.append(float(mu[m]) * vals[i, k])
                 errs.append(gamma(count) * s1[i]
-                            + 4.0 * gamma(5) * dms[k] * s0[i])
+                            + 4.0 * gamma(5) * dms[k] * s0[i] + tiny)
     return out

@@ -21,8 +21,10 @@ import numpy as np
 from . import __version__
 from .arith import (check_lemma1_matrix, load_sequence, ramanujan_row,
                     sieve_all)
-from .dirichlet import (check_Fq1_bound, euler_F_q, residue_dk_correlation,
+from .dirichlet import (TruncationError, check_Fq1_bound, euler_F_q, residues,
                         zeta_near_one)
+# Bound for perfbench/spans.py, which wraps this name in this module.
+from .dirichlet import residue_dk_correlation  # noqa: F401
 from .pipeline import ExperimentConfig, run_theorem1, run_theorem2
 from .variance import check_identity_prop1, variance_mod_q, variance_sweep
 from .windows import build_weights, build_window, check_lemma5
@@ -91,12 +93,11 @@ def _verify_euler() -> list:
     # Partial Dirichlet sums vs zeta^k F_q at s = 2.
     x = 200000
     tab = sieve_all(x, 3)
-    ns = np.arange(x + 1, dtype=np.float64)
-    ns[0] = 1.0
+    ns = np.arange(1, x + 1, dtype=np.float64)
     for k in (2, 3):
-        dk = tab.dk[k].astype(np.float64)
+        dk = tab.dk[k][1:].astype(np.float64)
         for q in (1, 4, 6):
-            direct = float(np.sum(dk * ramanujan_row_padded(q, x) / ns**2))
+            direct = float(np.sum(dk * ramanujan_row(q, x) / ns**2))
             pred = (zeta_near_one(2.0) ** k * euler_F_q(q, k, 2.0)).real
             if abs(direct - pred) > 5e-3 * abs(pred):
                 failures.append(
@@ -106,12 +107,6 @@ def _verify_euler() -> list:
             if not check_Fq1_bound(q, k):
                 failures.append(f"F_q(1) lower bound failed q={q} k={k}")
     return failures
-
-
-def ramanujan_row_padded(q: int, n_max: int) -> np.ndarray:
-    row = np.zeros(n_max + 1)
-    row[1:] = ramanujan_row(q, n_max)
-    return row
 
 
 def _verify_windows() -> list:
@@ -175,7 +170,7 @@ def cmd_experiment(args) -> int:
     try:
         table = sieve_all(n, 2 if args.kind == "theorem1" else config.k)
         report, summary = runner(config, table)
-    except ValueError as exc:
+    except (ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out_dir)
@@ -225,13 +220,13 @@ def cmd_experiment(args) -> int:
 # table
 
 
-def cmd_table(args) -> int:
-    t0 = time.time()
+def _table_rows(args):
+    """The header and rows of one table.  Bad flags raise a ValueError
+    naming the flag, before any work."""
     rows = []
     if args.what == "ramanujan":
         if args.q_max > 10**4 or args.n_max > 10**5:
-            print("error: range too large", file=sys.stderr)
-            return 2
+            raise ValueError("--q-max/--n-max: range too large")
         header = "q,n,c_q_n"
         for q in range(1, args.q_max + 1):
             row = ramanujan_row(q, args.n_max)
@@ -239,26 +234,41 @@ def cmd_table(args) -> int:
                         for n in range(1, args.n_max + 1))
     elif args.what == "variance":
         n = int(float(args.N))
-        if n > MAX_N:
-            print(f"error: N={n} above cap {MAX_N}", file=sys.stderr)
-            return 2
-        seq = load_sequence(args.seq, n)
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"--N={n} outside [1, {MAX_N}]")
+        try:
+            seq = load_sequence(args.seq, n)
+        except ValueError as exc:
+            raise ValueError(f"--seq: {exc}") from None
         header = "q,V,method"
         for q in range(1, args.q_max + 1):
             rep = variance_mod_q(seq, q)
             rows.append(f"{q},{_fmt(rep.v)},{rep.method}")
     elif args.what == "weights":
+        if args.R is None or int(args.R) < 2:
+            raise ValueError(f"--R must be at least 2, got {args.R}")
         kind = "prime_sieve" if args.kind == "prime" else "divisor_k"
         weights = build_weights(kind, int(args.R), k=args.k)
         header = "r,b_r"
         rows.extend(f"{r},{_fmt(float(b))}" for r, b in weights.to_csv_rows())
-    elif args.what == "residues":
+    else:
         n = int(float(args.N))
+        if n < 2 or args.q_max > n:
+            raise ValueError(f"need --N >= 2 and --q-max <= --N, got "
+                             f"--N={n}, --q-max={args.q_max}")
         header = "q,k,N,value,error"
-        for q in range(1, args.q_max + 1):
-            pred = residue_dk_correlation(q, args.k, n)
-            rows.append(f"{q},{args.k},{n},{pred.value:.12g},{pred.error:.3g}")
-    else:  # pragma: no cover - argparse restricts choices
+        preds = residues(range(1, args.q_max + 1), args.k, n)
+        rows.extend(f"{q},{args.k},{n},{pred.value:.12g},{pred.error:.3g}"
+                    for q, pred in enumerate(preds, start=1))
+    return header, rows
+
+
+def cmd_table(args) -> int:
+    t0 = time.time()
+    try:
+        header, rows = _table_rows(args)
+    except (ValueError, TruncationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.format == "json":

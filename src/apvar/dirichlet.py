@@ -1,29 +1,32 @@
 """Euler products, contour residues, and the explicit residue polynomial.
 
-All residues are computed by the trapezoid rule on small circles, which
-is spectrally accurate for the analytic integrands appearing here; the
-closed forms (the explicit double-sum polynomial, the squarefree local
-factors) are separate code paths cross-validated against the contours.
+All residues come from one batched engine, `residues`: zeta and the
+weight are evaluated once on a small circle around s = 1, the Euler
+products of every modulus come from one table of local factors
+(`euler_factors`), and one trapezoid rule (`_trapezoid`), spectrally
+accurate for these analytic integrands, checks each value against its
+half-node rule.  The closed forms (the explicit double-sum polynomial,
+the squarefree local factors) are separate code paths cross-validated
+against the contours.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import (d_k_prime_power, factorize, gen_binomial, is_squarefree,
-                    totient)
+from .arith import (_primes_from_spf, _spf_sieve, d_k_prime_power, factorize,
+                    gen_binomial, is_squarefree, totient)
 
 EULER_GAMMA = 0.5772156649015329
 
 
 class TruncationError(Exception):
-    """An inner local series failed its certified tail bound."""
+    """A local series or a contour failed its certified error bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,62 +73,79 @@ def zeta_near_one(s, cutoff: int = 30, terms: int = 20):
 # ---------------------------------------------------------------------------
 # Local Euler factors
 
+# Each inner local series is summed to the first length, doubling from
+# MIN_TERMS up to MAX_TERMS, whose certified tail is at most TAIL_RTOL of
+# the local factor.
+MIN_TERMS = 60
+MAX_TERMS = 960
+TAIL_RTOL = 1e-14
 
-def _inner_series(p: int, k: int, a: int, s, terms: int):
-    """sum_{b=a}^{a+terms-1} d_k(p^b) p^{-bs}, plus a geometric tail bound."""
-    s = np.asarray(s, dtype=np.complex128)
-    sigma = float(np.min(s.real)) if s.ndim else float(s.real)
+
+def _local_factor(p: int, a: int, k: int, s: np.ndarray, g: bool) -> np.ndarray:
+    """The factor at p^a || q of F_q(s), or of G_q(s) when `g`, on a 1-d s.
+
+    With j = k (F) or k - 1 (G) and I(s) = sum_{b >= a} d_j(p^b) p^(-bs):
+    F: (1 - p^-s)^k (-d_k(p^(a-1)) p^(-(a-1)(s-1)) + phi(p^a) I(s));
+    G: (1 - p^-s)^(k-1) I(s).  With sigma = min Re s, the terms of I from
+    the first omitted b on shrink at least by rho = (b + j)/(b + 1) p^-sigma,
+    so they sum to at most that term over 1 - rho.  That tail, times
+    max|1 - p^-s|^j and phi(p^a) (F), must be at most TAIL_RTOL min|factor|.
+    """
+    j = k - 1 if g else k
+    sigma = float(np.min(s.real))
     if sigma <= 0:
         raise ValueError("inner series needs Re(s) > 0")
-    bs = np.arange(a, a + terms)
-    coeffs = np.array([d_k_prime_power(k, int(b)) for b in bs], dtype=np.float64)
-    if s.ndim:
+    damp = (1.0 - p ** (-s)) ** j
+    phi_pa = 1 if g else totient(p**a)
+    head = 0.0 if g else -d_k_prime_power(k, a - 1) * p ** (-(a - 1) * (s - 1.0))
+    terms = MIN_TERMS
+    while terms <= MAX_TERMS:
+        bs = np.arange(a, a + terms)
+        coeffs = np.array([d_k_prime_power(j, int(b)) for b in bs], dtype=np.float64)
         series = np.sum(coeffs[None, :] * p ** (-np.multiply.outer(s, bs)), axis=1)
-    else:
-        series = np.sum(coeffs * p ** (-s * bs))
-    b_next = a + terms
-    t_next = d_k_prime_power(k, b_next) * p ** (-sigma * b_next)
-    rho = (b_next + k) / (b_next + 1) * p ** (-sigma)
-    if rho >= 1.0:
-        raise TruncationError(f"series ratio {rho} >= 1 at p={p}, Re(s)={sigma}")
-    tail = t_next / (1.0 - rho)
-    return series, tail
+        local = damp * (head + phi_pa * series)
+        b_next = a + terms
+        rho = (b_next + j) / (b_next + 1) * p ** (-sigma)
+        if rho < 1.0:
+            tail = d_k_prime_power(j, b_next) * p ** (-sigma * b_next) / (1.0 - rho)
+            tail = phi_pa * tail * float(np.max(np.abs(damp)))
+            mag = float(np.min(np.abs(local)))
+            if mag == 0 or tail <= TAIL_RTOL * mag:
+                return local
+        terms *= 2
+    raise TruncationError(f"local factor at {p}^{a} (k={k}, Re(s) >= {sigma}) "
+                          f"needs more than {MAX_TERMS} terms")
 
 
-def _check_tail(tail: float, value) -> None:
-    mag = float(np.min(np.abs(value))) if np.ndim(value) else abs(value)
-    if mag > 0 and tail > 1e-14 * mag:
-        raise TruncationError(f"tail {tail} too large for value of size {mag}")
+def euler_factors(qs, k: int, s, g: bool = False) -> np.ndarray:
+    """F_q(s) for every q in qs (G_q(s) when `g`), one row per q, shape
+    (len(qs),) + shape(s).
+
+    Each local factor is built once per call and the factors of q are
+    multiplied in factorize order.
+    """
+    s = np.asarray(s, dtype=np.complex128)
+    flat = s.reshape(-1)
+    cache = {}
+    rows = np.ones((len(qs), flat.size), dtype=np.complex128)
+    for i, q in enumerate(qs):
+        for p, a in factorize(q):
+            if (p, a) not in cache:
+                cache[p, a] = _local_factor(p, a, k, flat, g)
+            rows[i] = rows[i] * cache[p, a]
+    return rows.reshape((len(qs),) + s.shape)
 
 
-def euler_F_q(q: int, k: int, s, terms: int = 60):
+def euler_F_q(q: int, k: int, s):
     """The finite Euler product F_q(s) correcting zeta(s)^k in the
     Dirichlet series of d_k(n) c_q(n).  Vectorized over s."""
-    s = np.asarray(s, dtype=np.complex128)
-    out = np.ones(s.shape, dtype=np.complex128) if s.ndim else complex(1.0)
-    for p, a in factorize(q):
-        series, tail = _inner_series(p, k, a, s, terms)
-        phi_pa = totient(p**a)
-        head = -d_k_prime_power(k, a - 1) * p ** (-(a - 1) * (s - 1.0))
-        local = (1.0 - p ** (-s)) ** k * (head + phi_pa * series)
-        _check_tail(phi_pa * tail * float(np.max(np.abs((1.0 - p ** (-s)) ** k))),
-                    local)
-        out = out * local
-    return out
+    return euler_factors([q], k, s)[0]
 
 
-def euler_G_q(q: int, k: int, s, terms: int = 60):
+def euler_G_q(q: int, k: int, s):
     """G_q(s): the correction factor for sum over multiples of q of
     d_{k-1}(n) n^{-s}.  Vectorized over s."""
-    s = np.asarray(s, dtype=np.complex128)
-    out = np.ones(s.shape, dtype=np.complex128) if s.ndim else complex(1.0)
-    for p, a in factorize(q):
-        series, tail = _inner_series(p, k - 1, a, s, terms)
-        local = (1.0 - p ** (-s)) ** (k - 1) * series
-        _check_tail(tail * float(np.max(np.abs((1.0 - p ** (-s)) ** (k - 1)))),
-                    local)
-        out = out * local
-    return out
+    return euler_factors([q], k, s, g=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,83 +158,63 @@ def contour_nodes(center: complex, radius: float, count: int):
     return center + offsets, offsets
 
 
-def contour_residue(f, center: complex, radius: float, count: int) -> complex:
-    """Residue at `center` via the trapezoid rule on a circle.
-
-    f must accept a complex numpy array and be analytic on the annulus
-    between the pole and the contour.
+def _trapezoid(rows: np.ndarray, labels):
+    """The trapezoid rule on each row of samples at 2M contour nodes: the
+    mean over all 2M, and as its error |that - the mean over the even
+    nodes|, which is the M-node rule (2 pi (2j)/(2M) = 2 pi j/M exactly).
+    An error above max(1e-6 |value|, 1e-12) raises, naming the row's label.
     """
-    s, offsets = contour_nodes(center, radius, count)
-    return complex(np.mean(f(s) * offsets))
+    full = rows.mean(axis=-1)
+    err = np.abs(full - rows[..., ::2].mean(axis=-1))
+    half = rows.shape[-1] // 2
+    for label, v, e in zip(labels, full, err):
+        if e > max(1e-6 * abs(v), 1e-12):
+            raise TruncationError(f"contour unstable at q={label}: {half} vs "
+                                  f"{2 * half} nodes differ by {e}")
+    return full, err
 
 
 @dataclass
 class ResiduePrediction:
     value: float
-    radius: float
-    nodes: int
     error: float
 
 
-def _stable_residue(f, center, radius, nodes) -> ResiduePrediction:
-    v1 = contour_residue(f, center, radius, nodes)
-    v2 = contour_residue(f, center, radius, 2 * nodes)
-    err = abs(v2 - v1)
-    if err > max(1e-6 * abs(v2), 1e-12):
-        raise TruncationError(
-            f"contour unstable: {nodes} vs {2*nodes} nodes differ by {err}")
-    return ResiduePrediction(value=v2.real, radius=radius, nodes=2 * nodes,
-                             error=err)
+def residues(qs, k: int, n: float, weight=None, count: int = 128,
+             g: bool = False) -> list:
+    """Res at s = 1 of zeta(s)^j E_q(s) W(s) for every q in qs, on the
+    circle |s - 1| = 1/log n with `count` nodes (checked against half).
+
+    E_q = F_q with j = k, or G_q with j = k - 1 when `g`.  W(s) = n^s/s
+    unless `weight` is given: it maps (v, s, s - 1) to v W(s).  zeta and
+    the weight are evaluated once for all q.
+    """
+    s, offsets = contour_nodes(1.0, 1.0 / math.log(n), count)
+    rows = zeta_near_one(s) ** (k - 1 if g else k) * euler_factors(qs, k, s, g)
+    rows = (rows * n**s / s if weight is None
+            else weight(rows, s, offsets)) * offsets
+    values, errors = _trapezoid(rows, qs)
+    return [ResiduePrediction(float(v.real), float(e))
+            for v, e in zip(values, errors)]
 
 
-def residue_dk_correlation(q: int, k: int, n: int, nodes: int = 64) -> ResiduePrediction:
+def residue_dk_correlation(q: int, k: int, n: int) -> ResiduePrediction:
     """Residue prediction for sum_{m<=N} d_k(m) c_q(m)."""
     if q > n:
         raise ValueError("need q <= N")
-    radius = 1.0 / math.log(n)
-
-    def f(s):
-        return zeta_near_one(s) ** k * euler_F_q(q, k, s) * n**s / s
-
-    return _stable_residue(f, 1.0, radius, nodes)
+    return residues([q], k, n)[0]
 
 
-def residue_divisor_mean(q: int, k: int, x: int, nodes: int = 64) -> ResiduePrediction:
-    """Residue prediction for sum_{m<=x, q|m} d_{k-1}(m)/m."""
+def residue_divisor_mean(q: int, k: int, x: int) -> ResiduePrediction:
+    """Residue prediction for sum_{m<=x, q|m} d_{k-1}(m)/m: the residue of
+    zeta(s)^(k-1) G_q(s) x^(s-1)/(s-1) at s = 1."""
     if q > x:
         raise ValueError("need q <= x")
-    radius = 1.0 / math.log(x)
-
-    def f(s):
-        return zeta_near_one(s + 1.0) ** (k - 1) * euler_G_q(q, k, s + 1.0) * x**s / s
-
-    return _stable_residue(f, 0.0, radius, nodes)
-
-
-def windowed_dk_correlation_prediction(q: int, k: int, n: int, window,
-                                       nodes: int = 64) -> ResiduePrediction:
-    """Residue prediction for sum d_k(m) c_q(m) Phi(m/N): the Mellin
-    weight of the window replaces N^s/s."""
-    radius = 1.0 / math.log(n)
-
-    def f(w):
-        return (zeta_near_one(w) ** k * euler_F_q(q, k, w) * n**w
-                * np.asarray(window.mellin(w)))
-
-    return _stable_residue(f, 1.0, radius, nodes)
+    return residues([q], k, x, lambda v, s, o: v * x**o / o, g=True)[0]
 
 
 # ---------------------------------------------------------------------------
 # The singular constant
-
-
-def _primes_up_to(n: int) -> np.ndarray:
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0]
 
 
 def singular_constant(k: int, p_cap: int):
@@ -224,7 +224,7 @@ def singular_constant(k: int, p_cap: int):
     """
     if p_cap < 100:
         raise ValueError("prime cap must be at least 100")
-    primes = _primes_up_to(p_cap).astype(np.float64)
+    primes = _primes_from_spf(_spf_sieve(p_cap)).astype(np.float64)
     series = np.zeros_like(primes)
     a = 0
     while True:
@@ -308,12 +308,6 @@ def choose_R_chebyshev(k: int, n: int, q0: float, q: float, k_param: float,
     return n ** alphas[best], float(values[best])
 
 
-def round_to_half(r: float) -> float:
-    """Nearest non-integer half-integer, as the residue bookkeeping assumes
-    R is not an integer."""
-    return math.floor(r) + 0.5
-
-
 # ---------------------------------------------------------------------------
 # Squarefree local-factor calculus
 
@@ -349,8 +343,7 @@ def f_q_value(q: int, k: int) -> float:
     return total
 
 
-def f_q_log_derivatives(q: int, k: int, order: int, radius: float = 0.05,
-                        nodes: int = 64):
+def f_q_log_derivatives(q: int, k: int, order: int):
     """[f_q(1), f_q'(1), ..., f_q^(order)(1)] for squarefree q.
 
     The value itself comes from the closed form; higher derivatives from
@@ -363,24 +356,15 @@ def f_q_log_derivatives(q: int, k: int, order: int, radius: float = 0.05,
     out = [f_q_value(q, k)]
     if order == 0 or q == 1:
         return out + [0.0] * (order if q == 1 else 0)
-    s, offsets = contour_nodes(1.0, radius, nodes)
+    s, offsets = contour_nodes(1.0, 0.05, 64)
     vals = euler_F_q(q, k, s)
     log_f = np.log(np.abs(vals)) + 1j * np.unwrap(np.angle(vals))
+    # f^(m)(1) = (log F)^(m+1)(1)
+    means, _ = _trapezoid(np.array([log_f * offsets ** (-(m + 1))
+                                    for m in range(1, order + 1)]),
+                          [q] * order)
     for m in range(1, order + 1):
-        # f^(m)(1) = (log F)^(m+1)(1)
-        deriv = math.factorial(m + 1) * np.mean(log_f * offsets ** (-(m + 1)))
-        out.append(float(deriv.real))
-    return out
-
-
-def derivative_bound_ratios(q: int, k: int, order: int):
-    """|f_q^(m)(1)| / sum_{p|q} (log p)^(m+1): the empirical constants in
-    the derivative-growth bound."""
-    ders = f_q_log_derivatives(q, k, order)
-    out = []
-    for m, val in enumerate(ders):
-        denom = sum(math.log(p) ** (m + 1) for p, _ in factorize(q)) or 1.0
-        out.append(abs(val) / denom)
+        out.append(float((math.factorial(m + 1) * means[m - 1]).real))
     return out
 
 
@@ -392,7 +376,7 @@ class RamdkevalResidue:
 
 
 def residue_ramdkeval(q: int, k: int, n: int, delta: float,
-                      smooth_exp: float = 0.25, nodes: int = 64) -> RamdkevalResidue:
+                      smooth_exp: float = 0.25) -> RamdkevalResidue:
     """Residue of zeta^k (F_q(s)/F_q(1)) N^(s-1)/s at s = 1, for squarefree
     smooth q, cross-checked against the (log N + f_q(1))^(k-1)/(k-1)! main
     term."""
@@ -403,13 +387,7 @@ def residue_ramdkeval(q: int, k: int, n: int, delta: float,
     if q > 1 and max(p for p, _ in factorize(q)) > n**smooth_exp:
         raise ValueError(f"q={q} has a prime factor above N^{smooth_exp}")
     fq1 = float(squarefree_F_q_exact(q, k)) if q > 1 else 1.0
-    radius = 1.0 / math.log(n)
-
-    def f(s):
-        return (zeta_near_one(s) ** k * euler_F_q(q, k, s) / fq1
-                * n ** (s - 1.0) / s)
-
-    pred = _stable_residue(f, 1.0, radius, nodes)
+    pred = residues([q], k, n, lambda v, s, o: v / fq1 * n ** (s - 1.0) / s)[0]
     main = (math.log(n) + f_q_value(q, k)) ** (k - 1) / math.factorial(k - 1)
     ratio = pred.value / main if main else math.inf
     return RamdkevalResidue(value=pred.value, main_term=main, ratio=ratio)

@@ -26,8 +26,9 @@ from .arith import (Sequence, SieveTable, d_k_of, factorize, is_squarefree,
 from .circle import ArcMass, ArcSystem, Spectrum, arc_masses, arcs_disjoint
 # Grid path: the validation tests use it and perfbench/spans.py wraps it.
 from .circle import build_spectrum, major_mask, minor_arc_integral  # noqa: F401
-from .dirichlet import choose_R_chebyshev, contour_nodes, f_q_value, \
-    residue_ramdkeval, zeta_near_one
+from .dirichlet import choose_R_chebyshev, f_q_value, residues
+# Bound for perfbench/spans.py, which wraps these names in this module.
+from .dirichlet import contour_nodes, residue_ramdkeval, zeta_near_one  # noqa: F401
 from .variance import restricted_variance_total, variance_mod_q, variance_total
 from .windows import SmoothWindow, build_tilde_sequence, build_weights, \
     build_window, weight_sum_q
@@ -318,34 +319,14 @@ def newprop_rhs(seq: Sequence, weights, window: SmoothWindow,
 # Residue predictions in bulk (shared contour across moduli)
 
 
-def bulk_residue_predictions(qs, k: int, n: int, window: SmoothWindow,
-                             nodes: int = 48) -> np.ndarray:
+def bulk_residue_predictions(qs, k: int, n: int, window: SmoothWindow) -> np.ndarray:
     """Residue predictions for the windowed correlations
-    sum d_k(n) c_q(n) Phi(n/N), sharing the zeta/Mellin contour values
-    and caching local Euler factors across the moduli."""
-    from .dirichlet import _inner_series
-
-    s, offsets = contour_nodes(1.0, 1.0 / math.log(n), nodes)
-    base = (zeta_near_one(s) ** k * n**s
-            * np.asarray(window.mellin(s)) * offsets)
-    local_cache = {}
-
-    def local(p, a):
-        key = (p, a)
-        if key not in local_cache:
-            series, _ = _inner_series(p, k, a, s, 60)
-            head = -d_k_of(k, p ** (a - 1)) * p ** (-(a - 1) * (s - 1.0))
-            local_cache[key] = ((1.0 - p ** (-s)) ** k
-                                * (head + totient(p**a) * series))
-        return local_cache[key]
-
-    out = np.empty(len(qs))
-    for i, q in enumerate(qs):
-        f = np.ones(nodes, dtype=np.complex128)
-        for p, a in factorize(q):
-            f = f * local(p, a)
-        out[i] = float(np.mean(base * f).real)
-    return out
+    sum d_k(n) c_q(n) Phi(n/N): the Mellin weight of the window replaces
+    N^s/s.  48 contour nodes, checked against 24; the Mellin transform,
+    which costs in proportion to the nodes, dominates."""
+    preds = residues(qs, k, n, lambda v, s, o: v * n**s
+                     * np.asarray(window.mellin(s)), count=48)
+    return np.array([p.value for p in preds])
 
 
 # ---------------------------------------------------------------------------

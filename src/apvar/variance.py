@@ -21,7 +21,7 @@ import numpy as np
 from .arith import (Sequence, _convolve_ones, _primes_from_spf, divisors,
                     gamma, lag_correlations, mobius,
                     mobius_totient, multiple_sums, ramanujan_convolution,
-                    ramanujan_sum, totient)
+                    ramanujan_row, totient, underflow)
 
 # Sequences longer than this always take the float path even when
 # integer-valued; the exact path is the identity tester, not the scaler.
@@ -158,11 +158,12 @@ def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
     are strided numpy updates, one per e and one per d; no array is
     larger than the FFT buffer or a few rows of length q_max.
 
-    Error bound, in the standard rounding model (no underflow; u = 2^-53,
-    gamma_k = ku/(1-ku), L the FFT length):
+    Error bound, in the standard rounding model (u = 2^-53,
+    gamma_k = ku/(1-ku), L the FFT length) with gradual underflow (each
+    product or quotient may also add e0 = 2^-1074, arith.underflow):
 
-    * FFT: each lag of r (lag_correlations) is within
-      eps = c u log2(L) ||a||_2^2, c = FFT_ERROR_CONSTANT.
+    * FFT: each lag of r (lag_correlations) is within eps, which is
+      c u log2(L) ||a||_2^2, c = FFT_ERROR_CONSTANT, plus its e0-terms.
     * Integer sequences: when eps < 1/2 every r(h) is rounded to the
       integer it must be and T is summed exactly in int64 (guarded
       against overflow), so sum_a t_a^2 is exact.  Otherwise T[q] sums
@@ -171,13 +172,17 @@ def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
     * C_d: exact in int64 on the integer path while sum_e e |M[e]|, which
       bounds every partial sum, stays below 2^62.  Otherwise each
       M[e] sums at most N terms and each C_d at most d products, so
-      |C^_d - C_d| <= gamma_{2(N + d + 1)} C_abs[d], where C_abs
+      |C^_d - C_d| <= gamma_{2(N + d + 1)} C_abs[d] + d e0, where C_abs
       is the same convolution of sum_{e|n} |a_n| with |mu| (the doubled
-      index absorbs the rounding of the bound's own evaluation).
+      index absorbs the rounding of the bound's own evaluation) and d e0
+      covers the at most d products e M[e].
     * w_d = C_d^2/phi(d) then carries (2|C^_d| + dC_d) dC_d / phi(d) +
       gamma_4 w^_d, G(q) adds tau(q) nonnegative terms and is divided
       by q (gamma_{tau+1} G^/q), and converting T and the final
       subtraction add gamma_2 (T^ + |V^|).
+    * Underflow: w_d adds 2 e0 and G/q one more; evaluating the bound
+      takes at most 6 products or quotients per d | q and 8 per q, so
+      err[q] gains (8 tau(q) + 16) e0 in all.
     V(q) >= 0, so negative rounding residue is clipped to 0; that only
     moves a value toward the exact one.
     """
@@ -194,7 +199,8 @@ def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
         c = ramanujan_convolution(m.astype(np.float64), mu)
         c_abs = ramanujan_convolution(
             multiple_sums(np.abs(seq.values), q_max), np.abs(mu))
-        dc = gamma(2 * (n + np.arange(q_max + 1) + 1)) * c_abs
+        ds = np.arange(q_max + 1)
+        dc = gamma(2 * (n + ds + 1)) * c_abs + underflow(ds)
     w = np.zeros((q_max + 1, 3))
     w[1:, 0] = c[1:] ** 2 / phi[1:]
     w[1:, 1] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
@@ -205,7 +211,8 @@ def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
     v = np.zeros(q_max + 1)
     v[1:] = squares[1:] - g[1:, 0] / q
     err[1:] += ((g[1:, 1] + gamma(g[1:, 2] + 1) * g[1:, 0]) / q
-                + gamma(2) * (np.abs(squares[1:]) + np.abs(v[1:])))
+                + gamma(2) * (np.abs(squares[1:]) + np.abs(v[1:]))
+                + underflow(8 * g[1:, 2] + 16))
     np.maximum(v, 0.0, out=v)
     return VarianceSweep(v=v, error=err, square_sums=squares,
                          exact_squares=exact)
@@ -217,13 +224,6 @@ def variance_total(seq: Sequence, q_max: int, q_min: int = 1) -> float:
     if q_min > q_max:
         return 0.0
     return math.fsum(variance_sweep(seq, q_max).v[q_min:])
-
-
-def _ramanujan_table(q: int) -> np.ndarray:
-    """c_q(j) for j = 0..q-1 (depends only on gcd(j, q))."""
-    g = _gcd_classes(q)
-    vals = {h: ramanujan_sum(q, h) for h in divisors(q)}
-    return np.array([vals[int(h)] for h in g], dtype=np.int64)
 
 
 def exp_variance_H(seq: Sequence, q: int, exact: bool | None = None) -> ExpVarianceReport:
@@ -239,7 +239,7 @@ def exp_variance_H(seq: Sequence, q: int, exact: bool | None = None) -> ExpVaria
     if exact is None:
         exact = _use_exact(seq)
     t = residue_sums(seq, q)
-    c = _ramanujan_table(q)
+    c = np.roll(ramanujan_row(q, q), 1)      # c_q(j), j = 0..q-1
     phi_q = totient(q)
     if exact:
         ti = np.round(t).astype(np.int64)

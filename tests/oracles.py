@@ -97,3 +97,60 @@ def divisor_square_main_term(m: int = 128) -> tuple:
                 acc[j] += g * u ** (j + 1)
         return tuple(float(mp.re(acc[j]) / (m * mp.factorial(j)))
                      for j in (3, 2, 1, 0))
+
+
+def _factor(q: int) -> list:
+    """(p, a) with p^a || q, by trial division."""
+    out, p = [], 2
+    while p * p <= q:
+        a = 0
+        while q % p == 0:
+            q //= p
+            a += 1
+        if a:
+            out.append((p, a))
+        p += 1
+    return out + [(q, 1)] if q > 1 else out
+
+
+def local_factor_closed_form(p: int, a: int, k: int, s):
+    """The factor at p^a || q of F_q(s) in closed form (mpmath), x = p^-s:
+    (1-x)^k (-d_k(p^(a-1)) p^((a-1)(1-s))
+             + phi(p^a) ((1-x)^(-k) - sum_{b<a} d_k(p^b) x^b)),
+    d_k(p^b) = C(b+k-1, k-1): the inner series sum_{b >= a} d_k(p^b) x^b
+    summed as the binomial series minus its first a terms."""
+    import mpmath as mp
+
+    x = mp.mpf(p) ** (-s)
+    head = -math.comb(a + k - 2, k - 1) * mp.mpf(p) ** ((a - 1) * (1 - s))
+    inner = (1 - x) ** (-k) - mp.fsum(math.comb(b + k - 1, k - 1) * x**b
+                                      for b in range(a))
+    return (1 - x) ** k * (head + (p**a - p ** (a - 1)) * inner)
+
+
+def dk_correlation_residue(q: int, k: int, n: int) -> float:
+    """Res at s = 1 of zeta(s)^k F_q(s) n^s / s as a Laurent-series
+    product rather than a contour: ((s-1) zeta(s))^k = sum_j c_j (s-1)^j
+    from zeta(s) = 1/(s-1) + sum_j (-1)^j gamma_j (s-1)^j / j! (mpmath's
+    Stieltjes constants), times the Taylor coefficients g_m of
+    F_q(s) n^s / s, with F_q the product of local_factor_closed_form:
+    the residue is sum_{j<k} c_j g_{k-1-j}."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        z = [mp.mpf(1)] + [(-1) ** j * mp.stieltjes(j) / mp.factorial(j)
+                           for j in range(k - 1)]
+        c = [mp.mpf(1)] + [mp.mpf(0)] * (k - 1)
+        for _ in range(k):
+            c = [mp.fsum(c[i] * z[j - i] for i in range(j + 1))
+                 for j in range(k)]
+
+        def g(s):
+            out = mp.mpf(n) ** s / s
+            for p, a in _factor(q):
+                out *= local_factor_closed_form(p, a, k, s)
+            return out
+
+        taylor = mp.taylor(g, 1, k - 1)
+        return float(mp.re(mp.fsum(c[j] * taylor[k - 1 - j]
+                                   for j in range(k))))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apvar.arith import CapacityError, Sequence, UNIT_ROUNDOFF, gamma
@@ -196,6 +196,10 @@ def mp_major(a, arcs):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
        st.integers(1, 6))
+# Lag products in the subnormal range: the bound must carry their
+# absolute underflow error.
+@example(coeffs=[2.6357603733167303e-160], m_top=2)
+@example(coeffs=[1e-160, -3e-161, 2e-160], m_top=3)
 def test_arc_masses_property(coeffs, m_top):
     """Random float sequences: the direct double sum within both bounds,
     and the 40-digit value within the engine's own bound alone."""

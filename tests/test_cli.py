@@ -92,6 +92,39 @@ def test_table_range_guard(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["residues", "--k", "2", "--N", "100", "--q-max", "150"], "--q-max"),
+    (["residues", "--N", "1"], "--N"),
+    (["variance", "--seq", "d5"], "--seq"),
+    (["variance", "--N", "0"], "--N"),
+    (["weights", "--R", "1"], "--R"),
+])
+def test_table_bad_flags_fail_cleanly(argv, flag, tmp_path, capsys):
+    code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
+                             capsys)
+    assert code == 2
+    assert err.startswith("error: ") and flag in err
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+def test_benchmark_span_names_are_bound():
+    """perfbench/spans.py wraps these names in apvar.pipeline and
+    apvar.cli for a traced run; deleting one breaks that run."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, layers in spans.LAYERS.items():
+        mod = importlib.import_module(mod_name)
+        for _, names in layers.values():
+            for name in names:
+                assert callable(getattr(mod, name, None)), f"{mod_name}.{name}"
+
+
 def test_experiment_theorem2_files(tmp_path, capsys):
     code, out, _ = run_cli(
         ["experiment", "theorem2", "--k", "2", "--ending", "second",

@@ -1,6 +1,7 @@
 """Euler products, contour residues, and the explicit polynomial."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from apvar import dirichlet as dr
 from apvar.arith import is_squarefree, ramanujan_row, totient
-from oracles import partial_dirichlet_sum, triple_contour_polynomial, \
-    zeta_mpmath
+from oracles import dk_correlation_residue, local_factor_closed_form, \
+    partial_dirichlet_sum, triple_contour_polynomial, zeta_mpmath
 
 EULER_GAMMA = dr.EULER_GAMMA
 
@@ -64,7 +65,7 @@ def test_euler_products_vs_partial_sums(table_1e5):
 
 def test_truncation_guard():
     with pytest.raises(dr.TruncationError):
-        dr.euler_F_q(2, 3, 0.05, terms=5)
+        dr.euler_F_q(2, 3, 0.05)
 
 
 def test_residue_dk_correlation_oracle(table_1e5):
@@ -83,6 +84,37 @@ def test_residue_dk_correlation_oracle(table_1e5):
         direct, rel=5e-3)
 
 
+def test_residues_match_laurent_oracle():
+    """Every batched row within its stated error (plus 1e-10 relative) of
+    the Stieltjes-constant Laurent product with closed-form factors."""
+    n = 10**6
+    qs = list(range(1, 61))
+    for k in (2, 3):
+        for q, pred in zip(qs, dr.residues(qs, k, n)):
+            oracle = dk_correlation_residue(q, k, n)
+            assert abs(pred.value - oracle) <= pred.error + 1e-10 * abs(oracle), \
+                (q, k)
+
+
+def test_batched_residues_equal_single_calls():
+    qs = list(range(1, 121))
+    random.Random(11).shuffle(qs)
+    single = [dr.residue_dk_correlation(q, 3, 10**6) for q in qs]
+    assert dr.residues(qs, 3, 10**6) == single
+
+
+def test_local_factor_series_lengthens_to_its_tail_bound():
+    """On the first-ending chain's contour (k = 3, N = 29 366, 48 nodes)
+    the p = 2 series needs more than 60 terms for a 1e-14 tail."""
+    import mpmath as mp
+
+    s, _ = dr.contour_nodes(1.0, 1.0 / math.log(29366), 48)
+    with mp.workdps(30):
+        closed = np.array([complex(local_factor_closed_form(2, 1, 3, mp.mpc(x)))
+                           for x in s])
+    assert np.max(np.abs(dr.euler_F_q(2, 3, s) / closed - 1.0)) <= 1e-14
+
+
 def test_residue_divisor_mean_oracle():
     x = 10**5
     pred = dr.residue_divisor_mean(1, 2, x)
@@ -93,12 +125,14 @@ def test_residue_divisor_mean_oracle():
 
 
 def test_windowed_prediction(window, table_1e5):
+    from apvar.pipeline import bulk_residue_predictions
+
     n = table_1e5.n
     d2 = table_1e5.dk[2].astype(np.float64)
     ns = np.arange(n + 1)
     direct = float(np.sum(d2 * window.phi(ns / n)))
-    pred = dr.windowed_dk_correlation_prediction(1, 2, n, window)
-    assert pred.value == pytest.approx(direct, rel=1e-3)
+    pred, = bulk_residue_predictions([1], 2, n, window)
+    assert pred == pytest.approx(direct, rel=1e-3)
 
 
 def test_singular_constant():
@@ -134,7 +168,6 @@ def test_choose_R_chebyshev():
     assert 10.0 * (10**5) ** 0.02 * (1 - 1e-12) <= r <= 10**4
     assert val == pytest.approx(
         dr.polynomial_69(2, log_n, math.log(r), math.log(80.0)), rel=1e-12)
-    assert dr.round_to_half(r) == math.floor(r) + 0.5
     with pytest.raises(ValueError):
         dr.choose_R_chebyshev(2, 10**5, 5000.0, 10**4, 8.0, 0.1)
 
@@ -151,8 +184,6 @@ def test_f_q_derivatives():
     assert ders[0] == pytest.approx(fd1, abs=1e-6)
     fd2 = (logF(1 + h) - 2 * logF(1.0) + logF(1 - h)) / h**2
     assert ders[1] == pytest.approx(fd2, abs=1e-4)
-    ratios = dr.derivative_bound_ratios(q, k, 2)
-    assert all(r < 50 for r in ratios)
     with pytest.raises(ValueError):
         dr.f_q_log_derivatives(12, 2, 1)
 

@@ -159,12 +159,15 @@ def test_newprop_rhs(window, table_1e4):
 
 
 def test_bulk_residue_predictions_match_scalar(window):
-    from apvar.dirichlet import windowed_dk_correlation_prediction
+    """The chain's 48-node windowed residues against the engine's
+    default 128 nodes, modulus by modulus."""
+    from apvar.dirichlet import residues
     n = 10**4
     qs = [1, 6, 15]
     bulk = bulk_residue_predictions(qs, 2, n, window)
     for i, q in enumerate(qs):
-        scalar = windowed_dk_correlation_prediction(q, 2, n, window)
+        scalar, = residues([q], 2, n, lambda v, s, o: v * n**s
+                           * np.asarray(window.mellin(s)))
         assert bulk[i] == pytest.approx(scalar.value, rel=1e-8)
 
 

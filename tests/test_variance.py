@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apvar.arith import Sequence, divisors, ramanujan_sum, totient
@@ -135,17 +135,16 @@ def test_restricted_variance_total_matches_psi_counts(table_300):
 
 @st.composite
 def float_sequences(draw):
-    # The bound holds in the standard rounding model, i.e. without
-    # underflow, so values too small to square are flushed to zero.
     n = draw(st.integers(1, 60))
-    value = st.floats(-1e3, 1e3, allow_nan=False).map(
-        lambda x: x if abs(x) >= 1e-100 else 0.0)
+    value = st.floats(-1e3, 1e3, allow_nan=False)
     vals = draw(st.lists(value, min_size=n, max_size=n))
     return Sequence.from_coeffs(vals)
 
 
 @given(float_sequences(), st.integers(1, 80))
 @settings(max_examples=40, deadline=None)
+# Squares in the subnormal range: V(3) and V(4) carry underflow error.
+@example(seq=Sequence.from_coeffs([2.6357603733167303e-160] * 5), q_max=5)
 def test_sweep_within_bound_on_random_floats(seq, q_max):
     sweep = variance_sweep(seq, q_max)
     for q in range(1, q_max + 1):
