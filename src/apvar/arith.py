@@ -432,6 +432,14 @@ def _convolve_ones(f: np.ndarray) -> np.ndarray:
     return g
 
 
+def divisor_sieve(n: int, k: int) -> dict:
+    """{j: d_j on 0..n} for 2 <= j <= k, slot 0 holding 0."""
+    dk = {2: _d2_sieve(n)}
+    for j in range(3, k + 1):
+        dk[j] = _convolve_ones(dk[j - 1])
+    return dk
+
+
 def sieve_all(n: int, k: int = 2) -> SieveTable:
     """Tables for Lambda, mu, phi, spf and d_j (2 <= j <= k) on 1..n."""
     if n < 1:
@@ -457,14 +465,8 @@ def sieve_all(n: int, k: int = 2) -> SieveTable:
             lam[pk] = lp
             pk *= int(p)
 
-    dk = {}
-    if k >= 2:
-        dk[2] = _d2_sieve(n)
-        dk[2][0] = 0
-    for j in range(3, k + 1):
-        dk[j] = _convolve_ones(dk[j - 1])
-
-    table = SieveTable(n=n, k=k, spf=spf, mu=mu, phi=phi, lam=lam, dk=dk)
+    table = SieveTable(n=n, k=k, spf=spf, mu=mu, phi=phi, lam=lam,
+                       dk=divisor_sieve(n, k))
     _cache_store(table)
     return table
 

@@ -32,6 +32,17 @@ from .windows import build_weights, build_window, check_lemma5
 MAX_N = 2 * 10**7
 
 
+def _bounded(flag: str, value, lo: int) -> float:
+    """--N or --R as a number in [lo, MAX_N], checked before any work."""
+    try:
+        x = float(value)
+    except ValueError:
+        raise ValueError(f"{flag}: not a number: {value!r}") from None
+    if not lo <= x <= MAX_N:
+        raise ValueError(f"{flag}={value} outside [{lo}, {MAX_N}]")
+    return x
+
+
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
@@ -154,15 +165,13 @@ def cmd_verify(args) -> int:
 
 def cmd_experiment(args) -> int:
     t0 = time.time()
-    n = int(float(args.N))
-    if n > MAX_N:
-        print(f"error: N={n} above cap {MAX_N}", file=sys.stderr)
-        return 2
     try:
+        n = int(_bounded("--N", args.N, 3))
         config = ExperimentConfig(
             experiment=args.kind, n=n, q_exp=args.Q_exp, k=args.k,
             delta=args.delta, epsilon=args.epsilon, k_exp=args.K_exp,
-            r_override=args.R, ending=args.ending)
+            r_override=None if args.R is None else _bounded("--R", args.R, 2),
+            ending=args.ending)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -233,29 +242,27 @@ def _table_rows(args):
             rows.extend(f"{q},{n},{row[n - 1]}"
                         for n in range(1, args.n_max + 1))
     elif args.what == "variance":
-        n = int(float(args.N))
-        if not 1 <= n <= MAX_N:
-            raise ValueError(f"--N={n} outside [1, {MAX_N}]")
+        n = int(_bounded("--N", args.N, 1))
         try:
             seq = load_sequence(args.seq, n)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise ValueError(f"--seq: {exc}") from None
         header = "q,V,method"
         for q in range(1, args.q_max + 1):
             rep = variance_mod_q(seq, q)
             rows.append(f"{q},{_fmt(rep.v)},{rep.method}")
     elif args.what == "weights":
-        if args.R is None or int(args.R) < 2:
-            raise ValueError(f"--R must be at least 2, got {args.R}")
+        if args.R is None:
+            raise ValueError("--R is required")
         kind = "prime_sieve" if args.kind == "prime" else "divisor_k"
-        weights = build_weights(kind, int(args.R), k=args.k)
+        weights = build_weights(kind, int(_bounded("--R", args.R, 2)), k=args.k)
         header = "r,b_r"
         rows.extend(f"{r},{_fmt(float(b))}" for r, b in weights.to_csv_rows())
     else:
-        n = int(float(args.N))
-        if n < 2 or args.q_max > n:
-            raise ValueError(f"need --N >= 2 and --q-max <= --N, got "
-                             f"--N={n}, --q-max={args.q_max}")
+        # The contour |s - 1| = 1/log N stays in Re s > 0 only for N > e.
+        n = int(_bounded("--N", args.N, 3))
+        if args.q_max > n:
+            raise ValueError(f"--q-max={args.q_max} exceeds --N={n}")
         header = "q,k,N,value,error"
         preds = residues(range(1, args.q_max + 1), args.k, n)
         rows.extend(f"{q},{args.k},{n},{pred.value:.12g},{pred.error:.3g}"
@@ -304,14 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--N", default="1e5")
-        p.add_argument("--Q-exp", dest="Q_exp", type=float, default=0.75)
         p.add_argument("--k", type=int, default=2)
-        p.add_argument("--delta", type=float, default=0.1)
-        p.add_argument("--epsilon", type=float, default=0.05)
-        p.add_argument("--K-exp", dest="K_exp", type=float, default=None)
         p.add_argument("--R", type=float, default=None)
         p.add_argument("--out-dir", default="apvar_runs")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_verify = sub.add_parser("verify", help="run property suites")
     p_verify.add_argument("suite",
@@ -325,6 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("kind", choices=("theorem1", "theorem2"))
     p_exp.add_argument("--ending", choices=("first", "second"),
                        default="second")
+    p_exp.add_argument("--Q-exp", dest="Q_exp", type=float, default=0.75)
+    p_exp.add_argument("--delta", type=float, default=0.1)
+    p_exp.add_argument("--epsilon", type=float, default=0.05)
+    p_exp.add_argument("--K-exp", dest="K_exp", type=float, default=None)
     common(p_exp)
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -336,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--seq", default="d2")
     p_tab.add_argument("--kind", choices=("prime", "divisor"), default="prime")
     p_tab.add_argument("--out", default=None)
+    p_tab.add_argument("--format", choices=("csv", "json"), default="csv")
     common(p_tab)
     p_tab.set_defaults(func=cmd_table)
     return parser

@@ -29,7 +29,9 @@ from .circle import build_spectrum, major_mask, minor_arc_integral  # noqa: F401
 from .dirichlet import choose_R_chebyshev, f_q_value, residues
 # Bound for perfbench/spans.py, which wraps these names in this module.
 from .dirichlet import contour_nodes, residue_ramdkeval, zeta_near_one  # noqa: F401
-from .variance import restricted_variance_total, variance_mod_q, variance_total
+from .variance import restricted_variance_total, variance_sweep
+# Bound for perfbench/spans.py, which wraps these names in this module.
+from .variance import variance_mod_q, variance_total  # noqa: F401
 from .windows import SmoothWindow, build_tilde_sequence, build_weights, \
     build_window, weight_sum_q
 
@@ -159,21 +161,36 @@ def resolve_params(config: ExperimentConfig) -> ResolvedParams:
 # Chain terms
 
 
-def ramanujan_tail(seq: Sequence, q_max: float, q0: float) -> float:
-    """sum over q <= Q of (1/q) sum over divisors d > Q0 of
-    |correlation(d)|^2 / phi(d); grouped by d with the harmonic weight
-    w_d = sum_{m <= Q/d} 1/(dm).  The correlations for all d <= Q are one
-    Moebius convolution of the multiple sums (ramanujan_convolution)."""
-    q_max = int(q_max)
+def _tail_sum(corrs: np.ndarray, phi: np.ndarray, q0: float) -> float:
+    """sum over q <= Q of (1/q) sum over divisors d > Q0 of C_d^2 / phi(d),
+    from the correlations C_d and phi(d) for d <= Q = corrs.size - 1;
+    grouped by d with the harmonic weight w_d = sum_{m <= Q/d} 1/(dm)."""
+    q_max = corrs.size - 1
     d_lo = int(math.floor(q0)) + 1
-    if d_lo > q_max:
-        return 0.0
-    mu, phi = mobius_totient(q_max)
-    corrs = ramanujan_convolution(multiple_sums(seq.values, q_max), mu)
     ds = np.arange(d_lo, q_max + 1)
     harmonic = np.cumsum(1.0 / np.arange(1, q_max + 1))
     weights = harmonic[q_max // ds - 1] / ds
     return math.fsum(weights * corrs[d_lo:] ** 2 / phi[d_lo:])
+
+
+def ramanujan_tail(seq: Sequence, q_max: float, q0: float) -> float:
+    """The Ramanujan-sum tail of the variance inequality (_tail_sum).  The
+    correlations for all d <= Q are one Moebius convolution of the
+    multiple sums (ramanujan_convolution)."""
+    q_max = int(q_max)
+    if q0 >= q_max:
+        return 0.0
+    mu, phi = mobius_totient(q_max)
+    return _tail_sum(
+        ramanujan_convolution(multiple_sums(seq.values, q_max), mu), phi, q0)
+
+
+def _swept_lhs_and_tail(seq: Sequence, params: ResolvedParams):
+    """sum of V(q) over Q0 < q <= Q and the Ramanujan tail, both from one
+    variance_sweep: its correlations are the tail's C_d."""
+    sweep = variance_sweep(seq, int(params.q))
+    lhs = math.fsum(sweep.v[int(math.floor(params.q0)) + 1:])
+    return lhs, _tail_sum(sweep.correlations, sweep.phi, params.q0)
 
 
 @dataclass
@@ -217,38 +234,56 @@ class BoundReport:
         return ",".join(out)
 
 
-def assemble_prop13(seq: Sequence, params: ResolvedParams,
-                    restricted_lhs: float | None = None) -> BoundReport:
-    """The three-term variance inequality as a checked report.
-
-    lhs = sum of V(q) over Q0 < q <= Q; rhs = Q (1 - slack) x minor
-    integral - tail - allowance x (N K / Q0) sum |a_n|^2.
-    """
-    arcs = params.arcs()
-    if restricted_lhs is not None:
-        lhs = restricted_lhs
-    else:
-        lhs = variance_total(seq, int(params.q), int(math.floor(params.q0)) + 1)
-    minor = arc_masses(arcs, seq).a
-    tail = ramanujan_tail(seq, params.q, params.q0)
-    slack = (5.0 + math.log(arcs.k_param)) / arcs.k_param
+def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
+              tail: float, minor: ArcMass, target: float,
+              cs: tuple | None = None, extras: dict | None = None) -> BoundReport:
+    """The one check of lhs >= Q (1 - slack) minor - tail - allowance x
+    (N K / Q0) sum |a_n|^2, slack = (5 + log K)/K, within minor's error
+    bar.  A Cauchy-Schwarz pair cs = (num, den) bounds minor below by
+    num^2/den and makes Q (1 - slack) num^2/den the final value, with the
+    subtractions reported apart; without one (prop13) the final value is
+    the right-hand side itself."""
+    slack = (5.0 + math.log(params.k_param)) / params.k_param
+    scale = params.q * (1.0 - slack)
     oterm = params.n * params.k_param / params.q0 * seq.l2()
-    rhs_central = params.q * (1.0 - slack) * minor.minor - tail
+    allowance = OTERM_ALLOWANCE * oterm
+    rhs_central = scale * minor.minor - tail
     fitted = max(0.0, (rhs_central - lhs) / oterm) if oterm else 0.0
-    sound = lhs >= (rhs_central - params.q * minor.error
-                    - OTERM_ALLOWANCE * oterm)
-    final = rhs_central - OTERM_ALLOWANCE * oterm
+    sound = lhs >= rhs_central - params.q * minor.error - allowance
+    extras = dict(extras or {})
+    if cs is None:
+        cs_num = cs_den = 0.0
+        final = rhs_central - allowance
+    else:
+        cs_num, cs_den = cs
+        bound = cs_num**2 / cs_den if cs_den > 0 else 0.0
+        sound = sound and (
+            bound <= minor.minor + minor.error + 1e-9 * abs(minor.minor))
+        final = scale * bound
+        extras["final_with_subtractions"] = final - tail - allowance
+        extras["lhs_exceeds_cs_chain"] = bool(
+            lhs >= extras["final_with_subtractions"])
     return BoundReport(
-        schema_version=SCHEMA_VERSION, kind="prop13",
+        schema_version=SCHEMA_VERSION, kind=kind,
         params={"N": params.n, "Q": params.q, "K": params.k_param,
-                "Q0": params.q0},
+                "Q0": params.q0, "R": params.r},
         lhs_variance_sum=lhs, minor_integral=minor.minor,
         minor_error=minor.error, ramanujan_tail=tail, slack=slack,
-        oterm_allowance=OTERM_ALLOWANCE * oterm, fitted_oterm_constant=fitted,
-        cs_numerator=0.0, cs_denominator=0.0, final_lower_bound=final,
-        comparison_target=lhs, ratio=final / lhs if lhs else 0.0,
-        chain_sound=bool(sound), clips=list(params.clips),
-        extras={"minor_major_value": minor.major})
+        oterm_allowance=allowance, fitted_oterm_constant=fitted,
+        cs_numerator=cs_num, cs_denominator=cs_den,
+        final_lower_bound=final, comparison_target=target,
+        ratio=final / target if target else 0.0,
+        chain_sound=bool(sound), clips=list(params.clips), extras=extras)
+
+
+def assemble_prop13(seq: Sequence, params: ResolvedParams) -> BoundReport:
+    """The three-term variance inequality for `seq` as a checked report,
+    compared with its own LHS: lhs = sum of V(q) over Q0 < q <= Q."""
+    arcs = params.arcs()
+    lhs, tail = _swept_lhs_and_tail(seq, params)
+    minor = arc_masses(arcs, seq).a
+    return _assemble("prop13", params, seq, lhs, tail, minor, target=lhs,
+                     extras={"minor_major_value": minor.major})
 
 
 @dataclass
@@ -333,34 +368,6 @@ def bulk_residue_predictions(qs, k: int, n: int, window: SmoothWindow) -> np.nda
 # Full experiments
 
 
-def _finalize(kind, params, lhs, minor: ArcMass, tail, slack, oterm, cs_num,
-              cs_den, target, clips, extras) -> BoundReport:
-    bound = cs_num**2 / cs_den if cs_den > 0 else 0.0
-    # The main-term chain value; the desk-scale-dominant subtractions are
-    # reported separately and enter the soundness check below.
-    final = params.q * (1.0 - slack) * bound
-    rhs_central = params.q * (1.0 - slack) * minor.minor - tail
-    fitted = max(0.0, (rhs_central - lhs) / oterm) if oterm else 0.0
-    sound = (bound <= minor.minor + minor.error + 1e-9 * abs(minor.minor)
-             and lhs >= rhs_central - params.q * minor.error
-             - OTERM_ALLOWANCE * oterm)
-    extras = dict(extras)
-    extras["final_with_subtractions"] = final - tail - OTERM_ALLOWANCE * oterm
-    extras["lhs_exceeds_cs_chain"] = bool(
-        lhs >= final - tail - OTERM_ALLOWANCE * oterm)
-    return BoundReport(
-        schema_version=SCHEMA_VERSION, kind=kind,
-        params={"N": params.n, "Q": params.q, "K": params.k_param,
-                "Q0": params.q0, "R": params.r},
-        lhs_variance_sum=lhs, minor_integral=minor.minor,
-        minor_error=minor.error, ramanujan_tail=tail, slack=slack,
-        oterm_allowance=OTERM_ALLOWANCE * oterm, fitted_oterm_constant=fitted,
-        cs_numerator=cs_num, cs_denominator=cs_den,
-        final_lower_bound=final, comparison_target=target,
-        ratio=final / target if target else 0.0,
-        chain_sound=bool(sound), clips=list(clips), extras=extras)
-
-
 def _chain_table(config: ExperimentConfig, table: SieveTable | None,
                  k: int) -> SieveTable:
     if table is None:
@@ -379,8 +386,6 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
     """
     if config.experiment != "theorem1":
         raise ValueError("config is not a theorem1 config")
-    if config.q > config.n:
-        raise ValueError("Q must not exceed N")
     n = config.n
     params = resolve_params(config)
     arcs = params.arcs()
@@ -408,8 +413,6 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
     lhs = restricted_variance_total(table, int(params.q),
                                     int(math.floor(params.q0)) + 1)
     tail = ramanujan_tail(seq, params.q, params.q0)
-    slack = (5.0 + math.log(params.k_param)) / params.k_param
-    oterm = n * params.k_param / params.q0 * seq.l2()
 
     log_ratio = math.log(params.r / (params.k_param * params.q0))
     target_log = math.log(params.q**2 / n)
@@ -429,9 +432,8 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
         "fitted_target_constant": fitted_c,
         "near_degenerate_range": near_degenerate,
     }
-    report = _finalize("theorem1", params, lhs, minor, tail, slack, oterm,
-                       abs(minor_inner), minor_tilde, target,
-                       params.clips, extras)
+    report = _assemble("theorem1", params, seq, lhs, tail, minor, target,
+                       cs=(abs(minor_inner), minor_tilde), extras=extras)
     bound_17 = minor_inner**2 / minor_tilde if minor_tilde > 0 else 0.0
     summary = {"N": n, "Q": params.q, "R": params.r, "lhs": lhs,
                "bound_17": bound_17, "minor": minor.minor,
@@ -463,8 +465,6 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
     """
     if config.experiment != "theorem2":
         raise ValueError("config is not a theorem2 config")
-    if config.q > config.n:
-        raise ValueError("Q must not exceed N")
     n, k = config.n, config.k
     params = resolve_params(config)
     log_n = math.log(n)
@@ -474,10 +474,7 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
     arcs = params.arcs()
     kq0 = arcs.kq0
 
-    lhs = variance_total(seq, int(params.q), int(math.floor(params.q0)) + 1)
-    tail = ramanujan_tail(seq, params.q, params.q0)
-    slack = (5.0 + math.log(params.k_param)) / params.k_param
-    oterm = n * params.k_param / params.q0 * seq.l2()
+    lhs, tail = _swept_lhs_and_tail(seq, params)
     minor = arc_masses(arcs, seq).a
     dk_sq = float(np.dot(seq.values, seq.values))  # upper bound for minor tilde
     target = params.q * n * log_n ** (k * k - 1)
@@ -522,9 +519,8 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
                        "median_corr_ratio": float(np.median(ratios))
                        if ratios else 0.0})
 
-    report = _finalize(f"theorem2-{config.ending}", params, lhs, minor, tail,
-                       slack, oterm, cs_num, dk_sq, target, params.clips,
-                       extras)
+    report = _assemble(f"theorem2-{config.ending}", params, seq, lhs, tail,
+                       minor, target, cs=(cs_num, dk_sq), extras=extras)
     summary = {"N": n, "Q": params.q, "k": k, "ending": config.ending,
                "lhs": lhs, "cs_numerator": cs_num, "ratio": report.ratio,
                "chain_sound": report.chain_sound}

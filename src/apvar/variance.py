@@ -130,13 +130,16 @@ class VarianceSweep:
     """V(q) for every modulus 1 <= q <= q_max (slot 0 unused).
 
     `error[q]` bounds |v[q] - V(q)| a priori; `square_sums[q]` is
-    sum_a t_a(q)^2, an exact int64 when `exact_squares`.
+    sum_a t_a(q)^2, an exact int64 when `exact_squares`.  `correlations[d]`
+    is C_d = sum_n a_n c_d(n) (see below) and `phi[d]` is phi(d).
     """
 
     v: np.ndarray
     error: np.ndarray
     square_sums: np.ndarray
     exact_squares: bool
+    correlations: np.ndarray
+    phi: np.ndarray
 
 
 def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
@@ -215,7 +218,7 @@ def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
                 + underflow(8 * g[1:, 2] + 16))
     np.maximum(v, 0.0, out=v)
     return VarianceSweep(v=v, error=err, square_sums=squares,
-                         exact_squares=exact)
+                         exact_squares=exact, correlations=c, phi=phi)
 
 
 def variance_total(seq: Sequence, q_max: int, q_min: int = 1) -> float:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import Sequence, d_k_of, mobius
+from .arith import Sequence, divisor_sieve, mobius_totient
 
 _SAMPLES = 1 << 16          # bump samples on [0, 1)
 _XI_STEP = 1.0 / 512.0      # tabulation step in xi
@@ -160,24 +160,14 @@ def build_weights(kind: str, r_max: int, k: int | None = None) -> WeightSet:
         raise ValueError("R must be at least 2")
     b = np.zeros(r_max + 1)
     if kind == "prime_sieve":
-        if r_max <= 2000:
-            mu = np.array([0] + [mobius(r) for r in range(1, r_max + 1)])
-        else:
-            from .arith import sieve_all
-            mu = sieve_all(r_max, 2).mu.astype(np.float64)
+        mu, _ = mobius_totient(r_max)
         r = np.arange(1, r_max + 1, dtype=np.float64)
-        b[1:] = mu[1 : r_max + 1] * np.log(r_max / r)
+        b[1:] = mu[1:] * np.log(r_max / r)
         bound = math.log(r_max)
     elif kind == "divisor_k":
         if k is None or k < 2:
             raise ValueError("divisor weights need k >= 2")
-        if k == 2:
-            b[1:] = 1.0
-        elif r_max <= 2000:
-            b[1:] = [d_k_of(k - 1, r) for r in range(1, r_max + 1)]
-        else:
-            from .arith import sieve_all
-            b[1:] = sieve_all(r_max, k).dk[k - 1][1:]
+        b[1:] = divisor_sieve(r_max, k - 1)[k - 1][1:] if k > 2 else 1.0
         bound = float(b.max())
     else:
         raise ValueError(f"unknown weight kind {kind!r}")

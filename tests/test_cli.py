@@ -98,6 +98,11 @@ def test_table_range_guard(tmp_path, capsys):
     (["variance", "--seq", "d5"], "--seq"),
     (["variance", "--N", "0"], "--N"),
     (["weights", "--R", "1"], "--R"),
+    (["weights", "--R", "nan"], "--R"),
+    (["residues", "--N", "2"], "--N"),
+    (["variance", "--N", "abc"], "--N"),
+    (["variance", "--N", "inf"], "--N"),
+    (["variance", "--seq", "file:no/such/sequence.csv"], "--seq"),
 ])
 def test_table_bad_flags_fail_cleanly(argv, flag, tmp_path, capsys):
     code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
@@ -162,6 +167,38 @@ def test_experiment_validation_errors(tmp_path, capsys):
          "--N", "1e4"], tmp_path, capsys)
     assert code == 2
     assert "error" in err
+    for argv in (["--N", "abc"], ["--N", "inf"], ["--N", "1"],
+                 ["--N", "1e4", "--R", "inf"]):
+        code, out, err = run_cli(["experiment", "theorem1", *argv],
+                                 tmp_path, capsys)
+        assert code == 2, argv
+        assert err.startswith("error: ") and argv[-2] in err
+        assert out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "theorem1", "--format", "json"],
+    ["table", "variance", "--Q-exp", "0.8"],
+    ["table", "weights", "--R", "10", "--delta", "0.2"],
+    ["table", "variance", "--epsilon", "0.1"],
+    ["table", "residues", "--K-exp", "2"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv, tmp_path, capsys)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_experiment_outputs_are_deterministic(tmp_path, capsys):
+    """Identical flags give byte-identical reports, summaries and plots."""
+    argv = ["experiment", "theorem2", "--N", "2e4", "--Q-exp", "0.8"]
+    for run in ("a", "b"):
+        assert main(argv + ["--out-dir", str(tmp_path / run)]) == 0
+    for name in ("bound_report.json", "summary.csv", "plot_data.csv"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
 
 
 def test_cli_and_theorem1_leave_scipy_unloaded():

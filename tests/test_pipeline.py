@@ -199,6 +199,83 @@ def test_run_theorem2_both_endings():
     assert agree == pytest.approx(1.0, abs=0.25)
 
 
+@pytest.mark.parametrize("k, ending", [(3, "first"), (2, "second")])
+def test_run_theorem2_tail_is_ramanujan_tail(k, ending):
+    """The chain takes its tail from its variance sweep's C_d; that is
+    ramanujan_tail's own convolution bit for bit."""
+    n = 2 * 10**4
+    report, _ = run_theorem2(ExperimentConfig(
+        experiment="theorem2", n=n, q_exp=0.8, k=k, ending=ending))
+    seq = sieve_all(n, k).dk_sequence(k)
+    p = report.params
+    assert report.ramanujan_tail > 0
+    assert report.ramanujan_tail == ramanujan_tail(seq, p["Q"], p["Q0"])
+
+
+@pytest.mark.parametrize("kind", ["theorem1", "theorem2-first",
+                                  "theorem2-second", "prop13"])
+def test_chain_verdict_rebuilt_from_report_fields(kind):
+    """chain_sound, final_lower_bound and final_with_subtractions follow
+    from the report's own terms, as the benchmark oracle rebuilds them."""
+    n = 2 * 10**4
+    table = sieve_all(n, 2)
+    if kind == "theorem1":
+        r, _ = run_theorem1(ExperimentConfig(experiment="theorem1", n=n),
+                            table)
+        seq = table.lambda_sequence()
+    else:
+        cfg = ExperimentConfig(experiment="theorem2", n=n, q_exp=0.8, k=2,
+                               ending=kind.partition("-")[2] or "second")
+        seq = table.dk_sequence(2)
+        r = (assemble_prop13(seq, resolve_params(cfg)) if kind == "prop13"
+             else run_theorem2(cfg, table)[0])
+    assert r.kind == kind
+    p = r.params
+    q, k_param = p["Q"], p["K"]
+    assert r.slack == (5.0 + math.log(k_param)) / k_param
+    assert r.oterm_allowance == pytest.approx(
+        p["N"] * k_param / p["Q0"] * seq.l2(), rel=1e-12)
+    bound = (r.cs_numerator**2 / r.cs_denominator
+             if r.cs_denominator > 0 else 0.0)
+    rhs = q * (1.0 - r.slack) * r.minor_integral - r.ramanujan_tail
+    sound = (bound <= r.minor_integral + r.minor_error
+             + 1e-9 * abs(r.minor_integral)
+             and r.lhs_variance_sum >= rhs - q * r.minor_error
+             - r.oterm_allowance)
+    assert r.chain_sound == sound
+    if kind == "prop13":
+        assert r.cs_numerator == r.cs_denominator == 0.0
+        assert r.final_lower_bound == pytest.approx(
+            rhs - r.oterm_allowance, rel=1e-12)
+        assert "final_with_subtractions" not in r.extras
+        return
+    final = q * (1.0 - r.slack) * bound
+    assert final > 0
+    assert r.final_lower_bound == pytest.approx(final, rel=1e-12)
+    with_subtractions = r.extras["final_with_subtractions"]
+    assert with_subtractions == pytest.approx(
+        final - r.ramanujan_tail - r.oterm_allowance, rel=1e-12)
+    assert r.extras["lhs_exceeds_cs_chain"] == (
+        r.lhs_variance_sum >= with_subtractions)
+
+
+def test_assembler_verdict_fails_with_either_link():
+    """chain_sound needs both the Cauchy-Schwarz bound within the minor
+    integral's error bar and the variance inequality; desk-scale chains
+    always pass, so each link is broken here by hand."""
+    from apvar.circle import ArcMass
+    from apvar.pipeline import _assemble
+    params = ResolvedParams(n=100, q=50.0, k_param=10.0, q0=1.0, r=20.0)
+    seq = Sequence.from_coeffs(np.ones(100))
+    small, large = ArcMass(0.0, 0.0, 1.0, 0.0), ArcMass(0.0, 0.0, 1e7, 0.0)
+    assert _assemble("t", params, seq, 1e9, 0.0, small, 1.0,
+                     cs=(1.0, 1.0)).chain_sound
+    assert not _assemble("t", params, seq, 1e9, 0.0, small, 1.0,
+                         cs=(2.0, 1.0)).chain_sound
+    assert not _assemble("t", params, seq, 0.0, 0.0, large, 1.0).chain_sound
+    assert _assemble("t", params, seq, 0.0, 0.0, small, 1.0).chain_sound
+
+
 def test_bound_report_serialization():
     cfg = ExperimentConfig(experiment="theorem2", n=10**4, q_exp=0.8)
     report, _ = run_theorem2(cfg)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apvar.arith import Sequence, divisors, ramanujan_sum, totient
+from apvar.arith import (Sequence, divisors, ramanujan_correlations,
+                         ramanujan_sum, totient)
 from apvar.variance import (check_identity_prop1, cor1_lower_bound,
                             exp_variance_H, psi_counts, residue_sums,
                             restricted_variance_total, variance_mod_q,
@@ -106,6 +107,23 @@ def test_sweep_matches_exact_per_q(table_300, rng):
                 <= Fraction(float(sweep.error[q])), (seq.name, q)
             t = [int(iv[a::q].sum()) for a in range(q)]
             assert int(sweep.square_sums[q]) == sum(x * x for x in t)
+
+
+def test_sweep_correlations_match_ramanujan_correlations(table_1e4, rng):
+    """The sweep's C_d, which the chains' Ramanujan tail reads, are the
+    bulk correlations bit for bit on integer and float sequences."""
+    n = q_max = 2000
+    seqs = [Sequence(table_1e4.dk[2][: n + 1].astype(float),
+                     is_integer_valued=True, name="d2"),
+            Sequence(table_1e4.dk[3][: n + 1].astype(float),
+                     is_integer_valued=True, name="d3"),
+            Sequence.from_coeffs(rng.standard_normal(n), name="normal")]
+    for seq in seqs:
+        sweep = variance_sweep(seq, q_max)
+        corrs = ramanujan_correlations(seq, range(1, q_max + 1))
+        assert np.array_equal(sweep.correlations[1:], corrs), seq.name
+        assert np.array_equal(sweep.phi[1:],
+                              [totient(d) for d in range(1, q_max + 1)])
 
 
 def test_variance_total_matches_per_q_closed_form(table_300):

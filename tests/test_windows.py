@@ -59,7 +59,7 @@ def test_prime_weights_formula():
     assert w.b[6] == pytest.approx(math.log(50 / 6))
     assert w.b[30] == pytest.approx(-math.log(50 / 30))
     assert w.bound == pytest.approx(math.log(50))
-    # large-R vectorized path agrees with the scalar path
+    # large R, once sieved by a separate path
     big = build_weights("prime_sieve", 5000)
     for r in (1, 2, 6, 30, 49, 4999):
         expect = mobius(r) * math.log(5000 / r)
@@ -75,6 +75,25 @@ def test_divisor_weights_formula():
     assert big.b[4999] == d_k_of(2, 4999)
     with pytest.raises(ValueError):
         build_weights("divisor_k", 30)
+
+
+@pytest.mark.parametrize("r_max", [100, 2000, 2001, 5000])
+def test_weights_bit_identical_to_scalar_formulas(r_max, tmp_path,
+                                                  monkeypatch):
+    """One path per kind at every R: bit for bit the per-r mobius and
+    d_k_of values, and no sieve table is written to the cache."""
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    r = np.arange(1, r_max + 1, dtype=np.float64)
+    mu = np.array([mobius(m) for m in range(1, r_max + 1)])
+    expect = np.concatenate([[0.0], mu * np.log(r_max / r)])
+    got = build_weights("prime_sieve", r_max).b
+    assert got.tobytes() == expect.tobytes()
+    for k in (2, 3, 4):
+        expect = np.array([0.0] + [float(d_k_of(k - 1, m))
+                                   for m in range(1, r_max + 1)])
+        got = build_weights("divisor_k", r_max, k=k).b
+        assert got.tobytes() == expect.tobytes(), k
+    assert not any(tmp_path.iterdir())
 
 
 def test_tilde_sequence_bruteforce(window):
