@@ -201,10 +201,11 @@ def cmd_experiment(args) -> int:
             fh.write("alpha,polynomial\n")
             log_n = math.log(n)
             lo = math.log(max(config.n**config.epsilon, 2.0)) / log_n
-            for alpha in np.linspace(max(lo, 0.05), 1.0, 200):
-                val = polynomial_69(config.k, log_n, alpha * log_n,
-                                    math.log(report.params["K"]
-                                             * report.params["Q0"]))
+            alphas = np.linspace(max(lo, 0.05), 1.0, 200)
+            vals = polynomial_69(config.k, log_n, alphas * log_n,
+                                 math.log(report.params["K"]
+                                          * report.params["Q0"]))
+            for alpha, val in zip(alphas, vals):
                 fh.write(f"{alpha:.12g},{val:.12g}\n")
         else:
             fh.write("q,V\n")

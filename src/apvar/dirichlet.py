@@ -247,24 +247,42 @@ def singular_constant(k: int, p_cap: int):
 # The explicit residue polynomial and its extremal R selection
 
 
-def polynomial_69(k: int, log_n: float, log_r: float, log_kq0: float) -> float:
-    """Closed-form double sum for the triple residue, as a function of
-    log N, log R and log(K Q0)."""
-    if not 0 < log_r <= log_n:
-        raise ValueError("need 0 < log R <= log N")
-    total = 0.0
+@lru_cache(maxsize=None)
+def _polynomial_69_terms(k: int) -> tuple:
+    """(b1 b2, ell, j, m) for each term of polynomial_69, in its summation
+    order: the two binomials are exact fractions, rounded once per k."""
     kk = k * (k - 1)
+    terms = []
     for ell in range(k):
         b1 = float(gen_binomial(-kk, ell))
         for j in range(k):
             b2 = float(gen_binomial(-((k - 1) ** 2) - ell, j))
-            m = (k - 1) ** 2 + ell + j
-            bracket = log_r**m - log_kq0**m
-            total += (b1 * b2
-                      * log_n ** (k - 1 - ell) / math.factorial(k - 1 - ell)
-                      * log_r ** (k - 1 - j) / math.factorial(k - 1 - j)
-                      * bracket / math.factorial(m))
-    return total
+            terms.append((b1 * b2, ell, j, (k - 1) ** 2 + ell + j))
+    return tuple(terms)
+
+
+def _libm_pow(x: np.ndarray, e: int) -> np.ndarray:
+    """x**e element by element with the C library's pow, as a float scalar
+    takes it; numpy's SIMD power may differ from it in the last bit."""
+    return np.array([v**e for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def polynomial_69(k: int, log_n: float, log_r, log_kq0: float):
+    """Closed-form double sum for the triple residue, as a function of
+    log N, log R and log(K Q0); vectorized over log R, each value bit for
+    bit the scalar one."""
+    log_r = np.asarray(log_r, dtype=np.float64)
+    if not np.all((0 < log_r) & (log_r <= log_n)):
+        raise ValueError("need 0 < log R <= log N")
+    powers = [_libm_pow(log_r, e) for e in range(k * k)]
+    total = 0.0
+    for coeff, ell, j, m in _polynomial_69_terms(k):
+        bracket = powers[m] - log_kq0**m
+        total = total + (coeff
+                         * log_n ** (k - 1 - ell) / math.factorial(k - 1 - ell)
+                         * powers[k - 1 - j] / math.factorial(k - 1 - j)
+                         * bracket / math.factorial(m))
+    return total if log_r.ndim else float(total)
 
 
 def leading_coeff_69(k: int) -> Fraction:
@@ -296,8 +314,7 @@ def choose_R_chebyshev(k: int, n: int, q0: float, q: float, k_param: float,
     hi = min(hi, 1.0)
     log_kq0 = math.log(k_param * q0)
     alphas = np.linspace(lo, hi, grid)
-    values = np.array([polynomial_69(k, log_n, a * log_n, log_kq0)
-                       for a in alphas])
+    values = polynomial_69(k, log_n, alphas * log_n, log_kq0)
     best = int(np.argmax(np.abs(values)))
     d = k * k - 1
     floor = (((hi - lo) / 4.0) ** d * abs(float(leading_coeff_closed_form(k)))

@@ -173,16 +173,33 @@ def _tail_sum(corrs: np.ndarray, phi: np.ndarray, q0: float) -> float:
     return math.fsum(weights * corrs[d_lo:] ** 2 / phi[d_lo:])
 
 
-def ramanujan_tail(seq: Sequence, q_max: float, q0: float) -> float:
-    """The Ramanujan-sum tail of the variance inequality (_tail_sum).  The
-    correlations for all d <= Q are one Moebius convolution of the
-    multiple sums (ramanujan_convolution)."""
-    q_max = int(q_max)
+def _tail_from_sums(sums: np.ndarray, q0: float) -> float:
+    """_tail_sum with Q = sums.size - 1, the correlations C_d for all
+    d <= Q being one Moebius convolution of the multiple sums M[e]
+    (ramanujan_convolution)."""
+    q_max = sums.size - 1
     if q0 >= q_max:
         return 0.0
     mu, phi = mobius_totient(q_max)
-    return _tail_sum(
-        ramanujan_convolution(multiple_sums(seq.values, q_max), mu), phi, q0)
+    return _tail_sum(ramanujan_convolution(sums, mu), phi, q0)
+
+
+def ramanujan_tail(seq: Sequence, q_max: float, q0: float) -> float:
+    """The Ramanujan-sum tail of the variance inequality (_tail_sum) for
+    `seq` alone; the chains take it from multiple sums they already have."""
+    return _tail_from_sums(multiple_sums(seq.values, int(q_max)), q0)
+
+
+def _restricted_lhs_and_tail(table: SieveTable, seq: Sequence,
+                             params: ResolvedParams):
+    """The reduced-class variances of Lambda summed over Q0 < q <= Q and
+    the Ramanujan tail, from one pass of multiple sums M[e], e <= Q: they
+    give S_1(q) to the one and C_d to the other."""
+    q_max = int(params.q)
+    sums = multiple_sums(seq.values, q_max)
+    lhs = restricted_variance_total(table, q_max,
+                                    int(math.floor(params.q0)) + 1, sums=sums)
+    return lhs, _tail_from_sums(sums, params.q0)
 
 
 def _swept_lhs_and_tail(seq: Sequence, params: ResolvedParams):
@@ -357,8 +374,7 @@ def newprop_rhs(seq: Sequence, weights, window: SmoothWindow,
 def bulk_residue_predictions(qs, k: int, n: int, window: SmoothWindow) -> np.ndarray:
     """Residue predictions for the windowed correlations
     sum d_k(n) c_q(n) Phi(n/N): the Mellin weight of the window replaces
-    N^s/s.  48 contour nodes, checked against 24; the Mellin transform,
-    which costs in proportion to the nodes, dominates."""
+    N^s/s.  48 contour nodes, checked against 24."""
     preds = residues(qs, k, n, lambda v, s, o: v * n**s
                      * np.asarray(window.mellin(s)), count=48)
     return np.array([p.value for p in preds])
@@ -410,9 +426,7 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
     minor, minor_inner, minor_tilde = (masses.a, masses.cross.minor,
                                        masses.tilde.minor)
 
-    lhs = restricted_variance_total(table, int(params.q),
-                                    int(math.floor(params.q0)) + 1)
-    tail = ramanujan_tail(seq, params.q, params.q0)
+    lhs, tail = _restricted_lhs_and_tail(table, seq, params)
 
     log_ratio = math.log(params.r / (params.k_param * params.q0))
     target_log = math.log(params.q**2 / n)

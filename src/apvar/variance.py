@@ -372,7 +372,8 @@ def psi_counts(table, q: int) -> PsiCounts:
                      restricted_variance=var)
 
 
-def restricted_variance_total(table, q_max: int, q_min: int = 1) -> float:
+def restricted_variance_total(table, q_max: int, q_min: int = 1,
+                              sums: np.ndarray | None = None) -> float:
     """Sum over q_min <= q <= q_max of the reduced-class prime variance
     sum_{(b,q)=1} (psi(N;q,b) - S_1(q)/phi(q))^2.
 
@@ -381,7 +382,8 @@ def restricted_variance_total(table, q_max: int, q_min: int = 1) -> float:
     S_1(q) = sum_{(n,q)=1} Lambda(n) = sum_{e|q} mu(e) M[e].  A class
     with (b, q) > 1 holds only powers p^j <= N of primes p | q, and
     powers of two different primes never share one (see
-    _prime_power_class_squares).
+    _prime_power_class_squares).  `sums` are the multiple sums M[e] of
+    Lambda for e <= q_max, when the caller has them already.
     """
     _check_moduli(q_max, q_min)
     if q_min > q_max:
@@ -389,7 +391,9 @@ def restricted_variance_total(table, q_max: int, q_min: int = 1) -> float:
     seq = table.lambda_sequence()
     squares, _, _ = _square_sums(seq, q_max)
     mu, phi = mobius_totient(q_max)
-    s1 = _convolve_ones(mu * multiple_sums(seq.values, q_max))
+    if sums is None:
+        sums = multiple_sums(seq.values, q_max)
+    s1 = _convolve_ones(mu * sums)
     per_q = (squares - _prime_power_class_squares(table, q_max))[1:] \
         - s1[1:] ** 2 / phi[1:]
     return math.fsum(per_q[q_min - 1:])

@@ -6,7 +6,8 @@ Fourier transform is tabulated on a fine grid by a chirp-z evaluation of
 the sample sums (spectrally accurate because the bump vanishes to all
 orders at both endpoints) and interpolated cubically.  The table, its
 spline and the decay constants are built, and scipy imported, on first
-use: the chains read only Phi, its integrals and its Mellin transform.
+use: the chains read only Phi, its integrals and its Mellin transform,
+which is a short series in cached log-moments of the window.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import Sequence, divisor_sieve, mobius_totient
+from .arith import UNIT_ROUNDOFF, Sequence, divisor_sieve, mobius_totient
 
 _SAMPLES = 1 << 16          # bump samples on [0, 1)
+_MOMENTS = 64               # highest cached log-moment of the Mellin series
+_FACTORIALS = np.array([float(math.factorial(j)) for j in range(_MOMENTS + 1)])
 _XI_STEP = 1.0 / 512.0      # tabulation step in xi
 DEFAULT_XI_MAX = 256.0
 
@@ -120,14 +123,83 @@ class SmoothWindow:
         vals = self.phi(t) * np.exp(-2j * np.pi * xi * t)
         return complex(np.dot(w, vals))
 
-    def mellin(self, w):
-        """int_0^1 Phi(y) y^(w-1) dy for complex w (vectorized over w)."""
+    @cached_property
+    def _log_moments(self):
+        """(mu, L): the log-moments mu_j = (1/m) sum_i Phi(y_i) (log y_i)^j,
+        j <= _MOMENTS, over the midpoints y_i = (i + 1/2)/m, m = 2^16, and
+        L = max |log y_i| over the y_i with Phi(y_i) > 0."""
         m = _SAMPLES
-        # midpoint samples avoid y = 0
         y = (np.arange(m) + 0.5) / m
-        ph = self.phi(y)
-        w = np.atleast_1d(np.asarray(w, dtype=np.complex128))
-        out = np.array([np.sum(ph * y ** (wi - 1.0)) / m for wi in w])
+        p = self.phi(y)
+        log_y = np.log(y)
+        big_l = float(-log_y[np.flatnonzero(p)[0]])
+        mu = np.empty(_MOMENTS + 1)
+        for j in range(_MOMENTS + 1):
+            mu[j] = p.sum() / m
+            p *= log_y
+        return mu, big_l
+
+    def _mellin_order(self, r: float) -> int | None:
+        """The first T <= _MOMENTS whose tail bound (see mellin) at
+        |w - 1| <= r is at most u |mu_0|, or None if there is none."""
+        mu, big_l = self._log_moments
+        t = np.arange(1, _MOMENTS + 1)
+        room = 1.0 - r * big_l / (t + 1)
+        tail = np.divide(r**t * np.abs(mu[1:]) / _FACTORIALS[1:], room,
+                         out=np.full(t.shape, np.inf), where=room > 0)
+        ok = np.flatnonzero(tail <= UNIT_ROUNDOFF * abs(mu[0]))
+        return int(t[ok[0]]) if ok.size else None
+
+    def mellin(self, w):
+        """The midpoint sum (1/m) sum_i Phi(y_i) y_i^(w-1), y_i = (i + 1/2)/m,
+        m = 2^16, for int_0^1 Phi(y) y^(w-1) dy; vectorized over complex w.
+
+        With z = w - 1, y^z = sum_j (z log y)^j / j! turns the sum into
+        sum_j z^j mu_j / j! with the cached log-moments mu_j (_log_moments),
+        evaluated for every w by Horner's rule on its first T terms.
+
+        Truncation.  Every midpoint has log y_i < 0, so the terms of mu_j
+        share one sign and A_j = (1/m) sum_i Phi(y_i) |log y_i|^j = |mu_j|;
+        and |log y_i| <= L wherever Phi(y_i) > 0, so A_(j+1) <= L A_j.  With
+        r = max |w - 1| over the call and T! / (T + i)! <= (T + 1)^(-i),
+            |sum_(j >= T) z^j mu_j / j!| <= sum_(i >= 0) r^(T+i) A_T L^i / (T+i)!
+                                          <= (r^T / T!) A_T / (1 - r L/(T + 1))
+        whenever r L < T + 1.  T is the first order whose bound is at most
+        u |mu_0|, u = 2^-53; the bound is evaluated from the computed mu
+        within a factor 1 + gamma_(10T + 40), so the truncation error stays
+        below 2u |mu_0|.  If no T <= _MOMENTS qualifies, a ValueError names
+        |w - 1| and the largest radius that does.
+
+        Rounding (gamma_k = k u/(1 - k u)).  log y is within 4 ulps, so each
+        Phi (log y)^j is within gamma_(9j) of its value; numpy's blocked
+        pairwise sum rounds each of the m terms at most 28 times (16 in a
+        leaf of 128, 3 joining its 8 accumulators, 9 halvings), and
+        dividing by m = 2^16 is exact up to underflow: |mu^_j - mu_j| <=
+        gamma_(9j+28) A_j + (j + 1) e0, e0 = 2^-1074 (arith.underflow).
+        Dividing by the rounded j! adds gamma_2, and each complex Horner
+        step gamma_4 (a complex product is within sqrt(2) gamma_2, Higham
+        sec. 3.6, plus the addition) and at most 4 e0.  So the value is
+        within
+            2u |mu_0| + gamma_(13T+30) sum_(j<T) r^j |mu_j| / j!
+                      + ((1 + r) e^r + 4T) e0
+        of the midpoint sum of the sampled Phi.
+        """
+        mu, _ = self._log_moments
+        z = np.atleast_1d(np.asarray(w, dtype=np.complex128)) - 1.0
+        r = float(np.max(np.abs(z)))
+        order = self._mellin_order(r)
+        if order is None:
+            lo, hi = 0.0, r
+            for _ in range(60):          # the certified radius, by bisection
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if self._mellin_order(mid) else (lo, mid)
+            raise ValueError(
+                f"mellin: |w - 1| = {r:.6g} is past the certified range "
+                f"|w - 1| <= {lo:.6g} of the window's {_MOMENTS} log-moments")
+        coeffs = mu[:order] / _FACTORIALS[:order]
+        out = np.full(z.shape, coeffs[-1], dtype=np.complex128)
+        for c in coeffs[-2::-1]:
+            out = out * z + c
         return out if out.size > 1 else complex(out[0])
 
 
@@ -175,14 +247,23 @@ def build_weights(kind: str, r_max: int, k: int | None = None) -> WeightSet:
 
 
 def build_tilde_sequence(n: int, weights: WeightSet, window: SmoothWindow) -> Sequence:
-    """The smoothed short divisor sum: a~_n = Phi(n/N) sum_{r|n, r<=R} b_r."""
+    """The smoothed short divisor sum: a~_n = Phi(n/N) sum_{r|n, r<=R} b_r.
+
+    Phi is evaluated on its two edges only.  For i >= eps N + 2 the
+    computed t = i/N has t/eps >= 1, and for i <= N - eps N - 2 it has
+    (1 - t)/eps >= 1 (rounding moves either by far less than 2/(eps N));
+    there both smoothsteps are exactly 1.0, so Phi is too and the product
+    keeps its bits.
+    """
     if weights.r_max > n:
         raise ValueError("R must not exceed N")
     acc = np.zeros(n + 1)
     for r in range(1, weights.r_max + 1):
         if weights.b[r]:
             acc[r::r] += weights.b[r]
-    acc *= window.phi(np.arange(n + 1) / n)
+    edge = min(n + 1, math.ceil(window.eps * n) + 2)
+    for lo, hi in ((0, edge), (max(edge, n + 1 - edge), n + 1)):
+        acc[lo:hi] *= window.phi(np.arange(lo, hi) / n)
     return Sequence(acc, name=f"tilde-{weights.kind}")
 
 

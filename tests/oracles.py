@@ -22,7 +22,9 @@ def triple_contour_polynomial(k: int, log_n: float, log_r: float,
 
     The z-pole has order up to k^2, which makes the extraction badly
     conditioned in double precision for k = 4, so the quadrature runs in
-    40-digit mpmath arithmetic with cached exponentials per node.  The w
+    40-digit mpmath arithmetic, with every factor that depends on one
+    node alone (e^(w log N) / w^(k-1), e^(s log R) / s^(k-1)) computed once
+    per node.  The w
     radius is kept small relative to |s + z| >= r_z - r_s because the
     trapezoid alias picks up the coefficient of w^(m_w - 1) in the
     binomial expansion of (s + z + w)^(-k(k-1)); with k = 4 that
@@ -39,18 +41,15 @@ def triple_contour_polynomial(k: int, log_n: float, log_r: float,
         ss = [r_s * mp.expjpi(2 * mp.mpf(i) / m_s) for i in range(m_s)]
         ws = [r_w * mp.expjpi(2 * mp.mpf(i) / m_w) for i in range(m_w)]
         ez = [mp.exp(z * log_r) - mp.exp(z * log_kq0) for z in zs]
-        es = [mp.exp(s * log_r) for s in ss]
-        ew = [mp.exp(w * log_n) for w in ws]
-        total = mp.mpc(0)
-        for iz, z in enumerate(zs):
-            for i_s, s in enumerate(ss):
+        es = [mp.exp(s * log_r) / s ** (k - 1) for s in ss]
+        ew = [mp.exp(w * log_n) / w ** (k - 1) for w in ws]
+        terms = []
+        for z, ez_z in zip(zs, ez):
+            for s, es_s in zip(ss, es):
                 sz = s + z
-                pref = sz ** (k - 1) / s ** (k - 1) * es[i_s] * ez[iz]
-                inner = mp.mpc(0)
-                for iw, w in enumerate(ws):
-                    inner += ew[iw] / (w ** (k - 1) * (sz + w) ** kk)
-                total += pref * inner
-        total /= m_z * m_s * m_w
+                inner = mp.fsum(e / (sz + w) ** kk for w, e in zip(ws, ew))
+                terms.append(sz ** (k - 1) * es_s * ez_z * inner)
+        total = mp.fsum(terms) / (m_z * m_s * m_w)
         return float(mp.re(total))
 
 

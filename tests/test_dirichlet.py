@@ -164,12 +164,29 @@ def test_polynomial_matches_triple_contour(k, log_n, alpha, beta):
 
 def test_choose_R_chebyshev():
     r, val = dr.choose_R_chebyshev(2, 10**5, 10.0, 10**4, 8.0, 0.02)
+    # bit for bit the R and value of the former per-alpha scalar scan
+    assert (float(r), val) == (12.589254117941673, 6.8076006734587295)
     log_n = math.log(10**5)
     assert 10.0 * (10**5) ** 0.02 * (1 - 1e-12) <= r <= 10**4
     assert val == pytest.approx(
         dr.polynomial_69(2, log_n, math.log(r), math.log(80.0)), rel=1e-12)
     with pytest.raises(ValueError):
         dr.choose_R_chebyshev(2, 10**5, 5000.0, 10**4, 8.0, 0.1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_polynomial_69_array_matches_scalar(k):
+    rng = np.random.default_rng(k)
+    for _ in range(20):
+        log_n = rng.uniform(1.2, 20.0)
+        log_kq0 = rng.uniform(0.05, 0.95) * log_n
+        log_r = rng.uniform(0.01, 1.0, 64) * log_n
+        got = dr.polynomial_69(k, log_n, log_r, log_kq0)
+        expect = [dr.polynomial_69(k, log_n, float(v), log_kq0)
+                  for v in log_r]
+        assert got.tobytes() == np.array(expect).tobytes()
+    with pytest.raises(ValueError):
+        dr.polynomial_69(k, 10.0, np.array([5.0, 10.5]), 1.0)
 
 
 def test_f_q_derivatives():

@@ -11,6 +11,7 @@ from apvar.pipeline import (ExperimentConfig, ResolvedParams, assemble_prop13,
                             bulk_residue_predictions, cauchy_schwarz_bound,
                             newprop_rhs, ramanujan_tail, resolve_params,
                             run_theorem1, run_theorem2)
+from apvar.variance import restricted_variance_total
 from apvar.windows import build_weights, build_window
 
 
@@ -210,6 +211,22 @@ def test_run_theorem2_tail_is_ramanujan_tail(k, ending):
     p = report.params
     assert report.ramanujan_tail > 0
     assert report.ramanujan_tail == ramanujan_tail(seq, p["Q"], p["Q0"])
+
+
+def test_run_theorem1_lhs_and_tail_from_shared_sums():
+    """theorem1 takes its LHS and tail from one pass of multiple sums; both
+    equal the separate restricted_variance_total and ramanujan_tail bit
+    for bit."""
+    n = 2 * 10**4
+    table = sieve_all(n, 2)
+    report, _ = run_theorem1(
+        ExperimentConfig(experiment="theorem1", n=n, q_exp=0.75), table)
+    p = report.params
+    assert report.lhs_variance_sum == restricted_variance_total(
+        table, int(p["Q"]), int(math.floor(p["Q0"])) + 1)
+    assert report.ramanujan_tail > 0
+    assert report.ramanujan_tail == ramanujan_tail(
+        table.lambda_sequence(), p["Q"], p["Q0"])
 
 
 @pytest.mark.parametrize("kind", ["theorem1", "theorem2-first",

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from apvar.arith import (Sequence, d_k_of, is_squarefree, mobius, sieve_all,
-                         totient)
+from apvar.arith import (Sequence, d_k_of, gamma, is_squarefree, mobius,
+                         sieve_all, totient)
+from apvar.dirichlet import contour_nodes
 from apvar.windows import (build_tilde_sequence, build_weights, build_window,
                            check_lemma5, check_lemma_major, weight_sum_q)
 
@@ -50,6 +51,43 @@ def test_mellin_at_one(window):
     t = (np.arange(1 << 16) + 0.5) / (1 << 16)
     direct = float(np.mean(t * window.phi(t)))
     assert window.mellin(2.0) == pytest.approx(direct, rel=1e-9)
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.2])
+@pytest.mark.parametrize("n", [3, 10**3, 3 * 10**4, 10**7])
+def test_mellin_moments_match_midpoint_sum(eps, n):
+    """The log-moment series against the midpoint sum it stands for, at
+    the residue contour's 48 nodes (radius 1/log N, 0.91 at N = 3): within
+    the bound stated in mellin's docstring plus the direct sum's own
+    rounding (a complex power within (|z log y| + 8) u <= 20u, a product
+    and numpy's pairwise sum, so gamma_64 of the absolute sum)."""
+    win = build_window(eps)
+    m = 1 << 16
+    y = (np.arange(m) + 0.5) / m
+    ph = win.phi(y)
+    s, _ = contour_nodes(1.0, 1.0 / math.log(n), 48)
+    direct = np.array([np.sum(ph * y ** (w - 1.0)) / m for w in s])
+    got = win.mellin(s)
+    r = float(np.max(np.abs(s - 1.0)))
+    order = win._mellin_order(r)
+    mu, _ = win._log_moments
+    j = np.arange(order)
+    series_abs = float(np.sum(r**j * np.abs(mu[:order])
+                              / [math.factorial(i) for i in j]))
+    stated = (2.0**-52 * abs(mu[0]) + gamma(13 * order + 30) * series_abs
+              + ((1.0 + r) * math.exp(r) + 4 * order) * 2.0**-1074)
+    own = gamma(64) * float(np.mean(ph * y**-r))
+    assert np.all(np.abs(got - direct) <= stated + own)
+
+
+def test_mellin_raises_past_certified_range(window):
+    with pytest.raises(ValueError, match=r"\|w - 1\| = 5 ") as info:
+        window.mellin(6.0)
+    limit = float(str(info.value).split("<= ")[1].split()[0])
+    assert 1.0 < limit < 5.0
+    window.mellin(1.0 + 0.99 * limit)
+    with pytest.raises(ValueError, match="certified range"):
+        window.mellin(np.array([1.0, 1.0 - 1.01j * limit]))
 
 
 def test_prime_weights_formula():
@@ -104,6 +142,21 @@ def test_tilde_sequence_bruteforce(window):
         expect = window.phi(m / n) * sum(
             w.b[r] for r in range(1, 13) if m % r == 0)
         assert tilde.values[m] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.2, 0.249])
+def test_tilde_sequence_edges_bit_identical(eps):
+    """Phi evaluated on the two edges only gives the bits of Phi evaluated
+    at every point, including at N small enough for the edges to meet."""
+    win = build_window(eps)
+    for n in (2, 3, 7, 10, 11, 97, 1000, 12345, 10**5):
+        w = build_weights("prime_sieve", min(n, 12))
+        expect = np.zeros(n + 1)
+        for r in range(1, w.r_max + 1):
+            expect[r::r] += w.b[r]
+        expect *= win.phi(np.arange(n + 1) / n)
+        got = build_tilde_sequence(n, w, win).values
+        assert got.tobytes() == expect.tobytes(), n
 
 
 def test_weight_sum_q(window):
