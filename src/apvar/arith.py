@@ -160,10 +160,24 @@ def multiple_sums(values: np.ndarray, emax: int) -> np.ndarray:
     """M[e] = sum of values[n] over multiples n of e, for 1 <= e <= emax.
 
     The result has the dtype of `values`, so integer inputs sum exactly.
+    Dirichlet hyperbola split at s = isqrt(N), N = values.size - 1: each
+    e <= s is one strided sum, and the e > s, which have fewer than s
+    multiples, are filled together one cofactor j <= s at a time
+    (M[e] += values[je]), so the cost is about 2 sqrt(N) numpy calls.  A
+    float M[e] with e > s is then a sequential sum of its floor(N/e)
+    terms, within gamma_{floor(N/e) - 1} sum_j |values[je]| of the exact
+    value, as numpy's pairwise sum of the same terms is.
     """
+    n = values.size - 1
     m = np.zeros(emax + 1, dtype=values.dtype)
-    for e in range(1, emax + 1):
+    s = math.isqrt(n)
+    for e in range(1, min(s, emax) + 1):
         m[e] = values[e::e].sum()
+    for j in range(1, s + 1):
+        top = min(emax, n // j)
+        if top <= s:
+            break
+        m[s + 1 : top + 1] += values[j * (s + 1) : j * top + 1 : j]
     return m
 
 
@@ -172,14 +186,24 @@ def ramanujan_convolution(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
     With m the multiple sums M[e] of a sequence this is the correlation
     sum_n a_n c_d(n) for every d at once (c_d(n) = sum_{e | (d,n)} e
-    mu(d/e)), done as one strided update per e rather than a walk over
-    the divisors of each d.  `mu` is a Moebius table of length >= m.size.
+    mu(d/e)), done as strided updates rather than a walk over the
+    divisors of each d.  `mu` is a Moebius table of length >= m.size.
+    Hyperbola split at s = isqrt(dmax): one update C[e::e] per e <= s,
+    then one C[j(s+1)::j] += e m[e] mu(j) over all e > s per cofactor
+    j <= s, in descending j, so that every C[d] adds its terms in
+    ascending e, as a walk over e would (bit for bit, floats included).
     """
     dmax = m.size - 1
+    s = math.isqrt(dmax)
     c = np.zeros_like(m)
-    for e in range(1, dmax + 1):
+    for e in range(1, s + 1):
         if m[e]:
             c[e::e] += (e * m[e]) * mu[1 : dmax // e + 1]
+    em = np.arange(dmax + 1) * m
+    for j in range(dmax // (s + 1), 0, -1):
+        if mu[j]:
+            top = dmax // j
+            c[j * (s + 1) : j * top + 1 : j] += em[s + 1 : top + 1] * mu[j]
     return c
 
 
@@ -218,12 +242,31 @@ class LagCorrelation:
     exact: bool
 
 
+def _fft_length(m: int) -> int:
+    """The least 5-smooth integer 2^a 3^b 5^c >= m."""
+    def pow2_at_least(x):
+        return 1 << max(x - 1, 0).bit_length()
+
+    best = pow2_at_least(m)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 * pow2_at_least(-(-m // p35)))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def lag_correlations(seqs, pairs) -> list:
     """The symmetrized lag correlation of each pair (i, j) of `seqs`, from
     one real FFT of length L > 2N per sequence (all of one length N).
 
     For a pair (a, b), rho = irfft(Re(X conj Y)) with X, Y the length-L
     transforms; L > 2N keeps the circular correlation free of aliasing.
+    L is the least 5-smooth integer above 2N (_fft_length), so numpy's
+    transforms run radix-2, -3, -4 and -5 passes only; it is at most
+    2^ceil(log2(2N + 1)), and never 1.25 times 2N + 1 once that exceeds 8.
     For b = a, rho(h) = r(h) = sum_n a_n a_{n+h} is the autocorrelation.
 
     Error bound, in the standard rounding model (u = 2^-53,
@@ -240,7 +283,12 @@ def lag_correlations(seqs, pairs) -> list:
     eta log2(L) ||P||_1 / L <= eta log2(L) ||a||_2 ||b||_2 (every stage of
     the butterfly cone over P sums to ||P||_1).  That is under
     22 u log2(L) ||a||_2 ||b||_2; c = 32 keeps room for the mixed-radix
-    kernels.  Under underflow each output of a length-L transform, fed by
+    kernels: a radix-r pass (r = 3, 5) formed as a length-r DFT of
+    twiddled inputs rounds each output by at most (r + 5) u sum_m |x_m|,
+    so the pass, of 2-norm sqrt(r), errs by at most (r + 5) sqrt(r) u
+    relative: 8.7u (r = 3) and 9.6u (r = 5) per unit of the log2(r) it
+    adds to log2(L), against 7u for radix 2, and 3 x 9.6 < 32.  Under
+    underflow each output of a length-L transform, fed by
     each intermediate value along one path of butterflies and twiddles of
     modulus at most 1, carries fewer than P = c L log2(L) e0 absolute
     (one e0 per real product).  Through the product with the other
@@ -255,7 +303,7 @@ def lag_correlations(seqs, pairs) -> list:
     n = seqs[0].n
     if any(s.n != n for s in seqs):
         raise ValueError("sequences must share their length N")
-    length = 1 << (2 * n).bit_length()
+    length = _fft_length(2 * n + 1)
     spectra = [np.fft.rfft(s.values, length) for s in seqs]
     scale = FFT_ERROR_CONSTANT * UNIT_ROUNDOFF * math.log2(length)
     products = FFT_ERROR_CONSTANT * length * math.log2(length)
@@ -401,17 +449,27 @@ def _primes_from_spf(spf: np.ndarray) -> np.ndarray:
 
 
 def _mu_phi_sieve(n: int, primes: np.ndarray):
+    """(mu, phi) on 0..n.  The primes p <= isqrt(n) take one strided pass
+    each; a larger prime p has p^2 > n, and its multiples jp, j <= n/p,
+    are reached one multiplier j at a time over all such p <= n/j.  No
+    two of those share a multiple, and each update of phi is exact in
+    any order (p divides what is left of phi(jp)), so the tables are the
+    same as a pass per prime."""
+    s = math.isqrt(n)
+    small = primes[primes <= s].tolist()
+    large = primes[primes > s]
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes:
-        mu[p::p] = -mu[p::p]
-        p2 = int(p) * int(p)
-        if p2 <= n:
-            mu[p2::p2] = 0
-
     phi = np.arange(n + 1)
-    for p in primes:
+    for p in small:
+        mu[p::p] = -mu[p::p]
+        mu[p * p :: p * p] = 0
         phi[p::p] -= phi[p::p] // p
+    for j in range(1, n // (s + 1) + 1):
+        ps = large[: np.searchsorted(large, n // j, side="right")]
+        idx = j * ps
+        mu[idx] = -mu[idx]
+        phi[idx] -= phi[idx] // ps
     return mu, phi
 
 
@@ -424,11 +482,20 @@ def mobius_totient(n: int):
 
 
 def _convolve_ones(f: np.ndarray) -> np.ndarray:
-    """Dirichlet convolution f * 1 on 1..n, along the first axis."""
+    """Dirichlet convolution f * 1 on 1..n, along the first axis.
+
+    Hyperbola split at s = isqrt(n): g[d::d] += f[1 : n/d + 1] for each
+    d <= s, then g[jd] += f[j] over all d > s for each cofactor j <= s,
+    in descending j, so every g[q] adds f[q/d] in ascending d as a pass
+    per d would (bit for bit, floats included).
+    """
     n = len(f) - 1
+    s = math.isqrt(n)
     g = np.zeros_like(f)
-    for d in range(1, n + 1):
+    for d in range(1, s + 1):
         g[d::d] += f[1 : n // d + 1]
+    for j in range(n // (s + 1), 0, -1):
+        g[j * (s + 1) : j * (n // j) + 1 : j] += f[j]
     return g
 
 

@@ -240,7 +240,7 @@ class ArcMasses:
 
 
 def arc_masses(arcs: ArcSystem, seq: Sequence,
-               tilde: Sequence | None = None) -> ArcMasses:
+               tilde: Sequence | None = None, corrs=None) -> ArcMasses:
     """Exact major- and minor-arc masses of |A|^2, and with `tilde` also
     of |A~|^2 and A conj(A~), from one real FFT per sequence.
 
@@ -306,12 +306,18 @@ def arc_masses(arcs: ArcSystem, seq: Sequence,
       are exact.
     The sum of these terms is doubled, which covers the rounding of the
     bound's own evaluation (each term has as many e0 as it has products).
+
+    `corrs`, when the caller has them, are lag_correlations([seq], [(0, 0)])
+    or, with `tilde`, lag_correlations([seq, tilde], [(0, 0), (1, 1),
+    (0, 1)]).  Their float rows are doubled in place, so a caller that
+    reads them must do so first.
     """
     arcs.check_disjoint()
-    seqs = [seq] if tilde is None else [seq, tilde]
-    pairs = [(0, 0)] if tilde is None else [(0, 0), (1, 1), (0, 1)]
     n, m_max = seq.n, arcs.kq0
-    corrs = lag_correlations(seqs, pairs)
+    if corrs is None:
+        seqs = [seq] if tilde is None else [seq, tilde]
+        pairs = [(0, 0)] if tilde is None else [(0, 0), (1, 1), (0, 1)]
+        corrs = lag_correlations(seqs, pairs)
     totals = [float(c.rho[0]) for c in corrs]
     lag_errors = [c.error for c in corrs]
     rows = [c.rho.astype(np.float64, copy=False) for c in corrs]

@@ -8,6 +8,7 @@ byte-identical CSV/JSON outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.metadata
 import json
 import math
@@ -51,6 +52,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# Read once per process: the metadata lookup takes milliseconds.
+_scipy_version = functools.cache(lambda: importlib.metadata.version("scipy"))
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
                     wall_time: float):
     import numpy
@@ -61,7 +66,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
                    for k, v in sorted(config.items())
                    if not callable(v)},
         "versions": {"apvar": __version__, "numpy": numpy.__version__,
-                     "scipy": importlib.metadata.version("scipy"),
+                     "scipy": _scipy_version(),
                      "python": sys.version.split()[0]},
         "wall_time_s": round(wall_time, 3),
         "outputs": [str(p) for p in outputs],

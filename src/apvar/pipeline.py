@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (Sequence, SieveTable, d_k_of, factorize, is_squarefree,
-                    mobius, mobius_totient, multiple_sums,
+                    lag_correlations, mobius, mobius_totient, multiple_sums,
                     ramanujan_convolution, ramanujan_correlations, sieve_all,
                     totient)
 from .circle import ArcMass, ArcSystem, Spectrum, arc_masses, arcs_disjoint
@@ -191,23 +191,29 @@ def ramanujan_tail(seq: Sequence, q_max: float, q0: float) -> float:
 
 
 def _restricted_lhs_and_tail(table: SieveTable, seq: Sequence,
-                             params: ResolvedParams):
+                             params: ResolvedParams, corr):
     """The reduced-class variances of Lambda summed over Q0 < q <= Q and
     the Ramanujan tail, from one pass of multiple sums M[e], e <= Q: they
-    give S_1(q) to the one and C_d to the other."""
+    give S_1(q) to the one and C_d to the other.  `corr` is the
+    autocorrelation of Lambda (lag_correlations)."""
     q_max = int(params.q)
     sums = multiple_sums(seq.values, q_max)
     lhs = restricted_variance_total(table, q_max,
-                                    int(math.floor(params.q0)) + 1, sums=sums)
+                                    int(math.floor(params.q0)) + 1, sums=sums,
+                                    corr=corr)
     return lhs, _tail_from_sums(sums, params.q0)
 
 
-def _swept_lhs_and_tail(seq: Sequence, params: ResolvedParams):
-    """sum of V(q) over Q0 < q <= Q and the Ramanujan tail, both from one
-    variance_sweep: its correlations are the tail's C_d."""
-    sweep = variance_sweep(seq, int(params.q))
+def _swept_chain_terms(seq: Sequence, params: ResolvedParams, arcs: ArcSystem):
+    """sum of V(q) over Q0 < q <= Q, the Ramanujan tail and the |A|^2 arc
+    masses, from one autocorrelation of `seq` and one variance_sweep, whose
+    correlations are the tail's C_d.  The sweep reads the autocorrelation
+    before arc_masses doubles it in place."""
+    corrs = lag_correlations([seq], [(0, 0)])
+    sweep = variance_sweep(seq, int(params.q), corrs[0])
     lhs = math.fsum(sweep.v[int(math.floor(params.q0)) + 1:])
-    return lhs, _tail_sum(sweep.correlations, sweep.phi, params.q0)
+    tail = _tail_sum(sweep.correlations, sweep.phi, params.q0)
+    return lhs, tail, arc_masses(arcs, seq, corrs=corrs).a
 
 
 @dataclass
@@ -296,9 +302,7 @@ def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
 def assemble_prop13(seq: Sequence, params: ResolvedParams) -> BoundReport:
     """The three-term variance inequality for `seq` as a checked report,
     compared with its own LHS: lhs = sum of V(q) over Q0 < q <= Q."""
-    arcs = params.arcs()
-    lhs, tail = _swept_lhs_and_tail(seq, params)
-    minor = arc_masses(arcs, seq).a
+    lhs, tail, minor = _swept_chain_terms(seq, params, params.arcs())
     return _assemble("prop13", params, seq, lhs, tail, minor, target=lhs,
                      extras={"minor_major_value": minor.major})
 
@@ -422,11 +426,13 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
         abs(weight_sum_q(weights, q) - mobius(q) / totient(q))
         for q in range(1, 31) if is_squarefree(q))
 
-    masses = arc_masses(arcs, seq, tilde)
+    # One autocorrelation of Lambda serves the LHS and the arc masses; the
+    # LHS reads it before arc_masses doubles it in place.
+    corrs = lag_correlations([seq, tilde], [(0, 0), (1, 1), (0, 1)])
+    lhs, tail = _restricted_lhs_and_tail(table, seq, params, corrs[0])
+    masses = arc_masses(arcs, seq, tilde, corrs=corrs)
     minor, minor_inner, minor_tilde = (masses.a, masses.cross.minor,
                                        masses.tilde.minor)
-
-    lhs, tail = _restricted_lhs_and_tail(table, seq, params)
 
     log_ratio = math.log(params.r / (params.k_param * params.q0))
     target_log = math.log(params.q**2 / n)
@@ -488,8 +494,7 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
     arcs = params.arcs()
     kq0 = arcs.kq0
 
-    lhs, tail = _swept_lhs_and_tail(seq, params)
-    minor = arc_masses(arcs, seq).a
+    lhs, tail, minor = _swept_chain_terms(seq, params, arcs)
     dk_sq = float(np.dot(seq.values, seq.values))  # upper bound for minor tilde
     target = params.q * n * log_n ** (k * k - 1)
     extras: dict = {}

@@ -107,14 +107,16 @@ def _check_moduli(q_max: int, q_min: int) -> None:
         raise ValueError(f"q_min must be at least 1, got {q_min}")
 
 
-def _square_sums(seq: Sequence, q_max: int):
+def _square_sums(seq: Sequence, q_max: int, corr=None):
     """(T, err, exact): T[q] = sum_a t_a(q)^2 for 1 <= q <= q_max, an
     a-priori bound on |T[q] - computed|, and whether T is exact.
 
     T[q] = r(0) + 2 sum_{j >= 1} r(jq) with the autocorrelation r from
-    lag_correlations.  See variance_sweep for the bound.
+    lag_correlations, or `corr` when the caller has it (read, not
+    changed).  See variance_sweep for the bound.
     """
-    corr, = lag_correlations([seq], [(0, 0)])
+    if corr is None:
+        corr, = lag_correlations([seq], [(0, 0)])
     r, eps = corr.rho, corr.error
     if corr.exact:
         return r[0] + 2 * multiple_sums(r, q_max), np.zeros(q_max + 1), True
@@ -142,7 +144,7 @@ class VarianceSweep:
     phi: np.ndarray
 
 
-def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
+def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     """V(q) for all q <= q_max from one autocorrelation and the multiple
     sums M[e] = sum_{e | n} a_n: O(N log N + (N + Q) log Q) in all.
 
@@ -157,9 +159,11 @@ def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
       where C_d = sum_n a_n c_d(n) = sum_{e|d} e mu(d/e) M[e];
     * so V(q) = T(q) - G(q)/q with G(q) = sum_{d|q} C_d^2 / phi(d).
 
-    The Moebius convolution (C from M) and the divisor sum (G from C)
-    are strided numpy updates, one per e and one per d; no array is
-    larger than the FFT buffer or a few rows of length q_max.
+    The multiple sums, the Moebius convolution (C from M) and the divisor
+    sum (G from C) are strided numpy updates, split at sqrt(N) or
+    sqrt(Q) by the Dirichlet hyperbola method, so each takes about
+    2 sqrt(N) or 2 sqrt(Q) numpy calls; no array is larger than the FFT
+    buffer or a few rows of length q_max.
 
     Error bound, in the standard rounding model (u = 2^-53,
     gamma_k = ku/(1-ku), L the FFT length) with gradual underflow (each
@@ -187,10 +191,11 @@ def variance_sweep(seq: Sequence, q_max: int) -> VarianceSweep:
       takes at most 6 products or quotients per d | q and 8 per q, so
       err[q] gains (8 tau(q) + 16) e0 in all.
     V(q) >= 0, so negative rounding residue is clipped to 0; that only
-    moves a value toward the exact one.
+    moves a value toward the exact one.  `corr` is the autocorrelation of
+    `seq` (lag_correlations), when the caller has it already.
     """
     _check_moduli(q_max, 1)
-    squares, err, exact = _square_sums(seq, q_max)
+    squares, err, exact = _square_sums(seq, q_max, corr)
     mu, phi = mobius_totient(q_max)
     n = seq.n
     m = multiple_sums(seq.int_values() if exact else seq.values, q_max)
@@ -373,7 +378,8 @@ def psi_counts(table, q: int) -> PsiCounts:
 
 
 def restricted_variance_total(table, q_max: int, q_min: int = 1,
-                              sums: np.ndarray | None = None) -> float:
+                              sums: np.ndarray | None = None,
+                              corr=None) -> float:
     """Sum over q_min <= q <= q_max of the reduced-class prime variance
     sum_{(b,q)=1} (psi(N;q,b) - S_1(q)/phi(q))^2.
 
@@ -383,13 +389,14 @@ def restricted_variance_total(table, q_max: int, q_min: int = 1,
     with (b, q) > 1 holds only powers p^j <= N of primes p | q, and
     powers of two different primes never share one (see
     _prime_power_class_squares).  `sums` are the multiple sums M[e] of
-    Lambda for e <= q_max, when the caller has them already.
+    Lambda for e <= q_max, and `corr` its autocorrelation
+    (lag_correlations), when the caller has them already.
     """
     _check_moduli(q_max, q_min)
     if q_min > q_max:
         return 0.0
     seq = table.lambda_sequence()
-    squares, _, _ = _square_sums(seq, q_max)
+    squares, _, _ = _square_sums(seq, q_max, corr)
     mu, phi = mobius_totient(q_max)
     if sums is None:
         sums = multiple_sums(seq.values, q_max)
@@ -406,20 +413,30 @@ def _prime_power_class_squares(table, q_max: int) -> np.ndarray:
     For p | q the powers p^i and p^j fall in one class exactly when
     p^i = p^j mod q, and several may (mod 6: 2, 8 and 32), so
     NR[q] = sum_{p|q} sum_{i,j: p^i = p^j mod q} Lambda(p^i) Lambda(p^j).
-    Each prime is one vectorized pass over its multiples q.
+    Each prime p <= sqrt(N) is one vectorized pass over its multiples q.
+    A larger prime has the one power p, which adds Lambda(p)^2 to every
+    q in pZ; those are added after the small primes, one multiplier j at
+    a time over all such p <= q_max/j, in descending j, so every NR[q]
+    adds its primes in ascending order as a pass per prime would.
     """
     n = table.n
+    s = math.isqrt(n)
     nr = np.zeros(q_max + 1)
-    for p in _primes_from_spf(table.spf[: min(q_max, n) + 1]).tolist():
+    primes = _primes_from_spf(table.spf[: min(q_max, n) + 1])
+    for p in primes[primes <= s].tolist():
         powers = [p]
         while powers[-1] * p <= n:
             powers.append(powers[-1] * p)
         pw = np.array(powers, dtype=np.int64)
         w = table.lam[pw]
         nr[p::p] += float(np.dot(w, w))
-        if len(powers) > 1:
-            cls = pw % np.arange(p, q_max + 1, p)[:, None]
-            for s in range(1, len(powers)):
-                same = cls[:, s:] == cls[:, :-s]
-                nr[p::p] += 2.0 * (same @ (w[s:] * w[:-s]))
+        cls = pw % np.arange(p, q_max + 1, p)[:, None]
+        for k in range(1, len(powers)):
+            same = cls[:, k:] == cls[:, :-k]
+            nr[p::p] += 2.0 * (same @ (w[k:] * w[:-k]))
+    large = primes[primes > s]
+    squares = table.lam[large] ** 2
+    for j in range(q_max // (s + 1), 0, -1):
+        top = np.searchsorted(large, q_max // j, side="right")
+        nr[j * large[:top]] += squares[:top]
     return nr

@@ -153,3 +153,73 @@ def dk_correlation_residue(q: int, k: int, n: int) -> float:
         taylor = mp.taylor(g, 1, k - 1)
         return float(mp.re(mp.fsum(c[j] * taylor[k - 1 - j]
                                    for j in range(k))))
+
+
+# ---------------------------------------------------------------------------
+# One numpy pass per index: the divisor-sum kernels of apvar.arith and
+# apvar.variance before their hyperbola split, kept to pin them.
+
+
+def multiple_sums_loop(values: np.ndarray, emax: int) -> np.ndarray:
+    """M[e] = sum of values[n] over multiples n of e, one pass per e."""
+    m = np.zeros(emax + 1, dtype=values.dtype)
+    for e in range(1, emax + 1):
+        m[e] = values[e::e].sum()
+    return m
+
+
+def ramanujan_convolution_loop(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """C[d] = sum_{e | d} e mu(d/e) m[e], one strided update per e."""
+    dmax = m.size - 1
+    c = np.zeros_like(m)
+    for e in range(1, dmax + 1):
+        if m[e]:
+            c[e::e] += (e * m[e]) * mu[1 : dmax // e + 1]
+    return c
+
+
+def convolve_ones_loop(f: np.ndarray) -> np.ndarray:
+    """Dirichlet convolution f * 1 along the first axis, one pass per d."""
+    n = len(f) - 1
+    g = np.zeros_like(f)
+    for d in range(1, n + 1):
+        g[d::d] += f[1 : n // d + 1]
+    return g
+
+
+def mu_phi_sieve_loop(n: int, primes: np.ndarray):
+    """(mu, phi) on 0..n, one pass per prime."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in primes:
+        mu[p::p] = -mu[p::p]
+        p2 = int(p) * int(p)
+        if p2 <= n:
+            mu[p2::p2] = 0
+
+    phi = np.arange(n + 1)
+    for p in primes:
+        phi[p::p] -= phi[p::p] // p
+    return mu, phi
+
+
+def prime_power_class_squares_loop(table, q_max: int) -> np.ndarray:
+    """sum of t_b(q)^2 over the classes b mod q with (b, q) > 1, for
+    Lambda at every q <= q_max, one pass per prime."""
+    n = table.n
+    nr = np.zeros(q_max + 1)
+    idx = np.arange(min(q_max, n) + 1)
+    spf = table.spf[: min(q_max, n) + 1]
+    for p in idx[(idx >= 2) & (spf == idx)].tolist():
+        powers = [p]
+        while powers[-1] * p <= n:
+            powers.append(powers[-1] * p)
+        pw = np.array(powers, dtype=np.int64)
+        w = table.lam[pw]
+        nr[p::p] += float(np.dot(w, w))
+        if len(powers) > 1:
+            cls = pw % np.arange(p, q_max + 1, p)[:, None]
+            for s in range(1, len(powers)):
+                same = cls[:, s:] == cls[:, :-s]
+                nr[p::p] += 2.0 * (same @ (w[s:] * w[:-s]))
+    return nr

@@ -9,11 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apvar.arith import (CapacityError, Sequence, check_lemma1_matrix,
-                         d_k_of, divisors, factorize, gen_binomial,
-                         is_squarefree, load_sequence, mobius,
-                         ramanujan_correlation, ramanujan_correlations,
-                         ramanujan_row, ramanujan_sum, sieve_all, totient)
+from apvar.arith import (CapacityError, Sequence, _convolve_ones,
+                         _fft_length, _primes_from_spf, _spf_sieve,
+                         check_lemma1_matrix, d_k_of, divisors, factorize,
+                         gamma, gen_binomial, is_squarefree, lag_correlations,
+                         load_sequence, mobius, mobius_totient, multiple_sums,
+                         ramanujan_convolution, ramanujan_correlation,
+                         ramanujan_correlations, ramanujan_row, ramanujan_sum,
+                         sieve_all, totient)
+
+from oracles import (convolve_ones_loop, mu_phi_sieve_loop,
+                     multiple_sums_loop, ramanujan_convolution_loop)
 
 
 def direct_ramanujan(q, n):
@@ -138,3 +144,108 @@ def test_sequence_invariants():
     assert s.l1() == 6
     with pytest.raises(ValueError):
         Sequence.from_coeffs([0.5], is_integer_valued=True)
+
+
+# Lengths around the hyperbola split point isqrt(n) and its edge cases.
+KERNEL_NS = (0, 1, 2, 3, 4, 8, 9, 15, 16, 17, 99, 100, 101, 300, 10**4)
+
+
+def kernel_emaxes(n):
+    s = math.isqrt(n)
+    return sorted({1, s, s + 1, n, n + 5})
+
+
+def assert_same(fast, loop):
+    assert fast.dtype == loop.dtype
+    assert np.array_equal(fast, loop)
+
+
+def test_divisor_kernels_match_loops_on_integers(table_1e4):
+    """The hyperbola-split kernels are the per-index loops bit for bit on
+    int64 inputs (d_2, d_3 and signed random integers)."""
+    rng = np.random.default_rng(8)
+    for n in KERNEL_NS:
+        inputs = (table_1e4.dk[2][: n + 1], table_1e4.dk[3][: n + 1],
+                  rng.integers(-1000, 1000, n + 1))
+        for emax in kernel_emaxes(n):
+            mu, phi = mobius_totient(max(emax, 1))
+            loop_mu, loop_phi = mu_phi_sieve_loop(
+                max(emax, 1), _primes_from_spf(_spf_sieve(max(emax, 1))))
+            assert_same(mu, loop_mu)
+            assert_same(phi, loop_phi)
+            for values in inputs:
+                m = multiple_sums(values, emax)
+                assert_same(m, multiple_sums_loop(values, emax))
+                for table in (mu, np.abs(mu)):
+                    assert_same(ramanujan_convolution(m, table),
+                                ramanujan_convolution_loop(m, table))
+                assert_same(_convolve_ones(m), convolve_ones_loop(m))
+
+
+def test_divisor_kernels_match_loops_on_floats():
+    """On floats the convolutions (one and three columns) keep the loops'
+    order of summation, so they match bit for bit; a multiple sum over
+    e > isqrt(n) is sequential, within gamma_{n/e} sum |a| of the loop."""
+    rng = np.random.default_rng(9)
+    for n in KERNEL_NS:
+        values = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-3, 4, n + 1)
+        for emax in kernel_emaxes(n):
+            mu, _ = mobius_totient(max(emax, 1))
+            m = rng.standard_normal(emax + 1)
+            assert_same(ramanujan_convolution(m, mu),
+                        ramanujan_convolution_loop(m, mu))
+            f = rng.standard_normal((emax + 1, 3))
+            assert_same(_convolve_ones(f), convolve_ones_loop(f))
+            loop = multiple_sums_loop(values, emax)
+            bound = gamma(n // np.arange(1, emax + 1)) \
+                * multiple_sums_loop(np.abs(values), emax)[1:]
+            assert np.all(np.abs(multiple_sums(values, emax)[1:] - loop[1:])
+                          <= bound)
+
+
+def test_mobius_totient_at_squares_of_primes():
+    """mu and phi match the per-prime sieve where the split point isqrt(n)
+    changes: at perfect squares and at p^2 +- 1."""
+    for p in (2, 3, 5, 7, 11, 31, 97, 101):
+        for n in (p * p - 1, p * p, p * p + 1, (p + 1) ** 2):
+            mu, phi = mobius_totient(n)
+            loop_mu, loop_phi = mu_phi_sieve_loop(
+                n, _primes_from_spf(_spf_sieve(n)))
+            assert_same(mu, loop_mu)
+            assert_same(phi, loop_phi)
+
+
+def test_fft_length_is_least_5_smooth():
+    def smooth(x):
+        for p in (2, 3, 5):
+            while x % p == 0:
+                x //= p
+        return x == 1
+
+    expect = 1
+    for m in range(5000, -1, -1):
+        if m and smooth(m):
+            expect = m
+        assert _fft_length(m) == expect
+
+
+@pytest.mark.parametrize("n", [12, 62])
+def test_lag_correlations_at_odd_5_smooth_length(n):
+    """With 2N + 1 = 25 or 125 the transforms have odd mixed-radix length;
+    every lag is still within its bound of np.correlate, and exact on the
+    integer path."""
+    assert _fft_length(2 * n + 1) == 2 * n + 1
+    rng = np.random.default_rng(n)
+    seqs = [Sequence.from_coeffs(rng.standard_normal(n)),
+            Sequence.from_coeffs(rng.integers(-9, 10, n),
+                                 is_integer_valued=True)]
+    pairs = [(0, 0), (1, 1), (0, 1)]
+    for (i, j), corr in zip(pairs, lag_correlations(seqs, pairs)):
+        a, b = seqs[i].values, seqs[j].values
+        full = np.correlate(a, b, "full")          # x(h) at h + n
+        ref = (full[n:] + full[n::-1]) / 2.0
+        if corr.exact:
+            assert i == j == 1
+            assert np.array_equal(corr.rho, np.rint(ref).astype(np.int64))
+        else:
+            assert np.all(np.abs(corr.rho - ref) <= corr.error)

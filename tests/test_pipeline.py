@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from apvar.arith import Sequence, divisors, ramanujan_sum, sieve_all, totient
-from apvar.circle import ArcSystem, build_spectrum
+from apvar.circle import ArcSystem, arc_masses, build_spectrum
 from apvar.pipeline import (ExperimentConfig, ResolvedParams, assemble_prop13,
                             bulk_residue_predictions, cauchy_schwarz_bound,
                             newprop_rhs, ramanujan_tail, resolve_params,
                             run_theorem1, run_theorem2)
-from apvar.variance import restricted_variance_total
-from apvar.windows import build_weights, build_window
+from apvar.variance import restricted_variance_total, variance_sweep
+from apvar.windows import build_tilde_sequence, build_weights, build_window
 
 
 def two_loop_tail(seq, q_max, q0):
@@ -227,6 +227,26 @@ def test_run_theorem1_lhs_and_tail_from_shared_sums():
     assert report.ramanujan_tail > 0
     assert report.ramanujan_tail == ramanujan_tail(
         table.lambda_sequence(), p["Q"], p["Q0"])
+    # The arc masses share the LHS's autocorrelation of Lambda.
+    params = resolve_params(ExperimentConfig(experiment="theorem1", n=n))
+    tilde = build_tilde_sequence(n, build_weights("prime_sieve", int(p["R"])),
+                                 build_window(0.05))
+    masses = arc_masses(params.arcs(), table.lambda_sequence(), tilde)
+    assert report.minor_integral == masses.a.minor
+    assert report.cs_denominator == masses.tilde.minor
+
+
+def test_assemble_prop13_shares_one_autocorrelation(rng):
+    """On a float sequence the sweep reads the autocorrelation before
+    arc_masses doubles it in place: LHS, tail and minor mass equal the
+    separate calls bit for bit."""
+    seq = Sequence.from_coeffs(rng.standard_normal(3000))
+    params = ResolvedParams(n=3000, q=400.0, k_param=5.0, q0=3.0)
+    report = assemble_prop13(seq, params)
+    sweep = variance_sweep(seq, 400)
+    assert report.lhs_variance_sum == math.fsum(sweep.v[4:])
+    assert report.ramanujan_tail == ramanujan_tail(seq, 400.0, 3.0)
+    assert report.minor_integral == arc_masses(params.arcs(), seq).a.minor
 
 
 @pytest.mark.parametrize("kind", ["theorem1", "theorem2-first",

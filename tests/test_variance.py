@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from apvar.arith import (Sequence, divisors, ramanujan_correlations,
                          ramanujan_sum, totient)
-from apvar.variance import (check_identity_prop1, cor1_lower_bound,
-                            exp_variance_H, psi_counts, residue_sums,
-                            restricted_variance_total, variance_mod_q,
-                            variance_sweep, variance_total)
+from apvar.variance import (_prime_power_class_squares, check_identity_prop1,
+                            cor1_lower_bound, exp_variance_H, psi_counts,
+                            residue_sums, restricted_variance_total,
+                            variance_mod_q, variance_sweep, variance_total)
+
+from oracles import prime_power_class_squares_loop
 
 
 def brute_variance(seq, q):
@@ -215,3 +217,14 @@ def test_zero_sequence_trivial():
     assert float(variance_mod_q(z, 12).v) == 0
     assert float(exp_variance_H(z, 12).h) == 0
     assert check_identity_prop1(z, 12).ok
+
+
+def test_prime_power_class_squares_match_loop(table_1e4):
+    """Primes above sqrt(N), grouped by multiplier, add to each q in the
+    order of a pass per prime: bit for bit the loop, on both sides of the
+    split point."""
+    n = table_1e4.n
+    for q_max in (1, math.isqrt(n), math.isqrt(n) + 1, n):
+        fast = _prime_power_class_squares(table_1e4, q_max)
+        assert np.array_equal(fast,
+                              prime_power_class_squares_loop(table_1e4, q_max))
