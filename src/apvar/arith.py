@@ -324,35 +324,24 @@ def lag_correlations(seqs, pairs) -> list:
     return out
 
 
-def ramanujan_correlation(seq: Sequence, d: int, window=None):
-    """Sum_{n<=N} a_n c_d(n), optionally weighted by Phi(n/N).
+def ramanujan_correlation(seq: Sequence, d: int):
+    """Sum_{n<=N} a_n c_d(n); windowed sums go through
+    ramanujan_correlations.
 
     Uses c_d(n) = sum_{e | (d,n)} e mu(d/e), so the cost is one
     multiple-sum per divisor of d.  Exact (a Python int) when the
-    sequence is integer-valued and no window is supplied.
+    sequence is integer-valued.
     """
     if d < 1:
         raise ValueError("d must be positive")
-    n = seq.n
-    if window is not None:
-        vals = seq.values * window.phi(np.arange(n + 1) / n)
-        exact = False
-    else:
-        vals = seq.values
-        exact = seq.is_integer_valued
-    if exact:
-        iv = seq.int_values()
-        total = 0
-        for e in divisors(d):
-            mu = mobius(d // e)
-            if mu:
-                total += e * mu * int(iv[e::e].sum())
-        return total
-    total = 0.0
+    exact = seq.is_integer_valued
+    vals = seq.int_values() if exact else seq.values
+    total = 0 if exact else 0.0
     for e in divisors(d):
         mu = mobius(d // e)
         if mu:
-            total += e * mu * float(vals[e::e].sum())
+            part = vals[e::e].sum()
+            total += e * mu * (int(part) if exact else float(part))
     return total
 
 

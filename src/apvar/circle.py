@@ -187,8 +187,7 @@ class MinorArcIntegral:
     complement_value: float   # l2 minus the major part
 
 
-def minor_arc_integral(spec: Spectrum, arcs: ArcSystem,
-                       mask: np.ndarray | None = None) -> MinorArcIntegral:
+def minor_arc_integral(spec: Spectrum, arcs: ArcSystem) -> MinorArcIntegral:
     """Trapezoid integral of |A|^2 over grid cells classified minor.
 
     The error bound charges each minor cell width^2/4 * |(|A|^2)'| using
@@ -196,8 +195,7 @@ def minor_arc_integral(spec: Spectrum, arcs: ArcSystem,
     of the local maximum for every boundary-straddling cell.
     """
     t = spec.t_grid
-    if mask is None:
-        mask = major_mask(arcs, t)
+    mask = major_mask(arcs, t)
     power = spec.power
     width = 1.0 / t
     minor = ~mask
@@ -307,21 +305,16 @@ def arc_masses(arcs: ArcSystem, seq: Sequence,
     The sum of these terms is doubled, which covers the rounding of the
     bound's own evaluation (each term has as many e0 as it has products).
 
-    `corrs`, when the caller has them, are lag_correlations([seq], [(0, 0)])
-    or, with `tilde`, lag_correlations([seq, tilde], [(0, 0), (1, 1),
-    (0, 1)]).  Their float rows are doubled in place, so a caller that
-    reads them must do so first.
+    `corrs`, when the caller has them, are _arc_correlations(seq, tilde);
+    they are read, not changed.
     """
     arcs.check_disjoint()
     n, m_max = seq.n, arcs.kq0
     if corrs is None:
-        seqs = [seq] if tilde is None else [seq, tilde]
-        pairs = [(0, 0)] if tilde is None else [(0, 0), (1, 1), (0, 1)]
-        corrs = lag_correlations(seqs, pairs)
+        corrs = _arc_correlations(seq, tilde)
     totals = [float(c.rho[0]) for c in corrs]
     lag_errors = [c.error for c in corrs]
-    rows = [c.rho.astype(np.float64, copy=False) for c in corrs]
-    del corrs
+    rows = [c.rho for c in corrs]
     majors = [[] for _ in rows]
     bounds = [[] for _ in rows]
     kappa = 0.0
@@ -337,8 +330,6 @@ def arc_masses(arcs: ArcSystem, seq: Sequence,
             majors[i].append(total * zero_weight)
             bounds[i].append(gamma(5) * abs(total) * zero_weight
                              + float(underflow(2)))
-        for row in rows:
-            row *= 2.0                            # s(h) = x(h) + x(-h)
         for i, (parts, errs) in enumerate(_sine_sums(rows, arcs, mu)):
             majors[i] += parts
             bounds[i] += errs
@@ -353,12 +344,22 @@ def arc_masses(arcs: ArcSystem, seq: Sequence,
     return ArcMasses(*out)
 
 
+def _arc_correlations(seq: Sequence, tilde: Sequence | None = None) -> list:
+    """The lag correlations arc_masses reads: the autocorrelation of `seq`,
+    and with `tilde` also that of `tilde` and their cross correlation."""
+    if tilde is None:
+        return lag_correlations([seq], [(0, 0)])
+    return lag_correlations([seq, tilde], [(0, 0), (1, 1), (0, 1)])
+
+
 def _sine_sums(rows, arcs: ArcSystem, mu: np.ndarray) -> list:
-    """For each row s, the terms mu(m) sum_j P_D(j) sin(2 pi j d_m)/(pi j)
-    over the squarefree m <= M and their rounding bounds (see arc_masses)."""
+    """For each row rho, the terms mu(m) sum_j P_D(j) sin(2 pi j d_m)/(pi j)
+    over the squarefree m <= M and their rounding bounds (see arc_masses).
+    The factor 2 of s(h) = 2 rho(h) rides on the weights 2/(pi j) and on
+    S0; scaling by 2 is exact, so the terms are those of the rows s."""
     n, m_max = rows[0].size - 1, arcs.kq0
     inv = np.zeros(n + 1)
-    inv[1:] = 1.0 / (math.pi * np.arange(1, n + 1))
+    inv[1:] = 2.0 / (math.pi * np.arange(1, n + 1))
     block = 1 << max(0, math.ceil(math.log2(n + 1) / 2))
     n_b = -(-(n + 1) // block)
     p_tilde = np.zeros((len(rows), n_b * block))
@@ -379,7 +380,7 @@ def _sine_sums(rows, arcs: ArcSystem, mu: np.ndarray) -> list:
                 np.multiply(row[d::d], w, out=tmp)
                 p_tilde[i, 1 : j + 1] += tmp
                 np.abs(row[d::d], out=tmp)
-                s0[i] += tmp.sum()
+                s0[i] += 2.0 * tmp.sum()
                 s1[i] += tmp @ w
         d_done = d_top
         group = np.array(list(group))

@@ -239,7 +239,11 @@ def _table_rows(args):
     """The header and rows of one table.  Bad flags raise a ValueError
     naming the flag, before any work."""
     rows = []
+    if args.what != "weights" and args.q_max < 1:
+        raise ValueError(f"--q-max must be at least 1, got {args.q_max}")
     if args.what == "ramanujan":
+        if args.n_max < 1:
+            raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
         if args.q_max > 10**4 or args.n_max > 10**5:
             raise ValueError("--q-max/--n-max: range too large")
         header = "q,n,c_q_n"
@@ -356,11 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    q_exp = getattr(args, "Q_exp", None)
-    if q_exp is not None and not 0 < q_exp <= 1.0:
-        print(f"error: --Q-exp must lie in (0, 1], got {q_exp}",
-              file=sys.stderr)
-        return 2
     return args.func(args)
 
 

@@ -24,6 +24,10 @@ from .arith import (_primes_from_spf, _spf_sieve, d_k_prime_power, factorize,
 
 EULER_GAMMA = 0.5772156649015329
 
+# The second ending's moduli are N^(1/4)-smooth: no prime factor exceeds
+# N^_SMOOTH_EXP.
+_SMOOTH_EXP = 0.25
+
 
 class TruncationError(Exception):
     """A local series or a contour failed its certified error bound."""
@@ -46,8 +50,9 @@ def _bernoulli_even(count: int = 25):
     return np.array([float(b[2 * j]) for j in range(1, count + 1)])
 
 
-def zeta_near_one(s, cutoff: int = 30, terms: int = 20):
-    """zeta(s) by Euler-Maclaurin; intended for s within O(1) of 1.
+def zeta_near_one(s):
+    """zeta(s) by Euler-Maclaurin with cutoff 30 and 20 Bernoulli terms;
+    intended for s within O(1) of 1.
 
     Vectorized over complex arrays.  Raises on the pole s = 1.
     """
@@ -56,13 +61,14 @@ def zeta_near_one(s, cutoff: int = 30, terms: int = 20):
     s = np.atleast_1d(s)
     if np.any(s == 1):
         raise ZeroDivisionError("zeta has a pole at s = 1")
-    m = cutoff
+    m = 30
     n = np.arange(1, m)
     out = np.sum(n[None, :] ** (-s[:, None]), axis=1)
     out += m ** (1.0 - s) / (s - 1.0) + 0.5 * m ** (-s)
     bern = _bernoulli_even()
     poch = s.copy()          # s (s+1) ... (s+2j-2)
     fact = 1.0
+    terms = 20
     for j in range(1, terms + 1):
         fact *= (2 * j) * (2 * j - 1)
         out += bern[j - 1] / fact * poch * m ** (-s - 2 * j + 1.0)
@@ -302,10 +308,10 @@ def leading_coeff_closed_form(k: int) -> Fraction:
 
 
 def choose_R_chebyshev(k: int, n: int, q0: float, q: float, k_param: float,
-                       eps: float, grid: int = 512):
-    """Scan alpha = log R / log N over the admissible interval and return
-    the R maximizing |polynomial|, certified against the Chebyshev
-    extremal floor for its degree and leading coefficient."""
+                       eps: float):
+    """Scan alpha = log R / log N over the admissible interval (512 grid
+    points) and return the R maximizing |polynomial|, certified against
+    the Chebyshev extremal floor for its degree and leading coefficient."""
     log_n = math.log(n)
     lo = math.log(q0 * n**eps) / log_n
     hi = math.log(q * n ** (-eps)) / log_n
@@ -313,6 +319,7 @@ def choose_R_chebyshev(k: int, n: int, q0: float, q: float, k_param: float,
         raise ValueError(f"empty R interval: alpha in [{lo}, {hi}]")
     hi = min(hi, 1.0)
     log_kq0 = math.log(k_param * q0)
+    grid = 512
     alphas = np.linspace(lo, hi, grid)
     values = polynomial_69(k, log_n, alphas * log_n, log_kq0)
     best = int(np.argmax(np.abs(values)))
@@ -392,8 +399,8 @@ class RamdkevalResidue:
     ratio: float
 
 
-def residue_ramdkeval(q: int, k: int, n: int, delta: float,
-                      smooth_exp: float = 0.25) -> RamdkevalResidue:
+def residue_ramdkeval(q: int, k: int, n: int,
+                      delta: float) -> RamdkevalResidue:
     """Residue of zeta^k (F_q(s)/F_q(1)) N^(s-1)/s at s = 1, for squarefree
     smooth q, cross-checked against the (log N + f_q(1))^(k-1)/(k-1)! main
     term."""
@@ -401,8 +408,8 @@ def residue_ramdkeval(q: int, k: int, n: int, delta: float,
         raise ValueError("q must be squarefree")
     if q > n ** (0.5 - delta / 2.0):
         raise ValueError(f"q={q} violates the size bound N^(1/2 - delta/2)")
-    if q > 1 and max(p for p, _ in factorize(q)) > n**smooth_exp:
-        raise ValueError(f"q={q} has a prime factor above N^{smooth_exp}")
+    if q > 1 and max(p for p, _ in factorize(q)) > n**_SMOOTH_EXP:
+        raise ValueError(f"q={q} has a prime factor above N^{_SMOOTH_EXP}")
     fq1 = float(squarefree_F_q_exact(q, k)) if q > 1 else 1.0
     pred = residues([q], k, n, lambda v, s, o: v / fq1 * n ** (s - 1.0) / s)[0]
     main = (math.log(n) + f_q_value(q, k)) ** (k - 1) / math.factorial(k - 1)

@@ -20,18 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (Sequence, SieveTable, d_k_of, factorize, is_squarefree,
-                    lag_correlations, mobius, mobius_totient, multiple_sums,
-                    ramanujan_convolution, ramanujan_correlations, sieve_all,
-                    totient)
-from .circle import ArcMass, ArcSystem, Spectrum, arc_masses, arcs_disjoint
+                    mobius, mobius_totient, multiple_sums,
+                    ramanujan_convolution, ramanujan_correlations,
+                    sieve_all, totient)
+from .circle import (ArcMass, ArcSystem, Spectrum, _arc_correlations,
+                     arc_masses, arcs_disjoint)
 # Grid path: the validation tests use it and perfbench/spans.py wraps it.
 from .circle import build_spectrum, major_mask, minor_arc_integral  # noqa: F401
-from .dirichlet import choose_R_chebyshev, f_q_value, residues
+from .dirichlet import _SMOOTH_EXP, choose_R_chebyshev, f_q_value, residues
 # Bound for perfbench/spans.py, which wraps these names in this module.
 from .dirichlet import contour_nodes, residue_ramdkeval, zeta_near_one  # noqa: F401
-from .variance import restricted_variance_total, variance_sweep
+from .variance import _reduced_class_variances, variance_sweep
 # Bound for perfbench/spans.py, which wraps these names in this module.
-from .variance import variance_mod_q, variance_total  # noqa: F401
+from .variance import (restricted_variance_total, variance_mod_q,  # noqa: F401
+                       variance_total)
 from .windows import SmoothWindow, build_tilde_sequence, build_weights, \
     build_window, weight_sum_q
 
@@ -62,11 +64,21 @@ class ExperimentConfig:
     ending: str = "second"
 
     def __post_init__(self):
+        """Check every parameter before any work, naming its CLI flag."""
         if self.experiment not in ("theorem1", "theorem2"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not 0 < self.q_exp <= 1.0:
-            raise ValueError("Q exponent must lie in (0, 1]")
+            raise ValueError(f"--Q-exp must lie in (0, 1], got {self.q_exp}")
+        if not 0 < self.delta < 0.5:
+            raise ValueError(f"--delta must lie in (0, 1/2), got {self.delta}")
+        if not 0 < self.epsilon < 0.25:
+            raise ValueError(
+                f"--epsilon must lie in (0, 1/4), got {self.epsilon}")
+        if self.k_exp is not None and not math.isfinite(self.k_exp):
+            raise ValueError(f"--K-exp must be finite, got {self.k_exp}")
         if self.experiment == "theorem2":
+            if self.k < 2:
+                raise ValueError(f"--k must be at least 2, got {self.k}")
             if self.ending not in ("first", "second"):
                 raise ValueError("ending must be 'first' or 'second'")
             if self.q_exp < 0.5 + self.delta:
@@ -173,47 +185,33 @@ def _tail_sum(corrs: np.ndarray, phi: np.ndarray, q0: float) -> float:
     return math.fsum(weights * corrs[d_lo:] ** 2 / phi[d_lo:])
 
 
-def _tail_from_sums(sums: np.ndarray, q0: float) -> float:
-    """_tail_sum with Q = sums.size - 1, the correlations C_d for all
-    d <= Q being one Moebius convolution of the multiple sums M[e]
-    (ramanujan_convolution)."""
-    q_max = sums.size - 1
+def ramanujan_tail(seq: Sequence, q_max: float, q0: float) -> float:
+    """The Ramanujan-sum tail of the variance inequality (_tail_sum) for
+    `seq` alone, without an FFT; the chains take it from their variance
+    sweep (_chain_terms)."""
+    q_max = int(q_max)
     if q0 >= q_max:
         return 0.0
     mu, phi = mobius_totient(q_max)
-    return _tail_sum(ramanujan_convolution(sums, mu), phi, q0)
+    corrs = ramanujan_convolution(multiple_sums(seq.values, q_max), mu)
+    return _tail_sum(corrs, phi, q0)
 
 
-def ramanujan_tail(seq: Sequence, q_max: float, q0: float) -> float:
-    """The Ramanujan-sum tail of the variance inequality (_tail_sum) for
-    `seq` alone; the chains take it from multiple sums they already have."""
-    return _tail_from_sums(multiple_sums(seq.values, int(q_max)), q0)
-
-
-def _restricted_lhs_and_tail(table: SieveTable, seq: Sequence,
-                             params: ResolvedParams, corr):
-    """The reduced-class variances of Lambda summed over Q0 < q <= Q and
-    the Ramanujan tail, from one pass of multiple sums M[e], e <= Q: they
-    give S_1(q) to the one and C_d to the other.  `corr` is the
-    autocorrelation of Lambda (lag_correlations)."""
-    q_max = int(params.q)
-    sums = multiple_sums(seq.values, q_max)
-    lhs = restricted_variance_total(table, q_max,
-                                    int(math.floor(params.q0)) + 1, sums=sums,
-                                    corr=corr)
-    return lhs, _tail_from_sums(sums, params.q0)
-
-
-def _swept_chain_terms(seq: Sequence, params: ResolvedParams, arcs: ArcSystem):
-    """sum of V(q) over Q0 < q <= Q, the Ramanujan tail and the |A|^2 arc
-    masses, from one autocorrelation of `seq` and one variance_sweep, whose
-    correlations are the tail's C_d.  The sweep reads the autocorrelation
-    before arc_masses doubles it in place."""
-    corrs = lag_correlations([seq], [(0, 0)])
+def _chain_terms(seq: Sequence, params: ResolvedParams, arcs: ArcSystem,
+                 tilde: Sequence | None = None):
+    """(sweep, tail, masses): the variance_sweep of `seq` over q <= Q, the
+    Ramanujan tail from the sweep's C_d and phi, and the arc masses (with
+    `tilde`, also of |A~|^2 and A conj(A~)), from one lag_correlations
+    call that the sweep and arc_masses both read."""
+    corrs = _arc_correlations(seq, tilde)
     sweep = variance_sweep(seq, int(params.q), corrs[0])
-    lhs = math.fsum(sweep.v[int(math.floor(params.q0)) + 1:])
     tail = _tail_sum(sweep.correlations, sweep.phi, params.q0)
-    return lhs, tail, arc_masses(arcs, seq, corrs=corrs).a
+    return sweep, tail, arc_masses(arcs, seq, tilde, corrs=corrs)
+
+
+def _over_moduli(per_q: np.ndarray, params: ResolvedParams) -> float:
+    """The sum of per_q[q] over Q0 < q <= Q = per_q.size - 1."""
+    return math.fsum(per_q[int(math.floor(params.q0)) + 1:])
 
 
 @dataclass
@@ -302,7 +300,8 @@ def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
 def assemble_prop13(seq: Sequence, params: ResolvedParams) -> BoundReport:
     """The three-term variance inequality for `seq` as a checked report,
     compared with its own LHS: lhs = sum of V(q) over Q0 < q <= Q."""
-    lhs, tail, minor = _swept_chain_terms(seq, params, params.arcs())
+    sweep, tail, masses = _chain_terms(seq, params, params.arcs())
+    lhs, minor = _over_moduli(sweep.v, params), masses.a
     return _assemble("prop13", params, seq, lhs, tail, minor, target=lhs,
                      extras={"minor_major_value": minor.major})
 
@@ -426,11 +425,8 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
         abs(weight_sum_q(weights, q) - mobius(q) / totient(q))
         for q in range(1, 31) if is_squarefree(q))
 
-    # One autocorrelation of Lambda serves the LHS and the arc masses; the
-    # LHS reads it before arc_masses doubles it in place.
-    corrs = lag_correlations([seq, tilde], [(0, 0), (1, 1), (0, 1)])
-    lhs, tail = _restricted_lhs_and_tail(table, seq, params, corrs[0])
-    masses = arc_masses(arcs, seq, tilde, corrs=corrs)
+    sweep, tail, masses = _chain_terms(seq, params, arcs, tilde)
+    lhs = _over_moduli(_reduced_class_variances(table, sweep), params)
     minor, minor_inner, minor_tilde = (masses.a, masses.cross.minor,
                                        masses.tilde.minor)
 
@@ -461,13 +457,13 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
     return report, summary
 
 
-def _admissible_qs(params: ResolvedParams, config: ExperimentConfig,
-                   smooth_exp: float = 0.25):
-    """Squarefree smooth moduli in (KQ0, R N^(-delta/4)]."""
+def _admissible_qs(params: ResolvedParams, config: ExperimentConfig):
+    """Squarefree moduli in (KQ0, R N^(-delta/4)] with no prime factor
+    above N^_SMOOTH_EXP."""
     n = params.n
     lo = int(params.k_param * params.q0)
     hi = int(params.r * n ** (-config.delta / 4.0))
-    p_cap = n**smooth_exp
+    p_cap = n**_SMOOTH_EXP
     out = []
     for q in range(lo + 1, hi + 1):
         if not is_squarefree(q):
@@ -494,7 +490,8 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
     arcs = params.arcs()
     kq0 = arcs.kq0
 
-    lhs, tail, minor = _swept_chain_terms(seq, params, arcs)
+    sweep, tail, masses = _chain_terms(seq, params, arcs)
+    lhs, minor = _over_moduli(sweep.v, params), masses.a
     dk_sq = float(np.dot(seq.values, seq.values))  # upper bound for minor tilde
     target = params.q * n * log_n ** (k * k - 1)
     extras: dict = {}

@@ -107,39 +107,21 @@ def _check_moduli(q_max: int, q_min: int) -> None:
         raise ValueError(f"q_min must be at least 1, got {q_min}")
 
 
-def _square_sums(seq: Sequence, q_max: int, corr=None):
-    """(T, err, exact): T[q] = sum_a t_a(q)^2 for 1 <= q <= q_max, an
-    a-priori bound on |T[q] - computed|, and whether T is exact.
-
-    T[q] = r(0) + 2 sum_{j >= 1} r(jq) with the autocorrelation r from
-    lag_correlations, or `corr` when the caller has it (read, not
-    changed).  See variance_sweep for the bound.
-    """
-    if corr is None:
-        corr, = lag_correlations([seq], [(0, 0)])
-    r, eps = corr.rho, corr.error
-    if corr.exact:
-        return r[0] + 2 * multiple_sums(r, q_max), np.zeros(q_max + 1), True
-    l1 = float(np.abs(seq.values).sum())
-    lags = 1.0 + 2.0 * (seq.n // np.arange(1, q_max + 1))
-    err = np.zeros(q_max + 1)
-    err[1:] = lags * eps + gamma(lags) * (l1 * l1 + lags * eps)
-    return r[0] + 2.0 * multiple_sums(r, q_max), err, False
-
-
 @dataclass
 class VarianceSweep:
     """V(q) for every modulus 1 <= q <= q_max (slot 0 unused).
 
     `error[q]` bounds |v[q] - V(q)| a priori; `square_sums[q]` is
-    sum_a t_a(q)^2, an exact int64 when `exact_squares`.  `correlations[d]`
-    is C_d = sum_n a_n c_d(n) (see below) and `phi[d]` is phi(d).
+    sum_a t_a(q)^2, an exact int64 when `exact_squares`.  `sums[e]` is
+    the multiple sum M[e] = sum_{e | n} a_n, `correlations[d]` is
+    C_d = sum_n a_n c_d(n) (see below), and `phi[d]` is phi(d).
     """
 
     v: np.ndarray
     error: np.ndarray
     square_sums: np.ndarray
     exact_squares: bool
+    sums: np.ndarray
     correlations: np.ndarray
     phi: np.ndarray
 
@@ -180,9 +162,9 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
       bounds every partial sum, stays below 2^62.  Otherwise each
       M[e] sums at most N terms and each C_d at most d products, so
       |C^_d - C_d| <= gamma_{2(N + d + 1)} C_abs[d] + d e0, where C_abs
-      is the same convolution of sum_{e|n} |a_n| with |mu| (the doubled
-      index absorbs the rounding of the bound's own evaluation) and d e0
-      covers the at most d products e M[e].
+      is the same convolution of sum_{e|n} |a_n| with |mu| (the
+      doubled index absorbs the rounding of the bound's own evaluation)
+      and d e0 covers the at most d products e M[e].
     * w_d = C_d^2/phi(d) then carries (2|C^_d| + dC_d) dC_d / phi(d) +
       gamma_4 w^_d, G(q) adds tau(q) nonnegative terms and is divided
       by q (gamma_{tau+1} G^/q), and converting T and the final
@@ -195,9 +177,16 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     `seq` (lag_correlations), when the caller has it already.
     """
     _check_moduli(q_max, 1)
-    squares, err, exact = _square_sums(seq, q_max, corr)
+    if corr is None:
+        corr, = lag_correlations([seq], [(0, 0)])
+    n, r, exact = seq.n, corr.rho, corr.exact
+    squares = r[0] + 2 * multiple_sums(r, q_max)
+    err = np.zeros(q_max + 1)
+    if not exact:
+        eps, l1 = corr.error, float(np.abs(seq.values).sum())
+        lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
+        err[1:] = lags * eps + gamma(lags) * (l1 * l1 + lags * eps)
     mu, phi = mobius_totient(q_max)
-    n = seq.n
     m = multiple_sums(seq.int_values() if exact else seq.values, q_max)
     if exact and float(np.arange(q_max + 1) @ np.abs(m)) < 2.0**62:
         # Every partial sum of every C_d stays below 2^62.
@@ -223,7 +212,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
                 + underflow(8 * g[1:, 2] + 16))
     np.maximum(v, 0.0, out=v)
     return VarianceSweep(v=v, error=err, square_sums=squares,
-                         exact_squares=exact, correlations=c, phi=phi)
+                         exact_squares=exact, sums=m, correlations=c, phi=phi)
 
 
 def variance_total(seq: Sequence, q_max: int, q_min: int = 1) -> float:
@@ -377,33 +366,34 @@ def psi_counts(table, q: int) -> PsiCounts:
                      restricted_variance=var)
 
 
-def restricted_variance_total(table, q_max: int, q_min: int = 1,
-                              sums: np.ndarray | None = None,
-                              corr=None) -> float:
+def restricted_variance_total(table, q_max: int, q_min: int = 1) -> float:
     """Sum over q_min <= q <= q_max of the reduced-class prime variance
-    sum_{(b,q)=1} (psi(N;q,b) - S_1(q)/phi(q))^2.
-
-    It is the full square sum T(q) of the variance sweep minus the
-    classes b with (b, q) > 1, minus S_1(q)^2/phi(q), where
-    S_1(q) = sum_{(n,q)=1} Lambda(n) = sum_{e|q} mu(e) M[e].  A class
-    with (b, q) > 1 holds only powers p^j <= N of primes p | q, and
-    powers of two different primes never share one (see
-    _prime_power_class_squares).  `sums` are the multiple sums M[e] of
-    Lambda for e <= q_max, and `corr` its autocorrelation
-    (lag_correlations), when the caller has them already.
-    """
+    sum_{(b,q)=1} (psi(N;q,b) - S_1(q)/phi(q))^2, from one variance_sweep
+    of Lambda (_reduced_class_variances)."""
     _check_moduli(q_max, q_min)
     if q_min > q_max:
         return 0.0
-    seq = table.lambda_sequence()
-    squares, _, _ = _square_sums(seq, q_max, corr)
-    mu, phi = mobius_totient(q_max)
-    if sums is None:
-        sums = multiple_sums(seq.values, q_max)
-    s1 = _convolve_ones(mu * sums)
-    per_q = (squares - _prime_power_class_squares(table, q_max))[1:] \
-        - s1[1:] ** 2 / phi[1:]
-    return math.fsum(per_q[q_min - 1:])
+    sweep = variance_sweep(table.lambda_sequence(), q_max)
+    return math.fsum(_reduced_class_variances(table, sweep)[q_min:])
+
+
+def _reduced_class_variances(table, sweep: VarianceSweep) -> np.ndarray:
+    """The reduced-class prime variance of every modulus q <= Q (slot 0
+    unused), from a variance_sweep of Lambda up to Q.
+
+    It is the full square sum T(q) of the sweep minus the classes b with
+    (b, q) > 1, minus S_1(q)^2/phi(q), where
+    S_1(q) = sum_{(n,q)=1} Lambda(n) = sum_{e|q} mu(e) M[e] is the
+    convolution of mu M with 1.  A class with (b, q) > 1 holds only
+    powers p^j <= N of primes p | q, and powers of two different primes
+    never share one (see _prime_power_class_squares).
+    """
+    q_max = sweep.v.size - 1
+    s1 = _convolve_ones(table.mu[:q_max + 1] * sweep.sums)
+    nr = _prime_power_class_squares(table, q_max)
+    out = np.zeros(q_max + 1)
+    out[1:] = (sweep.square_sums - nr)[1:] - s1[1:] ** 2 / sweep.phi[1:]
+    return out
 
 
 def _prime_power_class_squares(table, q_max: int) -> np.ndarray:

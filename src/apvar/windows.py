@@ -112,9 +112,11 @@ class SmoothWindow:
         out[neg] = np.conj(self._spline(-xi[neg]))
         return complex(out[0]) if scalar else out
 
-    def phi_hat_quad(self, xi: float, panels: int = 256) -> complex:
-        """Independent composite Gauss-Legendre evaluation (table oracle)."""
+    def phi_hat_quad(self, xi: float) -> complex:
+        """Independent composite Gauss-Legendre evaluation, 10 nodes on
+        each of 256 panels (table oracle)."""
         nodes, weights = np.polynomial.legendre.leggauss(10)
+        panels = 256
         edges = np.linspace(0.0, 1.0, panels + 1)
         mid = (edges[1:] + edges[:-1]) / 2.0
         half = (edges[1:] - edges[:-1]) / 2.0

@@ -170,6 +170,25 @@ def test_arc_masses_match_direct_double_sum(rng, table_300, window):
     assert exact.error < 1e-9 * exact.major
 
 
+def test_arc_masses_leave_lag_correlations_unchanged(rng, table_300):
+    """arc_masses reads the lag correlations it is given and changes none
+    of them, on a float row and on an exact int64 row; its masses are
+    those of its own autocorrelation."""
+    from apvar.arith import lag_correlations
+
+    arcs = disjoint_arcs()
+    floats = Sequence.from_coeffs(rng.standard_normal(300))
+    d2 = Sequence(table_300.dk[2].astype(float), is_integer_valued=True)
+    for seq, dtype in ((floats, np.float64), (d2, np.int64)):
+        corrs = lag_correlations([seq], [(0, 0)])
+        before = corrs[0].rho.copy()
+        assert before.dtype == dtype
+        mass = arc_masses(arcs, seq, corrs=corrs).a
+        assert corrs[0].rho.dtype == dtype
+        assert np.array_equal(corrs[0].rho, before)
+        assert mass == arc_masses(arcs, seq).a
+
+
 def mp_major(a, arcs):
     """The major-arc mass of |A|^2 as the same double sum in 40-digit
     arithmetic on the exact binary values of a, K and Q."""

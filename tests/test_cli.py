@@ -103,6 +103,8 @@ def test_table_range_guard(tmp_path, capsys):
     (["variance", "--N", "abc"], "--N"),
     (["variance", "--N", "inf"], "--N"),
     (["variance", "--seq", "file:no/such/sequence.csv"], "--seq"),
+    (["variance", "--seq", "d2", "--N", "100", "--q-max", "0"], "--q-max"),
+    (["ramanujan", "--q-max", "3", "--n-max", "0"], "--n-max"),
 ])
 def test_table_bad_flags_fail_cleanly(argv, flag, tmp_path, capsys):
     code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
@@ -168,8 +170,16 @@ def test_experiment_validation_errors(tmp_path, capsys):
     assert code == 2
     assert "error" in err
     for argv in (["--N", "abc"], ["--N", "inf"], ["--N", "1"],
-                 ["--N", "1e4", "--R", "inf"]):
+                 ["--N", "1e4", "--R", "inf"], ["--delta", "nan"],
+                 ["--K-exp", "nan"], ["--epsilon", "0.3"],
+                 ["--Q-exp", "nan"]):
         code, out, err = run_cli(["experiment", "theorem1", *argv],
+                                 tmp_path, capsys)
+        assert code == 2, argv
+        assert err.startswith("error: ") and argv[-2] in err
+        assert out == "" and not any(tmp_path.iterdir())
+    for argv in (["--delta", "-1"], ["--k", "1"]):
+        code, out, err = run_cli(["experiment", "theorem2", *argv],
                                  tmp_path, capsys)
         assert code == 2, argv
         assert err.startswith("error: ") and argv[-2] in err

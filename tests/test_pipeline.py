@@ -214,9 +214,9 @@ def test_run_theorem2_tail_is_ramanujan_tail(k, ending):
 
 
 def test_run_theorem1_lhs_and_tail_from_shared_sums():
-    """theorem1 takes its LHS and tail from one pass of multiple sums; both
-    equal the separate restricted_variance_total and ramanujan_tail bit
-    for bit."""
+    """theorem1 takes its LHS and tail from one variance sweep of Lambda;
+    both equal the separate restricted_variance_total and ramanujan_tail
+    bit for bit."""
     n = 2 * 10**4
     table = sieve_all(n, 2)
     report, _ = run_theorem1(
@@ -237,9 +237,9 @@ def test_run_theorem1_lhs_and_tail_from_shared_sums():
 
 
 def test_assemble_prop13_shares_one_autocorrelation(rng):
-    """On a float sequence the sweep reads the autocorrelation before
-    arc_masses doubles it in place: LHS, tail and minor mass equal the
-    separate calls bit for bit."""
+    """On a float sequence the variance sweep and arc_masses read one
+    autocorrelation: LHS, tail and minor mass equal the separate calls,
+    each with its own autocorrelation, bit for bit."""
     seq = Sequence.from_coeffs(rng.standard_normal(3000))
     params = ResolvedParams(n=3000, q=400.0, k_param=5.0, q0=3.0)
     report = assemble_prop13(seq, params)
