@@ -325,8 +325,7 @@ def lag_correlations(seqs, pairs) -> list:
 
 
 def ramanujan_correlation(seq: Sequence, d: int):
-    """Sum_{n<=N} a_n c_d(n); windowed sums go through
-    ramanujan_correlations.
+    """Sum_{n<=N} a_n c_d(n).
 
     Uses c_d(n) = sum_{e | (d,n)} e mu(d/e), so the cost is one
     multiple-sum per divisor of d.  Exact (a Python int) when the
@@ -345,7 +344,7 @@ def ramanujan_correlation(seq: Sequence, d: int):
     return total
 
 
-def ramanujan_correlations(seq: Sequence, ds, window=None) -> np.ndarray:
+def ramanujan_correlations(seq: Sequence, ds) -> np.ndarray:
     """Bulk version of ramanujan_correlation over many moduli.
 
     Precomputes multiple-sums up to max(ds) once and convolves them with
@@ -357,13 +356,8 @@ def ramanujan_correlations(seq: Sequence, ds, window=None) -> np.ndarray:
     if ds.min() < 1:
         raise ValueError("moduli d must be positive")
     dmax = int(ds.max())
-    n = seq.n
-    if window is not None:
-        vals = seq.values * window.phi(np.arange(n + 1) / n)
-    else:
-        vals = seq.values
     mu, _ = mobius_totient(dmax)
-    return ramanujan_convolution(multiple_sums(vals, dmax), mu)[ds]
+    return ramanujan_convolution(multiple_sums(seq.values, dmax), mu)[ds]
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +393,6 @@ class SieveTable:
     phi: np.ndarray
     lam: np.ndarray
     dk: dict = field(default_factory=dict)
-
-    def primes(self) -> np.ndarray:
-        return _primes_from_spf(self.spf)
 
     def lambda_sequence(self) -> Sequence:
         return Sequence(self.lam.copy(), is_integer_valued=False, name="lambda")

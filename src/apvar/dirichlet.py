@@ -3,10 +3,11 @@
 All residues come from one batched engine, `residues`: zeta and the
 weight are evaluated once on a small circle around s = 1, the Euler
 products of every modulus come from one table of local factors
-(`euler_factors`), and one trapezoid rule (`_trapezoid`), spectrally
+(`euler_factors`), each a finite binomial sum in p^-s with a stated
+rounding bound, and one trapezoid rule (`_trapezoid`), spectrally
 accurate for these analytic integrands, checks each value against its
 half-node rule.  The closed forms (the explicit double-sum polynomial,
-the squarefree local factors) are separate code paths cross-validated
+the squarefree values F_q(1)) are separate code paths cross-validated
 against the contours.
 """
 
@@ -30,7 +31,7 @@ _SMOOTH_EXP = 0.25
 
 
 class TruncationError(Exception):
-    """A local series or a contour failed its certified error bound."""
+    """A contour failed its certified error bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,48 +80,45 @@ def zeta_near_one(s):
 # ---------------------------------------------------------------------------
 # Local Euler factors
 
-# Each inner local series is summed to the first length, doubling from
-# MIN_TERMS up to MAX_TERMS, whose certified tail is at most TAIL_RTOL of
-# the local factor.
-MIN_TERMS = 60
-MAX_TERMS = 960
-TAIL_RTOL = 1e-14
-
 
 def _local_factor(p: int, a: int, k: int, s: np.ndarray, g: bool) -> np.ndarray:
     """The factor at p^a || q of F_q(s), or of G_q(s) when `g`, on a 1-d s.
 
-    With j = k (F) or k - 1 (G) and I(s) = sum_{b >= a} d_j(p^b) p^(-bs):
-    F: (1 - p^-s)^k (-d_k(p^(a-1)) p^(-(a-1)(s-1)) + phi(p^a) I(s));
-    G: (1 - p^-s)^(k-1) I(s).  With sigma = min Re s, the terms of I from
-    the first omitted b on shrink at least by rho = (b + j)/(b + 1) p^-sigma,
-    so they sum to at most that term over 1 - rho.  That tail, times
-    max|1 - p^-s|^j and phi(p^a) (F), must be at most TAIL_RTOL min|factor|.
+    With j = k (F) or k - 1 (G), x = p^-s and m = a + j - 1, the inner
+    series of d_j(p^b) = C(b + j - 1, j - 1) is a binomial tail,
+        (1 - x)^j sum_{b >= a} C(b + j - 1, j - 1) x^b
+            = sum_{i < j} C(m, i) (1 - x)^i x^(m - i) =: P(x),
+    the chance of at least a successes in m trials of chance x.  So
+    F = -d_k(p^(a-1)) p^(-(a-1)(s-1)) (1 - x)^k + phi(p^a) P(x) and
+    G = P(x) are finite sums, valid for every s.
+
+    Rounding (u = 2^-53, gamma_n = n u/(1 - n u)).  numpy forms x and the
+    head's h = p^w, w = -(a-1)(s-1), as exp(z log p) with z = -s or w.
+    The rounded log p and product move z log p by gamma_2 per component
+    (gamma_4 for w, counting its own two roundings), so the modulus and
+    the phase of the exponential move by at most that times |Re| and |Im|
+    of z log p, and exp adds a few ulps: x is computed within relative
+    e_x = (3 |s| log p + 8) u, h within e_h = (6 |w| log p + 8) u, and
+    1 - x within e_y = e_x |x| / |1 - x| + u.  Each term, the head
+    included, is an integer times a product of at most a + j of these;
+    any chain of products forms it with at most a + j + 1 roundings of at
+    most sqrt(2) gamma_2 <= 3u each, and at most j additions join the
+    terms.  With e = max(e_x, e_y, e_h),
+        |computed - value|
+            <= ((1 + e)^(a+j) (1 + 3u)^(a+j+1) (1 + gamma_j) - 1) T,
+    T = |head| + phi(p^a) sum_i C(m, i) |1 - x|^i |x|^(m-i) (F), or the
+    sum alone (G).  T / |value| is the cancellation between the head and
+    P(x) at high prime powers, the accuracy's only amplifier.
     """
     j = k - 1 if g else k
-    sigma = float(np.min(s.real))
-    if sigma <= 0:
-        raise ValueError("inner series needs Re(s) > 0")
-    damp = (1.0 - p ** (-s)) ** j
-    phi_pa = 1 if g else totient(p**a)
-    head = 0.0 if g else -d_k_prime_power(k, a - 1) * p ** (-(a - 1) * (s - 1.0))
-    terms = MIN_TERMS
-    while terms <= MAX_TERMS:
-        bs = np.arange(a, a + terms)
-        coeffs = np.array([d_k_prime_power(j, int(b)) for b in bs], dtype=np.float64)
-        series = np.sum(coeffs[None, :] * p ** (-np.multiply.outer(s, bs)), axis=1)
-        local = damp * (head + phi_pa * series)
-        b_next = a + terms
-        rho = (b_next + j) / (b_next + 1) * p ** (-sigma)
-        if rho < 1.0:
-            tail = d_k_prime_power(j, b_next) * p ** (-sigma * b_next) / (1.0 - rho)
-            tail = phi_pa * tail * float(np.max(np.abs(damp)))
-            mag = float(np.min(np.abs(local)))
-            if mag == 0 or tail <= TAIL_RTOL * mag:
-                return local
-        terms *= 2
-    raise TruncationError(f"local factor at {p}^{a} (k={k}, Re(s) >= {sigma}) "
-                          f"needs more than {MAX_TERMS} terms")
+    m = a + j - 1
+    x = p ** (-s)
+    y = 1.0 - x
+    local = sum(math.comb(m, i) * y**i * x ** (m - i) for i in range(j))
+    if g:
+        return local
+    head = -d_k_prime_power(k, a - 1) * p ** (-(a - 1) * (s - 1.0))
+    return head * y**k + totient(p**a) * local
 
 
 def euler_factors(qs, k: int, s, g: bool = False) -> np.ndarray:
@@ -193,8 +191,12 @@ def residues(qs, k: int, n: float, weight=None, count: int = 128,
 
     E_q = F_q with j = k, or G_q with j = k - 1 when `g`.  W(s) = n^s/s
     unless `weight` is given: it maps (v, s, s - 1) to v W(s).  zeta and
-    the weight are evaluated once for all q.
+    the weight are evaluated once for all q.  The circle must stay in
+    Re s > 0, so that it encloses no pole of W at s = 0: n > e.
     """
+    if not n > math.e:
+        raise ValueError(f"residues need n > e, so that the contour "
+                         f"|s - 1| = 1/log n stays in Re s > 0; got n={n}")
     s, offsets = contour_nodes(1.0, 1.0 / math.log(n), count)
     rows = zeta_near_one(s) ** (k - 1 if g else k) * euler_factors(qs, k, s, g)
     rows = (rows * n**s / s if weight is None
@@ -226,21 +228,16 @@ def residue_divisor_mean(q: int, k: int, x: int) -> ResiduePrediction:
 def singular_constant(k: int, p_cap: int):
     """Truncated product over p <= cap of (1-1/p)^(k^2) sum_a d_k(p^a)^2/p^a.
 
+    The local series is closed: with x = 1/p,
+    sum_a C(a+k-1, k-1)^2 x^a = sum_{i<k} C(k-1, i)^2 x^i / (1-x)^(2k-1),
+    so each factor is (1-x)^((k-1)^2) sum_{i<k} C(k-1, i)^2 x^i.
     Returns (product, c_k, tail_estimate) where c_k divides by (k^2-1)!.
     """
     if p_cap < 100:
         raise ValueError("prime cap must be at least 100")
-    primes = _primes_from_spf(_spf_sieve(p_cap)).astype(np.float64)
-    series = np.zeros_like(primes)
-    a = 0
-    while True:
-        coef = d_k_prime_power(k, a) ** 2
-        term = coef * primes ** (-float(a))
-        series += term
-        if a > 2 and float(np.max(term)) < 1e-18:
-            break
-        a += 1
-    local = (1.0 - 1.0 / primes) ** (k * k) * series
+    x = 1.0 / _primes_from_spf(_spf_sieve(p_cap)).astype(np.float64)
+    series = sum(math.comb(k - 1, i) ** 2 * x**i for i in range(k))
+    local = (1.0 - x) ** ((k - 1) ** 2) * series
     log_product = float(np.sum(np.log(local)))
     product = math.exp(log_product)
     # Local factor is 1 + O(k^4/p^2); integrate the tail over p > cap.
@@ -365,31 +362,6 @@ def f_q_value(q: int, k: int) -> float:
         bracket = (1.0 - 1.0 / p) ** (-(k - 1)) - 1.0
         total -= k * math.log(p) / (p - 1) / bracket
     return total
-
-
-def f_q_log_derivatives(q: int, k: int, order: int):
-    """[f_q(1), f_q'(1), ..., f_q^(order)(1)] for squarefree q.
-
-    The value itself comes from the closed form; higher derivatives from
-    a Cauchy contour of log F_q on a small circle around s = 1.
-    """
-    if not is_squarefree(q):
-        raise ValueError("q must be squarefree")
-    if order > k:
-        raise ValueError("order must not exceed k")
-    out = [f_q_value(q, k)]
-    if order == 0 or q == 1:
-        return out + [0.0] * (order if q == 1 else 0)
-    s, offsets = contour_nodes(1.0, 0.05, 64)
-    vals = euler_F_q(q, k, s)
-    log_f = np.log(np.abs(vals)) + 1j * np.unwrap(np.angle(vals))
-    # f^(m)(1) = (log F)^(m+1)(1)
-    means, _ = _trapezoid(np.array([log_f * offsets ** (-(m + 1))
-                                    for m in range(1, order + 1)]),
-                          [q] * order)
-    for m in range(1, order + 1):
-        out.append(float((math.factorial(m + 1) * means[m - 1]).real))
-    return out
 
 
 @dataclass

@@ -35,7 +35,7 @@ from .variance import _reduced_class_variances, variance_sweep
 from .variance import (restricted_variance_total, variance_mod_q,  # noqa: F401
                        variance_total)
 from .windows import SmoothWindow, build_tilde_sequence, build_weights, \
-    build_window, weight_sum_q
+    build_window, weight_sum_q, windowed
 
 SCHEMA_VERSION = 2
 
@@ -365,7 +365,7 @@ def newprop_rhs(seq: Sequence, weights, window: SmoothWindow,
     qs = list(range(arcs.kq0 + 1, int(r) + 1))
     if not qs:
         return 0.0
-    corrs = ramanujan_correlations(seq, qs, window=window)
+    corrs = ramanujan_correlations(windowed(seq.values, window), qs)
     return math.fsum(abs(weight_sum_q(weights, q)) * abs(corrs[i])
                      for i, q in enumerate(qs))
 
@@ -504,7 +504,7 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
         r_int = int(r_star)
         weights = build_weights("divisor_k", r_int, k=k)
         qs = list(range(kq0 + 1, r_int + 1))
-        corrs = ramanujan_correlations(seq, qs, window=window)
+        corrs = ramanujan_correlations(windowed(seq.values, window), qs)
         wsums = np.array([weight_sum_q(weights, q) for q in qs])
         direct = float(np.dot(wsums, np.asarray(corrs)))
         predicted = float(np.dot(wsums, bulk_residue_predictions(
@@ -518,7 +518,7 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
         qs = _admissible_qs(params, config)
         if not qs:
             raise ValueError("no admissible moduli in (KQ0, R N^(-delta/4)]")
-        corrs = ramanujan_correlations(seq, qs, window=window)
+        corrs = ramanujan_correlations(windowed(seq.values, window), qs)
         cs_num = math.fsum(
             d_k_of(k - 1, q) / q
             * (totient(q) / q * math.log(params.r / q)) ** (k - 1)

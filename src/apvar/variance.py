@@ -11,7 +11,6 @@ per-modulus variance_mod_q stays as its oracle and exact path.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,13 +47,6 @@ class VarianceReport:
     q: int
     v: object  # float or Fraction
     method: str
-    per_class_terms: dict | None = None
-
-    def to_json(self) -> str:
-        v = (f"{self.v.numerator}/{self.v.denominator}"
-             if isinstance(self.v, Fraction) else float(self.v))
-        return json.dumps({"q": self.q, "V": v, "method": self.method},
-                          sort_keys=True)
 
 
 @dataclass
@@ -76,28 +68,25 @@ def variance_mod_q(seq: Sequence, q: int, exact: bool | None = None) -> Variance
         exact = _use_exact(seq)
     t = residue_sums(seq, q)
     g = _gcd_classes(q)
-    per_class = {}
     if exact:
         ti = np.round(t).astype(np.int64)
         total = Fraction(0)
         sq = int(np.dot(ti, ti))
         for h in divisors(q):
             sh = int(ti[g == h].sum())
-            per_class[h] = Fraction(sh)
             total += Fraction(sh * sh, totient(q // h))
         v = Fraction(sq) - total
-        return VarianceReport(q=q, v=v, method="direct", per_class_terms=per_class)
+        return VarianceReport(q=q, v=v, method="direct")
     total = 0.0
     sq = float(np.dot(t, t))
     for h in divisors(q):
         sh = float(t[g == h].sum())
-        per_class[h] = sh
         total += sh * sh / totient(q // h)
     v = sq - total
     # Guard against cancellation pushing slightly below zero.
     if v < 0 and v > -1e-9 * max(sq, 1.0):
         v = 0.0
-    return VarianceReport(q=q, v=v, method="direct", per_class_terms=per_class)
+    return VarianceReport(q=q, v=v, method="direct")
 
 
 def _check_moduli(q_max: int, q_min: int) -> None:

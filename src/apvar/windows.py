@@ -24,7 +24,7 @@ _SAMPLES = 1 << 16          # bump samples on [0, 1)
 _MOMENTS = 64               # highest cached log-moment of the Mellin series
 _FACTORIALS = np.array([float(math.factorial(j)) for j in range(_MOMENTS + 1)])
 _XI_STEP = 1.0 / 512.0      # tabulation step in xi
-DEFAULT_XI_MAX = 256.0
+XI_MAX = 256.0              # end of the tabulated range of Phi^
 
 
 def _ramp(x):
@@ -49,7 +49,6 @@ def _smoothstep(x):
 @dataclass
 class SmoothWindow:
     eps: float
-    xi_max: float
     phi_int: float = field(init=False)
     phi_sq_int: float = field(init=False)
 
@@ -71,7 +70,7 @@ class SmoothWindow:
         from scipy.signal import czt
 
         m = _SAMPLES
-        npts = int(self.xi_max / _XI_STEP) + 1
+        npts = int(XI_MAX / _XI_STEP) + 1
         w = np.exp(-2j * np.pi * _XI_STEP / m)
         table = czt(self._samples().astype(np.complex128), m=npts, w=w) / m
         return np.arange(npts) * _XI_STEP, table
@@ -105,7 +104,7 @@ class SmoothWindow:
         scalar = xi.ndim == 0
         xi = np.atleast_1d(xi)
         out = np.zeros(xi.shape, dtype=np.complex128)
-        inside = np.abs(xi) <= self.xi_max
+        inside = np.abs(xi) <= XI_MAX
         pos = inside & (xi >= 0)
         neg = inside & (xi < 0)
         out[pos] = self._spline(xi[pos])
@@ -205,8 +204,26 @@ class SmoothWindow:
         return out if out.size > 1 else complex(out[0])
 
 
-def build_window(eps: float, xi_max: float = DEFAULT_XI_MAX) -> SmoothWindow:
-    return SmoothWindow(eps=eps, xi_max=xi_max)
+def build_window(eps: float) -> SmoothWindow:
+    return SmoothWindow(eps=eps)
+
+
+def windowed(values: np.ndarray, window: SmoothWindow, name: str = "") -> Sequence:
+    """The sequence a_n Phi(n/N) of values a_0..a_N, with Phi evaluated on
+    its two edges only.
+
+    For n >= eps N + 2 the computed t = n/N has t/eps >= 1, and for
+    n <= N - eps N - 2 it has (1 - t)/eps >= 1 (rounding moves either by
+    far less than 2/(eps N)); there both smoothsteps are exactly 1.0, so
+    Phi is too and the product keeps its bits: the result is bit for bit
+    the product with Phi at every point.
+    """
+    seq = Sequence(values, name=name)
+    n = seq.n
+    edge = min(n + 1, math.ceil(window.eps * n) + 2)
+    for lo, hi in ((0, edge), (max(edge, n + 1 - edge), n + 1)):
+        seq.values[lo:hi] *= window.phi(np.arange(lo, hi) / n)
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +266,14 @@ def build_weights(kind: str, r_max: int, k: int | None = None) -> WeightSet:
 
 
 def build_tilde_sequence(n: int, weights: WeightSet, window: SmoothWindow) -> Sequence:
-    """The smoothed short divisor sum: a~_n = Phi(n/N) sum_{r|n, r<=R} b_r.
-
-    Phi is evaluated on its two edges only.  For i >= eps N + 2 the
-    computed t = i/N has t/eps >= 1, and for i <= N - eps N - 2 it has
-    (1 - t)/eps >= 1 (rounding moves either by far less than 2/(eps N));
-    there both smoothsteps are exactly 1.0, so Phi is too and the product
-    keeps its bits.
-    """
+    """The smoothed short divisor sum: a~_n = Phi(n/N) sum_{r|n, r<=R} b_r."""
     if weights.r_max > n:
         raise ValueError("R must not exceed N")
     acc = np.zeros(n + 1)
     for r in range(1, weights.r_max + 1):
         if weights.b[r]:
             acc[r::r] += weights.b[r]
-    edge = min(n + 1, math.ceil(window.eps * n) + 2)
-    for lo, hi in ((0, edge), (max(edge, n + 1 - edge), n + 1)):
-        acc[lo:hi] *= window.phi(np.arange(lo, hi) / n)
-    return Sequence(acc, name=f"tilde-{weights.kind}")
+    return windowed(acc, window, name=f"tilde-{weights.kind}")
 
 
 def weight_sum_q(weights: WeightSet, q: int) -> float:
@@ -316,7 +323,7 @@ def check_lemma5(seq: Sequence, weights: WeightSet, window: SmoothWindow):
     tilde = build_tilde_sequence(n, weights, window)
     lhs = float(np.dot(seq.values, tilde.values))
     qs = list(range(1, weights.r_max + 1))
-    corrs = ramanujan_correlations(seq, qs, window=window)
+    corrs = ramanujan_correlations(windowed(seq.values, window), qs)
     rhs = math.fsum(weight_sum_q(weights, q) * corrs[i] for i, q in enumerate(qs))
     denom = max(abs(lhs), abs(rhs), 1.0)
     return lhs, rhs, abs(lhs - rhs) / denom

@@ -112,18 +112,22 @@ def _factor(q: int) -> list:
     return out + [(q, 1)] if q > 1 else out
 
 
-def local_factor_closed_form(p: int, a: int, k: int, s):
-    """The factor at p^a || q of F_q(s) in closed form (mpmath), x = p^-s:
-    (1-x)^k (-d_k(p^(a-1)) p^((a-1)(1-s))
-             + phi(p^a) ((1-x)^(-k) - sum_{b<a} d_k(p^b) x^b)),
-    d_k(p^b) = C(b+k-1, k-1): the inner series sum_{b >= a} d_k(p^b) x^b
+def local_factor_closed_form(p: int, a: int, k: int, s, g: bool = False):
+    """The factor at p^a || q of F_q(s), or of G_q(s) when `g`, in closed
+    form (mpmath), x = p^-s, j = k (F) or k - 1 (G):
+    F: (1-x)^k (-d_k(p^(a-1)) p^((a-1)(1-s)) + phi(p^a) I),
+    G: (1-x)^(k-1) I, I = (1-x)^(-j) - sum_{b<a} d_j(p^b) x^b,
+    d_j(p^b) = C(b+j-1, j-1): the inner series sum_{b >= a} d_j(p^b) x^b
     summed as the binomial series minus its first a terms."""
     import mpmath as mp
 
+    j = k - 1 if g else k
     x = mp.mpf(p) ** (-s)
-    head = -math.comb(a + k - 2, k - 1) * mp.mpf(p) ** ((a - 1) * (1 - s))
-    inner = (1 - x) ** (-k) - mp.fsum(math.comb(b + k - 1, k - 1) * x**b
+    inner = (1 - x) ** (-j) - mp.fsum(math.comb(b + j - 1, j - 1) * x**b
                                       for b in range(a))
+    if g:
+        return (1 - x) ** j * inner
+    head = -math.comb(a + k - 2, k - 1) * mp.mpf(p) ** ((a - 1) * (1 - s))
     return (1 - x) ** k * (head + (p**a - p ** (a - 1)) * inner)
 
 

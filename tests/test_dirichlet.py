@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apvar import dirichlet as dr
-from apvar.arith import is_squarefree, ramanujan_row, totient
+from apvar.arith import gamma, is_squarefree, ramanujan_row, totient
 from oracles import dk_correlation_residue, local_factor_closed_form, \
     partial_dirichlet_sum, triple_contour_polynomial, zeta_mpmath
 
@@ -63,9 +63,47 @@ def test_euler_products_vs_partial_sums(table_1e5):
         assert direct == pytest.approx(pred, abs=20 * math.log(x) ** 2 / x)
 
 
-def test_truncation_guard():
-    with pytest.raises(dr.TruncationError):
-        dr.euler_F_q(2, 3, 0.05)
+def _rounding_bound(p, a, k, s, g):
+    """The rounding bound of dirichlet._local_factor's docstring at each s."""
+    u = 2.0**-53
+    j = k - 1 if g else k
+    m = a + j - 1
+    log_p = math.log(p)
+    ax, ay = np.abs(p ** (-s)), np.abs(1.0 - p ** (-s))
+    e_x = (3 * np.abs(s) * log_p + 8) * u
+    e = np.maximum(e_x, e_x * ax / ay + u)
+    t = sum(math.comb(m, i) * ay**i * ax ** (m - i) for i in range(j))
+    if not g:
+        e = np.maximum(e, (6 * (a - 1) * np.abs(s - 1.0) * log_p + 8) * u)
+        t = (math.comb(a + k - 2, k - 1) * p ** ((a - 1) * (1.0 - s.real))
+             * ay**k + totient(p**a) * t)
+    return np.expm1((a + j) * np.log1p(e) + (a + j + 1) * math.log1p(3 * u)
+                    + math.log1p(gamma(j))) * t
+
+
+def test_local_factors_within_rounding_bound():
+    """F and G local factors against their mpmath closed forms, within the
+    rounding bound of _local_factor's docstring: on the 48-node contours
+    for N = 29 366 and 10^7, k = 2..4, a <= 8 and small and large primes
+    up to 389, and at s = 0.05 and -0.5, where the inner series converges
+    slowly or not at all but the finite form still holds."""
+    import mpmath as mp
+
+    contours = [dr.contour_nodes(1.0, 1.0 / math.log(n), 48)[0]
+                for n in (29366, 10**7)]
+    s = np.concatenate(contours + [np.array([0.05, -0.5 + 0j])])
+    ms = [mp.mpc(z) for z in s]
+    for p in (2, 3, 5, 7, 11, 101, 389):
+        for a in range(1, 9):
+            for k in (2, 3, 4):
+                for g in (False, True):
+                    got = dr.euler_factors([p**a], k, s, g)[0]
+                    with mp.workdps(60):
+                        exact = np.array([complex(local_factor_closed_form(
+                            p, a, k, z, g)) for z in ms])
+                    assert np.all(np.abs(got - exact)
+                                  <= _rounding_bound(p, a, k, s, g)), \
+                        (p, a, k, g)
 
 
 def test_residue_dk_correlation_oracle(table_1e5):
@@ -86,9 +124,11 @@ def test_residue_dk_correlation_oracle(table_1e5):
 
 def test_residues_match_laurent_oracle():
     """Every batched row within its stated error (plus 1e-10 relative) of
-    the Stieltjes-constant Laurent product with closed-form factors."""
+    the Stieltjes-constant Laurent product with closed-form factors, for
+    q <= 60 and for high prime powers and their multiples up to 400."""
     n = 10**6
-    qs = list(range(1, 61))
+    qs = list(range(1, 61)) + [64, 81, 125, 128, 243, 256, 289, 343, 360,
+                               361, 375, 384, 392, 400]
     for k in (2, 3):
         for q, pred in zip(qs, dr.residues(qs, k, n)):
             oracle = dk_correlation_residue(q, k, n)
@@ -103,9 +143,23 @@ def test_batched_residues_equal_single_calls():
     assert dr.residues(qs, 3, 10**6) == single
 
 
-def test_local_factor_series_lengthens_to_its_tail_bound():
+def test_residues_reject_contour_around_zero():
+    """For n <= e the circle |s - 1| = 1/log n encloses s = 0, the pole of
+    n^s/s (at n = 2 the contour would add zeta(0)^2 = 1/4 to the
+    residue), so the engine refuses it before any work, naming n."""
+    for n in (2, 2.5, math.e):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            dr.residues([1, 6], 2, n)
+    with pytest.raises(ValueError, match="n=2"):
+        dr.residue_dk_correlation(1, 2, 2)
+    pred = dr.residue_dk_correlation(1, 2, 10)
+    assert pred.value == pytest.approx(
+        10 * (math.log(10) + 2 * EULER_GAMMA - 1), rel=1e-10)
+
+
+def test_local_factor_on_first_ending_contour():
     """On the first-ending chain's contour (k = 3, N = 29 366, 48 nodes)
-    the p = 2 series needs more than 60 terms for a 1e-14 tail."""
+    the p = 2 factor is within 1e-14 relative of its mpmath closed form."""
     import mpmath as mp
 
     s, _ = dr.contour_nodes(1.0, 1.0 / math.log(29366), 48)
@@ -189,22 +243,6 @@ def test_polynomial_69_array_matches_scalar(k):
         dr.polynomial_69(k, 10.0, np.array([5.0, 10.5]), 1.0)
 
 
-def test_f_q_derivatives():
-    assert dr.f_q_value(2, 2) == pytest.approx(-2 * math.log(2), rel=1e-12)
-    # contour derivative vs a central finite difference of log F_q
-    q, k = 6, 3
-    ders = dr.f_q_log_derivatives(q, k, 2)
-    h = 1e-4
-    def logF(s):
-        return math.log(dr.euler_F_q(q, k, s).real)
-    fd1 = (logF(1 + h) - logF(1 - h)) / (2 * h)
-    assert ders[0] == pytest.approx(fd1, abs=1e-6)
-    fd2 = (logF(1 + h) - 2 * logF(1.0) + logF(1 - h)) / h**2
-    assert ders[1] == pytest.approx(fd2, abs=1e-4)
-    with pytest.raises(ValueError):
-        dr.f_q_log_derivatives(12, 2, 1)
-
-
 def test_Fq1_bound_exact_small():
     for q in range(1, 200):
         if is_squarefree(q):
@@ -213,6 +251,12 @@ def test_Fq1_bound_exact_small():
 
 
 def test_residue_ramdkeval():
+    assert dr.f_q_value(2, 2) == pytest.approx(-2 * math.log(2), rel=1e-12)
+    # f_q(1) = (log F_q)'(1): a central difference of log F_q
+    h = 1e-4
+    fd = (math.log(dr.euler_F_q(6, 3, 1 + h).real)
+          - math.log(dr.euler_F_q(6, 3, 1 - h).real)) / (2 * h)
+    assert dr.f_q_value(6, 3) == pytest.approx(fd, abs=1e-6)
     n = 10**5
     res = dr.residue_ramdkeval(6, 2, n, 0.1)
     assert res.value > 0

@@ -8,8 +8,9 @@ import pytest
 from apvar.arith import (Sequence, d_k_of, gamma, is_squarefree, mobius,
                          sieve_all, totient)
 from apvar.dirichlet import contour_nodes
-from apvar.windows import (build_tilde_sequence, build_weights, build_window,
-                           check_lemma5, check_lemma_major, weight_sum_q)
+from apvar.windows import (XI_MAX, build_tilde_sequence, build_weights,
+                           build_window, check_lemma5, check_lemma_major,
+                           weight_sum_q, windowed)
 
 
 def test_plateau_shape(window):
@@ -31,7 +32,7 @@ def test_phi_hat_table_vs_quadrature(window):
     # conjugate symmetry and cutoff
     assert window.phi_hat(-3.2) == pytest.approx(
         np.conj(window.phi_hat(3.2)), abs=1e-12)
-    assert window.phi_hat(window.xi_max + 1) == 0
+    assert window.phi_hat(XI_MAX + 1) == 0
 
 
 def test_phi_hat_zero_is_mass(window):
@@ -39,7 +40,7 @@ def test_phi_hat_zero_is_mass(window):
 
 
 def test_decay_constants_certify_decay(window):
-    xi = np.linspace(0, window.xi_max, 4001)
+    xi = np.linspace(0, XI_MAX, 4001)
     mags = np.abs(window.phi_hat(xi))
     for a, c in window.decay_constants.items():
         assert np.all(mags <= c * (1 + xi) ** (-a) + 1e-15)
@@ -157,6 +158,21 @@ def test_tilde_sequence_edges_bit_identical(eps):
         expect *= win.phi(np.arange(n + 1) / n)
         got = build_tilde_sequence(n, w, win).values
         assert got.tobytes() == expect.tobytes(), n
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.249])
+def test_windowed_bit_identical_to_full_product(eps, table_1e5):
+    """The edge-only product against Phi at all N + 1 points, for Lambda
+    and for a sequence of mixed signs (so a -0.0 would show)."""
+    win = build_window(eps)
+    rng = np.random.default_rng(5)
+    for n in (29366, 10**5):
+        t = np.arange(n + 1) / n
+        for values in (table_1e5.lam[: n + 1], rng.standard_normal(n + 1)):
+            expect = values * win.phi(t)
+            expect[0] = 0.0
+            got = windowed(values, win).values
+            assert got.tobytes() == expect.tobytes(), n
 
 
 def test_weight_sum_q(window):
