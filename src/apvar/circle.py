@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,16 +32,17 @@ class ArcSystem:
     q: float
     n: int
 
-    def __post_init__(self):
-        if self.k_param < 5:
-            warnings.warn(f"K={self.k_param} below 5; arc estimates assume K >= 5")
+    def regime_departures(self) -> list:
+        """{name, value, window} for each window of the paper's arc
+        estimates that this point lies outside.  An open end is None, not
+        inf, which JSON cannot hold."""
         nlogn = self.n * math.log(max(self.n, 2))
-        if not (nlogn / self.q <= self.q0 <= self.q / self.k_param**2):
-            warnings.warn(
-                f"Q0={self.q0} outside [N log N / Q, Q/K^2] = "
-                f"[{nlogn / self.q:.3g}, {self.q / self.k_param**2:.3g}]")
-        if not (self.k_param * math.sqrt(nlogn) <= self.q <= self.n):
-            warnings.warn(f"Q={self.q} outside [K sqrt(N log N), N]")
+        windows = (("K", self.k_param, 5.0, None),
+                   ("Q0", self.q0, nlogn / self.q, self.q / self.k_param**2),
+                   ("Q", self.q, self.k_param * math.sqrt(nlogn), self.n))
+        return [{"name": name, "value": value, "window": [lo, hi]}
+                for name, value, lo, hi in windows
+                if value < lo or (hi is not None and value > hi)]
 
     @property
     def kq0(self) -> int:

@@ -26,7 +26,8 @@ from .dirichlet import (TruncationError, check_Fq1_bound, euler_F_q, residues,
                         zeta_near_one)
 # Bound for perfbench/spans.py, which wraps this name in this module.
 from .dirichlet import residue_dk_correlation  # noqa: F401
-from .pipeline import ExperimentConfig, run_theorem1, run_theorem2
+from .pipeline import (ExperimentConfig, resolve_params, run_theorem1,
+                       run_theorem2)
 from .variance import check_identity_prop1, variance_mod_q, variance_sweep
 from .windows import build_weights, build_window, check_lemma5
 
@@ -177,6 +178,7 @@ def cmd_experiment(args) -> int:
             delta=args.delta, epsilon=args.epsilon, k_exp=args.K_exp,
             r_override=None if args.R is None else _bounded("--R", args.R, 2),
             ending=args.ending)
+        resolve_params(config)     # a bad R fails here, before the sieve
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -269,8 +271,8 @@ def _table_rows(args):
         header = "r,b_r"
         rows.extend(f"{r},{_fmt(float(b))}" for r, b in weights.to_csv_rows())
     else:
-        # The contour |s - 1| = 1/log N stays in Re s > 0 only for N > e.
-        n = int(_bounded("--N", args.N, 3))
+        # The contour |s - 1| = 1/log N keeps 1/4 from s = 0 for N >= 4.
+        n = int(_bounded("--N", args.N, 4))
         if args.q_max > n:
             raise ValueError(f"--q-max={args.q_max} exceeds --N={n}")
         header = "q,k,N,value,error"

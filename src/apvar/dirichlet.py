@@ -191,12 +191,13 @@ def residues(qs, k: int, n: float, weight=None, count: int = 128,
 
     E_q = F_q with j = k, or G_q with j = k - 1 when `g`.  W(s) = n^s/s
     unless `weight` is given: it maps (v, s, s - 1) to v W(s).  zeta and
-    the weight are evaluated once for all q.  The circle must stay in
-    Re s > 0, so that it encloses no pole of W at s = 0: n > e.
+    the weight are evaluated once for all q.  The circle must keep a
+    margin of 1/4 from the pole of W at s = 0, which `count` nodes can
+    resolve: 1 - 1/log n >= 1/4, or n >= e^(4/3) = 3.79.
     """
-    if not n > math.e:
-        raise ValueError(f"residues need n > e, so that the contour "
-                         f"|s - 1| = 1/log n stays in Re s > 0; got n={n}")
+    if not n >= math.exp(4.0 / 3.0):
+        raise ValueError(f"residues need n >= e^(4/3) = 3.79, so that "
+                         f"|s - 1| = 1/log n keeps 1/4 from s = 0; got n={n}")
     s, offsets = contour_nodes(1.0, 1.0 / math.log(n), count)
     rows = zeta_near_one(s) ** (k - 1 if g else k) * euler_factors(qs, k, s, g)
     rows = (rows * n**s / s if weight is None

@@ -7,8 +7,8 @@ Cauchy-Schwarz against an auxiliary sieve-weighted sequence.  Every arc
 integral comes from circle.arc_masses, exact up to a stated rounding
 bound.  At desk scale the asymptotic parameter recipes routinely
 overflow their theoretical ceilings, so every derived parameter is
-clipped into its admissible window and the clip is recorded in the
-report.
+clipped into its admissible window; the report records each clip and
+each departure from the paper's regime (ArcSystem.regime_departures).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .variance import (restricted_variance_total, variance_mod_q,  # noqa: F401
 from .windows import SmoothWindow, build_tilde_sequence, build_weights, \
     build_window, weight_sum_q, windowed
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Allowance multiplier for the unspecified O(N K / Q0 * sum |a_n|^2)
 # term; the per-run fitted constant is reported alongside.
@@ -81,6 +81,9 @@ class ExperimentConfig:
                 raise ValueError(f"--k must be at least 2, got {self.k}")
             if self.ending not in ("first", "second"):
                 raise ValueError("ending must be 'first' or 'second'")
+            if self.ending == "first" and self.r_override is not None:
+                raise ValueError("--R is not read by the first ending, "
+                                 "which chooses R itself")
             if self.q_exp < 0.5 + self.delta:
                 raise ValueError(
                     f"need Q >= N^(1/2+delta): Q-exp {self.q_exp} < "
@@ -92,20 +95,12 @@ class ExperimentConfig:
 
 
 @dataclass
-class ResolvedParams:
-    n: int
-    q: float
-    k_param: float
-    q0: float
+class ResolvedParams(ArcSystem):
+    """A run's parameter point: its arc system, R, and every clip that
+    resolve_params (or the first ending's R choice) applied."""
+
     r: float = 0.0
     clips: list = field(default_factory=list)
-
-    def arcs(self) -> ArcSystem:
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return ArcSystem(k_param=self.k_param, q0=self.q0, q=self.q,
-                             n=self.n)
 
 
 def resolve_params(config: ExperimentConfig) -> ResolvedParams:
@@ -163,8 +158,9 @@ def resolve_params(config: ExperimentConfig) -> ResolvedParams:
             clipped = math.sqrt((kq0 + 1.0) * max(r_hi, kq0 + 2.0))
             clips.append(f"R: {r:.6g} -> {clipped:.6g} (window (KQ0, Q/2K])")
             r = clipped
-    if r is not None and r <= kq0:
-        raise ValueError(f"R={r} must exceed KQ0={kq0}")
+    if r is not None and not kq0 < r <= n:
+        raise ValueError(f"R={r:.6g} outside its window (KQ0, N] = "
+                         f"({kq0:.6g}, {n}]")
     return ResolvedParams(n=n, q=q, k_param=k_param, q0=q0,
                           r=r if r is not None else 0.0, clips=clips)
 
@@ -197,7 +193,7 @@ def ramanujan_tail(seq: Sequence, q_max: float, q0: float) -> float:
     return _tail_sum(corrs, phi, q0)
 
 
-def _chain_terms(seq: Sequence, params: ResolvedParams, arcs: ArcSystem,
+def _chain_terms(seq: Sequence, params: ResolvedParams,
                  tilde: Sequence | None = None):
     """(sweep, tail, masses): the variance_sweep of `seq` over q <= Q, the
     Ramanujan tail from the sweep's C_d and phi, and the arc masses (with
@@ -206,7 +202,7 @@ def _chain_terms(seq: Sequence, params: ResolvedParams, arcs: ArcSystem,
     corrs = _arc_correlations(seq, tilde)
     sweep = variance_sweep(seq, int(params.q), corrs[0])
     tail = _tail_sum(sweep.correlations, sweep.phi, params.q0)
-    return sweep, tail, arc_masses(arcs, seq, tilde, corrs=corrs)
+    return sweep, tail, arc_masses(params, seq, tilde, corrs=corrs)
 
 
 def _over_moduli(per_q: np.ndarray, params: ResolvedParams) -> float:
@@ -233,6 +229,7 @@ class BoundReport:
     ratio: float
     chain_sound: bool
     clips: list
+    regime_departures: list
     extras: dict = field(default_factory=dict)
 
     CSV_FIELDS = ("kind", "lhs_variance_sum", "minor_integral", "minor_error",
@@ -294,13 +291,14 @@ def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
         cs_numerator=cs_num, cs_denominator=cs_den,
         final_lower_bound=final, comparison_target=target,
         ratio=final / target if target else 0.0,
-        chain_sound=bool(sound), clips=list(params.clips), extras=extras)
+        chain_sound=bool(sound), clips=list(params.clips),
+        regime_departures=params.regime_departures(), extras=extras)
 
 
 def assemble_prop13(seq: Sequence, params: ResolvedParams) -> BoundReport:
     """The three-term variance inequality for `seq` as a checked report,
     compared with its own LHS: lhs = sum of V(q) over Q0 < q <= Q."""
-    sweep, tail, masses = _chain_terms(seq, params, params.arcs())
+    sweep, tail, masses = _chain_terms(seq, params)
     lhs, minor = _over_moduli(sweep.v, params), masses.a
     return _assemble("prop13", params, seq, lhs, tail, minor, target=lhs,
                      extras={"minor_major_value": minor.major})
@@ -407,7 +405,6 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
         raise ValueError("config is not a theorem1 config")
     n = config.n
     params = resolve_params(config)
-    arcs = params.arcs()
     log_n = math.log(n)
     table = _chain_table(config, table, 2)
     seq = table.lambda_sequence()
@@ -425,7 +422,7 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
         abs(weight_sum_q(weights, q) - mobius(q) / totient(q))
         for q in range(1, 31) if is_squarefree(q))
 
-    sweep, tail, masses = _chain_terms(seq, params, arcs, tilde)
+    sweep, tail, masses = _chain_terms(seq, params, tilde)
     lhs = _over_moduli(_reduced_class_variances(table, sweep), params)
     minor, minor_inner, minor_tilde = (masses.a, masses.cross.minor,
                                        masses.tilde.minor)
@@ -487,10 +484,9 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
     table = _chain_table(config, table, k)
     seq = table.dk_sequence(k)
     window = build_window(config.epsilon)
-    arcs = params.arcs()
-    kq0 = arcs.kq0
+    kq0 = params.kq0
 
-    sweep, tail, masses = _chain_terms(seq, params, arcs)
+    sweep, tail, masses = _chain_terms(seq, params)
     lhs, minor = _over_moduli(sweep.v, params), masses.a
     dk_sq = float(np.dot(seq.values, seq.values))  # upper bound for minor tilde
     target = params.q * n * log_n ** (k * k - 1)
@@ -499,9 +495,11 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
     if config.ending == "first":
         r_star, poly_val = choose_R_chebyshev(
             k, n, params.q0, params.q, params.k_param, config.epsilon)
-        r_star = min(max(r_star, kq0 + 2.0), math.sqrt(n))
-        params.r = r_star
-        r_int = int(r_star)
+        params.r = min(max(r_star, kq0 + 2.0), math.sqrt(n))
+        if params.r != r_star:
+            params.clips.append(f"R: {r_star:.6g} -> {params.r:.6g} "
+                                f"(window [KQ0 + 2, sqrt N])")
+        r_int = int(params.r)
         weights = build_weights("divisor_k", r_int, k=k)
         qs = list(range(kq0 + 1, r_int + 1))
         corrs = ramanujan_correlations(windowed(seq.values, window), qs)
@@ -517,7 +515,10 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
     else:
         qs = _admissible_qs(params, config)
         if not qs:
-            raise ValueError("no admissible moduli in (KQ0, R N^(-delta/4)]")
+            raise ValueError(
+                f"no admissible moduli in (KQ0, R N^(-delta/4)] = "
+                f"({kq0}, {params.r * n ** (-config.delta / 4.0):.6g}]: "
+                f"R={params.r:.6g}, delta={config.delta}")
         corrs = ramanujan_correlations(windowed(seq.values, window), qs)
         cs_num = math.fsum(
             d_k_of(k - 1, q) / q

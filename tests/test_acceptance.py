@@ -195,10 +195,9 @@ def test_criterion_7_chain_soundness():
     window = build_window(cfg.epsilon)
     w = build_weights("divisor_k", int(params.r), k=2)
     tilde = build_tilde_sequence(n, w, window)
-    arcs = params.arcs()
     spec_a = build_spectrum(seq)
     spec_t = build_spectrum(tilde, spec_a.t_grid)
-    cs = cauchy_schwarz_bound(seq, tilde, arcs, spec_a, spec_t)
+    cs = cauchy_schwarz_bound(seq, tilde, params, spec_a, spec_t)
     cs_ok = (0 <= cs.bound_17 <= cs.minor_a + cs.quadrature_error + 1e-6
              and cs.bound_17 <= cs.bound_113 + 1e-9)
     d2_ok = prop.chain_sound and cs_ok

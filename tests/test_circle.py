@@ -1,5 +1,6 @@
 """Spectra, arc dissection, certified grid integrals and exact arc masses."""
 
+import json
 import math
 
 import numpy as np
@@ -93,9 +94,28 @@ def test_farey_enumeration_cap():
         farey_density_f(0.5, arcs)
 
 
-def test_arc_system_warnings():
-    with pytest.warns(UserWarning):
-        ArcSystem(k_param=3.0, q0=1.0, q=100.0, n=100)
+def test_regime_departures():
+    """Each of the paper's three windows is reported once the point
+    leaves it, with K's open upper end as None, and nothing inside."""
+    assert disjoint_arcs().regime_departures() == []
+    nlogn = 100 * math.log(100)
+    departures = ArcSystem(k_param=3.0, q0=1.0, q=50.0,
+                           n=100).regime_departures()
+    assert departures == [
+        {"name": "K", "value": 3.0, "window": [5.0, None]},
+        {"name": "Q0", "value": 1.0, "window": [nlogn / 50.0, 50.0 / 9.0]},
+        {"name": "Q", "value": 50.0, "window": [3.0 * math.sqrt(nlogn), 100]},
+    ]
+    json.dumps(departures, allow_nan=False)   # an open end is None, not inf
+    # Q0 above Q/K^2 alone; then Q above N alone.
+    assert ArcSystem(k_param=5.0, q0=13.0, q=300.0,
+                     n=300).regime_departures() == [
+        {"name": "Q0", "value": 13.0,
+         "window": [300 * math.log(300) / 300.0, 12.0]}]
+    assert ArcSystem(k_param=5.0, q0=6.0, q=301.0,
+                     n=300).regime_departures() == [
+        {"name": "Q", "value": 301.0,
+         "window": [5.0 * math.sqrt(300 * math.log(300)), 300]}]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +160,8 @@ def direct_major(a, b, arcs):
 
 
 def disjoint_arcs(n=300):
-    # K >= 5, N log N / Q <= Q0 <= Q/K^2, Q > K (2 KQ0 - 1): no warnings.
+    # K >= 5, N log N / Q <= Q0 <= Q/K^2, Q > K (2 KQ0 - 1): the paper's
+    # regime, with disjoint arcs.
     return ArcSystem(k_param=5.0, q0=6.0, q=300.0, n=n)
 
 
@@ -211,7 +232,6 @@ def mp_major(a, arcs):
         return float(total)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # ArcSystem regime notes
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
        st.integers(1, 6))
@@ -232,7 +252,6 @@ def test_arc_masses_property(coeffs, m_top):
     assert abs(mass.major - exact) <= mass.error + UNIT_ROUNDOFF * abs(exact)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")  # ArcSystem regime notes
 def test_grid_converges_to_exact(table_1e4):
     n = 2000
     seq = Sequence(table_1e4.dk[2][: n + 1].astype(float),
@@ -261,11 +280,10 @@ def test_exact_cauchy_schwarz_matches_grid(table_1e5):
     tilde = build_tilde_sequence(
         n, build_weights("divisor_k", int(params.r), k=2),
         build_window(cfg.epsilon))
-    arcs = params.arcs()
     spec_a = build_spectrum(seq)
-    grid = cauchy_schwarz_bound(seq, tilde, arcs, spec_a,
+    grid = cauchy_schwarz_bound(seq, tilde, params, spec_a,
                                 build_spectrum(tilde, spec_a.t_grid))
-    masses = arc_masses(arcs, seq, tilde)
+    masses = arc_masses(params, seq, tilde)
     bound_17 = masses.cross.minor**2 / masses.tilde.minor
     assert abs(bound_17 - grid.bound_17) <= grid.quadrature_error
     assert abs(masses.a.minor - grid.minor_a) <= grid.quadrature_error
@@ -273,11 +291,10 @@ def test_exact_cauchy_schwarz_matches_grid(table_1e5):
 
 def test_overlapping_arcs_rejected():
     seq = Sequence.from_coeffs(np.ones(600))
-    with pytest.warns(UserWarning):
-        overlapping = ArcSystem(k_param=6.0, q0=2.0, q=100.0, n=600)
+    overlapping = ArcSystem(k_param=6.0, q0=2.0, q=100.0, n=600)
     with pytest.raises(ValueError, match="K=6.*Q0=2.*Q=100"):
         arc_masses(overlapping, seq)
-    with pytest.warns(UserWarning):   # one arc, about 0, wider than 1/2
-        wide = ArcSystem(k_param=5.0, q0=0.2, q=10.0, n=600)
+    # One arc, about 0, wider than 1/2.
+    wide = ArcSystem(k_param=5.0, q0=0.2, q=10.0, n=600)
     with pytest.raises(ValueError):
         arc_masses(wide, seq)

@@ -105,6 +105,7 @@ def test_table_range_guard(tmp_path, capsys):
     (["variance", "--seq", "file:no/such/sequence.csv"], "--seq"),
     (["variance", "--seq", "d2", "--N", "100", "--q-max", "0"], "--q-max"),
     (["ramanujan", "--q-max", "3", "--n-max", "0"], "--n-max"),
+    (["residues", "--N", "3"], "--N"),
 ])
 def test_table_bad_flags_fail_cleanly(argv, flag, tmp_path, capsys):
     code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
@@ -138,7 +139,7 @@ def test_experiment_theorem2_files(tmp_path, capsys):
          "--N", "2e4", "--Q-exp", "0.8"], tmp_path, capsys)
     assert code == 0
     report = json.loads((tmp_path / "bound_report.json").read_text())
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["chain_sound"] is True
     assert float(report["ratio"]) > 0
     summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
@@ -184,6 +185,27 @@ def test_experiment_validation_errors(tmp_path, capsys):
         assert code == 2, argv
         assert err.startswith("error: ") and argv[-2] in err
         assert out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["theorem2", "--ending", "first", "--N", "3e4", "--R", "50"], "--R"),
+    (["theorem2", "--ending", "second", "--N", "3e4", "--R", "1e6"],
+     "R=1e+06"),
+    (["theorem1", "--N", "1e5", "--R", "2e5"], "R=200000"),
+])
+def test_experiment_bad_r_fails_before_sieving(argv, named, tmp_path, capsys,
+                                               monkeypatch):
+    """An --R the run cannot use (the first ending chooses its own; R must
+    lie in (KQ0, N]) ends with one error naming R, before the sieve."""
+    import apvar.cli
+
+    def no_sieve(*args):
+        raise AssertionError("sieved before checking --R")
+    monkeypatch.setattr(apvar.cli, "sieve_all", no_sieve)
+    code, out, err = run_cli(["experiment", *argv], tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and named in err
+    assert out == "" and not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -146,15 +146,20 @@ def test_batched_residues_equal_single_calls():
 def test_residues_reject_contour_around_zero():
     """For n <= e the circle |s - 1| = 1/log n encloses s = 0, the pole of
     n^s/s (at n = 2 the contour would add zeta(0)^2 = 1/4 to the
-    residue), so the engine refuses it before any work, naming n."""
-    for n in (2, 2.5, math.e):
+    residue); at n = 3 it passes 0.09 from it, closer than 128 nodes
+    resolve.  The engine refuses n < e^(4/3) before any work, naming n;
+    n = 4 keeps 1/4 from s = 0."""
+    for n in (2, 2.5, math.e, 3, 3.7):
         with pytest.raises(ValueError, match=f"n={n}"):
             dr.residues([1, 6], 2, n)
     with pytest.raises(ValueError, match="n=2"):
         dr.residue_dk_correlation(1, 2, 2)
-    pred = dr.residue_dk_correlation(1, 2, 10)
-    assert pred.value == pytest.approx(
-        10 * (math.log(10) + 2 * EULER_GAMMA - 1), rel=1e-10)
+    for n in (4, 10):
+        pred = dr.residue_dk_correlation(1, 2, n)
+        assert pred.value == pytest.approx(
+            n * (math.log(n) + 2 * EULER_GAMMA - 1), rel=1e-10)
+    for k in (2, 3, 4, 5):   # 64 and 128 nodes agree: no TruncationError
+        dr.residues([1, 2, 3, 4], k, 4)
 
 
 def test_local_factor_on_first_ending_contour():

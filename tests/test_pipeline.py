@@ -94,6 +94,42 @@ def test_resolve_params_keeps_arcs_disjoint():
                                         q_exp=0.5, k_exp=0.0))
 
 
+def test_resolve_params_rejects_r_outside_its_window():
+    """R outside (KQ0, N] fails in resolve_params with one error that
+    names R and the window; the first ending refuses --R outright."""
+    for experiment, r in (("theorem1", 2e5), ("theorem1", 3.0),
+                          ("theorem2", 1e6)):
+        cfg = ExperimentConfig(experiment=experiment, n=10**5, q_exp=0.8,
+                               r_override=r)
+        with pytest.raises(ValueError, match=r"R=.* outside its window "
+                                             r"\(KQ0, N\] = \(.*, 100000\]"):
+            resolve_params(cfg)
+    with pytest.raises(ValueError, match="--R"):
+        ExperimentConfig(experiment="theorem2", ending="first", r_override=50.0)
+
+
+def test_second_ending_empty_range_names_r_and_delta(table_1e4):
+    """R N^(-delta/4) = 13.5 below KQ0 = 14.1: no modulus is left."""
+    cfg = ExperimentConfig(experiment="theorem2", n=10**4, q_exp=0.8,
+                           r_override=17.0)
+    with pytest.raises(ValueError, match=r"no admissible moduli.*R=17, "
+                                         r"delta=0\.1"):
+        run_theorem2(cfg, table_1e4)
+
+
+def test_first_ending_records_its_r_clip():
+    """choose_R_chebyshev's R is clipped into [KQ0 + 2, sqrt N]; the clip
+    is in the report with the value it moved."""
+    n = 2 * 10**4
+    report, _ = run_theorem2(ExperimentConfig(
+        experiment="theorem2", n=n, q_exp=0.8, k=3, ending="first"),
+        sieve_all(n, 3))
+    assert report.params["R"] == math.sqrt(n)
+    before, _, after = report.clips[-1].removeprefix("R: ").partition(" -> ")
+    assert float(before) > math.sqrt(n)
+    assert after == f"{math.sqrt(n):.6g} (window [KQ0 + 2, sqrt N])"
+
+
 def test_assemble_prop13_d2(table_1e4):
     n = 2000
     seq = Sequence(table_1e4.dk[2][: n + 1].astype(float),
@@ -104,7 +140,7 @@ def test_assemble_prop13_d2(table_1e4):
     assert report.chain_sound
     assert report.lhs_variance_sum >= report.final_lower_bound
     assert report.minor_integral > 0
-    assert report.schema_version == 2
+    assert report.schema_version == 3
 
 
 def test_cauchy_schwarz_equality_case(rng):
@@ -231,7 +267,7 @@ def test_run_theorem1_lhs_and_tail_from_shared_sums():
     params = resolve_params(ExperimentConfig(experiment="theorem1", n=n))
     tilde = build_tilde_sequence(n, build_weights("prime_sieve", int(p["R"])),
                                  build_window(0.05))
-    masses = arc_masses(params.arcs(), table.lambda_sequence(), tilde)
+    masses = arc_masses(params, table.lambda_sequence(), tilde)
     assert report.minor_integral == masses.a.minor
     assert report.cs_denominator == masses.tilde.minor
 
@@ -246,7 +282,7 @@ def test_assemble_prop13_shares_one_autocorrelation(rng):
     sweep = variance_sweep(seq, 400)
     assert report.lhs_variance_sum == math.fsum(sweep.v[4:])
     assert report.ramanujan_tail == ramanujan_tail(seq, 400.0, 3.0)
-    assert report.minor_integral == arc_masses(params.arcs(), seq).a.minor
+    assert report.minor_integral == arc_masses(params, seq).a.minor
 
 
 @pytest.mark.parametrize("kind", ["theorem1", "theorem2-first",
@@ -317,8 +353,14 @@ def test_bound_report_serialization():
     cfg = ExperimentConfig(experiment="theorem2", n=10**4, q_exp=0.8)
     report, _ = run_theorem2(cfg)
     import json
-    payload = json.loads(report.to_json())
-    assert payload["schema_version"] == 2
+
+    def strict(constant):
+        raise ValueError(f"{constant} is not JSON")
+    payload = json.loads(report.to_json(), parse_constant=strict)
+    assert payload["schema_version"] == 3
+    assert payload["regime_departures"] == (
+        resolve_params(cfg).regime_departures())
+    assert [d["name"] for d in payload["regime_departures"]] == ["Q0", "Q"]
     assert "final_lower_bound" in payload
     header = report.csv_header().split(",")
     row = report.csv_row().split(",")
