@@ -23,11 +23,12 @@ from .arith import (Sequence, SieveTable, d_k_of, factorize, is_squarefree,
                     mobius, mobius_totient, multiple_sums,
                     ramanujan_convolution, ramanujan_correlations,
                     sieve_all, totient)
-from .circle import (ArcMass, ArcSystem, Spectrum, _arc_correlations,
+from .circle import (ArcMasses, ArcSystem, Spectrum, _arc_correlations,
                      arc_masses, arcs_disjoint)
 # Grid path: the validation tests use it and perfbench/spans.py wraps it.
 from .circle import build_spectrum, major_mask, minor_arc_integral  # noqa: F401
-from .dirichlet import _SMOOTH_EXP, choose_R_chebyshev, f_q_value, residues
+from .dirichlet import (_SMOOTH_EXP, choose_R_chebyshev, f_q_value,
+                        polynomial_69, residues)
 # Bound for perfbench/spans.py, which wraps these names in this module.
 from .dirichlet import contour_nodes, residue_ramdkeval, zeta_near_one  # noqa: F401
 from .variance import _reduced_class_variances, variance_sweep
@@ -37,7 +38,7 @@ from .variance import (restricted_variance_total, variance_mod_q,  # noqa: F401
 from .windows import SmoothWindow, build_tilde_sequence, build_weights, \
     build_window, weight_sum_q, windowed
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # Allowance multiplier for the unspecified O(N K / Q0 * sum |a_n|^2)
 # term; the per-run fitted constant is reported alongside.
@@ -161,8 +162,11 @@ def resolve_params(config: ExperimentConfig) -> ResolvedParams:
     if r is not None and not kq0 < r <= n:
         raise ValueError(f"R={r:.6g} outside its window (KQ0, N] = "
                          f"({kq0:.6g}, {n}]")
-    return ResolvedParams(n=n, q=q, k_param=k_param, q0=q0,
-                          r=r if r is not None else 0.0, clips=clips)
+    params = ResolvedParams(n=n, q=q, k_param=k_param, q0=q0,
+                            r=r if r is not None else 0.0, clips=clips)
+    if config.experiment == "theorem2" and config.ending == "second":
+        _admissible_qs(params, config)     # an empty range fails here
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +257,15 @@ class BoundReport:
 
 
 def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
-              tail: float, minor: ArcMass, target: float,
-              cs: tuple | None = None, extras: dict | None = None) -> BoundReport:
+              tail: float, masses: ArcMasses, target: float,
+              extras: dict | None = None) -> BoundReport:
     """The one check of lhs >= Q (1 - slack) minor - tail - allowance x
     (N K / Q0) sum |a_n|^2, slack = (5 + log K)/K, within minor's error
-    bar.  A Cauchy-Schwarz pair cs = (num, den) bounds minor below by
-    num^2/den and makes Q (1 - slack) num^2/den the final value, with the
-    subtractions reported apart; without one (prop13) the final value is
-    the right-hand side itself."""
+    bar.  With A~, the minor masses num = |A conj(A~)|, den = |A~|^2 bound
+    minor below by num^2/den and make Q (1 - slack) num^2/den the final
+    value, with the subtractions reported apart; without A~ (prop13) the
+    final value is the right-hand side itself."""
+    minor = masses.a
     slack = (5.0 + math.log(params.k_param)) / params.k_param
     scale = params.q * (1.0 - slack)
     oterm = params.n * params.k_param / params.q0 * seq.l2()
@@ -269,11 +274,11 @@ def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
     fitted = max(0.0, (rhs_central - lhs) / oterm) if oterm else 0.0
     sound = lhs >= rhs_central - params.q * minor.error - allowance
     extras = dict(extras or {})
-    if cs is None:
+    if masses.tilde is None:
         cs_num = cs_den = 0.0
         final = rhs_central - allowance
     else:
-        cs_num, cs_den = cs
+        cs_num, cs_den = abs(masses.cross.minor), masses.tilde.minor
         bound = cs_num**2 / cs_den if cs_den > 0 else 0.0
         sound = sound and (
             bound <= minor.minor + minor.error + 1e-9 * abs(minor.minor))
@@ -299,9 +304,9 @@ def assemble_prop13(seq: Sequence, params: ResolvedParams) -> BoundReport:
     """The three-term variance inequality for `seq` as a checked report,
     compared with its own LHS: lhs = sum of V(q) over Q0 < q <= Q."""
     sweep, tail, masses = _chain_terms(seq, params)
-    lhs, minor = _over_moduli(sweep.v, params), masses.a
-    return _assemble("prop13", params, seq, lhs, tail, minor, target=lhs,
-                     extras={"minor_major_value": minor.major})
+    lhs = _over_moduli(sweep.v, params)
+    return _assemble("prop13", params, seq, lhs, tail, masses, target=lhs,
+                     extras={"minor_major_value": masses.a.major})
 
 
 @dataclass
@@ -445,8 +450,8 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
         "fitted_target_constant": fitted_c,
         "near_degenerate_range": near_degenerate,
     }
-    report = _assemble("theorem1", params, seq, lhs, tail, minor, target,
-                       cs=(abs(minor_inner), minor_tilde), extras=extras)
+    report = _assemble("theorem1", params, seq, lhs, tail, masses, target,
+                       extras=extras)
     bound_17 = minor_inner**2 / minor_tilde if minor_tilde > 0 else 0.0
     summary = {"N": n, "Q": params.q, "R": params.r, "lhs": lhs,
                "bound_17": bound_17, "minor": minor.minor,
@@ -456,17 +461,18 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
 
 def _admissible_qs(params: ResolvedParams, config: ExperimentConfig):
     """Squarefree moduli in (KQ0, R N^(-delta/4)] with no prime factor
-    above N^_SMOOTH_EXP."""
+    above N^_SMOOTH_EXP; none is a ValueError naming R and delta."""
     n = params.n
     lo = int(params.k_param * params.q0)
     hi = int(params.r * n ** (-config.delta / 4.0))
     p_cap = n**_SMOOTH_EXP
-    out = []
-    for q in range(lo + 1, hi + 1):
-        if not is_squarefree(q):
-            continue
-        if max(p for p, _ in factorize(q)) <= p_cap:
-            out.append(q)
+    out = [q for q in range(lo + 1, hi + 1) if is_squarefree(q)
+           and max(p for p, _ in factorize(q)) <= p_cap]
+    if not out:
+        raise ValueError(
+            f"no admissible moduli in (KQ0, R N^(-delta/4)] = ({lo}, "
+            f"{params.r * n ** (-config.delta / 4.0):.6g}]: "
+            f"R={params.r:.6g}, delta={config.delta}")
     return out
 
 
@@ -485,42 +491,41 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
     seq = table.dk_sequence(k)
     window = build_window(config.epsilon)
     kq0 = params.kq0
-
-    sweep, tail, masses = _chain_terms(seq, params)
-    lhs, minor = _over_moduli(sweep.v, params), masses.a
-    dk_sq = float(np.dot(seq.values, seq.values))  # upper bound for minor tilde
-    target = params.q * n * log_n ** (k * k - 1)
-    extras: dict = {}
-
     if config.ending == "first":
-        r_star, poly_val = choose_R_chebyshev(
+        r_star, _ = choose_R_chebyshev(
             k, n, params.q0, params.q, params.k_param, config.epsilon)
         params.r = min(max(r_star, kq0 + 2.0), math.sqrt(n))
         if params.r != r_star:
             params.clips.append(f"R: {r_star:.6g} -> {params.r:.6g} "
                                 f"(window [KQ0 + 2, sqrt N])")
-        r_int = int(params.r)
-        weights = build_weights("divisor_k", r_int, k=k)
+    r_int = int(params.r)
+    weights = build_weights("divisor_k", r_int, k=k)
+    tilde = build_tilde_sequence(n, weights, window)
+
+    sweep, tail, masses = _chain_terms(seq, params, tilde)
+    lhs = _over_moduli(sweep.v, params)
+    target = params.q * n * log_n ** (k * k - 1)
+
+    # The ending's sum over moduli: the paper's asymptotic evaluation of
+    # the minor cross mass, kept as a diagnostic beside the exact one.
+    if config.ending == "first":
         qs = list(range(kq0 + 1, r_int + 1))
         corrs = ramanujan_correlations(windowed(seq.values, window), qs)
         wsums = np.array([weight_sum_q(weights, q) for q in qs])
         direct = float(np.dot(wsums, np.asarray(corrs)))
         predicted = float(np.dot(wsums, bulk_residue_predictions(
             qs, k, n, window)))
-        cs_num = abs(direct)
-        extras.update({"sum_direct": direct, "sum_predicted": predicted,
-                       "residue_agreement": predicted / direct
-                       if direct else math.inf,
-                       "polynomial_value": poly_val})
+        aux = abs(direct)
+        extras = {"sum_direct": direct, "sum_predicted": predicted,
+                  "residue_agreement": predicted / direct
+                  if direct else math.inf,
+                  "polynomial_value": polynomial_69(
+                      k, log_n, math.log(params.r),
+                      math.log(params.k_param * params.q0))}
     else:
         qs = _admissible_qs(params, config)
-        if not qs:
-            raise ValueError(
-                f"no admissible moduli in (KQ0, R N^(-delta/4)] = "
-                f"({kq0}, {params.r * n ** (-config.delta / 4.0):.6g}]: "
-                f"R={params.r:.6g}, delta={config.delta}")
         corrs = ramanujan_correlations(windowed(seq.values, window), qs)
-        cs_num = math.fsum(
+        aux = math.fsum(
             d_k_of(k - 1, q) / q
             * (totient(q) / q * math.log(params.r / q)) ** (k - 1)
             * abs(corrs[i]) for i, q in enumerate(qs))
@@ -531,14 +536,15 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
                     * (log_n + f_q_value(q, k)) ** (k - 1))
             if main > 0:
                 ratios.append(abs(corrs[i]) / main)
-        extras.update({"n_admissible_q": len(qs),
-                       "min_corr_ratio": min(ratios) if ratios else 0.0,
-                       "median_corr_ratio": float(np.median(ratios))
-                       if ratios else 0.0})
+        extras = {"n_admissible_q": len(qs),
+                  "min_corr_ratio": min(ratios) if ratios else 0.0,
+                  "median_corr_ratio": float(np.median(ratios))
+                  if ratios else 0.0}
+    extras["aux_vs_exact"] = aux / abs(masses.cross.minor)
 
     report = _assemble(f"theorem2-{config.ending}", params, seq, lhs, tail,
-                       minor, target, cs=(cs_num, dk_sq), extras=extras)
+                       masses, target, extras=extras)
     summary = {"N": n, "Q": params.q, "k": k, "ending": config.ending,
-               "lhs": lhs, "cs_numerator": cs_num, "ratio": report.ratio,
-               "chain_sound": report.chain_sound}
+               "lhs": lhs, "cs_numerator": report.cs_numerator,
+               "ratio": report.ratio, "chain_sound": report.chain_sound}
     return report, summary

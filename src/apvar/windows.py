@@ -89,9 +89,14 @@ class SmoothWindow:
         return {a: float(np.max(mags * (1.0 + xi) ** a)) for a in (1, 2, 4)}
 
     def phi(self, t):
-        """The bump Phi(t): 0 outside [0,1], 1 on [eps, 1-eps]."""
+        """The bump Phi(t): 0 outside [0,1], 1 on [eps, 1-eps].  Where
+        t/eps >= 1 and (1 - t)/eps >= 1 both smoothsteps are exactly 1.0,
+        so only the other points (edges, NaN, outside [0, 1]) run them."""
         t = np.asarray(t, dtype=np.float64)
-        out = _smoothstep(t / self.eps) * _smoothstep((1.0 - t) / self.eps)
+        u, v = t / self.eps, (1.0 - t) / self.eps
+        edge = ~((u >= 1.0) & (v >= 1.0))
+        out = np.ones(t.shape)
+        out[edge] = _smoothstep(u[edge]) * _smoothstep(v[edge])
         return out if out.ndim else float(out)
 
     def phi_hat(self, xi):
@@ -209,21 +214,9 @@ def build_window(eps: float) -> SmoothWindow:
 
 
 def windowed(values: np.ndarray, window: SmoothWindow, name: str = "") -> Sequence:
-    """The sequence a_n Phi(n/N) of values a_0..a_N, with Phi evaluated on
-    its two edges only.
-
-    For n >= eps N + 2 the computed t = n/N has t/eps >= 1, and for
-    n <= N - eps N - 2 it has (1 - t)/eps >= 1 (rounding moves either by
-    far less than 2/(eps N)); there both smoothsteps are exactly 1.0, so
-    Phi is too and the product keeps its bits: the result is bit for bit
-    the product with Phi at every point.
-    """
-    seq = Sequence(values, name=name)
-    n = seq.n
-    edge = min(n + 1, math.ceil(window.eps * n) + 2)
-    for lo, hi in ((0, edge), (max(edge, n + 1 - edge), n + 1)):
-        seq.values[lo:hi] *= window.phi(np.arange(lo, hi) / n)
-    return seq
+    """The sequence a_n Phi(n/N) of values a_0..a_N."""
+    n = len(values) - 1
+    return Sequence(values * window.phi(np.arange(n + 1) / n), name=name)
 
 
 # ---------------------------------------------------------------------------

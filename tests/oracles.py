@@ -5,9 +5,29 @@ computed as honest nested contour integrals, transforms by composite
 Gauss-Legendre quadrature, and Dirichlet series by partial summation.
 """
 
+import functools
 import math
 
 import numpy as np
+
+
+@functools.cache
+def _triple_contour_kernel(k: int, m_z: int, m_s: int, m_w: int):
+    """The 40-digit nodes of triple_contour_polynomial's three circles and
+    its kernel (s+z)^(k-1) / (s+z+w)^(k(k-1)) at every node triple, which
+    depend on neither N, R nor KQ0: kernel[i][j] is the row over w at
+    (z_i, s_j)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        r_z, r_s, r_w = mp.mpf("0.5"), mp.mpf("0.04"), mp.mpf("0.08")
+        kk = k * (k - 1)
+        zs = [r_z * mp.expjpi(2 * mp.mpf(i) / m_z) for i in range(m_z)]
+        ss = [r_s * mp.expjpi(2 * mp.mpf(i) / m_s) for i in range(m_s)]
+        ws = [r_w * mp.expjpi(2 * mp.mpf(i) / m_w) for i in range(m_w)]
+        kernel = [[[(s + z) ** (k - 1) / (s + z + w) ** kk for w in ws]
+                   for s in ss] for z in zs]
+    return zs, ss, ws, kernel
 
 
 def triple_contour_polynomial(k: int, log_n: float, log_r: float,
@@ -22,9 +42,11 @@ def triple_contour_polynomial(k: int, log_n: float, log_r: float,
 
     The z-pole has order up to k^2, which makes the extraction badly
     conditioned in double precision for k = 4, so the quadrature runs in
-    40-digit mpmath arithmetic, with every factor that depends on one
-    node alone (e^(w log N) / w^(k-1), e^(s log R) / s^(k-1)) computed once
-    per node.  The w
+    40-digit mpmath arithmetic.  The nodes and the kernel
+    (s+z)^(k-1) / (s+z+w)^(k(k-1)) are computed once per k
+    (_triple_contour_kernel); each call computes the factors that depend
+    on one node alone (e^(w log N) / w^(k-1), e^(s log R) / s^(k-1) and
+    the z bracket) and sums their products with the kernel.  The w
     radius is kept small relative to |s + z| >= r_z - r_s because the
     trapezoid alias picks up the coefficient of w^(m_w - 1) in the
     binomial expansion of (s + z + w)^(-k(k-1)); with k = 4 that
@@ -34,21 +56,14 @@ def triple_contour_polynomial(k: int, log_n: float, log_r: float,
     """
     import mpmath as mp
 
+    zs, ss, ws, kernel = _triple_contour_kernel(k, m_z, m_s, m_w)
     with mp.workdps(40):
-        r_z, r_s, r_w = mp.mpf("0.5"), mp.mpf("0.04"), mp.mpf("0.08")
-        kk = k * (k - 1)
-        zs = [r_z * mp.expjpi(2 * mp.mpf(i) / m_z) for i in range(m_z)]
-        ss = [r_s * mp.expjpi(2 * mp.mpf(i) / m_s) for i in range(m_s)]
-        ws = [r_w * mp.expjpi(2 * mp.mpf(i) / m_w) for i in range(m_w)]
         ez = [mp.exp(z * log_r) - mp.exp(z * log_kq0) for z in zs]
         es = [mp.exp(s * log_r) / s ** (k - 1) for s in ss]
         ew = [mp.exp(w * log_n) / w ** (k - 1) for w in ws]
-        terms = []
-        for z, ez_z in zip(zs, ez):
-            for s, es_s in zip(ss, es):
-                sz = s + z
-                inner = mp.fsum(e / (sz + w) ** kk for w, e in zip(ws, ew))
-                terms.append(sz ** (k - 1) * es_s * ez_z * inner)
+        terms = [es_s * ez_z * mp.fdot(row, ew)
+                 for ez_z, rows in zip(ez, kernel)
+                 for es_s, row in zip(es, rows)]
         total = mp.fsum(terms) / (m_z * m_s * m_w)
         return float(mp.re(total))
 

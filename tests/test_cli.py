@@ -139,7 +139,7 @@ def test_experiment_theorem2_files(tmp_path, capsys):
          "--N", "2e4", "--Q-exp", "0.8"], tmp_path, capsys)
     assert code == 0
     report = json.loads((tmp_path / "bound_report.json").read_text())
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["chain_sound"] is True
     assert float(report["ratio"]) > 0
     summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
@@ -192,11 +192,15 @@ def test_experiment_validation_errors(tmp_path, capsys):
     (["theorem2", "--ending", "second", "--N", "3e4", "--R", "1e6"],
      "R=1e+06"),
     (["theorem1", "--N", "1e5", "--R", "2e5"], "R=200000"),
+    (["theorem2", "--ending", "second", "--N", "3e4", "--R", "20"],
+     "(16, 15.4562]: R=20, delta=0.1"),
 ])
 def test_experiment_bad_r_fails_before_sieving(argv, named, tmp_path, capsys,
                                                monkeypatch):
     """An --R the run cannot use (the first ending chooses its own; R must
-    lie in (KQ0, N]) ends with one error naming R, before the sieve."""
+    lie in (KQ0, N], and leave the second ending a modulus in
+    (KQ0, R N^(-delta/4)]) ends with one error naming R, before the
+    sieve."""
     import apvar.cli
 
     def no_sieve(*args):

@@ -119,15 +119,23 @@ def test_second_ending_empty_range_names_r_and_delta(table_1e4):
 
 def test_first_ending_records_its_r_clip():
     """choose_R_chebyshev's R is clipped into [KQ0 + 2, sqrt N]; the clip
-    is in the report with the value it moved."""
+    is in the report with the value it moved, and the reported polynomial
+    is the one at the R the chain runs at."""
+    from apvar.dirichlet import choose_R_chebyshev, polynomial_69
     n = 2 * 10**4
     report, _ = run_theorem2(ExperimentConfig(
         experiment="theorem2", n=n, q_exp=0.8, k=3, ending="first"),
         sieve_all(n, 3))
-    assert report.params["R"] == math.sqrt(n)
+    p = report.params
+    assert p["R"] == math.sqrt(n)
     before, _, after = report.clips[-1].removeprefix("R: ").partition(" -> ")
     assert float(before) > math.sqrt(n)
     assert after == f"{math.sqrt(n):.6g} (window [KQ0 + 2, sqrt N])"
+    log_kq0 = math.log(p["K"] * p["Q0"])
+    assert report.extras["polynomial_value"] == polynomial_69(
+        3, math.log(n), math.log(p["R"]), log_kq0)
+    _, unclipped = choose_R_chebyshev(3, n, p["Q0"], p["Q"], p["K"], 0.05)
+    assert report.extras["polynomial_value"] != unclipped
 
 
 def test_assemble_prop13_d2(table_1e4):
@@ -140,7 +148,7 @@ def test_assemble_prop13_d2(table_1e4):
     assert report.chain_sound
     assert report.lhs_variance_sum >= report.final_lower_bound
     assert report.minor_integral > 0
-    assert report.schema_version == 3
+    assert report.schema_version == 4
 
 
 def test_cauchy_schwarz_equality_case(rng):
@@ -234,6 +242,33 @@ def test_run_theorem2_both_endings():
     assert report_f.chain_sound
     agree = report_f.extras["residue_agreement"]
     assert agree == pytest.approx(1.0, abs=0.25)
+
+
+@pytest.mark.parametrize("k, ending", [(3, "first"), (2, "second")])
+def test_run_theorem2_pair_is_exact_arc_masses(k, ending):
+    """theorem2's Cauchy-Schwarz pair is the exact minor masses of A conj(A~)
+    and |A~|^2, with a~ the divisor_k sieve at the R the chain runs at, as
+    in theorem1; the ending's sum over moduli is only a diagnostic."""
+    n = 2 * 10**4
+    cfg = ExperimentConfig(experiment="theorem2", n=n, q_exp=0.8, k=k,
+                           ending=ending)
+    table = sieve_all(n, k)
+    report, _ = run_theorem2(cfg, table)
+    seq = table.dk_sequence(k)
+    p = report.params
+    tilde = build_tilde_sequence(n, build_weights("divisor_k", int(p["R"]),
+                                                  k=k), build_window(0.05))
+    masses = arc_masses(resolve_params(cfg), seq, tilde)
+    assert report.minor_integral == masses.a.minor
+    assert report.cs_numerator == abs(masses.cross.minor)
+    assert report.cs_denominator == masses.tilde.minor
+    assert (report.cs_numerator**2 / report.cs_denominator
+            <= report.minor_integral + report.minor_error)
+    aux_vs_exact = report.extras["aux_vs_exact"]
+    if ending == "first":
+        assert aux_vs_exact == (abs(report.extras["sum_direct"])
+                                / report.cs_numerator)
+    assert 0.0 < aux_vs_exact < math.inf
 
 
 @pytest.mark.parametrize("k, ending", [(3, "first"), (2, "second")])
@@ -336,17 +371,25 @@ def test_assembler_verdict_fails_with_either_link():
     """chain_sound needs both the Cauchy-Schwarz bound within the minor
     integral's error bar and the variance inequality; desk-scale chains
     always pass, so each link is broken here by hand."""
-    from apvar.circle import ArcMass
+    from apvar.circle import ArcMass, ArcMasses
     from apvar.pipeline import _assemble
     params = ResolvedParams(n=100, q=50.0, k_param=10.0, q0=1.0, r=20.0)
     seq = Sequence.from_coeffs(np.ones(100))
-    small, large = ArcMass(0.0, 0.0, 1.0, 0.0), ArcMass(0.0, 0.0, 1e7, 0.0)
-    assert _assemble("t", params, seq, 1e9, 0.0, small, 1.0,
-                     cs=(1.0, 1.0)).chain_sound
-    assert not _assemble("t", params, seq, 1e9, 0.0, small, 1.0,
-                         cs=(2.0, 1.0)).chain_sound
-    assert not _assemble("t", params, seq, 0.0, 0.0, large, 1.0).chain_sound
-    assert _assemble("t", params, seq, 0.0, 0.0, small, 1.0).chain_sound
+
+    def masses(minor, cross=None, tilde=None):
+        """Arc masses with these minor masses (and a pair when given)."""
+        if cross is None:
+            return ArcMasses(ArcMass(0.0, 0.0, minor, 0.0))
+        return ArcMasses(*(ArcMass(0.0, 0.0, m, 0.0)
+                           for m in (minor, tilde, cross)))
+    assert _assemble("t", params, seq, 1e9, 0.0, masses(1.0, 1.0, 1.0),
+                     1.0).chain_sound
+    broken = _assemble("t", params, seq, 1e9, 0.0, masses(1.0, -2.0, 1.0),
+                       1.0)
+    assert broken.cs_numerator == 2.0 and not broken.chain_sound
+    assert not _assemble("t", params, seq, 0.0, 0.0, masses(1e7),
+                         1.0).chain_sound
+    assert _assemble("t", params, seq, 0.0, 0.0, masses(1.0), 1.0).chain_sound
 
 
 def test_bound_report_serialization():
@@ -357,7 +400,7 @@ def test_bound_report_serialization():
     def strict(constant):
         raise ValueError(f"{constant} is not JSON")
     payload = json.loads(report.to_json(), parse_constant=strict)
-    assert payload["schema_version"] == 3
+    assert payload["schema_version"] == 4
     assert payload["regime_departures"] == (
         resolve_params(cfg).regime_departures())
     assert [d["name"] for d in payload["regime_departures"]] == ["Q0", "Q"]

@@ -8,9 +8,9 @@ import pytest
 from apvar.arith import (Sequence, d_k_of, gamma, is_squarefree, mobius,
                          sieve_all, totient)
 from apvar.dirichlet import contour_nodes
-from apvar.windows import (XI_MAX, build_tilde_sequence, build_weights,
-                           build_window, check_lemma5, check_lemma_major,
-                           weight_sum_q, windowed)
+from apvar.windows import (XI_MAX, _smoothstep, build_tilde_sequence,
+                           build_weights, build_window, check_lemma5,
+                           check_lemma_major, weight_sum_q, windowed)
 
 
 def test_plateau_shape(window):
@@ -23,6 +23,25 @@ def test_plateau_shape(window):
     assert np.all(vals >= 0) and np.all(vals <= 1)
     assert 0.94 < window.phi_int <= 1.0
     assert window.phi_sq_int <= window.phi_int
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.249])
+def test_phi_plateau_is_the_formula(eps):
+    """phi writes 1.0 on the plateau and runs the two smoothsteps elsewhere:
+    bit for bit the full formula over both edges, the plateau, the
+    plateau's ends, points outside [0, 1], NaN and infinities, on arrays
+    and on scalars."""
+    win = build_window(eps)
+    ends = [eps, 1.0 - eps, 0.0, 1.0]
+    t = np.concatenate([np.linspace(-0.5, 1.5, 20001), ends,
+                        np.nextafter(ends, 0.5), np.nextafter(ends, -1.0),
+                        np.nextafter(ends, 2.0), [np.nan, np.inf, -np.inf]])
+    formula = _smoothstep(t / eps) * _smoothstep((1.0 - t) / eps)
+    assert win.phi(t).tobytes() == formula.tobytes()
+    for x, want in zip(t[::53].tolist() + t[20001:].tolist(),
+                       formula[::53].tolist() + formula[20001:].tolist()):
+        got = win.phi(x)
+        assert isinstance(got, float) and got == want, x
 
 
 def test_phi_hat_table_vs_quadrature(window):
@@ -147,8 +166,8 @@ def test_tilde_sequence_bruteforce(window):
 
 @pytest.mark.parametrize("eps", [0.02, 0.05, 0.2, 0.249])
 def test_tilde_sequence_edges_bit_identical(eps):
-    """Phi evaluated on the two edges only gives the bits of Phi evaluated
-    at every point, including at N small enough for the edges to meet."""
+    """The smoothed divisor sum is bit for bit the sum times Phi at every
+    point, including at N small enough for Phi's edges to meet."""
     win = build_window(eps)
     for n in (2, 3, 7, 10, 11, 97, 1000, 12345, 10**5):
         w = build_weights("prime_sieve", min(n, 12))
@@ -162,8 +181,8 @@ def test_tilde_sequence_edges_bit_identical(eps):
 
 @pytest.mark.parametrize("eps", [0.02, 0.05, 0.249])
 def test_windowed_bit_identical_to_full_product(eps, table_1e5):
-    """The edge-only product against Phi at all N + 1 points, for Lambda
-    and for a sequence of mixed signs (so a -0.0 would show)."""
+    """windowed against the product with Phi at all N + 1 points, for
+    Lambda and for a sequence of mixed signs (so a -0.0 would show)."""
     win = build_window(eps)
     rng = np.random.default_rng(5)
     for n in (29366, 10**5):
