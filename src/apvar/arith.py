@@ -324,28 +324,8 @@ def lag_correlations(seqs, pairs) -> list:
     return out
 
 
-def ramanujan_correlation(seq: Sequence, d: int):
-    """Sum_{n<=N} a_n c_d(n).
-
-    Uses c_d(n) = sum_{e | (d,n)} e mu(d/e), so the cost is one
-    multiple-sum per divisor of d.  Exact (a Python int) when the
-    sequence is integer-valued.
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    exact = seq.is_integer_valued
-    vals = seq.int_values() if exact else seq.values
-    total = 0 if exact else 0.0
-    for e in divisors(d):
-        mu = mobius(d // e)
-        if mu:
-            part = vals[e::e].sum()
-            total += e * mu * (int(part) if exact else float(part))
-    return total
-
-
 def ramanujan_correlations(seq: Sequence, ds) -> np.ndarray:
-    """Bulk version of ramanujan_correlation over many moduli.
+    """C_d = sum_{n<=N} a_n c_d(n) for every d in ds.
 
     Precomputes multiple-sums up to max(ds) once and convolves them with
     the Moebius table up to max(ds) (ramanujan_convolution).

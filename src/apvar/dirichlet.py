@@ -307,27 +307,31 @@ def leading_coeff_closed_form(k: int) -> Fraction:
 
 def choose_R_chebyshev(k: int, n: int, q0: float, q: float, k_param: float,
                        eps: float):
-    """Scan alpha = log R / log N over the admissible interval (512 grid
-    points) and return the R maximizing |polynomial|, certified against
-    the Chebyshev extremal floor for its degree and leading coefficient."""
+    """Scan log R over the first ending's window
+    [max(Q0 N^eps, int(K Q0) + 2), min(Q N^-eps, sqrt N)] (512 grid points)
+    and return the R maximizing |polynomial|, certified against the
+    Chebyshev extremal floor for its degree and leading coefficient.  The
+    window's ends are returned as they are, not rounded through log R; an
+    empty window is a ValueError naming it."""
     log_n = math.log(n)
-    lo = math.log(q0 * n**eps) / log_n
-    hi = math.log(q * n ** (-eps)) / log_n
-    if not lo < hi:
-        raise ValueError(f"empty R interval: alpha in [{lo}, {hi}]")
-    hi = min(hi, 1.0)
-    log_kq0 = math.log(k_param * q0)
+    r_lo = max(q0 * n**eps, int(k_param * q0) + 2.0)
+    r_hi = min(q * n ** (-eps), math.sqrt(n))
+    if not r_lo < r_hi:
+        raise ValueError(
+            f"empty R window [max(Q0 N^eps, KQ0 + 2), min(Q N^-eps, sqrt N)]"
+            f" = [{r_lo:.6g}, {r_hi:.6g}]")
     grid = 512
-    alphas = np.linspace(lo, hi, grid)
-    values = polynomial_69(k, log_n, alphas * log_n, log_kq0)
+    log_rs = np.linspace(math.log(r_lo), math.log(r_hi), grid)
+    values = polynomial_69(k, log_n, log_rs, math.log(k_param * q0))
     best = int(np.argmax(np.abs(values)))
     d = k * k - 1
-    floor = (((hi - lo) / 4.0) ** d * abs(float(leading_coeff_closed_form(k)))
-             * log_n**d * 2.0 ** (-(d - 1)))
+    floor = ((log_rs[-1] - log_rs[0]) / 4.0) ** d * abs(
+        float(leading_coeff_closed_form(k))) * 2.0 ** (-(d - 1))
     if abs(values[best]) < floor:
         raise AssertionError(
             f"grid max {values[best]} below Chebyshev floor {floor}")
-    return n ** alphas[best], float(values[best])
+    r = {0: r_lo, grid - 1: r_hi}.get(best, math.exp(log_rs[best]))
+    return r, float(values[best])
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ class ExperimentConfig:
 @dataclass
 class ResolvedParams(ArcSystem):
     """A run's parameter point: its arc system, R, and every clip that
-    resolve_params (or the first ending's R choice) applied."""
+    resolve_params applied."""
 
     r: float = 0.0
     clips: list = field(default_factory=list)
@@ -106,7 +106,9 @@ class ResolvedParams(ArcSystem):
 
 def resolve_params(config: ExperimentConfig) -> ResolvedParams:
     """Apply the asymptotic parameter recipes, then clip to the windows
-    the arc estimates actually need at this scale."""
+    the arc estimates actually need at this scale.  The first ending's R
+    is the maximizer of |polynomial_69| over its own window
+    (choose_R_chebyshev), so it needs no clip."""
     n, q = config.n, config.q
     log_n = math.log(n)
     clips = []
@@ -117,7 +119,7 @@ def resolve_params(config: ExperimentConfig) -> ResolvedParams:
     else:
         k_param = log_n ** (config.k_exp if config.k_exp is not None else 10.0)
         q0 = n ** (1.0 + config.epsilon) / q
-        r = None
+        r = None                 # set below, per ending
 
     q0_cap = max(q / k_param**2, 1.0)
     if not 1.0 <= q0 <= q0_cap:
@@ -159,11 +161,13 @@ def resolve_params(config: ExperimentConfig) -> ResolvedParams:
             clipped = math.sqrt((kq0 + 1.0) * max(r_hi, kq0 + 2.0))
             clips.append(f"R: {r:.6g} -> {clipped:.6g} (window (KQ0, Q/2K])")
             r = clipped
-    if r is not None and not kq0 < r <= n:
+    elif config.ending == "first":
+        r, _ = choose_R_chebyshev(config.k, n, q0, q, k_param, config.epsilon)
+    if not kq0 < r <= n:
         raise ValueError(f"R={r:.6g} outside its window (KQ0, N] = "
                          f"({kq0:.6g}, {n}]")
-    params = ResolvedParams(n=n, q=q, k_param=k_param, q0=q0,
-                            r=r if r is not None else 0.0, clips=clips)
+    params = ResolvedParams(n=n, q=q, k_param=k_param, q0=q0, r=r,
+                            clips=clips)
     if config.experiment == "theorem2" and config.ending == "second":
         _admissible_qs(params, config)     # an empty range fails here
     return params
@@ -491,13 +495,6 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
     seq = table.dk_sequence(k)
     window = build_window(config.epsilon)
     kq0 = params.kq0
-    if config.ending == "first":
-        r_star, _ = choose_R_chebyshev(
-            k, n, params.q0, params.q, params.k_param, config.epsilon)
-        params.r = min(max(r_star, kq0 + 2.0), math.sqrt(n))
-        if params.r != r_star:
-            params.clips.append(f"R: {r_star:.6g} -> {params.r:.6g} "
-                                f"(window [KQ0 + 2, sqrt N])")
     r_int = int(params.r)
     weights = build_weights("divisor_k", r_int, k=k)
     tilde = build_tilde_sequence(n, weights, window)

@@ -20,7 +20,7 @@ import numpy as np
 from .arith import (Sequence, _convolve_ones, _primes_from_spf, divisors,
                     gamma, lag_correlations, mobius,
                     mobius_totient, multiple_sums, ramanujan_convolution,
-                    ramanujan_row, totient, underflow)
+                    ramanujan_correlations, ramanujan_row, totient, underflow)
 
 # Sequences longer than this always take the float path even when
 # integer-valued; the exact path is the identity tester, not the scaler.
@@ -309,15 +309,10 @@ def cor1_lower_bound(seq: Sequence, q: int, q0: int) -> float:
     """
     if q0 < 1:
         raise ValueError("Q0 must be at least 1")
-    from .arith import ramanujan_correlation
-
-    first = 0.0
-    second = 0.0
-    for d in divisors(q):
-        if d > q0:
-            first += _reduced_power_sum(seq, d)
-            corr = float(ramanujan_correlation(seq, d))
-            second += corr * corr / totient(d)
+    ds = [d for d in divisors(q) if d > q0]
+    corrs = ramanujan_correlations(seq, ds)
+    first = sum(_reduced_power_sum(seq, d) for d in ds)
+    second = sum(c * c / totient(d) for d, c in zip(ds, corrs.tolist()))
     bound = first - second
     qv = q * float(variance_mod_q(seq, q, exact=False).v)
     slack = 1e-6 * max(abs(qv), abs(bound), 1.0)

@@ -1,13 +1,9 @@
-"""Smooth plateau window, its tabulated Fourier transform, and sieve weights.
+"""Smooth plateau window, its Fourier and Mellin transforms, and sieve weights.
 
 The window is the usual C-infinity plateau bump built from exp(-1/x)
-cutoffs: identically 1 on [eps, 1-eps], supported in [0, 1].  Its
-Fourier transform is tabulated on a fine grid by a chirp-z evaluation of
-the sample sums (spectrally accurate because the bump vanishes to all
-orders at both endpoints) and interpolated cubically.  The table, its
-spline and the decay constants are built, and scipy imported, on first
-use: the chains read only Phi, its integrals and its Mellin transform,
-which is a short series in cached log-moments of the window.
+cutoffs: identically 1 on [eps, 1-eps], supported in [0, 1].  The chains
+read only Phi, its integrals and its Mellin transform, which is a short
+series in cached log-moments of the window.
 """
 
 from __future__ import annotations
@@ -23,8 +19,6 @@ from .arith import UNIT_ROUNDOFF, Sequence, divisor_sieve, mobius_totient
 _SAMPLES = 1 << 16          # bump samples on [0, 1)
 _MOMENTS = 64               # highest cached log-moment of the Mellin series
 _FACTORIALS = np.array([float(math.factorial(j)) for j in range(_MOMENTS + 1)])
-_XI_STEP = 1.0 / 512.0      # tabulation step in xi
-XI_MAX = 256.0              # end of the tabulated range of Phi^
 
 
 def _ramp(x):
@@ -55,38 +49,16 @@ class SmoothWindow:
     def __post_init__(self):
         if not 0.0 < self.eps < 0.25:
             raise ValueError("eps must lie in (0, 1/4)")
-        samples = self._samples()
+        samples = self._samples
         # Rectangle rule is spectrally accurate here: the integrand is
         # smooth and vanishes to all orders at 0 and 1.
         self.phi_int = float(samples.sum() / _SAMPLES)
         self.phi_sq_int = float((samples**2).sum() / _SAMPLES)
 
+    @cached_property
     def _samples(self) -> np.ndarray:
+        """Phi(i/m), i < m = 2^16."""
         return self.phi(np.arange(_SAMPLES) / _SAMPLES)
-
-    @cached_property
-    def _table(self):
-        """(xi, Phi^(xi)) on the tabulation grid, by chirp-z."""
-        from scipy.signal import czt
-
-        m = _SAMPLES
-        npts = int(XI_MAX / _XI_STEP) + 1
-        w = np.exp(-2j * np.pi * _XI_STEP / m)
-        table = czt(self._samples().astype(np.complex128), m=npts, w=w) / m
-        return np.arange(npts) * _XI_STEP, table
-
-    @cached_property
-    def _spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(*self._table)
-
-    @cached_property
-    def decay_constants(self) -> dict:
-        """C_a = max over the table of |Phi^(xi)| (1 + xi)^a, a = 1, 2, 4."""
-        xi, table = self._table
-        mags = np.abs(table)
-        return {a: float(np.max(mags * (1.0 + xi) ** a)) for a in (1, 2, 4)}
 
     def phi(self, t):
         """The bump Phi(t): 0 outside [0,1], 1 on [eps, 1-eps].  Where
@@ -100,25 +72,19 @@ class SmoothWindow:
         return out if out.ndim else float(out)
 
     def phi_hat(self, xi):
-        """Fourier transform Phi^(xi) = int Phi(t) e(-xi t) dt.
-
-        Interpolated from the table; zero is returned beyond the
-        tabulated range, where |Phi^| <= C_4 (1+xi)^-4 anyway.
-        """
+        """Fourier transform Phi^(xi) = int Phi(t) e(-xi t) dt, as the
+        rectangle sum (1/m) sum_(i<m) Phi(i/m) e(-xi i/m), m = 2^16;
+        vectorized over xi.  The sum is spectrally accurate for the same
+        reason as phi_int, which is its value at xi = 0."""
         xi = np.asarray(xi, dtype=np.float64)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
-        out = np.zeros(xi.shape, dtype=np.complex128)
-        inside = np.abs(xi) <= XI_MAX
-        pos = inside & (xi >= 0)
-        neg = inside & (xi < 0)
-        out[pos] = self._spline(xi[pos])
-        out[neg] = np.conj(self._spline(-xi[neg]))
-        return complex(out[0]) if scalar else out
+        t = np.arange(_SAMPLES) / _SAMPLES
+        out = np.array([np.dot(self._samples, np.exp(-2j * np.pi * x * t))
+                        for x in xi.ravel()]) / _SAMPLES
+        return complex(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
 
     def phi_hat_quad(self, xi: float) -> complex:
         """Independent composite Gauss-Legendre evaluation, 10 nodes on
-        each of 256 panels (table oracle)."""
+        each of 256 panels (phi_hat's oracle)."""
         nodes, weights = np.polynomial.legendre.leggauss(10)
         panels = 256
         edges = np.linspace(0.0, 1.0, panels + 1)

@@ -14,8 +14,8 @@ from apvar.arith import (CapacityError, Sequence, _convolve_ones,
                          check_lemma1_matrix, d_k_of, divisors, factorize,
                          gamma, gen_binomial, is_squarefree, lag_correlations,
                          load_sequence, mobius, mobius_totient, multiple_sums,
-                         ramanujan_convolution, ramanujan_correlation,
-                         ramanujan_correlations, ramanujan_row, ramanujan_sum,
+                         ramanujan_convolution, ramanujan_correlations,
+                         ramanujan_row, ramanujan_sum,
                          sieve_all, totient)
 
 from oracles import (convolve_ones_loop, mu_phi_sieve_loop,
@@ -102,12 +102,11 @@ def test_lemma1_matrix_small():
 def test_ramanujan_correlation_exact_and_bulk(table_300):
     seq = Sequence(table_300.dk[2][:201].astype(float),
                    is_integer_valued=True, name="d2")
-    for d in (1, 2, 12, 30):
-        direct = sum(seq.values[n] * ramanujan_sum(d, n) for n in range(1, 201))
-        assert ramanujan_correlation(seq, d) == int(round(direct))
-    bulk = ramanujan_correlations(seq, [1, 2, 12, 30])
-    assert bulk == pytest.approx(
-        [ramanujan_correlation(seq, d) for d in (1, 2, 12, 30)])
+    ints = seq.int_values()
+    ds = (1, 2, 12, 30)
+    direct = [sum(int(ints[n]) * ramanujan_sum(d, n) for n in range(1, 201))
+              for d in ds]
+    assert ramanujan_correlations(seq, ds).tolist() == direct
 
 
 def test_gen_binomial_values():

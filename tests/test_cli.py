@@ -194,13 +194,17 @@ def test_experiment_validation_errors(tmp_path, capsys):
     (["theorem1", "--N", "1e5", "--R", "2e5"], "R=200000"),
     (["theorem2", "--ending", "second", "--N", "3e4", "--R", "20"],
      "(16, 15.4562]: R=20, delta=0.1"),
+    (["theorem2", "--ending", "first", "--N", "1e5", "--Q-exp", "0.8",
+      "--epsilon", "0.2", "--K-exp", "1"],
+     "empty R window [max(Q0 N^eps, KQ0 + 2), min(Q N^-eps, sqrt N)] = "
+     "[754.447, 316.228]"),
 ])
 def test_experiment_bad_r_fails_before_sieving(argv, named, tmp_path, capsys,
                                                monkeypatch):
     """An --R the run cannot use (the first ending chooses its own; R must
     lie in (KQ0, N], and leave the second ending a modulus in
-    (KQ0, R N^(-delta/4)]) ends with one error naming R, before the
-    sieve."""
+    (KQ0, R N^(-delta/4)]), or a first ending whose R window is empty,
+    ends with one error naming R, before the sieve."""
     import apvar.cli
 
     def no_sieve(*args):
@@ -237,9 +241,9 @@ def test_experiment_outputs_are_deterministic(tmp_path, capsys):
                 == (tmp_path / "b" / name).read_bytes()), name
 
 
-def test_cli_and_theorem1_leave_scipy_unloaded():
-    """scipy is imported only by the window's Fourier table, which the
-    chains never read."""
+def test_cli_and_theorem1_leave_scipy_unloaded(tmp_path):
+    """No module of apvar imports scipy: not the CLI, not the chains, not
+    the window's Fourier transform that `verify windows` checks."""
     import subprocess
     import sys
     from pathlib import Path
@@ -250,12 +254,13 @@ def test_cli_and_theorem1_leave_scipy_unloaded():
             "import apvar.cli\n"
             "from apvar.pipeline import ExperimentConfig, run_theorem1\n"
             "run_theorem1(ExperimentConfig(experiment='theorem1', n=3000))\n"
+            "apvar.cli.main(['verify', 'windows', '--out-dir', sys.argv[1]])\n"
             "print('scipy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(apvar.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["verify windows: PASS", "False"]
 
 
 def test_experiment_plot_rows_from_run_sequence(tmp_path, capsys):

@@ -222,15 +222,17 @@ def test_polynomial_matches_triple_contour(k, log_n, alpha, beta):
 
 
 def test_choose_R_chebyshev():
-    r, val = dr.choose_R_chebyshev(2, 10**5, 10.0, 10**4, 8.0, 0.02)
-    # bit for bit the R and value of the former per-alpha scalar scan
-    assert (float(r), val) == (12.589254117941673, 6.8076006734587295)
-    log_n = math.log(10**5)
-    assert 10.0 * (10**5) ** 0.02 * (1 - 1e-12) <= r <= 10**4
-    assert val == pytest.approx(
-        dr.polynomial_69(2, log_n, math.log(r), math.log(80.0)), rel=1e-12)
-    with pytest.raises(ValueError):
-        dr.choose_R_chebyshev(2, 10**5, 5000.0, 10**4, 8.0, 0.1)
+    """The scan runs over [max(Q0 N^eps, KQ0 + 2), min(Q N^-eps, sqrt N)]
+    = [82, sqrt N] here and returns the window's end itself."""
+    n, log_n = 10**5, math.log(10**5)
+    r, val = dr.choose_R_chebyshev(2, n, 10.0, 10**4, 8.0, 0.02)
+    assert (r, val) == (math.sqrt(n), 1.7309415358564877)
+    grid = np.linspace(math.log(82.0), math.log(math.sqrt(n)), 512)
+    assert abs(val) == np.max(np.abs(
+        dr.polynomial_69(2, log_n, grid, math.log(80.0))))
+    assert val == dr.polynomial_69(2, log_n, math.log(r), math.log(80.0))
+    with pytest.raises(ValueError, match=r"empty R window .* = \[40002, "):
+        dr.choose_R_chebyshev(2, n, 5000.0, 10**4, 8.0, 0.1)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

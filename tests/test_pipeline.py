@@ -117,25 +117,25 @@ def test_second_ending_empty_range_names_r_and_delta(table_1e4):
         run_theorem2(cfg, table_1e4)
 
 
-def test_first_ending_records_its_r_clip():
-    """choose_R_chebyshev's R is clipped into [KQ0 + 2, sqrt N]; the clip
-    is in the report with the value it moved, and the reported polynomial
-    is the one at the R the chain runs at."""
-    from apvar.dirichlet import choose_R_chebyshev, polynomial_69
+def test_first_ending_chooses_r_in_its_window():
+    """resolve_params takes the first ending's R from choose_R_chebyshev,
+    whose scan stays inside [KQ0 + 2, sqrt N], so no R clip is recorded
+    and the reported polynomial is the scan's maximum.  At k = 2,
+    N = 10^5, where the polynomial is small near KQ0, R is sqrt N too."""
+    from apvar.dirichlet import choose_R_chebyshev
     n = 2 * 10**4
     report, _ = run_theorem2(ExperimentConfig(
         experiment="theorem2", n=n, q_exp=0.8, k=3, ending="first"),
         sieve_all(n, 3))
     p = report.params
     assert p["R"] == math.sqrt(n)
-    before, _, after = report.clips[-1].removeprefix("R: ").partition(" -> ")
-    assert float(before) > math.sqrt(n)
-    assert after == f"{math.sqrt(n):.6g} (window [KQ0 + 2, sqrt N])"
-    log_kq0 = math.log(p["K"] * p["Q0"])
-    assert report.extras["polynomial_value"] == polynomial_69(
-        3, math.log(n), math.log(p["R"]), log_kq0)
-    _, unclipped = choose_R_chebyshev(3, n, p["Q0"], p["Q"], p["K"], 0.05)
-    assert report.extras["polynomial_value"] != unclipped
+    assert not any(c.startswith("R:") for c in report.clips)
+    _, best = choose_R_chebyshev(3, n, p["Q0"], p["Q"], p["K"], 0.05)
+    assert report.extras["polynomial_value"] == best
+    params = resolve_params(ExperimentConfig(
+        experiment="theorem2", n=10**5, q_exp=0.8, k=2, ending="first"))
+    assert params.r == math.sqrt(10**5) and params.kq0 + 2 < params.r
+    assert not any(c.startswith("R:") for c in params.clips)
 
 
 def test_assemble_prop13_d2(table_1e4):

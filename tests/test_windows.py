@@ -1,4 +1,4 @@
-"""Smooth window, tabulated transform, and sieve-weight calibrations."""
+"""Smooth window, its transforms, and sieve-weight calibrations."""
 
 import math
 
@@ -8,9 +8,9 @@ import pytest
 from apvar.arith import (Sequence, d_k_of, gamma, is_squarefree, mobius,
                          sieve_all, totient)
 from apvar.dirichlet import contour_nodes
-from apvar.windows import (XI_MAX, _smoothstep, build_tilde_sequence,
-                           build_weights, build_window, check_lemma5,
-                           check_lemma_major, weight_sum_q, windowed)
+from apvar.windows import (_smoothstep, build_tilde_sequence, build_weights,
+                           build_window, check_lemma5, check_lemma_major,
+                           weight_sum_q, windowed)
 
 
 def test_plateau_shape(window):
@@ -44,25 +44,19 @@ def test_phi_plateau_is_the_formula(eps):
         assert isinstance(got, float) and got == want, x
 
 
-def test_phi_hat_table_vs_quadrature(window):
-    for xi in (0.0, 0.5, 1.7, 9.3, 55.5, 200.0):
-        assert window.phi_hat(xi) == pytest.approx(
-            window.phi_hat_quad(xi), abs=2e-9)
-    # conjugate symmetry and cutoff
+def test_phi_hat_sum_vs_quadrature(window):
+    """The rectangle sum against Gauss-Legendre up to xi = 300; not
+    higher, where the oracle's own error grows (3e-6 at xi = 1000)."""
+    xis = (0.0, 0.5, 1.7, 9.3, 55.5, 200.0, 300.0)
+    for xi, got in zip(xis, window.phi_hat(np.array(xis))):
+        assert abs(got - window.phi_hat_quad(xi)) <= 1e-12, xi
+        assert window.phi_hat(xi) == got
     assert window.phi_hat(-3.2) == pytest.approx(
         np.conj(window.phi_hat(3.2)), abs=1e-12)
-    assert window.phi_hat(XI_MAX + 1) == 0
 
 
 def test_phi_hat_zero_is_mass(window):
     assert window.phi_hat(0.0).real == pytest.approx(window.phi_int, abs=1e-10)
-
-
-def test_decay_constants_certify_decay(window):
-    xi = np.linspace(0, XI_MAX, 4001)
-    mags = np.abs(window.phi_hat(xi))
-    for a, c in window.decay_constants.items():
-        assert np.all(mags <= c * (1 + xi) ** (-a) + 1e-15)
 
 
 def test_mellin_at_one(window):
