@@ -20,8 +20,8 @@ import numpy as np
 from . import __version__
 from .arith import (check_lemma1_matrix, load_sequence, ramanujan_row,
                     sieve_all)
-from .dirichlet import (TruncationError, check_Fq1_bound, euler_F_q, residues,
-                        zeta_near_one)
+from .dirichlet import (TruncationError, check_Fq1_bound, euler_F_q,
+                        polynomial_69, r_window, residues, zeta_near_one)
 # Bound for perfbench/spans.py, which wraps this name in this module.
 from .dirichlet import residue_dk_correlation  # noqa: F401
 from .pipeline import (ExperimentConfig, resolve_params, run_theorem1,
@@ -169,14 +169,14 @@ def cmd_experiment(args) -> int:
             delta=args.delta, epsilon=args.epsilon, k_exp=args.K_exp,
             r_override=None if args.R is None else _bounded("--R", args.R, 2),
             ending=args.ending)
-        resolve_params(config)     # a bad R fails here, before the sieve
+        params = resolve_params(config)    # a bad R fails before the sieve
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runner = run_theorem1 if args.kind == "theorem1" else run_theorem2
     try:
         table = sieve_all(n, 2 if args.kind == "theorem1" else config.k)
-        report, summary = runner(config, table)
+        report = runner(params, table)
     except (ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -195,22 +195,22 @@ def cmd_experiment(args) -> int:
     plot_path = out_dir / "plot_data.csv"
     with open(plot_path, "w", newline="\n") as fh:
         if args.kind == "theorem2" and args.ending == "first":
-            from .dirichlet import polynomial_69
+            # The polynomial over R's own window, the one the chain scans.
             fh.write("alpha,polynomial\n")
             log_n = math.log(n)
-            lo = math.log(max(config.n**config.epsilon, 2.0)) / log_n
-            alphas = np.linspace(max(lo, 0.05), 1.0, 200)
-            vals = polynomial_69(config.k, log_n, alphas * log_n,
-                                 math.log(report.params["K"]
-                                          * report.params["Q0"]))
-            for alpha, val in zip(alphas, vals):
-                fh.write(f"{alpha:.12g},{val:.12g}\n")
+            r_lo, r_hi = r_window(n, params.q0, params.q, params.k_param,
+                                  config.epsilon)
+            log_rs = np.linspace(math.log(r_lo), math.log(r_hi), 200)
+            vals = polynomial_69(config.k, log_n, log_rs,
+                                 math.log(params.k_param * params.q0))
+            for log_r, val in zip(log_rs, vals):
+                fh.write(f"{log_r / log_n:.12g},{val:.12g}\n")
         else:
             fh.write("q,V\n")
             # From the run's own sieve table, truncated at N = 10^5.
             seq_name = "lambda" if args.kind == "theorem1" else f"d{config.k}"
             seq = load_sequence(seq_name, min(n, 10**5), table)
-            sweep = variance_sweep(seq, min(int(report.params["Q"]), 400))
+            sweep = variance_sweep(seq, min(int(params.q), 400))
             for q in range(1, sweep.v.size):
                 fh.write(f"{q},{sweep.v[q]:.12g}\n")
     outputs.append(plot_path)
@@ -219,8 +219,8 @@ def cmd_experiment(args) -> int:
     outputs.append(_write_manifest(
         out_dir, f"experiment {args.kind}", vars(args) | {"n": n},
         outputs, wall))
-    for key, val in summary.items():
-        print(f"{key}: {_fmt(val)}")
+    for name in report.CSV_FIELDS:
+        print(f"{name}: {_fmt(getattr(report, name))}")
     return 0
 
 
@@ -257,6 +257,9 @@ def _table_rows(args):
     elif args.what == "weights":
         if args.R is None:
             raise ValueError("--R is required")
+        if args.kind == "divisor" and args.k < 2:
+            raise ValueError(f"--k must be at least 2 for divisor weights, "
+                             f"got {args.k}")
         kind = "prime_sieve" if args.kind == "prime" else "divisor_k"
         weights = build_weights(kind, int(_bounded("--R", args.R, 2)), k=args.k)
         header = "r,b_r"
@@ -266,6 +269,8 @@ def _table_rows(args):
         n = int(_bounded("--N", args.N, 4))
         if args.q_max > n:
             raise ValueError(f"--q-max={args.q_max} exceeds --N={n}")
+        if args.k < 1:
+            raise ValueError(f"--k must be at least 1, got {args.k}")
         header = "q,k,N,value,error"
         preds = residues(range(1, args.q_max + 1), args.k, n)
         rows.extend(f"{q},{args.k},{n},{pred.value:.12g},{pred.error:.3g}"

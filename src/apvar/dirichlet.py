@@ -305,21 +305,28 @@ def leading_coeff_closed_form(k: int) -> Fraction:
                * (k * k - 1)))
 
 
-def choose_R_chebyshev(k: int, n: int, q0: float, q: float, k_param: float,
-                       eps: float):
-    """Scan log R over the first ending's window
-    [max(Q0 N^eps, int(K Q0) + 2), min(Q N^-eps, sqrt N)] (512 grid points)
-    and return the R maximizing |polynomial|, certified against the
-    Chebyshev extremal floor for its degree and leading coefficient.  The
-    window's ends are returned as they are, not rounded through log R; an
-    empty window is a ValueError naming it."""
-    log_n = math.log(n)
+def r_window(n: int, q0: float, q: float, k_param: float,
+             eps: float) -> tuple:
+    """The first ending's R window (r_lo, r_hi) =
+    [max(Q0 N^eps, int(K Q0) + 2), min(Q N^-eps, sqrt N)]; an empty window
+    is a ValueError naming it."""
     r_lo = max(q0 * n**eps, int(k_param * q0) + 2.0)
     r_hi = min(q * n ** (-eps), math.sqrt(n))
     if not r_lo < r_hi:
         raise ValueError(
             f"empty R window [max(Q0 N^eps, KQ0 + 2), min(Q N^-eps, sqrt N)]"
             f" = [{r_lo:.6g}, {r_hi:.6g}]")
+    return r_lo, r_hi
+
+
+def choose_R_chebyshev(k: int, n: int, q0: float, q: float, k_param: float,
+                       eps: float):
+    """Scan log R over the first ending's r_window (512 grid points) and
+    return the R maximizing |polynomial|, certified against the Chebyshev
+    extremal floor for its degree and leading coefficient.  The window's
+    ends are returned as they are, not rounded through log R."""
+    log_n = math.log(n)
+    r_lo, r_hi = r_window(n, q0, q, k_param, eps)
     grid = 512
     log_rs = np.linspace(math.log(r_lo), math.log(r_hi), grid)
     values = polynomial_69(k, log_n, log_rs, math.log(k_param * q0))

@@ -21,8 +21,9 @@ import numpy as np
 
 from .arith import (Sequence, SieveTable, d_k_of, factorize, is_squarefree,
                     mobius, mobius_totient, multiple_sums,
-                    ramanujan_convolution, ramanujan_correlations,
-                    sieve_all, totient)
+                    ramanujan_convolution, ramanujan_correlations, totient)
+# Bound for perfbench/spans.py, which wraps this name in this module.
+from .arith import sieve_all  # noqa: F401
 from .circle import (ArcMasses, ArcSystem, Spectrum, _arc_correlations,
                      arc_masses, arcs_disjoint)
 # Grid path: the validation tests use it and perfbench/spans.py wraps it.
@@ -97,11 +98,13 @@ class ExperimentConfig:
 
 @dataclass
 class ResolvedParams(ArcSystem):
-    """A run's parameter point: its arc system, R, and every clip that
-    resolve_params applied."""
+    """A run's parameter point: its arc system, R, every clip that
+    resolve_params applied, and the config it was resolved from.  The
+    runners compute the chain at whatever point they are given."""
 
     r: float = 0.0
     clips: list = field(default_factory=list)
+    config: ExperimentConfig | None = None
 
 
 def resolve_params(config: ExperimentConfig) -> ResolvedParams:
@@ -167,9 +170,9 @@ def resolve_params(config: ExperimentConfig) -> ResolvedParams:
         raise ValueError(f"R={r:.6g} outside its window (KQ0, N] = "
                          f"({kq0:.6g}, {n}]")
     params = ResolvedParams(n=n, q=q, k_param=k_param, q0=q0, r=r,
-                            clips=clips)
+                            clips=clips, config=config)
     if config.experiment == "theorem2" and config.ending == "second":
-        _admissible_qs(params, config)     # an empty range fails here
+        _admissible_qs(params)     # an empty range fails here
     return params
 
 
@@ -394,28 +397,27 @@ def bulk_residue_predictions(qs, k: int, n: int, window: SmoothWindow) -> np.nda
 # Full experiments
 
 
-def _chain_table(config: ExperimentConfig, table: SieveTable | None,
-                 k: int) -> SieveTable:
-    if table is None:
-        return sieve_all(config.n, k)
-    if table.n != config.n or table.k < k:
+def _chain_config(params: ResolvedParams, experiment: str,
+                  table: SieveTable) -> ExperimentConfig:
+    """The config `params` was resolved from, checked against the runner
+    and against the sieve table on 1..N (with the chain's d_k), before
+    any work."""
+    config = params.config
+    if config is None or config.experiment != experiment:
+        raise ValueError(f"params are not resolved from a {experiment} config")
+    k = config.k if experiment == "theorem2" else 2
+    if table.n != params.n or table.k < k:
         raise ValueError(f"sieve table (N={table.n}, k={table.k}) does not "
-                         f"fit N={config.n}, k={k}")
-    return table
+                         f"fit N={params.n}, k={k}")
+    return config
 
 
-def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
-    """Full prime-variance chain: Lambda against the mu log(R/r) sieve.
-
-    `table` is the sieve table on 1..N, sieved here when not given.
-    Returns (BoundReport, summary dict).
-    """
-    if config.experiment != "theorem1":
-        raise ValueError("config is not a theorem1 config")
-    n = config.n
-    params = resolve_params(config)
+def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
+    """Full prime-variance chain at the point `params`: Lambda against the
+    mu log(R/r) sieve, from the sieve table on 1..N."""
+    config = _chain_config(params, "theorem1", table)
+    n = params.n
     log_n = math.log(n)
-    table = _chain_table(config, table, 2)
     seq = table.lambda_sequence()
     window = build_window(config.epsilon)
     r_int = int(params.r)
@@ -433,8 +435,6 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
 
     sweep, tail, masses = _chain_terms(seq, params, tilde)
     lhs = _over_moduli(_reduced_class_variances(table, sweep), params)
-    minor, minor_inner, minor_tilde = (masses.a, masses.cross.minor,
-                                       masses.tilde.minor)
 
     log_ratio = math.log(params.r / (params.k_param * params.q0))
     target_log = math.log(params.q**2 / n)
@@ -447,51 +447,40 @@ def run_theorem1(config: ExperimentConfig, table: SieveTable | None = None):
         "calibration_dot": calib_dot,            # ~1 if (5.2)-shaped
         "calibration_tilde_sq": calib_sq,        # ~1 if (5.3)-shaped
         "weight_sum_max_dev": wsum_dev,
-        "minor_inner_scale": abs(minor_inner)
+        "minor_inner_scale": abs(masses.cross.minor)
         / (n * window.phi_int * max(log_ratio, 1e-9)),
-        "minor_tilde_scale": minor_tilde
+        "minor_tilde_scale": masses.tilde.minor
         / (n * window.phi_sq_int * max(log_ratio, 1e-9)),
         "fitted_target_constant": fitted_c,
         "near_degenerate_range": near_degenerate,
     }
-    report = _assemble("theorem1", params, seq, lhs, tail, masses, target,
-                       extras=extras)
-    bound_17 = minor_inner**2 / minor_tilde if minor_tilde > 0 else 0.0
-    summary = {"N": n, "Q": params.q, "R": params.r, "lhs": lhs,
-               "bound_17": bound_17, "minor": minor.minor,
-               "chain_sound": report.chain_sound}
-    return report, summary
+    return _assemble("theorem1", params, seq, lhs, tail, masses, target,
+                     extras=extras)
 
 
-def _admissible_qs(params: ResolvedParams, config: ExperimentConfig):
+def _admissible_qs(params: ResolvedParams):
     """Squarefree moduli in (KQ0, R N^(-delta/4)] with no prime factor
     above N^_SMOOTH_EXP; none is a ValueError naming R and delta."""
-    n = params.n
+    n, delta = params.n, params.config.delta
     lo = int(params.k_param * params.q0)
-    hi = int(params.r * n ** (-config.delta / 4.0))
+    hi = int(params.r * n ** (-delta / 4.0))
     p_cap = n**_SMOOTH_EXP
     out = [q for q in range(lo + 1, hi + 1) if is_squarefree(q)
            and max(p for p, _ in factorize(q)) <= p_cap]
     if not out:
         raise ValueError(
             f"no admissible moduli in (KQ0, R N^(-delta/4)] = ({lo}, "
-            f"{params.r * n ** (-config.delta / 4.0):.6g}]: "
-            f"R={params.r:.6g}, delta={config.delta}")
+            f"{params.r * n ** (-delta / 4.0):.6g}]: "
+            f"R={params.r:.6g}, delta={delta}")
     return out
 
 
-def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
-    """Divisor-function chain for d_k, with either ending.
-
-    `table` is the sieve table on 1..N (with d_k), sieved here when not
-    given.  Returns (BoundReport, summary dict).
-    """
-    if config.experiment != "theorem2":
-        raise ValueError("config is not a theorem2 config")
-    n, k = config.n, config.k
-    params = resolve_params(config)
+def run_theorem2(params: ResolvedParams, table: SieveTable) -> BoundReport:
+    """Divisor-function chain for d_k at the point `params`, with either
+    ending, from the sieve table on 1..N (with d_k)."""
+    config = _chain_config(params, "theorem2", table)
+    n, k = params.n, config.k
     log_n = math.log(n)
-    table = _chain_table(config, table, k)
     seq = table.dk_sequence(k)
     window = build_window(config.epsilon)
     kq0 = params.kq0
@@ -520,7 +509,7 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
                       k, log_n, math.log(params.r),
                       math.log(params.k_param * params.q0))}
     else:
-        qs = _admissible_qs(params, config)
+        qs = _admissible_qs(params)
         corrs = ramanujan_correlations(windowed(seq.values, window), qs)
         aux = math.fsum(
             d_k_of(k - 1, q) / q
@@ -539,9 +528,5 @@ def run_theorem2(config: ExperimentConfig, table: SieveTable | None = None):
                   if ratios else 0.0}
     extras["aux_vs_exact"] = aux / abs(masses.cross.minor)
 
-    report = _assemble(f"theorem2-{config.ending}", params, seq, lhs, tail,
-                       masses, target, extras=extras)
-    summary = {"N": n, "Q": params.q, "k": k, "ending": config.ending,
-               "lhs": lhs, "cs_numerator": report.cs_numerator,
-               "ratio": report.ratio, "chain_sound": report.chain_sound}
-    return report, summary
+    return _assemble(f"theorem2-{config.ending}", params, seq, lhs, tail,
+                     masses, target, extras=extras)

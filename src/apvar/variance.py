@@ -228,20 +228,14 @@ def exp_variance_H(seq: Sequence, q: int, exact: bool | None = None) -> ExpVaria
     c = np.roll(ramanujan_row(q, q), 1)      # c_q(j), j = 0..q-1
     phi_q = totient(q)
     if exact:
-        ti = np.round(t).astype(np.int64)
-        if q <= 2048:
-            diff = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
-            bilinear = int(ti @ c[diff] @ ti)
-        else:
-            bilinear = 0
-            for d in range(q):
-                bilinear += int(c[d]) * int(np.dot(ti, np.roll(ti, -d)))
-        corr = int(np.dot(c, ti))
-        h = Fraction(bilinear) - Fraction(corr * corr, phi_q)
+        t = np.round(t).astype(np.int64)
+    # Circular autocorrelation u[d] = sum_i t_i t_{i+d mod q}, in integers
+    # on the exact path.
+    u = np.correlate(np.concatenate([t, t[:-1]]), t, "valid")
+    if exact:
+        corr = int(np.dot(c, t))
+        h = Fraction(int(np.dot(c, u))) - Fraction(corr * corr, phi_q)
         return ExpVarianceReport(q=q, h=h)
-    # Circular autocorrelation u[d] = sum_i t_i t_{i+d mod q} via FFT.
-    ft = np.fft.fft(t)
-    u = np.fft.ifft(ft * np.conj(ft)).real
     bilinear = float(np.dot(c, u))
     corr = float(np.dot(c, t))
     h = bilinear - corr * corr / phi_q

@@ -181,11 +181,11 @@ def test_criterion_7_chain_soundness():
     """Every inequality link holds within reported error bars: Lambda at
     N=10^5, Q=N^0.75 and d_2 at N=10^5, Q=N^0.8."""
     n = 10**5
-    report_l, _ = run_theorem1(
-        ExperimentConfig(experiment="theorem1", n=n, q_exp=0.75))
+    table = sieve_all(n, 2)
+    report_l = run_theorem1(resolve_params(
+        ExperimentConfig(experiment="theorem1", n=n, q_exp=0.75)), table)
     lam_ok = report_l.chain_sound and report_l.extras["lhs_exceeds_cs_chain"]
 
-    table = sieve_all(n, 2)
     seq = Sequence(table.dk[2].astype(float), is_integer_valued=True,
                    name="d2")
     cfg = ExperimentConfig(experiment="theorem2", n=n, q_exp=0.8, k=2)

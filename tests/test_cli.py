@@ -106,6 +106,9 @@ def test_table_range_guard(tmp_path, capsys):
     (["variance", "--seq", "d2", "--N", "100", "--q-max", "0"], "--q-max"),
     (["ramanujan", "--q-max", "3", "--n-max", "0"], "--n-max"),
     (["residues", "--N", "3"], "--N"),
+    (["residues", "--k", "0", "--N", "100", "--q-max", "3"], "--k"),
+    (["residues", "--k", "-2", "--N", "100", "--q-max", "3"], "--k"),
+    (["weights", "--kind", "divisor", "--k", "1", "--R", "10"], "--k"),
 ])
 def test_table_bad_flags_fail_cleanly(argv, flag, tmp_path, capsys):
     code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
@@ -159,6 +162,69 @@ def test_experiment_first_ending_plot(tmp_path, capsys):
     assert code == 0
     plot = (tmp_path / "plot_data.csv").read_text()
     assert plot.startswith("alpha,polynomial\n")
+
+
+def test_experiment_first_ending_plot_spans_r_window(tmp_path, capsys):
+    """The plot tabulates the polynomial over R's own window, on 200 points
+    of log R; at k = 3 the chain runs at R = sqrt N, the last row."""
+    import math
+
+    from apvar.dirichlet import r_window
+
+    n = 2 * 10**4
+    code, _, _ = run_cli(
+        ["experiment", "theorem2", "--k", "3", "--ending", "first",
+         "--N", str(n), "--Q-exp", "0.8"], tmp_path, capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "bound_report.json").read_text())
+    p = report["params"]
+    r_lo, r_hi = r_window(n, p["Q0"], p["Q"], p["K"], 0.05)
+    assert p["R"] == r_hi == math.sqrt(n)
+    lines = (tmp_path / "plot_data.csv").read_text().splitlines()
+    assert lines[0] == "alpha,polynomial" and len(lines) == 201
+    alphas = [float(line.split(",")[0]) for line in lines[1:]]
+    assert lines[1].startswith(f"{math.log(r_lo) / math.log(n):.12g},")
+    assert lines[-1] == f"0.5,{report['extras']['polynomial_value']:.12g}"
+    assert alphas == sorted(alphas)
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem1", "--N", "2e4"],
+    ["theorem2", "--k", "2", "--ending", "second", "--N", "2e4",
+     "--Q-exp", "0.8"],
+    ["theorem2", "--k", "3", "--ending", "first", "--N", "2e4",
+     "--Q-exp", "0.8"],
+])
+def test_experiment_resolves_and_sieves_once(argv, tmp_path, capsys,
+                                             monkeypatch):
+    """One experiment has one parameter point and one sieve table: the
+    CLI resolves and sieves once and the runner takes both."""
+    import apvar.cli
+    import apvar.pipeline
+
+    calls = {"resolve_params": 0, "sieve_all": 0}
+    for name in calls:
+        original = getattr(apvar.pipeline, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in (apvar.cli, apvar.pipeline):
+            monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli(["experiment", *argv], tmp_path, capsys)
+    assert code == 0
+    assert calls == {"resolve_params": 1, "sieve_all": 1}
+
+
+def test_experiment_stdout_mirrors_summary_csv(tmp_path, capsys):
+    """stdout is the summary.csv header zipped with its row, one
+    `name: value` line each."""
+    code, out, _ = run_cli(["experiment", "theorem1", "--N", "2e4"],
+                           tmp_path, capsys)
+    assert code == 0
+    header, row = (tmp_path / "summary.csv").read_text().splitlines()
+    assert out.splitlines() == [f"{name}: {value}" for name, value
+                                in zip(header.split(","), row.split(","))]
 
 
 def test_experiment_validation_errors(tmp_path, capsys):
@@ -252,8 +318,10 @@ def test_cli_and_theorem1_leave_scipy_unloaded(tmp_path):
 
     code = ("import sys\n"
             "import apvar.cli\n"
-            "from apvar.pipeline import ExperimentConfig, run_theorem1\n"
-            "run_theorem1(ExperimentConfig(experiment='theorem1', n=3000))\n"
+            "from apvar import (ExperimentConfig, resolve_params,\n"
+            "                   run_theorem1, sieve_all)\n"
+            "run_theorem1(resolve_params(ExperimentConfig(\n"
+            "    experiment='theorem1', n=3000)), sieve_all(3000, 2))\n"
             "apvar.cli.main(['verify', 'windows', '--out-dir', sys.argv[1]])\n"
             "print('scipy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(apvar.__file__).parents[1]))

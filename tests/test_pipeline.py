@@ -114,7 +114,24 @@ def test_second_ending_empty_range_names_r_and_delta(table_1e4):
                            r_override=17.0)
     with pytest.raises(ValueError, match=r"no admissible moduli.*R=17, "
                                          r"delta=0\.1"):
-        run_theorem2(cfg, table_1e4)
+        run_theorem2(resolve_params(cfg), table_1e4)
+
+
+def test_runners_refuse_a_table_that_does_not_fit(table_1e4, monkeypatch):
+    """A sieve table for another N, or without the chain's d_k, fails
+    before any work."""
+    import apvar.pipeline
+
+    def no_work(*args):
+        raise AssertionError("worked before checking the table")
+    monkeypatch.setattr(apvar.pipeline, "build_window", no_work)
+    for runner, cfg in (
+            (run_theorem1, ExperimentConfig(experiment="theorem1",
+                                            n=2 * 10**4)),
+            (run_theorem2, ExperimentConfig(experiment="theorem2", n=10**4,
+                                            q_exp=0.8, k=4))):
+        with pytest.raises(ValueError, match="does not fit"):
+            runner(resolve_params(cfg), table_1e4)
 
 
 def test_first_ending_chooses_r_in_its_window():
@@ -124,8 +141,8 @@ def test_first_ending_chooses_r_in_its_window():
     N = 10^5, where the polynomial is small near KQ0, R is sqrt N too."""
     from apvar.dirichlet import choose_R_chebyshev
     n = 2 * 10**4
-    report, _ = run_theorem2(ExperimentConfig(
-        experiment="theorem2", n=n, q_exp=0.8, k=3, ending="first"),
+    report = run_theorem2(resolve_params(ExperimentConfig(
+        experiment="theorem2", n=n, q_exp=0.8, k=3, ending="first")),
         sieve_all(n, 3))
     p = report.params
     assert p["R"] == math.sqrt(n)
@@ -217,28 +234,31 @@ def test_bulk_residue_predictions_match_scalar(window):
 
 
 def test_run_theorem1_small():
-    cfg = ExperimentConfig(experiment="theorem1", n=2 * 10**4, q_exp=0.75)
-    report, summary = run_theorem1(cfg)
+    n = 2 * 10**4
+    cfg = ExperimentConfig(experiment="theorem1", n=n, q_exp=0.75)
+    table = sieve_all(n, 2)
+    report = run_theorem1(resolve_params(cfg), table)
     assert report.chain_sound
-    assert summary["chain_sound"]
     assert report.extras["lhs_exceeds_cs_chain"]
     assert 0.8 < report.extras["calibration_dot"] < 1.2
     assert report.clips  # desk scale clips are recorded
     with pytest.raises(ValueError):
-        run_theorem1(ExperimentConfig(experiment="theorem2"))
+        run_theorem1(resolve_params(ExperimentConfig(experiment="theorem2")),
+                     table)
 
 
 def test_run_theorem2_both_endings():
+    table = sieve_all(2 * 10**4, 2)
     cfg = ExperimentConfig(experiment="theorem2", n=2 * 10**4, q_exp=0.8,
                            k=2, ending="second")
-    report, summary = run_theorem2(cfg)
+    report = run_theorem2(resolve_params(cfg), table)
     assert report.chain_sound
-    assert summary["ratio"] > 0
+    assert report.ratio > 0
     assert report.extras["n_admissible_q"] > 0
 
     cfg_f = ExperimentConfig(experiment="theorem2", n=2 * 10**4, q_exp=0.8,
                              k=2, ending="first")
-    report_f, _ = run_theorem2(cfg_f)
+    report_f = run_theorem2(resolve_params(cfg_f), table)
     assert report_f.chain_sound
     agree = report_f.extras["residue_agreement"]
     assert agree == pytest.approx(1.0, abs=0.25)
@@ -253,7 +273,7 @@ def test_run_theorem2_pair_is_exact_arc_masses(k, ending):
     cfg = ExperimentConfig(experiment="theorem2", n=n, q_exp=0.8, k=k,
                            ending=ending)
     table = sieve_all(n, k)
-    report, _ = run_theorem2(cfg, table)
+    report = run_theorem2(resolve_params(cfg), table)
     seq = table.dk_sequence(k)
     p = report.params
     tilde = build_tilde_sequence(n, build_weights("divisor_k", int(p["R"]),
@@ -276,9 +296,10 @@ def test_run_theorem2_tail_is_ramanujan_tail(k, ending):
     """The chain takes its tail from its variance sweep's C_d; that is
     ramanujan_tail's own convolution bit for bit."""
     n = 2 * 10**4
-    report, _ = run_theorem2(ExperimentConfig(
-        experiment="theorem2", n=n, q_exp=0.8, k=k, ending=ending))
-    seq = sieve_all(n, k).dk_sequence(k)
+    table = sieve_all(n, k)
+    report = run_theorem2(resolve_params(ExperimentConfig(
+        experiment="theorem2", n=n, q_exp=0.8, k=k, ending=ending)), table)
+    seq = table.dk_sequence(k)
     p = report.params
     assert report.ramanujan_tail > 0
     assert report.ramanujan_tail == ramanujan_tail(seq, p["Q"], p["Q0"])
@@ -290,8 +311,8 @@ def test_run_theorem1_lhs_and_tail_from_shared_sums():
     bit for bit."""
     n = 2 * 10**4
     table = sieve_all(n, 2)
-    report, _ = run_theorem1(
-        ExperimentConfig(experiment="theorem1", n=n, q_exp=0.75), table)
+    report = run_theorem1(resolve_params(
+        ExperimentConfig(experiment="theorem1", n=n, q_exp=0.75)), table)
     p = report.params
     assert report.lhs_variance_sum == restricted_variance_total(
         table, int(p["Q"]), int(math.floor(p["Q0"])) + 1)
@@ -328,15 +349,15 @@ def test_chain_verdict_rebuilt_from_report_fields(kind):
     n = 2 * 10**4
     table = sieve_all(n, 2)
     if kind == "theorem1":
-        r, _ = run_theorem1(ExperimentConfig(experiment="theorem1", n=n),
-                            table)
+        r = run_theorem1(resolve_params(
+            ExperimentConfig(experiment="theorem1", n=n)), table)
         seq = table.lambda_sequence()
     else:
         cfg = ExperimentConfig(experiment="theorem2", n=n, q_exp=0.8, k=2,
                                ending=kind.partition("-")[2] or "second")
         seq = table.dk_sequence(2)
         r = (assemble_prop13(seq, resolve_params(cfg)) if kind == "prop13"
-             else run_theorem2(cfg, table)[0])
+             else run_theorem2(resolve_params(cfg), table))
     assert r.kind == kind
     p = r.params
     q, k_param = p["Q"], p["K"]
@@ -392,9 +413,9 @@ def test_assembler_verdict_fails_with_either_link():
     assert _assemble("t", params, seq, 0.0, 0.0, masses(1.0), 1.0).chain_sound
 
 
-def test_bound_report_serialization():
+def test_bound_report_serialization(table_1e4):
     cfg = ExperimentConfig(experiment="theorem2", n=10**4, q_exp=0.8)
-    report, _ = run_theorem2(cfg)
+    report = run_theorem2(resolve_params(cfg), table_1e4)
     import json
 
     def strict(constant):
