@@ -26,7 +26,9 @@ from .dirichlet import (TruncationError, check_Fq1_bound, euler_F_q,
 from .dirichlet import residue_dk_correlation  # noqa: F401
 from .pipeline import (ExperimentConfig, resolve_params, run_theorem1,
                        run_theorem2)
-from .variance import check_identity_prop1, variance_mod_q, variance_sweep
+from .variance import check_identity_prop1, variance_rows, variance_sweep
+# Bound for perfbench/spans.py, which wraps this name in this module.
+from .variance import variance_mod_q  # noqa: F401
 from .windows import build_weights, build_window, check_lemma5
 
 MAX_N = 2 * 10**7
@@ -103,11 +105,12 @@ def _verify_euler() -> list:
     # Partial Dirichlet sums vs zeta^k F_q at s = 2.
     x = 200000
     tab = sieve_all(x, 3)
-    ns = np.arange(1, x + 1, dtype=np.float64)
-    for k in (2, 3):
-        dk = tab.dk[k][1:].astype(np.float64)
-        for q in (1, 4, 6):
-            direct = float(np.sum(dk * ramanujan_row(q, x) / ns**2))
+    ns2 = np.arange(1, x + 1, dtype=np.float64) ** 2
+    for q in (1, 4, 6):
+        # One Ramanujan row per q, shared by both k.
+        terms = ramanujan_row(q, x) / ns2
+        for k in (2, 3):
+            direct = float(np.dot(tab.dk[k][1:], terms))
             pred = (zeta_near_one(2.0) ** k * euler_F_q(q, k, 2.0)).real
             if abs(direct - pred) > 5e-3 * abs(pred):
                 failures.append(
@@ -251,9 +254,9 @@ def _table_rows(args):
         except (ValueError, OSError) as exc:
             raise ValueError(f"--seq: {exc}") from None
         header = "q,V,method"
-        for q in range(1, args.q_max + 1):
-            rep = variance_mod_q(seq, q)
-            rows.append(f"{q},{_fmt(rep.v)},{rep.method}")
+        for q, v in enumerate(variance_rows(seq, args.q_max), start=1):
+            method = "exact" if isinstance(v, Fraction) else "float"
+            rows.append(f"{q},{_fmt(v)},{method}")
     elif args.what == "weights":
         if args.R is None:
             raise ValueError("--R is required")

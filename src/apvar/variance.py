@@ -5,8 +5,10 @@ gcd-class averages; H(q) does the same for the exponential sums A(a/q)
 over reduced residues.  The two are linked by the exact identity
 q V(q) = sum_{d|q} H(d), which is the backbone of the test suite.
 variance_sweep evaluates V(q) for every modulus up to Q at once, with an
-a-priori error bound; the sums over moduli are built on it, and the
-per-modulus variance_mod_q stays as its oracle and exact path.
+a-priori error bound; the sums over moduli and the rows of `apvar table
+variance` (variance_rows, exact rationals in closed form when the sweep
+is exact) are built on it.  The per-modulus variance_mod_q stays as
+their oracle and as the divisor identity's path.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ def _use_exact(seq: Sequence) -> bool:
 class VarianceReport:
     q: int
     v: object  # float or Fraction
-    method: str
 
 
 @dataclass
@@ -55,12 +56,29 @@ class ExpVarianceReport:
     h: object  # float or Fraction
 
 
+def _exact_sums(seq: Sequence, t: np.ndarray) -> np.ndarray:
+    """The residue sums t of an integer sequence as Python ints (an
+    object array), so that products of them cannot wrap.
+
+    The float bincount behind t is exact while ||a||_1 < 2^53: every
+    partial sum is then an integer float64 holds.  The float ||a||_1 is
+    a safe test, since no partial sum of nonnegative integers below
+    2^53 rounds and rounding never takes a sum at or above 2^53 below it.
+    """
+    if not seq.is_integer_valued:
+        raise ValueError("the exact path needs an integer-valued sequence")
+    if not float(np.abs(seq.values).sum()) < 2.0**53:
+        raise ValueError("the exact path needs ||a||_1 < 2^53")
+    return t.astype(np.int64).astype(object)
+
+
 def variance_mod_q(seq: Sequence, q: int, exact: bool | None = None) -> VarianceReport:
     """V(q): double sum over h|q and classes a with (a,q)=h.
 
     Uses the closed form V(q) = sum_a t_a^2 - sum_{h|q} S_h^2/phi(q/h),
     which follows from each gcd class containing exactly phi(q/h)
-    residues.
+    residues.  The exact path squares in Python ints; it is the
+    per-modulus oracle of variance_rows.
     """
     if q < 1:
         raise ValueError("q must be positive")
@@ -69,14 +87,12 @@ def variance_mod_q(seq: Sequence, q: int, exact: bool | None = None) -> Variance
     t = residue_sums(seq, q)
     g = _gcd_classes(q)
     if exact:
-        ti = np.round(t).astype(np.int64)
+        ti = _exact_sums(seq, t)
         total = Fraction(0)
-        sq = int(np.dot(ti, ti))
         for h in divisors(q):
-            sh = int(ti[g == h].sum())
+            sh = ti[g == h].sum()
             total += Fraction(sh * sh, totient(q // h))
-        v = Fraction(sq) - total
-        return VarianceReport(q=q, v=v, method="direct")
+        return VarianceReport(q=q, v=Fraction(np.dot(ti, ti)) - total)
     total = 0.0
     sq = float(np.dot(t, t))
     for h in divisors(q):
@@ -86,7 +102,7 @@ def variance_mod_q(seq: Sequence, q: int, exact: bool | None = None) -> Variance
     # Guard against cancellation pushing slightly below zero.
     if v < 0 and v > -1e-9 * max(sq, 1.0):
         v = 0.0
-    return VarianceReport(q=q, v=v, method="direct")
+    return VarianceReport(q=q, v=v)
 
 
 def _check_moduli(q_max: int, q_min: int) -> None:
@@ -103,13 +119,16 @@ class VarianceSweep:
     `error[q]` bounds |v[q] - V(q)| a priori; `square_sums[q]` is
     sum_a t_a(q)^2, an exact int64 when `exact_squares`.  `sums[e]` is
     the multiple sum M[e] = sum_{e | n} a_n, `correlations[d]` is
-    C_d = sum_n a_n c_d(n) (see below), and `phi[d]` is phi(d).
+    C_d = sum_n a_n c_d(n) (see below), every one the exact integer when
+    `exact_correlations` (which implies `exact_squares`), and `phi[d]`
+    is phi(d).
     """
 
     v: np.ndarray
     error: np.ndarray
     square_sums: np.ndarray
     exact_squares: bool
+    exact_correlations: bool
     sums: np.ndarray
     correlations: np.ndarray
     phi: np.ndarray
@@ -148,7 +167,9 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
       1 + 2 floor(N/q) lags: error <= (1 + 2N/q) eps plus gamma of that
       count times ||a||_1^2 >= r(0) + 2 sum_j |r(jq)|.
     * C_d: exact in int64 on the integer path while sum_e e |M[e]|, which
-      bounds every partial sum, stays below 2^62.  Otherwise each
+      bounds every partial sum, stays below 2^62; its cast to float64
+      then errs by the exact |C_d - fl(C_d)|, 0 while |C_d| <= 2^53.
+      Otherwise each
       M[e] sums at most N terms and each C_d at most d products, so
       |C^_d - C_d| <= gamma_{2(N + d + 1)} C_abs[d] + d e0, where C_abs
       is the same convolution of sum_{e|n} |a_n| with |mu| (the
@@ -177,10 +198,13 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
         err[1:] = lags * eps + gamma(lags) * (l1 * l1 + lags * eps)
     mu, phi = mobius_totient(q_max)
     m = multiple_sums(seq.int_values() if exact else seq.values, q_max)
-    if exact and float(np.arange(q_max + 1) @ np.abs(m)) < 2.0**62:
+    exact_c = exact and float(np.arange(q_max + 1) @ np.abs(m)) < 2.0**62
+    if exact_c:
         # Every partial sum of every C_d stays below 2^62.
-        c = ramanujan_convolution(m, mu).astype(np.float64)
-        dc = np.zeros(q_max + 1)
+        ci = ramanujan_convolution(m, mu)
+        c = ci.astype(np.float64)
+        dc = np.abs(ci - c.astype(np.int64)).astype(np.float64)
+        exact_c = not dc.any()
     else:
         c = ramanujan_convolution(m.astype(np.float64), mu)
         c_abs = ramanujan_convolution(
@@ -201,7 +225,35 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
                 + underflow(8 * g[1:, 2] + 16))
     np.maximum(v, 0.0, out=v)
     return VarianceSweep(v=v, error=err, square_sums=squares,
-                         exact_squares=exact, sums=m, correlations=c, phi=phi)
+                         exact_squares=exact, exact_correlations=exact_c,
+                         sums=m, correlations=c, phi=phi)
+
+
+def variance_rows(seq: Sequence, q_max: int) -> list:
+    """V(q) for q = 1..q_max from one variance_sweep: exact Fractions
+    when the sequence takes the exact path (_use_exact) and the sweep
+    knows T(q) and every C_d as integers, else the sweep's floats v[q],
+    each within its error[q].
+
+    V(q) = T(q) - G(q)/q with G(q) = sum_{d|q} C_d^2/phi(d).  For d | q,
+    phi(d) | phi(q): phi is multiplicative, and each p^a || d, p^b || q
+    has a <= b, so phi(p^a) = p^(a-1) (p - 1) divides phi(p^b) (or is 1
+    when a = 0).  So every row has the one denominator q phi(q):
+    V(q) = (q phi(q) T(q) - sum_{d|q} (phi(q)/phi(d)) C_d^2) / (q phi(q)).
+    The numerators take one strided pass per d <= q_max in Python ints,
+    sum_d q_max/d steps in all, and each row is then one Fraction.
+    """
+    sweep = variance_sweep(seq, q_max)
+    if not (_use_exact(seq) and sweep.exact_correlations):
+        return sweep.v[1:].tolist()
+    phi, c = sweep.phi.tolist(), sweep.correlations.tolist()
+    num = [q * phi[q] * t for q, t in enumerate(sweep.square_sums.tolist())]
+    for d in range(1, q_max + 1):
+        w = int(c[d]) ** 2
+        if w:
+            for q in range(d, q_max + 1, d):
+                num[q] -= phi[q] // phi[d] * w
+    return [Fraction(num[q], q * phi[q]) for q in range(1, q_max + 1)]
 
 
 def variance_total(seq: Sequence, q_max: int, q_min: int = 1) -> float:
@@ -228,13 +280,13 @@ def exp_variance_H(seq: Sequence, q: int, exact: bool | None = None) -> ExpVaria
     c = np.roll(ramanujan_row(q, q), 1)      # c_q(j), j = 0..q-1
     phi_q = totient(q)
     if exact:
-        t = np.round(t).astype(np.int64)
-    # Circular autocorrelation u[d] = sum_i t_i t_{i+d mod q}, in integers
-    # on the exact path.
+        t, c = _exact_sums(seq, t), c.astype(object)
+    # Circular autocorrelation u[d] = sum_i t_i t_{i+d mod q}, in Python
+    # ints on the exact path.
     u = np.correlate(np.concatenate([t, t[:-1]]), t, "valid")
     if exact:
-        corr = int(np.dot(c, t))
-        h = Fraction(int(np.dot(c, u))) - Fraction(corr * corr, phi_q)
+        corr = np.dot(c, t)
+        h = Fraction(np.dot(c, u)) - Fraction(corr * corr, phi_q)
         return ExpVarianceReport(q=q, h=h)
     bilinear = float(np.dot(c, u))
     corr = float(np.dot(c, t))

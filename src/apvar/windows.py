@@ -75,11 +75,16 @@ class SmoothWindow:
         """Fourier transform Phi^(xi) = int Phi(t) e(-xi t) dt, as the
         rectangle sum (1/m) sum_(i<m) Phi(i/m) e(-xi i/m), m = 2^16;
         vectorized over xi.  The sum is spectrally accurate for the same
-        reason as phi_int, which is its value at xi = 0."""
+        reason as phi_int, which is its value at xi = 0.  Phi is real, so
+        each value is two real dot products, with cos and sin."""
         xi = np.asarray(xi, dtype=np.float64)
         t = np.arange(_SAMPLES) / _SAMPLES
-        out = np.array([np.dot(self._samples, np.exp(-2j * np.pi * x * t))
-                        for x in xi.ravel()]) / _SAMPLES
+        out = np.empty(xi.size, dtype=np.complex128)
+        for i, x in enumerate(xi.ravel()):
+            angle = 2.0 * np.pi * x * t
+            out[i] = complex(np.dot(self._samples, np.cos(angle)),
+                             -np.dot(self._samples, np.sin(angle)))
+        out /= _SAMPLES
         return complex(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
 
     def phi_hat_quad(self, xi: float) -> complex:

@@ -56,6 +56,22 @@ def test_table_variance_exact_output(tmp_path, capsys):
     assert lines[0] == "q,V,method"
     # exact rationals serialized num/den
     assert "/" in lines[3].split(",")[1]
+    assert all(line.split(",")[2] == "exact" for line in lines[1:])
+
+
+@pytest.mark.parametrize("seq, n", [("lambda", 1000), ("d2", 20000)])
+def test_table_variance_float_rows_from_sweep(seq, n, tmp_path, capsys):
+    """Lambda, and integer sequences past N = 10^4, are tabulated from
+    the sweep's floats."""
+    from apvar.arith import load_sequence
+    from apvar.variance import variance_sweep
+
+    code, out, _ = run_cli(["table", "variance", "--seq", seq, "--N", str(n),
+                            "--q-max", "30"], tmp_path, capsys)
+    assert code == 0
+    sweep = variance_sweep(load_sequence(seq, n), 30)
+    assert out.splitlines()[1:] == [f"{q},{sweep.v[q]:.12g},float"
+                                    for q in range(1, 31)]
 
 
 def test_table_weights_and_determinism(tmp_path, capsys):

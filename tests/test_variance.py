@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apvar.arith import (Sequence, divisors, ramanujan_correlations,
-                         ramanujan_sum, totient)
+from apvar.arith import (Sequence, divisors, load_sequence, mobius_totient,
+                         ramanujan_correlations, ramanujan_sum, totient)
 from apvar.variance import (_prime_power_class_squares, check_identity_prop1,
                             cor1_lower_bound, exp_variance_H, psi_counts,
                             residue_sums, restricted_variance_total,
-                            variance_mod_q, variance_sweep, variance_total)
+                            variance_mod_q, variance_rows, variance_sweep,
+                            variance_total)
 
 from oracles import prime_power_class_squares_loop
 
@@ -87,6 +88,28 @@ def test_float_path_agrees_with_exact(table_300):
         assert hf == pytest.approx(float(he), rel=1e-9)
 
 
+def test_exact_paths_do_not_wrap(rng):
+    """Class sums near 3e11 square past 2^63: the exact paths keep them
+    in Python ints, and refuse a sequence the float class sums cannot
+    hold exactly."""
+    const = Sequence.from_coeffs(np.full(300, 3e9), is_integer_valued=True)
+    assert variance_mod_q(const, 3, exact=True).v == 0
+    assert exp_variance_H(const, 3, exact=True).h == 0
+    big = Sequence.from_coeffs(rng.integers(-3 * 10**9, 3 * 10**9, 300),
+                               is_integer_valued=True)
+    for q in (3, 12, 36):
+        assert variance_mod_q(big, q, exact=True).v == brute_variance(big, q)
+        chk = check_identity_prop1(big, q)
+        assert chk.ok and chk.residual == 0
+    huge = Sequence.from_coeffs([2.0**52] * 3, is_integer_valued=True)
+    with pytest.raises(ValueError, match="2\\^53"):
+        variance_mod_q(huge, 2, exact=True)
+    with pytest.raises(ValueError, match="2\\^53"):
+        exp_variance_H(huge, 2, exact=True)
+    with pytest.raises(ValueError, match="integer"):
+        variance_mod_q(Sequence.from_coeffs([0.5, 1.0]), 2, exact=True)
+
+
 def test_residue_sums_basic():
     seq = Sequence.from_coeffs([1.0] * 10)
     t = residue_sums(seq, 4)
@@ -109,6 +132,46 @@ def test_sweep_matches_exact_per_q(table_300, rng):
                 <= Fraction(float(sweep.error[q])), (seq.name, q)
             t = [int(iv[a::q].sum()) for a in range(q)]
             assert int(sweep.square_sums[q]) == sum(x * x for x in t)
+
+
+@pytest.mark.parametrize("n, q_max", [(1, 5), (2, 7), (300, 350),
+                                      (10**4, 300)])
+def test_variance_rows_exact_match_per_q_oracle(n, q_max):
+    """The closed-form rows over q phi(q) are the per-modulus exact V(q),
+    q_max > N included."""
+    for name in ("d2", "d3", "d4", "ones"):
+        seq = load_sequence(name, n)
+        rows = variance_rows(seq, q_max)
+        assert len(rows) == q_max
+        assert all(isinstance(v, Fraction) for v in rows), name
+        for q, v in enumerate(rows, start=1):
+            assert v == variance_mod_q(seq, q, exact=True).v, (name, q)
+        if n == 300:
+            for q in (1, 12, 36, 60, 301, 350):
+                assert rows[q - 1] == brute_variance(seq, q), (name, q)
+
+
+def test_totient_divides_along_divisors():
+    """phi(d) | phi(q) for every d | q <= 10^4: the single denominator
+    q phi(q) of variance_rows."""
+    _, phi = mobius_totient(10**4)
+    for d in range(1, 10**4 + 1):
+        assert not np.any(phi[d::d] % phi[d]), d
+
+
+def test_variance_rows_float_when_sweep_inexact(rng):
+    """Integer entries near 10^8 put the FFT error above 1/2: the rows
+    are the sweep's floats, each within its bound of the exact V(q)."""
+    seq = Sequence.from_coeffs(rng.integers(-10**8, 10**8, 300),
+                               is_integer_valued=True)
+    sweep = variance_sweep(seq, 40)
+    assert not sweep.exact_squares and not sweep.exact_correlations
+    rows = variance_rows(seq, 40)
+    assert rows == sweep.v[1:].tolist()
+    for q, v in enumerate(rows, start=1):
+        assert isinstance(v, float)
+        assert abs(Fraction(v) - brute_variance(seq, q)) \
+            <= Fraction(float(sweep.error[q])), q
 
 
 def test_sweep_correlations_match_ramanujan_correlations(table_1e4, rng):
