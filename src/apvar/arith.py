@@ -51,6 +51,10 @@ class Sequence:
             raise ValueError("a sequence needs at least one coefficient")
         v = v.copy()
         v[0] = 0.0
+        finite = np.isfinite(v)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(f"coefficient a_{i} = {v[i]} is not finite")
         if self.is_integer_valued and not np.all(v == np.round(v)):
             raise ValueError("is_integer_valued set but coefficients are not integers")
         self.values = v
@@ -442,7 +446,7 @@ def mobius_totient(n: int):
 
 
 def _convolve_ones(f: np.ndarray) -> np.ndarray:
-    """Dirichlet convolution f * 1 on 1..n, along the first axis.
+    """Dirichlet convolution f * 1 on 1..n.
 
     Hyperbola split at s = isqrt(n): g[d::d] += f[1 : n/d + 1] for each
     d <= s, then g[jd] += f[j] over all d > s for each cofactor j <= s,
@@ -564,15 +568,24 @@ def _cache_load(n, k):
 
 
 def load_sequence(name: str, n: int, table: SieveTable | None = None) -> Sequence:
-    """Resolve one of: lambda, d2, d3, d4, ones, file:<path>."""
+    """Resolve one of: lambda, d2, d3, d4, ones, file:<path>.
+
+    A file holds rows `n,a_n` with integer n >= 1; rows with n > N are
+    dropped, and the coefficients must be finite (Sequence)."""
     if name.startswith("file:"):
         path = name[5:]
         data = np.loadtxt(path, delimiter=",", ndmin=2)
+        if data.size and data.shape[1] != 2:
+            raise ValueError(f"{path}: rows must be n,a_n, found "
+                             f"{data.shape[1]} column(s)")
+        idx, coeffs = data.reshape(-1, 2).T
+        bad = np.flatnonzero(~((idx >= 1) & (idx == np.round(idx))))
+        if bad.size:
+            raise ValueError(f"{path}: index {idx[bad[0]]:g} in row "
+                             f"{bad[0] + 1} is not an integer >= 1")
+        keep = idx <= n
         vals = np.zeros(n + 1)
-        for row in data:
-            idx = int(row[0])
-            if 1 <= idx <= n:
-                vals[idx] = row[1]
+        vals[idx[keep].astype(np.int64)] = coeffs[keep]
         return Sequence(vals, name=name)
     if name == "ones":
         return Sequence.from_coeffs(np.ones(n), is_integer_valued=True, name="ones")

@@ -7,26 +7,26 @@ q V(q) = sum_{d|q} H(d), which is the backbone of the test suite.
 variance_sweep evaluates V(q) for every modulus up to Q at once, with an
 a-priori error bound; the sums over moduli and the rows of `apvar table
 variance` (variance_rows, exact rationals in closed form when the sweep
-is exact) are built on it.  The per-modulus variance_mod_q stays as
-their oracle and as the divisor identity's path.
+knows its sums as integers) are built on it.  The per-modulus
+variance_mod_q and exp_variance_H are their oracles and the divisor
+identity's path.  Each returns the value itself, exact when the data
+allow it: a Fraction when the sequence is integer-valued with
+||a||_1 < 2^53, so that its class sums are exact, else a float.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import (Sequence, _convolve_ones, _primes_from_spf, divisors,
-                    gamma, lag_correlations, mobius,
+from .arith import (Sequence, _convolve_ones, _d2_sieve, _primes_from_spf,
+                    divisors, gamma, lag_correlations, mobius,
                     mobius_totient, multiple_sums, ramanujan_convolution,
                     ramanujan_correlations, ramanujan_row, totient, underflow)
-
-# Sequences longer than this always take the float path even when
-# integer-valued; the exact path is the identity tester, not the scaler.
-EXACT_N_LIMIT = 10_000
 
 
 def residue_sums(seq: Sequence, q: int) -> np.ndarray:
@@ -40,69 +40,57 @@ def _gcd_classes(q: int) -> np.ndarray:
     return np.gcd(np.arange(q), q)
 
 
-def _use_exact(seq: Sequence) -> bool:
-    return seq.is_integer_valued and seq.n <= EXACT_N_LIMIT
+def _exact_class_sums(seq: Sequence) -> bool:
+    """Whether the residue sums of `seq` are its exact integer class sums.
 
-
-@dataclass
-class VarianceReport:
-    q: int
-    v: object  # float or Fraction
-
-
-@dataclass
-class ExpVarianceReport:
-    q: int
-    h: object  # float or Fraction
-
-
-def _exact_sums(seq: Sequence, t: np.ndarray) -> np.ndarray:
-    """The residue sums t of an integer sequence as Python ints (an
-    object array), so that products of them cannot wrap.
-
-    The float bincount behind t is exact while ||a||_1 < 2^53: every
-    partial sum is then an integer float64 holds.  The float ||a||_1 is
-    a safe test, since no partial sum of nonnegative integers below
-    2^53 rounds and rounding never takes a sum at or above 2^53 below it.
+    The float bincount behind them is exact when the sequence is
+    integer-valued and ||a||_1 < 2^53: every partial sum is then an
+    integer float64 holds.  The float ||a||_1 is a safe test, since no
+    partial sum of nonnegative integers below 2^53 rounds and rounding
+    never takes a sum at or above 2^53 below it.
     """
-    if not seq.is_integer_valued:
-        raise ValueError("the exact path needs an integer-valued sequence")
-    if not float(np.abs(seq.values).sum()) < 2.0**53:
-        raise ValueError("the exact path needs ||a||_1 < 2^53")
-    return t.astype(np.int64).astype(object)
+    return seq.is_integer_valued and seq.l1() < 2.0**53
 
 
-def variance_mod_q(seq: Sequence, q: int, exact: bool | None = None) -> VarianceReport:
+def _class_sums(seq: Sequence, q: int):
+    """The residue sums t mod q and the division to use on them: Python
+    ints (an object array, so that products cannot wrap) and Fraction
+    when they are exact (_exact_class_sums), else floats and true
+    division."""
+    t = residue_sums(seq, q)
+    if _exact_class_sums(seq):
+        return t.astype(np.int64).astype(object), Fraction
+    return t, operator.truediv
+
+
+def _nonnegative(x, scale):
+    """A V or H from its closed form: an exact value is a Fraction and
+    never negative; a float is clipped to 0 when cancellation has left
+    it just below (within 1e-9 of `scale`)."""
+    if x < 0 and x > -1e-9 * max(scale, 1.0):
+        return 0.0
+    return x if isinstance(x, Fraction) else float(x)
+
+
+def variance_mod_q(seq: Sequence, q: int) -> Fraction | float:
     """V(q): double sum over h|q and classes a with (a,q)=h.
 
     Uses the closed form V(q) = sum_a t_a^2 - sum_{h|q} S_h^2/phi(q/h),
     which follows from each gcd class containing exactly phi(q/h)
-    residues.  The exact path squares in Python ints; it is the
-    per-modulus oracle of variance_rows.
+    residues.  A Fraction when the class sums are exact (squared in
+    Python ints), else a float; it is the per-modulus oracle of
+    variance_rows.
     """
     if q < 1:
         raise ValueError("q must be positive")
-    if exact is None:
-        exact = _use_exact(seq)
-    t = residue_sums(seq, q)
+    t, div = _class_sums(seq, q)
     g = _gcd_classes(q)
-    if exact:
-        ti = _exact_sums(seq, t)
-        total = Fraction(0)
-        for h in divisors(q):
-            sh = ti[g == h].sum()
-            total += Fraction(sh * sh, totient(q // h))
-        return VarianceReport(q=q, v=Fraction(np.dot(ti, ti)) - total)
-    total = 0.0
-    sq = float(np.dot(t, t))
+    sq = np.dot(t, t)
+    total = 0
     for h in divisors(q):
-        sh = float(t[g == h].sum())
-        total += sh * sh / totient(q // h)
-    v = sq - total
-    # Guard against cancellation pushing slightly below zero.
-    if v < 0 and v > -1e-9 * max(sq, 1.0):
-        v = 0.0
-    return VarianceReport(q=q, v=v)
+        sh = t[g == h].sum()
+        total += div(sh * sh, totient(q // h))
+    return _nonnegative(sq - total, sq)
 
 
 def _check_moduli(q_max: int, q_min: int) -> None:
@@ -211,18 +199,18 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
             multiple_sums(np.abs(seq.values), q_max), np.abs(mu))
         ds = np.arange(q_max + 1)
         dc = gamma(2 * (n + ds + 1)) * c_abs + underflow(ds)
-    w = np.zeros((q_max + 1, 3))
-    w[1:, 0] = c[1:] ** 2 / phi[1:]
-    w[1:, 1] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
-        + gamma(4) * w[1:, 0]
-    w[1:, 2] = 1.0
-    g = _convolve_ones(w)        # columns: G, its error, tau(q)
+    w, dw = np.zeros(q_max + 1), np.zeros(q_max + 1)
+    w[1:] = c[1:] ** 2 / phi[1:]
+    dw[1:] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
+        + gamma(4) * w[1:]
+    g, dg = _convolve_ones(w)[1:], _convolve_ones(dw)[1:]    # G and its error
+    tau = _d2_sieve(q_max)[1:]
     q = np.arange(1, q_max + 1)
     v = np.zeros(q_max + 1)
-    v[1:] = squares[1:] - g[1:, 0] / q
-    err[1:] += ((g[1:, 1] + gamma(g[1:, 2] + 1) * g[1:, 0]) / q
+    v[1:] = squares[1:] - g / q
+    err[1:] += ((dg + gamma(tau + 1) * g) / q
                 + gamma(2) * (np.abs(squares[1:]) + np.abs(v[1:]))
-                + underflow(8 * g[1:, 2] + 16))
+                + underflow(8 * tau + 16))
     np.maximum(v, 0.0, out=v)
     return VarianceSweep(v=v, error=err, square_sums=squares,
                          exact_squares=exact, exact_correlations=exact_c,
@@ -231,9 +219,9 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
 
 def variance_rows(seq: Sequence, q_max: int) -> list:
     """V(q) for q = 1..q_max from one variance_sweep: exact Fractions
-    when the sequence takes the exact path (_use_exact) and the sweep
-    knows T(q) and every C_d as integers, else the sweep's floats v[q],
-    each within its error[q].
+    when the sweep knows T(q) and every C_d as integers
+    (`exact_correlations`, which holds only for integer sequences), else
+    the sweep's floats v[q], each within its error[q].
 
     V(q) = T(q) - G(q)/q with G(q) = sum_{d|q} C_d^2/phi(d).  For d | q,
     phi(d) | phi(q): phi is multiplicative, and each p^a || d, p^b || q
@@ -244,7 +232,7 @@ def variance_rows(seq: Sequence, q_max: int) -> list:
     sum_d q_max/d steps in all, and each row is then one Fraction.
     """
     sweep = variance_sweep(seq, q_max)
-    if not (_use_exact(seq) and sweep.exact_correlations):
+    if not sweep.exact_correlations:
         return sweep.v[1:].tolist()
     phi, c = sweep.phi.tolist(), sweep.correlations.tolist()
     num = [q * phi[q] * t for q, t in enumerate(sweep.square_sums.tolist())]
@@ -264,36 +252,25 @@ def variance_total(seq: Sequence, q_max: int, q_min: int = 1) -> float:
     return math.fsum(variance_sweep(seq, q_max).v[q_min:])
 
 
-def exp_variance_H(seq: Sequence, q: int, exact: bool | None = None) -> ExpVarianceReport:
+def exp_variance_H(seq: Sequence, q: int) -> Fraction | float:
     """H(q): variance of A(a/q) over reduced residues a.
 
     Evaluated through the Ramanujan-sum bilinear form
     sum_{m,n} a_m a_n c_q(m-n) - |sum_n a_n c_q(n)|^2 / phi(q),
     grouping m, n into residue classes so the cost after the class sums
-    is in the modulus, not the sequence length.
+    is in the modulus, not the sequence length.  A Fraction when the
+    class sums are exact (in Python ints), else a float.
     """
     if q < 1:
         raise ValueError("q must be positive")
-    if exact is None:
-        exact = _use_exact(seq)
-    t = residue_sums(seq, q)
+    t, div = _class_sums(seq, q)
     c = np.roll(ramanujan_row(q, q), 1)      # c_q(j), j = 0..q-1
-    phi_q = totient(q)
-    if exact:
-        t, c = _exact_sums(seq, t), c.astype(object)
-    # Circular autocorrelation u[d] = sum_i t_i t_{i+d mod q}, in Python
-    # ints on the exact path.
+    # Circular autocorrelation u[d] = sum_i t_i t_{i+d mod q}.
     u = np.correlate(np.concatenate([t, t[:-1]]), t, "valid")
-    if exact:
-        corr = np.dot(c, t)
-        h = Fraction(np.dot(c, u)) - Fraction(corr * corr, phi_q)
-        return ExpVarianceReport(q=q, h=h)
-    bilinear = float(np.dot(c, u))
-    corr = float(np.dot(c, t))
-    h = bilinear - corr * corr / phi_q
-    if h < 0 and h > -1e-9 * max(abs(bilinear), 1.0):
-        h = 0.0
-    return ExpVarianceReport(q=q, h=h)
+    bilinear = np.dot(c, u)
+    corr = np.dot(c, t)
+    return _nonnegative(bilinear - div(corr * corr, totient(q)),
+                        abs(bilinear))
 
 
 @dataclass
@@ -309,28 +286,22 @@ class IdentityCheck:
 def check_identity_prop1(seq: Sequence, q: int) -> IdentityCheck:
     """Verify q V(q) = sum_{d|q} H(d).
 
-    Exact equality on the exact path; on the float path the residual
+    Exact equality when the class sums are exact; otherwise the residual
     must stay below 1e-6 * qV.  On failure, reports the divisors d whose
     H(d) disagrees with the Moebius-inverted form sum_{e|d} e V(e) mu(d/e).
     """
-    exact = _use_exact(seq)
-    v = variance_mod_q(seq, q, exact=exact).v
-    lhs = q * v
-    hs = {d: exp_variance_H(seq, d, exact=exact).h for d in divisors(q)}
-    rhs = sum(hs.values())
-    residual = lhs - rhs
-    if exact:
-        ok = residual == 0
-    else:
-        ok = abs(residual) <= 1e-6 * max(abs(lhs), 1.0)
+    exact = _exact_class_sums(seq)
+    lhs = q * variance_mod_q(seq, q)
+    hs = {d: exp_variance_H(seq, d) for d in divisors(q)}
+    residual = lhs - sum(hs.values())
+    ok = abs(residual) <= (0 if exact else 1e-6 * max(abs(lhs), 1.0))
     bad = []
     if not ok:
         for d in divisors(q):
-            alt = sum(e * variance_mod_q(seq, e, exact=exact).v * mobius(d // e)
+            alt = sum(e * variance_mod_q(seq, e) * mobius(d // e)
                       for e in divisors(d))
-            delta = hs[d] - alt
             tol = 0 if exact else 1e-6 * max(abs(float(hs[d])), 1.0)
-            if abs(delta) > tol:
+            if abs(hs[d] - alt) > tol:
                 bad.append(d)
     return IdentityCheck(ok=bool(ok), residual=residual, bad_divisors=bad)
 
@@ -360,7 +331,7 @@ def cor1_lower_bound(seq: Sequence, q: int, q0: int) -> float:
     first = sum(_reduced_power_sum(seq, d) for d in ds)
     second = sum(c * c / totient(d) for d, c in zip(ds, corrs.tolist()))
     bound = first - second
-    qv = q * float(variance_mod_q(seq, q, exact=False).v)
+    qv = q * float(variance_mod_q(seq, q))
     slack = 1e-6 * max(abs(qv), abs(bound), 1.0)
     if bound > qv + slack:
         raise AssertionError(

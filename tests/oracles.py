@@ -198,7 +198,7 @@ def ramanujan_convolution_loop(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def convolve_ones_loop(f: np.ndarray) -> np.ndarray:
-    """Dirichlet convolution f * 1 along the first axis, one pass per d."""
+    """Dirichlet convolution f * 1 on 1..n, one pass per d."""
     n = len(f) - 1
     g = np.zeros_like(f)
     for d in range(1, n + 1):

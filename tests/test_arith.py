@@ -143,6 +143,9 @@ def test_sequence_invariants():
     assert s.l1() == 6
     with pytest.raises(ValueError):
         Sequence.from_coeffs([0.5], is_integer_valued=True)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="a_2 .* not finite"):
+            Sequence.from_coeffs([1.0, bad, 2.0])
 
 
 # Lengths around the hyperbola split point isqrt(n) and its edge cases.
@@ -182,9 +185,9 @@ def test_divisor_kernels_match_loops_on_integers(table_1e4):
 
 
 def test_divisor_kernels_match_loops_on_floats():
-    """On floats the convolutions (one and three columns) keep the loops'
-    order of summation, so they match bit for bit; a multiple sum over
-    e > isqrt(n) is sequential, within gamma_{n/e} sum |a| of the loop."""
+    """On floats the convolutions keep the loops' order of summation, so
+    they match bit for bit; a multiple sum over e > isqrt(n) is
+    sequential, within gamma_{n/e} sum |a| of the loop."""
     rng = np.random.default_rng(9)
     for n in KERNEL_NS:
         values = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-3, 4, n + 1)
@@ -193,8 +196,8 @@ def test_divisor_kernels_match_loops_on_floats():
             m = rng.standard_normal(emax + 1)
             assert_same(ramanujan_convolution(m, mu),
                         ramanujan_convolution_loop(m, mu))
-            f = rng.standard_normal((emax + 1, 3))
-            assert_same(_convolve_ones(f), convolve_ones_loop(f))
+            for f in rng.standard_normal((emax + 1, 3)).T:
+                assert_same(_convolve_ones(f), convolve_ones_loop(f))
             loop = multiple_sums_loop(values, emax)
             bound = gamma(n // np.arange(1, emax + 1)) \
                 * multiple_sums_loop(np.abs(values), emax)[1:]

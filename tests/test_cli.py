@@ -59,10 +59,10 @@ def test_table_variance_exact_output(tmp_path, capsys):
     assert all(line.split(",")[2] == "exact" for line in lines[1:])
 
 
-@pytest.mark.parametrize("seq, n", [("lambda", 1000), ("d2", 20000)])
+@pytest.mark.parametrize("seq, n", [("lambda", 1000)])
 def test_table_variance_float_rows_from_sweep(seq, n, tmp_path, capsys):
-    """Lambda, and integer sequences past N = 10^4, are tabulated from
-    the sweep's floats."""
+    """Lambda, whose sweep is not exact, is tabulated from the sweep's
+    floats."""
     from apvar.arith import load_sequence
     from apvar.variance import variance_sweep
 
@@ -72,6 +72,63 @@ def test_table_variance_float_rows_from_sweep(seq, n, tmp_path, capsys):
     sweep = variance_sweep(load_sequence(seq, n), 30)
     assert out.splitlines()[1:] == [f"{q},{sweep.v[q]:.12g},float"
                                     for q in range(1, 31)]
+
+
+def test_table_variance_exact_rows_follow_sweep(tmp_path, capsys):
+    """d_2 at N = 2 * 10^4 has an exact sweep, so every row is the exact
+    rational, the per-modulus V(q) of the same sequence."""
+    from fractions import Fraction
+
+    from apvar.arith import load_sequence
+    from apvar.variance import variance_mod_q, variance_sweep
+
+    n = 20000
+    seq = load_sequence("d2", n)
+    assert variance_sweep(seq, 30).exact_correlations
+    code, out, _ = run_cli(["table", "variance", "--seq", "d2", "--N", str(n),
+                            "--q-max", "30"], tmp_path, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(q) for q, _, _ in rows] == list(range(1, 31))
+    for q, v, method in rows:
+        assert method == "exact", q
+        assert Fraction(v) == variance_mod_q(seq, int(q)), q
+
+
+@pytest.mark.parametrize("text", ["1\n2\n3\n", "1,1\n2,nan\n3,2\n",
+                                  "1,1\n2,inf\n", "1,1\n2.5,3\n"],
+                         ids=["one-column", "nan", "inf", "fractional-index"])
+def test_table_variance_bad_file_fails_cleanly(text, tmp_path, capsys):
+    path = tmp_path / "seq.csv"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["table", "variance", "--seq", f"file:{path}",
+                              "--N", "5", "--q-max", "3", "--out", "t.csv"],
+                             out_dir, capsys)
+    assert code == 2
+    assert err.startswith("error: --seq: ")
+    assert out == "" and not out_dir.exists()
+
+
+def test_benchmark_self_test_passes(tmp_path):
+    """perfbench/run.py --self-test injects a wrong chain LHS and a wrong
+    exact table row, and both must fail their oracles.  It runs in a copy,
+    since the harness clears its work directory under its own root."""
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).parents[1]
+    skip = shutil.ignore_patterns("__pycache__", "*.egg-info",
+                                  ".perfbench_work")
+    for name in ("perfbench", "src"):
+        shutil.copytree(root / name, tmp_path / name, ignore=skip)
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--self-test"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "self-test PASS"
 
 
 def test_table_weights_and_determinism(tmp_path, capsys):

@@ -35,6 +35,18 @@ def brute_variance(seq, q):
     return total
 
 
+def brute_H_exact(seq, q):
+    """H(q) as the bilinear form sum_{m,n} a_m a_n c_q(m-n)
+    - (sum_n a_n c_q(n))^2 / phi(q) over the coefficients themselves, in
+    Python ints (integer sequences only)."""
+    a = [int(x) for x in seq.values]
+    ns = range(1, seq.n + 1)
+    bilinear = sum(a[m] * a[n] * ramanujan_sum(q, m - n)
+                   for m in ns for n in ns)
+    corr = sum(a[n] * ramanujan_sum(q, n) for n in ns)
+    return bilinear - Fraction(corr * corr, totient(q))
+
+
 def brute_H(seq, q):
     """H(q) via the complex exponential sums directly."""
     n = np.arange(seq.n + 1)
@@ -58,7 +70,7 @@ def small_int_sequences(draw):
 @given(small_int_sequences(), st.integers(1, 24))
 @settings(max_examples=40, deadline=None)
 def test_variance_matches_bruteforce(seq, q):
-    assert variance_mod_q(seq, q).v == brute_variance(seq, q)
+    assert variance_mod_q(seq, q) == brute_variance(seq, q)
 
 
 @given(small_int_sequences(), st.integers(1, 24))
@@ -71,43 +83,68 @@ def test_identity_exact(seq, q):
 @given(small_int_sequences(), st.integers(1, 20))
 @settings(max_examples=25, deadline=None)
 def test_H_nonnegative_and_matches_oracle(seq, q):
-    h = exp_variance_H(seq, q).h
+    h = exp_variance_H(seq, q)
     assert h >= 0
     assert float(h) == pytest.approx(brute_H(seq, q), abs=1e-6)
 
 
 def test_float_path_agrees_with_exact(table_300):
+    """A float-flagged twin of an integer sequence takes the float path,
+    within 1e-9 of the exact values."""
     seq = Sequence(table_300.dk[2][:251].astype(float),
                    is_integer_valued=True, name="d2")
+    twin = Sequence(seq.values, name="d2 as floats")
     for q in (7, 12, 36, 60):
-        exact = variance_mod_q(seq, q, exact=True).v
-        fl = variance_mod_q(seq, q, exact=False).v
+        exact, fl = variance_mod_q(seq, q), variance_mod_q(twin, q)
+        assert isinstance(exact, Fraction) and isinstance(fl, float)
         assert fl == pytest.approx(float(exact), rel=1e-9)
-        he = exp_variance_H(seq, q, exact=True).h
-        hf = exp_variance_H(seq, q, exact=False).h
+        he, hf = exp_variance_H(seq, q), exp_variance_H(twin, q)
+        assert isinstance(he, Fraction) and isinstance(hf, float)
         assert hf == pytest.approx(float(he), rel=1e-9)
+
+
+def test_exact_path_chosen_by_the_data():
+    """Integer data take the exact path at any length, here N = 10^4 + 1:
+    d_2 gives Fractions equal to its variance_rows and to brute force;
+    Lambda gives floats."""
+    n = 10**4 + 1
+    seq = load_sequence("d2", n)
+    rows = variance_rows(seq, 400)
+    assert all(isinstance(v, Fraction) for v in rows)
+    for q in (1, 12, 360, 397):
+        v = variance_mod_q(seq, q)
+        assert isinstance(v, Fraction), q
+        assert v == rows[q - 1] == brute_variance(seq, q), q
+        assert isinstance(exp_variance_H(seq, q), Fraction), q
+    lam = load_sequence("lambda", n)
+    for q in (1, 12, 360):
+        assert isinstance(variance_mod_q(lam, q), float), q
+        assert isinstance(exp_variance_H(lam, q), float), q
 
 
 def test_exact_paths_do_not_wrap(rng):
     """Class sums near 3e11 square past 2^63: the exact paths keep them
-    in Python ints, and refuse a sequence the float class sums cannot
-    hold exactly."""
+    in Python ints.  An integer sequence with ||a||_1 >= 2^53, whose
+    float class sums may round, takes the float path instead."""
     const = Sequence.from_coeffs(np.full(300, 3e9), is_integer_valued=True)
-    assert variance_mod_q(const, 3, exact=True).v == 0
-    assert exp_variance_H(const, 3, exact=True).h == 0
+    assert variance_mod_q(const, 3) == 0
+    assert exp_variance_H(const, 3) == 0
     big = Sequence.from_coeffs(rng.integers(-3 * 10**9, 3 * 10**9, 300),
                                is_integer_valued=True)
     for q in (3, 12, 36):
-        assert variance_mod_q(big, q, exact=True).v == brute_variance(big, q)
+        assert variance_mod_q(big, q) == brute_variance(big, q)
         chk = check_identity_prop1(big, q)
         assert chk.ok and chk.residual == 0
     huge = Sequence.from_coeffs([2.0**52] * 3, is_integer_valued=True)
-    with pytest.raises(ValueError, match="2\\^53"):
-        variance_mod_q(huge, 2, exact=True)
-    with pytest.raises(ValueError, match="2\\^53"):
-        exp_variance_H(huge, 2, exact=True)
-    with pytest.raises(ValueError, match="integer"):
-        variance_mod_q(Sequence.from_coeffs([0.5, 1.0]), 2, exact=True)
+    for q in (1, 2, 3, 4, 6):
+        v, h = variance_mod_q(huge, q), exp_variance_H(huge, q)
+        assert isinstance(v, float) and isinstance(h, float), q
+        assert v == brute_variance(huge, q), q
+        assert h == brute_H_exact(huge, q), q
+        assert q * brute_variance(huge, q) == sum(
+            brute_H_exact(huge, d) for d in divisors(q)), q
+        chk = check_identity_prop1(huge, q)
+        assert chk.ok and isinstance(chk.residual, float), q
 
 
 def test_residue_sums_basic():
@@ -127,7 +164,8 @@ def test_sweep_matches_exact_per_q(table_300, rng):
         assert sweep.exact_squares
         iv = seq.int_values()
         for q in range(1, 301):
-            exact = variance_mod_q(seq, q, exact=True).v
+            exact = variance_mod_q(seq, q)
+            assert isinstance(exact, Fraction), (seq.name, q)
             assert abs(Fraction(float(sweep.v[q])) - exact) \
                 <= Fraction(float(sweep.error[q])), (seq.name, q)
             t = [int(iv[a::q].sum()) for a in range(q)]
@@ -145,7 +183,7 @@ def test_variance_rows_exact_match_per_q_oracle(n, q_max):
         assert len(rows) == q_max
         assert all(isinstance(v, Fraction) for v in rows), name
         for q, v in enumerate(rows, start=1):
-            assert v == variance_mod_q(seq, q, exact=True).v, (name, q)
+            assert v == variance_mod_q(seq, q), (name, q)
         if n == 300:
             for q in (1, 12, 36, 60, 301, 350):
                 assert rows[q - 1] == brute_variance(seq, q), (name, q)
@@ -192,10 +230,12 @@ def test_sweep_correlations_match_ramanujan_correlations(table_1e4, rng):
 
 
 def test_variance_total_matches_per_q_closed_form(table_300):
-    """Lambda and d_2 at N = 300, including q_max > N and q_min > q_max."""
-    for seq in (table_300.lambda_sequence(), table_300.dk_sequence(2)):
+    """Lambda and d_2 at N = 300 (as floats, so that the per-q values
+    take the float path), including q_max > N and q_min > q_max."""
+    d2 = Sequence(table_300.dk_sequence(2).values, name="d2")
+    for seq in (table_300.lambda_sequence(), d2):
         for q_min, q_max in ((1, 40), (7, 120), (1, 350), (290, 420)):
-            per_q = math.fsum(float(variance_mod_q(seq, q, exact=False).v)
+            per_q = math.fsum(variance_mod_q(seq, q)
                               for q in range(q_min, q_max + 1))
             assert variance_total(seq, q_max, q_min) == pytest.approx(
                 per_q, rel=1e-12), (seq.name, q_min, q_max)
@@ -252,15 +292,16 @@ def test_moduli_must_be_positive(table_300):
 def test_corollary_bound_below_qV(table_300, rng):
     seq = Sequence(table_300.dk[2][:301].astype(float),
                    is_integer_valued=True, name="d2")
+    twin = Sequence(seq.values, name="d2 as floats")
     for q in (12, 30, 60):
         for q0 in (1, 3, 10):
             bound = cor1_lower_bound(seq, q, q0)
-            qv = q * float(variance_mod_q(seq, q, exact=False).v)
+            qv = q * variance_mod_q(twin, q)
             assert bound <= qv + 1e-6 * abs(qv)
     rnd = Sequence.from_coeffs(rng.choice([-1.0, 1.0], size=200),
                                is_integer_valued=True)
     assert cor1_lower_bound(rnd, 36, 2) <= 36 * float(
-        variance_mod_q(rnd, 36).v) + 1e-6
+        variance_mod_q(rnd, 36)) + 1e-6
 
 
 def test_psi_counts_and_restricted_scan(table_300):
@@ -277,8 +318,8 @@ def test_psi_counts_and_restricted_scan(table_300):
 
 def test_zero_sequence_trivial():
     z = Sequence.from_coeffs([0.0] * 50)
-    assert float(variance_mod_q(z, 12).v) == 0
-    assert float(exp_variance_H(z, 12).h) == 0
+    assert variance_mod_q(z, 12) == 0
+    assert exp_variance_H(z, 12) == 0
     assert check_identity_prop1(z, 12).ok
 
 
