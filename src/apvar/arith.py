@@ -1,10 +1,10 @@
 """Sieved arithmetic tables, Ramanujan sums, and exact-rational helpers.
 
-Everything here is plain multiplicative number theory: segment-friendly
-sieves for Lambda, mu, phi, d_j, smallest prime factors; Ramanujan sums
-c_q(n) evaluated through the gcd formula (never by summing roots of
-unity -- that path lives in the tests as an oracle); and generalized
-binomial coefficients as exact fractions.
+Everything here is plain multiplicative number theory: mu, phi and d_j
+from one recurrence over the smallest prime factor, Lambda from the
+primes; Ramanujan sums c_q(n) evaluated through the gcd formula (never
+by summing roots of unity -- that path lives in the tests as an oracle);
+and generalized binomial coefficients as exact fractions.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -398,43 +399,46 @@ def _spf_sieve(n: int) -> np.ndarray:
     return spf
 
 
-def _d2_sieve(n: int) -> np.ndarray:
-    # Hyperbola trick: only sqrt(n) passes.
-    d2 = np.zeros(n + 1, dtype=np.int64)
-    for a in range(1, math.isqrt(n) + 1):
-        d2[a * a] += 1
-        d2[a * (a + 1) :: a] += 2
-    return d2
-
-
 def _primes_from_spf(spf: np.ndarray) -> np.ndarray:
     idx = np.arange(spf.size)
     return idx[(idx >= 2) & (spf == idx)]
 
 
-def _mu_phi_sieve(n: int, primes: np.ndarray):
-    """(mu, phi) on 0..n.  The primes p <= isqrt(n) take one strided pass
-    each; a larger prime p has p^2 > n, and its multiples jp, j <= n/p,
-    are reached one multiplier j at a time over all such p <= n/j.  No
-    two of those share a multiple, and each update of phi is exact in
-    any order (p divides what is left of phi(jp)), so the tables are the
-    same as a pass per prime."""
-    s = math.isqrt(n)
-    small = primes[primes <= s].tolist()
-    large = primes[primes > s]
-    mu = np.ones(n + 1, dtype=np.int8)
-    mu[0] = 0
-    phi = np.arange(n + 1)
-    for p in small:
-        mu[p::p] = -mu[p::p]
-        mu[p * p :: p * p] = 0
-        phi[p::p] -= phi[p::p] // p
-    for j in range(1, n // (s + 1) + 1):
-        ps = large[: np.searchsorted(large, n // j, side="right")]
-        idx = j * ps
-        mu[idx] = -mu[idx]
-        phi[idx] -= phi[idx] // ps
-    return mu, phi
+# The most indices one block of _spf_recurrence fills, bounding its temporaries.
+_BLOCK = 1 << 20
+
+
+def _spf_recurrence(spf: np.ndarray, k: int):
+    """(mu, phi, {j: d_j for 2 <= j <= k}) on 0..n, slot 0 holding 0 (mu
+    int8, the rest int64), from the smallest prime factor table spf.
+
+    With p = spf(n) and m = n/p, p | m exactly when spf(m) = p; then the
+    exponent e of p in n is one more than in m (else 1), mu(n) = 0 (else
+    -mu(m)), phi(n) = phi(m) p (else phi(m) (p - 1)), and always
+    d_j(n) = d_j(m) (e + j - 1) / e, as d_j(p^e) = C(e + j - 1, j - 1):
+    exact in int64, the largest intermediate being d_j(n) e.  As m <= n/2,
+    the blocks [a, min(2a, a + _BLOCK)) fill in order from earlier ones;
+    the exponents fit int8, as e <= log2(n) <= 27 under MEMORY_BUDGET."""
+    n = spf.size - 1
+    mu, phi = np.zeros(n + 1, np.int8), np.zeros(n + 1, np.int64)
+    exp = np.zeros(n + 1, np.int8)
+    dk = {j: np.zeros(n + 1, np.int64) for j in range(2, k + 1)}
+    for table in (mu, phi, *dk.values()):
+        table[1:2] = 1
+    a = 2
+    while a <= n:
+        b = min(2 * a, a + _BLOCK, n + 1)
+        p = spf[a:b]
+        m = np.arange(a, b) // p
+        same = spf[m] == p
+        exp[a:b] = e = np.where(same, exp[m] + 1, 1)
+        mu[a:b] = np.where(same, 0, -mu[m])
+        phi[a:b] = phi[m] * np.where(same, p, p - 1)
+        e = e.astype(np.int64)
+        for j, d in dk.items():
+            d[a:b] = d[m] * (e + (j - 1)) // e
+        a = b
+    return mu, phi, dk
 
 
 def mobius_totient(n: int):
@@ -442,7 +446,7 @@ def mobius_totient(n: int):
     tables without the rest, for a range of moduli (n = Q, not N)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _mu_phi_sieve(n, _primes_from_spf(_spf_sieve(n)))
+    return _spf_recurrence(_spf_sieve(n), 1)[:2]
 
 
 def _convolve_ones(f: np.ndarray) -> np.ndarray:
@@ -465,10 +469,7 @@ def _convolve_ones(f: np.ndarray) -> np.ndarray:
 
 def divisor_sieve(n: int, k: int) -> dict:
     """{j: d_j on 0..n} for 2 <= j <= k, slot 0 holding 0."""
-    dk = {2: _d2_sieve(n)}
-    for j in range(3, k + 1):
-        dk[j] = _convolve_ones(dk[j - 1])
-    return dk
+    return _spf_recurrence(_spf_sieve(n), k)[2]
 
 
 def sieve_all(n: int, k: int = 2) -> SieveTable:
@@ -486,18 +487,18 @@ def sieve_all(n: int, k: int = 2) -> SieveTable:
 
     spf = _spf_sieve(n)
     primes = _primes_from_spf(spf)
-    mu, phi = _mu_phi_sieve(n, primes)
-
+    mu, phi, dk = _spf_recurrence(spf, k)
+    # math.log of each prime (np.log may differ in the last bit), then its
+    # powers p^i <= n for the primes p <= sqrt(n).
     lam = np.zeros(n + 1, dtype=np.float64)
-    for p in primes:
-        lp = math.log(p)
-        pk = int(p)
+    lam[primes] = np.fromiter(map(math.log, primes), np.float64, primes.size)
+    for p in primes[: np.searchsorted(primes, math.isqrt(n), "right")].tolist():
+        pk = p * p
         while pk <= n:
-            lam[pk] = lp
-            pk *= int(p)
+            lam[pk] = lam[p]
+            pk *= p
 
-    table = SieveTable(n=n, k=k, spf=spf, mu=mu, phi=phi, lam=lam,
-                       dk=divisor_sieve(n, k))
+    table = SieveTable(n=n, k=k, spf=spf, mu=mu, phi=phi, lam=lam, dk=dk)
     _cache_store(table)
     return table
 
@@ -570,12 +571,16 @@ def _cache_load(n, k):
 def load_sequence(name: str, n: int, table: SieveTable | None = None) -> Sequence:
     """Resolve one of: lambda, d2, d3, d4, ones, file:<path>.
 
-    A file holds rows `n,a_n` with integer n >= 1; rows with n > N are
-    dropped, and the coefficients must be finite (Sequence)."""
+    A file holds rows `n,a_n`, each n an integer >= 1 given once; rows with
+    n > N are dropped, and the coefficients must be finite (Sequence)."""
     if name.startswith("file:"):
         path = name[5:]
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        if data.size and data.shape[1] != 2:
+        # loadtxt warns on a file without rows; that is raised below.
+        with warnings.catch_warnings(action="ignore", category=UserWarning):
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        if not data.size:
+            raise ValueError(f"{path}: no rows n,a_n")
+        if data.shape[1] != 2:
             raise ValueError(f"{path}: rows must be n,a_n, found "
                              f"{data.shape[1]} column(s)")
         idx, coeffs = data.reshape(-1, 2).T
@@ -583,6 +588,11 @@ def load_sequence(name: str, n: int, table: SieveTable | None = None) -> Sequenc
         if bad.size:
             raise ValueError(f"{path}: index {idx[bad[0]]:g} in row "
                              f"{bad[0] + 1} is not an integer >= 1")
+        again = np.setdiff1d(np.arange(idx.size),
+                             np.unique(idx, return_index=True)[1])
+        if again.size:
+            raise ValueError(f"{path}: index {idx[again[0]]:g} in row "
+                             f"{again[0] + 1} repeats an earlier row")
         keep = idx <= n
         vals = np.zeros(n + 1)
         vals[idx[keep].astype(np.int64)] = coeffs[keep]

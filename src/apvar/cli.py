@@ -32,6 +32,8 @@ from .variance import variance_mod_q  # noqa: F401
 from .windows import build_weights, build_window, check_lemma5
 
 MAX_N = 2 * 10**7
+MAX_RAMANUJAN_ROWS = 10**6    # --q-max x --n-max, about 120 bytes a row
+MAX_RESIDUE_MODULI = 10**5    # --q-max, about 6.4 KB of contour rows each
 
 
 def _bounded(flag: str, value, lo: int) -> float:
@@ -242,6 +244,9 @@ def _table_rows(args):
             raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
         if args.q_max > 10**4 or args.n_max > 10**5:
             raise ValueError("--q-max/--n-max: range too large")
+        if args.q_max * args.n_max > MAX_RAMANUJAN_ROWS:
+            raise ValueError(f"--q-max x --n-max = {args.q_max * args.n_max} "
+                             f"rows exceeds the limit {MAX_RAMANUJAN_ROWS}")
         header = "q,n,c_q_n"
         for q in range(1, args.q_max + 1):
             row = ramanujan_row(q, args.n_max)
@@ -272,6 +277,9 @@ def _table_rows(args):
         n = int(_bounded("--N", args.N, 4))
         if args.q_max > n:
             raise ValueError(f"--q-max={args.q_max} exceeds --N={n}")
+        if args.q_max > MAX_RESIDUE_MODULI:
+            raise ValueError(f"--q-max={args.q_max} moduli exceeds the limit "
+                             f"{MAX_RESIDUE_MODULI}")
         if args.k < 1:
             raise ValueError(f"--k must be at least 1, got {args.k}")
         header = "q,k,N,value,error"

@@ -23,10 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (Sequence, _convolve_ones, _d2_sieve, _primes_from_spf,
-                    divisors, gamma, lag_correlations, mobius,
-                    mobius_totient, multiple_sums, ramanujan_convolution,
-                    ramanujan_correlations, ramanujan_row, totient, underflow)
+from .arith import (Sequence, _convolve_ones, _primes_from_spf,
+                    _spf_recurrence, _spf_sieve, divisors, gamma,
+                    lag_correlations, mobius, multiple_sums,
+                    ramanujan_convolution, ramanujan_row, totient, underflow)
 
 
 def residue_sums(seq: Sequence, q: int) -> np.ndarray:
@@ -184,7 +184,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
         eps, l1 = corr.error, float(np.abs(seq.values).sum())
         lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
         err[1:] = lags * eps + gamma(lags) * (l1 * l1 + lags * eps)
-    mu, phi = mobius_totient(q_max)
+    mu, phi, dk = _spf_recurrence(_spf_sieve(q_max), 2)
     m = multiple_sums(seq.int_values() if exact else seq.values, q_max)
     exact_c = exact and float(np.arange(q_max + 1) @ np.abs(m)) < 2.0**62
     if exact_c:
@@ -204,7 +204,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     dw[1:] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
         + gamma(4) * w[1:]
     g, dg = _convolve_ones(w)[1:], _convolve_ones(dw)[1:]    # G and its error
-    tau = _d2_sieve(q_max)[1:]
+    tau = dk[2][1:]
     q = np.arange(1, q_max + 1)
     v = np.zeros(q_max + 1)
     v[1:] = squares[1:] - g / q
@@ -306,33 +306,16 @@ def check_identity_prop1(seq: Sequence, q: int) -> IdentityCheck:
     return IdentityCheck(ok=bool(ok), residual=residual, bad_divisors=bad)
 
 
-def _reduced_power_sum(seq: Sequence, d: int) -> float:
-    """sum over (b,d)=1 of |A(b/d)|^2 via the DFT of residue sums mod d."""
-    t = residue_sums(seq, d)
-    amps = np.fft.fft(t)  # amps[b] = sum_j t_j e(-jb/d); |.|^2 is what we need
-    power = np.abs(amps) ** 2
-    coprime = _gcd_classes(d) == 1
-    if d == 1:
-        coprime[:] = True
-    return float(power[coprime].sum())
-
-
-def cor1_lower_bound(seq: Sequence, q: int, q0: int) -> float:
-    """The nonnegativity-of-H lower bound for qV(q).
-
-    Returns sum over classes a with q/(a,q) > Q0 of |A(a/q)|^2 minus
-    the Ramanujan correction over divisors d > Q0; guaranteed at most
-    q V(q), which is checked here.
-    """
+def cor1_lower_bound(seq: Sequence, q: int, q0: int) -> Fraction | float:
+    """The nonnegativity-of-H lower bound for qV(q): the sum of H(d) over
+    the divisors d > Q0 of q, at most q V(q) = sum_{d|q} H(d) as H >= 0;
+    checked here, exactly (a Fraction) when H is, else within 1e-6."""
     if q0 < 1:
         raise ValueError("Q0 must be at least 1")
-    ds = [d for d in divisors(q) if d > q0]
-    corrs = ramanujan_correlations(seq, ds)
-    first = sum(_reduced_power_sum(seq, d) for d in ds)
-    second = sum(c * c / totient(d) for d, c in zip(ds, corrs.tolist()))
-    bound = first - second
-    qv = q * float(variance_mod_q(seq, q))
-    slack = 1e-6 * max(abs(qv), abs(bound), 1.0)
+    bound = sum(exp_variance_H(seq, d) for d in divisors(q) if d > q0)
+    qv = q * variance_mod_q(seq, q)
+    slack = (0 if _exact_class_sums(seq)
+             else 1e-6 * max(abs(qv), abs(bound), 1.0))
     if bound > qv + slack:
         raise AssertionError(
             f"corollary bound {bound} exceeds qV = {qv} for q={q}, Q0={q0}")
@@ -355,9 +338,7 @@ def psi_counts(table, q: int) -> PsiCounts:
         raise ValueError("q must not exceed the table length")
     res = np.arange(n + 1) % q
     t = np.bincount(res, weights=table.lam, minlength=q)
-    coprime = _gcd_classes(q) == 1
-    if q == 1:
-        coprime[:] = True
+    coprime = _gcd_classes(q) == 1         # gcd(0, 1) = 1: all of q = 1
     classes = np.nonzero(coprime)[0]
     psi = t[coprime]
     psi_q = float(psi.sum())

@@ -222,6 +222,17 @@ def mu_phi_sieve_loop(n: int, primes: np.ndarray):
     return mu, phi
 
 
+def lambda_sieve_loop(n: int, primes: np.ndarray) -> np.ndarray:
+    """Lambda on 0..n, one walk over the powers of each prime."""
+    lam = np.zeros(n + 1)
+    for p in primes.tolist():
+        lp, pk = math.log(p), p
+        while pk <= n:
+            lam[pk] = lp
+            pk *= p
+    return lam
+
+
 def prime_power_class_squares_loop(table, q_max: int) -> np.ndarray:
     """sum of t_b(q)^2 over the classes b mod q with (b, q) > 1, for
     Lambda at every q <= q_max, one pass per prime."""

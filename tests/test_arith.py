@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apvar import arith
 from apvar.arith import (CapacityError, Sequence, _convolve_ones,
                          _fft_length, _primes_from_spf, _spf_sieve,
-                         check_lemma1_matrix, d_k_of, divisors, factorize,
+                         check_lemma1_matrix, d_k_of, divisor_sieve,
+                         divisors, factorize,
                          gamma, gen_binomial, is_squarefree, lag_correlations,
                          load_sequence, mobius, mobius_totient, multiple_sums,
                          ramanujan_convolution, ramanujan_correlations,
                          ramanujan_row, ramanujan_sum,
                          sieve_all, totient)
 
-from oracles import (convolve_ones_loop, mu_phi_sieve_loop,
+from oracles import (convolve_ones_loop, lambda_sieve_loop, mu_phi_sieve_loop,
                      multiple_sums_loop, ramanujan_convolution_loop)
 
 
@@ -132,6 +134,13 @@ def test_load_sequence_names_and_file(tmp_path, table_300):
     path.write_text("1,2.5\n3,-1\n")
     custom = load_sequence(f"file:{path}", 5)
     assert custom.values[1] == 2.5 and custom.values[3] == -1
+    path.write_text("1,2\n3,1\n1,5\n")
+    with pytest.raises(ValueError, match="index 1 in row 3"):
+        load_sequence(f"file:{path}", 5)
+    for text in ("", "# no rows\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no rows"):
+            load_sequence(f"file:{path}", 5)
     with pytest.raises(ValueError):
         load_sequence("nonsense", 10)
 
@@ -205,9 +214,43 @@ def test_divisor_kernels_match_loops_on_floats():
                           <= bound)
 
 
+# Lengths at and around the block edges 2^j of the spf recurrence.
+RECURRENCE_NS = sorted({1, 2, 3, 10**4} | {2**j + i for j in range(1, 13)
+                                          for i in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_spf_recurrence_matches_loops(block, monkeypatch):
+    """mu, phi, Lambda and d_2..d_5 from the spf recurrence are the
+    per-prime sieves and the repeated convolutions with 1, in dtype and
+    value, also when the block cap splits the blocks [a, 2a)."""
+    monkeypatch.setattr(arith, "_BLOCK", block)
+    monkeypatch.delenv("APVAR_CACHE_DIR", raising=False)
+    top = max(RECURRENCE_NS)
+    primes = _primes_from_spf(_spf_sieve(top))
+    loop_mu, loop_phi = mu_phi_sieve_loop(top, primes)
+    loop_lam = lambda_sieve_loop(top, primes)
+    loop_dk, d = {}, np.ones(top + 1, dtype=np.int64)
+    d[0] = 0
+    for j in range(2, 6):
+        d = loop_dk[j] = convolve_ones_loop(d)
+    for n in RECURRENCE_NS:
+        table = sieve_all(n, 5)
+        dk = divisor_sieve(n, 5)
+        for mu, phi in (mobius_totient(n), (table.mu, table.phi)):
+            assert_same(mu, loop_mu[: n + 1])
+            assert_same(phi, loop_phi[: n + 1])
+        assert_same(table.lam, loop_lam[: n + 1])
+        assert sorted(dk) == sorted(table.dk) == [2, 3, 4, 5]
+        for j in range(2, 6):
+            assert_same(dk[j], loop_dk[j][: n + 1])
+            assert_same(table.dk[j], loop_dk[j][: n + 1])
+
+
 def test_mobius_totient_at_squares_of_primes():
-    """mu and phi match the per-prime sieve where the split point isqrt(n)
-    changes: at perfect squares and at p^2 +- 1."""
+    """mu and phi match the per-prime sieve at the squares of primes,
+    where p first divides n twice, and at their neighbours p^2 +- 1 and
+    (p + 1)^2."""
     for p in (2, 3, 5, 7, 11, 31, 97, 101):
         for n in (p * p - 1, p * p, p * p + 1, (p + 1) ** 2):
             mu, phi = mobius_totient(n)

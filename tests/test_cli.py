@@ -96,8 +96,10 @@ def test_table_variance_exact_rows_follow_sweep(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["1\n2\n3\n", "1,1\n2,nan\n3,2\n",
-                                  "1,1\n2,inf\n", "1,1\n2.5,3\n"],
-                         ids=["one-column", "nan", "inf", "fractional-index"])
+                                  "1,1\n2,inf\n", "1,1\n2.5,3\n", "",
+                                  "# a comment\n", "1,2\n1,5\n"],
+                         ids=["one-column", "nan", "inf", "fractional-index",
+                              "empty", "comment-only", "repeated-index"])
 def test_table_variance_bad_file_fails_cleanly(text, tmp_path, capsys):
     path = tmp_path / "seq.csv"
     path.write_text(text)
@@ -189,6 +191,41 @@ def test_table_bad_flags_fail_cleanly(argv, flag, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and flag in err
     assert out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ramanujan", "--q-max", "10000", "--n-max", "100000"], "--n-max"),
+    (["residues", "--N", "2e7", "--q-max", "20000000"], "--q-max"),
+])
+def test_table_capacity_fails_before_work(argv, flag, tmp_path, capsys,
+                                          monkeypatch):
+    """A table past its row or moduli limit exits 2 before computing a
+    single row, naming the flag and the limit."""
+    from apvar import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("table work started past a capacity limit")
+
+    monkeypatch.setattr(cli, "ramanujan_row", no_work)
+    monkeypatch.setattr(cli, "residues", no_work)
+    code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
+                             capsys)
+    assert code == 2
+    assert err.startswith("error: ") and flag in err and "limit" in err
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["residues", "--k", "3", "--N", "1e6", "--q-max", "400"], 400),
+    (["variance", "--seq", "d3", "--N", "9500", "--q-max", "1000"], 1000),
+    (["ramanujan", "--q-max", "400", "--n-max", "2500"], 10**6),
+])
+def test_table_sizes_within_limits_run(argv, rows, tmp_path, capsys):
+    """The benchmark's table sizes, and a Ramanujan table at its row limit,
+    stay within the capacity limits."""
+    code, out, _ = run_cli(["table", *argv], tmp_path, capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + rows
 
 
 def test_benchmark_span_names_are_bound():

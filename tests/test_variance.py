@@ -304,6 +304,23 @@ def test_corollary_bound_below_qV(table_300, rng):
         variance_mod_q(rnd, 36)) + 1e-6
 
 
+def test_corollary_bound_is_sum_of_H(table_300, rng):
+    """The corollary bound is the sum of H(d) over d | q, d > Q0, and so
+    qV(q) minus the H(d) with d <= Q0, as exact fractions on integer data."""
+    d2 = Sequence(table_300.dk[2][:301].astype(float),
+                  is_integer_valued=True, name="d2")
+    pm1 = Sequence.from_coeffs(rng.choice([-1.0, 1.0], size=200),
+                               is_integer_valued=True)
+    for seq in (d2, pm1):
+        for q, q0 in ((12, 1), (36, 2), (60, 3), (60, 10)):
+            bound = cor1_lower_bound(seq, q, q0)
+            hs = {d: exp_variance_H(seq, d) for d in divisors(q)}
+            assert isinstance(bound, Fraction)
+            assert bound == sum(h for d, h in hs.items() if d > q0)
+            assert bound == q * variance_mod_q(seq, q) - sum(
+                h for d, h in hs.items() if d <= q0)
+
+
 def test_psi_counts_and_restricted_scan(table_300):
     pc = psi_counts(table_300, 4)
     assert pc.classes.tolist() == [1, 3]
