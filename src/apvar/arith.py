@@ -171,7 +171,10 @@ def multiple_sums(values: np.ndarray, emax: int) -> np.ndarray:
     (M[e] += values[je]), so the cost is about 2 sqrt(N) numpy calls.  A
     float M[e] with e > s is then a sequential sum of its floor(N/e)
     terms, within gamma_{floor(N/e) - 1} sum_j |values[je]| of the exact
-    value, as numpy's pairwise sum of the same terms is.
+    value, as numpy's pairwise sum of the same terms is.  The split
+    depends on N alone, so each M[e] adds its terms in an order that does
+    not depend on emax: a shorter table is a prefix of a longer one, bit
+    for bit, which variance_sweep's rows rely on.
     """
     n = values.size - 1
     m = np.zeros(emax + 1, dtype=values.dtype)
@@ -197,6 +200,8 @@ def ramanujan_convolution(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
     then one C[j(s+1)::j] += e m[e] mu(j) over all e > s per cofactor
     j <= s, in descending j, so that every C[d] adds its terms in
     ascending e, as a walk over e would (bit for bit, floats included).
+    That order does not depend on the table length, so C on a prefix of
+    m is the prefix of C, bit for bit, which variance_sweep's rows rely on.
     """
     dmax = m.size - 1
     s = math.isqrt(dmax)
@@ -455,7 +460,9 @@ def _convolve_ones(f: np.ndarray) -> np.ndarray:
     Hyperbola split at s = isqrt(n): g[d::d] += f[1 : n/d + 1] for each
     d <= s, then g[jd] += f[j] over all d > s for each cofactor j <= s,
     in descending j, so every g[q] adds f[q/d] in ascending d as a pass
-    per d would (bit for bit, floats included).
+    per d would (bit for bit, floats included).  That order does not
+    depend on n, so g on a prefix of f is the prefix of g, bit for bit,
+    which variance_sweep's rows rely on.
     """
     n = len(f) - 1
     s = math.isqrt(n)
@@ -504,7 +511,7 @@ def sieve_all(n: int, k: int = 2) -> SieveTable:
 
 
 # ---------------------------------------------------------------------------
-# Binary sieve cache (keyed by N, k; checksummed)
+# Binary sieve cache (keyed by N, k; checksummed with the sieve's source)
 
 
 def _cache_dir():
@@ -517,8 +524,17 @@ def _cache_path(n, k):
     return d / f"sieve_{n}_{k}.npz" if d else None
 
 
+@lru_cache(maxsize=None)
+def _source_digest() -> bytes:
+    """The sha256 of this module's source, read once: the sieve code that
+    made a cached table."""
+    return hashlib.sha256(Path(__file__).read_bytes()).digest()
+
+
 def _checksum(arrays) -> str:
-    h = hashlib.sha256()
+    """A table's checksum, seeded with _source_digest, so that a table
+    cached by other sieve code fails it and is sieved again."""
+    h = hashlib.sha256(_source_digest())
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()

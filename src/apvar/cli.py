@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import (check_lemma1_matrix, load_sequence, ramanujan_row,
-                    sieve_all)
+from .arith import (check_lemma1_matrix, gamma, load_sequence, ramanujan_row,
+                    sieve_all, totient)
 from .dirichlet import (TruncationError, check_Fq1_bound, euler_F_q,
                         polynomial_69, r_window, residues, zeta_near_one)
 # Bound for perfbench/spans.py, which wraps this name in this module.
@@ -102,9 +102,47 @@ def _verify_identities(fault: bool) -> list:
     return failures
 
 
+def _euler_tail_bound(q: int, k: int, x: int) -> float:
+    """B = (2 phi(q)/x) sum_{j<k} ((k-1)!/(k-1-j)!) (log x + 1)^(k-1-j),
+    a bound on the tail sum_{n>x} d_k(n) |c_q(n)| / n^2 for x >= 1.
+
+    Three facts give it.  First, |c_q(n)| <= phi(q): c_q(n) is a sum of
+    phi(q) roots of unity.  Second, D_k(t) = sum_{n<=t} d_k(n) <=
+    t (log t + 1)^(k-1) for t >= 1, by induction on k: D_1(t) <= t, and
+    D_k(t) = sum_{m<=t} D_(k-1)(t/m) <= t (log t + 1)^(k-2) H(t) with
+    H(t) = sum_{m<=t} 1/m <= log t + 1, as log(t/m) <= log t.  Third,
+    partial summation: sum_{n>x} d_k(n)/n^2 = -D_k(x)/x^2 +
+    2 int_x^oo D_k(t) t^-3 dt <= 2 I_(k-1), where
+    I_r = int_x^oo (log t + 1)^r t^-2 dt = (log x + 1)^r / x + r I_(r-1)
+    by parts and I_0 = 1/x; unrolled, I_(k-1) is the sum above over x.
+    So the tail is at most phi(q) sum_{n>x} d_k(n)/n^2 <= B.
+    """
+    log1 = math.log(x) + 1.0
+    return 2.0 * totient(q) / x * sum(
+        math.perm(k - 1, j) * log1 ** (k - 1 - j) for j in range(k))
+
+
 def _verify_euler() -> list:
+    """The partial sums sum_{n<=x} d_k(n) c_q(n)/n^2 against their limit
+    zeta(2)^k F_q(2), with x = 2 10^5: the gap must stay within the tail
+    bound B (_euler_tail_bound) plus the rounding of both sides.
+
+    Rounding (u = 2^-53, gamma_m = m u/(1 - m u)).  Each term c_q(n)/n^2 is
+    one quotient (n^2 is exact below 2^53), and the dot product with d_k
+    (exact in float64) adds gamma_x relative to sum |d_k(n) c_q(n)/n^2|,
+    so the partial sum is within gamma_(x+1) of that absolute sum, which
+    is at most phi(q) zeta(2)^k, as |c_q(n)| <= phi(q).  The
+    prediction: zeta(2) by Euler-Maclaurin (cutoff 30, 20 Bernoulli
+    terms, remainder below 10^-40) rounds each of its 51 terms a few
+    times (the 20 Bernoulli terms are below 10^-3 of the sum), within
+    gamma_60 relative, and its k-th power adds
+    gamma_k; each local factor of F_q(2) is within the bound of
+    dirichlet._local_factor, at most 100 u times T/|value| <= 13 for the
+    p^a || q and k here (q in {1, 4, 6}, k <= 3), and F_q has at most two.
+    That is under 2^12 u |pred| in all.  Evaluating B takes at most
+    2k + 4 roundings, so B is within gamma_(2k+4) B of its value.
+    """
     failures = []
-    # Partial Dirichlet sums vs zeta^k F_q at s = 2.
     x = 200000
     tab = sieve_all(x, 3)
     ns2 = np.arange(1, x + 1, dtype=np.float64) ** 2
@@ -114,9 +152,14 @@ def _verify_euler() -> list:
         for k in (2, 3):
             direct = float(np.dot(tab.dk[k][1:], terms))
             pred = (zeta_near_one(2.0) ** k * euler_F_q(q, k, 2.0)).real
-            if abs(direct - pred) > 5e-3 * abs(pred):
+            bound = _euler_tail_bound(q, k, x)
+            rounding = float(
+                gamma(x + 1) * totient(q) * (math.pi**2 / 6.0) ** k
+                + gamma(2**12) * abs(pred) + gamma(2 * k + 4) * bound)
+            if abs(direct - pred) > bound + rounding:
                 failures.append(
-                    f"Euler product mismatch k={k} q={q}: {direct} vs {pred}")
+                    f"Euler product mismatch k={k} q={q}: {direct} vs {pred}, "
+                    f"beyond the tail bound {bound:.3g}")
     for q in (2, 6, 15, 30, 210):
         for k in (2, 3, 4):
             if not check_Fq1_bound(q, k):
@@ -212,12 +255,20 @@ def cmd_experiment(args) -> int:
                 fh.write(f"{log_r / log_n:.12g},{val:.12g}\n")
         else:
             fh.write("q,V\n")
-            # From the run's own sieve table, truncated at N = 10^5.
-            seq_name = "lambda" if args.kind == "theorem1" else f"d{config.k}"
-            seq = load_sequence(seq_name, min(n, 10**5), table)
-            sweep = variance_sweep(seq, min(int(params.q), 400))
-            for q in range(1, sweep.v.size):
-                fh.write(f"{q},{sweep.v[q]:.12g}\n")
+            # V(q) of the run's sequence truncated at N = 10^5.  Up to
+            # there that is the chain's own sequence, and a sweep's V(q)
+            # do not depend on how far it runs, so the chain's sweep holds
+            # the rows already.
+            rows = min(int(params.q), 400)
+            if n <= 10**5:
+                v = report.variances
+            else:
+                seq_name = ("lambda" if args.kind == "theorem1"
+                            else f"d{config.k}")
+                v = variance_sweep(load_sequence(seq_name, 10**5, table),
+                                   rows).v
+            for q in range(1, rows + 1):
+                fh.write(f"{q},{v[q]:.12g}\n")
     outputs.append(plot_path)
 
     wall = time.time() - t0

@@ -242,6 +242,10 @@ class BoundReport:
     clips: list
     regime_departures: list
     extras: dict = field(default_factory=dict)
+    # V(q) for q <= Q (slot 0 unused) from the chain's variance sweep, for
+    # the CLI's plot rows; not part of the JSON or the CSV.
+    variances: np.ndarray | None = field(default=None, repr=False,
+                                         compare=False)
 
     CSV_FIELDS = ("kind", "lhs_variance_sum", "minor_integral", "minor_error",
                   "ramanujan_tail", "slack", "cs_numerator", "cs_denominator",
@@ -249,7 +253,8 @@ class BoundReport:
                   "chain_sound")
 
     def to_json(self) -> str:
-        payload = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        payload = {k: getattr(self, k) for k in self.__dataclass_fields__
+                   if k != "variances"}
         return json.dumps(payload, sort_keys=True, default=str)
 
     def csv_header(self) -> str:
@@ -265,13 +270,15 @@ class BoundReport:
 
 def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
               tail: float, masses: ArcMasses, target: float,
-              extras: dict | None = None) -> BoundReport:
+              extras: dict | None = None,
+              variances: np.ndarray | None = None) -> BoundReport:
     """The one check of lhs >= Q (1 - slack) minor - tail - allowance x
     (N K / Q0) sum |a_n|^2, slack = (5 + log K)/K, within minor's error
     bar.  With A~, the minor masses num = |A conj(A~)|, den = |A~|^2 bound
     minor below by num^2/den and make Q (1 - slack) num^2/den the final
     value, with the subtractions reported apart; without A~ (prop13) the
-    final value is the right-hand side itself."""
+    final value is the right-hand side itself.  The report keeps
+    `variances`, the V(q) of the chain's variance sweep."""
     minor = masses.a
     slack = (5.0 + math.log(params.k_param)) / params.k_param
     scale = params.q * (1.0 - slack)
@@ -304,7 +311,8 @@ def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
         final_lower_bound=final, comparison_target=target,
         ratio=final / target if target else 0.0,
         chain_sound=bool(sound), clips=list(params.clips),
-        regime_departures=params.regime_departures(), extras=extras)
+        regime_departures=params.regime_departures(), extras=extras,
+        variances=variances)
 
 
 def assemble_prop13(seq: Sequence, params: ResolvedParams) -> BoundReport:
@@ -313,7 +321,8 @@ def assemble_prop13(seq: Sequence, params: ResolvedParams) -> BoundReport:
     sweep, tail, masses = _chain_terms(seq, params)
     lhs = _over_moduli(sweep.v, params)
     return _assemble("prop13", params, seq, lhs, tail, masses, target=lhs,
-                     extras={"minor_major_value": masses.a.major})
+                     extras={"minor_major_value": masses.a.major},
+                     variances=sweep.v)
 
 
 @dataclass
@@ -455,7 +464,7 @@ def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
         "near_degenerate_range": near_degenerate,
     }
     return _assemble("theorem1", params, seq, lhs, tail, masses, target,
-                     extras=extras)
+                     extras=extras, variances=sweep.v)
 
 
 def _admissible_qs(params: ResolvedParams):
@@ -529,4 +538,4 @@ def run_theorem2(params: ResolvedParams, table: SieveTable) -> BoundReport:
     extras["aux_vs_exact"] = aux / abs(masses.cross.minor)
 
     return _assemble(f"theorem2-{config.ending}", params, seq, lhs, tail,
-                     masses, target, extras=extras)
+                     masses, target, extras=extras, variances=sweep.v)

@@ -173,6 +173,13 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     V(q) >= 0, so negative rounding residue is clipped to 0; that only
     moves a value toward the exact one.  `corr` is the autocorrelation of
     `seq` (lag_correlations), when the caller has it already.
+
+    The rows do not depend on how far the sweep runs: v[:r + 1] of a
+    sweep to q_max is bit for bit the sweep to r <= q_max, since the
+    multiple sums, the Moebius convolution and the divisor sum each add
+    an entry's terms in an order that does not depend on the table length
+    (both sweeps take the same path for C_d unless sum_e e |M[e]| reaches
+    2^62 between r and q_max).  The CLI's plot rows rely on it.
     """
     _check_moduli(q_max, 1)
     if corr is None:
@@ -378,34 +385,73 @@ def _reduced_class_variances(table, sweep: VarianceSweep) -> np.ndarray:
     return out
 
 
+def _divisors_up_to(x: int, spf: np.ndarray, top: int) -> list:
+    """The divisors d <= top of 1 <= x < spf.size, from the spf table."""
+    divs = [1]
+    while x > 1:
+        p = int(spf[x])
+        powers = [1]
+        while x % p == 0:
+            x //= p
+            powers.append(powers[-1] * p)
+        divs = [d * pk for d in divs for pk in powers if d * pk <= top]
+    return divs
+
+
 def _prime_power_class_squares(table, q_max: int) -> np.ndarray:
     """NR[q] = sum of t_b(q)^2 over the classes b mod q with (b, q) > 1,
-    for Lambda, at every q <= q_max.
+    for Lambda, at every q <= q_max, in closed form.
 
-    For p | q the powers p^i and p^j fall in one class exactly when
-    p^i = p^j mod q, and several may (mod 6: 2, 8 and 32), so
-    NR[q] = sum_{p|q} sum_{i,j: p^i = p^j mod q} Lambda(p^i) Lambda(p^j).
-    Each prime p <= sqrt(N) is one vectorized pass over its multiples q.
-    A larger prime has the one power p, which adds Lambda(p)^2 to every
-    q in pZ; those are added after the small primes, one multiplier j at
-    a time over all such p <= q_max/j, in descending j, so every NR[q]
-    adds its primes in ascending order as a pass per prime would.
+    Such a class holds only powers p^i <= N of primes p | q, and for
+    p | q the powers p^i and p^j fall in one class exactly when
+    p^i = p^j mod q; several may (mod 6: 2, 8 and 32).  Write q = p^a m
+    with p not dividing m, and L = L_p = floor(log_p N).  For i < j,
+    p^i = p^j mod p^a exactly when i >= a, and mod m exactly when
+    o = ord_m(p) divides j - i.  So among the c = L - a + 1 powers
+    p^a..p^L each p^i pairs with the floor((L - i)/o) later ones, and
+        pairs(c, o) = sum_{t >= 1} max(0, c - t o) = T c - o T (T + 1)/2,
+    T = floor((c - 1)/o) (no pair when c <= o, a > L included), whence
+        NR[q] = sum_{p|q} (log p)^2 (L_p + 2 pairs(L_p - a + 1, ord_m p)).
+    A pair needs o <= L - a < L: m divides p^t - 1 for some t < L, and
+    ord_m(p) is the least such t.  So each prime p <= sqrt(N) is one
+    strided add of L (log p)^2 over pZ, then one add of
+    2 pairs (log p)^2 at the few q = p^a m with m | p^t - 1, t < L (the
+    divisors come from the spf table, as p^t - 1 < N).  A larger prime
+    has L = 1 and no pair, so it adds (log p)^2 to every q in pZ; those
+    are added after the small primes, one multiplier j at a time over all
+    such p <= q_max/j, in descending j, so every NR[q] adds its primes in
+    ascending order, each as one rounded product of an integer and
+    (log p)^2.
     """
     n = table.n
     s = math.isqrt(n)
     nr = np.zeros(q_max + 1)
     primes = _primes_from_spf(table.spf[: min(q_max, n) + 1])
     for p in primes[primes <= s].tolist():
-        powers = [p]
-        while powers[-1] * p <= n:
-            powers.append(powers[-1] * p)
-        pw = np.array(powers, dtype=np.int64)
-        w = table.lam[pw]
-        nr[p::p] += float(np.dot(w, w))
-        cls = pw % np.arange(p, q_max + 1, p)[:, None]
-        for k in range(1, len(powers)):
-            same = cls[:, k:] == cls[:, :-k]
-            nr[p::p] += 2.0 * (same @ (w[k:] * w[:-k]))
+        sq = table.lam[p] ** 2
+        lp, pt = 1, p                        # L_p: p^lp <= N < p^(lp + 1)
+        while pt * p <= n:
+            pt *= p
+            lp += 1
+        nr[p::p] += lp * sq
+        order, pt = {}, 1                    # m -> ord_m(p), m <= q_max/p
+        for t in range(1, lp):
+            pt *= p
+            for m in _divisors_up_to(pt - 1, table.spf, q_max // p):
+                order.setdefault(m, t)
+        qs, counts = [], []
+        for m, o in order.items():
+            q = p * m
+            for a in range(1, lp - o + 1):
+                if q > q_max:
+                    break
+                c = lp - a + 1
+                t = (c - 1) // o
+                qs.append(q)
+                counts.append(2 * (t * c - o * t * (t + 1) // 2))
+                q *= p
+        if qs:
+            nr[qs] += np.array(counts, dtype=np.float64) * sq
     large = primes[primes > s]
     squares = table.lam[large] ** 2
     for j in range(q_max // (s + 1), 0, -1):

@@ -4,8 +4,9 @@ import tempfile
 import numpy as np
 import pytest
 
-# Share one sieve cache across the whole test session so the large
-# acceptance sieves are computed once.
+# Share one sieve cache across test sessions so the large acceptance
+# sieves are computed once.  A table's checksum covers the source of
+# apvar/arith.py, so tables cached by other sieve code are sieved again.
 _CACHE = os.environ.setdefault(
     "APVAR_CACHE_DIR", os.path.join(tempfile.gettempdir(), "apvar-test-cache"))
 os.makedirs(_CACHE, exist_ok=True)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from apvar.arith import _primes_from_spf
+
 
 @functools.cache
 def _triple_contour_kernel(k: int, m_z: int, m_s: int, m_w: int):
@@ -233,23 +235,38 @@ def lambda_sieve_loop(n: int, primes: np.ndarray) -> np.ndarray:
     return lam
 
 
-def prime_power_class_squares_loop(table, q_max: int) -> np.ndarray:
-    """sum of t_b(q)^2 over the classes b mod q with (b, q) > 1, for
-    Lambda at every q <= q_max, one pass per prime."""
+def prime_power_class_squares_pairs(table, q_max: int) -> np.ndarray:
+    """NR[q] = sum of t_b(q)^2 over the classes b mod q with (b, q) > 1,
+    for Lambda, at every q <= q_max, by comparing the classes of every
+    pair of powers of each prime.
+
+    For p | q the powers p^i and p^j fall in one class exactly when
+    p^i = p^j mod q, and several may (mod 6: 2, 8 and 32), so
+    NR[q] = sum_{p|q} sum_{i,j: p^i = p^j mod q} Lambda(p^i) Lambda(p^j).
+    Each prime p <= sqrt(N) is one vectorized pass over its multiples q.
+    A larger prime has the one power p, which adds Lambda(p)^2 to every
+    q in pZ; those are added after the small primes, one multiplier j at
+    a time over all such p <= q_max/j, in descending j, so every NR[q]
+    adds its primes in ascending order as a pass per prime would.
+    """
     n = table.n
+    s = math.isqrt(n)
     nr = np.zeros(q_max + 1)
-    idx = np.arange(min(q_max, n) + 1)
-    spf = table.spf[: min(q_max, n) + 1]
-    for p in idx[(idx >= 2) & (spf == idx)].tolist():
+    primes = _primes_from_spf(table.spf[: min(q_max, n) + 1])
+    for p in primes[primes <= s].tolist():
         powers = [p]
         while powers[-1] * p <= n:
             powers.append(powers[-1] * p)
         pw = np.array(powers, dtype=np.int64)
         w = table.lam[pw]
         nr[p::p] += float(np.dot(w, w))
-        if len(powers) > 1:
-            cls = pw % np.arange(p, q_max + 1, p)[:, None]
-            for s in range(1, len(powers)):
-                same = cls[:, s:] == cls[:, :-s]
-                nr[p::p] += 2.0 * (same @ (w[s:] * w[:-s]))
+        cls = pw % np.arange(p, q_max + 1, p)[:, None]
+        for k in range(1, len(powers)):
+            same = cls[:, k:] == cls[:, :-k]
+            nr[p::p] += 2.0 * (same @ (w[k:] * w[:-k]))
+    large = primes[primes > s]
+    squares = table.lam[large] ** 2
+    for j in range(q_max // (s + 1), 0, -1):
+        top = np.searchsorted(large, q_max // j, side="right")
+        nr[j * large[:top]] += squares[:top]
     return nr

@@ -91,6 +91,27 @@ def test_sieve_cache_roundtrip(tmp_path, monkeypatch):
     assert np.array_equal(a.dk[3], b.dk[3])
 
 
+def test_sieve_cache_rejects_tables_of_other_sieve_code(tmp_path,
+                                                        monkeypatch):
+    """A cached table's checksum covers the source of arith.py: under
+    another source digest it is not read back but sieved again, and then
+    stored under the new digest."""
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    table = sieve_all(500, 3)
+    assert arith._cache_load(500, 3) is not None
+    monkeypatch.setattr(arith, "_source_digest", lambda: b"other sieve code")
+    assert arith._cache_load(500, 3) is None
+    sieved = []
+    recurrence = arith._spf_recurrence
+    monkeypatch.setattr(arith, "_spf_recurrence",
+                        lambda *args: sieved.append(args) or recurrence(*args))
+    again = sieve_all(500, 3)
+    assert len(sieved) == 1
+    assert np.array_equal(again.mu, table.mu)
+    assert np.array_equal(again.dk[3], table.dk[3])
+    assert arith._cache_load(500, 3) is not None
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         sieve_all(1 << 28)

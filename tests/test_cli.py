@@ -453,3 +453,60 @@ def test_experiment_plot_rows_from_run_sequence(tmp_path, capsys):
     rows = (tmp_path / "plot_data.csv").read_text().splitlines()
     sweep = variance_sweep(load_sequence("lambda", 10**5), 400)
     assert rows == ["q,V"] + [f"{q},{sweep.v[q]:.12g}" for q in range(1, 401)]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["theorem1", "--N", "2e4"], "lambda"),
+    (["theorem2", "--k", "2", "--ending", "second", "--N", "2e4",
+      "--Q-exp", "0.8"], "d2"),
+])
+def test_experiment_plot_rows_from_chain_sweep(argv, name, tmp_path, capsys):
+    """Up to N = 10^5 the V(q) rows are the chain sweep's own, the same
+    bytes as a fresh sweep of the run's sequence; the report carries that
+    sweep's V(q), and its JSON and CSV gain no key for it."""
+    from apvar.arith import load_sequence
+    from apvar.pipeline import BoundReport
+    from apvar.variance import variance_sweep
+
+    code, _, _ = run_cli(["experiment", *argv], tmp_path, capsys)
+    assert code == 0
+    report = json.loads((tmp_path / "bound_report.json").read_text())
+    assert set(report) == {
+        "schema_version", "kind", "params", "lhs_variance_sum",
+        "minor_integral", "minor_error", "ramanujan_tail", "slack",
+        "oterm_allowance", "fitted_oterm_constant", "cs_numerator",
+        "cs_denominator", "final_lower_bound", "comparison_target", "ratio",
+        "chain_sound", "clips", "regime_departures", "extras"}
+    header = (tmp_path / "summary.csv").read_text().splitlines()[0]
+    assert header == ",".join(BoundReport.CSV_FIELDS)
+    rows = (tmp_path / "plot_data.csv").read_text().splitlines()
+    q_max = min(int(report["params"]["Q"]), 400)
+    sweep = variance_sweep(load_sequence(name, 20000), q_max)
+    assert rows == ["q,V"] + [f"{q},{sweep.v[q]:.12g}"
+                              for q in range(1, q_max + 1)]
+
+
+def test_euler_tail_bound_covers_partial_sums(table_1e5, monkeypatch):
+    """|sum_{n<=x} d_k(n) c_q(n)/n^2 - zeta(2)^k F_q(2)| is the tail past
+    x, which _euler_tail_bound must cover at every x; and `verify euler`
+    fails at all six (q, k) once its prediction is off by 10%, more than
+    B, which is at most 5.5% of the prediction there."""
+    import numpy as np
+
+    from apvar import cli
+    from apvar.arith import ramanujan_row
+    from apvar.dirichlet import euler_F_q, zeta_near_one
+
+    n = table_1e5.n
+    for q in (1, 4, 6, 12):
+        terms = ramanujan_row(q, n) / np.arange(1, n + 1, dtype=float) ** 2
+        for k in (2, 3):
+            pred = (zeta_near_one(2.0) ** k * euler_F_q(q, k, 2.0)).real
+            partial = np.cumsum(table_1e5.dk[k][1:] * terms)
+            for x in (10, 300, 5000, n):
+                gap = abs(partial[x - 1] - pred)
+                assert gap <= cli._euler_tail_bound(q, k, x), (q, k, x)
+    assert cli._verify_euler() == []
+    monkeypatch.setattr(cli, "euler_F_q",
+                        lambda q, k, s: 1.1 * euler_F_q(q, k, s))
+    assert len(cli._verify_euler()) == 6

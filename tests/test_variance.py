@@ -8,15 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apvar.arith import (Sequence, divisors, load_sequence, mobius_totient,
-                         ramanujan_correlations, ramanujan_sum, totient)
+from apvar.arith import (Sequence, divisors, factorize, gamma, load_sequence,
+                         mobius_totient, ramanujan_correlations,
+                         ramanujan_sum, sieve_all, totient)
 from apvar.variance import (_prime_power_class_squares, check_identity_prop1,
                             cor1_lower_bound, exp_variance_H, psi_counts,
                             residue_sums, restricted_variance_total,
                             variance_mod_q, variance_rows, variance_sweep,
                             variance_total)
 
-from oracles import prime_power_class_squares_loop
+from oracles import prime_power_class_squares_pairs
 
 
 def brute_variance(seq, q):
@@ -340,12 +341,73 @@ def test_zero_sequence_trivial():
     assert check_identity_prop1(z, 12).ok
 
 
-def test_prime_power_class_squares_match_loop(table_1e4):
-    """Primes above sqrt(N), grouped by multiplier, add to each q in the
-    order of a pass per prime: bit for bit the loop, on both sides of the
-    split point."""
-    n = table_1e4.n
-    for q_max in (1, math.isqrt(n), math.isqrt(n) + 1, n):
-        fast = _prime_power_class_squares(table_1e4, q_max)
-        assert np.array_equal(fast,
-                              prime_power_class_squares_loop(table_1e4, q_max))
+def test_prime_power_class_squares_match_pairs_oracle(table_1e4, table_1e5):
+    """The closed form against the pairwise class comparison it replaced,
+    at Q = N^0.75 and Q = N and on both sides of the split point sqrt(N):
+    within 1e-15 relative, with the same zeros.  The two round the same
+    sum of (log p)^2 multiples in different orders."""
+    tables = [(table, (int(table.n**0.75), table.n))
+              for table in (sieve_all(10**3, 2), sieve_all(2 * 10**4, 2),
+                            table_1e5)]
+    s = math.isqrt(table_1e4.n)
+    tables.append((table_1e4, (1, s, s + 1, table_1e4.n)))
+    for table, q_maxes in tables:
+        for q_max in q_maxes:
+            fast = _prime_power_class_squares(table, q_max)
+            slow = prime_power_class_squares_pairs(table, q_max)
+            assert np.array_equal(fast == 0, slow == 0)
+            nz = slow != 0
+            assert np.all(np.abs(fast - slow)[nz] <= 1e-15 * slow[nz])
+
+
+def brute_nr(table, q):
+    """NR(q) from its definition: the squares of the class sums of Lambda
+    (each float an exact Fraction) over the classes b with (b, q) > 1."""
+    t = {}
+    for n in np.flatnonzero(table.lam).tolist():
+        if math.gcd(n, q) > 1:
+            t[n % q] = t.get(n % q, 0) + Fraction(float(table.lam[n]))
+    return sum(v * v for v in t.values())
+
+
+def test_prime_power_class_squares_brute_force():
+    """Against exact class sums at every q <= 240 (N = 200), and at the
+    edge cases around the prime 97: N = 97^2, where 97 = sqrt(N) has the
+    two powers 97 and 97^2, and N = 97^2 - 1, where it has one; m = 1
+    (q = p^a), a = L_p, and a > L_p (q = 2 97^2, 97^3 past N).  Each
+    prime's term is one rounded product and at most omega(q) terms are
+    summed, so gamma_(omega(q)+1) bounds the relative error."""
+    cases = [(200, range(1, 241)),
+             (97**2, (97, 2 * 97, 6 * 97, 97**2, 2 * 97**2, 97**3, 101,
+                      202, 101**2, 64, 96, 8192, 2 * 3 * 5 * 7 * 11)),
+             (97**2 - 1, (97, 2 * 97, 97**2, 101, 2 * 101, 4096, 3 * 4096))]
+    for n, qs in cases:
+        table = sieve_all(n, 2)
+        nr = _prime_power_class_squares(table, max(qs))
+        for q in qs:
+            exact = brute_nr(table, q)
+            bound = gamma(len(factorize(q)) + 1) * float(exact)
+            assert abs(Fraction(float(nr[q])) - exact) <= bound, (n, q)
+
+
+@given(st.integers(1, 3000), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sweep_rows_do_not_depend_on_its_length(n, data):
+    """variance_sweep(seq, q_max).v[:r + 1] has the bytes of
+    variance_sweep(seq, r).v for every r <= q_max, on float and integer
+    sequences: multiple_sums, ramanujan_convolution and _convolve_ones add
+    an entry's terms in an order that does not depend on the table
+    length.  The CLI takes its plot rows from the chain's sweep on that
+    ground."""
+    q_max = data.draw(st.integers(1, n + 10), label="q_max")
+    r = data.draw(st.integers(1, q_max), label="r")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans(), label="integer"):
+        seq = Sequence.from_coeffs(rng.integers(-5, 6, n),
+                                   is_integer_valued=True)
+    else:
+        vals = rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 4))
+        vals[rng.random(n) < 0.5] = 0.0
+        seq = Sequence.from_coeffs(vals)
+    whole = variance_sweep(seq, q_max).v[: r + 1]
+    assert whole.tobytes() == variance_sweep(seq, r).v.tobytes()
