@@ -13,7 +13,8 @@ import hashlib
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -368,21 +369,25 @@ def gen_binomial(x: int, j: int) -> Fraction:
 # Sieve tables
 
 
-@dataclass
 class SieveTable:
     """Immutable arithmetic tables on 1..n.
 
     lam is Lambda(n) as a float (log p); dk maps j -> d_j table for
-    2 <= j <= k.  All arrays have length n+1 with slot 0 unused.
+    2 <= j <= k.  All arrays have length n+1 with slot 0 unused.  The
+    arrays come from one mapping of names (spf, mu, phi, lam, d2..dk) to
+    arrays: a fresh sieve's dict, or a cached table's _CachedArrays,
+    which reads each array on first access.
     """
 
-    n: int
-    k: int
-    spf: np.ndarray
-    mu: np.ndarray
-    phi: np.ndarray
-    lam: np.ndarray
-    dk: dict = field(default_factory=dict)
+    def __init__(self, n: int, k: int, arrays: Mapping):
+        self.n, self.k = n, k
+        self._arrays = arrays
+        self.dk = _DivisorTables(arrays, k)
+
+    spf = property(lambda self: self._arrays["spf"])
+    mu = property(lambda self: self._arrays["mu"])
+    phi = property(lambda self: self._arrays["phi"])
+    lam = property(lambda self: self._arrays["lam"])
 
     def lambda_sequence(self) -> Sequence:
         return Sequence(self.lam.copy(), is_integer_valued=False, name="lambda")
@@ -390,6 +395,28 @@ class SieveTable:
     def dk_sequence(self, j: int) -> Sequence:
         return Sequence(self.dk[j].astype(np.float64), is_integer_valued=True,
                         name=f"d{j}")
+
+
+class _DivisorTables(Mapping):
+    """The read-only mapping j -> d_j, 2 <= j <= k, over a table's arrays;
+    membership and iteration read no array."""
+
+    def __init__(self, arrays: Mapping, k: int):
+        self._arrays, self._k = arrays, k
+
+    def __getitem__(self, j):
+        if j not in self:
+            raise KeyError(j)
+        return self._arrays[f"d{j}"]
+
+    def __contains__(self, j):
+        return j in range(2, self._k + 1)
+
+    def __iter__(self):
+        return iter(range(2, self._k + 1))
+
+    def __len__(self):
+        return self._k - 1
 
 
 def _spf_sieve(n: int) -> np.ndarray:
@@ -479,19 +506,8 @@ def divisor_sieve(n: int, k: int) -> dict:
     return _spf_recurrence(_spf_sieve(n), k)[2]
 
 
-def sieve_all(n: int, k: int = 2) -> SieveTable:
-    """Tables for Lambda, mu, phi, spf and d_j (2 <= j <= k) on 1..n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if n > MEMORY_BUDGET:
-        raise CapacityError(f"n={n} exceeds memory budget {MEMORY_BUDGET}")
-
-    cached = _cache_load(n, k)
-    if cached is not None:
-        return cached
-
+def _sieve(n: int, k: int) -> dict:
+    """The arrays of sieve_all's table on 0..n, by name."""
     spf = _spf_sieve(n)
     primes = _primes_from_spf(spf)
     mu, phi, dk = _spf_recurrence(spf, k)
@@ -504,14 +520,40 @@ def sieve_all(n: int, k: int = 2) -> SieveTable:
         while pk <= n:
             lam[pk] = lam[p]
             pk *= p
+    return {"spf": spf, "mu": mu, "phi": phi, "lam": lam,
+            **{f"d{j}": d for j, d in dk.items()}}
 
-    table = SieveTable(n=n, k=k, spf=spf, mu=mu, phi=phi, lam=lam, dk=dk)
-    _cache_store(table)
-    return table
+
+def sieve_all(n: int, k: int = 2) -> SieveTable:
+    """Tables for Lambda, mu, phi, spf and d_j (2 <= j <= k) on 1..n."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if n > MEMORY_BUDGET:
+        raise CapacityError(f"n={n} exceeds memory budget {MEMORY_BUDGET}")
+
+    cached = _cache_load(n, k)
+    if cached is not None:
+        return cached
+    arrays = _sieve(n, k)
+    _cache_store(_cache_path(n, k), arrays)
+    return SieveTable(n, k, arrays)
 
 
 # ---------------------------------------------------------------------------
-# Binary sieve cache (keyed by N, k; checksummed with the sieve's source)
+# Binary sieve cache: one file per (N, k), each array checksummed apart
+#
+# A file is a text header, then the raw arrays.  The header's first line
+# is `_CACHE_FORMAT <source digest in hex> <count>`, and each of the next
+# <count> lines is `<name> <dtype> <length> <offset> <sha256>` for one
+# array, its offset counted from the first multiple of _ALIGN bytes after
+# the header, where the arrays start.  Only the header is read when a
+# table is loaded; each array is read and checked on first access.
+
+_CACHE_FORMAT = "apvar-sieve-table-1"
+_ALIGN = 64
+_LINE = 256     # the longest header line read
 
 
 def _cache_dir():
@@ -521,7 +563,7 @@ def _cache_dir():
 
 def _cache_path(n, k):
     d = _cache_dir()
-    return d / f"sieve_{n}_{k}.npz" if d else None
+    return d / f"sieve_{n}_{k}.bin" if d else None
 
 
 @lru_cache(maxsize=None)
@@ -531,53 +573,111 @@ def _source_digest() -> bytes:
     return hashlib.sha256(Path(__file__).read_bytes()).digest()
 
 
-def _checksum(arrays) -> str:
-    """A table's checksum, seeded with _source_digest, so that a table
-    cached by other sieve code fails it and is sieved again."""
+def _array_digest(name: str, a: np.ndarray) -> str:
+    """An array's sha256, seeded with _source_digest and the array's name,
+    dtype and length, so that an array cached by other sieve code, or
+    under another name or shape, fails it."""
     h = hashlib.sha256(_source_digest())
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(f"{name} {a.dtype.str} {a.size}".encode())
+    h.update(np.ascontiguousarray(a))
     return h.hexdigest()
 
 
-def _cache_store(table: SieveTable):
-    path = _cache_path(table.n, table.k)
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
+
+
+def _cache_store(path, arrays: dict):
+    """Write a table's arrays to `path` (None: no cache) in one atomic
+    replace."""
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"spf": table.spf, "mu": table.mu, "phi": table.phi, "lam": table.lam}
-    for j, arr in table.dk.items():
-        payload[f"d{j}"] = arr
-    order = sorted(payload)
-    payload["checksum"] = np.frombuffer(
-        bytes.fromhex(_checksum([payload[key] for key in order])), dtype=np.uint8
-    )
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez(tmp, **payload)
+    lines, offsets, end = [], [], 0
+    for name, a in arrays.items():
+        offsets.append(_aligned(end))
+        lines.append(f"{name} {a.dtype.str} {a.size} {offsets[-1]} "
+                     f"{_array_digest(name, a)}")
+        end = offsets[-1] + a.nbytes
+    head = "\n".join([f"{_CACHE_FORMAT} {_source_digest().hex()} {len(lines)}",
+                      *lines, ""]).encode()
+    start = _aligned(len(head))
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(head)
+        for offset, a in zip(offsets, arrays.values()):
+            fh.write(bytes(start + offset - fh.tell()))
+            fh.write(np.ascontiguousarray(a))
     tmp.replace(path)
 
 
 def _cache_load(n, k):
+    """The cached table (N, k) from its file's header alone, or None when
+    the file is missing or unreadable, was made by other sieve code, or
+    lacks one of the table's arrays."""
     path = _cache_path(n, k)
-    if path is None or not path.exists():
+    if path is None:
         return None
+    names = ["spf", "mu", "phi", "lam", *(f"d{j}" for j in range(2, k + 1))]
     try:
-        with np.load(path) as z:
-            payload = {key: z[key] for key in z.files if key != "checksum"}
-            stored = bytes(z["checksum"]).hex()
-    except Exception:
+        with open(path, "rb") as fh:
+            tag, source, count = fh.readline(_LINE).decode().split()
+            if (tag != _CACHE_FORMAT or source != _source_digest().hex()
+                    or int(count) != len(names)):
+                return None
+            rows = [fh.readline(_LINE).decode().split() for _ in names]
+            start = _aligned(fh.tell())
+        entries = {name: (np.dtype(dtype), int(length), start + int(offset),
+                          digest)
+                   for name, dtype, length, offset, digest in rows}
+    except (OSError, ValueError, TypeError):
         return None
-    order = sorted(payload)
-    if _checksum([payload[key] for key in order]) != stored:
+    if any(name not in entries or entries[name][1] != n + 1 for name in names):
         return None
-    dk = {}
-    for key in payload:
-        if key.startswith("d") and key[1:].isdigit():
-            dk[int(key[1:])] = payload[key]
-    if any(j not in dk for j in range(2, k + 1)):
+    return SieveTable(n, k, _CachedArrays(path, n, k, entries))
+
+
+def _read_verified(path, name, entry):
+    """One cached array, read at its offset and checked against its
+    sha256; None when the read fails, comes up short or does not match."""
+    dtype, length, offset, digest = entry
+    try:
+        a = np.fromfile(path, dtype, count=length, offset=offset)
+    except OSError:
         return None
-    return SieveTable(n=n, k=k, spf=payload["spf"], mu=payload["mu"],
-                      phi=payload["phi"], lam=payload["lam"], dk=dk)
+    if a.size != length or _array_digest(name, a) != digest:
+        return None
+    return a
+
+
+class _CachedArrays(Mapping):
+    """The arrays of one cached table file by name, each read and verified
+    on first access.  When one fails its check the table is sieved once
+    in memory and stored again, and every array is served from that
+    sieve from then on."""
+
+    def __init__(self, path, n, k, entries):
+        self._path, self._n, self._k = path, n, k
+        self._entries = entries
+        self._arrays = {}
+
+    def __getitem__(self, name):
+        a = self._arrays.get(name)
+        if a is None:
+            a = _read_verified(self._path, name, self._entries[name])
+            if a is None:
+                self._arrays = _sieve(self._n, self._k)
+                _cache_store(self._path, self._arrays)
+                a = self._arrays[name]
+            else:
+                self._arrays[name] = a
+        return a
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +729,13 @@ def load_sequence(name: str, n: int, table: SieveTable | None = None) -> Sequenc
 
 def ramanujan_row(d: int, n_max: int) -> np.ndarray:
     """c_d(n) for n = 1..n_max as an integer array: c_d(n) depends only on
-    gcd(n, d), so it is looked up from a table over the divisors of d."""
+    gcd(n, d), so one period n = 1..d is looked up from a table over the
+    divisors of d and tiled out to n_max."""
     table = np.zeros(d + 1, dtype=np.int64)
     for h in divisors(d):
         table[h] = ramanujan_sum(d, h)
-    return table[np.gcd(np.arange(1, n_max + 1), d)]
+    period = table[np.gcd(np.arange(1, min(d, n_max) + 1), d)]
+    return np.tile(period, -(-n_max // d))[:n_max]
 
 
 def check_lemma1_matrix(q: int, m_max: int, n_max: int,

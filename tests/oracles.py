@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from apvar.arith import _primes_from_spf
+from apvar.arith import _primes_from_spf, divisors, ramanujan_sum
 
 
 @functools.cache
@@ -178,7 +178,16 @@ def dk_correlation_residue(q: int, k: int, n: int) -> float:
 
 # ---------------------------------------------------------------------------
 # One numpy pass per index: the divisor-sum kernels of apvar.arith and
-# apvar.variance before their hyperbola split, kept to pin them.
+# apvar.variance before their hyperbola split, and ramanujan_row before
+# its tiling, kept to pin them.
+
+
+def ramanujan_row_gcd(d: int, n_max: int) -> np.ndarray:
+    """c_d(n) for n = 1..n_max, looked up at gcd(n, d) for every n."""
+    table = np.zeros(d + 1, dtype=np.int64)
+    for h in divisors(d):
+        table[h] = ramanujan_sum(d, h)
+    return table[np.gcd(np.arange(1, n_max + 1), d)]
 
 
 def multiple_sums_loop(values: np.ndarray, emax: int) -> np.ndarray:

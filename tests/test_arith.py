@@ -21,7 +21,8 @@ from apvar.arith import (CapacityError, Sequence, _convolve_ones,
                          sieve_all, totient)
 
 from oracles import (convolve_ones_loop, lambda_sieve_loop, mu_phi_sieve_loop,
-                     multiple_sums_loop, ramanujan_convolution_loop)
+                     multiple_sums_loop, ramanujan_convolution_loop,
+                     ramanujan_row_gcd)
 
 
 def direct_ramanujan(q, n):
@@ -39,6 +40,17 @@ def test_ramanujan_row_matches_scalar():
         row = ramanujan_row(q, 30)
         assert [row[n - 1] for n in range(1, 31)] == [
             ramanujan_sum(q, n) for n in range(1, 31)]
+
+
+def test_ramanujan_row_tiles_one_period():
+    """The tiled period is the gcd lookup at every n, in dtype and value,
+    at lengths below, at and past one period."""
+    cases = [(d, n) for d in range(1, 61)
+             for n in {1, d - 1, d, d + 1, 7 * d + 3}]
+    for d, n_max in cases + [(210, 200_000), (997, 200_000)]:
+        row, oracle = ramanujan_row(d, n_max), ramanujan_row_gcd(d, n_max)
+        assert row.dtype == oracle.dtype
+        assert np.array_equal(row, oracle)
 
 
 @given(st.integers(1, 500))
@@ -81,14 +93,96 @@ def test_sieve_tables_match_bruteforce(table_300):
     assert t.lam[6] == 0.0
 
 
+def assert_fresh(table):
+    """Every array of `table` is an uncached sieve's, by dtype and bytes."""
+    fresh = arith._sieve(table.n, table.k)
+    got = {"spf": table.spf, "mu": table.mu, "phi": table.phi,
+           "lam": table.lam, **{f"d{j}": d for j, d in table.dk.items()}}
+    assert sorted(got) == sorted(fresh)
+    for name, a in fresh.items():
+        assert got[name].dtype == a.dtype, name
+        assert got[name].tobytes() == a.tobytes(), name
+
+
 def test_sieve_cache_roundtrip(tmp_path, monkeypatch):
+    """A table is stored as one file, and read back from it, every array
+    equals an uncached sieve's by dtype and bytes."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
-    a = sieve_all(500, 3)
-    files = os.listdir(tmp_path)
-    assert any(f.endswith(".npz") for f in files)
-    b = sieve_all(500, 3)
-    assert np.array_equal(a.mu, b.mu)
-    assert np.array_equal(a.dk[3], b.dk[3])
+    for n, k in ((1, 2), (500, 3), (2**16 + 3, 4)):
+        sieve_all(n, k)
+        assert (tmp_path / f"sieve_{n}_{k}.bin").is_file()
+        cached = arith._cache_load(n, k)
+        assert cached is not None
+        assert_fresh(cached)
+        assert_fresh(sieve_all(n, k))
+    assert sorted(os.listdir(tmp_path)) == [
+        "sieve_1_2.bin", "sieve_500_3.bin", f"sieve_{2**16 + 3}_4.bin"]
+
+
+@pytest.mark.parametrize("damage", ["flip", "truncate"])
+def test_sieve_cache_damaged_array_is_sieved_again(tmp_path, monkeypatch,
+                                                   damage):
+    """A flipped byte of d_3's data, or a file cut short inside it, gives
+    the fresh d_3 on access, and the file is written again."""
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    sieve_all(500, 3)
+    path = tmp_path / "sieve_500_3.bin"
+    stored = path.read_bytes()
+    _, length, offset, _ = arith._cache_load(500, 3)._arrays._entries["d3"]
+    damaged = bytearray(stored)
+    if damage == "flip":
+        damaged[offset + 8 * length // 2] ^= 0x01
+    else:
+        del damaged[offset + 8:]
+    path.write_bytes(damaged)
+    table = sieve_all(500, 3)
+    assert np.array_equal(table.dk[3], arith._sieve(500, 3)["d3"])
+    assert path.read_bytes() == stored
+    assert_fresh(table)
+
+
+def test_sieve_cache_rejects_unparseable_or_incomplete_files(tmp_path,
+                                                           monkeypatch):
+    """A file that is not a table, or whose header lacks one of the
+    table's arrays, is not loaded; sieve_all sieves and stores it again."""
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    sieve_all(500, 2)
+    path = tmp_path / "sieve_500_3.bin"
+    path.write_bytes((tmp_path / "sieve_500_2.bin").read_bytes())
+    assert arith._cache_load(500, 3) is None
+    for junk in (b"", b"\xff" * 4096, b"apvar-sieve-table-1 00 x\n"):
+        path.write_bytes(junk)
+        assert arith._cache_load(500, 3) is None
+    assert_fresh(sieve_all(500, 3))
+    assert arith._cache_load(500, 3) is not None
+
+
+def test_sieve_cache_reads_only_the_arrays_used(tmp_path, monkeypatch):
+    """d_3 of a cached table reads and verifies d_3 alone."""
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    sieve_all(500, 3)
+    read = []
+    verified = arith._read_verified
+    monkeypatch.setattr(arith, "_read_verified",
+                        lambda path, name, entry:
+                        read.append(name) or verified(path, name, entry))
+    table = sieve_all(500, 3)
+    assert 3 in table.dk and sorted(table.dk) == [2, 3] and read == []
+    d3 = table.dk[3]
+    assert read == ["d3"]
+    assert table.dk[3] is d3 and read == ["d3"]
+
+
+def test_sieve_cache_file_deleted_after_load(tmp_path, monkeypatch):
+    """A table whose file is gone before its arrays are read still gives
+    every array right on first access, and stores the file again."""
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    sieve_all(500, 3)
+    table = sieve_all(500, 3)
+    path = tmp_path / "sieve_500_3.bin"
+    path.unlink()
+    assert_fresh(table)
+    assert path.is_file()
 
 
 def test_sieve_cache_rejects_tables_of_other_sieve_code(tmp_path,

@@ -228,10 +228,8 @@ def test_table_sizes_within_limits_run(argv, rows, tmp_path, capsys):
     assert len(out.splitlines()) == 1 + rows
 
 
-def test_benchmark_span_names_are_bound():
-    """perfbench/spans.py wraps these names in apvar.pipeline and
-    apvar.cli for a traced run; deleting one breaks that run."""
-    import importlib
+def benchmark_spans():
+    """perfbench/spans.py, loaded from its file."""
     import importlib.util
     from pathlib import Path
 
@@ -239,11 +237,37 @@ def test_benchmark_span_names_are_bound():
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_span_names_are_bound():
+    """perfbench/spans.py wraps these names in apvar.pipeline and
+    apvar.cli for a traced run; deleting one breaks that run."""
+    import importlib
+
+    spans = benchmark_spans()
     for mod_name, layers in spans.LAYERS.items():
         mod = importlib.import_module(mod_name)
         for _, names in layers.values():
             for name in names:
                 assert callable(getattr(mod, name, None)), f"{mod_name}.{name}"
+
+
+def test_benchmark_table_bytes_of_cached_and_fresh_tables(tmp_path,
+                                                         monkeypatch):
+    """The traced run counts a sieve table's bytes through every array and
+    dk.values(); a table read from the cache counts as a fresh one."""
+    from apvar import arith
+
+    table_bytes = benchmark_spans()._table_bytes
+    monkeypatch.delenv("APVAR_CACHE_DIR", raising=False)
+    fresh = table_bytes((), {}, arith.sieve_all(500, 3))
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    arith.sieve_all(500, 3)
+    cached = arith._cache_load(500, 3)
+    assert cached is not None
+    assert table_bytes((), {}, cached) == fresh
+    assert fresh["arith.sieve_bytes"] == 501 * (8 + 1 + 8 + 8 + 8 + 8)
 
 
 def test_experiment_theorem2_files(tmp_path, capsys):
