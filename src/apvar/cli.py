@@ -8,6 +8,7 @@ byte-identical CSV/JSON outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,9 +70,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
         "wall_time_s": round(wall_time, 3),
         "outputs": [str(p) for p in outputs],
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +181,13 @@ def _verify_windows() -> list:
     return failures
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, list]:
     suites = {
         "identities": lambda: _verify_identities(args.inject_fault),
         "euler": _verify_euler,
         "windows": _verify_windows,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    t0 = time.time()
     failures = []
     for name in names:
         fails = suites[name]()
@@ -197,37 +196,26 @@ def cmd_verify(args) -> int:
         for f in fails:
             print(f"  {f}")
         failures.extend(fails)
-    out_dir = Path(args.out_dir)
-    _write_manifest(out_dir, f"verify {args.suite}",
-                    {"suite": args.suite, "inject_fault": args.inject_fault},
-                    [], time.time() - t0)
-    return 1 if failures else 0
+    return (1 if failures else 0), []
 
 
 # ---------------------------------------------------------------------------
 # experiment
 
 
-def cmd_experiment(args) -> int:
-    t0 = time.time()
-    try:
-        n = int(_bounded("--N", args.N, 3))
-        config = ExperimentConfig(
-            experiment=args.kind, n=n, q_exp=args.Q_exp, k=args.k,
-            delta=args.delta, epsilon=args.epsilon, k_exp=args.K_exp,
-            r_override=None if args.R is None else _bounded("--R", args.R, 2),
-            ending=args.ending)
-        params = resolve_params(config)    # a bad R fails before the sieve
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_experiment(args) -> tuple[int, list]:
+    # The manifest records the parsed N as n.
+    args.n = n = int(_bounded("--N", args.N, 3))
+    # theorem1 reads no --k, --delta or --ending: it keeps the defaults.
+    config = ExperimentConfig(
+        experiment=args.kind, n=n, q_exp=args.Q_exp, epsilon=args.epsilon,
+        k_exp=args.K_exp,
+        r_override=None if args.R is None else _bounded("--R", args.R, 2),
+        **{f: getattr(args, f) for f in ("k", "delta", "ending") if f in args})
+    params = resolve_params(config)    # a bad R fails before the sieve
     runner = run_theorem1 if args.kind == "theorem1" else run_theorem2
-    try:
-        table = sieve_all(n, 2 if args.kind == "theorem1" else config.k)
-        report = runner(params, table)
-    except (ValueError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    table = sieve_all(n, config.k)
+    report = runner(params, table)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -242,7 +230,7 @@ def cmd_experiment(args) -> int:
 
     plot_path = out_dir / "plot_data.csv"
     with open(plot_path, "w", newline="\n") as fh:
-        if args.kind == "theorem2" and args.ending == "first":
+        if config.ending == "first":
             # The polynomial over R's own window, the one the chain scans.
             fh.write("alpha,polynomial\n")
             log_n = math.log(n)
@@ -271,83 +259,78 @@ def cmd_experiment(args) -> int:
                 fh.write(f"{q},{v[q]:.12g}\n")
     outputs.append(plot_path)
 
-    wall = time.time() - t0
-    outputs.append(_write_manifest(
-        out_dir, f"experiment {args.kind}", vars(args) | {"n": n},
-        outputs, wall))
     for name in report.CSV_FIELDS:
         print(f"{name}: {_fmt(getattr(report, name))}")
-    return 0
+    return 0, outputs
 
 
 # ---------------------------------------------------------------------------
-# table
+# table: one rows function per table, each returning the header and the
+# rows; bad flags raise a ValueError naming the flag, before any work.
 
 
-def _table_rows(args):
-    """The header and rows of one table.  Bad flags raise a ValueError
-    naming the flag, before any work."""
-    rows = []
-    if args.what != "weights" and args.q_max < 1:
+def _q_max(args) -> int:
+    if args.q_max < 1:
         raise ValueError(f"--q-max must be at least 1, got {args.q_max}")
-    if args.what == "ramanujan":
-        if args.n_max < 1:
-            raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
-        if args.q_max > 10**4 or args.n_max > 10**5:
-            raise ValueError("--q-max/--n-max: range too large")
-        if args.q_max * args.n_max > MAX_RAMANUJAN_ROWS:
-            raise ValueError(f"--q-max x --n-max = {args.q_max * args.n_max} "
-                             f"rows exceeds the limit {MAX_RAMANUJAN_ROWS}")
-        header = "q,n,c_q_n"
-        for q in range(1, args.q_max + 1):
-            row = ramanujan_row(q, args.n_max)
-            rows.extend(f"{q},{n},{row[n - 1]}"
-                        for n in range(1, args.n_max + 1))
-    elif args.what == "variance":
-        n = int(_bounded("--N", args.N, 1))
-        try:
-            seq = load_sequence(args.seq, n)
-        except (ValueError, OSError) as exc:
-            raise ValueError(f"--seq: {exc}") from None
-        header = "q,V,method"
-        for q, v in enumerate(variance_rows(seq, args.q_max), start=1):
-            method = "exact" if isinstance(v, Fraction) else "float"
-            rows.append(f"{q},{_fmt(v)},{method}")
-    elif args.what == "weights":
-        if args.R is None:
-            raise ValueError("--R is required")
-        if args.kind == "divisor" and args.k < 2:
-            raise ValueError(f"--k must be at least 2 for divisor weights, "
-                             f"got {args.k}")
-        kind = "prime_sieve" if args.kind == "prime" else "divisor_k"
-        weights = build_weights(kind, int(_bounded("--R", args.R, 2)), k=args.k)
-        header = "r,b_r"
-        rows.extend(f"{r},{_fmt(float(b))}" for r, b in weights.to_csv_rows())
-    else:
-        # The contour |s - 1| = 1/log N keeps 1/4 from s = 0 for N >= 4.
-        n = int(_bounded("--N", args.N, 4))
-        if args.q_max > n:
-            raise ValueError(f"--q-max={args.q_max} exceeds --N={n}")
-        if args.q_max > MAX_RESIDUE_MODULI:
-            raise ValueError(f"--q-max={args.q_max} moduli exceeds the limit "
-                             f"{MAX_RESIDUE_MODULI}")
-        if args.k < 1:
-            raise ValueError(f"--k must be at least 1, got {args.k}")
-        header = "q,k,N,value,error"
-        preds = residues(range(1, args.q_max + 1), args.k, n)
-        rows.extend(f"{q},{args.k},{n},{pred.value:.12g},{pred.error:.3g}"
-                    for q, pred in enumerate(preds, start=1))
-    return header, rows
+    return args.q_max
 
 
-def cmd_table(args) -> int:
-    t0 = time.time()
+def _ramanujan_rows(args):
+    q_max = _q_max(args)
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+    if q_max > 10**4 or args.n_max > 10**5:
+        raise ValueError("--q-max/--n-max: range too large")
+    if q_max * args.n_max > MAX_RAMANUJAN_ROWS:
+        raise ValueError(f"--q-max x --n-max = {q_max * args.n_max} "
+                         f"rows exceeds the limit {MAX_RAMANUJAN_ROWS}")
+    rows = []
+    for q in range(1, q_max + 1):
+        row = ramanujan_row(q, args.n_max)
+        rows.extend(f"{q},{n},{row[n - 1]}" for n in range(1, args.n_max + 1))
+    return "q,n,c_q_n", rows
+
+
+def _variance_rows(args):
+    q_max = _q_max(args)
+    n = int(_bounded("--N", args.N, 1))
     try:
-        header, rows = _table_rows(args)
-    except (ValueError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        seq = load_sequence(args.seq, n)
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"--seq: {exc}") from None
+    return "q,V,method", [
+        f"{q},{_fmt(v)},{'exact' if isinstance(v, Fraction) else 'float'}"
+        for q, v in enumerate(variance_rows(seq, q_max), start=1)]
 
+
+def _weights_rows(args):
+    if args.kind == "divisor" and args.k < 2:
+        raise ValueError(f"--k must be at least 2 for divisor weights, "
+                         f"got {args.k}")
+    kind = "prime_sieve" if args.kind == "prime" else "divisor_k"
+    weights = build_weights(kind, int(_bounded("--R", args.R, 2)), k=args.k)
+    return "r,b_r", [f"{r},{_fmt(float(b))}" for r, b in weights.to_csv_rows()]
+
+
+def _residues_rows(args):
+    q_max = _q_max(args)
+    # The contour |s - 1| = 1/log N keeps 1/4 from s = 0 for N >= 4.
+    n = int(_bounded("--N", args.N, 4))
+    if q_max > n:
+        raise ValueError(f"--q-max={q_max} exceeds --N={n}")
+    if q_max > MAX_RESIDUE_MODULI:
+        raise ValueError(f"--q-max={q_max} moduli exceeds the limit "
+                         f"{MAX_RESIDUE_MODULI}")
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
+    preds = residues(range(1, q_max + 1), args.k, n)
+    return "q,k,N,value,error", [
+        f"{q},{args.k},{n},{pred.value:.12g},{pred.error:.3g}"
+        for q, pred in enumerate(preds, start=1)]
+
+
+def cmd_table(args) -> tuple[int, list]:
+    header, rows = args.rows(args)
     if args.format == "json":
         keys = header.split(",")
         payload = [dict(zip(keys, r.split(","))) for r in rows]
@@ -356,71 +339,98 @@ def cmd_table(args) -> int:
         text = header + "\n" + "\n".join(rows) + "\n"
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.out:
-        path = out_dir / args.out
-        path.write_text(text, newline="\n")
-        outputs = [path]
-    else:
+    if not args.out:
         sys.stdout.write(text)
-        outputs = []
-    _write_manifest(out_dir, f"table {args.what}",
-                    {k: v for k, v in vars(args).items() if k != "func"},
-                    outputs, time.time() - t0)
-    return 0
+        return 0, []
+    path = out_dir / args.out
+    path.write_text(text, newline="\n")
+    return 0, [path]
 
 
 # ---------------------------------------------------------------------------
 
+# Each flag's argparse spec; a leaf adds the ones its command reads.
+_FLAGS = {
+    "--N": dict(default="1e5"),
+    "--k": dict(type=int, default=2),
+    "--R": dict(type=float, default=None),
+    "--Q-exp": dict(dest="Q_exp", type=float, default=0.75),
+    "--delta": dict(type=float, default=0.1),
+    "--epsilon": dict(type=float, default=0.05),
+    "--K-exp": dict(dest="K_exp", type=float, default=None),
+    "--ending": dict(choices=("first", "second"), default="second"),
+    "--q-max": dict(dest="q_max", type=int, default=12),
+    "--n-max": dict(dest="n_max", type=int, default=12),
+    "--seq": dict(default="d2"),
+    "--kind": dict(choices=("prime", "divisor"), default="prime"),
+    "--out": dict(default=None),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--inject-fault": dict(action="store_true",
+                           help="test hook: perturb one Ramanujan value"),
+    "--out-dir": dict(default="apvar_runs"),
+}
+# The namespace field that names each command's leaf.
+_LEAF = {"verify": "suite", "experiment": "kind", "table": "what"}
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: one leaf per suite, experiment
+    and table, each taking only the flags its command reads."""
     parser = argparse.ArgumentParser(
         prog="apvar",
         description="Variance of arithmetic sequences in progressions: "
                     "identities, spectra, and lower-bound experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--N", default="1e5")
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--R", type=float, default=None)
-        p.add_argument("--out-dir", default="apvar_runs")
+    def group(command, help):
+        return sub.add_parser(command, help=help).add_subparsers(
+            dest=_LEAF[command], required=True)
 
-    p_verify = sub.add_parser("verify", help="run property suites")
-    p_verify.add_argument("suite",
-                          choices=("identities", "euler", "windows", "all"))
-    p_verify.add_argument("--inject-fault", action="store_true",
-                          help="test hook: perturb one Ramanujan value")
-    p_verify.add_argument("--out-dir", default="apvar_runs")
-    p_verify.set_defaults(func=cmd_verify)
+    def leaf(group, name, flags, **defaults):
+        p = group.add_parser(name, allow_abbrev=False)
+        for flag in (*flags.split(), "--out-dir"):
+            # Only table weights takes --R without a default.
+            p.add_argument(flag, **_FLAGS[flag],
+                           required=flag == "--R" and name == "weights")
+        p.set_defaults(**defaults)
 
-    p_exp = sub.add_parser("experiment", help="full lower-bound chains")
-    p_exp.add_argument("kind", choices=("theorem1", "theorem2"))
-    p_exp.add_argument("--ending", choices=("first", "second"),
-                       default="second")
-    p_exp.add_argument("--Q-exp", dest="Q_exp", type=float, default=0.75)
-    p_exp.add_argument("--delta", type=float, default=0.1)
-    p_exp.add_argument("--epsilon", type=float, default=0.05)
-    p_exp.add_argument("--K-exp", dest="K_exp", type=float, default=None)
-    common(p_exp)
-    p_exp.set_defaults(func=cmd_experiment)
+    verify = group("verify", "run property suites")
+    for suite, flags in (("identities", "--inject-fault"), ("euler", ""),
+                         ("windows", ""), ("all", "--inject-fault")):
+        leaf(verify, suite, flags, func=cmd_verify)
 
-    p_tab = sub.add_parser("table", help="deterministic CSV tables")
-    p_tab.add_argument("what",
-                       choices=("ramanujan", "variance", "weights", "residues"))
-    p_tab.add_argument("--q-max", dest="q_max", type=int, default=12)
-    p_tab.add_argument("--n-max", dest="n_max", type=int, default=12)
-    p_tab.add_argument("--seq", default="d2")
-    p_tab.add_argument("--kind", choices=("prime", "divisor"), default="prime")
-    p_tab.add_argument("--out", default=None)
-    p_tab.add_argument("--format", choices=("csv", "json"), default="csv")
-    common(p_tab)
-    p_tab.set_defaults(func=cmd_table)
+    experiment = group("experiment", "full lower-bound chains")
+    theorem1 = "--N --Q-exp --epsilon --K-exp --R"
+    leaf(experiment, "theorem1", theorem1, func=cmd_experiment)
+    leaf(experiment, "theorem2", theorem1 + " --k --delta --ending",
+         func=cmd_experiment)
+
+    table = group("table", "deterministic CSV tables")
+    for name, flags, rows in (
+            ("ramanujan", "--q-max --n-max", _ramanujan_rows),
+            ("variance", "--q-max --seq --N", _variance_rows),
+            ("weights", "--kind --k --R", _weights_rows),
+            ("residues", "--q-max --N --k", _residues_rows)):
+        leaf(table, name, flags + " --out --format", func=cmd_table, rows=rows)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command.  A bad flag value or a failed contour ends with
+    `error: ...` and exit status 2, writing nothing; otherwise the run's
+    manifest records the command's accepted flags and its outputs."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    t0 = time.time()
+    try:
+        code, outputs = args.func(args)
+    except (ValueError, TruncationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    _write_manifest(Path(args.out_dir),
+                    f"{args.command} {getattr(args, _LEAF[args.command])}",
+                    vars(args), outputs, time.time() - t0)
+    return code
 
 
 if __name__ == "__main__":

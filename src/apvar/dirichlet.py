@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import (_primes_from_spf, _spf_sieve, d_k_prime_power, factorize,
-                    gen_binomial, is_squarefree, totient)
+                    gamma, gen_binomial, is_squarefree, totient)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -166,16 +166,37 @@ def _trapezoid(rows: np.ndarray, labels):
     """The trapezoid rule on each row of samples at 2M contour nodes: the
     mean over all 2M, and as its error |that - the mean over the even
     nodes|, which is the M-node rule (2 pi (2j)/(2M) = 2 pi j/M exactly).
-    An error above max(1e-6 |value|, 1e-12) raises, naming the row's label.
+    An error above max(1e-6 |value|, f) raises, naming the row's label.
+
+    f = 4 gamma_2M mean_j |r_j| is the rounding floor, in the samples'
+    own units (u = 2^-53, gamma_m = m u/(1 - m u)).  The error is half
+    the gap between the odd- and the even-node means, so samples computed
+    within relative eta of r_j move it by at most eta mean |r|.  The
+    2M-node mean rounds within gamma_2M mean |r|, and the M-node mean
+    within gamma_M sum_even |r_j|/M <= 2 gamma_M mean |r| <= gamma_2M
+    mean |r|.  So rounding alone moves the error by at most
+    (eta + 2 gamma_2M) mean |r|, and f allows eta = 2 gamma_2M: at least
+    96 u at 48 nodes, where each sample is a product of a few factors
+    (zeta^k, the Euler rows, the weight, the offset), each within some
+    tens of u unless it cancels (`_local_factor`).  The value itself is
+    within the same (eta + gamma_2M) mean |r| <= f of its exact rule; a
+    residue that is 0 by cancellation (q > 1 at k = 1, where
+    zeta(s) F_q(s) is entire) is left with about that much.
     """
     full = rows.mean(axis=-1)
     err = np.abs(full - rows[..., ::2].mean(axis=-1))
+    floor = _rounding_floor(rows)
     half = rows.shape[-1] // 2
-    for label, v, e in zip(labels, full, err):
-        if e > max(1e-6 * abs(v), 1e-12):
+    for label, v, e, f in zip(labels, full, err, floor):
+        if e > max(1e-6 * abs(v), f):
             raise TruncationError(f"contour unstable at q={label}: {half} vs "
                                   f"{2 * half} nodes differ by {e}")
     return full, err
+
+
+def _rounding_floor(rows: np.ndarray) -> np.ndarray:
+    """4 gamma_2M mean |r| for each row of 2M samples (see _trapezoid)."""
+    return 4.0 * gamma(rows.shape[-1]) * np.abs(rows).mean(axis=-1)
 
 
 @dataclass

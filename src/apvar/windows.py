@@ -217,7 +217,8 @@ def build_weights(kind: str, r_max: int, k: int | None = None) -> WeightSet:
     if kind == "prime_sieve":
         mu, _ = mobius_totient(r_max)
         r = np.arange(1, r_max + 1, dtype=np.float64)
-        b[1:] = mu[1:] * np.log(r_max / r)
+        # + 0.0 turns b_R = mu(R) log 1 = -0.0 into +0.0, and no other bit.
+        b[1:] = mu[1:] * np.log(r_max / r) + 0.0
         bound = math.log(r_max)
     elif kind == "divisor_k":
         if k is None or k < 2:

@@ -35,6 +35,73 @@ def test_verify_windows_suite(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_reports_bad_divisors(tmp_path, capsys, monkeypatch):
+    """An H(d) off at one divisor d of q fails Proposition 1's identity,
+    and the check names d; `verify identities` prints it and exits 1."""
+    from apvar import variance
+    from apvar.arith import load_sequence
+
+    exact_h = variance.exp_variance_H
+    monkeypatch.setattr(variance, "exp_variance_H",
+                        lambda seq, q: exact_h(seq, q) + (q == 6))
+    seq = load_sequence("d2", 300)
+    assert variance.check_identity_prop1(seq, 5)
+    check = variance.check_identity_prop1(seq, 12)
+    assert not check.ok and check.bad_divisors == [6]
+    code, out, _ = run_cli(["verify", "identities"], tmp_path, capsys)
+    assert code == 1
+    assert "verify identities: FAIL" in out
+    assert "divisor identity failed: seq=d2 q=12 residual=-1 bad=[6]" in out
+
+
+def test_manifest_config_lists_the_accepted_flags(tmp_path, capsys):
+    """A manifest's config is the parsed command line: the flags that
+    command accepts, with their values or defaults."""
+    for argv, config in (
+            (["verify", "windows"], {"command": "verify", "suite": "windows"}),
+            (["table", "weights", "--R", "10"],
+             {"command": "table", "what": "weights", "kind": "prime", "k": 2,
+              "R": "10", "out": None, "format": "csv"})):
+        code, _, _ = run_cli(argv, tmp_path, capsys)
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == " ".join(argv[:2])
+        assert manifest["config"] == config | {"out_dir": str(tmp_path)}
+
+
+def test_entry_points_run_main(tmp_path):
+    """`python -m apvar` and the two scripts reach the same commands:
+    each script writes the bound report `main` writes for its flags."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import apvar
+
+    root = Path(__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(apvar.__file__).parents[1]))
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert run("-m", "apvar", "verify", "windows", "--out-dir",
+               str(tmp_path / "verify")) == "verify windows: PASS\n"
+    for script, flags in (
+            ("run_theorem1.py", ["--N", "2e4"]),
+            ("run_theorem2.py", ["--k", "3", "--ending", "first",
+                                 "--N", "29366", "--Q-exp", "0.8"])):
+        run(str(root / "scripts" / script), *flags,
+            "--out-dir", str(tmp_path / script))
+        kind = script[4:-3]
+        assert main(["experiment", kind, *flags,
+                     "--out-dir", str(tmp_path / kind)]) == 0
+        assert ((tmp_path / script / "bound_report.json").read_bytes()
+                == (tmp_path / kind / "bound_report.json").read_bytes())
+
+
 def test_table_ramanujan(tmp_path, capsys):
     code, out, _ = run_cli(["table", "ramanujan", "--q-max", "12",
                             "--n-max", "12"], tmp_path, capsys)
@@ -143,6 +210,17 @@ def test_table_weights_and_determinism(tmp_path, capsys):
     assert out1 == out2  # byte-identical on identical flags
 
 
+@pytest.mark.parametrize("r_max", [2, 30, 105])
+def test_table_weights_print_no_negative_zero(r_max, tmp_path, capsys):
+    """b_R = mu(R) log(R/R) is +0, also where mu(R) = -1."""
+    code, out, _ = run_cli(["table", "weights", "--R", str(r_max)], tmp_path,
+                           capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == r_max and rows[-1] == f"{r_max},0"
+    assert all(row.split(",")[1] != "-0" for row in rows)
+
+
 def test_table_json_format(tmp_path, capsys):
     code, out, _ = run_cli(["table", "ramanujan", "--q-max", "3",
                             "--n-max", "2", "--format", "json"],
@@ -159,6 +237,28 @@ def test_table_residues(tmp_path, capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "q,k,N,value,error"
     assert len(lines) == 5
+
+
+def test_table_residues_zero_at_k1(tmp_path, capsys, monkeypatch):
+    """At k = 1, zeta(s) F_q(s) = sum c_q(n) n^-s is entire for q > 1, so
+    its residue is 0: the table runs at N = 10^6, and each q > 1 row is 0
+    within its error and the contour's rounding floor."""
+    from apvar import dirichlet
+
+    floors = []
+
+    def trapezoid(rows, labels):
+        floors.extend(dirichlet._rounding_floor(rows))
+        return exact_trapezoid(rows, labels)
+    exact_trapezoid = dirichlet._trapezoid
+    monkeypatch.setattr(dirichlet, "_trapezoid", trapezoid)
+    code, out, _ = run_cli(["table", "residues", "--k", "1", "--N", "1e6",
+                            "--q-max", "6"], tmp_path, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[0][:4] == ["1", "1", "1000000", "1000000"]
+    for (q, _, _, value, error), floor in list(zip(rows, floors))[1:]:
+        assert abs(float(value)) <= float(error) + floor, q
 
 
 def test_table_range_guard(tmp_path, capsys):
@@ -371,15 +471,14 @@ def test_experiment_validation_errors(tmp_path, capsys):
     assert code == 2
     assert "error" in err
     for argv in (["--N", "abc"], ["--N", "inf"], ["--N", "1"],
-                 ["--N", "1e4", "--R", "inf"], ["--delta", "nan"],
-                 ["--K-exp", "nan"], ["--epsilon", "0.3"],
-                 ["--Q-exp", "nan"]):
+                 ["--N", "1e4", "--R", "inf"], ["--K-exp", "nan"],
+                 ["--epsilon", "0.3"], ["--Q-exp", "nan"]):
         code, out, err = run_cli(["experiment", "theorem1", *argv],
                                  tmp_path, capsys)
         assert code == 2, argv
         assert err.startswith("error: ") and argv[-2] in err
         assert out == "" and not any(tmp_path.iterdir())
-    for argv in (["--delta", "-1"], ["--k", "1"]):
+    for argv in (["--delta", "-1"], ["--delta", "nan"], ["--k", "1"]):
         code, out, err = run_cli(["experiment", "theorem2", *argv],
                                  tmp_path, capsys)
         assert code == 2, argv
@@ -416,12 +515,71 @@ def test_experiment_bad_r_fails_before_sieving(argv, named, tmp_path, capsys,
     assert out == "" and not any(tmp_path.iterdir())
 
 
+def cli_leaves() -> dict:
+    """{"command leaf": (flags, required flags)} read from the parser."""
+    import argparse
+
+    from apvar.cli import build_parser
+
+    def subcommands(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+
+    leaves = {}
+    for command, sub in subcommands(build_parser()).items():
+        for name, leaf in subcommands(sub).items():
+            actions = {s: a for a in leaf._actions for s in a.option_strings
+                       if s.startswith("--") and s != "--help"}
+            leaves[f"{command} {name}"] = (
+                actions, [s for s, a in actions.items() if a.required])
+    return leaves
+
+
+# The flags each command reads, as the README lists them.
+LEAF_FLAGS = {
+    "verify identities": "--inject-fault",
+    "verify euler": "",
+    "verify windows": "",
+    "verify all": "--inject-fault",
+    "experiment theorem1": "--N --Q-exp --epsilon --K-exp --R",
+    "experiment theorem2": ("--N --Q-exp --epsilon --K-exp --R --k --delta "
+                            "--ending"),
+    "table ramanujan": "--q-max --n-max --out --format",
+    "table variance": "--q-max --seq --N --out --format",
+    "table weights": "--kind --k --R --out --format",
+    "table residues": "--q-max --N --k --out --format",
+}
+
+
+def test_each_leaf_accepts_the_flags_it_reads():
+    leaves = cli_leaves()
+    assert {name: set(flags) for name, (flags, _) in leaves.items()} == {
+        name: {*flags.split(), "--out-dir"}
+        for name, flags in LEAF_FLAGS.items()}
+    assert {name: required for name, (_, required) in leaves.items()
+            if required} == {"table weights": ["--R"]}
+
+
+def foreign_flags() -> list:
+    """For each leaf, and each flag that some other leaf accepts but this
+    one does not, that leaf's argv with the flag (and a value if it takes
+    one) after the leaf's required flags."""
+    leaves = cli_leaves()
+    every = {s: a for flags, _ in leaves.values() for s, a in flags.items()}
+    return [pytest.param(
+        [*name.split(), *(x for s in required for x in (s, "10")), flag,
+         *(["1"] if every[flag].nargs != 0 else [])], id=f"{name} {flag}")
+        for name, (flags, required) in leaves.items()
+        for flag in sorted(every) if flag not in flags]
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "theorem1", "--format", "json"],
     ["table", "variance", "--Q-exp", "0.8"],
     ["table", "weights", "--R", "10", "--delta", "0.2"],
     ["table", "variance", "--epsilon", "0.1"],
     ["table", "residues", "--K-exp", "2"],
+    *foreign_flags(),
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -162,6 +162,18 @@ def test_residues_reject_contour_around_zero():
         dr.residues([1, 2, 3, 4], k, 4)
 
 
+def test_residues_raise_on_a_contour_too_coarse():
+    """Too few nodes for the integrand: the half-node rule disagrees far
+    past the rounding floor, for a nonzero residue (q = 1) and for one
+    that is 0 by cancellation (q = 2 at k = 1), and the engine raises."""
+    for qs, k, count in (([1, 6], 2, 16), ([2], 1, 32)):
+        with pytest.raises(dr.TruncationError,
+                           match=f"q={qs[0]}: {count // 2} vs {count} nodes"):
+            dr.residues(qs, k, 10**6, count=count)
+    dr.residues([1, 6], 2, 10**6, count=48)
+    dr.residues([2], 1, 10**6, count=48)
+
+
 def test_local_factor_on_first_ending_contour():
     """On the first-ending chain's contour (k = 3, N = 29 366, 48 nodes)
     the p = 2 factor is within 1e-14 relative of its mpmath closed form."""
