@@ -314,8 +314,13 @@ def _weights_rows(args):
 
 def _residues_rows(args):
     q_max = _q_max(args)
-    # The contour |s - 1| = 1/log N keeps 1/4 from s = 0 for N >= 4.
-    n = int(_bounded("--N", args.N, 4))
+    # The contour |s - 1| = 1/log N keeps 1/4 from s = 0 for N >= 4, but
+    # the 64-node rule it is checked with errs by about (1/log N)^64 of
+    # the samples: 8e-10 at N = 4, far above the rounding floor
+    # 4 gamma_128 = 5.7e-14 that bounds a zero residue (k = 1, q > 1),
+    # and about the floor at N = 5, where the worst gap over k <= 10,
+    # q <= N is 0.48 of its bound (measured).
+    n = int(_bounded("--N", args.N, 5))
     if q_max > n:
         raise ValueError(f"--q-max={q_max} exceeds --N={n}")
     if q_max > MAX_RESIDUE_MODULI:

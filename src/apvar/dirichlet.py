@@ -182,6 +182,15 @@ def _trapezoid(rows: np.ndarray, labels):
     within the same (eta + gamma_2M) mean |r| <= f of its exact rule; a
     residue that is 0 by cancellation (q > 1 at k = 1, where
     zeta(s) F_q(s) is entire) is left with about that much.
+
+    The returned error is the gap plus f, which bounds |value - I| for
+    the exact residue I.  The value is within (eta + gamma_2M) mean |r|
+    = 3f/4 of the exact 2M-node rule T_2M (above, eta = 2 gamma_2M).  The rule converges
+    geometrically on these analytic integrands, |T_j - I| ~ c rho^j, so
+    |T_2M - I| <= rho^M |T_M - I| <= rho^M (|T_2M - I| + g), with g the
+    exact gap, at most the computed gap + f (above).  A passing check
+    leaves rho^M near the 1e-6 relative gap, far below 1/5, so
+    |T_2M - I| <= g/4 <= (gap + f)/4, and |value - I| <= gap/4 + f.
     """
     full = rows.mean(axis=-1)
     err = np.abs(full - rows[..., ::2].mean(axis=-1))
@@ -191,7 +200,7 @@ def _trapezoid(rows: np.ndarray, labels):
         if e > max(1e-6 * abs(v), f):
             raise TruncationError(f"contour unstable at q={label}: {half} vs "
                                   f"{2 * half} nodes differ by {e}")
-    return full, err
+    return full, err + floor
 
 
 def _rounding_floor(rows: np.ndarray) -> np.ndarray:

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import (Sequence, SieveTable, d_k_of, factorize, is_squarefree,
-                    mobius, mobius_totient, multiple_sums,
-                    ramanujan_convolution, ramanujan_correlations, totient)
+                    mobius, ramanujan_correlations, totient)
 # Bound for perfbench/spans.py, which wraps this name in this module.
 from .arith import sieve_all  # noqa: F401
 from .circle import (ArcMasses, ArcSystem, Spectrum, _arc_correlations,
@@ -180,28 +179,19 @@ def resolve_params(config: ExperimentConfig) -> ResolvedParams:
 # Chain terms
 
 
-def _tail_sum(corrs: np.ndarray, phi: np.ndarray, q0: float) -> float:
-    """sum over q <= Q of (1/q) sum over divisors d > Q0 of C_d^2 / phi(d),
-    from the correlations C_d and phi(d) for d <= Q = corrs.size - 1;
-    grouped by d with the harmonic weight w_d = sum_{m <= Q/d} 1/(dm)."""
-    q_max = corrs.size - 1
+def ramanujan_tail(correlations: np.ndarray, phi: np.ndarray,
+                   q0: float) -> float:
+    """The Ramanujan-sum tail of the variance inequality: the sum over
+    q <= Q of (1/q) sum over divisors d > Q0 of C_d^2 / phi(d), from the
+    correlations C_d and phi(d) for d <= Q = correlations.size - 1 (a
+    variance_sweep's); grouped by d with the harmonic weight
+    w_d = sum_{m <= Q/d} 1/(dm)."""
+    q_max = correlations.size - 1
     d_lo = int(math.floor(q0)) + 1
     ds = np.arange(d_lo, q_max + 1)
     harmonic = np.cumsum(1.0 / np.arange(1, q_max + 1))
     weights = harmonic[q_max // ds - 1] / ds
-    return math.fsum(weights * corrs[d_lo:] ** 2 / phi[d_lo:])
-
-
-def ramanujan_tail(seq: Sequence, q_max: float, q0: float) -> float:
-    """The Ramanujan-sum tail of the variance inequality (_tail_sum) for
-    `seq` alone, without an FFT; the chains take it from their variance
-    sweep (_chain_terms)."""
-    q_max = int(q_max)
-    if q0 >= q_max:
-        return 0.0
-    mu, phi = mobius_totient(q_max)
-    corrs = ramanujan_convolution(multiple_sums(seq.values, q_max), mu)
-    return _tail_sum(corrs, phi, q0)
+    return math.fsum(weights * correlations[d_lo:] ** 2 / phi[d_lo:])
 
 
 def _chain_terms(seq: Sequence, params: ResolvedParams,
@@ -212,7 +202,7 @@ def _chain_terms(seq: Sequence, params: ResolvedParams,
     call that the sweep and arc_masses both read."""
     corrs = _arc_correlations(seq, tilde)
     sweep = variance_sweep(seq, int(params.q), corrs[0])
-    tail = _tail_sum(sweep.correlations, sweep.phi, params.q0)
+    tail = ramanujan_tail(sweep.correlations, sweep.phi, params.q0)
     return sweep, tail, arc_masses(params, seq, tilde, corrs=corrs)
 
 

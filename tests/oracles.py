@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 
-from apvar.arith import _primes_from_spf, divisors, ramanujan_sum
+from apvar.arith import (_primes_from_spf, divisors, mobius_totient,
+                         multiple_sums, ramanujan_convolution, ramanujan_sum)
+from apvar.pipeline import ramanujan_tail
 
 
 @functools.cache
@@ -174,6 +176,14 @@ def dk_correlation_residue(q: int, k: int, n: int) -> float:
         taylor = mp.taylor(g, 1, k - 1)
         return float(mp.re(mp.fsum(c[j] * taylor[k - 1 - j]
                                    for j in range(k))))
+
+
+def ramanujan_tail_from_scratch(seq, q_max, q0) -> float:
+    """pipeline.ramanujan_tail of `seq` over q <= q_max with mu, phi and
+    every C_d computed afresh, not taken from a variance sweep."""
+    mu, phi = mobius_totient(int(q_max))
+    corrs = ramanujan_convolution(multiple_sums(seq.values, int(q_max)), mu)
+    return ramanujan_tail(corrs, phi, q0)
 
 
 # ---------------------------------------------------------------------------

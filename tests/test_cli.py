@@ -239,26 +239,26 @@ def test_table_residues(tmp_path, capsys):
     assert len(lines) == 5
 
 
-def test_table_residues_zero_at_k1(tmp_path, capsys, monkeypatch):
+def test_table_residues_zero_at_k1(tmp_path, capsys):
     """At k = 1, zeta(s) F_q(s) = sum c_q(n) n^-s is entire for q > 1, so
     its residue is 0: the table runs at N = 10^6, and each q > 1 row is 0
-    within its error and the contour's rounding floor."""
-    from apvar import dirichlet
-
-    floors = []
-
-    def trapezoid(rows, labels):
-        floors.extend(dirichlet._rounding_floor(rows))
-        return exact_trapezoid(rows, labels)
-    exact_trapezoid = dirichlet._trapezoid
-    monkeypatch.setattr(dirichlet, "_trapezoid", trapezoid)
+    within its own error, which includes the contour's rounding floor."""
     code, out, _ = run_cli(["table", "residues", "--k", "1", "--N", "1e6",
                             "--q-max", "6"], tmp_path, capsys)
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert rows[0][:4] == ["1", "1", "1000000", "1000000"]
-    for (q, _, _, value, error), floor in list(zip(rows, floors))[1:]:
-        assert abs(float(value)) <= float(error) + floor, q
+    for q, _, _, value, error in rows[1:]:
+        assert abs(float(value)) <= float(error), q
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_table_residues_at_least_N(k, tmp_path, capsys):
+    """N = 5, the least --N, resolves every modulus q <= N."""
+    code, out, _ = run_cli(["table", "residues", "--k", str(k), "--N", "5",
+                            "--q-max", "5"], tmp_path, capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 6
 
 
 def test_table_range_guard(tmp_path, capsys):
@@ -284,6 +284,7 @@ def test_table_range_guard(tmp_path, capsys):
     (["residues", "--k", "0", "--N", "100", "--q-max", "3"], "--k"),
     (["residues", "--k", "-2", "--N", "100", "--q-max", "3"], "--k"),
     (["weights", "--kind", "divisor", "--k", "1", "--R", "10"], "--k"),
+    (["residues", "--k", "1", "--N", "4", "--q-max", "2"], "--N"),
 ])
 def test_table_bad_flags_fail_cleanly(argv, flag, tmp_path, capsys):
     code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,

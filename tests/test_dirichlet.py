@@ -247,6 +247,17 @@ def test_choose_R_chebyshev():
         dr.choose_R_chebyshev(2, n, 5000.0, 10**4, 8.0, 0.1)
 
 
+def test_choose_R_chebyshev_refuses_max_below_floor(monkeypatch):
+    """The scan's maximum 1.73 is 540 times the Chebyshev extremal floor
+    of this window; a polynomial scaled 1000 times down has no point that
+    reaches the floor, and the certification raises."""
+    polynomial = dr.polynomial_69
+    monkeypatch.setattr(dr, "polynomial_69",
+                        lambda *args: polynomial(*args) / 1000.0)
+    with pytest.raises(AssertionError, match="below Chebyshev floor"):
+        dr.choose_R_chebyshev(2, 10**5, 10.0, 10**4, 8.0, 0.02)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_polynomial_69_array_matches_scalar(k):
     rng = np.random.default_rng(k)

@@ -14,6 +14,8 @@ from apvar.pipeline import (ExperimentConfig, ResolvedParams, assemble_prop13,
 from apvar.variance import restricted_variance_total, variance_sweep
 from apvar.windows import build_tilde_sequence, build_weights, build_window
 
+from oracles import ramanujan_tail_from_scratch
+
 
 def two_loop_tail(seq, q_max, q0):
     """Direct double loop: sum over q, then over divisors d > Q0."""
@@ -29,10 +31,23 @@ def two_loop_tail(seq, q_max, q0):
 
 def test_ramanujan_tail_two_loop_oracle():
     seq = Sequence.from_coeffs(np.ones(200), is_integer_valued=True)
+    sweep = variance_sweep(seq, 50)
     direct = two_loop_tail(seq, 50, 5)
-    assert ramanujan_tail(seq, 50, 5) == pytest.approx(direct, rel=1e-9)
+    assert ramanujan_tail(sweep.correlations, sweep.phi, 5) == pytest.approx(
+        direct, rel=1e-9)
     # empty range
-    assert ramanujan_tail(seq, 50, 50) == 0.0
+    assert ramanujan_tail(sweep.correlations, sweep.phi, 50) == 0.0
+
+
+def test_chain_tail_matches_two_loop_oracle():
+    """A chain's tail at a point from resolve_params equals the direct
+    double loop over q and its divisors, which shares no kernel with it."""
+    params = resolve_params(ExperimentConfig(experiment="theorem1", n=300))
+    table = sieve_all(300, 2)
+    report = run_theorem1(params, table)
+    direct = two_loop_tail(table.lambda_sequence(), int(params.q), params.q0)
+    assert report.ramanujan_tail > 0
+    assert report.ramanujan_tail == pytest.approx(direct, rel=1e-9)
 
 
 def test_ramanujan_tail_scale_bound(table_1e4):
@@ -41,7 +56,8 @@ def test_ramanujan_tail_scale_bound(table_1e4):
     q = n**0.75
     q0 = max(n * math.log(n) ** 10 / q, 1.0)
     q0 = min(q0, q)  # desk-scale clip
-    tail = ramanujan_tail(seq, q, q0 / 4)
+    sweep = variance_sweep(seq, int(q))
+    tail = ramanujan_tail(sweep.correlations, sweep.phi, q0 / 4)
     assert tail <= n**2 * math.log(n) ** 3 / max(q0 / 4, 1.0)
 
 
@@ -294,7 +310,7 @@ def test_run_theorem2_pair_is_exact_arc_masses(k, ending):
 @pytest.mark.parametrize("k, ending", [(3, "first"), (2, "second")])
 def test_run_theorem2_tail_is_ramanujan_tail(k, ending):
     """The chain takes its tail from its variance sweep's C_d; that is
-    ramanujan_tail's own convolution bit for bit."""
+    the tail over C_d computed afresh bit for bit."""
     n = 2 * 10**4
     table = sieve_all(n, k)
     report = run_theorem2(resolve_params(ExperimentConfig(
@@ -302,13 +318,14 @@ def test_run_theorem2_tail_is_ramanujan_tail(k, ending):
     seq = table.dk_sequence(k)
     p = report.params
     assert report.ramanujan_tail > 0
-    assert report.ramanujan_tail == ramanujan_tail(seq, p["Q"], p["Q0"])
+    assert report.ramanujan_tail == ramanujan_tail_from_scratch(
+        seq, p["Q"], p["Q0"])
 
 
 def test_run_theorem1_lhs_and_tail_from_shared_sums():
     """theorem1 takes its LHS and tail from one variance sweep of Lambda;
-    both equal the separate restricted_variance_total and ramanujan_tail
-    bit for bit."""
+    both equal the separate restricted_variance_total and the tail over
+    C_d computed afresh bit for bit."""
     n = 2 * 10**4
     table = sieve_all(n, 2)
     report = run_theorem1(resolve_params(
@@ -317,7 +334,7 @@ def test_run_theorem1_lhs_and_tail_from_shared_sums():
     assert report.lhs_variance_sum == restricted_variance_total(
         table, int(p["Q"]), int(math.floor(p["Q0"])) + 1)
     assert report.ramanujan_tail > 0
-    assert report.ramanujan_tail == ramanujan_tail(
+    assert report.ramanujan_tail == ramanujan_tail_from_scratch(
         table.lambda_sequence(), p["Q"], p["Q0"])
     # The arc masses share the LHS's autocorrelation of Lambda.
     params = resolve_params(ExperimentConfig(experiment="theorem1", n=n))
@@ -337,7 +354,8 @@ def test_assemble_prop13_shares_one_autocorrelation(rng):
     report = assemble_prop13(seq, params)
     sweep = variance_sweep(seq, 400)
     assert report.lhs_variance_sum == math.fsum(sweep.v[4:])
-    assert report.ramanujan_tail == ramanujan_tail(seq, 400.0, 3.0)
+    assert report.ramanujan_tail == ramanujan_tail_from_scratch(
+        seq, 400.0, 3.0)
     assert report.minor_integral == arc_masses(params, seq).a.minor
 
 
