@@ -438,6 +438,7 @@ def _primes_from_spf(spf: np.ndarray) -> np.ndarray:
 
 # The most indices one block of _spf_recurrence fills, bounding its temporaries.
 _BLOCK = 1 << 20
+_INT64_MAX = 2**63 - 1
 
 
 def _spf_recurrence(spf: np.ndarray, k: int):
@@ -448,9 +449,11 @@ def _spf_recurrence(spf: np.ndarray, k: int):
     exponent e of p in n is one more than in m (else 1), mu(n) = 0 (else
     -mu(m)), phi(n) = phi(m) p (else phi(m) (p - 1)), and always
     d_j(n) = d_j(m) (e + j - 1) / e, as d_j(p^e) = C(e + j - 1, j - 1):
-    exact in int64, the largest intermediate being d_j(n) e.  As m <= n/2,
-    the blocks [a, min(2a, a + _BLOCK)) fill in order from earlier ones;
-    the exponents fit int8, as e <= log2(n) <= 27 under MEMORY_BUDGET."""
+    exact in int64 while the largest intermediate, d_j(m) (e + j - 1) =
+    d_j(n) e, fits; before any entry would leave int64 (d_100(2^16) =
+    C(115, 16) > 2^63) a CapacityError names k and N.  As m <= n/2, the
+    blocks [a, min(2a, a + _BLOCK)) fill in order from earlier ones; the
+    exponents fit int8, as e <= log2(n) <= 27 under MEMORY_BUDGET."""
     n = spf.size - 1
     mu, phi = np.zeros(n + 1, np.int8), np.zeros(n + 1, np.int64)
     exp = np.zeros(n + 1, np.int8)
@@ -467,8 +470,16 @@ def _spf_recurrence(spf: np.ndarray, k: int):
         mu[a:b] = np.where(same, 0, -mu[m])
         phi[a:b] = phi[m] * np.where(same, p, p - 1)
         e = e.astype(np.int64)
+        e_max = int(e.max())
         for j, d in dk.items():
-            d[a:b] = d[m] * (e + (j - 1)) // e
+            dm = d[m]
+            # d_j(m) (e + j - 1) must fit int64; the block's largest d_j(m)
+            # and e clear most blocks without a per-entry check.
+            if (int(dm.max()) > _INT64_MAX // (e_max + j - 1)
+                    and np.any(dm > _INT64_MAX // (e + (j - 1)))):
+                raise CapacityError(f"d_{j}(n) for some n < {b} exceeds "
+                                    f"int64: no d_k table at k={k}, N={n}")
+            d[a:b] = dm * (e + (j - 1)) // e
         a = b
     return mu, phi, dk
 

@@ -10,7 +10,6 @@ quadrature and boundary budget -- stays as its independent check.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,14 +46,6 @@ class ArcSystem:
     @property
     def kq0(self) -> int:
         return int(self.k_param * self.q0)
-
-    def check_disjoint(self) -> None:
-        """Raise ValueError unless the major arcs are pairwise disjoint
-        (see arcs_disjoint)."""
-        if not arcs_disjoint(self.k_param, self.q0, self.q):
-            raise ValueError(
-                f"major arcs overlap: need Q > K (2 KQ0 - 1) (and Q > 2K); "
-                f"K={self.k_param:.6g}, Q0={self.q0:.6g}, Q={self.q:.6g}")
 
 
 def arcs_disjoint(k_param: float, q0: float, q: float) -> bool:
@@ -308,36 +299,38 @@ def arc_masses(arcs: ArcSystem, seq: Sequence,
     `corrs`, when the caller has them, are _arc_correlations(seq, tilde);
     they are read, not changed.
     """
-    arcs.check_disjoint()
+    if not arcs_disjoint(arcs.k_param, arcs.q0, arcs.q):
+        raise ValueError(
+            f"major arcs overlap: need Q > K (2 KQ0 - 1) (and Q > 2K); "
+            f"K={arcs.k_param:.6g}, Q0={arcs.q0:.6g}, Q={arcs.q:.6g}")
     n, m_max = seq.n, arcs.kq0
     if corrs is None:
         corrs = _arc_correlations(seq, tilde)
     totals = [float(c.rho[0]) for c in corrs]
-    lag_errors = [c.error for c in corrs]
-    rows = [c.rho for c in corrs]
-    majors = [[] for _ in rows]
-    bounds = [[] for _ in rows]
+    # One row per correlation: the h = 0 term, then one term per m.
+    terms = bounds = np.zeros((len(corrs), 0))
     kappa = 0.0
     if m_max >= 1:
         mu, phi = mobius_totient(m_max)
         zero_weight = math.fsum(
             2.0 * arcs.k_param / (np.arange(1, m_max + 1) * arcs.q) * phi[1:])
         squarefree = np.cumsum(np.abs(mu))        # squarefree m <= x
+        ds = np.arange(1, min(m_max, n) + 1)
+        # math.log, as np.log may differ in the last bit.
+        logs = np.fromiter(map(math.log, (n // ds).tolist()), np.float64,
+                           ds.size)
         kappa = zero_weight + (2.0 / math.pi) * math.fsum(
-            (1.0 + math.log(n // d)) * squarefree[m_max // d]
-            for d in range(1, min(m_max, n) + 1))
-        for i, total in enumerate(totals):
-            majors[i].append(total * zero_weight)
-            bounds[i].append(gamma(5) * abs(total) * zero_weight
-                             + float(underflow(2)))
-        for i, (parts, errs) in enumerate(_sine_sums(rows, arcs, mu)):
-            majors[i] += parts
-            bounds[i] += errs
+            (1.0 + logs) * squarefree[m_max // ds])
+        sines, errs = _sine_sums([c.rho for c in corrs], arcs, mu)
+        terms = np.column_stack([np.array(totals) * zero_weight, sines])
+        bounds = np.column_stack([
+            gamma(5) * np.abs(totals) * zero_weight + float(underflow(2)),
+            errs])
     out = []
-    for total, eps, parts, errs in zip(totals, lag_errors, majors, bounds):
+    for total, c, parts, errs in zip(totals, corrs, terms, bounds):
         major = math.fsum(parts)
         minor = total - major
-        err = (math.fsum(errs) + eps * (1.0 + kappa)
+        err = (math.fsum(errs) + c.error * (1.0 + kappa)
                + UNIT_ROUNDOFF * (abs(major) + abs(minor)))
         out.append(ArcMass(total=total, major=major, minor=minor,
                            error=2.0 * err))
@@ -352,11 +345,13 @@ def _arc_correlations(seq: Sequence, tilde: Sequence | None = None) -> list:
     return lag_correlations([seq, tilde], [(0, 0), (1, 1), (0, 1)])
 
 
-def _sine_sums(rows, arcs: ArcSystem, mu: np.ndarray) -> list:
-    """For each row rho, the terms mu(m) sum_j P_D(j) sin(2 pi j d_m)/(pi j)
-    over the squarefree m <= M and their rounding bounds (see arc_masses).
-    The factor 2 of s(h) = 2 rho(h) rides on the weights 2/(pi j) and on
-    S0; scaling by 2 is exact, so the terms are those of the rows s."""
+def _sine_sums(rows, arcs: ArcSystem, mu: np.ndarray) -> tuple:
+    """(terms, bounds), each of shape (len(rows), number of squarefree
+    m <= M): for each row rho and each such m, in descending order, the
+    term mu(m) sum_j P_D(j) sin(2 pi j d_m)/(pi j) and its rounding bound
+    (see arc_masses).  The factor 2 of s(h) = 2 rho(h) rides on the
+    weights 2/(pi j) and on S0; scaling by 2 is exact, so the terms are
+    those of the rows s."""
     n, m_max = rows[0].size - 1, arcs.kq0
     inv = np.zeros(n + 1)
     inv[1:] = 2.0 / (math.pi * np.arange(1, n + 1))
@@ -368,11 +363,15 @@ def _sine_sums(rows, arcs: ArcSystem, mu: np.ndarray) -> list:
     s1 = np.zeros(len(rows))
     lo = 2.0 * math.pi * np.arange(block)
     hi = 2.0 * math.pi * block * np.arange(n_b)
-    out = [([], []) for _ in rows]
+    moduli = np.flatnonzero(mu[: m_max + 1])[::-1]
+    terms = np.empty((len(rows), moduli.size))
+    bounds = np.empty_like(terms)
     d_done = 0
-    moduli = [m for m in range(m_max, 0, -1) if mu[m]]
-    # The moduli sharing one D use one pass over P~_D.
-    for d_top, group in itertools.groupby(moduli, key=lambda m: m_max // m):
+    # The moduli sharing one D, moduli[a:b], use one pass over P~_D.
+    cuts = [0, *(np.flatnonzero(np.diff(m_max // moduli)) + 1), moduli.size]
+    for a, b in zip(cuts, cuts[1:]):
+        group = moduli[a:b]
+        d_top = m_max // int(group[0])
         for d in range(d_done + 1, d_top + 1):
             j = n // d
             tmp, w = buf[:j], inv[1 : j + 1]
@@ -383,7 +382,6 @@ def _sine_sums(rows, arcs: ArcSystem, mu: np.ndarray) -> list:
                 s0[i] += 2.0 * tmp.sum()
                 s1[i] += tmp @ w
         d_done = d_top
-        group = np.array(list(group))
         dms = arcs.k_param / (group * arcs.q)
         cols = np.concatenate([np.sin(np.outer(lo, dms)),
                                np.cos(np.outer(lo, dms))], axis=1)
@@ -395,9 +393,7 @@ def _sine_sums(rows, arcs: ArcSystem, mu: np.ndarray) -> list:
                             np.sin(np.outer(hi, dms))))
         count = d_top + 2 * block + 4 * n_b + 47
         tiny = float(underflow(2 * n_b * block * (d_top + 2)))
-        for k, m in enumerate(group.tolist()):
-            for i, (parts, errs) in enumerate(out):
-                parts.append(float(mu[m]) * vals[i, k])
-                errs.append(gamma(count) * s1[i]
-                            + 4.0 * gamma(5) * dms[k] * s0[i] + tiny)
-    return out
+        terms[:, a:b] = mu[group] * vals
+        bounds[:, a:b] = (gamma(count) * s1[:, None]
+                          + 4.0 * gamma(5) * dms * s0[:, None] + tiny)
+    return terms, bounds

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import (check_lemma1_matrix, gamma, load_sequence, ramanujan_row,
-                    sieve_all, totient)
+from .arith import (CapacityError, check_lemma1_matrix, gamma, load_sequence,
+                    ramanujan_row, sieve_all, totient)
 from .dirichlet import (TruncationError, check_Fq1_bound, euler_F_q,
                         polynomial_69, r_window, residues, zeta_near_one)
 # Bound for perfbench/spans.py, which wraps this name in this module.
@@ -35,6 +35,7 @@ from .windows import build_weights, build_window, check_lemma5
 MAX_N = 2 * 10**7
 MAX_RAMANUJAN_ROWS = 10**6    # --q-max x --n-max, about 120 bytes a row
 MAX_RESIDUE_MODULI = 10**5    # --q-max, about 6.4 KB of contour rows each
+MAX_VARIANCE_MODULI = 10**6   # --q-max, about 350 bytes and 10 us each
 
 
 def _bounded(flag: str, value, lo: int) -> float:
@@ -293,6 +294,9 @@ def _ramanujan_rows(args):
 
 def _variance_rows(args):
     q_max = _q_max(args)
+    if q_max > MAX_VARIANCE_MODULI:
+        raise ValueError(f"--q-max={q_max} moduli exceeds the limit "
+                         f"{MAX_VARIANCE_MODULI}")
     n = int(_bounded("--N", args.N, 1))
     try:
         seq = load_sequence(args.seq, n)
@@ -422,14 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  A bad flag value or a failed contour ends with
-    `error: ...` and exit status 2, writing nothing; otherwise the run's
-    manifest records the command's accepted flags and its outputs."""
+    """Run one command.  A bad flag value, a failed contour or a table
+    past its capacity ends with `error: ...` and exit status 2, writing
+    nothing; otherwise the run's manifest records the command's accepted
+    flags and its outputs."""
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
         code, outputs = args.func(args)
-    except (ValueError, TruncationError) as exc:
+    except (ValueError, TruncationError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_manifest(Path(args.out_dir),

@@ -166,7 +166,8 @@ def _trapezoid(rows: np.ndarray, labels):
     """The trapezoid rule on each row of samples at 2M contour nodes: the
     mean over all 2M, and as its error |that - the mean over the even
     nodes|, which is the M-node rule (2 pi (2j)/(2M) = 2 pi j/M exactly).
-    An error above max(1e-6 |value|, f) raises, naming the row's label.
+    An error above max(1e-6 |value|, f), or one that is not finite (a
+    sample is inf or nan), raises, naming the row's label.
 
     f = 4 gamma_2M mean_j |r_j| is the rounding floor, in the samples'
     own units (u = 2^-53, gamma_m = m u/(1 - m u)).  The error is half
@@ -197,7 +198,7 @@ def _trapezoid(rows: np.ndarray, labels):
     floor = _rounding_floor(rows)
     half = rows.shape[-1] // 2
     for label, v, e, f in zip(labels, full, err, floor):
-        if e > max(1e-6 * abs(v), f):
+        if not math.isfinite(e) or e > max(1e-6 * abs(v), f):
             raise TruncationError(f"contour unstable at q={label}: {half} vs "
                                   f"{2 * half} nodes differ by {e}")
     return full, err + floor
@@ -229,10 +230,18 @@ def residues(qs, k: int, n: float, weight=None, count: int = 128,
         raise ValueError(f"residues need n >= e^(4/3) = 3.79, so that "
                          f"|s - 1| = 1/log n keeps 1/4 from s = 0; got n={n}")
     s, offsets = contour_nodes(1.0, 1.0 / math.log(n), count)
-    rows = zeta_near_one(s) ** (k - 1 if g else k) * euler_factors(qs, k, s, g)
-    rows = (rows * n**s / s if weight is None
-            else weight(rows, s, offsets)) * offsets
-    values, errors = _trapezoid(rows, qs)
+    # Past float64 (large k) the samples come out inf or nan, which
+    # _trapezoid refuses, or a binomial of _local_factor overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            rows = (zeta_near_one(s) ** (k - 1 if g else k)
+                    * euler_factors(qs, k, s, g))
+        except OverflowError:
+            raise TruncationError(
+                f"contour samples exceed float64 at k={k}") from None
+        rows = (rows * n**s / s if weight is None
+                else weight(rows, s, offsets)) * offsets
+        values, errors = _trapezoid(rows, qs)
     return [ResiduePrediction(float(v.real), float(e))
             for v, e in zip(values, errors)]
 

@@ -89,6 +89,16 @@ class ExperimentConfig:
                 raise ValueError(
                     f"need Q >= N^(1/2+delta): Q-exp {self.q_exp} < "
                     f"{0.5 + self.delta}")
+            # run_theorem2's comparison target, which must be a float.
+            try:
+                target = self.q * self.n * math.log(self.n) ** (
+                    self.k * self.k - 1)
+            except OverflowError:
+                target = math.inf
+            if not math.isfinite(target):
+                raise ValueError(
+                    f"--k={self.k}: the target Q N (log N)^(k^2 - 1) "
+                    f"exceeds float64 at N={self.n}")
 
     @property
     def q(self) -> float:

@@ -108,8 +108,8 @@ class VarianceSweep:
     sum_a t_a(q)^2, an exact int64 when `exact_squares`.  `sums[e]` is
     the multiple sum M[e] = sum_{e | n} a_n, `correlations[d]` is
     C_d = sum_n a_n c_d(n) (see below), every one the exact integer when
-    `exact_correlations` (which implies `exact_squares`), and `phi[d]`
-    is phi(d).
+    `exact_correlations` (which implies `exact_squares`), and `mu[d]`
+    and `phi[d]` are mu(d) and phi(d).
     """
 
     v: np.ndarray
@@ -119,6 +119,7 @@ class VarianceSweep:
     exact_correlations: bool
     sums: np.ndarray
     correlations: np.ndarray
+    mu: np.ndarray
     phi: np.ndarray
 
 
@@ -221,7 +222,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     np.maximum(v, 0.0, out=v)
     return VarianceSweep(v=v, error=err, square_sums=squares,
                          exact_squares=exact, exact_correlations=exact_c,
-                         sums=m, correlations=c, phi=phi)
+                         sums=m, correlations=c, mu=mu, phi=phi)
 
 
 def variance_rows(seq: Sequence, q_max: int) -> list:
@@ -373,12 +374,12 @@ def _reduced_class_variances(table, sweep: VarianceSweep) -> np.ndarray:
     It is the full square sum T(q) of the sweep minus the classes b with
     (b, q) > 1, minus S_1(q)^2/phi(q), where
     S_1(q) = sum_{(n,q)=1} Lambda(n) = sum_{e|q} mu(e) M[e] is the
-    convolution of mu M with 1.  A class with (b, q) > 1 holds only
-    powers p^j <= N of primes p | q, and powers of two different primes
-    never share one (see _prime_power_class_squares).
+    convolution of mu M with 1, mu and M both the sweep's.  A class with
+    (b, q) > 1 holds only powers p^j <= N of primes p | q, and powers of
+    two different primes never share one (see _prime_power_class_squares).
     """
     q_max = sweep.v.size - 1
-    s1 = _convolve_ones(table.mu[:q_max + 1] * sweep.sums)
+    s1 = _convolve_ones(sweep.mu * sweep.sums)
     nr = _prime_power_class_squares(table, q_max)
     out = np.zeros(q_max + 1)
     out[1:] = (sweep.square_sums - nr)[1:] - s1[1:] ** 2 / sweep.phi[1:]

@@ -362,6 +362,24 @@ def test_spf_recurrence_matches_loops(block, monkeypatch):
             assert_same(table.dk[j], loop_dk[j][: n + 1])
 
 
+def test_divisor_tables_stop_before_int64_wraps():
+    """d_k from the spf recurrence is exact up to the largest k whose
+    intermediates d_k(n) e (e the exponent of spf(n) in n) fit int64, and
+    one k further the recurrence raises a CapacityError naming k and N
+    instead of wrapping.  At N = 2^10 that edge is k = 278 / 279; at
+    N = 2^16, k = 100 used to give d_100(2^16) < 0."""
+    n, top = 2**10, 278
+    exact = [0, 1] + [math.prod(math.comb(a + top - 1, top - 1)
+                                for _, a in factorize(m))
+                      for m in range(2, n + 1)]
+    worst = [exact[m] * factorize(m)[0][1] for m in range(2, n + 1)]
+    assert max(worst) <= 2**63 - 1
+    assert divisor_sieve(n, top)[top].tolist() == exact
+    for k, size in ((top + 1, n), (100, 2**16)):
+        with pytest.raises(CapacityError, match=f"k={k}, N={size}"):
+            divisor_sieve(size, k)
+
+
 def test_mobius_totient_at_squares_of_primes():
     """mu and phi match the per-prime sieve at the squares of primes,
     where p first divides n twice, and at their neighbours p^2 +- 1 and

@@ -210,6 +210,49 @@ def test_arc_masses_leave_lag_correlations_unchanged(rng, table_300):
         assert mass == arc_masses(arcs, seq).a
 
 
+def test_arc_masses_without_major_arcs():
+    """KQ0 = 0 leaves no major arc: major is 0.0, minor is the total, and
+    the error is 2 (eps + u |total|), eps the lag correlations' own."""
+    from apvar.arith import lag_correlations
+
+    seq = Sequence.from_coeffs(np.array([1.0, -2.0, 3.0]))
+    arcs = ArcSystem(k_param=0.5, q0=1.0, q=10.0, n=seq.n)
+    assert arcs.kq0 == 0
+    eps = lag_correlations([seq], [(0, 0)])[0].error
+    assert eps > 0
+    mass = arc_masses(arcs, seq).a
+    assert mass.major == 0.0
+    assert mass.minor == mass.total
+    assert mass.error == 2.0 * (eps + UNIT_ROUNDOFF * abs(mass.total))
+
+
+def test_sine_sum_columns_follow_the_squarefree_moduli(rng):
+    """Column c of _sine_sums belongs to the c-th squarefree m <= M in
+    descending order: mu(m) sum_j P_D(j) sin(2 pi j d_m)/(pi j), with
+    D = floor(M/m), P_D(j) = sum_{d <= D} s(jd) and s = 2 rho, within the
+    column's own bound (plus the direct loop's rounding)."""
+    from apvar.arith import mobius_totient
+    from apvar.circle import _sine_sums
+
+    n, arcs = 200, ArcSystem(k_param=5.0, q0=3.0, q=400.0, n=200)
+    m_max = arcs.kq0
+    mu = mobius_totient(m_max)[0]
+    rows = [rng.standard_normal(n + 1), rng.standard_normal(n + 1)]
+    terms, bounds = _sine_sums(rows, arcs, mu)
+    moduli = [m for m in range(m_max, 0, -1) if mu[m]]
+    assert terms.shape == bounds.shape == (2, len(moduli))
+    for row, row_terms, row_bounds in zip(rows, terms, bounds):
+        for col, m in enumerate(moduli):
+            dm = arcs.k_param / (m * arcs.q)
+            parts = [2.0 * row[j * d] * math.sin(2 * math.pi * j * dm)
+                     / (math.pi * j)
+                     for j in range(1, n + 1)
+                     for d in range(1, m_max // m + 1) if j * d <= n]
+            direct = int(mu[m]) * math.fsum(parts)
+            slack = 8 * UNIT_ROUNDOFF * math.fsum(map(abs, parts))
+            assert abs(row_terms[col] - direct) <= row_bounds[col] + slack
+
+
 def mp_major(a, arcs):
     """The major-arc mass of |A|^2 as the same double sum in 40-digit
     arithmetic on the exact binary values of a, K and Q."""

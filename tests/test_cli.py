@@ -297,6 +297,8 @@ def test_table_bad_flags_fail_cleanly(argv, flag, tmp_path, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["ramanujan", "--q-max", "10000", "--n-max", "100000"], "--n-max"),
     (["residues", "--N", "2e7", "--q-max", "20000000"], "--q-max"),
+    (["variance", "--seq", "d2", "--N", "100", "--q-max", "1000000000000"],
+     "--q-max"),
 ])
 def test_table_capacity_fails_before_work(argv, flag, tmp_path, capsys,
                                           monkeypatch):
@@ -307,12 +309,30 @@ def test_table_capacity_fails_before_work(argv, flag, tmp_path, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("table work started past a capacity limit")
 
-    monkeypatch.setattr(cli, "ramanujan_row", no_work)
-    monkeypatch.setattr(cli, "residues", no_work)
+    for name in ("ramanujan_row", "residues", "variance_rows",
+                 "load_sequence"):
+        monkeypatch.setattr(cli, name, no_work)
     code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
                              capsys)
     assert code == 2
     assert err.startswith("error: ") and flag in err and "limit" in err
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["residues", "--k", "280", "--N", "1e6", "--q-max", "2"], "contour"),
+    (["residues", "--k", "1100", "--N", "1e6", "--q-max", "2"], "contour"),
+    (["weights", "--kind", "divisor", "--k", "101", "--R", "65536"],
+     "int64"),
+])
+def test_table_past_float_range_fails_cleanly(argv, named, tmp_path, capsys):
+    """A --k whose residues leave float64, or whose d_k leaves int64,
+    ends with `error:` and exit 2, not nan rows, wrapped values or a
+    traceback."""
+    code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
+                             capsys)
+    assert code == 2
+    assert err.startswith("error: ") and named in err
     assert out == "" and not any(tmp_path.iterdir())
 
 
@@ -462,7 +482,14 @@ def test_experiment_stdout_mirrors_summary_csv(tmp_path, capsys):
                                 in zip(header.split(","), row.split(","))]
 
 
-def test_experiment_validation_errors(tmp_path, capsys):
+def test_experiment_validation_errors(tmp_path, capsys, monkeypatch):
+    """Each bad flag exits 2 naming it, before the sieve."""
+    import apvar.cli
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieved before the flags were checked")
+
+    monkeypatch.setattr(apvar.cli, "sieve_all", no_sieve)
     code, _, err = run_cli(["experiment", "theorem1", "--Q-exp", "1.2"],
                            tmp_path, capsys)
     assert code == 2
@@ -479,7 +506,9 @@ def test_experiment_validation_errors(tmp_path, capsys):
         assert code == 2, argv
         assert err.startswith("error: ") and argv[-2] in err
         assert out == "" and not any(tmp_path.iterdir())
-    for argv in (["--delta", "-1"], ["--delta", "nan"], ["--k", "1"]):
+    # --k 20 at N = 7e4: Q N (log N)^399 is past float64.
+    for argv in (["--delta", "-1"], ["--delta", "nan"], ["--k", "1"],
+                 ["--N", "7e4", "--Q-exp", "0.8", "--k", "20"]):
         code, out, err = run_cli(["experiment", "theorem2", *argv],
                                  tmp_path, capsys)
         assert code == 2, argv

@@ -174,6 +174,21 @@ def test_residues_raise_on_a_contour_too_coarse():
     dr.residues([2], 1, 10**6, count=48)
 
 
+@pytest.mark.parametrize("k, match", [
+    (280, "q=1: 64 vs 128 nodes differ by nan"),   # zeta^k overflows
+    (1100, "exceed float64 at k=1100"),           # so do the binomials
+], ids=["k280", "k1100"])
+def test_residues_raise_on_samples_past_float64(k, match):
+    """Samples that leave float64 fail the contour check, whatever the
+    warning filters, in place of nan rows or an OverflowError; k = 30
+    still gives finite rows on the same contour."""
+    with pytest.raises(dr.TruncationError, match=match):
+        dr.residues([1, 2], k, 10**6)
+    preds = dr.residues([1, 2], 30, 10**6)
+    assert all(math.isfinite(p.value) and math.isfinite(p.error)
+               for p in preds)
+
+
 def test_local_factor_on_first_ending_contour():
     """On the first-ending chain's contour (k = 3, N = 29 366, 48 nodes)
     the p = 2 factor is within 1e-14 relative of its mpmath closed form."""

@@ -230,6 +230,18 @@ def test_sweep_correlations_match_ramanujan_correlations(table_1e4, rng):
                               [totient(d) for d in range(1, q_max + 1)])
 
 
+def test_sweep_keeps_its_mobius_table(table_1e4):
+    """The sweep's mu, which the reduced-class LHS reads in place of the
+    sieve table's, is mobius_totient(q_max)[0] in dtype and bytes, also
+    past N."""
+    seq = table_1e4.lambda_sequence()
+    for q_max in (1, 2, 5623, 12000):
+        mu = variance_sweep(seq, q_max).mu
+        expected = mobius_totient(q_max)[0]
+        assert mu.dtype == expected.dtype
+        assert mu.tobytes() == expected.tobytes()
+
+
 def test_variance_total_matches_per_q_closed_form(table_300):
     """Lambda and d_2 at N = 300 (as floats, so that the per-q values
     take the float path), including q_max > N and q_min > q_max."""
