@@ -269,6 +269,48 @@ def _fft_length(m: int) -> int:
     return best
 
 
+class LagSpectra:
+    """The real FFTs of sequences of one length N at one length L > 2N
+    (lag_correlations), with the squared norms ||a||_2^2 of the
+    sequences; the lag correlation of a pair and its spectral product
+    Re(X conj Y) are read from them."""
+
+    def __init__(self, seqs):
+        n = seqs[0].n
+        if any(s.n != n for s in seqs):
+            raise ValueError("sequences must share their length N")
+        self.seqs, self.n = list(seqs), n
+        self.length = _fft_length(2 * n + 1)
+        self.spectra = [np.fft.rfft(s.values, self.length) for s in seqs]
+        self.squares = [float(np.dot(s.values, s.values)) for s in seqs]
+        # c L log2(L) e0 bounds the underflow of one transform's output.
+        self.products = (FFT_ERROR_CONSTANT * self.length
+                         * math.log2(self.length))
+
+    def error(self, i: int, j: int) -> float:
+        """eps of the pair (i, j): the per-lag bound of lag_correlations."""
+        aa, bb = self.squares[i], self.squares[j]
+        scale = FFT_ERROR_CONSTANT * UNIT_ROUNDOFF * math.log2(self.length)
+        return scale * math.sqrt(aa * bb) + float(underflow(
+            self.products * (math.sqrt(aa) + math.sqrt(bb) + 2.0)))
+
+    def power(self, i: int, j: int) -> np.ndarray:
+        """Re(X conj Y) of the pair (i, j) on 0..L/2."""
+        x, y = self.spectra[i], self.spectra[j]
+        return x.real * y.real + x.imag * y.imag
+
+    def correlation(self, i: int, j: int) -> LagCorrelation:
+        """The lag correlation of the pair (i, j): one inverse FFT."""
+        eps = self.error(i, j)
+        rho = np.fft.irfft(self.power(i, j), self.length)[: self.n + 1]
+        seq = self.seqs[i]
+        l1 = float(np.abs(seq.values).sum())
+        if (i == j and seq.is_integer_valued and eps < 0.5
+                and l1 * l1 < 2.0**62):
+            return LagCorrelation(np.rint(rho).astype(np.int64), 0.0, True)
+        return LagCorrelation(rho.copy(), eps, False)
+
+
 def lag_correlations(seqs, pairs) -> list:
     """The symmetrized lag correlation of each pair (i, j) of `seqs`, from
     one real FFT of length L > 2N per sequence (all of one length N).
@@ -311,28 +353,8 @@ def lag_correlations(seqs, pairs) -> list:
     the integer it must be (`exact`), provided ||a||_1^2, which bounds
     sum_h |r(h)|, is below 2^62.
     """
-    n = seqs[0].n
-    if any(s.n != n for s in seqs):
-        raise ValueError("sequences must share their length N")
-    length = _fft_length(2 * n + 1)
-    spectra = [np.fft.rfft(s.values, length) for s in seqs]
-    scale = FFT_ERROR_CONSTANT * UNIT_ROUNDOFF * math.log2(length)
-    products = FFT_ERROR_CONSTANT * length * math.log2(length)
-    out = []
-    for i, j in pairs:
-        x, y = spectra[i], spectra[j]
-        rho = np.fft.irfft(x.real * y.real + x.imag * y.imag, length)[: n + 1]
-        a, b = seqs[i].values, seqs[j].values
-        aa, bb = float(np.dot(a, a)), float(np.dot(b, b))
-        eps = scale * math.sqrt(aa * bb) + float(
-            underflow(products * (math.sqrt(aa) + math.sqrt(bb) + 2.0)))
-        l1 = float(np.abs(a).sum())
-        if (i == j and seqs[i].is_integer_valued and eps < 0.5
-                and l1 * l1 < 2.0**62):
-            out.append(LagCorrelation(np.rint(rho).astype(np.int64), 0.0, True))
-        else:
-            out.append(LagCorrelation(rho.copy(), eps, False))
-    return out
+    spectra = LagSpectra(seqs)
+    return [spectra.correlation(i, j) for i, j in pairs]
 
 
 def ramanujan_correlations(seq: Sequence, ds) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Major arcs are the points within K/(qQ) of a reduced fraction a/q with
 q <= K*Q0.  arc_masses integrates |A|^2 (and A times a conjugated second
-sum) over them exactly, from lag correlations and Ramanujan sums, with an
-a-priori rounding bound.  The discretized path -- a power-of-two grid
-spectrum, its cell classification and certified trapezoid sums with a
-quadrature and boundary budget -- stays as its independent check.
+sum) over them exactly, as one spectral dot per pair against the
+transform of one major-arc weight vector built from Ramanujan sums
+(major_weights), with an a-priori rounding bound.  The discretized
+path -- a power-of-two grid spectrum, its cell classification and
+certified trapezoid sums with a quadrature and boundary budget -- stays
+as its independent check.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import (CapacityError, Sequence, UNIT_ROUNDOFF, gamma,
-                    lag_correlations, mobius_totient, underflow)
+from .arith import (CapacityError, LagSpectra, Sequence, UNIT_ROUNDOFF,
+                    _spf_recurrence, _spf_sieve, gamma, underflow)
 
 SPECTRUM_BUDGET = 1 << 24
 FAREY_ENUMERATION_CAP = 10_000
@@ -228,172 +230,259 @@ class ArcMasses:
     cross: ArcMass | None = None
 
 
-def arc_masses(arcs: ArcSystem, seq: Sequence,
-               tilde: Sequence | None = None, corrs=None) -> ArcMasses:
-    """Exact major- and minor-arc masses of |A|^2, and with `tilde` also
-    of |A~|^2 and A conj(A~), from one real FFT per sequence.
+@dataclass
+class MajorWeights:
+    """The major-arc weights W'(h) of an arc system on the lags 0..N as
+    computed by major_weights, and `error`, an a-priori bound on
+    sum_h |W'(h) - W(h)|, their distance from the exact weights W."""
 
-    For real a, b and x(h) = sum_n a_{n+h} b_n, A(alpha) conj(B(alpha)) =
-    sum_h x(h) e(h alpha).  Integrating over |alpha - a/q| <= d_q,
-    d_q = K/(qQ), and summing over the reduced a mod q turns e(ha/q) into
-    the Ramanujan sum c_q(h) = sum_{d | (q,h)} d mu(q/d), so
+    w: np.ndarray
+    error: float
 
-      major = sum_{q <= M} [2 d_q phi(q) x(0)
-              + sum_{h >= 1} s(h) c_q(h) sin(2 pi h d_q) / (pi h)],
 
-    M = int(K Q0), s(h) = x(h) + x(-h) = 2 rho(h) (lag_correlations).
-    This is exact when the arcs are disjoint, which is checked first.
-    Writing h = jd, q = dm (so h d_q = j d_m) regroups it as
+# Most moduli per product in major_weights.
+_CHUNK = 128
 
-      major = rho(0) sum_q 2 d_q phi(q)
-              + sum_{m <= M} mu(m) sum_{j <= N} P_D(j) sin(2 pi j d_m) / (pi j),
 
-    with D = floor(M/m) and P_D(j) = sum_{d <= D} s(jd).  The moduli m
-    run downwards, so D only grows and P_D is updated in place, one
-    strided slice s[D::D] per D (N log M in all).  For each squarefree m
-    the sine sum, with j = aB + b and B ~ sqrt(N), is
-    sum_{a,b} P~(aB + b) Im(e(aB d_m) e(b d_m)), P~(j) = P_D(j)/(pi j):
-    a product of the (N/B) x B array P~ with the two columns
-    (sin, cos)(2 pi b d_m), then two dots with (cos, sin)(2 pi aB d_m).
-    The moduli sharing one D share one product, with two columns each.
-    That is O(N) flops and O(sqrt N) trig calls per m, O(N KQ0) work in
-    all, and memory is two arrays of length N + 1 per pair.  The minor
-    mass is total - major, with total = rho(0).
+def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
+    """W(h) for 0 <= h <= n: for real a, b with lag correlation rho
+    (lag_correlations), the major-arc integral of A conj(B) is
+    sum_h rho(h) W(h), exact when the arcs are disjoint.
+
+    With x(h) = sum_n a_{n+h} b_n, A(alpha) conj(B(alpha)) =
+    sum_h x(h) e(h alpha).  The integral of e(h alpha) over
+    |alpha - r/q| <= d_q, d_q = K/(qQ), is e(hr/q) sin(2 pi h d_q)/(pi h)
+    (2 d_q at h = 0), and the sum over the reduced r mod q turns e(hr/q)
+    into the Ramanujan sum c_q(h) = sum_{d | (q,h)} d mu(q/d).  Pairing
+    h with -h (rho(h) = (x(h) + x(-h))/2) gives, with M = int(K Q0),
+
+      W(0) = sum_{q <= M} 2 d_q phi(q),
+      W(h) = sum_{q <= M} 2 c_q(h) sin(2 pi h d_q) / (pi h)
+           = sum_{d | h, d <= M} (2/(pi j)) R_d(j),   j = h/d,
+
+    where writing q = dm (so h d_q = j d_m) gives the second line, and
+    R_d(j) = sum_{squarefree m <= M/d} mu(m) sin(2 pi j d_m).
+
+    The squarefree m run upwards, so D = floor(M/m) only falls: for
+    d = M, ..., 1 the moduli with D = d join one running row, which is
+    then R_d, and one strided add W[d::d] += (2/(pi j)) R_d(j) follows.
+    The moduli join with j = aB + b, B ~ sqrt(N):
+    sin(2 pi j d_m) = Im(e(aB d_m) e(b d_m)), so up to _CHUNK moduli at a
+    time are one product of the (N/B) x 2g array
+    mu (sin, cos)(2 pi aB d_m) with the 2g x B array
+    (cos, sin)(2 pi b d_m).  That is O(N) flops and O(sqrt N) trig calls
+    per m: O(N KQ0) work once per arc system, however many sequences
+    read W, and two arrays of length N + 1.
 
     Error bound, in the rounding model of lag_correlations (u, gamma_k,
     and e0 = 2^-1074 per product or quotient under gradual underflow),
-    with cos and sin of a float within 4 ulp (8u absolute):
+    with cos and sin of a float within 4 ulp (8u absolute), n_d the
+    number of squarefree m <= M/d and H(x) <= 1 + log x the harmonic
+    numbers.  The error of W'(h), the computed W(h), summed over h is at
+    most:
 
-    * Lags: each rho(h) is within eps (zero on the exact integer path).
-      It enters the minor mass with weight 1 - sum_q 2 d_q phi(q) at
-      h = 0 and with weights of modulus at most
-      sum_q 2 |c_q(h)| |sin| / (pi h) at h >= 1.  Taking the kernel with
-      |mu| and |sin| <= 1, sum_h |c_q(h)| / (pi h) <=
-      sum_{d|q} |mu(q/d)| H(floor(N/d)) / pi, H(x) <= 1 + log x the
-      harmonic numbers, so major and minor move by at most
-      eps (1 + kappa), with kappa = sum_q 2 d_q phi(q)
-      + (2/pi) sum_{d <= M} (1 + log(N/d)) #{squarefree m <= M/d}.
-    * Weights: d_m, 2 pi and the products form each argument 2 pi j d_m
-      with relative error gamma_5, so the weight actually applied,
-      Im(e^(aB d_m) e^(b d_m)) / (pi j), is within
-      (4 pi gamma_5 j d_m + 40u) / (pi j) of sin(2 pi j d_m) / (pi j).
-      Against P that costs 4 gamma_5 d_m S0_D + 40u S1_D, where
-      S0_D = sum_{d <= D} sum_j |s(jd)| and
-      S1_D = sum_{d <= D} sum_j |s(jd)| / (pi j) bound sum_j |P_D(j)| and
-      sum_j |P_D(j)| / (pi j).
-    * Sums: P~_D(j) adds D terms of one product and one quotient each
-      (gamma_{D+3}); the matrix product adds B terms and the final dots
-      2 n_b, n_b = ceil((N + 1)/B), each term at most 2 |P~| in modulus
-      (gamma_{2B + 4 n_b + 4}).  With the 40u above that is
-      gamma_{D + 2B + 4 n_b + 47} S1_D per m.
-    * Underflow: P~_D(j) holds at most D products, and the matrix product
-      and final dots one more per term, over weights of modulus <= 1, so
-      the sine and cosine parts of m carry at most 2 n_b B (D + 2) e0.
-    * The h = 0 term carries gamma_5 |rho(0)| sum_q 2 d_q phi(q) + 2 e0
-      (with its evaluation); fsum over m rounds once (u |major|) and
-      minor = total - major once more (u |minor|); sums that underflow
-      are exact.
+    * W(0): M terms of two products and a quotient each, and one fsum:
+      gamma_5 W(0) + 3M e0.
+    * Trig: d_m, 2 pi and the products form each of the two arguments
+      2 pi aB d_m and 2 pi b d_m with relative error gamma_5, so the sine
+      term is within 2 pi gamma_5 j d_m (arguments) + 40u (values and
+      products) of mu(m) sin(2 pi j d_m).  Through 2/(pi j), which
+      carries gamma_3, and the product with it (gamma_4 in all), the
+      argument part is 4 gamma_9 (K/Q) h(M/d) at each lag h = dj, with
+      h(x) = sum_{squarefree m <= x} 1/m, and floor(N/d) lags take d.
+      The 40u joins the rows.
+    * Rows: a sine term of R_d(j) is one product, then at most 2g - 1
+      additions in its product (g <= `widest`, the widest group) and one
+      per join of the row (A in all); the two products of a modulus
+      have moduli summing to at most 1 (|sin s cos t| + |cos s sin t|
+      <= 1), so apart from the argument part R_d(j) is within
+      n_d (40u + gamma_{2 widest + A + 1}) of its exact value.  With
+      2/(pi j) (gamma_4 again) and sum_{j <= N/d} 2/(pi j) <=
+      (2/pi) H(N/d), the rows add gamma_{2 widest + A + 49} times
+      (2/pi) sum_{d <= min(M, N)} (1 + log(N/d)) n_d.
+    * Strided adds: W(h) sums tau_M(h) <= tau(d) tau(j) terms t_d(j),
+      |t_d(j)| <= (2/(pi j)) n_d (1 + gamma_{2 widest + A + 49}), and
+      each add rounds by u times the partial sum it makes, at most the
+      sum of the |t_d|.  As sum_{j <= x} tau(j)/j <= H(x)^2, the adds
+      cost at most gamma_2 (2/pi) sum_d tau(d) n_d (1 + log(N/d))^2.
+    * Underflow: a row entry at d takes at most 6 n_d products or
+      quotients over values of modulus at most 1 and t_d(j) one more:
+      sum_d floor(N/d) (6 n_d + 1) e0.  Sums that underflow are exact.
     The sum of these terms is doubled, which covers the rounding of the
-    bound's own evaluation (each term has as many e0 as it has products).
+    bound's own evaluation.
+    """
+    m_max, k_param, q = arcs.kq0, arcs.k_param, arcs.q
+    w = np.zeros(n + 1)
+    if m_max < 1:
+        return MajorWeights(w, 0.0)
+    mu, phi, dk = _spf_recurrence(_spf_sieve(m_max), 2)
+    w[0] = math.fsum(2.0 * k_param / (np.arange(1, m_max + 1) * q) * phi[1:])
+    inv = np.zeros(n + 1)
+    inv[1:] = 2.0 / (math.pi * np.arange(1.0, n + 1))
+    block = 1 << max(0, math.ceil(math.log2(n + 1) / 2))
+    n_b = -(-(n + 1) // block)
+    lo = 2.0 * math.pi * np.arange(block)
+    hi = 2.0 * math.pi * block * np.arange(n_b)
+    row = np.zeros(n_b * block)
+    prod, tmp = np.empty((n_b, block)), np.empty(n)
+    moduli = np.flatnonzero(mu)                 # squarefree m, ascending
+    # The moduli with floor(M/m) >= d are moduli[:joined[d]].
+    joined = np.searchsorted(-(m_max // moduli), -np.arange(m_max + 2),
+                             side="right")
+    adds = widest = 0
+    for d in range(m_max, 0, -1):
+        for a in range(joined[d + 1], joined[d], _CHUNK):
+            group = moduli[a : min(a + _CHUNK, joined[d])]
+            widest = max(widest, group.size)
+            dms = k_param / (group * q)
+            sign = mu[group]
+            lo_angles, hi_angles = np.outer(dms, lo), np.outer(hi, dms)
+            lo_cols = np.concatenate([np.cos(lo_angles), np.sin(lo_angles)])
+            hi_cols = np.concatenate([sign * np.sin(hi_angles),
+                                      sign * np.cos(hi_angles)], axis=1)
+            row += np.matmul(hi_cols, lo_cols, out=prod).ravel()
+            adds += 1
+        j = n // d
+        w[d::d] += np.multiply(inv[1 : j + 1], row[1 : j + 1], out=tmp[:j])
 
-    `corrs`, when the caller has them, are _arc_correlations(seq, tilde);
-    they are read, not changed.
+    squarefree = np.cumsum(np.abs(mu))          # squarefree m <= x
+    recips = np.zeros(m_max + 1)
+    recips[1:] = np.abs(mu[1:]) / np.arange(1, m_max + 1)
+    ds = np.arange(1, min(m_max, n) + 1)
+    n_d, lags = squarefree[m_max // ds], n // ds
+    # math.log, as np.log may differ in the last bit.
+    logs = 1.0 + np.fromiter(map(math.log, lags.tolist()), np.float64,
+                             ds.size)
+    err = (gamma(5) * w[0] + float(underflow(3 * m_max))
+           + 4.0 * gamma(9) * k_param / q * math.fsum(
+               lags * np.cumsum(recips)[m_max // ds])
+           + gamma(2 * widest + adds + 49) * (2.0 / math.pi) * math.fsum(
+               logs * n_d)
+           + gamma(2) * (2.0 / math.pi) * math.fsum(
+               dk[2][ds] * n_d * logs * logs)
+           + float(underflow(math.fsum(lags * (6.0 * n_d + 1.0)))))
+    return MajorWeights(w, 2.0 * err)
+
+
+def arc_masses(arcs: ArcSystem, seq: Sequence, tilde: Sequence | None = None,
+               spectra: LagSpectra | None = None) -> ArcMasses:
+    """Exact major- and minor-arc masses of |A|^2, and with `tilde` also
+    of |A~|^2 and A conj(A~), from one real FFT per sequence and one of
+    the major-arc weights.
+
+    A pair's major mass is sum_{h=0}^{N} rho(h) W(h), rho its lag
+    correlation and W the weights of major_weights: W(h) is the integral
+    of e(h alpha) + e(-h alpha) over the major arcs (of 1 at h = 0),
+    which the Ramanujan sums c_q(h) give in closed form, and
+    major_weights derives it and its own bound.  With L > 2N the
+    transform length of lag_correlations and P = Re(X conj Y) on
+    0 <= k <= L/2 the pair's spectral product, let E be the even
+    extension of W to Z/L: E(0) = W(0), E(h) = E(L - h) = W(h)/2 for
+    1 <= h <= N, and 0 between.  The circular correlation r on Z/L is
+    rho(|h|) at h and at L - h (L > 2N), so major = sum_{h mod L} r(h) E(h)
+    and, by Parseval,
+
+      major = (1/L) sum_{k=0}^{L/2} c_k P_k E^_k,
+      total = sum_n a_n b_n = r(0) = (1/L) sum_{k=0}^{L/2} c_k P_k,
+
+    E^ the transform of E, which is real; c_k = 2 for 0 < k < L/2 and 1 at
+    k = 0 and at k = L/2 (L even), as P and E^ are even in k.  So a pair
+    costs one product of two spectra and one O(L) dot, and no inverse
+    transform; the pairs share W and E^, one transform.  Each sum runs
+    as a pairwise tree, every term through lg = ceil(log2(L/2 + 1))
+    additions.  minor = total - major.  This is exact when the arcs are
+    disjoint, which is checked first.
+
+    Error bound, in the rounding model of lag_correlations (u, gamma_k,
+    e0 = 2^-1074; eps the pair's per-lag bound there, P_L = c L log2(L)
+    with c = FFT_ERROR_CONSTANT the e0 count of a transform's output,
+    eta <= 8u per level of log2 L), with ab = ||a||_2 ||b||_2, W' the
+    computed weights and E' their extension, Delta the error bound of
+    major_weights on sum_h |W'(h) - W(h)|, and l1 the computed
+    sum_h |W'(h)|, which bounds sum_h |E'(h)| within gamma_{N+2}:
+
+    * Spectra: the computed P is the exact transform of a correlation r~
+      within eps of r at every lag (lag_correlations), so it moves the
+      major mass by at most eps l1.
+    * Weights: sum_h |r~(h)| |E'(h) - E(h)| <= (ab + eps) (Delta + N e0),
+      as |r(h)| <= ab (Cauchy-Schwarz) and halving W'(h) errs only under
+      underflow.
+    * Kernel and dot: each output of the transform of E' is within
+      eta log2(L) l1 + P_L e0 (componentwise, as every output sums the
+      inputs along butterfly paths with twiddles of modulus 1).  The
+      products and the tree sum add gamma_{lg + 2} relative to
+      (1/L) sum_k c_k |P_k| |E'^_k| <= ab max_k |E'^_k| <= ab l1, since
+      (1/L) sum_{k mod L} |X_k| |Y_k| <= ab (Cauchy-Schwarz, Parseval).
+      Together: gamma_{8 log2(L) + lg + 3} ab l1 + (2 P_L ab + 2) e0.
+    * total: its forward error and its tree sum stay within eps, as
+      the inverse transform's lag 0 does in lag_correlations.
+    * minor = total - major rounds once more: u |minor|, and u |major|
+      is charged besides.
+    So error = 2 [eps (1 + l1) + gamma_{8 log2(L) + lg + 3} ab l1 +
+    (ab + eps) Delta + (2 P_L ab + N (ab + eps) + 2) e0 +
+    u (|major| + |minor|)], doubled to cover second-order terms and the
+    rounding of the bound's own evaluation.  Without major arcs
+    (KQ0 = 0) major is 0, minor = total and the error 2 (eps + u |total|).
+
+    `spectra`, when the caller has them, are the LagSpectra of
+    (seq, tilde), or of (seq,) without `tilde`; they are read, not
+    changed.
     """
     if not arcs_disjoint(arcs.k_param, arcs.q0, arcs.q):
         raise ValueError(
             f"major arcs overlap: need Q > K (2 KQ0 - 1) (and Q > 2K); "
             f"K={arcs.k_param:.6g}, Q0={arcs.q0:.6g}, Q={arcs.q:.6g}")
-    n, m_max = seq.n, arcs.kq0
-    if corrs is None:
-        corrs = _arc_correlations(seq, tilde)
-    totals = [float(c.rho[0]) for c in corrs]
-    # One row per correlation: the h = 0 term, then one term per m.
-    terms = bounds = np.zeros((len(corrs), 0))
-    kappa = 0.0
-    if m_max >= 1:
-        mu, phi = mobius_totient(m_max)
-        zero_weight = math.fsum(
-            2.0 * arcs.k_param / (np.arange(1, m_max + 1) * arcs.q) * phi[1:])
-        squarefree = np.cumsum(np.abs(mu))        # squarefree m <= x
-        ds = np.arange(1, min(m_max, n) + 1)
-        # math.log, as np.log may differ in the last bit.
-        logs = np.fromiter(map(math.log, (n // ds).tolist()), np.float64,
-                           ds.size)
-        kappa = zero_weight + (2.0 / math.pi) * math.fsum(
-            (1.0 + logs) * squarefree[m_max // ds])
-        sines, errs = _sine_sums([c.rho for c in corrs], arcs, mu)
-        terms = np.column_stack([np.array(totals) * zero_weight, sines])
-        bounds = np.column_stack([
-            gamma(5) * np.abs(totals) * zero_weight + float(underflow(2)),
-            errs])
+    if spectra is None:
+        spectra = LagSpectra([seq] if tilde is None else [seq, tilde])
+    n, length = spectra.n, spectra.length
+    pairs = [(0, 0)] if tilde is None else [(0, 0), (1, 1), (0, 1)]
+    c = np.full(length // 2 + 1, 2.0)
+    c[0] = 1.0
+    if length % 2 == 0:
+        c[-1] = 1.0
+    kernel = l1 = weights = None
+    if arcs.kq0 >= 1:
+        weights = major_weights(arcs, n)
+        l1 = float(np.abs(weights.w).sum()) * (1.0 + gamma(n + 2))
+        even = np.zeros(length)
+        even[: n + 1] = weights.w
+        even[1 : n + 1] /= 2.0
+        even[length - n :] = even[n:0:-1]
+        kernel = c * np.fft.rfft(even).real
+        del even
+    levels = 8.0 * math.log2(length) + math.ceil(math.log2(c.size)) + 3
+    buffer = np.zeros(1 << (c.size - 1).bit_length())
     out = []
-    for total, c, parts, errs in zip(totals, corrs, terms, bounds):
-        major = math.fsum(parts)
+    for i, j in pairs:
+        power, eps = spectra.power(i, j), spectra.error(i, j)
+        total = _tree_sum(np.multiply(c, power, out=buffer[: c.size]),
+                          buffer) / length
+        major, err = 0.0, eps
+        if kernel is not None:
+            ab = math.sqrt(spectra.squares[i] * spectra.squares[j])
+            major = _tree_sum(np.multiply(power, kernel,
+                                          out=buffer[: c.size]),
+                              buffer) / length
+            err = (eps * (1.0 + l1) + gamma(levels) * ab * l1
+                   + (ab + eps) * weights.error + float(underflow(
+                       2.0 * spectra.products * ab + n * (ab + eps) + 2.0)))
         minor = total - major
-        err = (math.fsum(errs) + c.error * (1.0 + kappa)
-               + UNIT_ROUNDOFF * (abs(major) + abs(minor)))
         out.append(ArcMass(total=total, major=major, minor=minor,
-                           error=2.0 * err))
+                           error=2.0 * (err + UNIT_ROUNDOFF
+                                        * (abs(major) + abs(minor)))))
     return ArcMasses(*out)
 
 
-def _arc_correlations(seq: Sequence, tilde: Sequence | None = None) -> list:
-    """The lag correlations arc_masses reads: the autocorrelation of `seq`,
-    and with `tilde` also that of `tilde` and their cross correlation."""
-    if tilde is None:
-        return lag_correlations([seq], [(0, 0)])
-    return lag_correlations([seq, tilde], [(0, 0), (1, 1), (0, 1)])
-
-
-def _sine_sums(rows, arcs: ArcSystem, mu: np.ndarray) -> tuple:
-    """(terms, bounds), each of shape (len(rows), number of squarefree
-    m <= M): for each row rho and each such m, in descending order, the
-    term mu(m) sum_j P_D(j) sin(2 pi j d_m)/(pi j) and its rounding bound
-    (see arc_masses).  The factor 2 of s(h) = 2 rho(h) rides on the
-    weights 2/(pi j) and on S0; scaling by 2 is exact, so the terms are
-    those of the rows s."""
-    n, m_max = rows[0].size - 1, arcs.kq0
-    inv = np.zeros(n + 1)
-    inv[1:] = 2.0 / (math.pi * np.arange(1, n + 1))
-    block = 1 << max(0, math.ceil(math.log2(n + 1) / 2))
-    n_b = -(-(n + 1) // block)
-    p_tilde = np.zeros((len(rows), n_b * block))
-    buf = np.empty(n)
-    s0 = np.zeros(len(rows))
-    s1 = np.zeros(len(rows))
-    lo = 2.0 * math.pi * np.arange(block)
-    hi = 2.0 * math.pi * block * np.arange(n_b)
-    moduli = np.flatnonzero(mu[: m_max + 1])[::-1]
-    terms = np.empty((len(rows), moduli.size))
-    bounds = np.empty_like(terms)
-    d_done = 0
-    # The moduli sharing one D, moduli[a:b], use one pass over P~_D.
-    cuts = [0, *(np.flatnonzero(np.diff(m_max // moduli)) + 1), moduli.size]
-    for a, b in zip(cuts, cuts[1:]):
-        group = moduli[a:b]
-        d_top = m_max // int(group[0])
-        for d in range(d_done + 1, d_top + 1):
-            j = n // d
-            tmp, w = buf[:j], inv[1 : j + 1]
-            for i, row in enumerate(rows):
-                np.multiply(row[d::d], w, out=tmp)
-                p_tilde[i, 1 : j + 1] += tmp
-                np.abs(row[d::d], out=tmp)
-                s0[i] += 2.0 * tmp.sum()
-                s1[i] += tmp @ w
-        d_done = d_top
-        dms = arcs.k_param / (group * arcs.q)
-        cols = np.concatenate([np.sin(np.outer(lo, dms)),
-                               np.cos(np.outer(lo, dms))], axis=1)
-        prod = (p_tilde.reshape(-1, block) @ cols).reshape(
-            len(rows), n_b, 2 * group.size)
-        vals = (np.einsum("iak,ak->ik", prod[:, :, : group.size],
-                          np.cos(np.outer(hi, dms)))
-                + np.einsum("iak,ak->ik", prod[:, :, group.size :],
-                            np.sin(np.outer(hi, dms))))
-        count = d_top + 2 * block + 4 * n_b + 47
-        tiny = float(underflow(2 * n_b * block * (d_top + 2)))
-        terms[:, a:b] = mu[group] * vals
-        bounds[:, a:b] = (gamma(count) * s1[:, None]
-                          + 4.0 * gamma(5) * dms * s0[:, None] + tiny)
-    return terms, bounds
+def _tree_sum(terms: np.ndarray, buffer: np.ndarray) -> float:
+    """The sum of `terms`, a prefix of `buffer`, by halving: the rest of
+    `buffer`, whose length is a power of two, is cleared, and each pass
+    adds its upper half onto its lower half in place.  Every term passes
+    through log2(buffer.size) additions, so the sum errs by at most gamma
+    of that times sum |terms| (exact under underflow).  `buffer` is
+    overwritten."""
+    buffer[terms.size :] = 0.0
+    width = buffer.size
+    while width > 1:
+        width //= 2
+        buffer[:width] += buffer[width : 2 * width]
+    return float(buffer[0])

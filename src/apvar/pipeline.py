@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import (Sequence, SieveTable, d_k_of, factorize, is_squarefree,
-                    mobius, ramanujan_correlations, totient)
+from .arith import (LagSpectra, Sequence, SieveTable, d_k_of, factorize,
+                    is_squarefree, mobius, ramanujan_correlations, totient)
 # Bound for perfbench/spans.py, which wraps this name in this module.
 from .arith import sieve_all  # noqa: F401
-from .circle import (ArcMasses, ArcSystem, Spectrum, _arc_correlations,
-                     arc_masses, arcs_disjoint)
+from .circle import ArcMasses, ArcSystem, Spectrum, arc_masses, arcs_disjoint
 # Grid path: the validation tests use it and perfbench/spans.py wraps it.
 from .circle import build_spectrum, major_mask, minor_arc_integral  # noqa: F401
 from .dirichlet import (_SMOOTH_EXP, choose_R_chebyshev, f_q_value,
@@ -208,12 +207,16 @@ def _chain_terms(seq: Sequence, params: ResolvedParams,
                  tilde: Sequence | None = None):
     """(sweep, tail, masses): the variance_sweep of `seq` over q <= Q, the
     Ramanujan tail from the sweep's C_d and phi, and the arc masses (with
-    `tilde`, also of |A~|^2 and A conj(A~)), from one lag_correlations
-    call that the sweep and arc_masses both read."""
-    corrs = _arc_correlations(seq, tilde)
-    sweep = variance_sweep(seq, int(params.q), corrs[0])
+    `tilde`, also of |A~|^2 and A conj(A~)).  One forward FFT per
+    sequence feeds both: the sweep reads the autocorrelation of `seq`,
+    the only inverse FFT, and arc_masses the spectra themselves."""
+    spectra = LagSpectra([seq] if tilde is None else [seq, tilde])
+    corr = spectra.correlation(0, 0)
+    masses = arc_masses(params, seq, tilde, spectra=spectra)
+    del spectra     # freed before the sweep, which reads only `corr`
+    sweep = variance_sweep(seq, int(params.q), corr)
     tail = ramanujan_tail(sweep.correlations, sweep.phi, params.q0)
-    return sweep, tail, arc_masses(params, seq, tilde, corrs=corrs)
+    return sweep, tail, masses
 
 
 def _over_moduli(per_q: np.ndarray, params: ResolvedParams) -> float:

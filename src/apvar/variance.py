@@ -203,8 +203,10 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
         exact_c = not dc.any()
     else:
         c = ramanujan_convolution(m.astype(np.float64), mu)
+        # For a_n >= 0 the multiple sums of |a| are M itself.
         c_abs = ramanujan_convolution(
-            multiple_sums(np.abs(seq.values), q_max), np.abs(mu))
+            m if (seq.values >= 0).all()
+            else multiple_sums(np.abs(seq.values), q_max), np.abs(mu))
         ds = np.arange(q_max + 1)
         dc = gamma(2 * (n + ds + 1)) * c_abs + underflow(ds)
     w, dw = np.zeros(q_max + 1), np.zeros(q_max + 1)

@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 
-from apvar.arith import (_primes_from_spf, divisors, mobius_totient,
-                         multiple_sums, ramanujan_convolution, ramanujan_sum)
+from apvar.arith import (_convolve_ones, _primes_from_spf, _spf_recurrence,
+                         _spf_sieve, divisors, gamma, lag_correlations,
+                         mobius_totient, multiple_sums, ramanujan_convolution,
+                         ramanujan_sum, underflow)
 from apvar.pipeline import ramanujan_tail
 
 
@@ -184,6 +186,41 @@ def ramanujan_tail_from_scratch(seq, q_max, q0) -> float:
     mu, phi = mobius_totient(int(q_max))
     corrs = ramanujan_convolution(multiple_sums(seq.values, int(q_max)), mu)
     return ramanujan_tail(corrs, phi, q0)
+
+
+def float_sweep_abs_route(seq, q_max: int) -> tuple:
+    """(v, error) of variance_sweep's float route over q <= q_max, with
+    the bound's |a| multiple sums taken from multiple_sums(np.abs(a))
+    always, through the same kernels in the same order."""
+    corr, = lag_correlations([seq], [(0, 0)])
+    assert not corr.exact
+    n, r = seq.n, corr.rho
+    squares = r[0] + 2 * multiple_sums(r, q_max)
+    err = np.zeros(q_max + 1)
+    eps, l1 = corr.error, float(np.abs(seq.values).sum())
+    lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
+    err[1:] = lags * eps + gamma(lags) * (l1 * l1 + lags * eps)
+    mu, phi, dk = _spf_recurrence(_spf_sieve(q_max), 2)
+    m = multiple_sums(seq.values, q_max)
+    c = ramanujan_convolution(m.astype(np.float64), mu)
+    c_abs = ramanujan_convolution(
+        multiple_sums(np.abs(seq.values), q_max), np.abs(mu))
+    ds = np.arange(q_max + 1)
+    dc = gamma(2 * (n + ds + 1)) * c_abs + underflow(ds)
+    w, dw = np.zeros(q_max + 1), np.zeros(q_max + 1)
+    w[1:] = c[1:] ** 2 / phi[1:]
+    dw[1:] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
+        + gamma(4) * w[1:]
+    g, dg = _convolve_ones(w)[1:], _convolve_ones(dw)[1:]
+    tau = dk[2][1:]
+    q = np.arange(1, q_max + 1)
+    v = np.zeros(q_max + 1)
+    v[1:] = squares[1:] - g / q
+    err[1:] += ((dg + gamma(tau + 1) * g) / q
+                + gamma(2) * (np.abs(squares[1:]) + np.abs(v[1:]))
+                + underflow(8 * tau + 16))
+    np.maximum(v, 0.0, out=v)
+    return v, err
 
 
 # ---------------------------------------------------------------------------

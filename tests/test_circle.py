@@ -191,22 +191,24 @@ def test_arc_masses_match_direct_double_sum(rng, table_300, window):
     assert exact.error < 1e-9 * exact.major
 
 
-def test_arc_masses_leave_lag_correlations_unchanged(rng, table_300):
-    """arc_masses reads the lag correlations it is given and changes none
-    of them, on a float row and on an exact int64 row; its masses are
-    those of its own autocorrelation."""
-    from apvar.arith import lag_correlations
+def test_arc_masses_leave_spectra_unchanged(rng, table_300):
+    """arc_masses reads the spectra it is given and changes none of them,
+    on a float sequence and on an integer one (whose autocorrelation is
+    the exact int64 row); its masses are those of its own spectra."""
+    from apvar.arith import LagSpectra
 
     arcs = disjoint_arcs()
     floats = Sequence.from_coeffs(rng.standard_normal(300))
     d2 = Sequence(table_300.dk[2].astype(float), is_integer_valued=True)
     for seq, dtype in ((floats, np.float64), (d2, np.int64)):
-        corrs = lag_correlations([seq], [(0, 0)])
-        before = corrs[0].rho.copy()
+        spectra = LagSpectra([seq])
+        before = spectra.correlation(0, 0).rho
         assert before.dtype == dtype
-        mass = arc_masses(arcs, seq, corrs=corrs).a
-        assert corrs[0].rho.dtype == dtype
-        assert np.array_equal(corrs[0].rho, before)
+        copies = [x.copy() for x in spectra.spectra]
+        mass = arc_masses(arcs, seq, spectra=spectra).a
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(spectra.spectra, copies))
+        assert np.array_equal(spectra.correlation(0, 0).rho, before)
         assert mass == arc_masses(arcs, seq).a
 
 
@@ -226,31 +228,74 @@ def test_arc_masses_without_major_arcs():
     assert mass.error == 2.0 * (eps + UNIT_ROUNDOFF * abs(mass.total))
 
 
-def test_sine_sum_columns_follow_the_squarefree_moduli(rng):
-    """Column c of _sine_sums belongs to the c-th squarefree m <= M in
-    descending order: mu(m) sum_j P_D(j) sin(2 pi j d_m)/(pi j), with
-    D = floor(M/m), P_D(j) = sum_{d <= D} s(jd) and s = 2 rho, within the
-    column's own bound (plus the direct loop's rounding)."""
-    from apvar.arith import mobius_totient
-    from apvar.circle import _sine_sums
+@pytest.mark.parametrize("n, arcs", [
+    (200, ArcSystem(k_param=5.0, q0=3.0, q=400.0, n=200)),
+    # M = 450: 137 squarefree m in (225, 450] share D = 1, so that group
+    # joins the row in two products.
+    (300, ArcSystem(k_param=5.0, q0=90.0, q=4600.0, n=300)),
+])
+def test_major_weights_match_direct_kernel(n, arcs):
+    """Every W(h), h >= 1, against the direct kernel
+    sum_{q <= M} 2 c_q(h) sin(2 pi h d_q)/(pi h), and W(0) against
+    sum_q 2 d_q phi(q), d_q = K/(qQ): the summed deviation within W's
+    own bound plus the direct loop's rounding."""
+    from apvar.arith import ramanujan_sum, totient
+    from apvar.circle import major_weights
 
-    n, arcs = 200, ArcSystem(k_param=5.0, q0=3.0, q=400.0, n=200)
+    weights = major_weights(arcs, n)
     m_max = arcs.kq0
-    mu = mobius_totient(m_max)[0]
-    rows = [rng.standard_normal(n + 1), rng.standard_normal(n + 1)]
-    terms, bounds = _sine_sums(rows, arcs, mu)
-    moduli = [m for m in range(m_max, 0, -1) if mu[m]]
-    assert terms.shape == bounds.shape == (2, len(moduli))
-    for row, row_terms, row_bounds in zip(rows, terms, bounds):
-        for col, m in enumerate(moduli):
-            dm = arcs.k_param / (m * arcs.q)
-            parts = [2.0 * row[j * d] * math.sin(2 * math.pi * j * dm)
-                     / (math.pi * j)
-                     for j in range(1, n + 1)
-                     for d in range(1, m_max // m + 1) if j * d <= n]
-            direct = int(mu[m]) * math.fsum(parts)
-            slack = 8 * UNIT_ROUNDOFF * math.fsum(map(abs, parts))
-            assert abs(row_terms[col] - direct) <= row_bounds[col] + slack
+    d = [0.0] + [arcs.k_param / (q * arcs.q) for q in range(1, m_max + 1)]
+    devs, slacks = [], []
+    zero = math.fsum(2 * d[q] * totient(q) for q in range(1, m_max + 1))
+    devs.append(abs(weights.w[0] - zero))
+    slacks.append(gamma(5) * zero)
+    for h in range(1, n + 1):
+        parts = [2 * ramanujan_sum(q, h) * math.sin(2 * math.pi * h * d[q])
+                 / (math.pi * h) for q in range(1, m_max + 1)]
+        direct = math.fsum(parts)
+        devs.append(abs(weights.w[h] - direct))
+        # Arguments within gamma_5 relative, sines 4 ulp, products and
+        # the quotient gamma_4, then one fsum.
+        slacks.append(math.fsum(
+            2 * abs(ramanujan_sum(q, h)) * (2 * math.pi * h * d[q] * gamma(5)
+                                            + 8 * UNIT_ROUNDOFF)
+            / (math.pi * h) for q in range(1, m_max + 1))
+            + gamma(4) * math.fsum(map(abs, parts))
+            + UNIT_ROUNDOFF * abs(direct))
+    assert weights.error > 0
+    assert math.fsum(devs) <= weights.error + math.fsum(slacks)
+
+
+def test_spectral_major_matches_lag_dot(rng, table_300, window):
+    """Each pair's spectral major mass against the lag-domain dot
+    <rho, W>, rho from lag_correlations, for a float row, an exact int64
+    row and a cross row, within both bounds."""
+    from apvar.arith import lag_correlations
+    from apvar.circle import major_weights
+    from apvar.windows import build_tilde_sequence, build_weights
+
+    arcs = disjoint_arcs()
+    weights = major_weights(arcs, 300)
+    l1 = math.fsum(np.abs(weights.w))
+    floats = Sequence.from_coeffs(rng.standard_normal(300))
+    d2 = Sequence(table_300.dk[2].astype(float), is_integer_valued=True)
+    tilde = build_tilde_sequence(300, build_weights("prime_sieve", 12), window)
+    cases = [(floats, None, "a", (0, 0), False),
+             (d2, tilde, "a", (0, 0), True),
+             (d2, tilde, "tilde", (1, 1), False),
+             (d2, tilde, "cross", (0, 1), False)]
+    for seq, aux, name, pair, exact in cases:
+        seqs = [seq] if aux is None else [seq, aux]
+        corr, = lag_correlations(seqs, [pair])
+        assert corr.exact == exact
+        terms = corr.rho.astype(np.float64) * weights.w
+        lag_dot = math.fsum(terms)
+        a, b = seqs[pair[0]].values, seqs[pair[1]].values
+        ab = math.sqrt(float(a @ a) * float(b @ b))
+        lag_bound = (corr.error * l1 + (ab + corr.error) * weights.error
+                     + 2 * UNIT_ROUNDOFF * math.fsum(np.abs(terms)))
+        mass = getattr(arc_masses(arcs, seq, aux), name)
+        assert abs(mass.major - lag_dot) <= mass.error + lag_bound
 
 
 def mp_major(a, arcs):

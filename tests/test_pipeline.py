@@ -406,6 +406,40 @@ def test_chain_verdict_rebuilt_from_report_fields(kind):
         r.lhs_variance_sum >= with_subtractions)
 
 
+@pytest.mark.parametrize("kind", ["theorem1", "theorem2-first",
+                                  "theorem2-second", "prop13"])
+def test_chains_make_one_inverse_fft(kind, monkeypatch):
+    """Each chain makes one inverse FFT, the autocorrelation of A that
+    its variance sweep reads, and one forward FFT per sequence plus one
+    for the major-arc weights: the arc masses read spectra, not lags."""
+    from collections import Counter
+
+    n = 2 * 10**4
+    table = sieve_all(n, 2)
+    counts = Counter()
+
+    def counted(name, transform):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
+    if kind == "theorem1":
+        run_theorem1(resolve_params(
+            ExperimentConfig(experiment="theorem1", n=n)), table)
+    else:
+        cfg = ExperimentConfig(experiment="theorem2", n=n, q_exp=0.8, k=2,
+                               ending=kind.partition("-")[2] or "second")
+        if kind == "prop13":
+            assemble_prop13(table.dk_sequence(2), resolve_params(cfg))
+        else:
+            run_theorem2(resolve_params(cfg), table)
+    sequences = 1 if kind == "prop13" else 2
+    assert counts == {"rfft": sequences + 1, "irfft": 1}
+
+
 def test_assembler_verdict_fails_with_either_link():
     """chain_sound needs both the Cauchy-Schwarz bound within the minor
     integral's error bar and the variance inequality; desk-scale chains

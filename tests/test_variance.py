@@ -17,7 +17,7 @@ from apvar.variance import (_prime_power_class_squares, check_identity_prop1,
                             variance_mod_q, variance_rows, variance_sweep,
                             variance_total)
 
-from oracles import prime_power_class_squares_pairs
+from oracles import float_sweep_abs_route, prime_power_class_squares_pairs
 
 
 def brute_variance(seq, q):
@@ -228,6 +228,26 @@ def test_sweep_correlations_match_ramanujan_correlations(table_1e4, rng):
         assert np.array_equal(sweep.correlations[1:], corrs), seq.name
         assert np.array_equal(sweep.phi[1:],
                               [totient(d) for d in range(1, q_max + 1)])
+
+
+def test_nonnegative_float_sweep_matches_abs_route(table_1e4, rng):
+    """A float sweep with every a_n >= 0 takes its bound's |a| multiple
+    sums from M itself: v and error are bit for bit those of the route
+    through multiple_sums(np.abs(a)), for Lambda, random nonnegative
+    floats and floats with -0.0 entries; a signed sequence keeps that
+    route."""
+    signed_zeros = rng.random(2000)
+    signed_zeros[::7] = -0.0
+    cases = [(table_1e4.lambda_sequence(), 400),
+             (table_1e4.lambda_sequence(), 1000),
+             (Sequence.from_coeffs(rng.random(3000)), 500),
+             (Sequence.from_coeffs(signed_zeros), 300),
+             (Sequence.from_coeffs(rng.standard_normal(2000)), 300)]
+    for seq, q_max in cases:
+        sweep = variance_sweep(seq, q_max)
+        v, err = float_sweep_abs_route(seq, q_max)
+        assert np.array_equal(sweep.v, v)
+        assert np.array_equal(sweep.error, err)
 
 
 def test_sweep_keeps_its_mobius_table(table_1e4):
