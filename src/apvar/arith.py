@@ -219,7 +219,7 @@ def ramanujan_convolution(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 # Unit roundoff of float64, and the constant c of the per-lag FFT
-# correlation bound c u log2(L) ||a||_2 ||b||_2 derived in lag_correlations.
+# correlation bound c u log2(L) ||a||_2 ||b||_2 derived in LagSpectra.
 UNIT_ROUNDOFF = 2.0**-53
 FFT_ERROR_CONSTANT = 32
 
@@ -270,50 +270,10 @@ def _fft_length(m: int) -> int:
 
 
 class LagSpectra:
-    """The real FFTs of sequences of one length N at one length L > 2N
-    (lag_correlations), with the squared norms ||a||_2^2 of the
-    sequences; the lag correlation of a pair and its spectral product
-    Re(X conj Y) are read from them."""
-
-    def __init__(self, seqs):
-        n = seqs[0].n
-        if any(s.n != n for s in seqs):
-            raise ValueError("sequences must share their length N")
-        self.seqs, self.n = list(seqs), n
-        self.length = _fft_length(2 * n + 1)
-        self.spectra = [np.fft.rfft(s.values, self.length) for s in seqs]
-        self.squares = [float(np.dot(s.values, s.values)) for s in seqs]
-        # c L log2(L) e0 bounds the underflow of one transform's output.
-        self.products = (FFT_ERROR_CONSTANT * self.length
-                         * math.log2(self.length))
-
-    def error(self, i: int, j: int) -> float:
-        """eps of the pair (i, j): the per-lag bound of lag_correlations."""
-        aa, bb = self.squares[i], self.squares[j]
-        scale = FFT_ERROR_CONSTANT * UNIT_ROUNDOFF * math.log2(self.length)
-        return scale * math.sqrt(aa * bb) + float(underflow(
-            self.products * (math.sqrt(aa) + math.sqrt(bb) + 2.0)))
-
-    def power(self, i: int, j: int) -> np.ndarray:
-        """Re(X conj Y) of the pair (i, j) on 0..L/2."""
-        x, y = self.spectra[i], self.spectra[j]
-        return x.real * y.real + x.imag * y.imag
-
-    def correlation(self, i: int, j: int) -> LagCorrelation:
-        """The lag correlation of the pair (i, j): one inverse FFT."""
-        eps = self.error(i, j)
-        rho = np.fft.irfft(self.power(i, j), self.length)[: self.n + 1]
-        seq = self.seqs[i]
-        l1 = float(np.abs(seq.values).sum())
-        if (i == j and seq.is_integer_valued and eps < 0.5
-                and l1 * l1 < 2.0**62):
-            return LagCorrelation(np.rint(rho).astype(np.int64), 0.0, True)
-        return LagCorrelation(rho.copy(), eps, False)
-
-
-def lag_correlations(seqs, pairs) -> list:
-    """The symmetrized lag correlation of each pair (i, j) of `seqs`, from
-    one real FFT of length L > 2N per sequence (all of one length N).
+    """The real FFTs of sequences of one length N at one length L > 2N,
+    with the squared norms ||a||_2^2 of the sequences; the symmetrized
+    lag correlation of a pair (i, j) and its spectral product
+    Re(X conj Y) are read from them.
 
     For a pair (a, b), rho = irfft(Re(X conj Y)) with X, Y the length-L
     transforms; L > 2N keeps the circular correlation free of aliasing.
@@ -353,8 +313,41 @@ def lag_correlations(seqs, pairs) -> list:
     the integer it must be (`exact`), provided ||a||_1^2, which bounds
     sum_h |r(h)|, is below 2^62.
     """
-    spectra = LagSpectra(seqs)
-    return [spectra.correlation(i, j) for i, j in pairs]
+
+    def __init__(self, seqs):
+        n = seqs[0].n
+        if any(s.n != n for s in seqs):
+            raise ValueError("sequences must share their length N")
+        self.seqs, self.n = list(seqs), n
+        self.length = _fft_length(2 * n + 1)
+        self.spectra = [np.fft.rfft(s.values, self.length) for s in seqs]
+        self.squares = [float(np.dot(s.values, s.values)) for s in seqs]
+        # c L log2(L) e0 bounds the underflow of one transform's output.
+        self.products = (FFT_ERROR_CONSTANT * self.length
+                         * math.log2(self.length))
+
+    def error(self, i: int, j: int) -> float:
+        """eps of the pair (i, j): the per-lag bound above."""
+        aa, bb = self.squares[i], self.squares[j]
+        scale = FFT_ERROR_CONSTANT * UNIT_ROUNDOFF * math.log2(self.length)
+        return scale * math.sqrt(aa * bb) + float(underflow(
+            self.products * (math.sqrt(aa) + math.sqrt(bb) + 2.0)))
+
+    def power(self, i: int, j: int) -> np.ndarray:
+        """Re(X conj Y) of the pair (i, j) on 0..L/2."""
+        x, y = self.spectra[i], self.spectra[j]
+        return x.real * y.real + x.imag * y.imag
+
+    def correlation(self, i: int, j: int) -> LagCorrelation:
+        """The lag correlation of the pair (i, j): one inverse FFT."""
+        eps = self.error(i, j)
+        rho = np.fft.irfft(self.power(i, j), self.length)[: self.n + 1]
+        seq = self.seqs[i]
+        l1 = float(np.abs(seq.values).sum())
+        if (i == j and seq.is_integer_valued and eps < 0.5
+                and l1 * l1 < 2.0**62):
+            return LagCorrelation(np.rint(rho).astype(np.int64), 0.0, True)
+        return LagCorrelation(rho.copy(), eps, False)
 
 
 def ramanujan_correlations(seq: Sequence, ds) -> np.ndarray:
@@ -717,7 +710,7 @@ class _CachedArrays(Mapping):
 # Named sequences for the CLI and experiments
 
 
-def load_sequence(name: str, n: int, table: SieveTable | None = None) -> Sequence:
+def load_sequence(name: str, n: int) -> Sequence:
     """Resolve one of: lambda, d2, d3, d4, ones, file:<path>.
 
     A file holds rows `n,a_n`, each n an integer >= 1 given once; rows with
@@ -749,14 +742,10 @@ def load_sequence(name: str, n: int, table: SieveTable | None = None) -> Sequenc
     if name == "ones":
         return Sequence.from_coeffs(np.ones(n), is_integer_valued=True, name="ones")
     if name == "lambda":
-        table = table if table is not None and table.n >= n else sieve_all(n, 2)
-        return Sequence(table.lam[: n + 1].copy(), name="lambda")
+        return sieve_all(n, 2).lambda_sequence()
     if name in ("d2", "d3", "d4"):
         j = int(name[1])
-        table = (table if table is not None and table.n >= n and j in table.dk
-                 else sieve_all(n, j))
-        return Sequence(table.dk[j][: n + 1].astype(np.float64),
-                        is_integer_valued=True, name=name)
+        return sieve_all(n, j).dk_sequence(j)
     raise ValueError(f"unknown sequence {name!r}")
 
 

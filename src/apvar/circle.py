@@ -13,7 +13,7 @@ as its independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,10 +81,6 @@ class Spectrum:
     l2: float                    # sum |a_n|^2
     l1: float                    # sum |a_n|
     deriv_bound: float           # 2 pi N sum|a_n| bounds |A'|
-    total_mass: float = field(init=False)
-
-    def __post_init__(self):
-        self.total_mass = float(np.mean(np.abs(self.amplitudes) ** 2))
 
     @property
     def power(self) -> np.ndarray:
@@ -246,7 +242,7 @@ _CHUNK = 128
 
 def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
     """W(h) for 0 <= h <= n: for real a, b with lag correlation rho
-    (lag_correlations), the major-arc integral of A conj(B) is
+    (LagSpectra), the major-arc integral of A conj(B) is
     sum_h rho(h) W(h), exact when the arcs are disjoint.
 
     With x(h) = sum_n a_{n+h} b_n, A(alpha) conj(B(alpha)) =
@@ -274,7 +270,7 @@ def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
     per m: O(N KQ0) work once per arc system, however many sequences
     read W, and two arrays of length N + 1.
 
-    Error bound, in the rounding model of lag_correlations (u, gamma_k,
+    Error bound, in the rounding model of LagSpectra (u, gamma_k,
     and e0 = 2^-1074 per product or quotient under gradual underflow),
     with cos and sin of a float within 4 ulp (8u absolute), n_d the
     number of squarefree m <= M/d and H(x) <= 1 + log x the harmonic
@@ -375,7 +371,7 @@ def arc_masses(arcs: ArcSystem, seq: Sequence, tilde: Sequence | None = None,
     of e(h alpha) + e(-h alpha) over the major arcs (of 1 at h = 0),
     which the Ramanujan sums c_q(h) give in closed form, and
     major_weights derives it and its own bound.  With L > 2N the
-    transform length of lag_correlations and P = Re(X conj Y) on
+    transform length of LagSpectra and P = Re(X conj Y) on
     0 <= k <= L/2 the pair's spectral product, let E be the even
     extension of W to Z/L: E(0) = W(0), E(h) = E(L - h) = W(h)/2 for
     1 <= h <= N, and 0 between.  The circular correlation r on Z/L is
@@ -393,7 +389,7 @@ def arc_masses(arcs: ArcSystem, seq: Sequence, tilde: Sequence | None = None,
     additions.  minor = total - major.  This is exact when the arcs are
     disjoint, which is checked first.
 
-    Error bound, in the rounding model of lag_correlations (u, gamma_k,
+    Error bound, in the rounding model of LagSpectra (u, gamma_k,
     e0 = 2^-1074; eps the pair's per-lag bound there, P_L = c L log2(L)
     with c = FFT_ERROR_CONSTANT the e0 count of a transform's output,
     eta <= 8u per level of log2 L), with ab = ||a||_2 ||b||_2, W' the
@@ -402,7 +398,7 @@ def arc_masses(arcs: ArcSystem, seq: Sequence, tilde: Sequence | None = None,
     sum_h |W'(h)|, which bounds sum_h |E'(h)| within gamma_{N+2}:
 
     * Spectra: the computed P is the exact transform of a correlation r~
-      within eps of r at every lag (lag_correlations), so it moves the
+      within eps of r at every lag (LagSpectra), so it moves the
       major mass by at most eps l1.
     * Weights: sum_h |r~(h)| |E'(h) - E(h)| <= (ab + eps) (Delta + N e0),
       as |r(h)| <= ab (Cauchy-Schwarz) and halving W'(h) errs only under
@@ -415,7 +411,7 @@ def arc_masses(arcs: ArcSystem, seq: Sequence, tilde: Sequence | None = None,
       (1/L) sum_{k mod L} |X_k| |Y_k| <= ab (Cauchy-Schwarz, Parseval).
       Together: gamma_{8 log2(L) + lg + 3} ab l1 + (2 P_L ab + 2) e0.
     * total: its forward error and its tree sum stay within eps, as
-      the inverse transform's lag 0 does in lag_correlations.
+      the inverse transform's lag 0 does in LagSpectra.
     * minor = total - major rounds once more: u |minor|, and u |major|
       is charged besides.
     So error = 2 [eps (1 + l1) + gamma_{8 log2(L) + lg + 3} ab l1 +

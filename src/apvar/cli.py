@@ -22,12 +22,12 @@ from . import __version__
 from .arith import (CapacityError, check_lemma1_matrix, gamma, load_sequence,
                     ramanujan_row, sieve_all, totient)
 from .dirichlet import (TruncationError, check_Fq1_bound, euler_F_q,
-                        polynomial_69, r_window, residues, zeta_near_one)
+                        residues, zeta_near_one)
 # Bound for perfbench/spans.py, which wraps this name in this module.
 from .dirichlet import residue_dk_correlation  # noqa: F401
 from .pipeline import (ExperimentConfig, resolve_params, run_theorem1,
                        run_theorem2)
-from .variance import check_identity_prop1, variance_rows, variance_sweep
+from .variance import check_identity_prop1, variance_rows
 # Bound for perfbench/spans.py, which wraps this name in this module.
 from .variance import variance_mod_q  # noqa: F401
 from .windows import build_weights, build_window, check_lemma5
@@ -84,10 +84,10 @@ def _verify_identities(fault: bool) -> list:
     for q in (12, 30, 45):
         if not check_lemma1_matrix(q, 60, 60, fault=fault):
             failures.append(f"orthogonality identity failed at q={q}")
-    n = 300
-    table = sieve_all(n, 3)
-    for name in ("d2", "d3", "lambda"):
-        seq = load_sequence(name, n, table)
+    table = sieve_all(300, 3)
+    seqs = {"d2": table.dk_sequence(2), "d3": table.dk_sequence(3),
+            "lambda": table.lambda_sequence()}
+    for name, seq in seqs.items():
         for q in (12, 36, 49):
             chk = check_identity_prop1(seq, q)
             if not chk.ok:
@@ -96,8 +96,7 @@ def _verify_identities(fault: bool) -> list:
                     f"residual={chk.residual} bad={chk.bad_divisors}")
     window = build_window(0.05)
     weights = build_weights("prime_sieve", 40)
-    lhs, rhs, resid = check_lemma5(load_sequence("lambda", n, table),
-                                   weights, window)
+    lhs, rhs, resid = check_lemma5(seqs["lambda"], weights, window)
     if resid > 1e-9:
         failures.append(f"rearrangement identity residual {resid}")
     return failures
@@ -215,50 +214,21 @@ def cmd_experiment(args) -> tuple[int, list]:
         **{f: getattr(args, f) for f in ("k", "delta", "ending") if f in args})
     params = resolve_params(config)    # a bad R fails before the sieve
     runner = run_theorem1 if args.kind == "theorem1" else run_theorem2
-    table = sieve_all(n, config.k)
-    report = runner(params, table)
+    report = runner(params, sieve_all(n, config.k))
+    header, rows = report.plot
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-
-    report_path = out_dir / "bound_report.json"
-    report_path.write_text(report.to_json() + "\n")
-    outputs.append(report_path)
-
-    csv_path = out_dir / "summary.csv"
-    csv_path.write_text(report.csv_header() + "\n" + report.csv_row() + "\n")
-    outputs.append(csv_path)
-
-    plot_path = out_dir / "plot_data.csv"
-    with open(plot_path, "w", newline="\n") as fh:
-        if config.ending == "first":
-            # The polynomial over R's own window, the one the chain scans.
-            fh.write("alpha,polynomial\n")
-            log_n = math.log(n)
-            r_lo, r_hi = r_window(n, params.q0, params.q, params.k_param,
-                                  config.epsilon)
-            log_rs = np.linspace(math.log(r_lo), math.log(r_hi), 200)
-            vals = polynomial_69(config.k, log_n, log_rs,
-                                 math.log(params.k_param * params.q0))
-            for log_r, val in zip(log_rs, vals):
-                fh.write(f"{log_r / log_n:.12g},{val:.12g}\n")
-        else:
-            fh.write("q,V\n")
-            # V(q) of the run's sequence truncated at N = 10^5.  Up to
-            # there that is the chain's own sequence, and a sweep's V(q)
-            # do not depend on how far it runs, so the chain's sweep holds
-            # the rows already.
-            rows = min(int(params.q), 400)
-            if n <= 10**5:
-                v = report.variances
-            else:
-                seq_name = ("lambda" if args.kind == "theorem1"
-                            else f"d{config.k}")
-                v = variance_sweep(load_sequence(seq_name, 10**5, table),
-                                   rows).v
-            for q in range(1, rows + 1):
-                fh.write(f"{q},{v[q]:.12g}\n")
-    outputs.append(plot_path)
+    for name, text in (
+            ("bound_report.json", report.to_json() + "\n"),
+            ("summary.csv", report.csv_header() + "\n" + report.csv_row()
+             + "\n"),
+            ("plot_data.csv", header + "\n" + "".join(
+                ",".join(map("{:.12g}".format, row)) + "\n"
+                for row in rows.tolist()))):
+        path = out_dir / name
+        path.write_text(text, newline="\n")
+        outputs.append(path)
 
     for name in report.CSV_FIELDS:
         print(f"{name}: {_fmt(getattr(report, name))}")

@@ -27,10 +27,10 @@ from .circle import ArcMasses, ArcSystem, Spectrum, arc_masses, arcs_disjoint
 # Grid path: the validation tests use it and perfbench/spans.py wraps it.
 from .circle import build_spectrum, major_mask, minor_arc_integral  # noqa: F401
 from .dirichlet import (_SMOOTH_EXP, choose_R_chebyshev, f_q_value,
-                        polynomial_69, residues)
+                        polynomial_69, r_window, residues)
 # Bound for perfbench/spans.py, which wraps these names in this module.
 from .dirichlet import contour_nodes, residue_ramdkeval, zeta_near_one  # noqa: F401
-from .variance import _reduced_class_variances, variance_sweep
+from .variance import VarianceSweep, _reduced_class_variances, variance_sweep
 # Bound for perfbench/spans.py, which wraps these names in this module.
 from .variance import (restricted_variance_total, variance_mod_q,  # noqa: F401
                        variance_total)
@@ -88,10 +88,9 @@ class ExperimentConfig:
                 raise ValueError(
                     f"need Q >= N^(1/2+delta): Q-exp {self.q_exp} < "
                     f"{0.5 + self.delta}")
-            # run_theorem2's comparison target, which must be a float.
+            # The comparison target must be a float.
             try:
-                target = self.q * self.n * math.log(self.n) ** (
-                    self.k * self.k - 1)
+                target = self.target
             except OverflowError:
                 target = math.inf
             if not math.isfinite(target):
@@ -102,6 +101,14 @@ class ExperimentConfig:
     @property
     def q(self) -> float:
         return self.n**self.q_exp
+
+    @property
+    def target(self) -> float:
+        """The chain's comparison target: Q N log(Q^2/N) for theorem1,
+        Q N (log N)^(k^2 - 1) for theorem2."""
+        if self.experiment == "theorem1":
+            return self.q * self.n * math.log(self.q**2 / self.n)
+        return self.q * self.n * math.log(self.n) ** (self.k * self.k - 1)
 
 
 @dataclass
@@ -224,6 +231,35 @@ def _over_moduli(per_q: np.ndarray, params: ResolvedParams) -> float:
     return math.fsum(per_q[int(math.floor(params.q0)) + 1:])
 
 
+def _variance_plot(seq: Sequence, sweep: VarianceSweep,
+                   params: ResolvedParams) -> tuple:
+    """The plot table ("q,V", rows): V(q) for q <= min(Q, 400) of `seq`
+    truncated at N = 10^5.  Up to there that is `seq` itself, and a
+    sweep's V(q) do not depend on how far it runs, so the chain's sweep
+    holds the rows already; past it one sweep of the truncated sequence
+    gives them."""
+    rows = min(int(params.q), 400)
+    if seq.n > 10**5:
+        sweep = variance_sweep(Sequence(seq.values[:10**5 + 1],
+                                        seq.is_integer_valued), rows)
+    return "q,V", np.column_stack([np.arange(1, rows + 1),
+                                   sweep.v[1:rows + 1]])
+
+
+def _polynomial_plot(params: ResolvedParams) -> tuple:
+    """The first ending's plot table ("alpha,polynomial", rows):
+    polynomial_69 on 200 points of log R across R's own window, the one
+    choose_R_chebyshev scans, with alpha = log R / log N."""
+    config = params.config
+    log_n = math.log(params.n)
+    r_lo, r_hi = r_window(params.n, params.q0, params.q, params.k_param,
+                          config.epsilon)
+    log_rs = np.linspace(math.log(r_lo), math.log(r_hi), 200)
+    vals = polynomial_69(config.k, log_n, log_rs,
+                         math.log(params.k_param * params.q0))
+    return "alpha,polynomial", np.column_stack([log_rs / log_n, vals])
+
+
 @dataclass
 class BoundReport:
     schema_version: int
@@ -245,10 +281,10 @@ class BoundReport:
     clips: list
     regime_departures: list
     extras: dict = field(default_factory=dict)
-    # V(q) for q <= Q (slot 0 unused) from the chain's variance sweep, for
-    # the CLI's plot rows; not part of the JSON or the CSV.
-    variances: np.ndarray | None = field(default=None, repr=False,
-                                         compare=False)
+    # The plot table (header, rows): a CSV header and an array of numeric
+    # rows, from _variance_plot or _polynomial_plot; not part of the JSON
+    # or the CSV.
+    plot: tuple | None = field(default=None, repr=False, compare=False)
 
     CSV_FIELDS = ("kind", "lhs_variance_sum", "minor_integral", "minor_error",
                   "ramanujan_tail", "slack", "cs_numerator", "cs_denominator",
@@ -257,7 +293,7 @@ class BoundReport:
 
     def to_json(self) -> str:
         payload = {k: getattr(self, k) for k in self.__dataclass_fields__
-                   if k != "variances"}
+                   if k != "plot"}
         return json.dumps(payload, sort_keys=True, default=str)
 
     def csv_header(self) -> str:
@@ -274,14 +310,14 @@ class BoundReport:
 def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
               tail: float, masses: ArcMasses, target: float,
               extras: dict | None = None,
-              variances: np.ndarray | None = None) -> BoundReport:
+              plot: tuple | None = None) -> BoundReport:
     """The one check of lhs >= Q (1 - slack) minor - tail - allowance x
     (N K / Q0) sum |a_n|^2, slack = (5 + log K)/K, within minor's error
     bar.  With A~, the minor masses num = |A conj(A~)|, den = |A~|^2 bound
     minor below by num^2/den and make Q (1 - slack) num^2/den the final
     value, with the subtractions reported apart; without A~ (prop13) the
-    final value is the right-hand side itself.  The report keeps
-    `variances`, the V(q) of the chain's variance sweep."""
+    final value is the right-hand side itself.  The report keeps the
+    chain's `plot` table."""
     minor = masses.a
     slack = (5.0 + math.log(params.k_param)) / params.k_param
     scale = params.q * (1.0 - slack)
@@ -315,7 +351,7 @@ def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
         ratio=final / target if target else 0.0,
         chain_sound=bool(sound), clips=list(params.clips),
         regime_departures=params.regime_departures(), extras=extras,
-        variances=variances)
+        plot=plot)
 
 
 def assemble_prop13(seq: Sequence, params: ResolvedParams) -> BoundReport:
@@ -325,7 +361,7 @@ def assemble_prop13(seq: Sequence, params: ResolvedParams) -> BoundReport:
     lhs = _over_moduli(sweep.v, params)
     return _assemble("prop13", params, seq, lhs, tail, masses, target=lhs,
                      extras={"minor_major_value": masses.a.major},
-                     variances=sweep.v)
+                     plot=_variance_plot(seq, sweep, params))
 
 
 @dataclass
@@ -450,7 +486,6 @@ def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
 
     log_ratio = math.log(params.r / (params.k_param * params.q0))
     target_log = math.log(params.q**2 / n)
-    target = params.q * n * target_log
     fitted_c = ((target_log - lhs / (params.q * n)) / math.log(log_n)
                 if log_n > math.e else 0.0)
     near_degenerate = target_log < 6.0 * math.log(log_n)
@@ -466,8 +501,9 @@ def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
         "fitted_target_constant": fitted_c,
         "near_degenerate_range": near_degenerate,
     }
-    return _assemble("theorem1", params, seq, lhs, tail, masses, target,
-                     extras=extras, variances=sweep.v)
+    return _assemble("theorem1", params, seq, lhs, tail, masses,
+                     config.target, extras=extras,
+                     plot=_variance_plot(seq, sweep, params))
 
 
 def _admissible_qs(params: ResolvedParams):
@@ -502,7 +538,6 @@ def run_theorem2(params: ResolvedParams, table: SieveTable) -> BoundReport:
 
     sweep, tail, masses = _chain_terms(seq, params, tilde)
     lhs = _over_moduli(sweep.v, params)
-    target = params.q * n * log_n ** (k * k - 1)
 
     # The ending's sum over moduli: the paper's asymptotic evaluation of
     # the minor cross mass, kept as a diagnostic beside the exact one.
@@ -520,6 +555,7 @@ def run_theorem2(params: ResolvedParams, table: SieveTable) -> BoundReport:
                   "polynomial_value": polynomial_69(
                       k, log_n, math.log(params.r),
                       math.log(params.k_param * params.q0))}
+        plot = _polynomial_plot(params)
     else:
         qs = _admissible_qs(params)
         corrs = ramanujan_correlations(windowed(seq.values, window), qs)
@@ -538,7 +574,8 @@ def run_theorem2(params: ResolvedParams, table: SieveTable) -> BoundReport:
                   "min_corr_ratio": min(ratios) if ratios else 0.0,
                   "median_corr_ratio": float(np.median(ratios))
                   if ratios else 0.0}
+        plot = _variance_plot(seq, sweep, params)
     extras["aux_vs_exact"] = aux / abs(masses.cross.minor)
 
     return _assemble(f"theorem2-{config.ending}", params, seq, lhs, tail,
-                     masses, target, extras=extras, variances=sweep.v)
+                     masses, config.target, extras=extras, plot=plot)

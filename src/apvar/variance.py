@@ -23,10 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (Sequence, _convolve_ones, _primes_from_spf,
-                    _spf_recurrence, _spf_sieve, divisors, gamma,
-                    lag_correlations, mobius, multiple_sums,
-                    ramanujan_convolution, ramanujan_row, totient, underflow)
+from .arith import (LagSpectra, Sequence, _convolve_ones, _primes_from_spf,
+                    _spf_recurrence, _spf_sieve, divisors, gamma, mobius,
+                    multiple_sums, ramanujan_convolution, ramanujan_row,
+                    totient, underflow)
 
 
 def residue_sums(seq: Sequence, q: int) -> np.ndarray:
@@ -148,7 +148,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     gamma_k = ku/(1-ku), L the FFT length) with gradual underflow (each
     product or quotient may also add e0 = 2^-1074, arith.underflow):
 
-    * FFT: each lag of r (lag_correlations) is within eps, which is
+    * FFT: each lag of r (LagSpectra) is within eps, which is
       c u log2(L) ||a||_2^2, c = FFT_ERROR_CONSTANT, plus its e0-terms.
     * Integer sequences: when eps < 1/2 every r(h) is rounded to the
       integer it must be and T is summed exactly in int64 (guarded
@@ -173,18 +173,18 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
       err[q] gains (8 tau(q) + 16) e0 in all.
     V(q) >= 0, so negative rounding residue is clipped to 0; that only
     moves a value toward the exact one.  `corr` is the autocorrelation of
-    `seq` (lag_correlations), when the caller has it already.
+    `seq` (LagSpectra), when the caller has it already.
 
     The rows do not depend on how far the sweep runs: v[:r + 1] of a
     sweep to q_max is bit for bit the sweep to r <= q_max, since the
     multiple sums, the Moebius convolution and the divisor sum each add
     an entry's terms in an order that does not depend on the table length
     (both sweeps take the same path for C_d unless sum_e e |M[e]| reaches
-    2^62 between r and q_max).  The CLI's plot rows rely on it.
+    2^62 between r and q_max).  The chains' plot tables rely on it.
     """
     _check_moduli(q_max, 1)
     if corr is None:
-        corr, = lag_correlations([seq], [(0, 0)])
+        corr = LagSpectra([seq]).correlation(0, 0)
     n, r, exact = seq.n, corr.rho, corr.exact
     squares = r[0] + 2 * multiple_sums(r, q_max)
     err = np.zeros(q_max + 1)

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from apvar.arith import (_convolve_ones, _primes_from_spf, _spf_recurrence,
-                         _spf_sieve, divisors, gamma, lag_correlations,
+from apvar.arith import (LagSpectra, _convolve_ones, _primes_from_spf,
+                         _spf_recurrence, _spf_sieve, divisors, gamma,
                          mobius_totient, multiple_sums, ramanujan_convolution,
                          ramanujan_sum, underflow)
 from apvar.pipeline import ramanujan_tail
@@ -192,7 +192,7 @@ def float_sweep_abs_route(seq, q_max: int) -> tuple:
     """(v, error) of variance_sweep's float route over q <= q_max, with
     the bound's |a| multiple sums taken from multiple_sums(np.abs(a))
     always, through the same kernels in the same order."""
-    corr, = lag_correlations([seq], [(0, 0)])
+    corr = LagSpectra([seq]).correlation(0, 0)
     assert not corr.exact
     n, r = seq.n, corr.rho
     squares = r[0] + 2 * multiple_sums(r, q_max)

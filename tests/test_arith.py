@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apvar import arith
-from apvar.arith import (CapacityError, Sequence, _convolve_ones,
+from apvar.arith import (CapacityError, LagSpectra, Sequence, _convolve_ones,
                          _fft_length, _primes_from_spf, _spf_sieve,
                          check_lemma1_matrix, d_k_of, divisor_sieve,
                          divisors, factorize,
-                         gamma, gen_binomial, is_squarefree, lag_correlations,
+                         gamma, gen_binomial, is_squarefree,
                          load_sequence, mobius, mobius_totient, multiple_sums,
                          ramanujan_convolution, ramanujan_correlations,
                          ramanujan_row, ramanujan_sum,
@@ -237,10 +237,10 @@ def test_is_squarefree():
     assert [n for n in range(1, 20) if not is_squarefree(n)] == [4, 8, 9, 12, 16, 18]
 
 
-def test_load_sequence_names_and_file(tmp_path, table_300):
-    lam = load_sequence("lambda", 300, table_300)
+def test_load_sequence_names_and_file(tmp_path):
+    lam = load_sequence("lambda", 300)
     assert lam.values[4] == pytest.approx(math.log(2))
-    d3 = load_sequence("d3", 300, table_300)
+    d3 = load_sequence("d3", 300)
     assert d3.values[4] == 6
     ones = load_sequence("ones", 10)
     assert ones.l1() == 10
@@ -417,8 +417,9 @@ def test_lag_correlations_at_odd_5_smooth_length(n):
     seqs = [Sequence.from_coeffs(rng.standard_normal(n)),
             Sequence.from_coeffs(rng.integers(-9, 10, n),
                                  is_integer_valued=True)]
-    pairs = [(0, 0), (1, 1), (0, 1)]
-    for (i, j), corr in zip(pairs, lag_correlations(seqs, pairs)):
+    spectra = LagSpectra(seqs)
+    for i, j in [(0, 0), (1, 1), (0, 1)]:
+        corr = spectra.correlation(i, j)
         a, b = seqs[i].values, seqs[j].values
         full = np.correlate(a, b, "full")          # x(h) at h + n
         ref = (full[n:] + full[n::-1]) / 2.0

@@ -38,7 +38,7 @@ def test_spectrum_grid_matches_eval(rng):
 def test_parseval(rng):
     seq = Sequence.from_coeffs(rng.standard_normal(200))
     spec = build_spectrum(seq)
-    assert spec.total_mass == pytest.approx(seq.l2(), rel=1e-12)
+    assert spec.power.mean() == pytest.approx(seq.l2(), rel=1e-12)
 
 
 def test_default_grid_and_budget():
@@ -73,7 +73,7 @@ def test_minor_plus_major_equals_total(rng):
     spec = build_spectrum(seq)
     arcs = small_arcs(500)
     res = minor_arc_integral(spec, arcs)
-    assert res.value + res.major_value == pytest.approx(spec.total_mass,
+    assert res.value + res.major_value == pytest.approx(spec.power.mean(),
                                                         rel=1e-12)
     # certified against the exact Parseval complement
     assert abs(res.value - res.complement_value) <= res.error_bound
@@ -215,12 +215,12 @@ def test_arc_masses_leave_spectra_unchanged(rng, table_300):
 def test_arc_masses_without_major_arcs():
     """KQ0 = 0 leaves no major arc: major is 0.0, minor is the total, and
     the error is 2 (eps + u |total|), eps the lag correlations' own."""
-    from apvar.arith import lag_correlations
+    from apvar.arith import LagSpectra
 
     seq = Sequence.from_coeffs(np.array([1.0, -2.0, 3.0]))
     arcs = ArcSystem(k_param=0.5, q0=1.0, q=10.0, n=seq.n)
     assert arcs.kq0 == 0
-    eps = lag_correlations([seq], [(0, 0)])[0].error
+    eps = LagSpectra([seq]).correlation(0, 0).error
     assert eps > 0
     mass = arc_masses(arcs, seq).a
     assert mass.major == 0.0
@@ -268,9 +268,9 @@ def test_major_weights_match_direct_kernel(n, arcs):
 
 def test_spectral_major_matches_lag_dot(rng, table_300, window):
     """Each pair's spectral major mass against the lag-domain dot
-    <rho, W>, rho from lag_correlations, for a float row, an exact int64
+    <rho, W>, rho from LagSpectra, for a float row, an exact int64
     row and a cross row, within both bounds."""
-    from apvar.arith import lag_correlations
+    from apvar.arith import LagSpectra
     from apvar.circle import major_weights
     from apvar.windows import build_tilde_sequence, build_weights
 
@@ -286,7 +286,7 @@ def test_spectral_major_matches_lag_dot(rng, table_300, window):
              (d2, tilde, "cross", (0, 1), False)]
     for seq, aux, name, pair, exact in cases:
         seqs = [seq] if aux is None else [seq, aux]
-        corr, = lag_correlations(seqs, [pair])
+        corr = LagSpectra(seqs).correlation(*pair)
         assert corr.exact == exact
         terms = corr.rho.astype(np.float64) * weights.w
         lag_dot = math.fsum(terms)

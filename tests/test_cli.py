@@ -667,6 +667,25 @@ def test_experiment_plot_rows_from_run_sequence(tmp_path, capsys):
     assert rows == ["q,V"] + [f"{q},{sweep.v[q]:.12g}" for q in range(1, 401)]
 
 
+@pytest.mark.parametrize("k", [5, 2])
+def test_experiment_second_ending_plot_rows_above_1e5(k, tmp_path, capsys):
+    """Above N = 10^5 the second ending tabulates V(q) of the run's own
+    d_k truncated at 10^5, for any k, d_5 included: the run exits 0 and
+    writes its three files and its manifest."""
+    from apvar.arith import sieve_all
+    from apvar.variance import variance_sweep
+
+    code, _, _ = run_cli(["experiment", "theorem2", "--k", str(k),
+                          "--ending", "second", "--N", "110000",
+                          "--Q-exp", "0.8"], tmp_path, capsys)
+    assert code == 0
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "bound_report.json", "summary.csv", "plot_data.csv", "manifest.json"}
+    rows = (tmp_path / "plot_data.csv").read_text().splitlines()
+    sweep = variance_sweep(sieve_all(10**5, k).dk_sequence(k), 400)
+    assert rows == ["q,V"] + [f"{q},{sweep.v[q]:.12g}" for q in range(1, 401)]
+
+
 @pytest.mark.parametrize("argv, name", [
     (["theorem1", "--N", "2e4"], "lambda"),
     (["theorem2", "--k", "2", "--ending", "second", "--N", "2e4",
@@ -674,8 +693,8 @@ def test_experiment_plot_rows_from_run_sequence(tmp_path, capsys):
 ])
 def test_experiment_plot_rows_from_chain_sweep(argv, name, tmp_path, capsys):
     """Up to N = 10^5 the V(q) rows are the chain sweep's own, the same
-    bytes as a fresh sweep of the run's sequence; the report carries that
-    sweep's V(q), and its JSON and CSV gain no key for it."""
+    bytes as a fresh sweep of the run's sequence; the report carries them
+    as its plot table, and its JSON and CSV gain no key for it."""
     from apvar.arith import load_sequence
     from apvar.pipeline import BoundReport
     from apvar.variance import variance_sweep
