@@ -14,7 +14,7 @@ import math
 import os
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -40,36 +40,34 @@ class Sequence:
     """Finite coefficient array a_1..a_N.
 
     Stored as an array of length N+1 with a dead zero in slot 0, so that
-    values[n] is a_n for 1 <= n <= N.
+    values[n] is a_n for 1 <= n <= N.  is_integer_valued is read from the
+    values: whether every a_n is an integer, which opens the exact paths.
     """
 
     values: np.ndarray
-    is_integer_valued: bool = False
-    name: str = ""
+    is_integer_valued: bool = field(init=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("a sequence needs at least one coefficient")
-        v = v.copy()
         v[0] = 0.0
         finite = np.isfinite(v)
         if not finite.all():
             i = int(np.argmin(finite))
             raise ValueError(f"coefficient a_{i} = {v[i]} is not finite")
-        if self.is_integer_valued and not np.all(v == np.round(v)):
-            raise ValueError("is_integer_valued set but coefficients are not integers")
         self.values = v
+        self.is_integer_valued = bool(np.all(v == np.round(v)))
 
     @property
     def n(self) -> int:
         return self.values.size - 1
 
     @classmethod
-    def from_coeffs(cls, coeffs, is_integer_valued=False, name=""):
+    def from_coeffs(cls, coeffs):
         """Build from a_1..a_N given without the dead zero slot."""
-        arr = np.concatenate([[0.0], np.asarray(coeffs, dtype=np.float64)])
-        return cls(arr, is_integer_valued=is_integer_valued, name=name)
+        return cls(np.concatenate([[0.0],
+                                   np.asarray(coeffs, dtype=np.float64)]))
 
     def int_values(self) -> np.ndarray:
         if not self.is_integer_valued:
@@ -405,11 +403,10 @@ class SieveTable:
     lam = property(lambda self: self._arrays["lam"])
 
     def lambda_sequence(self) -> Sequence:
-        return Sequence(self.lam.copy(), is_integer_valued=False, name="lambda")
+        return Sequence(self.lam)
 
     def dk_sequence(self, j: int) -> Sequence:
-        return Sequence(self.dk[j].astype(np.float64), is_integer_valued=True,
-                        name=f"d{j}")
+        return Sequence(self.dk[j])
 
 
 class _DivisorTables(Mapping):
@@ -738,9 +735,9 @@ def load_sequence(name: str, n: int) -> Sequence:
         keep = idx <= n
         vals = np.zeros(n + 1)
         vals[idx[keep].astype(np.int64)] = coeffs[keep]
-        return Sequence(vals, name=name)
+        return Sequence(vals)
     if name == "ones":
-        return Sequence.from_coeffs(np.ones(n), is_integer_valued=True, name="ones")
+        return Sequence.from_coeffs(np.ones(n))
     if name == "lambda":
         return sieve_all(n, 2).lambda_sequence()
     if name in ("d2", "d3", "d4"):

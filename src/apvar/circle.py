@@ -33,18 +33,6 @@ class ArcSystem:
     q: float
     n: int
 
-    def regime_departures(self) -> list:
-        """{name, value, window} for each window of the paper's arc
-        estimates that this point lies outside.  An open end is None, not
-        inf, which JSON cannot hold."""
-        nlogn = self.n * math.log(max(self.n, 2))
-        windows = (("K", self.k_param, 5.0, None),
-                   ("Q0", self.q0, nlogn / self.q, self.q / self.k_param**2),
-                   ("Q", self.q, self.k_param * math.sqrt(nlogn), self.n))
-        return [{"name": name, "value": value, "window": [lo, hi]}
-                for name, value, lo, hi in windows
-                if value < lo or (hi is not None and value > hi)]
-
     @property
     def kq0(self) -> int:
         return int(self.k_param * self.q0)

@@ -8,7 +8,7 @@ integral comes from circle.arc_masses, exact up to a stated rounding
 bound.  At desk scale the asymptotic parameter recipes routinely
 overflow their theoretical ceilings, so every derived parameter is
 clipped into its admissible window; the report records each clip and
-each departure from the paper's regime (ArcSystem.regime_departures).
+each departure from the paper's regime (ResolvedParams.regime_departures).
 """
 
 from __future__ import annotations
@@ -120,6 +120,23 @@ class ResolvedParams(ArcSystem):
     r: float = 0.0
     clips: list = field(default_factory=list)
     config: ExperimentConfig | None = None
+
+    def regime_departures(self) -> list:
+        """{name, value, window} for each window of the paper's regime
+        that this point lies outside: those of the arc estimates, and for
+        theorem1 R's window (KQ0, Q/2K], whose lower end resolve_params
+        already enforces.  An open end is None, not inf, which JSON
+        cannot hold."""
+        nlogn = self.n * math.log(max(self.n, 2))
+        windows = [("K", self.k_param, 5.0, None),
+                   ("Q0", self.q0, nlogn / self.q, self.q / self.k_param**2),
+                   ("Q", self.q, self.k_param * math.sqrt(nlogn), self.n)]
+        if self.config is not None and self.config.experiment == "theorem1":
+            windows.append(("R", self.r, self.k_param * self.q0,
+                            self.q / (2.0 * self.k_param)))
+        return [{"name": name, "value": value, "window": [lo, hi]}
+                for name, value, lo, hi in windows
+                if value < lo or (hi is not None and value > hi)]
 
 
 def resolve_params(config: ExperimentConfig) -> ResolvedParams:
@@ -240,8 +257,7 @@ def _variance_plot(seq: Sequence, sweep: VarianceSweep,
     gives them."""
     rows = min(int(params.q), 400)
     if seq.n > 10**5:
-        sweep = variance_sweep(Sequence(seq.values[:10**5 + 1],
-                                        seq.is_integer_valued), rows)
+        sweep = variance_sweep(Sequence(seq.values[:10**5 + 1]), rows)
     return "q,V", np.column_stack([np.arange(1, rows + 1),
                                    sweep.v[1:rows + 1]])
 

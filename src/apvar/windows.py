@@ -9,7 +9,7 @@ series in cached log-moments of the window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,22 +43,27 @@ def _smoothstep(x):
 @dataclass
 class SmoothWindow:
     eps: float
-    phi_int: float = field(init=False)
-    phi_sq_int: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps < 0.25:
             raise ValueError("eps must lie in (0, 1/4)")
-        samples = self._samples
-        # Rectangle rule is spectrally accurate here: the integrand is
-        # smooth and vanishes to all orders at 0 and 1.
-        self.phi_int = float(samples.sum() / _SAMPLES)
-        self.phi_sq_int = float((samples**2).sum() / _SAMPLES)
 
     @cached_property
     def _samples(self) -> np.ndarray:
         """Phi(i/m), i < m = 2^16."""
         return self.phi(np.arange(_SAMPLES) / _SAMPLES)
+
+    # Rectangle rule is spectrally accurate here: the integrand is smooth
+    # and vanishes to all orders at 0 and 1.
+    @cached_property
+    def phi_int(self) -> float:
+        """int_0^1 Phi(t) dt, as the rectangle sum over _samples."""
+        return float(self._samples.sum() / _SAMPLES)
+
+    @cached_property
+    def phi_sq_int(self) -> float:
+        """int_0^1 Phi(t)^2 dt, as the rectangle sum over _samples."""
+        return float((self._samples**2).sum() / _SAMPLES)
 
     def phi(self, t):
         """The bump Phi(t): 0 outside [0,1], 1 on [eps, 1-eps].  Where
@@ -184,10 +189,10 @@ def build_window(eps: float) -> SmoothWindow:
     return SmoothWindow(eps=eps)
 
 
-def windowed(values: np.ndarray, window: SmoothWindow, name: str = "") -> Sequence:
+def windowed(values: np.ndarray, window: SmoothWindow) -> Sequence:
     """The sequence a_n Phi(n/N) of values a_0..a_N."""
     n = len(values) - 1
-    return Sequence(values * window.phi(np.arange(n + 1) / n), name=name)
+    return Sequence(values * window.phi(np.arange(n + 1) / n))
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +203,9 @@ def windowed(values: np.ndarray, window: SmoothWindow, name: str = "") -> Sequen
 class WeightSet:
     """Truncated sieve coefficients b_r, r <= R (implicitly 0 beyond)."""
 
-    kind: str                 # "prime_sieve" or "divisor_k"
     r_max: int
     b: np.ndarray             # length r_max+1, slot 0 unused
     bound: float              # B = max |b_r|
-    k: int | None = None
 
     def to_csv_rows(self):
         for r in range(1, self.r_max + 1):
@@ -227,7 +230,7 @@ def build_weights(kind: str, r_max: int, k: int | None = None) -> WeightSet:
         bound = float(b.max())
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
-    return WeightSet(kind=kind, r_max=r_max, b=b, bound=bound, k=k)
+    return WeightSet(r_max=r_max, b=b, bound=bound)
 
 
 def build_tilde_sequence(n: int, weights: WeightSet, window: SmoothWindow) -> Sequence:
@@ -238,7 +241,7 @@ def build_tilde_sequence(n: int, weights: WeightSet, window: SmoothWindow) -> Se
     for r in range(1, weights.r_max + 1):
         if weights.b[r]:
             acc[r::r] += weights.b[r]
-    return windowed(acc, window, name=f"tilde-{weights.kind}")
+    return windowed(acc, window)
 
 
 def weight_sum_q(weights: WeightSet, q: int) -> float:

@@ -62,4 +62,4 @@ def rng():
 
 def random_pm1_sequence(rng, n):
     vals = rng.choice([-1.0, 1.0], size=n)
-    return Sequence.from_coeffs(vals, is_integer_valued=True, name="pm1")
+    return Sequence.from_coeffs(vals)

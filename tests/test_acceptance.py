@@ -51,19 +51,16 @@ def test_criterion_1_exact_identity_suite():
     failures = []
     for n in (120, 200):
         seqs = {
-            "d2": Sequence(table.dk[2][: n + 1].astype(float),
-                           is_integer_valued=True, name="d2"),
-            "d3": Sequence(table.dk[3][: n + 1].astype(float),
-                           is_integer_valued=True, name="d3"),
+            "d2": Sequence(table.dk[2][: n + 1]),
+            "d3": Sequence(table.dk[3][: n + 1]),
             "rand01": Sequence.from_coeffs(
-                rng.integers(0, 2, n).astype(float), is_integer_valued=True),
+                rng.integers(0, 2, n).astype(float)),
             "randpm1": Sequence.from_coeffs(
-                (2 * rng.integers(0, 2, n) - 1).astype(float),
-                is_integer_valued=True),
+                (2 * rng.integers(0, 2, n) - 1).astype(float)),
         }
         spike = np.zeros(n)
         spike[rng.integers(0, n)] = 1.0
-        seqs["spike"] = Sequence.from_coeffs(spike, is_integer_valued=True)
+        seqs["spike"] = Sequence.from_coeffs(spike)
         for name, seq in seqs.items():
             for q in range(1, 51):
                 check = check_identity_prop1(seq, q)
@@ -186,8 +183,7 @@ def test_criterion_7_chain_soundness():
         ExperimentConfig(experiment="theorem1", n=n, q_exp=0.75)), table)
     lam_ok = report_l.chain_sound and report_l.extras["lhs_exceeds_cs_chain"]
 
-    seq = Sequence(table.dk[2].astype(float), is_integer_valued=True,
-                   name="d2")
+    seq = Sequence(table.dk[2])
     cfg = ExperimentConfig(experiment="theorem2", n=n, q_exp=0.8, k=2)
     params = resolve_params(cfg)
     prop = assemble_prop13(seq, params)

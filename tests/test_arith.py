@@ -217,8 +217,7 @@ def test_lemma1_matrix_small():
 
 
 def test_ramanujan_correlation_exact_and_bulk(table_300):
-    seq = Sequence(table_300.dk[2][:201].astype(float),
-                   is_integer_valued=True, name="d2")
+    seq = Sequence(table_300.dk[2][:201])
     ints = seq.int_values()
     ds = (1, 2, 12, 30)
     direct = [sum(int(ints[n]) * ramanujan_sum(d, n) for n in range(1, 201))
@@ -261,15 +260,27 @@ def test_load_sequence_names_and_file(tmp_path):
 
 
 def test_sequence_invariants():
-    s = Sequence.from_coeffs([1, -2, 3], is_integer_valued=True)
+    s = Sequence.from_coeffs([1, -2, 3])
     assert s.n == 3
     assert s.l2() == 14
     assert s.l1() == 6
-    with pytest.raises(ValueError):
-        Sequence.from_coeffs([0.5], is_integer_valued=True)
+    assert s.is_integer_valued
+    assert not Sequence.from_coeffs([0.5]).is_integer_valued
+    with pytest.raises(ValueError, match="not integer-valued"):
+        Sequence.from_coeffs([0.5]).int_values()
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="a_2 .* not finite"):
             Sequence.from_coeffs([1.0, bad, 2.0])
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-2**60, 2**60).map(float),
+                          st.floats(-1e20, 1e20)), min_size=1, max_size=12))
+def test_integer_valued_is_read_from_the_values(coeffs):
+    """is_integer_valued holds exactly when every a_n is an integer."""
+    seq = Sequence.from_coeffs(coeffs)
+    assert seq.is_integer_valued == all(a == round(a) for a in coeffs)
 
 
 # Lengths around the hyperbola split point isqrt(n) and its edge cases.
@@ -415,8 +426,7 @@ def test_lag_correlations_at_odd_5_smooth_length(n):
     assert _fft_length(2 * n + 1) == 2 * n + 1
     rng = np.random.default_rng(n)
     seqs = [Sequence.from_coeffs(rng.standard_normal(n)),
-            Sequence.from_coeffs(rng.integers(-9, 10, n),
-                                 is_integer_valued=True)]
+            Sequence.from_coeffs(rng.integers(-9, 10, n))]
     spectra = LagSpectra(seqs)
     for i, j in [(0, 0), (1, 1), (0, 1)]:
         corr = spectra.correlation(i, j)

@@ -97,10 +97,13 @@ def test_farey_enumeration_cap():
 def test_regime_departures():
     """Each of the paper's three windows is reported once the point
     leaves it, with K's open upper end as None, and nothing inside."""
-    assert disjoint_arcs().regime_departures() == []
+    from apvar.pipeline import ResolvedParams
+
+    assert ResolvedParams(k_param=5.0, q0=6.0, q=300.0,
+                          n=300).regime_departures() == []
     nlogn = 100 * math.log(100)
-    departures = ArcSystem(k_param=3.0, q0=1.0, q=50.0,
-                           n=100).regime_departures()
+    departures = ResolvedParams(k_param=3.0, q0=1.0, q=50.0,
+                                n=100).regime_departures()
     assert departures == [
         {"name": "K", "value": 3.0, "window": [5.0, None]},
         {"name": "Q0", "value": 1.0, "window": [nlogn / 50.0, 50.0 / 9.0]},
@@ -108,12 +111,12 @@ def test_regime_departures():
     ]
     json.dumps(departures, allow_nan=False)   # an open end is None, not inf
     # Q0 above Q/K^2 alone; then Q above N alone.
-    assert ArcSystem(k_param=5.0, q0=13.0, q=300.0,
-                     n=300).regime_departures() == [
+    assert ResolvedParams(k_param=5.0, q0=13.0, q=300.0,
+                          n=300).regime_departures() == [
         {"name": "Q0", "value": 13.0,
          "window": [300 * math.log(300) / 300.0, 12.0]}]
-    assert ArcSystem(k_param=5.0, q0=6.0, q=301.0,
-                     n=300).regime_departures() == [
+    assert ResolvedParams(k_param=5.0, q0=6.0, q=301.0,
+                          n=300).regime_departures() == [
         {"name": "Q", "value": 301.0,
          "window": [5.0 * math.sqrt(300 * math.log(300)), 300]}]
 
@@ -178,7 +181,7 @@ def test_arc_masses_match_direct_double_sum(rng, table_300, window):
 
     arcs = disjoint_arcs()
     floats = Sequence.from_coeffs(rng.standard_normal(300))
-    d2 = Sequence(table_300.dk[2].astype(float), is_integer_valued=True)
+    d2 = Sequence(table_300.dk[2])
     tilde = build_tilde_sequence(300, build_weights("prime_sieve", 12), window)
     check_against_direct(arcs, floats, floats, arc_masses(arcs, floats).a)
     exact = arc_masses(arcs, d2).a
@@ -199,7 +202,7 @@ def test_arc_masses_leave_spectra_unchanged(rng, table_300):
 
     arcs = disjoint_arcs()
     floats = Sequence.from_coeffs(rng.standard_normal(300))
-    d2 = Sequence(table_300.dk[2].astype(float), is_integer_valued=True)
+    d2 = Sequence(table_300.dk[2])
     for seq, dtype in ((floats, np.float64), (d2, np.int64)):
         spectra = LagSpectra([seq])
         before = spectra.correlation(0, 0).rho
@@ -214,13 +217,13 @@ def test_arc_masses_leave_spectra_unchanged(rng, table_300):
 
 def test_arc_masses_without_major_arcs():
     """KQ0 = 0 leaves no major arc: major is 0.0, minor is the total, and
-    the error is 2 (eps + u |total|), eps the lag correlations' own."""
+    the error is 2 (eps + u |total|), eps the pair bound of the spectra."""
     from apvar.arith import LagSpectra
 
     seq = Sequence.from_coeffs(np.array([1.0, -2.0, 3.0]))
     arcs = ArcSystem(k_param=0.5, q0=1.0, q=10.0, n=seq.n)
     assert arcs.kq0 == 0
-    eps = LagSpectra([seq]).correlation(0, 0).error
+    eps = LagSpectra([seq]).error(0, 0)
     assert eps > 0
     mass = arc_masses(arcs, seq).a
     assert mass.major == 0.0
@@ -278,7 +281,7 @@ def test_spectral_major_matches_lag_dot(rng, table_300, window):
     weights = major_weights(arcs, 300)
     l1 = math.fsum(np.abs(weights.w))
     floats = Sequence.from_coeffs(rng.standard_normal(300))
-    d2 = Sequence(table_300.dk[2].astype(float), is_integer_valued=True)
+    d2 = Sequence(table_300.dk[2])
     tilde = build_tilde_sequence(300, build_weights("prime_sieve", 12), window)
     cases = [(floats, None, "a", (0, 0), False),
              (d2, tilde, "a", (0, 0), True),
@@ -342,8 +345,7 @@ def test_arc_masses_property(coeffs, m_top):
 
 def test_grid_converges_to_exact(table_1e4):
     n = 2000
-    seq = Sequence(table_1e4.dk[2][: n + 1].astype(float),
-                   is_integer_valued=True)
+    seq = Sequence(table_1e4.dk[2][: n + 1])
     arcs = ArcSystem(k_param=5.0, q0=2.0, q=300.0, n=n)
     exact = arc_masses(arcs, seq).a
     devs = []
@@ -362,7 +364,7 @@ def test_exact_cauchy_schwarz_matches_grid(table_1e5):
     from apvar.windows import build_tilde_sequence, build_weights, build_window
 
     n = 10**5
-    seq = Sequence(table_1e5.dk[2].astype(float), is_integer_valued=True)
+    seq = Sequence(table_1e5.dk[2])
     cfg = ExperimentConfig(experiment="theorem2", n=n, q_exp=0.8, k=2)
     params = resolve_params(cfg)
     tilde = build_tilde_sequence(

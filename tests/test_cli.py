@@ -162,6 +162,33 @@ def test_table_variance_exact_rows_follow_sweep(tmp_path, capsys):
         assert Fraction(v) == variance_mod_q(seq, int(q)), q
 
 
+def test_table_variance_integer_file_rows_are_exact(tmp_path, capsys):
+    """A file of integer coefficients gives exact rows, the Fractions of
+    variance_mod_q (q = 5: 331/4); one holding 0.5 gives float rows."""
+    from fractions import Fraction
+
+    from apvar.arith import load_sequence
+    from apvar.variance import variance_mod_q
+
+    path = tmp_path / "ints.csv"
+    path.write_text("1,3\n2,-1\n3,4\n5,2\n7,-6\n8,1\n")
+    seq = load_sequence(f"file:{path}", 8)
+    code, out, _ = run_cli(["table", "variance", "--seq", f"file:{path}",
+                            "--N", "8", "--q-max", "6"], tmp_path, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(q) for q, _, _ in rows] == list(range(1, 7))
+    for q, v, method in rows:
+        assert method == "exact", q
+        assert Fraction(v) == variance_mod_q(seq, int(q)), q
+    assert rows[4][1] == "331/4"
+    path.write_text("1,0.5\n2,1\n")
+    code, out, _ = run_cli(["table", "variance", "--seq", f"file:{path}",
+                            "--N", "8", "--q-max", "6"], tmp_path, capsys)
+    assert code == 0
+    assert {line.split(",")[2] for line in out.splitlines()[1:]} == {"float"}
+
+
 @pytest.mark.parametrize("text", ["1\n2\n3\n", "1,1\n2,nan\n3,2\n",
                                   "1,1\n2,inf\n", "1,1\n2.5,3\n", "",
                                   "# a comment\n", "1,2\n1,5\n"],

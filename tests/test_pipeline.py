@@ -30,7 +30,7 @@ def two_loop_tail(seq, q_max, q0):
 
 
 def test_ramanujan_tail_two_loop_oracle():
-    seq = Sequence.from_coeffs(np.ones(200), is_integer_valued=True)
+    seq = Sequence.from_coeffs(np.ones(200))
     sweep = variance_sweep(seq, 50)
     direct = two_loop_tail(seq, 50, 5)
     assert ramanujan_tail(sweep.correlations, sweep.phi, 5) == pytest.approx(
@@ -52,7 +52,7 @@ def test_chain_tail_matches_two_loop_oracle():
 
 def test_ramanujan_tail_scale_bound(table_1e4):
     n = table_1e4.n
-    seq = Sequence(table_1e4.lam[: n + 1].copy(), name="lambda")
+    seq = Sequence(table_1e4.lam[: n + 1])
     q = n**0.75
     q0 = max(n * math.log(n) ** 10 / q, 1.0)
     q0 = min(q0, q)  # desk-scale clip
@@ -124,6 +124,28 @@ def test_resolve_params_rejects_r_outside_its_window():
         ExperimentConfig(experiment="theorem2", ending="first", r_override=50.0)
 
 
+def test_theorem1_r_window_departure():
+    """theorem1's R above Q/2K is a regime departure: --R 2000 and 20000
+    at N = 5e4 (Q/2K = 81.8), and the clip at N = 2e4, K-exp 0, whose
+    window (KQ0, Q/2K] = (168, 168.2] holds no R the clip can reach.  An
+    R inside the window, or a theorem2 point, records none."""
+    for n, r, k_exp in ((50000, 2000.0, None), (50000, 20000.0, None),
+                        (20000, None, 0.0)):
+        params = resolve_params(ExperimentConfig(
+            experiment="theorem1", n=n, r_override=r, k_exp=k_exp))
+        top = params.q / (2.0 * params.k_param)
+        assert params.r > top
+        assert params.regime_departures()[-1] == {
+            "name": "R", "value": params.r,
+            "window": [params.k_param * params.q0, top]}
+    inside = resolve_params(ExperimentConfig(experiment="theorem1",
+                                             n=50000, r_override=30.0))
+    assert "R" not in [d["name"] for d in inside.regime_departures()]
+    second = resolve_params(ExperimentConfig(experiment="theorem2", n=50000,
+                                             q_exp=0.9, r_override=20000.0))
+    assert "R" not in [d["name"] for d in second.regime_departures()]
+
+
 def test_second_ending_empty_range_names_r_and_delta(table_1e4):
     """R N^(-delta/4) = 13.5 below KQ0 = 14.1: no modulus is left."""
     cfg = ExperimentConfig(experiment="theorem2", n=10**4, q_exp=0.8,
@@ -173,8 +195,7 @@ def test_first_ending_chooses_r_in_its_window():
 
 def test_assemble_prop13_d2(table_1e4):
     n = 2000
-    seq = Sequence(table_1e4.dk[2][: n + 1].astype(float),
-                   is_integer_valued=True, name="d2")
+    seq = Sequence(table_1e4.dk[2][: n + 1])
     cfg = ExperimentConfig(experiment="theorem1", n=n, q_exp=0.8)
     params = resolve_params(cfg)
     report = assemble_prop13(seq, params)
@@ -210,7 +231,7 @@ def test_cauchy_schwarz_zero_cases(rng):
 
 def test_cauchy_schwarz_below_minor(window, table_1e4):
     n = table_1e4.n
-    seq = Sequence(table_1e4.lam[: n + 1].copy(), name="lambda")
+    seq = Sequence(table_1e4.lam[: n + 1])
     from apvar.windows import build_tilde_sequence
     w = build_weights("prime_sieve", 60)
     tilde = build_tilde_sequence(n, w, window)
@@ -224,8 +245,7 @@ def test_cauchy_schwarz_below_minor(window, table_1e4):
 
 def test_newprop_rhs(window, table_1e4):
     n = table_1e4.n
-    seq = Sequence(table_1e4.dk[2][: n + 1].astype(float),
-                   is_integer_valued=True, name="d2")
+    seq = Sequence(table_1e4.dk[2][: n + 1])
     arcs = ArcSystem(k_param=5.0, q0=2.0, q=float(int(n**0.8)), n=n)
     w = build_weights("divisor_k", int(n**0.45), k=2)
     val = newprop_rhs(seq, w, window, arcs, n**0.45)

@@ -65,7 +65,7 @@ def brute_H(seq, q):
 def small_int_sequences(draw):
     n = draw(st.integers(10, 60))
     vals = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    return Sequence.from_coeffs(vals, is_integer_valued=True)
+    return Sequence.from_coeffs(vals)
 
 
 @given(small_int_sequences(), st.integers(1, 24))
@@ -90,18 +90,18 @@ def test_H_nonnegative_and_matches_oracle(seq, q):
 
 
 def test_float_path_agrees_with_exact(table_300):
-    """A float-flagged twin of an integer sequence takes the float path,
-    within 1e-9 of the exact values."""
-    seq = Sequence(table_300.dk[2][:251].astype(float),
-                   is_integer_valued=True, name="d2")
-    twin = Sequence(seq.values, name="d2 as floats")
+    """d_2 / 2, not integer-valued as d_2(1) = 1, takes the float path:
+    its V and H are within 1e-9 of the exact values of d_2 over 4."""
+    seq = Sequence(table_300.dk[2][:251])
+    half = Sequence(seq.values / 2)
+    assert seq.is_integer_valued and not half.is_integer_valued
     for q in (7, 12, 36, 60):
-        exact, fl = variance_mod_q(seq, q), variance_mod_q(twin, q)
+        exact, fl = variance_mod_q(seq, q), variance_mod_q(half, q)
         assert isinstance(exact, Fraction) and isinstance(fl, float)
-        assert fl == pytest.approx(float(exact), rel=1e-9)
-        he, hf = exp_variance_H(seq, q), exp_variance_H(twin, q)
+        assert fl == pytest.approx(float(exact) / 4, rel=1e-9)
+        he, hf = exp_variance_H(seq, q), exp_variance_H(half, q)
         assert isinstance(he, Fraction) and isinstance(hf, float)
-        assert hf == pytest.approx(float(he), rel=1e-9)
+        assert hf == pytest.approx(float(he) / 4, rel=1e-9)
 
 
 def test_exact_path_chosen_by_the_data():
@@ -127,16 +127,15 @@ def test_exact_paths_do_not_wrap(rng):
     """Class sums near 3e11 square past 2^63: the exact paths keep them
     in Python ints.  An integer sequence with ||a||_1 >= 2^53, whose
     float class sums may round, takes the float path instead."""
-    const = Sequence.from_coeffs(np.full(300, 3e9), is_integer_valued=True)
+    const = Sequence.from_coeffs(np.full(300, 3e9))
     assert variance_mod_q(const, 3) == 0
     assert exp_variance_H(const, 3) == 0
-    big = Sequence.from_coeffs(rng.integers(-3 * 10**9, 3 * 10**9, 300),
-                               is_integer_valued=True)
+    big = Sequence.from_coeffs(rng.integers(-3 * 10**9, 3 * 10**9, 300))
     for q in (3, 12, 36):
         assert variance_mod_q(big, q) == brute_variance(big, q)
         chk = check_identity_prop1(big, q)
         assert chk.ok and chk.residual == 0
-    huge = Sequence.from_coeffs([2.0**52] * 3, is_integer_valued=True)
+    huge = Sequence.from_coeffs([2.0**52] * 3)
     for q in (1, 2, 3, 4, 6):
         v, h = variance_mod_q(huge, q), exp_variance_H(huge, q)
         assert isinstance(v, float) and isinstance(h, float), q
@@ -158,17 +157,16 @@ def test_sweep_matches_exact_per_q(table_300, rng):
     """The batched V(q) lies within its stated bound of the exact per-q
     value for every q <= 300, and sum_a t_a^2 is exact on integers."""
     seqs = [table_300.dk_sequence(2), table_300.dk_sequence(3),
-            Sequence.from_coeffs(rng.choice([-1.0, 1.0], size=300),
-                                 is_integer_valued=True, name="pm1")]
-    for seq in seqs:
+            Sequence.from_coeffs(rng.choice([-1.0, 1.0], size=300))]
+    for i, seq in enumerate(seqs):
         sweep = variance_sweep(seq, 300)
         assert sweep.exact_squares
         iv = seq.int_values()
         for q in range(1, 301):
             exact = variance_mod_q(seq, q)
-            assert isinstance(exact, Fraction), (seq.name, q)
+            assert isinstance(exact, Fraction), (i, q)
             assert abs(Fraction(float(sweep.v[q])) - exact) \
-                <= Fraction(float(sweep.error[q])), (seq.name, q)
+                <= Fraction(float(sweep.error[q])), (i, q)
             t = [int(iv[a::q].sum()) for a in range(q)]
             assert int(sweep.square_sums[q]) == sum(x * x for x in t)
 
@@ -201,8 +199,7 @@ def test_totient_divides_along_divisors():
 def test_variance_rows_float_when_sweep_inexact(rng):
     """Integer entries near 10^8 put the FFT error above 1/2: the rows
     are the sweep's floats, each within its bound of the exact V(q)."""
-    seq = Sequence.from_coeffs(rng.integers(-10**8, 10**8, 300),
-                               is_integer_valued=True)
+    seq = Sequence.from_coeffs(rng.integers(-10**8, 10**8, 300))
     sweep = variance_sweep(seq, 40)
     assert not sweep.exact_squares and not sweep.exact_correlations
     rows = variance_rows(seq, 40)
@@ -217,15 +214,13 @@ def test_sweep_correlations_match_ramanujan_correlations(table_1e4, rng):
     """The sweep's C_d, which the chains' Ramanujan tail reads, are the
     bulk correlations bit for bit on integer and float sequences."""
     n = q_max = 2000
-    seqs = [Sequence(table_1e4.dk[2][: n + 1].astype(float),
-                     is_integer_valued=True, name="d2"),
-            Sequence(table_1e4.dk[3][: n + 1].astype(float),
-                     is_integer_valued=True, name="d3"),
-            Sequence.from_coeffs(rng.standard_normal(n), name="normal")]
-    for seq in seqs:
+    seqs = [Sequence(table_1e4.dk[2][: n + 1]),
+            Sequence(table_1e4.dk[3][: n + 1]),
+            Sequence.from_coeffs(rng.standard_normal(n))]
+    for i, seq in enumerate(seqs):
         sweep = variance_sweep(seq, q_max)
         corrs = ramanujan_correlations(seq, range(1, q_max + 1))
-        assert np.array_equal(sweep.correlations[1:], corrs), seq.name
+        assert np.array_equal(sweep.correlations[1:], corrs), i
         assert np.array_equal(sweep.phi[1:],
                               [totient(d) for d in range(1, q_max + 1)])
 
@@ -263,15 +258,15 @@ def test_sweep_keeps_its_mobius_table(table_1e4):
 
 
 def test_variance_total_matches_per_q_closed_form(table_300):
-    """Lambda and d_2 at N = 300 (as floats, so that the per-q values
-    take the float path), including q_max > N and q_min > q_max."""
-    d2 = Sequence(table_300.dk_sequence(2).values, name="d2")
-    for seq in (table_300.lambda_sequence(), d2):
+    """Lambda (float per-q values) and d_2 (exact ones) at N = 300,
+    including q_max > N and q_min > q_max."""
+    for label, seq in (("lambda", table_300.lambda_sequence()),
+                       ("d2", table_300.dk_sequence(2))):
         for q_min, q_max in ((1, 40), (7, 120), (1, 350), (290, 420)):
             per_q = math.fsum(variance_mod_q(seq, q)
                               for q in range(q_min, q_max + 1))
             assert variance_total(seq, q_max, q_min) == pytest.approx(
-                per_q, rel=1e-12), (seq.name, q_min, q_max)
+                per_q, rel=1e-12), (label, q_min, q_max)
         assert variance_total(seq, 40, 41) == 0.0
 
 
@@ -323,16 +318,13 @@ def test_moduli_must_be_positive(table_300):
 
 
 def test_corollary_bound_below_qV(table_300, rng):
-    seq = Sequence(table_300.dk[2][:301].astype(float),
-                   is_integer_valued=True, name="d2")
-    twin = Sequence(seq.values, name="d2 as floats")
+    seq = Sequence(table_300.dk[2][:301])
     for q in (12, 30, 60):
         for q0 in (1, 3, 10):
             bound = cor1_lower_bound(seq, q, q0)
-            qv = q * variance_mod_q(twin, q)
+            qv = q * variance_mod_q(seq, q)
             assert bound <= qv + 1e-6 * abs(qv)
-    rnd = Sequence.from_coeffs(rng.choice([-1.0, 1.0], size=200),
-                               is_integer_valued=True)
+    rnd = Sequence.from_coeffs(rng.choice([-1.0, 1.0], size=200))
     assert cor1_lower_bound(rnd, 36, 2) <= 36 * float(
         variance_mod_q(rnd, 36)) + 1e-6
 
@@ -340,10 +332,8 @@ def test_corollary_bound_below_qV(table_300, rng):
 def test_corollary_bound_is_sum_of_H(table_300, rng):
     """The corollary bound is the sum of H(d) over d | q, d > Q0, and so
     qV(q) minus the H(d) with d <= Q0, as exact fractions on integer data."""
-    d2 = Sequence(table_300.dk[2][:301].astype(float),
-                  is_integer_valued=True, name="d2")
-    pm1 = Sequence.from_coeffs(rng.choice([-1.0, 1.0], size=200),
-                               is_integer_valued=True)
+    d2 = Sequence(table_300.dk[2][:301])
+    pm1 = Sequence.from_coeffs(rng.choice([-1.0, 1.0], size=200))
     for seq in (d2, pm1):
         for q, q0 in ((12, 1), (36, 2), (60, 3), (60, 10)):
             bound = cor1_lower_bound(seq, q, q0)
@@ -435,8 +425,7 @@ def test_sweep_rows_do_not_depend_on_its_length(n, data):
     r = data.draw(st.integers(1, q_max), label="r")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if data.draw(st.booleans(), label="integer"):
-        seq = Sequence.from_coeffs(rng.integers(-5, 6, n),
-                                   is_integer_valued=True)
+        seq = Sequence.from_coeffs(rng.integers(-5, 6, n))
     else:
         vals = rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 4))
         vals[rng.random(n) < 0.5] = 0.0

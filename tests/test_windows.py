@@ -208,7 +208,7 @@ def test_weight_sum_calibration_5_4(window):
 
 def test_lemma_major_approximation(window, table_1e4):
     n = 10**4
-    seq = Sequence(table_1e4.lam[: n + 1].copy(), name="lambda")
+    seq = Sequence(table_1e4.lam[: n + 1])
     w = build_weights("prime_sieve", 40)
     tilde = build_tilde_sequence(n, w, window)
     for (a, q) in ((1, 1), (1, 3), (2, 5)):
@@ -221,12 +221,11 @@ def test_lemma_major_approximation(window, table_1e4):
 
 def test_lemma5_rearrangement(window, table_1e4):
     n = 2000
-    seq = Sequence(table_1e4.lam[: n + 1].copy(), name="lambda")
+    seq = Sequence(table_1e4.lam[: n + 1])
     w = build_weights("prime_sieve", 50)
     lhs, rhs, resid = check_lemma5(seq, w, window)
     assert resid < 1e-10
-    d2 = Sequence(table_1e4.dk[2][: n + 1].astype(float),
-                  is_integer_valued=True, name="d2")
+    d2 = Sequence(table_1e4.dk[2][: n + 1])
     wd = build_weights("divisor_k", 50, k=3)
     _, _, resid2 = check_lemma5(d2, wd, window)
     assert resid2 < 1e-10
