@@ -4,16 +4,23 @@ files byte for byte.  pocketfft may round differently under another
 numpy, so a numpy version other than the recorded one fails with both
 versions named; there is no tolerance to fall back to."""
 
-import contextlib
-import io
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 
-from apvar.cli import main
+ROOT = Path(__file__).parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
-GOLDEN = Path(__file__).parent / "golden"
+
+def make_golden():
+    """scripts/make_golden.py, loaded from its file."""
+    path = ROOT / "scripts" / "make_golden.py"
+    spec = importlib.util.spec_from_file_location("make_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_golden_reports_are_byte_identical(tmp_path):
@@ -22,23 +29,20 @@ def test_golden_reports_are_byte_identical(tmp_path):
         f"golden reports were made with numpy {index['numpy']}, this is "
         f"numpy {np.__version__}: regenerate them with "
         f"scripts/make_golden.py and say so in CHANGES.md")
+    run_case = make_golden().run_case
     diffs = []
     for case in index["cases"]:
         name, golden = case["name"], GOLDEN / case["name"]
-        out_dir = tmp_path / name
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*case["argv"], "--out-dir", str(out_dir)])
+        code, out, err, files = run_case(case["argv"], tmp_path / name)
         if code != case["exit"]:
             diffs.append(f"{name}: exit {code}, golden {case['exit']}")
         for stream, text in (("stdout", out), ("stderr", err)):
-            if text.getvalue().encode() != (golden / stream).read_bytes():
+            if text.encode() != (golden / stream).read_bytes():
                 diffs.append(f"{name}: {stream}")
-        files = sorted(p.name for p in out_dir.glob("*")
-                       if p.name != "manifest.json")
-        if files != case["files"]:
-            diffs.append(f"{name}: files {files}, golden {case['files']}")
-        diffs.extend(
-            f"{name}: {f}" for f in case["files"] if f in files
-            and (out_dir / f).read_bytes() != (golden / f).read_bytes())
+        if sorted(files) != case["files"]:
+            diffs.append(f"{name}: files {sorted(files)}, "
+                         f"golden {case['files']}")
+        diffs.extend(f"{name}: {f}" for f, data in files.items()
+                     if f in case["files"]
+                     and data != (golden / f).read_bytes())
     assert not diffs, "outputs differ from tests/golden: " + "; ".join(diffs)
