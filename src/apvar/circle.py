@@ -21,7 +21,6 @@ from .arith import (CapacityError, LagSpectra, Sequence, UNIT_ROUNDOFF,
                     _spf_recurrence, _spf_sieve, gamma, underflow)
 
 SPECTRUM_BUDGET = 1 << 24
-FAREY_ENUMERATION_CAP = 10_000
 
 
 @dataclass
@@ -49,15 +48,6 @@ def arcs_disjoint(k_param: float, q0: float, q: float) -> bool:
     """
     m = int(k_param * q0)
     return m < 1 or q > k_param * max(2 * m - 1, 2)
-
-
-def eval_exp_sum(seq: Sequence, alpha: float) -> complex:
-    """A(alpha) = sum a_n e(n alpha), with compensated summation."""
-    n = np.arange(seq.n + 1)
-    phase = 2.0 * np.pi * ((n * alpha) % 1.0)
-    re = math.fsum(seq.values * np.cos(phase))
-    im = math.fsum(seq.values * np.sin(phase))
-    return complex(re, im)
 
 
 @dataclass
@@ -96,22 +86,6 @@ def build_spectrum(seq: Sequence, t_grid: int | None = None) -> Spectrum:
                     deriv_bound=2.0 * np.pi * seq.n * seq.l1())
 
 
-def is_major(alpha: float, arcs: ArcSystem):
-    """Membership in the major arcs, with a witness fraction.
-
-    Exhaustive scan over q <= K*Q0 with the nearest integer numerator;
-    returns (True, (a, q)) on the first reduced witness, else (False, None).
-    """
-    alpha = alpha % 1.0
-    for q in range(1, arcs.kq0 + 1):
-        a = round(alpha * q)
-        g = math.gcd(a, q)
-        ar, qr = a // g, q // g
-        if abs(alpha - ar / qr) <= arcs.k_param / (qr * arcs.q):
-            return True, (ar % max(qr, 1), qr)
-    return False, None
-
-
 def major_mask(arcs: ArcSystem, t_grid: int) -> np.ndarray:
     """Boolean mask over the grid: cell centers lying in a major arc."""
     mask = np.zeros(t_grid, dtype=bool)
@@ -129,31 +103,6 @@ def major_mask(arcs: ArcSystem, t_grid: int) -> np.ndarray:
             idx = np.arange(lo, hi + 1) % t_grid
             mask[idx] = True
     return mask
-
-
-def farey_density_f(alpha: float, arcs: ArcSystem) -> float:
-    """f(alpha): weighted count of nearby fractions a/q, Q0 < q <= Q,
-    with q/(a,q) > Q0 and |alpha - a/q| <= K/(Q0 Q).  Direct enumeration."""
-    q_hi = int(arcs.q)
-    if q_hi > FAREY_ENUMERATION_CAP:
-        raise CapacityError(f"Q={q_hi} above enumeration cap {FAREY_ENUMERATION_CAP}")
-    if arcs.q0 >= arcs.q:
-        raise ValueError("need Q0 < Q")
-    alpha = alpha % 1.0
-    w = arcs.k_param / (arcs.q0 * arcs.q)
-    total = 0.0
-    q_lo = int(math.floor(arcs.q0)) + 1
-    for q in range(q_lo, q_hi + 1):
-        lo = math.ceil(q * (alpha - w))
-        hi = math.floor(q * (alpha + w))
-        if hi - lo + 1 >= q:
-            lo, hi = 0, q - 1
-        count = 0
-        for a in range(lo, hi + 1):
-            if q / math.gcd(a % q, q) > arcs.q0:
-                count += 1
-        total += count / q
-    return total
 
 
 @dataclass

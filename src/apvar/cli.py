@@ -59,14 +59,13 @@ def _fmt(x) -> str:
 
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
                     wall_time: float):
-    import numpy
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config": {k: _fmt(v) if isinstance(v, float) else v
                    for k, v in sorted(config.items())
                    if not callable(v)},
-        "versions": {"apvar": __version__, "numpy": numpy.__version__,
+        "versions": {"apvar": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "wall_time_s": round(wall_time, 3),
         "outputs": [str(p) for p in outputs],

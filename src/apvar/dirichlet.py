@@ -20,10 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import (_primes_from_spf, _spf_sieve, d_k_prime_power, factorize,
-                    gamma, gen_binomial, is_squarefree, totient)
-
-EULER_GAMMA = 0.5772156649015329
+from .arith import (d_k_prime_power, factorize, gamma, gen_binomial,
+                    is_squarefree, totient)
 
 # The second ending's moduli are N^(1/4)-smooth: no prime factor exceeds
 # N^_SMOOTH_EXP.
@@ -81,16 +79,16 @@ def zeta_near_one(s):
 # Local Euler factors
 
 
-def _local_factor(p: int, a: int, k: int, s: np.ndarray, g: bool) -> np.ndarray:
-    """The factor at p^a || q of F_q(s), or of G_q(s) when `g`, on a 1-d s.
+def _local_factor(p: int, a: int, k: int, s: np.ndarray) -> np.ndarray:
+    """The factor at p^a || q of F_q(s), on a 1-d s.
 
-    With j = k (F) or k - 1 (G), x = p^-s and m = a + j - 1, the inner
-    series of d_j(p^b) = C(b + j - 1, j - 1) is a binomial tail,
-        (1 - x)^j sum_{b >= a} C(b + j - 1, j - 1) x^b
-            = sum_{i < j} C(m, i) (1 - x)^i x^(m - i) =: P(x),
+    With x = p^-s and m = a + k - 1, the inner series of
+    d_k(p^b) = C(b + k - 1, k - 1) is a binomial tail,
+        (1 - x)^k sum_{b >= a} C(b + k - 1, k - 1) x^b
+            = sum_{i < k} C(m, i) (1 - x)^i x^(m - i) =: P(x),
     the chance of at least a successes in m trials of chance x.  So
-    F = -d_k(p^(a-1)) p^(-(a-1)(s-1)) (1 - x)^k + phi(p^a) P(x) and
-    G = P(x) are finite sums, valid for every s.
+    F = -d_k(p^(a-1)) p^(-(a-1)(s-1)) (1 - x)^k + phi(p^a) P(x) is a
+    finite sum, valid for every s.
 
     Rounding (u = 2^-53, gamma_n = n u/(1 - n u)).  numpy forms x and the
     head's h = p^w, w = -(a-1)(s-1), as exp(z log p) with z = -s or w.
@@ -100,30 +98,26 @@ def _local_factor(p: int, a: int, k: int, s: np.ndarray, g: bool) -> np.ndarray:
     of z log p, and exp adds a few ulps: x is computed within relative
     e_x = (3 |s| log p + 8) u, h within e_h = (6 |w| log p + 8) u, and
     1 - x within e_y = e_x |x| / |1 - x| + u.  Each term, the head
-    included, is an integer times a product of at most a + j of these;
-    any chain of products forms it with at most a + j + 1 roundings of at
-    most sqrt(2) gamma_2 <= 3u each, and at most j additions join the
+    included, is an integer times a product of at most a + k of these;
+    any chain of products forms it with at most a + k + 1 roundings of at
+    most sqrt(2) gamma_2 <= 3u each, and at most k additions join the
     terms.  With e = max(e_x, e_y, e_h),
         |computed - value|
-            <= ((1 + e)^(a+j) (1 + 3u)^(a+j+1) (1 + gamma_j) - 1) T,
-    T = |head| + phi(p^a) sum_i C(m, i) |1 - x|^i |x|^(m-i) (F), or the
-    sum alone (G).  T / |value| is the cancellation between the head and
-    P(x) at high prime powers, the accuracy's only amplifier.
+            <= ((1 + e)^(a+k) (1 + 3u)^(a+k+1) (1 + gamma_k) - 1) T,
+    T = |head| + phi(p^a) sum_i C(m, i) |1 - x|^i |x|^(m-i).
+    T / |value| is the cancellation between the head and P(x) at high
+    prime powers, the accuracy's only amplifier.
     """
-    j = k - 1 if g else k
-    m = a + j - 1
+    m = a + k - 1
     x = p ** (-s)
     y = 1.0 - x
-    local = sum(math.comb(m, i) * y**i * x ** (m - i) for i in range(j))
-    if g:
-        return local
+    local = sum(math.comb(m, i) * y**i * x ** (m - i) for i in range(k))
     head = -d_k_prime_power(k, a - 1) * p ** (-(a - 1) * (s - 1.0))
     return head * y**k + totient(p**a) * local
 
 
-def euler_factors(qs, k: int, s, g: bool = False) -> np.ndarray:
-    """F_q(s) for every q in qs (G_q(s) when `g`), one row per q, shape
-    (len(qs),) + shape(s).
+def euler_factors(qs, k: int, s) -> np.ndarray:
+    """F_q(s) for every q in qs, one row per q, shape (len(qs),) + shape(s).
 
     Each local factor is built once per call and the factors of q are
     multiplied in factorize order.
@@ -135,7 +129,7 @@ def euler_factors(qs, k: int, s, g: bool = False) -> np.ndarray:
     for i, q in enumerate(qs):
         for p, a in factorize(q):
             if (p, a) not in cache:
-                cache[p, a] = _local_factor(p, a, k, flat, g)
+                cache[p, a] = _local_factor(p, a, k, flat)
             rows[i] = rows[i] * cache[p, a]
     return rows.reshape((len(qs),) + s.shape)
 
@@ -144,12 +138,6 @@ def euler_F_q(q: int, k: int, s):
     """The finite Euler product F_q(s) correcting zeta(s)^k in the
     Dirichlet series of d_k(n) c_q(n).  Vectorized over s."""
     return euler_factors([q], k, s)[0]
-
-
-def euler_G_q(q: int, k: int, s):
-    """G_q(s): the correction factor for sum over multiples of q of
-    d_{k-1}(n) n^{-s}.  Vectorized over s."""
-    return euler_factors([q], k, s, g=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +203,14 @@ class ResiduePrediction:
     error: float
 
 
-def residues(qs, k: int, n: float, weight=None, count: int = 128,
-             g: bool = False) -> list:
-    """Res at s = 1 of zeta(s)^j E_q(s) W(s) for every q in qs, on the
+def residues(qs, k: int, n: float, weight=None, count: int = 128) -> list:
+    """Res at s = 1 of zeta(s)^k F_q(s) W(s) for every q in qs, on the
     circle |s - 1| = 1/log n with `count` nodes (checked against half).
 
-    E_q = F_q with j = k, or G_q with j = k - 1 when `g`.  W(s) = n^s/s
-    unless `weight` is given: it maps (v, s, s - 1) to v W(s).  zeta and
-    the weight are evaluated once for all q.  The circle must keep a
-    margin of 1/4 from the pole of W at s = 0, which `count` nodes can
-    resolve: 1 - 1/log n >= 1/4, or n >= e^(4/3) = 3.79.
+    W(s) = n^s/s unless `weight` is given: it maps (v, s, s - 1) to
+    v W(s).  zeta and the weight are evaluated once for all q.  The
+    circle must keep a margin of 1/4 from the pole of W at s = 0, which
+    `count` nodes can resolve: 1 - 1/log n >= 1/4, or n >= e^(4/3) = 3.79.
     """
     if not n >= math.exp(4.0 / 3.0):
         raise ValueError(f"residues need n >= e^(4/3) = 3.79, so that "
@@ -234,8 +220,7 @@ def residues(qs, k: int, n: float, weight=None, count: int = 128,
     # _trapezoid refuses, or a binomial of _local_factor overflows.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            rows = (zeta_near_one(s) ** (k - 1 if g else k)
-                    * euler_factors(qs, k, s, g))
+            rows = zeta_near_one(s) ** k * euler_factors(qs, k, s)
         except OverflowError:
             raise TruncationError(
                 f"contour samples exceed float64 at k={k}") from None
@@ -251,39 +236,6 @@ def residue_dk_correlation(q: int, k: int, n: int) -> ResiduePrediction:
     if q > n:
         raise ValueError("need q <= N")
     return residues([q], k, n)[0]
-
-
-def residue_divisor_mean(q: int, k: int, x: int) -> ResiduePrediction:
-    """Residue prediction for sum_{m<=x, q|m} d_{k-1}(m)/m: the residue of
-    zeta(s)^(k-1) G_q(s) x^(s-1)/(s-1) at s = 1."""
-    if q > x:
-        raise ValueError("need q <= x")
-    return residues([q], k, x, lambda v, s, o: v * x**o / o, g=True)[0]
-
-
-# ---------------------------------------------------------------------------
-# The singular constant
-
-
-def singular_constant(k: int, p_cap: int):
-    """Truncated product over p <= cap of (1-1/p)^(k^2) sum_a d_k(p^a)^2/p^a.
-
-    The local series is closed: with x = 1/p,
-    sum_a C(a+k-1, k-1)^2 x^a = sum_{i<k} C(k-1, i)^2 x^i / (1-x)^(2k-1),
-    so each factor is (1-x)^((k-1)^2) sum_{i<k} C(k-1, i)^2 x^i.
-    Returns (product, c_k, tail_estimate) where c_k divides by (k^2-1)!.
-    """
-    if p_cap < 100:
-        raise ValueError("prime cap must be at least 100")
-    x = 1.0 / _primes_from_spf(_spf_sieve(p_cap)).astype(np.float64)
-    series = sum(math.comb(k - 1, i) ** 2 * x**i for i in range(k))
-    local = (1.0 - x) ** ((k - 1) ** 2) * series
-    log_product = float(np.sum(np.log(local)))
-    product = math.exp(log_product)
-    # Local factor is 1 + O(k^4/p^2); integrate the tail over p > cap.
-    tail = k**4 / (p_cap * math.log(p_cap))
-    c_k = product / math.factorial(k * k - 1)
-    return product, c_k, tail
 
 
 # ---------------------------------------------------------------------------

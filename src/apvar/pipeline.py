@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,10 @@ class ExperimentConfig:
         """Check every parameter before any work, naming its CLI flag."""
         if self.experiment not in ("theorem1", "theorem2"):
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        # The CLI's floor; at N <= 1 the recipes' log N is 0 or undefined.
+        if not isinstance(self.n, numbers.Integral) or self.n < 3:
+            raise ValueError(f"--N must be an integer of at least 3, "
+                             f"got {self.n!r}")
         if not 0 < self.q_exp <= 1.0:
             raise ValueError(f"--Q-exp must lie in (0, 1], got {self.q_exp}")
         if not 0 < self.delta < 0.5:
@@ -427,21 +432,6 @@ def cauchy_schwarz_bound(seq: Sequence, tilde_seq: Sequence, arcs: ArcSystem,
                                minor_tilde=minor_tilde,
                                minor_inner=minor_inner,
                                quadrature_error=quad_err)
-
-
-def newprop_rhs(seq: Sequence, weights, window: SmoothWindow,
-                arcs: ArcSystem, r: float) -> float:
-    """sum over KQ0 < q <= R of |weight_sum_q| x |windowed Ramanujan
-    correlation|: the absolute-values lower bound for the minor-arc
-    cross integral."""
-    if not arcs.kq0 <= r <= math.sqrt(arcs.n) + 1e-9:
-        raise ValueError(f"need KQ0 <= R <= sqrt(N); got R={r}")
-    qs = list(range(arcs.kq0 + 1, int(r) + 1))
-    if not qs:
-        return 0.0
-    corrs = ramanujan_correlations(windowed(seq.values, window), qs)
-    return math.fsum(abs(weight_sum_q(weights, q)) * abs(corrs[i])
-                     for i, q in enumerate(qs))
 
 
 # ---------------------------------------------------------------------------

@@ -316,48 +316,6 @@ def check_identity_prop1(seq: Sequence, q: int) -> IdentityCheck:
     return IdentityCheck(ok=bool(ok), residual=residual, bad_divisors=bad)
 
 
-def cor1_lower_bound(seq: Sequence, q: int, q0: int) -> Fraction | float:
-    """The nonnegativity-of-H lower bound for qV(q): the sum of H(d) over
-    the divisors d > Q0 of q, at most q V(q) = sum_{d|q} H(d) as H >= 0;
-    checked here, exactly (a Fraction) when H is, else within 1e-6."""
-    if q0 < 1:
-        raise ValueError("Q0 must be at least 1")
-    bound = sum(exp_variance_H(seq, d) for d in divisors(q) if d > q0)
-    qv = q * variance_mod_q(seq, q)
-    slack = (0 if _exact_class_sums(seq)
-             else 1e-6 * max(abs(qv), abs(bound), 1.0))
-    if bound > qv + slack:
-        raise AssertionError(
-            f"corollary bound {bound} exceeds qV = {qv} for q={q}, Q0={q0}")
-    return bound
-
-
-@dataclass
-class PsiCounts:
-    q: int
-    classes: np.ndarray      # reduced residues a
-    psi: np.ndarray          # psi(N; q, a) per class
-    psi_q: float
-    restricted_variance: float
-
-
-def psi_counts(table, q: int) -> PsiCounts:
-    """Chebyshev psi sums in progressions from a sieve table."""
-    n = table.n
-    if q > n:
-        raise ValueError("q must not exceed the table length")
-    res = np.arange(n + 1) % q
-    t = np.bincount(res, weights=table.lam, minlength=q)
-    coprime = _gcd_classes(q) == 1         # gcd(0, 1) = 1: all of q = 1
-    classes = np.nonzero(coprime)[0]
-    psi = t[coprime]
-    psi_q = float(psi.sum())
-    mean = psi_q / totient(q)
-    var = float(((psi - mean) ** 2).sum())
-    return PsiCounts(q=q, classes=classes, psi=psi, psi_q=psi_q,
-                     restricted_variance=var)
-
-
 def restricted_variance_total(table, q_max: int, q_min: int = 1) -> float:
     """Sum over q_min <= q <= q_max of the reduced-class prime variance
     sum_{(b,q)=1} (psi(N;q,b) - S_1(q)/phi(q))^2, from one variance_sweep

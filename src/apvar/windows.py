@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import UNIT_ROUNDOFF, Sequence, divisor_sieve, mobius_totient
+from .arith import (UNIT_ROUNDOFF, Sequence, divisor_sieve, mobius_totient,
+                    ramanujan_correlations)
 
 _SAMPLES = 1 << 16          # bump samples on [0, 1)
 _MOMENTS = 64               # highest cached log-moment of the Mellin series
@@ -205,7 +206,6 @@ class WeightSet:
 
     r_max: int
     b: np.ndarray             # length r_max+1, slot 0 unused
-    bound: float              # B = max |b_r|
 
     def to_csv_rows(self):
         for r in range(1, self.r_max + 1):
@@ -222,15 +222,13 @@ def build_weights(kind: str, r_max: int, k: int | None = None) -> WeightSet:
         r = np.arange(1, r_max + 1, dtype=np.float64)
         # + 0.0 turns b_R = mu(R) log 1 = -0.0 into +0.0, and no other bit.
         b[1:] = mu[1:] * np.log(r_max / r) + 0.0
-        bound = math.log(r_max)
     elif kind == "divisor_k":
         if k is None or k < 2:
             raise ValueError("divisor weights need k >= 2")
         b[1:] = divisor_sieve(r_max, k - 1)[k - 1][1:] if k > 2 else 1.0
-        bound = float(b.max())
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
-    return WeightSet(r_max=r_max, b=b, bound=bound)
+    return WeightSet(r_max=r_max, b=b)
 
 
 def build_tilde_sequence(n: int, weights: WeightSet, window: SmoothWindow) -> Sequence:
@@ -255,38 +253,13 @@ def weight_sum_q(weights: WeightSet, q: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Numerical checks of the major-arc approximation and the rearrangement
-# identity for sum a_n a~_n
-
-
-def check_lemma_major(tilde_seq: Sequence, weights: WeightSet,
-                      window: SmoothWindow, a: int, q: int, beta: float):
-    """Compare A~(a/q + beta) against N Phi^(-N beta) sum_{q|r} b_r/r.
-
-    Valid for |beta| <= 1/(2qR), q <= R, (a,q) = 1.  Returns
-    (lhs, rhs, error_ratio) where error_ratio is |lhs-rhs| divided by
-    B R log N (the shape of the approximation's error term).
-    """
-    n = tilde_seq.n
-    r_max = weights.r_max
-    if q > r_max or math.gcd(a, q) != 1:
-        raise ValueError("need q <= R and (a, q) = 1")
-    if abs(beta) > 1.0 / (2.0 * q * r_max) + 1e-15:
-        raise ValueError("need |beta| <= 1/(2qR)")
-    from .circle import eval_exp_sum
-
-    lhs = eval_exp_sum(tilde_seq, (a / q + beta) % 1.0)
-    rhs = n * window.phi_hat(-n * beta) * weight_sum_q(weights, q)
-    scale = weights.bound * r_max * math.log(max(n, 2))
-    return lhs, rhs, abs(lhs - rhs) / scale
+# Numerical check of the rearrangement identity for sum a_n a~_n
 
 
 def check_lemma5(seq: Sequence, weights: WeightSet, window: SmoothWindow):
     """Rearrangement identity: sum a_n a~_n equals the weighted sum of
     windowed Ramanujan correlations over q <= R.  Returns (lhs, rhs,
     relative residual)."""
-    from .arith import ramanujan_correlations
-
     n = seq.n
     tilde = build_tilde_sequence(n, weights, window)
     lhs = float(np.dot(seq.values, tilde.values))

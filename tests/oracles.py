@@ -7,14 +7,23 @@ Gauss-Legendre quadrature, and Dirichlet series by partial summation.
 
 import functools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from apvar.arith import (LagSpectra, _convolve_ones, _primes_from_spf,
-                         _spf_recurrence, _spf_sieve, divisors, gamma,
-                         mobius_totient, multiple_sums, ramanujan_convolution,
-                         ramanujan_sum, underflow)
+from apvar.arith import (CapacityError, LagSpectra, Sequence, _convolve_ones,
+                         _primes_from_spf, _spf_recurrence, _spf_sieve,
+                         divisors, gamma, mobius_totient, multiple_sums,
+                         ramanujan_convolution, ramanujan_sum, totient,
+                         underflow)
+from apvar.circle import ArcSystem
 from apvar.pipeline import ramanujan_tail
+from apvar.variance import _exact_class_sums, exp_variance_H, variance_mod_q
+from apvar.windows import SmoothWindow, WeightSet, weight_sum_q
+
+EULER_GAMMA = 0.5772156649015329
+FAREY_ENUMERATION_CAP = 10_000
 
 
 @functools.cache
@@ -86,10 +95,6 @@ def zeta_mpmath(s):
     return complex(mpmath.zeta(complex(s)))
 
 
-def euler_maclaurin_harmonic(x: int) -> float:
-    return math.log(x) + 0.5772156649015329
-
-
 def divisor_square_main_term(m: int = 128) -> tuple:
     """Coefficients (A, B, C, D) of Ramanujan's main term
     sum_{n<=N} d(n)^2 = N (A L^3 + B L^2 + C L + D) + O(N^(1/2+eps)),
@@ -133,21 +138,17 @@ def _factor(q: int) -> list:
     return out + [(q, 1)] if q > 1 else out
 
 
-def local_factor_closed_form(p: int, a: int, k: int, s, g: bool = False):
-    """The factor at p^a || q of F_q(s), or of G_q(s) when `g`, in closed
-    form (mpmath), x = p^-s, j = k (F) or k - 1 (G):
-    F: (1-x)^k (-d_k(p^(a-1)) p^((a-1)(1-s)) + phi(p^a) I),
-    G: (1-x)^(k-1) I, I = (1-x)^(-j) - sum_{b<a} d_j(p^b) x^b,
-    d_j(p^b) = C(b+j-1, j-1): the inner series sum_{b >= a} d_j(p^b) x^b
-    summed as the binomial series minus its first a terms."""
+def local_factor_closed_form(p: int, a: int, k: int, s):
+    """The factor at p^a || q of F_q(s) in closed form (mpmath), x = p^-s:
+    (1-x)^k (-d_k(p^(a-1)) p^((a-1)(1-s)) + phi(p^a) I),
+    I = (1-x)^(-k) - sum_{b<a} d_k(p^b) x^b, d_k(p^b) = C(b+k-1, k-1):
+    the inner series sum_{b >= a} d_k(p^b) x^b summed as the binomial
+    series minus its first a terms."""
     import mpmath as mp
 
-    j = k - 1 if g else k
     x = mp.mpf(p) ** (-s)
-    inner = (1 - x) ** (-j) - mp.fsum(math.comb(b + j - 1, j - 1) * x**b
+    inner = (1 - x) ** (-k) - mp.fsum(math.comb(b + k - 1, k - 1) * x**b
                                       for b in range(a))
-    if g:
-        return (1 - x) ** j * inner
     head = -math.comb(a + k - 2, k - 1) * mp.mpf(p) ** ((a - 1) * (1 - s))
     return (1 - x) ** k * (head + (p**a - p ** (a - 1)) * inner)
 
@@ -326,3 +327,143 @@ def prime_power_class_squares_pairs(table, q_max: int) -> np.ndarray:
         top = np.searchsorted(large, q_max // j, side="right")
         nr[j * large[:top]] += squares[:top]
     return nr
+
+
+# ---------------------------------------------------------------------------
+# Side quantities of the method that no chain, command or gate computes:
+# references for the live code (eval_exp_sum for the spectrum, is_major for
+# major_mask, psi_counts for restricted_variance_total) and for the open
+# items (farey_density_f, cor1_lower_bound, singular_constant).
+
+
+def eval_exp_sum(seq: Sequence, alpha: float) -> complex:
+    """A(alpha) = sum a_n e(n alpha), with compensated summation."""
+    n = np.arange(seq.n + 1)
+    phase = 2.0 * np.pi * ((n * alpha) % 1.0)
+    re = math.fsum(seq.values * np.cos(phase))
+    im = math.fsum(seq.values * np.sin(phase))
+    return complex(re, im)
+
+
+def is_major(alpha: float, arcs: ArcSystem):
+    """Membership in the major arcs, with a witness fraction.
+
+    Exhaustive scan over q <= K*Q0 with the nearest integer numerator;
+    returns (True, (a, q)) on the first reduced witness, else (False, None).
+    """
+    alpha = alpha % 1.0
+    for q in range(1, arcs.kq0 + 1):
+        a = round(alpha * q)
+        g = math.gcd(a, q)
+        ar, qr = a // g, q // g
+        if abs(alpha - ar / qr) <= arcs.k_param / (qr * arcs.q):
+            return True, (ar % max(qr, 1), qr)
+    return False, None
+
+
+def farey_density_f(alpha: float, arcs: ArcSystem) -> float:
+    """f(alpha): weighted count of nearby fractions a/q, Q0 < q <= Q,
+    with q/(a,q) > Q0 and |alpha - a/q| <= K/(Q0 Q).  Direct enumeration."""
+    q_hi = int(arcs.q)
+    if q_hi > FAREY_ENUMERATION_CAP:
+        raise CapacityError(f"Q={q_hi} above enumeration cap {FAREY_ENUMERATION_CAP}")
+    if arcs.q0 >= arcs.q:
+        raise ValueError("need Q0 < Q")
+    alpha = alpha % 1.0
+    w = arcs.k_param / (arcs.q0 * arcs.q)
+    total = 0.0
+    q_lo = int(math.floor(arcs.q0)) + 1
+    for q in range(q_lo, q_hi + 1):
+        lo = math.ceil(q * (alpha - w))
+        hi = math.floor(q * (alpha + w))
+        if hi - lo + 1 >= q:
+            lo, hi = 0, q - 1
+        count = 0
+        for a in range(lo, hi + 1):
+            if q / math.gcd(a % q, q) > arcs.q0:
+                count += 1
+        total += count / q
+    return total
+
+
+def cor1_lower_bound(seq: Sequence, q: int, q0: int) -> Fraction | float:
+    """The nonnegativity-of-H lower bound for qV(q): the sum of H(d) over
+    the divisors d > Q0 of q, at most q V(q) = sum_{d|q} H(d) as H >= 0;
+    checked here, exactly (a Fraction) when H is, else within 1e-6."""
+    if q0 < 1:
+        raise ValueError("Q0 must be at least 1")
+    bound = sum(exp_variance_H(seq, d) for d in divisors(q) if d > q0)
+    qv = q * variance_mod_q(seq, q)
+    slack = (0 if _exact_class_sums(seq)
+             else 1e-6 * max(abs(qv), abs(bound), 1.0))
+    if bound > qv + slack:
+        raise AssertionError(
+            f"corollary bound {bound} exceeds qV = {qv} for q={q}, Q0={q0}")
+    return bound
+
+
+@dataclass
+class PsiCounts:
+    q: int
+    classes: np.ndarray      # reduced residues a
+    psi: np.ndarray          # psi(N; q, a) per class
+    psi_q: float
+    restricted_variance: float
+
+
+def psi_counts(table, q: int) -> PsiCounts:
+    """Chebyshev psi sums in progressions from a sieve table."""
+    n = table.n
+    if q > n:
+        raise ValueError("q must not exceed the table length")
+    res = np.arange(n + 1) % q
+    t = np.bincount(res, weights=table.lam, minlength=q)
+    coprime = np.gcd(np.arange(q), q) == 1   # gcd(0, 1) = 1: all of q = 1
+    classes = np.nonzero(coprime)[0]
+    psi = t[coprime]
+    psi_q = float(psi.sum())
+    mean = psi_q / totient(q)
+    var = float(((psi - mean) ** 2).sum())
+    return PsiCounts(q=q, classes=classes, psi=psi, psi_q=psi_q,
+                     restricted_variance=var)
+
+
+def singular_constant(k: int, p_cap: int):
+    """Truncated product over p <= cap of (1-1/p)^(k^2) sum_a d_k(p^a)^2/p^a.
+
+    The local series is closed: with x = 1/p,
+    sum_a C(a+k-1, k-1)^2 x^a = sum_{i<k} C(k-1, i)^2 x^i / (1-x)^(2k-1),
+    so each factor is (1-x)^((k-1)^2) sum_{i<k} C(k-1, i)^2 x^i.
+    Returns (product, c_k, tail_estimate) where c_k divides by (k^2-1)!.
+    """
+    if p_cap < 100:
+        raise ValueError("prime cap must be at least 100")
+    x = 1.0 / _primes_from_spf(_spf_sieve(p_cap)).astype(np.float64)
+    series = sum(math.comb(k - 1, i) ** 2 * x**i for i in range(k))
+    local = (1.0 - x) ** ((k - 1) ** 2) * series
+    log_product = float(np.sum(np.log(local)))
+    product = math.exp(log_product)
+    # Local factor is 1 + O(k^4/p^2); integrate the tail over p > cap.
+    tail = k**4 / (p_cap * math.log(p_cap))
+    c_k = product / math.factorial(k * k - 1)
+    return product, c_k, tail
+
+
+def check_lemma_major(tilde_seq: Sequence, weights: WeightSet,
+                      window: SmoothWindow, a: int, q: int, beta: float):
+    """Compare A~(a/q + beta) against N Phi^(-N beta) sum_{q|r} b_r/r.
+
+    Valid for |beta| <= 1/(2qR), q <= R, (a,q) = 1.  Returns
+    (lhs, rhs, error_ratio) where error_ratio is |lhs-rhs| divided by
+    B R log N, B = max |b_r| (the shape of the approximation's error term).
+    """
+    n = tilde_seq.n
+    r_max = weights.r_max
+    if q > r_max or math.gcd(a, q) != 1:
+        raise ValueError("need q <= R and (a, q) = 1")
+    if abs(beta) > 1.0 / (2.0 * q * r_max) + 1e-15:
+        raise ValueError("need |beta| <= 1/(2qR)")
+    lhs = eval_exp_sum(tilde_seq, (a / q + beta) % 1.0)
+    rhs = n * window.phi_hat(-n * beta) * weight_sum_q(weights, q)
+    scale = float(np.abs(weights.b).max()) * r_max * math.log(max(n, 2))
+    return lhs, rhs, abs(lhs - rhs) / scale

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from apvar.arith import CapacityError, Sequence, UNIT_ROUNDOFF, gamma
 from apvar.circle import (ArcSystem, arc_masses, build_spectrum,
-                          default_grid_size, eval_exp_sum, farey_density_f,
-                          is_major, major_mask, minor_arc_integral)
+                          default_grid_size, major_mask, minor_arc_integral)
+
+from oracles import eval_exp_sum, farey_density_f, is_major
 
 
 def small_arcs(n=1000):

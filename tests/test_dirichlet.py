@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from apvar import dirichlet as dr
 from apvar.arith import gamma, is_squarefree, ramanujan_row, totient
-from oracles import dk_correlation_residue, local_factor_closed_form, \
-    partial_dirichlet_sum, triple_contour_polynomial, zeta_mpmath
-
-EULER_GAMMA = dr.EULER_GAMMA
+from oracles import EULER_GAMMA, dk_correlation_residue, \
+    local_factor_closed_form, partial_dirichlet_sum, singular_constant, \
+    triple_contour_polynomial, zeta_mpmath
 
 
 def test_zeta_against_mpmath():
@@ -53,36 +52,26 @@ def test_euler_products_vs_partial_sums(table_1e5):
             # partial-sum tail is ~ phi(q) log^2(x)/x in the worst case
             tol = 20 * totient(q) * math.log(x) ** 2 / x
             assert direct == pytest.approx(pred, abs=tol)
-    # zeta(s)^(k-1) G_q(s) = sum over multiples of q of d_{k-1}(n)/n^s.
-    d2 = table_1e5.dk[2].astype(np.float64)
-    for q in (1, 3, 4, 12):
-        mult = np.zeros(x + 1)
-        mult[q::q] = d2[q::q]
-        direct = partial_dirichlet_sum(mult, 2.0)
-        pred = (dr.zeta_near_one(2.0) ** 2 * dr.euler_G_q(q, 3, 2.0)).real
-        assert direct == pytest.approx(pred, abs=20 * math.log(x) ** 2 / x)
 
 
-def _rounding_bound(p, a, k, s, g):
+def _rounding_bound(p, a, k, s):
     """The rounding bound of dirichlet._local_factor's docstring at each s."""
     u = 2.0**-53
-    j = k - 1 if g else k
-    m = a + j - 1
+    m = a + k - 1
     log_p = math.log(p)
     ax, ay = np.abs(p ** (-s)), np.abs(1.0 - p ** (-s))
     e_x = (3 * np.abs(s) * log_p + 8) * u
     e = np.maximum(e_x, e_x * ax / ay + u)
-    t = sum(math.comb(m, i) * ay**i * ax ** (m - i) for i in range(j))
-    if not g:
-        e = np.maximum(e, (6 * (a - 1) * np.abs(s - 1.0) * log_p + 8) * u)
-        t = (math.comb(a + k - 2, k - 1) * p ** ((a - 1) * (1.0 - s.real))
-             * ay**k + totient(p**a) * t)
-    return np.expm1((a + j) * np.log1p(e) + (a + j + 1) * math.log1p(3 * u)
-                    + math.log1p(gamma(j))) * t
+    t = sum(math.comb(m, i) * ay**i * ax ** (m - i) for i in range(k))
+    e = np.maximum(e, (6 * (a - 1) * np.abs(s - 1.0) * log_p + 8) * u)
+    t = (math.comb(a + k - 2, k - 1) * p ** ((a - 1) * (1.0 - s.real))
+         * ay**k + totient(p**a) * t)
+    return np.expm1((a + k) * np.log1p(e) + (a + k + 1) * math.log1p(3 * u)
+                    + math.log1p(gamma(k))) * t
 
 
 def test_local_factors_within_rounding_bound():
-    """F and G local factors against their mpmath closed forms, within the
+    """F local factors against their mpmath closed forms, within the
     rounding bound of _local_factor's docstring: on the 48-node contours
     for N = 29 366 and 10^7, k = 2..4, a <= 8 and small and large primes
     up to 389, and at s = 0.05 and -0.5, where the inner series converges
@@ -96,14 +85,12 @@ def test_local_factors_within_rounding_bound():
     for p in (2, 3, 5, 7, 11, 101, 389):
         for a in range(1, 9):
             for k in (2, 3, 4):
-                for g in (False, True):
-                    got = dr.euler_factors([p**a], k, s, g)[0]
-                    with mp.workdps(60):
-                        exact = np.array([complex(local_factor_closed_form(
-                            p, a, k, z, g)) for z in ms])
-                    assert np.all(np.abs(got - exact)
-                                  <= _rounding_bound(p, a, k, s, g)), \
-                        (p, a, k, g)
+                got = dr.euler_factors([p**a], k, s)[0]
+                with mp.workdps(60):
+                    exact = np.array([complex(local_factor_closed_form(
+                        p, a, k, z)) for z in ms])
+                assert np.all(np.abs(got - exact)
+                              <= _rounding_bound(p, a, k, s)), (p, a, k)
 
 
 def test_residue_dk_correlation_oracle(table_1e5):
@@ -201,15 +188,6 @@ def test_local_factor_on_first_ending_contour():
     assert np.max(np.abs(dr.euler_F_q(2, 3, s) / closed - 1.0)) <= 1e-14
 
 
-def test_residue_divisor_mean_oracle():
-    x = 10**5
-    pred = dr.residue_divisor_mean(1, 2, x)
-    assert pred.value == pytest.approx(math.log(x) + EULER_GAMMA, rel=1e-10)
-    direct = float(np.sum(1.0 / np.arange(3, x + 1, 3)))
-    assert dr.residue_divisor_mean(3, 2, x).value == pytest.approx(
-        direct, rel=1e-4)
-
-
 def test_windowed_prediction(window, table_1e5):
     from apvar.pipeline import bulk_residue_predictions
 
@@ -222,13 +200,13 @@ def test_windowed_prediction(window, table_1e5):
 
 
 def test_singular_constant():
-    prod, c2, tail = dr.singular_constant(2, 10**5)
+    prod, c2, tail = singular_constant(2, 10**5)
     assert c2 == pytest.approx(1 / math.pi**2, rel=1e-4)
     assert tail < 1e-3
-    prod3, c3, _ = dr.singular_constant(3, 10**4)
+    prod3, c3, _ = singular_constant(3, 10**4)
     assert c3 > 0
     with pytest.raises(ValueError):
-        dr.singular_constant(2, 10)
+        singular_constant(2, 10)
 
 
 def test_leading_coefficients_exact():

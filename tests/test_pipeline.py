@@ -9,8 +9,8 @@ from apvar.arith import Sequence, divisors, ramanujan_sum, sieve_all, totient
 from apvar.circle import ArcSystem, arc_masses, build_spectrum
 from apvar.pipeline import (ExperimentConfig, ResolvedParams, assemble_prop13,
                             bulk_residue_predictions, cauchy_schwarz_bound,
-                            newprop_rhs, ramanujan_tail, resolve_params,
-                            run_theorem1, run_theorem2)
+                            ramanujan_tail, resolve_params, run_theorem1,
+                            run_theorem2)
 from apvar.variance import restricted_variance_total, variance_sweep
 from apvar.windows import build_tilde_sequence, build_weights, build_window
 
@@ -77,6 +77,18 @@ def test_config_validation():
         ExperimentConfig(experiment="theorem2", q_exp=0.55, delta=0.1)
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="theorem2", ending="third")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 2.5, -5])
+def test_config_needs_integer_n_of_at_least_3(n):
+    """An N the CLI would refuse fails in the config, naming --N, before
+    resolve_params divides by log N (ZeroDivisionError at N = 1) or takes
+    the log of N <= 0 (math domain error)."""
+    for experiment in ("theorem1", "theorem2"):
+        with pytest.raises(ValueError, match="--N must be an integer of at "
+                                             f"least 3, got {n}"):
+            ExperimentConfig(experiment=experiment, n=n, q_exp=0.8)
+    ExperimentConfig(experiment="theorem1", n=3)
 
 
 def test_assemble_prop13_zero_sequence():
@@ -241,19 +253,6 @@ def test_cauchy_schwarz_below_minor(window, table_1e4):
     cs = cauchy_schwarz_bound(seq, tilde, arcs, spec_a, spec_t)
     assert 0 <= cs.bound_17 <= cs.minor_a + cs.quadrature_error + 1e-6
     assert cs.bound_17 <= cs.bound_113 + 1e-9
-
-
-def test_newprop_rhs(window, table_1e4):
-    n = table_1e4.n
-    seq = Sequence(table_1e4.dk[2][: n + 1])
-    arcs = ArcSystem(k_param=5.0, q0=2.0, q=float(int(n**0.8)), n=n)
-    w = build_weights("divisor_k", int(n**0.45), k=2)
-    val = newprop_rhs(seq, w, window, arcs, n**0.45)
-    assert val > 0
-    # empty range gives zero
-    assert newprop_rhs(seq, w, window, arcs, arcs.kq0) == 0.0
-    with pytest.raises(ValueError):
-        newprop_rhs(seq, w, window, arcs, 2 * math.sqrt(n))
 
 
 def test_bulk_residue_predictions_match_scalar(window):

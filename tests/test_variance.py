@@ -12,12 +12,12 @@ from apvar.arith import (Sequence, divisors, factorize, gamma, load_sequence,
                          mobius_totient, ramanujan_correlations,
                          ramanujan_sum, sieve_all, totient)
 from apvar.variance import (_prime_power_class_squares, check_identity_prop1,
-                            cor1_lower_bound, exp_variance_H, psi_counts,
-                            residue_sums, restricted_variance_total,
-                            variance_mod_q, variance_rows, variance_sweep,
-                            variance_total)
+                            exp_variance_H, residue_sums,
+                            restricted_variance_total, variance_mod_q,
+                            variance_rows, variance_sweep, variance_total)
 
-from oracles import float_sweep_abs_route, prime_power_class_squares_pairs
+from oracles import (cor1_lower_bound, float_sweep_abs_route,
+                     prime_power_class_squares_pairs, psi_counts)
 
 
 def brute_variance(seq, q):
