@@ -39,6 +39,13 @@ CASES = [
     ("table-variance-d3", "table variance --seq d3 --N 9500 --q-max 300"),
     ("table-residues-k3", "table residues --k 3 --N 20000 --q-max 50"),
     ("table-weights-divisor", "table weights --kind divisor --k 3 --R 100"),
+    ("table-ramanujan-json",
+     "table ramanujan --q-max 12 --n-max 12 --format json"),
+    # --R overrides theorem1's R, which then departs from (KQ0, Q/2K].
+    ("theorem1-r-override", "experiment theorem1 --N 20000 --R 300"),
+    # The verifier's self-test: three FAIL lines and exit 1.
+    ("verify-identities-fault", "verify identities --inject-fault"),
+    ("table-variance-lambda", "table variance --seq lambda --N 5000 --q-max 60"),
 ]
 
 
