@@ -360,7 +360,7 @@ def ramanujan_correlations(seq: Sequence, ds) -> np.ndarray:
     if ds.min() < 1:
         raise ValueError("moduli d must be positive")
     dmax = int(ds.max())
-    mu, _ = mobius_totient(dmax)
+    mu, _, _ = moduli_tables(dmax)
     return ramanujan_convolution(multiple_sums(seq.values, dmax), mu)[ds]
 
 
@@ -443,7 +443,8 @@ def _spf_sieve(n: int) -> np.ndarray:
     return spf
 
 
-def _primes_from_spf(spf: np.ndarray) -> np.ndarray:
+def primes_from_spf(spf: np.ndarray) -> np.ndarray:
+    """The primes p < spf.size, read from a smallest-prime-factor table."""
     idx = np.arange(spf.size)
     return idx[(idx >= 2) & (spf == idx)]
 
@@ -496,15 +497,16 @@ def _spf_recurrence(spf: np.ndarray, k: int):
     return mu, phi, dk
 
 
-def mobius_totient(n: int):
-    """(mu, phi) on 0..n, slot 0 holding 0: sieve_all's mu and phi
-    tables without the rest, for a range of moduli (n = Q, not N)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return _spf_recurrence(_spf_sieve(n), 1)[:2]
+def moduli_tables(n: int, k: int = 1):
+    """(mu, phi, {j: d_j for 2 <= j <= k}) on 0..n, slot 0 holding 0:
+    sieve_all's tables without spf and Lambda, for a range of moduli
+    (n = Q, KQ0 or R, not N).  At n = 0 each table is slot 0 alone."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _spf_recurrence(_spf_sieve(n), k)
 
 
-def _convolve_ones(f: np.ndarray) -> np.ndarray:
+def convolve_ones(f: np.ndarray) -> np.ndarray:
     """Dirichlet convolution f * 1 on 1..n.
 
     Hyperbola split at s = isqrt(n): g[d::d] += f[1 : n/d + 1] for each
@@ -524,15 +526,10 @@ def _convolve_ones(f: np.ndarray) -> np.ndarray:
     return g
 
 
-def divisor_sieve(n: int, k: int) -> dict:
-    """{j: d_j on 0..n} for 2 <= j <= k, slot 0 holding 0."""
-    return _spf_recurrence(_spf_sieve(n), k)[2]
-
-
 def _sieve(n: int, k: int) -> dict:
     """The arrays of sieve_all's table on 0..n, by name."""
     spf = _spf_sieve(n)
-    primes = _primes_from_spf(spf)
+    primes = primes_from_spf(spf)
     mu, phi, dk = _spf_recurrence(spf, k)
     # math.log of each prime (np.log may differ in the last bit), then its
     # powers p^i <= n for the primes p <= sqrt(n).

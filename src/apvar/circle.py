@@ -18,19 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (CapacityError, LagSpectra, Sequence, UNIT_ROUNDOFF,
-                    _spf_recurrence, _spf_sieve, gamma, underflow)
+                    gamma, moduli_tables, underflow)
 
 SPECTRUM_BUDGET = 1 << 24
 
 
 @dataclass
 class ArcSystem:
-    """Parameters (K, Q0, Q) of the major/minor arc dissection for length N."""
+    """Parameters (K, Q0, Q) of the major/minor arc dissection."""
 
     k_param: float
     q0: float
     q: float
-    n: int
 
     @property
     def kq0(self) -> int:
@@ -245,10 +244,8 @@ def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
     bound's own evaluation.
     """
     m_max, k_param, q = arcs.kq0, arcs.k_param, arcs.q
+    mu, phi, dk = moduli_tables(m_max, 2)
     w = np.zeros(n + 1)
-    if m_max < 1:
-        return MajorWeights(w, 0.0)
-    mu, phi, dk = _spf_recurrence(_spf_sieve(m_max), 2)
     w[0] = math.fsum(2.0 * k_param / (np.arange(1, m_max + 1) * q) * phi[1:])
     inv = np.zeros(n + 1)
     inv[1:] = 2.0 / (math.pi * np.arange(1.0, n + 1))
@@ -297,11 +294,10 @@ def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
     return MajorWeights(w, 2.0 * err)
 
 
-def arc_masses(arcs: ArcSystem, seq: Sequence, tilde: Sequence | None = None,
-               spectra: LagSpectra | None = None) -> ArcMasses:
-    """Exact major- and minor-arc masses of |A|^2, and with `tilde` also
-    of |A~|^2 and A conj(A~), from one real FFT per sequence and one of
-    the major-arc weights.
+def arc_masses(arcs: ArcSystem, spectra: LagSpectra) -> ArcMasses:
+    """Exact major- and minor-arc masses of |A|^2 when `spectra` hold one
+    sequence a, and of |A|^2, |A~|^2 and A conj(A~) when they hold two,
+    a and a~, from their real FFTs and one of the major-arc weights.
 
     A pair's major mass is sum_{h=0}^{N} rho(h) W(h), rho its lag
     correlation and W the weights of major_weights: W(h) is the integral
@@ -355,34 +351,28 @@ def arc_masses(arcs: ArcSystem, seq: Sequence, tilde: Sequence | None = None,
     (ab + eps) Delta + (2 P_L ab + N (ab + eps) + 2) e0 +
     u (|major| + |minor|)], doubled to cover second-order terms and the
     rounding of the bound's own evaluation.  Without major arcs
-    (KQ0 = 0) major is 0, minor = total and the error 2 (eps + u |total|).
-
-    `spectra`, when the caller has them, are the LagSpectra of
-    (seq, tilde), or of (seq,) without `tilde`; they are read, not
-    changed.
+    (KQ0 = 0) W = 0, so major = 0 and minor = total.  `spectra` are read,
+    not changed.
     """
     if not arcs_disjoint(arcs.k_param, arcs.q0, arcs.q):
         raise ValueError(
             f"major arcs overlap: need Q > K (2 KQ0 - 1) (and Q > 2K); "
             f"K={arcs.k_param:.6g}, Q0={arcs.q0:.6g}, Q={arcs.q:.6g}")
-    if spectra is None:
-        spectra = LagSpectra([seq] if tilde is None else [seq, tilde])
     n, length = spectra.n, spectra.length
-    pairs = [(0, 0)] if tilde is None else [(0, 0), (1, 1), (0, 1)]
+    pairs = ([(0, 0)] if len(spectra.seqs) == 1
+             else [(0, 0), (1, 1), (0, 1)])
     c = np.full(length // 2 + 1, 2.0)
     c[0] = 1.0
     if length % 2 == 0:
         c[-1] = 1.0
-    kernel = l1 = weights = None
-    if arcs.kq0 >= 1:
-        weights = major_weights(arcs, n)
-        l1 = float(np.abs(weights.w).sum()) * (1.0 + gamma(n + 2))
-        even = np.zeros(length)
-        even[: n + 1] = weights.w
-        even[1 : n + 1] /= 2.0
-        even[length - n :] = even[n:0:-1]
-        kernel = c * np.fft.rfft(even).real
-        del even
+    weights = major_weights(arcs, n)
+    l1 = float(np.abs(weights.w).sum()) * (1.0 + gamma(n + 2))
+    even = np.zeros(length)
+    even[: n + 1] = weights.w
+    even[1 : n + 1] /= 2.0
+    even[length - n :] = even[n:0:-1]
+    kernel = c * np.fft.rfft(even).real
+    del even
     levels = 8.0 * math.log2(length) + math.ceil(math.log2(c.size)) + 3
     buffer = np.zeros(1 << (c.size - 1).bit_length())
     out = []
@@ -390,15 +380,12 @@ def arc_masses(arcs: ArcSystem, seq: Sequence, tilde: Sequence | None = None,
         power, eps = spectra.power(i, j), spectra.error(i, j)
         total = _tree_sum(np.multiply(c, power, out=buffer[: c.size]),
                           buffer) / length
-        major, err = 0.0, eps
-        if kernel is not None:
-            ab = math.sqrt(spectra.squares[i] * spectra.squares[j])
-            major = _tree_sum(np.multiply(power, kernel,
-                                          out=buffer[: c.size]),
-                              buffer) / length
-            err = (eps * (1.0 + l1) + gamma(levels) * ab * l1
-                   + (ab + eps) * weights.error + float(underflow(
-                       2.0 * spectra.products * ab + n * (ab + eps) + 2.0)))
+        ab = math.sqrt(spectra.squares[i] * spectra.squares[j])
+        major = _tree_sum(np.multiply(power, kernel, out=buffer[: c.size]),
+                          buffer) / length
+        err = (eps * (1.0 + l1) + gamma(levels) * ab * l1
+               + (ab + eps) * weights.error + float(underflow(
+                   2.0 * spectra.products * ab + n * (ab + eps) + 2.0)))
         minor = total - major
         out.append(ArcMass(total=total, major=major, minor=minor,
                            error=2.0 * (err + UNIT_ROUNDOFF

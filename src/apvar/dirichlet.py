@@ -23,11 +23,6 @@ import numpy as np
 from .arith import (d_k_prime_power, factorize, gamma, gen_binomial,
                     is_squarefree, totient)
 
-# The second ending's moduli are N^(1/4)-smooth: no prime factor exceeds
-# N^_SMOOTH_EXP.
-_SMOOTH_EXP = 0.25
-
-
 class TruncationError(Exception):
     """A contour failed its certified error bound."""
 
@@ -290,12 +285,6 @@ def leading_coeff_69(k: int) -> Fraction:
     return gen_binomial(-kk, k - 1) * total
 
 
-def leading_coeff_closed_form(k: int) -> Fraction:
-    return (Fraction((-1) ** (k - 1))
-            / (math.factorial(k - 1) * math.factorial(k * (k - 1) - 1)
-               * (k * k - 1)))
-
-
 def r_window(n: int, q0: float, q: float, k_param: float,
              eps: float) -> tuple:
     """The first ending's R window (r_lo, r_hi) =
@@ -324,7 +313,7 @@ def choose_R_chebyshev(k: int, n: int, q0: float, q: float, k_param: float,
     best = int(np.argmax(np.abs(values)))
     d = k * k - 1
     floor = ((log_rs[-1] - log_rs[0]) / 4.0) ** d * abs(
-        float(leading_coeff_closed_form(k))) * 2.0 ** (-(d - 1))
+        float(leading_coeff_69(k))) * 2.0 ** (-(d - 1))
     if abs(values[best]) < floor:
         raise AssertionError(
             f"grid max {values[best]} below Chebyshev floor {floor}")
@@ -367,6 +356,12 @@ def f_q_value(q: int, k: int) -> float:
     return total
 
 
+def second_ending_modulus(q: int, n: float) -> bool:
+    """Whether q may be a modulus of the second ending: squarefree, with
+    no prime factor above N^(1/4)."""
+    return is_squarefree(q) and all(p <= n**0.25 for p, _ in factorize(q))
+
+
 @dataclass
 class RamdkevalResidue:
     value: float
@@ -379,12 +374,11 @@ def residue_ramdkeval(q: int, k: int, n: int,
     """Residue of zeta^k (F_q(s)/F_q(1)) N^(s-1)/s at s = 1, for squarefree
     smooth q, cross-checked against the (log N + f_q(1))^(k-1)/(k-1)! main
     term."""
-    if not is_squarefree(q):
-        raise ValueError("q must be squarefree")
+    if not second_ending_modulus(q, n):
+        raise ValueError(f"q={q} is not a second-ending modulus: squarefree, "
+                         f"no prime factor above N^(1/4)")
     if q > n ** (0.5 - delta / 2.0):
         raise ValueError(f"q={q} violates the size bound N^(1/2 - delta/2)")
-    if q > 1 and max(p for p, _ in factorize(q)) > n**_SMOOTH_EXP:
-        raise ValueError(f"q={q} has a prime factor above N^{_SMOOTH_EXP}")
     fq1 = float(squarefree_F_q_exact(q, k)) if q > 1 else 1.0
     pred = residues([q], k, n, lambda v, s, o: v / fq1 * n ** (s - 1.0) / s)[0]
     main = (math.log(n) + f_q_value(q, k)) ** (k - 1) / math.factorial(k - 1)

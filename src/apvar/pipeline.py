@@ -20,18 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import (LagSpectra, Sequence, SieveTable, d_k_of, factorize,
-                    is_squarefree, mobius, ramanujan_correlations, totient)
+from .arith import (LagSpectra, Sequence, SieveTable, d_k_of, is_squarefree,
+                    mobius, ramanujan_correlations, totient)
 # Bound for perfbench/spans.py, which wraps this name in this module.
 from .arith import sieve_all  # noqa: F401
 from .circle import ArcMasses, ArcSystem, Spectrum, arc_masses, arcs_disjoint
 # Grid path: the validation tests use it and perfbench/spans.py wraps it.
 from .circle import build_spectrum, major_mask, minor_arc_integral  # noqa: F401
-from .dirichlet import (_SMOOTH_EXP, choose_R_chebyshev, f_q_value,
-                        polynomial_69, r_window, residues)
+from .dirichlet import (choose_R_chebyshev, f_q_value, polynomial_69,
+                        r_window, residues, second_ending_modulus)
 # Bound for perfbench/spans.py, which wraps these names in this module.
 from .dirichlet import contour_nodes, residue_ramdkeval, zeta_near_one  # noqa: F401
-from .variance import VarianceSweep, _reduced_class_variances, variance_sweep
+from .variance import VarianceSweep, reduced_class_variances, variance_sweep
 # Bound for perfbench/spans.py, which wraps these names in this module.
 from .variance import (restricted_variance_total, variance_mod_q,  # noqa: F401
                        variance_total)
@@ -118,10 +118,11 @@ class ExperimentConfig:
 
 @dataclass
 class ResolvedParams(ArcSystem):
-    """A run's parameter point: its arc system, R, every clip that
+    """A run's parameter point: its arc system, N, R, every clip that
     resolve_params applied, and the config it was resolved from.  The
     runners compute the chain at whatever point they are given."""
 
+    n: int
     r: float = 0.0
     clips: list = field(default_factory=list)
     config: ExperimentConfig | None = None
@@ -241,7 +242,7 @@ def _chain_terms(seq: Sequence, params: ResolvedParams,
     the only inverse FFT, and arc_masses the spectra themselves."""
     spectra = LagSpectra([seq] if tilde is None else [seq, tilde])
     corr = spectra.correlation(0, 0)
-    masses = arc_masses(params, seq, tilde, spectra=spectra)
+    masses = arc_masses(params, spectra)
     del spectra     # freed before the sweep, which reads only `corr`
     sweep = variance_sweep(seq, int(params.q), corr)
     tail = ramanujan_tail(sweep.correlations, sweep.phi, params.q0)
@@ -442,8 +443,8 @@ def bulk_residue_predictions(qs, k: int, n: int, window: SmoothWindow) -> np.nda
     """Residue predictions for the windowed correlations
     sum d_k(n) c_q(n) Phi(n/N): the Mellin weight of the window replaces
     N^s/s.  48 contour nodes, checked against 24."""
-    preds = residues(qs, k, n, lambda v, s, o: v * n**s
-                     * np.asarray(window.mellin(s)), count=48)
+    preds = residues(qs, k, n, lambda v, s, o: v * n**s * window.mellin(s),
+                     count=48)
     return np.array([p.value for p in preds])
 
 
@@ -488,7 +489,7 @@ def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
         for q in range(1, 31) if is_squarefree(q))
 
     sweep, tail, masses = _chain_terms(seq, params, tilde)
-    lhs = _over_moduli(_reduced_class_variances(table, sweep), params)
+    lhs = _over_moduli(reduced_class_variances(table, sweep), params)
 
     log_ratio = math.log(params.r / (params.k_param * params.q0))
     target_log = math.log(params.q**2 / n)
@@ -513,14 +514,12 @@ def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
 
 
 def _admissible_qs(params: ResolvedParams):
-    """Squarefree moduli in (KQ0, R N^(-delta/4)] with no prime factor
-    above N^_SMOOTH_EXP; none is a ValueError naming R and delta."""
+    """The second ending's moduli (second_ending_modulus) in
+    (KQ0, R N^(-delta/4)]; none is a ValueError naming R and delta."""
     n, delta = params.n, params.config.delta
     lo = int(params.k_param * params.q0)
     hi = int(params.r * n ** (-delta / 4.0))
-    p_cap = n**_SMOOTH_EXP
-    out = [q for q in range(lo + 1, hi + 1) if is_squarefree(q)
-           and max(p for p, _ in factorize(q)) <= p_cap]
+    out = [q for q in range(lo + 1, hi + 1) if second_ending_modulus(q, n)]
     if not out:
         raise ValueError(
             f"no admissible moduli in (KQ0, R N^(-delta/4)] = ({lo}, "

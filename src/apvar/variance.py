@@ -23,10 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (LagSpectra, Sequence, _convolve_ones, _primes_from_spf,
-                    _spf_recurrence, _spf_sieve, divisors, gamma, mobius,
-                    multiple_sums, ramanujan_convolution, ramanujan_row,
-                    totient, underflow)
+from .arith import (LagSpectra, Sequence, convolve_ones, divisors, gamma,
+                    mobius, moduli_tables, multiple_sums, primes_from_spf,
+                    ramanujan_convolution, ramanujan_row, totient, underflow)
 
 
 def residue_sums(seq: Sequence, q: int) -> np.ndarray:
@@ -192,7 +191,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
         eps, l1 = corr.error, float(np.abs(seq.values).sum())
         lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
         err[1:] = lags * eps + gamma(lags) * (l1 * l1 + lags * eps)
-    mu, phi, dk = _spf_recurrence(_spf_sieve(q_max), 2)
+    mu, phi, dk = moduli_tables(q_max, 2)
     m = multiple_sums(seq.int_values() if exact else seq.values, q_max)
     exact_c = exact and float(np.arange(q_max + 1) @ np.abs(m)) < 2.0**62
     if exact_c:
@@ -213,7 +212,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     w[1:] = c[1:] ** 2 / phi[1:]
     dw[1:] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
         + gamma(4) * w[1:]
-    g, dg = _convolve_ones(w)[1:], _convolve_ones(dw)[1:]    # G and its error
+    g, dg = convolve_ones(w)[1:], convolve_ones(dw)[1:]    # G and its error
     tau = dk[2][1:]
     q = np.arange(1, q_max + 1)
     v = np.zeros(q_max + 1)
@@ -319,15 +318,15 @@ def check_identity_prop1(seq: Sequence, q: int) -> IdentityCheck:
 def restricted_variance_total(table, q_max: int, q_min: int = 1) -> float:
     """Sum over q_min <= q <= q_max of the reduced-class prime variance
     sum_{(b,q)=1} (psi(N;q,b) - S_1(q)/phi(q))^2, from one variance_sweep
-    of Lambda (_reduced_class_variances)."""
+    of Lambda (reduced_class_variances)."""
     _check_moduli(q_max, q_min)
     if q_min > q_max:
         return 0.0
     sweep = variance_sweep(table.lambda_sequence(), q_max)
-    return math.fsum(_reduced_class_variances(table, sweep)[q_min:])
+    return math.fsum(reduced_class_variances(table, sweep)[q_min:])
 
 
-def _reduced_class_variances(table, sweep: VarianceSweep) -> np.ndarray:
+def reduced_class_variances(table, sweep: VarianceSweep) -> np.ndarray:
     """The reduced-class prime variance of every modulus q <= Q (slot 0
     unused), from a variance_sweep of Lambda up to Q.
 
@@ -339,7 +338,7 @@ def _reduced_class_variances(table, sweep: VarianceSweep) -> np.ndarray:
     two different primes never share one (see _prime_power_class_squares).
     """
     q_max = sweep.v.size - 1
-    s1 = _convolve_ones(sweep.mu * sweep.sums)
+    s1 = convolve_ones(sweep.mu * sweep.sums)
     nr = _prime_power_class_squares(table, q_max)
     out = np.zeros(q_max + 1)
     out[1:] = (sweep.square_sums - nr)[1:] - s1[1:] ** 2 / sweep.phi[1:]
@@ -387,7 +386,7 @@ def _prime_power_class_squares(table, q_max: int) -> np.ndarray:
     n = table.n
     s = math.isqrt(n)
     nr = np.zeros(q_max + 1)
-    primes = _primes_from_spf(table.spf[: min(q_max, n) + 1])
+    primes = primes_from_spf(table.spf[: min(q_max, n) + 1])
     for p in primes[primes <= s].tolist():
         sq = table.lam[p] ** 2
         lp, pt = 1, p                        # L_p: p^lp <= N < p^(lp + 1)

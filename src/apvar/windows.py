@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import (UNIT_ROUNDOFF, Sequence, divisor_sieve, mobius_totient,
+from .arith import (UNIT_ROUNDOFF, Sequence, moduli_tables,
                     ramanujan_correlations)
 
 _SAMPLES = 1 << 16          # bump samples on [0, 1)
@@ -183,7 +183,7 @@ class SmoothWindow:
         out = np.full(z.shape, coeffs[-1], dtype=np.complex128)
         for c in coeffs[-2::-1]:
             out = out * z + c
-        return out if out.size > 1 else complex(out[0])
+        return out if np.ndim(w) else complex(out[0])
 
 
 def build_window(eps: float) -> SmoothWindow:
@@ -218,14 +218,14 @@ def build_weights(kind: str, r_max: int, k: int | None = None) -> WeightSet:
         raise ValueError("R must be at least 2")
     b = np.zeros(r_max + 1)
     if kind == "prime_sieve":
-        mu, _ = mobius_totient(r_max)
+        mu, _, _ = moduli_tables(r_max)
         r = np.arange(1, r_max + 1, dtype=np.float64)
         # + 0.0 turns b_R = mu(R) log 1 = -0.0 into +0.0, and no other bit.
         b[1:] = mu[1:] * np.log(r_max / r) + 0.0
     elif kind == "divisor_k":
         if k is None or k < 2:
             raise ValueError("divisor weights need k >= 2")
-        b[1:] = divisor_sieve(r_max, k - 1)[k - 1][1:] if k > 2 else 1.0
+        b[1:] = moduli_tables(r_max, k - 1)[2][k - 1][1:] if k > 2 else 1.0
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
     return WeightSet(r_max=r_max, b=b)

@@ -12,11 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from apvar.arith import (CapacityError, LagSpectra, Sequence, _convolve_ones,
-                         _primes_from_spf, _spf_recurrence, _spf_sieve,
-                         divisors, gamma, mobius_totient, multiple_sums,
-                         ramanujan_convolution, ramanujan_sum, totient,
-                         underflow)
+from apvar.arith import (CapacityError, LagSpectra, Sequence, _spf_sieve,
+                         convolve_ones, divisors, gamma, moduli_tables,
+                         multiple_sums, primes_from_spf, ramanujan_convolution,
+                         ramanujan_sum, totient, underflow)
 from apvar.circle import ArcSystem
 from apvar.pipeline import ramanujan_tail
 from apvar.variance import _exact_class_sums, exp_variance_H, variance_mod_q
@@ -81,6 +80,15 @@ def triple_contour_polynomial(k: int, log_n: float, log_r: float,
                  for es_s, row in zip(es, rows)]
         total = mp.fsum(terms) / (m_z * m_s * m_w)
         return float(mp.re(total))
+
+
+def leading_coeff_closed_form(k: int) -> Fraction:
+    """The leading coefficient of polynomial_69 in alpha = log R / log N
+    in closed form, (-1)^(k-1) / ((k-1)! (k(k-1)-1)! (k^2-1)): the oracle
+    of dirichlet.leading_coeff_69."""
+    return (Fraction((-1) ** (k - 1))
+            / (math.factorial(k - 1) * math.factorial(k * (k - 1) - 1)
+               * (k * k - 1)))
 
 
 def partial_dirichlet_sum(coeffs: np.ndarray, s: float) -> float:
@@ -184,7 +192,7 @@ def dk_correlation_residue(q: int, k: int, n: int) -> float:
 def ramanujan_tail_from_scratch(seq, q_max, q0) -> float:
     """pipeline.ramanujan_tail of `seq` over q <= q_max with mu, phi and
     every C_d computed afresh, not taken from a variance sweep."""
-    mu, phi = mobius_totient(int(q_max))
+    mu, phi, _ = moduli_tables(int(q_max))
     corrs = ramanujan_convolution(multiple_sums(seq.values, int(q_max)), mu)
     return ramanujan_tail(corrs, phi, q0)
 
@@ -201,7 +209,7 @@ def float_sweep_abs_route(seq, q_max: int) -> tuple:
     eps, l1 = corr.error, float(np.abs(seq.values).sum())
     lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
     err[1:] = lags * eps + gamma(lags) * (l1 * l1 + lags * eps)
-    mu, phi, dk = _spf_recurrence(_spf_sieve(q_max), 2)
+    mu, phi, dk = moduli_tables(q_max, 2)
     m = multiple_sums(seq.values, q_max)
     c = ramanujan_convolution(m.astype(np.float64), mu)
     c_abs = ramanujan_convolution(
@@ -212,7 +220,7 @@ def float_sweep_abs_route(seq, q_max: int) -> tuple:
     w[1:] = c[1:] ** 2 / phi[1:]
     dw[1:] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
         + gamma(4) * w[1:]
-    g, dg = _convolve_ones(w)[1:], _convolve_ones(dw)[1:]
+    g, dg = convolve_ones(w)[1:], convolve_ones(dw)[1:]
     tau = dk[2][1:]
     q = np.arange(1, q_max + 1)
     v = np.zeros(q_max + 1)
@@ -309,7 +317,7 @@ def prime_power_class_squares_pairs(table, q_max: int) -> np.ndarray:
     n = table.n
     s = math.isqrt(n)
     nr = np.zeros(q_max + 1)
-    primes = _primes_from_spf(table.spf[: min(q_max, n) + 1])
+    primes = primes_from_spf(table.spf[: min(q_max, n) + 1])
     for p in primes[primes <= s].tolist():
         powers = [p]
         while powers[-1] * p <= n:
@@ -438,7 +446,7 @@ def singular_constant(k: int, p_cap: int):
     """
     if p_cap < 100:
         raise ValueError("prime cap must be at least 100")
-    x = 1.0 / _primes_from_spf(_spf_sieve(p_cap)).astype(np.float64)
+    x = 1.0 / primes_from_spf(_spf_sieve(p_cap)).astype(np.float64)
     series = sum(math.comb(k - 1, i) ** 2 * x**i for i in range(k))
     local = (1.0 - x) ** ((k - 1) ** 2) * series
     log_product = float(np.sum(np.log(local)))

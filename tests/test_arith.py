@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apvar import arith
-from apvar.arith import (CapacityError, LagSpectra, Sequence, _convolve_ones,
-                         _fft_length, _primes_from_spf, _spf_sieve,
-                         check_lemma1_matrix, d_k_of, divisor_sieve,
-                         divisors, factorize,
+from apvar.arith import (CapacityError, LagSpectra, Sequence, _fft_length,
+                         _spf_sieve, check_lemma1_matrix, convolve_ones,
+                         d_k_of, divisors, factorize,
                          gamma, gen_binomial, is_squarefree,
-                         load_sequence, mobius, mobius_totient, multiple_sums,
-                         ramanujan_convolution, ramanujan_correlations,
-                         ramanujan_row, ramanujan_sum,
+                         load_sequence, mobius, moduli_tables, multiple_sums,
+                         primes_from_spf, ramanujan_convolution,
+                         ramanujan_correlations, ramanujan_row, ramanujan_sum,
                          sieve_all, totient)
 
 from oracles import (convolve_ones_loop, lambda_sieve_loop, mu_phi_sieve_loop,
@@ -305,9 +304,9 @@ def test_divisor_kernels_match_loops_on_integers(table_1e4):
         inputs = (table_1e4.dk[2][: n + 1], table_1e4.dk[3][: n + 1],
                   rng.integers(-1000, 1000, n + 1))
         for emax in kernel_emaxes(n):
-            mu, phi = mobius_totient(max(emax, 1))
+            mu, phi, _ = moduli_tables(emax)
             loop_mu, loop_phi = mu_phi_sieve_loop(
-                max(emax, 1), _primes_from_spf(_spf_sieve(max(emax, 1))))
+                emax, primes_from_spf(_spf_sieve(emax)))
             assert_same(mu, loop_mu)
             assert_same(phi, loop_phi)
             for values in inputs:
@@ -316,7 +315,7 @@ def test_divisor_kernels_match_loops_on_integers(table_1e4):
                 for table in (mu, np.abs(mu)):
                     assert_same(ramanujan_convolution(m, table),
                                 ramanujan_convolution_loop(m, table))
-                assert_same(_convolve_ones(m), convolve_ones_loop(m))
+                assert_same(convolve_ones(m), convolve_ones_loop(m))
 
 
 def test_divisor_kernels_match_loops_on_floats():
@@ -327,12 +326,12 @@ def test_divisor_kernels_match_loops_on_floats():
     for n in KERNEL_NS:
         values = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-3, 4, n + 1)
         for emax in kernel_emaxes(n):
-            mu, _ = mobius_totient(max(emax, 1))
+            mu, _, _ = moduli_tables(emax)
             m = rng.standard_normal(emax + 1)
             assert_same(ramanujan_convolution(m, mu),
                         ramanujan_convolution_loop(m, mu))
             for f in rng.standard_normal((emax + 1, 3)).T:
-                assert_same(_convolve_ones(f), convolve_ones_loop(f))
+                assert_same(convolve_ones(f), convolve_ones_loop(f))
             loop = multiple_sums_loop(values, emax)
             bound = gamma(n // np.arange(1, emax + 1)) \
                 * multiple_sums_loop(np.abs(values), emax)[1:]
@@ -353,7 +352,7 @@ def test_spf_recurrence_matches_loops(block, monkeypatch):
     monkeypatch.setattr(arith, "_BLOCK", block)
     monkeypatch.delenv("APVAR_CACHE_DIR", raising=False)
     top = max(RECURRENCE_NS)
-    primes = _primes_from_spf(_spf_sieve(top))
+    primes = primes_from_spf(_spf_sieve(top))
     loop_mu, loop_phi = mu_phi_sieve_loop(top, primes)
     loop_lam = lambda_sieve_loop(top, primes)
     loop_dk, d = {}, np.ones(top + 1, dtype=np.int64)
@@ -362,8 +361,8 @@ def test_spf_recurrence_matches_loops(block, monkeypatch):
         d = loop_dk[j] = convolve_ones_loop(d)
     for n in RECURRENCE_NS:
         table = sieve_all(n, 5)
-        dk = divisor_sieve(n, 5)
-        for mu, phi in (mobius_totient(n), (table.mu, table.phi)):
+        *mu_phi, dk = moduli_tables(n, 5)
+        for mu, phi in (mu_phi, (table.mu, table.phi)):
             assert_same(mu, loop_mu[: n + 1])
             assert_same(phi, loop_phi[: n + 1])
         assert_same(table.lam, loop_lam[: n + 1])
@@ -385,10 +384,10 @@ def test_divisor_tables_stop_before_int64_wraps():
                       for m in range(2, n + 1)]
     worst = [exact[m] * factorize(m)[0][1] for m in range(2, n + 1)]
     assert max(worst) <= 2**63 - 1
-    assert divisor_sieve(n, top)[top].tolist() == exact
+    assert moduli_tables(n, top)[2][top].tolist() == exact
     for k, size in ((top + 1, n), (100, 2**16)):
         with pytest.raises(CapacityError, match=f"k={k}, N={size}"):
-            divisor_sieve(size, k)
+            moduli_tables(size, k)
 
 
 def test_mobius_totient_at_squares_of_primes():
@@ -397,11 +396,22 @@ def test_mobius_totient_at_squares_of_primes():
     (p + 1)^2."""
     for p in (2, 3, 5, 7, 11, 31, 97, 101):
         for n in (p * p - 1, p * p, p * p + 1, (p + 1) ** 2):
-            mu, phi = mobius_totient(n)
+            mu, phi, _ = moduli_tables(n)
             loop_mu, loop_phi = mu_phi_sieve_loop(
-                n, _primes_from_spf(_spf_sieve(n)))
+                n, primes_from_spf(_spf_sieve(n)))
             assert_same(mu, loop_mu)
             assert_same(phi, loop_phi)
+
+
+def test_moduli_tables_at_zero():
+    """moduli_tables(0, k) is slot 0 alone, every table holding 0; a
+    negative n is a ValueError."""
+    mu, phi, dk = moduli_tables(0, 3)
+    assert sorted(dk) == [2, 3]
+    for table in (mu, phi, *dk.values()):
+        assert table.tolist() == [0]
+    with pytest.raises(ValueError):
+        moduli_tables(-1)
 
 
 def test_fft_length_is_least_5_smooth():

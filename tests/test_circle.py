@@ -8,15 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apvar.arith import CapacityError, Sequence, UNIT_ROUNDOFF, gamma
+from apvar.arith import (CapacityError, LagSpectra, Sequence, UNIT_ROUNDOFF,
+                         gamma)
 from apvar.circle import (ArcSystem, arc_masses, build_spectrum,
                           default_grid_size, major_mask, minor_arc_integral)
 
 from oracles import eval_exp_sum, farey_density_f, is_major
 
 
-def small_arcs(n=1000):
-    return ArcSystem(k_param=6.0, q0=2.0, q=300.0, n=n)
+def small_arcs():
+    return ArcSystem(k_param=6.0, q0=2.0, q=300.0)
 
 
 def test_eval_exp_sum_matches_naive(rng):
@@ -72,7 +73,7 @@ def test_major_mask_agrees_with_pointwise():
 def test_minor_plus_major_equals_total(rng):
     seq = Sequence.from_coeffs(rng.standard_normal(500))
     spec = build_spectrum(seq)
-    arcs = small_arcs(500)
+    arcs = small_arcs()
     res = minor_arc_integral(spec, arcs)
     assert res.value + res.major_value == pytest.approx(spec.power.mean(),
                                                         rel=1e-12)
@@ -82,7 +83,7 @@ def test_minor_plus_major_equals_total(rng):
 
 def test_farey_density_floor():
     # f(alpha) >= (2K/Q0)(1 - 5/K - log K / K) at sampled points
-    arcs = ArcSystem(k_param=8.0, q0=5.0, q=500.0, n=2000)
+    arcs = ArcSystem(k_param=8.0, q0=5.0, q=500.0)
     floor = (2 * arcs.k_param / arcs.q0) * (
         1 - 5 / arcs.k_param - math.log(arcs.k_param) / arcs.k_param)
     for alpha in (0.0, 0.1234, 0.5, 0.381966, 0.7071):
@@ -90,7 +91,7 @@ def test_farey_density_floor():
 
 
 def test_farey_enumeration_cap():
-    arcs = ArcSystem(k_param=8.0, q0=5.0, q=50000.0, n=10**6)
+    arcs = ArcSystem(k_param=8.0, q0=5.0, q=50000.0)
     with pytest.raises(CapacityError):
         farey_density_f(0.5, arcs)
 
@@ -163,10 +164,10 @@ def direct_major(a, b, arcs):
     return value, 2.0 * (bound + UNIT_ROUNDOFF * abs(value))
 
 
-def disjoint_arcs(n=300):
+def disjoint_arcs():
     # K >= 5, N log N / Q <= Q0 <= Q/K^2, Q > K (2 KQ0 - 1): the paper's
     # regime, with disjoint arcs.
-    return ArcSystem(k_param=5.0, q0=6.0, q=300.0, n=n)
+    return ArcSystem(k_param=5.0, q0=6.0, q=300.0)
 
 
 def check_against_direct(arcs, a, b, mass):
@@ -184,10 +185,11 @@ def test_arc_masses_match_direct_double_sum(rng, table_300, window):
     floats = Sequence.from_coeffs(rng.standard_normal(300))
     d2 = Sequence(table_300.dk[2])
     tilde = build_tilde_sequence(300, build_weights("prime_sieve", 12), window)
-    check_against_direct(arcs, floats, floats, arc_masses(arcs, floats).a)
-    exact = arc_masses(arcs, d2).a
+    check_against_direct(arcs, floats, floats,
+                         arc_masses(arcs, LagSpectra([floats])).a)
+    exact = arc_masses(arcs, LagSpectra([d2])).a
     check_against_direct(arcs, d2, d2, exact)
-    pair = arc_masses(arcs, d2, tilde)
+    pair = arc_masses(arcs, LagSpectra([d2, tilde]))
     check_against_direct(arcs, tilde, tilde, pair.tilde)
     check_against_direct(arcs, d2, tilde, pair.cross)
     assert pair.a.major == pytest.approx(exact.major, abs=exact.error)
@@ -199,8 +201,6 @@ def test_arc_masses_leave_spectra_unchanged(rng, table_300):
     """arc_masses reads the spectra it is given and changes none of them,
     on a float sequence and on an integer one (whose autocorrelation is
     the exact int64 row); its masses are those of its own spectra."""
-    from apvar.arith import LagSpectra
-
     arcs = disjoint_arcs()
     floats = Sequence.from_coeffs(rng.standard_normal(300))
     d2 = Sequence(table_300.dk[2])
@@ -209,34 +209,32 @@ def test_arc_masses_leave_spectra_unchanged(rng, table_300):
         before = spectra.correlation(0, 0).rho
         assert before.dtype == dtype
         copies = [x.copy() for x in spectra.spectra]
-        mass = arc_masses(arcs, seq, spectra=spectra).a
+        mass = arc_masses(arcs, spectra).a
         assert all(np.array_equal(x, y)
                    for x, y in zip(spectra.spectra, copies))
         assert np.array_equal(spectra.correlation(0, 0).rho, before)
-        assert mass == arc_masses(arcs, seq).a
+        assert mass == arc_masses(arcs, LagSpectra([seq])).a
 
 
 def test_arc_masses_without_major_arcs():
     """KQ0 = 0 leaves no major arc: major is 0.0, minor is the total, and
     the error is 2 (eps + u |total|), eps the pair bound of the spectra."""
-    from apvar.arith import LagSpectra
-
     seq = Sequence.from_coeffs(np.array([1.0, -2.0, 3.0]))
-    arcs = ArcSystem(k_param=0.5, q0=1.0, q=10.0, n=seq.n)
+    arcs = ArcSystem(k_param=0.5, q0=1.0, q=10.0)
     assert arcs.kq0 == 0
     eps = LagSpectra([seq]).error(0, 0)
     assert eps > 0
-    mass = arc_masses(arcs, seq).a
+    mass = arc_masses(arcs, LagSpectra([seq])).a
     assert mass.major == 0.0
     assert mass.minor == mass.total
     assert mass.error == 2.0 * (eps + UNIT_ROUNDOFF * abs(mass.total))
 
 
 @pytest.mark.parametrize("n, arcs", [
-    (200, ArcSystem(k_param=5.0, q0=3.0, q=400.0, n=200)),
+    (200, ArcSystem(k_param=5.0, q0=3.0, q=400.0)),
     # M = 450: 137 squarefree m in (225, 450] share D = 1, so that group
     # joins the row in two products.
-    (300, ArcSystem(k_param=5.0, q0=90.0, q=4600.0, n=300)),
+    (300, ArcSystem(k_param=5.0, q0=90.0, q=4600.0)),
 ])
 def test_major_weights_match_direct_kernel(n, arcs):
     """Every W(h), h >= 1, against the direct kernel
@@ -274,7 +272,6 @@ def test_spectral_major_matches_lag_dot(rng, table_300, window):
     """Each pair's spectral major mass against the lag-domain dot
     <rho, W>, rho from LagSpectra, for a float row, an exact int64
     row and a cross row, within both bounds."""
-    from apvar.arith import LagSpectra
     from apvar.circle import major_weights
     from apvar.windows import build_tilde_sequence, build_weights
 
@@ -298,7 +295,7 @@ def test_spectral_major_matches_lag_dot(rng, table_300, window):
         ab = math.sqrt(float(a @ a) * float(b @ b))
         lag_bound = (corr.error * l1 + (ab + corr.error) * weights.error
                      + 2 * UNIT_ROUNDOFF * math.fsum(np.abs(terms)))
-        mass = getattr(arc_masses(arcs, seq, aux), name)
+        mass = getattr(arc_masses(arcs, LagSpectra(seqs)), name)
         assert abs(mass.major - lag_dot) <= mass.error + lag_bound
 
 
@@ -337,8 +334,8 @@ def test_arc_masses_property(coeffs, m_top):
     seq = Sequence.from_coeffs(np.array(coeffs))
     k_param = 5.0
     arcs = ArcSystem(k_param=k_param, q0=m_top / k_param,
-                     q=k_param * (2 * m_top + 1), n=seq.n)
-    mass = arc_masses(arcs, seq).a
+                     q=k_param * (2 * m_top + 1))
+    mass = arc_masses(arcs, LagSpectra([seq])).a
     check_against_direct(arcs, seq, seq, mass)
     exact = mp_major(seq.values, arcs)
     assert abs(mass.major - exact) <= mass.error + UNIT_ROUNDOFF * abs(exact)
@@ -347,8 +344,8 @@ def test_arc_masses_property(coeffs, m_top):
 def test_grid_converges_to_exact(table_1e4):
     n = 2000
     seq = Sequence(table_1e4.dk[2][: n + 1])
-    arcs = ArcSystem(k_param=5.0, q0=2.0, q=300.0, n=n)
-    exact = arc_masses(arcs, seq).a
+    arcs = ArcSystem(k_param=5.0, q0=2.0, q=300.0)
+    exact = arc_masses(arcs, LagSpectra([seq])).a
     devs = []
     for t in (1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19):
         grid = minor_arc_integral(build_spectrum(seq, t), arcs)
@@ -374,7 +371,7 @@ def test_exact_cauchy_schwarz_matches_grid(table_1e5):
     spec_a = build_spectrum(seq)
     grid = cauchy_schwarz_bound(seq, tilde, params, spec_a,
                                 build_spectrum(tilde, spec_a.t_grid))
-    masses = arc_masses(params, seq, tilde)
+    masses = arc_masses(params, LagSpectra([seq, tilde]))
     bound_17 = masses.cross.minor**2 / masses.tilde.minor
     assert abs(bound_17 - grid.bound_17) <= grid.quadrature_error
     assert abs(masses.a.minor - grid.minor_a) <= grid.quadrature_error
@@ -382,10 +379,10 @@ def test_exact_cauchy_schwarz_matches_grid(table_1e5):
 
 def test_overlapping_arcs_rejected():
     seq = Sequence.from_coeffs(np.ones(600))
-    overlapping = ArcSystem(k_param=6.0, q0=2.0, q=100.0, n=600)
+    overlapping = ArcSystem(k_param=6.0, q0=2.0, q=100.0)
     with pytest.raises(ValueError, match="K=6.*Q0=2.*Q=100"):
-        arc_masses(overlapping, seq)
+        arc_masses(overlapping, LagSpectra([seq]))
     # One arc, about 0, wider than 1/2.
-    wide = ArcSystem(k_param=5.0, q0=0.2, q=10.0, n=600)
+    wide = ArcSystem(k_param=5.0, q0=0.2, q=10.0)
     with pytest.raises(ValueError):
-        arc_masses(wide, seq)
+        arc_masses(wide, LagSpectra([seq]))

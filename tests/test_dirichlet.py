@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from apvar import dirichlet as dr
 from apvar.arith import gamma, is_squarefree, ramanujan_row, totient
 from oracles import EULER_GAMMA, dk_correlation_residue, \
-    local_factor_closed_form, partial_dirichlet_sum, singular_constant, \
-    triple_contour_polynomial, zeta_mpmath
+    leading_coeff_closed_form, local_factor_closed_form, \
+    partial_dirichlet_sum, singular_constant, triple_contour_polynomial, \
+    zeta_mpmath
 
 
 def test_zeta_against_mpmath():
@@ -211,7 +212,7 @@ def test_singular_constant():
 
 def test_leading_coefficients_exact():
     for k in (2, 3, 4, 5):
-        assert dr.leading_coeff_69(k) == dr.leading_coeff_closed_form(k)
+        assert dr.leading_coeff_69(k) == leading_coeff_closed_form(k)
     assert dr.leading_coeff_69(2) == Fraction(-1, 3)
 
 

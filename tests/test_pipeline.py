@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from apvar.arith import Sequence, divisors, ramanujan_sum, sieve_all, totient
+from apvar.arith import (LagSpectra, Sequence, divisors, ramanujan_sum,
+                         sieve_all, totient)
 from apvar.circle import ArcSystem, arc_masses, build_spectrum
 from apvar.pipeline import (ExperimentConfig, ResolvedParams, assemble_prop13,
                             bulk_residue_predictions, cauchy_schwarz_bound,
@@ -219,7 +220,7 @@ def test_assemble_prop13_d2(table_1e4):
 
 def test_cauchy_schwarz_equality_case(rng):
     seq = Sequence.from_coeffs(rng.standard_normal(400))
-    arcs = ArcSystem(k_param=6.0, q0=2.0, q=150.0, n=400)
+    arcs = ArcSystem(k_param=6.0, q0=2.0, q=150.0)
     spec = build_spectrum(seq)
     cs = cauchy_schwarz_bound(seq, seq, arcs, spec, spec)
     # tilde = seq: the bound collapses to the minor integral itself
@@ -231,7 +232,7 @@ def test_cauchy_schwarz_equality_case(rng):
 def test_cauchy_schwarz_zero_cases(rng):
     seq = Sequence.from_coeffs(rng.standard_normal(300))
     zero = Sequence.from_coeffs(np.zeros(300))
-    arcs = ArcSystem(k_param=6.0, q0=2.0, q=120.0, n=300)
+    arcs = ArcSystem(k_param=6.0, q0=2.0, q=120.0)
     spec = build_spectrum(seq)
     spec0 = build_spectrum(zero)
     cs = cauchy_schwarz_bound(seq, zero, arcs, spec, spec0)
@@ -247,7 +248,7 @@ def test_cauchy_schwarz_below_minor(window, table_1e4):
     from apvar.windows import build_tilde_sequence
     w = build_weights("prime_sieve", 60)
     tilde = build_tilde_sequence(n, w, window)
-    arcs = ArcSystem(k_param=8.0, q0=2.0, q=float(int(n**0.75)), n=n)
+    arcs = ArcSystem(k_param=8.0, q0=2.0, q=float(int(n**0.75)))
     spec_a = build_spectrum(seq)
     spec_t = build_spectrum(tilde, spec_a.t_grid)
     cs = cauchy_schwarz_bound(seq, tilde, arcs, spec_a, spec_t)
@@ -263,8 +264,8 @@ def test_bulk_residue_predictions_match_scalar(window):
     qs = [1, 6, 15]
     bulk = bulk_residue_predictions(qs, 2, n, window)
     for i, q in enumerate(qs):
-        scalar, = residues([q], 2, n, lambda v, s, o: v * n**s
-                           * np.asarray(window.mellin(s)))
+        scalar, = residues([q], 2, n,
+                           lambda v, s, o: v * n**s * window.mellin(s))
         assert bulk[i] == pytest.approx(scalar.value, rel=1e-8)
 
 
@@ -313,7 +314,7 @@ def test_run_theorem2_pair_is_exact_arc_masses(k, ending):
     p = report.params
     tilde = build_tilde_sequence(n, build_weights("divisor_k", int(p["R"]),
                                                   k=k), build_window(0.05))
-    masses = arc_masses(resolve_params(cfg), seq, tilde)
+    masses = arc_masses(resolve_params(cfg), LagSpectra([seq, tilde]))
     assert report.minor_integral == masses.a.minor
     assert report.cs_numerator == abs(masses.cross.minor)
     assert report.cs_denominator == masses.tilde.minor
@@ -359,7 +360,7 @@ def test_run_theorem1_lhs_and_tail_from_shared_sums():
     params = resolve_params(ExperimentConfig(experiment="theorem1", n=n))
     tilde = build_tilde_sequence(n, build_weights("prime_sieve", int(p["R"])),
                                  build_window(0.05))
-    masses = arc_masses(params, table.lambda_sequence(), tilde)
+    masses = arc_masses(params, LagSpectra([table.lambda_sequence(), tilde]))
     assert report.minor_integral == masses.a.minor
     assert report.cs_denominator == masses.tilde.minor
 
@@ -375,7 +376,8 @@ def test_assemble_prop13_shares_one_autocorrelation(rng):
     assert report.lhs_variance_sum == math.fsum(sweep.v[4:])
     assert report.ramanujan_tail == ramanujan_tail_from_scratch(
         seq, 400.0, 3.0)
-    assert report.minor_integral == arc_masses(params, seq).a.minor
+    assert report.minor_integral == arc_masses(
+        params, LagSpectra([seq])).a.minor
 
 
 @pytest.mark.parametrize("kind", ["theorem1", "theorem2-first",

@@ -111,3 +111,31 @@ def test_every_definition_is_reached():
     assert not names, ("defined in src/apvar but reached from no command, "
                        "gate import or benchmark span: " + ", ".join(names))
 
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def private_imports() -> list:
+    """Each `from .x import _name, ...` in src/apvar that binds another
+    module's single-underscore names, as 'module: from .x import names'."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for imp in ast.walk(ast.parse(path.read_text())):
+            if isinstance(imp, ast.ImportFrom) and imp.level:
+                names = [a.name for a in imp.names
+                         if a.name.startswith("_") and not _dunder(a.name)]
+                if names:
+                    out.append(f"{path.stem}: from {'.' * imp.level}"
+                               f"{imp.module or ''} import {', '.join(names)}")
+    return out
+
+
+def test_no_module_imports_private_names():
+    """A module's single-underscore names are its own: what another
+    module reads is public, so each fact crosses a module seam by one
+    named route."""
+    found = private_imports()
+    assert not found, ("src/apvar imports private names across modules: "
+                       + "; ".join(found))

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apvar.arith import (Sequence, divisors, factorize, gamma, load_sequence,
-                         mobius_totient, ramanujan_correlations,
+                         moduli_tables, ramanujan_correlations,
                          ramanujan_sum, sieve_all, totient)
 from apvar.variance import (_prime_power_class_squares, check_identity_prop1,
                             exp_variance_H, residue_sums,
@@ -191,7 +191,7 @@ def test_variance_rows_exact_match_per_q_oracle(n, q_max):
 def test_totient_divides_along_divisors():
     """phi(d) | phi(q) for every d | q <= 10^4: the single denominator
     q phi(q) of variance_rows."""
-    _, phi = mobius_totient(10**4)
+    _, phi, _ = moduli_tables(10**4)
     for d in range(1, 10**4 + 1):
         assert not np.any(phi[d::d] % phi[d]), d
 
@@ -247,12 +247,12 @@ def test_nonnegative_float_sweep_matches_abs_route(table_1e4, rng):
 
 def test_sweep_keeps_its_mobius_table(table_1e4):
     """The sweep's mu, which the reduced-class LHS reads in place of the
-    sieve table's, is mobius_totient(q_max)[0] in dtype and bytes, also
+    sieve table's, is moduli_tables(q_max)[0] in dtype and bytes, also
     past N."""
     seq = table_1e4.lambda_sequence()
     for q_max in (1, 2, 5623, 12000):
         mu = variance_sweep(seq, q_max).mu
-        expected = mobius_totient(q_max)[0]
+        expected = moduli_tables(q_max)[0]
         assert mu.dtype == expected.dtype
         assert mu.tobytes() == expected.tobytes()
 
@@ -417,7 +417,7 @@ def test_prime_power_class_squares_brute_force():
 def test_sweep_rows_do_not_depend_on_its_length(n, data):
     """variance_sweep(seq, q_max).v[:r + 1] has the bytes of
     variance_sweep(seq, r).v for every r <= q_max, on float and integer
-    sequences: multiple_sums, ramanujan_convolution and _convolve_ones add
+    sequences: multiple_sums, ramanujan_convolution and convolve_ones add
     an entry's terms in an order that does not depend on the table
     length.  The CLI takes its plot rows from the chain's sweep on that
     ground."""

@@ -95,6 +95,17 @@ def test_mellin_moments_match_midpoint_sum(eps, n):
     assert np.all(np.abs(got - direct) <= stated + own)
 
 
+def test_mellin_shape_follows_input(window):
+    """As phi_hat: a scalar w gives a complex, an array of any size, one
+    included, an array of its shape with the scalar values."""
+    w = 1.2 + 0.1j
+    assert isinstance(window.mellin(w), complex)
+    for shape in ((1,), (1, 1), (2, 3)):
+        got = window.mellin(np.full(shape, w))
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        assert np.all(got == window.mellin(w))
+
+
 def test_mellin_raises_past_certified_range(window):
     with pytest.raises(ValueError, match=r"\|w - 1\| = 5 ") as info:
         window.mellin(6.0)
