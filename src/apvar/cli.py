@@ -136,7 +136,7 @@ def _verify_euler() -> list:
     times (the 20 Bernoulli terms are below 10^-3 of the sum), within
     gamma_60 relative, and its k-th power adds
     gamma_k; each local factor of F_q(2) is within the bound of
-    dirichlet._local_factor, at most 100 u times T/|value| <= 13 for the
+    dirichlet._local_factors, at most 100 u times T/|value| <= 13 for the
     p^a || q and k here (q in {1, 4, 6}, k <= 3), and F_q has at most two.
     That is under 2^12 u |pred| in all.  Evaluating B takes at most
     2k + 4 roundings, so B is within gamma_(2k+4) B of its value.
@@ -145,12 +145,14 @@ def _verify_euler() -> list:
     x = 200000
     tab = sieve_all(x, 3)
     ns2 = np.arange(1, x + 1, dtype=np.float64) ** 2
+    dks = {k: tab.dk[k][1:].astype(np.float64) for k in (2, 3)}
+    zeta2 = zeta_near_one(2.0)
     for q in (1, 4, 6):
         # One Ramanujan row per q, shared by both k.
         terms = ramanujan_row(q, x) / ns2
         for k in (2, 3):
-            direct = float(np.dot(tab.dk[k][1:], terms))
-            pred = (zeta_near_one(2.0) ** k * euler_F_q(q, k, 2.0)).real
+            direct = float(np.dot(dks[k], terms))
+            pred = (zeta2 ** k * euler_F_q(q, k, 2.0)).real
             bound = _euler_tail_bound(q, k, x)
             rounding = float(
                 gamma(x + 1) * totient(q) * (math.pi**2 / 6.0) ** k

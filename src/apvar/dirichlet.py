@@ -74,8 +74,9 @@ def zeta_near_one(s):
 # Local Euler factors
 
 
-def _local_factor(p: int, a: int, k: int, s: np.ndarray) -> np.ndarray:
-    """The factor at p^a || q of F_q(s), on a 1-d s.
+def _local_factors(primes: list, a: int, k: int, s: np.ndarray) -> np.ndarray:
+    """The factors at p^a || q of F_q(s) for every p in `primes`, one row
+    per p, on a 1-d s: one broadcast of the primes' column against s.
 
     With x = p^-s and m = a + k - 1, the inner series of
     d_k(p^b) = C(b + k - 1, k - 1) is a binomial tail,
@@ -83,7 +84,9 @@ def _local_factor(p: int, a: int, k: int, s: np.ndarray) -> np.ndarray:
             = sum_{i < k} C(m, i) (1 - x)^i x^(m - i) =: P(x),
     the chance of at least a successes in m trials of chance x.  So
     F = -d_k(p^(a-1)) p^(-(a-1)(s-1)) (1 - x)^k + phi(p^a) P(x) is a
-    finite sum, valid for every s.
+    finite sum, valid for every s.  p and phi(p^a) = p^(a-1) (p - 1)
+    reach numpy as floats, rounded once from exact integers, so a large
+    p^a never passes through int64.
 
     Rounding (u = 2^-53, gamma_n = n u/(1 - n u)).  numpy forms x and the
     head's h = p^w, w = -(a-1)(s-1), as exp(z log p) with z = -s or w.
@@ -103,29 +106,39 @@ def _local_factor(p: int, a: int, k: int, s: np.ndarray) -> np.ndarray:
     T / |value| is the cancellation between the head and P(x) at high
     prime powers, the accuracy's only amplifier.
     """
+    p = np.array(primes, dtype=np.float64)[:, None]
+    phi = np.array([float(v ** (a - 1) * (v - 1)) for v in primes])[:, None]
     m = a + k - 1
     x = p ** (-s)
     y = 1.0 - x
     local = sum(math.comb(m, i) * y**i * x ** (m - i) for i in range(k))
     head = -d_k_prime_power(k, a - 1) * p ** (-(a - 1) * (s - 1.0))
-    return head * y**k + totient(p**a) * local
+    return head * y**k + phi * local
 
 
 def euler_factors(qs, k: int, s) -> np.ndarray:
     """F_q(s) for every q in qs, one row per q, shape (len(qs),) + shape(s).
 
-    Each local factor is built once per call and the factors of q are
-    multiplied in factorize order.
+    Every distinct local factor (p, a) is built once, in one broadcast
+    per exponent a (_local_factors); then, slot by slot in factorize
+    order, every row with a factor in that slot is multiplied by it.  So
+    each row is its factors' product taken in factorize order, starting
+    from 1.
     """
     s = np.asarray(s, dtype=np.complex128)
     flat = s.reshape(-1)
-    cache = {}
+    factors = [factorize(q) for q in qs]
+    pairs = sorted({pa for f in factors for pa in f}, key=lambda pa: pa[::-1])
+    slot = {pa: i for i, pa in enumerate(pairs)}
+    table = np.empty((len(pairs), flat.size), dtype=np.complex128)
+    for a in sorted({a for _, a in pairs}):
+        group = [i for i, (_, b) in enumerate(pairs) if b == a]
+        table[group[0] : group[-1] + 1] = _local_factors(
+            [pairs[i][0] for i in group], a, k, flat)
     rows = np.ones((len(qs), flat.size), dtype=np.complex128)
-    for i, q in enumerate(qs):
-        for p, a in factorize(q):
-            if (p, a) not in cache:
-                cache[p, a] = _local_factor(p, a, k, flat)
-            rows[i] = rows[i] * cache[p, a]
+    for j in range(max(map(len, factors), default=0)):
+        has = [i for i, f in enumerate(factors) if len(f) > j]
+        rows[has] = rows[has] * table[[slot[factors[i][j]] for i in has]]
     return rows.reshape((len(qs),) + s.shape)
 
 
@@ -162,7 +175,7 @@ def _trapezoid(rows: np.ndarray, labels):
     (eta + 2 gamma_2M) mean |r|, and f allows eta = 2 gamma_2M: at least
     96 u at 48 nodes, where each sample is a product of a few factors
     (zeta^k, the Euler rows, the weight, the offset), each within some
-    tens of u unless it cancels (`_local_factor`).  The value itself is
+    tens of u unless it cancels (`_local_factors`).  The value itself is
     within the same (eta + gamma_2M) mean |r| <= f of its exact rule; a
     residue that is 0 by cancellation (q > 1 at k = 1, where
     zeta(s) F_q(s) is entire) is left with about that much.
@@ -212,7 +225,7 @@ def residues(qs, k: int, n: float, weight=None, count: int = 128) -> list:
                          f"|s - 1| = 1/log n keeps 1/4 from s = 0; got n={n}")
     s, offsets = contour_nodes(1.0, 1.0 / math.log(n), count)
     # Past float64 (large k) the samples come out inf or nan, which
-    # _trapezoid refuses, or a binomial of _local_factor overflows.
+    # _trapezoid refuses, or a binomial of _local_factors overflows.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             rows = zeta_near_one(s) ** k * euler_factors(qs, k, s)

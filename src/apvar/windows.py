@@ -8,9 +8,10 @@ series in cached log-moments of the window.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .arith import (UNIT_ROUNDOFF, Sequence, moduli_tables,
                     ramanujan_correlations)
 
 _SAMPLES = 1 << 16          # bump samples on [0, 1)
-_MOMENTS = 64               # highest cached log-moment of the Mellin series
+_MOMENTS = 64               # highest log-moment of the Mellin series
 _FACTORIALS = np.array([float(math.factorial(j)) for j in range(_MOMENTS + 1)])
 
 
@@ -41,18 +42,74 @@ def _smoothstep(x):
     return out
 
 
+class _LogMoments:
+    """The log-moments mu_j = (1/m) sum_i Phi(y_i) (log y_i)^j over the
+    midpoints y_i = (i + 1/2)/m, m = 2^16, each computed once, in order,
+    the first time a call needs it; and L = max |log y_i| over the y_i
+    with Phi(y_i) > 0."""
+
+    def __init__(self, window: SmoothWindow):
+        y = (np.arange(_SAMPLES) + 0.5) / _SAMPLES
+        self._term = window.phi(y)          # Phi(y_i) (log y_i)^j, next j
+        self._log_y = np.log(y)
+        self.big_l = float(-self._log_y[np.flatnonzero(self._term)[0]])
+        self._mu = []
+
+    def upto(self, j: int) -> np.ndarray:
+        """mu_0, ..., mu_j."""
+        while len(self._mu) <= j:
+            self._mu.append(self._term.sum() / _SAMPLES)
+            self._term *= self._log_y
+        return np.array(self._mu[: j + 1])
+
+
+@cache
+def _gauss_panels() -> tuple:
+    """(t, w): 10 Gauss-Legendre nodes on each of 256 panels of [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    panels = 256
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    mid = (edges[1:] + edges[:-1]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
+    return t, w
+
+
 @dataclass
 class SmoothWindow:
     eps: float
+    _grids: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.eps < 0.25:
             raise ValueError("eps must lie in (0, 1/4)")
 
+    def _grid_edges(self, n: int) -> tuple:
+        """(lo, hi, head, tail) on the grid t_i = i/n, i <= n: Phi(t_i) is
+        exactly 1.0 for lo <= i < hi, head holds Phi(t_i) for i < lo and
+        tail for hi <= i <= n.  phi's plateau test, t/eps >= 1 and
+        (1 - t)/eps >= 1, holds on an interval of i, found by bisection
+        with the same float operations; computed once per n."""
+        if n not in self._grids:
+            eps = self.eps
+            grid = range(n + 1)
+            lo = bisect.bisect_left(grid, True,
+                                    key=lambda i: i / n / eps >= 1.0)
+            hi = max(lo, bisect.bisect_left(
+                grid, True, key=lambda i: (1.0 - i / n) / eps < 1.0))
+            self._grids[n] = (lo, hi, self.phi(np.arange(lo) / n),
+                              self.phi(np.arange(hi, n + 1) / n))
+        return self._grids[n]
+
     @cached_property
     def _samples(self) -> np.ndarray:
         """Phi(i/m), i < m = 2^16."""
-        return self.phi(np.arange(_SAMPLES) / _SAMPLES)
+        lo, hi, head, tail = self._grid_edges(_SAMPLES)
+        out = np.ones(_SAMPLES)
+        out[:lo], out[hi:] = head, tail[:-1]
+        return out
 
     # Rectangle rule is spectrally accurate here: the integrand is smooth
     # and vanishes to all orders at 0 and 1.
@@ -79,67 +136,95 @@ class SmoothWindow:
 
     def phi_hat(self, xi):
         """Fourier transform Phi^(xi) = int Phi(t) e(-xi t) dt, as the
-        rectangle sum (1/m) sum_(i<m) Phi(i/m) e(-xi i/m), m = 2^16;
-        vectorized over xi.  The sum is spectrally accurate for the same
-        reason as phi_int, which is its value at xi = 0.  Phi is real, so
-        each value is two real dot products, with cos and sin."""
+        rectangle sum R(xi) = (1/m) sum_(i<m) Phi(i/m) e(-xi i/m),
+        m = 2^16; vectorized over xi.  The sum is spectrally accurate for
+        the same reason as phi_int, which is its value at xi = 0.
+
+        R is m-periodic in xi, so xi is first reduced to
+        psi = xi - m round(xi/m), |psi| <= m/2, which is exact (m is a
+        power of two).  Phi(i/m) is exactly 1.0 on the plateau
+        a <= i <= b (_grid_edges); with c = (a + b)/2 and L = b - a + 1
+        those terms sum to a Dirichlet kernel, so
+            R(xi) = e(-psi c/m) [(L/m) sinc(psi L/m) / sinc(psi/m)
+                                 + (1/m) sum_E Phi(i/m) e(-psi (i - c)/m)],
+        sinc(x) = sin(pi x)/(pi x), and only the edge samples E, the
+        other i < m (6,381 of the 65,536 at eps = 0.05), take a cos and
+        a sin.
+
+        Rounding (u = 2^-53, gamma_k = k u/(1 - k u); cos, sin and the
+        sin inside sinc within 4 ulps, so 8u absolute and relative), with
+        S = (1/m) sum_E Phi(i/m):
+        * Edges: an angle 2 pi psi (i - c)/m rounds three times, pi's own
+          rounding included, and |i - c| <= m/2, so it moves by at most
+          gamma_3 pi |psi|.  With the cos or sin, the product with Phi and
+          numpy's pairwise sum (at most 28 roundings a term for m terms),
+          each component is within (gamma_3 pi |psi| + gamma_37) S.
+        * Plateau: inside the numerator sinc the argument pi psi L/m moves
+          by gamma_3 of itself, and |d/dy sin(y)/y| <= min(0.44, 2/|y|),
+          so with its sin and division it is within 2 gamma_3 + 9u <= 15u.
+          The denominator sinc(psi/m) lies in [2/pi, 1] and is within 13u
+          relative, and |sinc(psi L/m)/sinc(psi/m)| <= 1 (a Dirichlet
+          kernel is at most L).  With the product and quotient the plateau
+          term is within ((pi/2) 15u + 15u) L/m <= 40u.
+        * Phase: e(-psi c/m) is within gamma_3 2 pi |psi| + 12u; the
+          plateau term is at most min(L/m, 1/(2 |psi|)), as
+          |sin(pi psi/m)| >= 2 |psi|/m, so the phase costs at most
+          gamma_3 pi + 12u on it and (gamma_3 2 pi |psi| + 12u) S on the
+          edges.  The sum in the bracket and the final complex product add
+          5u (1 + S).
+        In all, the value is within
+            ((34 |psi| + 72) S + 80) u
+        of the rectangle sum R(xi) of the sampled Phi."""
         xi = np.asarray(xi, dtype=np.float64)
-        t = np.arange(_SAMPLES) / _SAMPLES
-        out = np.empty(xi.size, dtype=np.complex128)
-        for i, x in enumerate(xi.ravel()):
-            angle = 2.0 * np.pi * x * t
-            out[i] = complex(np.dot(self._samples, np.cos(angle)),
-                             -np.dot(self._samples, np.sin(angle)))
-        out /= _SAMPLES
+        psi = xi.ravel() - _SAMPLES * np.round(xi.ravel() / _SAMPLES)
+        lo, hi, head, tail = self._grid_edges(_SAMPLES)
+        centre = (lo + hi - 1) / 2.0
+        width = (hi - lo) / _SAMPLES
+        edges = np.concatenate([np.arange(lo), np.arange(hi, _SAMPLES)])
+        weights = np.concatenate([head, tail[:-1]])
+        angle = (2.0 * np.pi * psi)[:, None] * ((edges - centre) / _SAMPLES)
+        edge_sum = ((weights * np.cos(angle)).sum(axis=1)
+                    - 1j * (weights * np.sin(angle)).sum(axis=1))
+        plateau = width * np.sinc(psi * width) / np.sinc(psi / _SAMPLES)
+        phase = 2.0 * np.pi * psi * (centre / _SAMPLES)
+        out = ((np.cos(phase) - 1j * np.sin(phase))
+               * (plateau + edge_sum / _SAMPLES))
         return complex(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
 
     def phi_hat_quad(self, xi: float) -> complex:
         """Independent composite Gauss-Legendre evaluation, 10 nodes on
         each of 256 panels (phi_hat's oracle)."""
-        nodes, weights = np.polynomial.legendre.leggauss(10)
-        panels = 256
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        w = (half[:, None] * weights[None, :]).ravel()
+        t, w = _gauss_panels()
         vals = self.phi(t) * np.exp(-2j * np.pi * xi * t)
         return complex(np.dot(w, vals))
 
     @cached_property
-    def _log_moments(self):
-        """(mu, L): the log-moments mu_j = (1/m) sum_i Phi(y_i) (log y_i)^j,
-        j <= _MOMENTS, over the midpoints y_i = (i + 1/2)/m, m = 2^16, and
-        L = max |log y_i| over the y_i with Phi(y_i) > 0."""
-        m = _SAMPLES
-        y = (np.arange(m) + 0.5) / m
-        p = self.phi(y)
-        log_y = np.log(y)
-        big_l = float(-log_y[np.flatnonzero(p)[0]])
-        mu = np.empty(_MOMENTS + 1)
-        for j in range(_MOMENTS + 1):
-            mu[j] = p.sum() / m
-            p *= log_y
-        return mu, big_l
+    def _moments(self) -> _LogMoments:
+        return _LogMoments(self)
 
     def _mellin_order(self, r: float) -> int | None:
         """The first T <= _MOMENTS whose tail bound (see mellin) at
-        |w - 1| <= r is at most u |mu_0|, or None if there is none."""
-        mu, big_l = self._log_moments
+        |w - 1| <= r is at most u |mu_0|, or None if there is none; the
+        log-moments are computed up to mu_T and no further."""
+        moments = self._moments
         t = np.arange(1, _MOMENTS + 1)
-        room = 1.0 - r * big_l / (t + 1)
-        tail = np.divide(r**t * np.abs(mu[1:]) / _FACTORIALS[1:], room,
-                         out=np.full(t.shape, np.inf), where=room > 0)
-        ok = np.flatnonzero(tail <= UNIT_ROUNDOFF * abs(mu[0]))
-        return int(t[ok[0]]) if ok.size else None
+        room = 1.0 - r * moments.big_l / (t + 1)
+        powers = r**t
+        target = UNIT_ROUNDOFF * abs(moments.upto(0)[0])
+        for j in t[room > 0].tolist():
+            tail = powers[j - 1] * abs(moments.upto(j)[j]) / _FACTORIALS[j]
+            if tail / room[j - 1] <= target:
+                return j
+        return None
 
     def mellin(self, w):
         """The midpoint sum (1/m) sum_i Phi(y_i) y_i^(w-1), y_i = (i + 1/2)/m,
         m = 2^16, for int_0^1 Phi(y) y^(w-1) dy; vectorized over complex w.
 
         With z = w - 1, y^z = sum_j (z log y)^j / j! turns the sum into
-        sum_j z^j mu_j / j! with the cached log-moments mu_j (_log_moments),
-        evaluated for every w by Horner's rule on its first T terms.
+        sum_j z^j mu_j / j! with the log-moments mu_j (_LogMoments),
+        evaluated for every w by Horner's rule on its first T terms; only
+        mu_0..mu_T are computed.
 
         Truncation.  Every midpoint has log y_i < 0, so the terms of mu_j
         share one sign and A_j = (1/m) sum_i Phi(y_i) |log y_i|^j = |mu_j|;
@@ -167,7 +252,6 @@ class SmoothWindow:
                       + ((1 + r) e^r + 4T) e0
         of the midpoint sum of the sampled Phi.
         """
-        mu, _ = self._log_moments
         z = np.atleast_1d(np.asarray(w, dtype=np.complex128)) - 1.0
         r = float(np.max(np.abs(z)))
         order = self._mellin_order(r)
@@ -179,7 +263,7 @@ class SmoothWindow:
             raise ValueError(
                 f"mellin: |w - 1| = {r:.6g} is past the certified range "
                 f"|w - 1| <= {lo:.6g} of the window's {_MOMENTS} log-moments")
-        coeffs = mu[:order] / _FACTORIALS[:order]
+        coeffs = self._moments.upto(order - 1) / _FACTORIALS[:order]
         out = np.full(z.shape, coeffs[-1], dtype=np.complex128)
         for c in coeffs[-2::-1]:
             out = out * z + c
@@ -191,9 +275,14 @@ def build_window(eps: float) -> SmoothWindow:
 
 
 def windowed(values: np.ndarray, window: SmoothWindow) -> Sequence:
-    """The sequence a_n Phi(n/N) of values a_0..a_N."""
+    """The sequence a_n Phi(n/N) of values a_0..a_N: a_n times Phi(n/N)
+    off Phi's plateau, and a_n itself on it, where Phi(n/N) is 1.0."""
     n = len(values) - 1
-    return Sequence(values * window.phi(np.arange(n + 1) / n))
+    lo, hi, head, tail = window._grid_edges(n)
+    out = np.array(values, dtype=np.float64)
+    out[:lo] *= head
+    out[hi:] *= tail
+    return Sequence(out)
 
 
 # ---------------------------------------------------------------------------

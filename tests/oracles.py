@@ -12,14 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from apvar.arith import (CapacityError, LagSpectra, Sequence, _spf_sieve,
-                         convolve_ones, divisors, gamma, moduli_tables,
-                         multiple_sums, primes_from_spf, ramanujan_convolution,
+from apvar.arith import (UNIT_ROUNDOFF, CapacityError, LagSpectra, Sequence,
+                         _spf_sieve, convolve_ones, d_k_prime_power, divisors,
+                         factorize, gamma, moduli_tables, multiple_sums,
+                         primes_from_spf, ramanujan_convolution,
                          ramanujan_sum, totient, underflow)
 from apvar.circle import ArcSystem
 from apvar.pipeline import ramanujan_tail
 from apvar.variance import _exact_class_sums, exp_variance_H, variance_mod_q
-from apvar.windows import SmoothWindow, WeightSet, weight_sum_q
+from apvar.windows import (_FACTORIALS, _MOMENTS, _SAMPLES, SmoothWindow,
+                           WeightSet, weight_sum_q)
 
 EULER_GAMMA = 0.5772156649015329
 FAREY_ENUMERATION_CAP = 10_000
@@ -335,6 +337,120 @@ def prime_power_class_squares_pairs(table, q_max: int) -> np.ndarray:
         top = np.searchsorted(large, q_max // j, side="right")
         nr[j * large[:top]] += squares[:top]
     return nr
+
+
+# ---------------------------------------------------------------------------
+# The window and residue ingredients over all their terms: phi_hat as the
+# full rectangle sum, the Euler factors one (p, a) at a time, and the
+# Mellin series from all _MOMENTS + 1 log-moments, kept to pin the routes
+# that skip the plateau, broadcast the factors and stop at the order used.
+
+
+def phi_hat_full_sum(window: SmoothWindow, xi):
+    """SmoothWindow.phi_hat as the rectangle sum over all m = 2^16
+    samples, xi unreduced: two dot products a value, with cos and sin.
+    With u = 2^-53 and gamma_k = k u/(1 - k u), the angle 2 pi xi i/m
+    moves by gamma_3 2 pi |xi| i/m, cos and sin add 8u, the product u
+    and a dot product in any order gamma_m, so each component is within
+    (1/m) sum_i Phi(i/m) (gamma_3 2 pi |xi| i/m + 9u + gamma_m)
+    (phi_hat_full_sum_bound)."""
+    xi = np.asarray(xi, dtype=np.float64)
+    t = np.arange(_SAMPLES) / _SAMPLES
+    out = np.empty(xi.size, dtype=np.complex128)
+    for i, x in enumerate(xi.ravel()):
+        angle = 2.0 * np.pi * x * t
+        out[i] = complex(np.dot(window._samples, np.cos(angle)),
+                         -np.dot(window._samples, np.sin(angle)))
+    out /= _SAMPLES
+    return complex(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
+
+
+def phi_hat_full_sum_bound(window: SmoothWindow, xi) -> np.ndarray:
+    """The rounding bound of phi_hat_full_sum's docstring, both
+    components together (a factor sqrt 2)."""
+    t = np.arange(_SAMPLES) / _SAMPLES
+    first = float(np.sum(window._samples * t)) / _SAMPLES
+    return math.sqrt(2.0) * (
+        gamma(3) * 2.0 * math.pi * np.abs(np.asarray(xi)) * first
+        + (9.0 * UNIT_ROUNDOFF + gamma(_SAMPLES)) * window.phi_int)
+
+
+def local_factor_per_pair(p: int, a: int, k: int, s: np.ndarray) -> np.ndarray:
+    """dirichlet._local_factors for the one prime p, with p and phi(p^a)
+    as Python integers."""
+    m = a + k - 1
+    x = p ** (-s)
+    y = 1.0 - x
+    local = sum(math.comb(m, i) * y**i * x ** (m - i) for i in range(k))
+    head = -d_k_prime_power(k, a - 1) * p ** (-(a - 1) * (s - 1.0))
+    return head * y**k + totient(p**a) * local
+
+
+def euler_factors_per_pair(qs, k: int, s) -> np.ndarray:
+    """dirichlet.euler_factors one local factor (p, a) at a time, each
+    built once and multiplied into each of its rows in factorize order."""
+    s = np.asarray(s, dtype=np.complex128)
+    flat = s.reshape(-1)
+    cache = {}
+    rows = np.ones((len(qs), flat.size), dtype=np.complex128)
+    for i, q in enumerate(qs):
+        for p, a in factorize(q):
+            if (p, a) not in cache:
+                cache[p, a] = local_factor_per_pair(p, a, k, flat)
+            rows[i] = rows[i] * cache[p, a]
+    return rows.reshape((len(qs),) + s.shape)
+
+
+def log_moments_all(window: SmoothWindow) -> tuple:
+    """(mu, L): all the log-moments mu_0..mu_64 of SmoothWindow.mellin
+    and L, computed in one pass."""
+    m = _SAMPLES
+    y = (np.arange(m) + 0.5) / m
+    p = window.phi(y)
+    log_y = np.log(y)
+    big_l = float(-log_y[np.flatnonzero(p)[0]])
+    mu = np.empty(_MOMENTS + 1)
+    for j in range(_MOMENTS + 1):
+        mu[j] = p.sum() / m
+        p *= log_y
+    return mu, big_l
+
+
+def mellin_order_all(window: SmoothWindow, r: float) -> int | None:
+    """SmoothWindow._mellin_order with every tail bound evaluated at
+    once, from log_moments_all."""
+    return _order_all(*log_moments_all(window), r)
+
+
+def _order_all(mu: np.ndarray, big_l: float, r: float) -> int | None:
+    t = np.arange(1, _MOMENTS + 1)
+    room = 1.0 - r * big_l / (t + 1)
+    tail = np.divide(r**t * np.abs(mu[1:]) / _FACTORIALS[1:], room,
+                     out=np.full(t.shape, np.inf), where=room > 0)
+    ok = np.flatnonzero(tail <= UNIT_ROUNDOFF * abs(mu[0]))
+    return int(t[ok[0]]) if ok.size else None
+
+
+def mellin_all(window: SmoothWindow, w):
+    """SmoothWindow.mellin from all the log-moments (log_moments_all),
+    with its ValueError past the certified range."""
+    mu, big_l = log_moments_all(window)
+    z = np.atleast_1d(np.asarray(w, dtype=np.complex128)) - 1.0
+    r = float(np.max(np.abs(z)))
+    order = _order_all(mu, big_l, r)
+    if order is None:
+        lo, hi = 0.0, r
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _order_all(mu, big_l, mid) else (lo, mid)
+        raise ValueError(
+            f"mellin: |w - 1| = {r:.6g} is past the certified range "
+            f"|w - 1| <= {lo:.6g} of the window's {_MOMENTS} log-moments")
+    coeffs = mu[:order] / _FACTORIALS[:order]
+    out = np.full(z.shape, coeffs[-1], dtype=np.complex128)
+    for c in coeffs[-2::-1]:
+        out = out * z + c
+    return out if np.ndim(w) else complex(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from apvar import dirichlet as dr
 from apvar.arith import gamma, is_squarefree, ramanujan_row, totient
 from oracles import EULER_GAMMA, dk_correlation_residue, \
-    leading_coeff_closed_form, local_factor_closed_form, \
-    partial_dirichlet_sum, singular_constant, triple_contour_polynomial, \
-    zeta_mpmath
+    euler_factors_per_pair, leading_coeff_closed_form, \
+    local_factor_closed_form, partial_dirichlet_sum, singular_constant, \
+    triple_contour_polynomial, zeta_mpmath
 
 
 def test_zeta_against_mpmath():
@@ -55,8 +55,29 @@ def test_euler_products_vs_partial_sums(table_1e5):
             assert direct == pytest.approx(pred, abs=tol)
 
 
+@pytest.mark.parametrize("count", [48, 128])
+def test_euler_factors_bits_equal_per_pair(count):
+    """The broadcast table of local factors gives every row bit for bit
+    as one (p, a) at a time with integer p and phi(p^a), for q <= 400
+    and k in {1, 2, 3, 4, 7} on the contours for N = 29 366 and 10^6,
+    and for the high prime powers of the rounding-bound test below,
+    whose phi(p^a) (389^8 > 2^63) does not fit an int64."""
+    qs = list(range(1, 401))
+    for n in (29366, 10**6):
+        s, _ = dr.contour_nodes(1.0, 1.0 / math.log(n), count)
+        for k in (1, 2, 3, 4, 7):
+            assert (dr.euler_factors(qs, k, s).tobytes()
+                    == euler_factors_per_pair(qs, k, s).tobytes()), (n, k)
+    s = np.concatenate([s, [0.05, -0.5 + 0j, 2.0]])
+    powers = [p**a for p in (2, 3, 5, 7, 11, 101, 389) for a in range(1, 9)]
+    for k in (2, 3, 4):
+        assert (dr.euler_factors(powers, k, s).tobytes()
+                == euler_factors_per_pair(powers, k, s).tobytes()), k
+    assert dr.euler_factors([], 3, s).shape == (0, s.size)
+
+
 def _rounding_bound(p, a, k, s):
-    """The rounding bound of dirichlet._local_factor's docstring at each s."""
+    """The rounding bound of dirichlet._local_factors' docstring at each s."""
     u = 2.0**-53
     m = a + k - 1
     log_p = math.log(p)
@@ -73,7 +94,7 @@ def _rounding_bound(p, a, k, s):
 
 def test_local_factors_within_rounding_bound():
     """F local factors against their mpmath closed forms, within the
-    rounding bound of _local_factor's docstring: on the 48-node contours
+    rounding bound of _local_factors' docstring: on the 48-node contours
     for N = 29 366 and 10^7, k = 2..4, a <= 8 and small and large primes
     up to 389, and at s = 0.05 and -0.5, where the inner series converges
     slowly or not at all but the finite form still holds."""

@@ -11,7 +11,10 @@ from apvar.dirichlet import contour_nodes
 from apvar.windows import (_smoothstep, build_tilde_sequence, build_weights,
                            build_window, check_lemma5, weight_sum_q, windowed)
 
-from oracles import check_lemma_major
+from oracles import (check_lemma_major, mellin_all, mellin_order_all,
+                     phi_hat_full_sum, phi_hat_full_sum_bound)
+
+M = 1 << 16
 
 
 def test_plateau_shape(window):
@@ -56,6 +59,33 @@ def test_phi_hat_sum_vs_quadrature(window):
         np.conj(window.phi_hat(3.2)), abs=1e-12)
 
 
+def _phi_hat_bound(win, xi):
+    """phi_hat's stated rounding bound ((34 |psi| + 72) S + 80) u."""
+    lo, hi, head, tail = win._grid_edges(M)
+    edge_mass = (head.sum() + tail.sum()) / M
+    psi = np.abs(xi - M * np.round(xi / M))
+    return ((34.0 * psi + 72.0) * edge_mass + 80.0) * 2.0**-53
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.249])
+def test_phi_hat_within_bound_of_full_sum(eps):
+    """The plateau form against the full rectangle sum over all 2^16
+    samples, within the two routes' stated rounding bounds, on a +-300
+    grid and at xi = m/2, m, m + 0.3 and 10^5 + 0.5, past one period;
+    without the reduction modulo m the closed form errs by 1e-2 at m.
+    A scalar xi gives the array's value bit for bit."""
+    win = build_window(eps)
+    xis = np.concatenate([np.linspace(-300.0, 300.0, 241) + 0.1,
+                          [M / 2, M, M + 0.3, 10**5 + 0.5]])
+    got = win.phi_hat(xis)
+    diff = np.abs(got - phi_hat_full_sum(win, xis))
+    assert np.all(diff <= _phi_hat_bound(win, xis)
+                  + phi_hat_full_sum_bound(win, xis))
+    for x, value in zip(xis[::37].tolist() + xis[-4:].tolist(),
+                        got[::37].tolist() + got[-4:].tolist()):
+        assert win.phi_hat(x) == value, x
+
+
 def test_phi_hat_zero_is_mass(window):
     assert window.phi_hat(0.0).real == pytest.approx(window.phi_int, abs=1e-10)
 
@@ -85,7 +115,7 @@ def test_mellin_moments_match_midpoint_sum(eps, n):
     got = win.mellin(s)
     r = float(np.max(np.abs(s - 1.0)))
     order = win._mellin_order(r)
-    mu, _ = win._log_moments
+    mu = win._moments.upto(order)
     j = np.arange(order)
     series_abs = float(np.sum(r**j * np.abs(mu[:order])
                               / [math.factorial(i) for i in j]))
@@ -93,6 +123,29 @@ def test_mellin_moments_match_midpoint_sum(eps, n):
               + ((1.0 + r) * math.exp(r) + 4 * order) * 2.0**-1074)
     own = gamma(64) * float(np.mean(ph * y**-r))
     assert np.all(np.abs(got - direct) <= stated + own)
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.2])
+def test_mellin_bits_equal_all_moments(eps):
+    """Computing the log-moments only up to the order a call needs gives
+    the order and the values of the series over all 65 moments bit for
+    bit, at r = 1/log N on 48 and 128 contour nodes; the window then
+    holds mu_0..mu_T and no more.  Past the certified range both raise
+    the same error."""
+    for n in (3 * 10**4, 10**5, 10**7):
+        r = 1.0 / math.log(n)
+        win = build_window(eps)
+        order = win._mellin_order(r)
+        assert order == mellin_order_all(win, r)
+        assert len(win._moments._mu) == order + 1
+        for count in (48, 128):
+            s, _ = contour_nodes(1.0, r, count)
+            assert win.mellin(s).tobytes() == mellin_all(win, s).tobytes()
+    with pytest.raises(ValueError) as fast:
+        win.mellin(6.0)
+    with pytest.raises(ValueError) as full:
+        mellin_all(win, 6.0)
+    assert str(fast.value) == str(full.value)
 
 
 def test_mellin_shape_follows_input(window):
@@ -198,6 +251,22 @@ def test_windowed_bit_identical_to_full_product(eps, table_1e5):
             expect[0] = 0.0
             got = windowed(values, win).values
             assert got.tobytes() == expect.tobytes(), n
+
+
+def test_windowed_computes_phi_once_per_length(monkeypatch):
+    """Phi(n/N) is computed once per window and length, and only off the
+    plateau: a second sequence of the same length calls phi no more."""
+    win = build_window(0.05)
+    phi, sizes = win.phi, []
+    monkeypatch.setattr(win, "phi",
+                        lambda t: sizes.append(np.size(t)) or phi(t))
+    values = np.arange(10**4 + 1, dtype=np.float64)
+    first = windowed(values, win).values
+    assert 0 < sum(sizes) < 0.11 * values.size
+    calls = len(sizes)
+    second = windowed(-values, win).values
+    assert second[1:].tobytes() == (-first[1:]).tobytes()
+    assert len(sizes) == calls
 
 
 def test_weight_sum_q(window):
