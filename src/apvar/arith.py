@@ -75,10 +75,18 @@ class Sequence:
         return self.values.astype(np.int64)
 
     def l2(self) -> float:
-        return float(np.dot(self.values, self.values))
+        return dot(self.values, self.values)
 
     def l1(self) -> float:
         return float(np.abs(self.values).sum())
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i as numpy's pairwise sum of the products, in this
+    thread.  np.dot hands float vectors to BLAS, which may split the sum
+    across its threads, so its last bits follow the thread count; a
+    number that reaches a report is summed here instead."""
+    return float(np.multiply(a, b).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +327,7 @@ class LagSpectra:
         self.seqs, self.n = list(seqs), n
         self.length = _fft_length(2 * n + 1)
         self.spectra = [np.fft.rfft(s.values, self.length) for s in seqs]
-        self.squares = [float(np.dot(s.values, s.values)) for s in seqs]
+        self.squares = [s.l2() for s in seqs]
         # c L log2(L) e0 bounds the underflow of one transform's output.
         self.products = (FFT_ERROR_CONSTANT * self.length
                          * math.log2(self.length))

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import (LagSpectra, Sequence, SieveTable, d_k_of, is_squarefree,
-                    mobius, ramanujan_correlations, totient)
+from .arith import (LagSpectra, Sequence, SieveTable, d_k_of, dot,
+                    is_squarefree, mobius, ramanujan_correlations, totient)
 # Bound for perfbench/spans.py, which wraps this name in this module.
 from .arith import sieve_all  # noqa: F401
 from .circle import ArcMasses, ArcSystem, Spectrum, arc_masses, arcs_disjoint
@@ -480,9 +480,9 @@ def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
     tilde = build_tilde_sequence(n, weights, window)
 
     # Calibrations of the three sieve asymptotics.
-    dot = float(np.dot(seq.values, tilde.values))
-    calib_dot = dot / (n * math.log(r_int) * window.phi_int)
-    tilde_sq = float(np.dot(tilde.values, tilde.values))
+    calib_dot = (dot(seq.values, tilde.values)
+                 / (n * math.log(r_int) * window.phi_int))
+    tilde_sq = tilde.l2()
     calib_sq = tilde_sq / (n * math.log(r_int) * window.phi_sq_int)
     wsum_dev = max(
         abs(weight_sum_q(weights, q) - mobius(q) / totient(q))
@@ -550,9 +550,8 @@ def run_theorem2(params: ResolvedParams, table: SieveTable) -> BoundReport:
         qs = list(range(kq0 + 1, r_int + 1))
         corrs = ramanujan_correlations(windowed(seq.values, window), qs)
         wsums = np.array([weight_sum_q(weights, q) for q in qs])
-        direct = float(np.dot(wsums, np.asarray(corrs)))
-        predicted = float(np.dot(wsums, bulk_residue_predictions(
-            qs, k, n, window)))
+        direct = dot(wsums, np.asarray(corrs))
+        predicted = dot(wsums, bulk_residue_predictions(qs, k, n, window))
         aux = abs(direct)
         extras = {"sum_direct": direct, "sum_predicted": predicted,
                   "residue_agreement": predicted / direct
