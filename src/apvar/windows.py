@@ -148,7 +148,7 @@ class SmoothWindow:
             R(xi) = e(-psi c/m) [(L/m) sinc(psi L/m) / sinc(psi/m)
                                  + (1/m) sum_E Phi(i/m) e(-psi (i - c)/m)],
         sinc(x) = sin(pi x)/(pi x), and only the edge samples E, the
-        other i < m (6,381 of the 65,536 at eps = 0.05), take a cos and
+        other i < m (6,553 of the 65,536 at eps = 0.05), take a cos and
         a sin.
 
         Rounding (u = 2^-53, gamma_k = k u/(1 - k u); cos, sin and the
