@@ -145,13 +145,12 @@ def _verify_euler() -> list:
     x = 200000
     tab = sieve_all(x, 3)
     ns2 = np.arange(1, x + 1, dtype=np.float64) ** 2
-    dks = {k: tab.dk[k][1:].astype(np.float64) for k in (2, 3)}
     zeta2 = zeta_near_one(2.0)
     for q in (1, 4, 6):
         # One Ramanujan row per q, shared by both k.
         terms = ramanujan_row(q, x) / ns2
         for k in (2, 3):
-            direct = float(np.dot(dks[k], terms))
+            direct = float(np.dot(tab.dk[k][1:], terms))
             pred = (zeta2 ** k * euler_F_q(q, k, 2.0)).real
             bound = _euler_tail_bound(q, k, x)
             rounding = float(
