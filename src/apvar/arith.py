@@ -259,6 +259,12 @@ class LagCorrelation:
     exact: bool
 
 
+def transform_length(n: int) -> int:
+    """The transform length L of LagSpectra for sequences a_1..a_N: the
+    least 5-smooth integer above 2N (_fft_length)."""
+    return _fft_length(2 * n + 1)
+
+
 def _fft_length(m: int) -> int:
     """The least 5-smooth integer 2^a 3^b 5^c >= m."""
     def pow2_at_least(x):
@@ -318,6 +324,14 @@ class LagSpectra:
     sequence paired with itself, when eps < 1/2 every r(h) is rounded to
     the integer it must be (`exact`), provided ||a||_1^2, which bounds
     sum_h |r(h)|, is below 2^62.
+
+    Memory: the object holds one spectrum of L/2 + 1 complex values per
+    sequence.  A correlation makes the pair's product, L/2 + 1 complex
+    values (the power in the real part, so irfft casts nothing), then
+    the inverse transform's L floats, and keeps N + 1 of them.
+    `correlation` keeps the spectra alive through that; `release`, the
+    chains' route, drops them once the product is formed, so that the
+    inverse FFT runs beside no spectrum.
     """
 
     def __init__(self, seqs):
@@ -325,7 +339,7 @@ class LagSpectra:
         if any(s.n != n for s in seqs):
             raise ValueError("sequences must share their length N")
         self.seqs, self.n = list(seqs), n
-        self.length = _fft_length(2 * n + 1)
+        self.length = transform_length(n)
         self.spectra = [np.fft.rfft(s.values, self.length) for s in seqs]
         self.squares = [s.l2() for s in seqs]
         # c L log2(L) e0 bounds the underflow of one transform's output.
@@ -339,15 +353,43 @@ class LagSpectra:
         return scale * math.sqrt(aa * bb) + float(underflow(
             self.products * (math.sqrt(aa) + math.sqrt(bb) + 2.0)))
 
-    def power(self, i: int, j: int) -> np.ndarray:
-        """Re(X conj Y) of the pair (i, j) on 0..L/2."""
+    def power(self, i: int, j: int, out: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
+        """Re(X conj Y) of the pair (i, j) on 0..L/2, written into `out`
+        and returned; `scratch`, of the same length, is overwritten."""
         x, y = self.spectra[i], self.spectra[j]
-        return x.real * y.real + x.imag * y.imag
+        np.multiply(x.real, y.real, out=out)
+        out += np.multiply(x.imag, y.imag, out=scratch)
+        return out
 
     def correlation(self, i: int, j: int) -> LagCorrelation:
         """The lag correlation of the pair (i, j): one inverse FFT."""
+        return self._inverse(self._product(i, j), i, j)
+
+    def release(self, i: int) -> LagCorrelation:
+        """The autocorrelation of sequence i, bit for bit as
+        correlation(i, i) gives it, with every spectrum dropped before the
+        inverse FFT runs: the pair product of sequence i and the inverse
+        transform's output are then the only arrays of the transform
+        length alive.  Afterwards only `error`, `squares`, `n` and
+        `length` can be read."""
+        product = self._product(i, i)
+        self.spectra = []
+        return self._inverse(product, i, i)
+
+    def _product(self, i: int, j: int) -> np.ndarray:
+        """The input of the inverse FFT: Re(X conj Y) as a complex array
+        with zero imaginary parts (its imaginary half is power's
+        scratch), so that irfft casts nothing."""
+        product = np.empty(self.length // 2 + 1, np.complex128)
+        self.power(i, j, product.real, product.imag)
+        product.imag = 0.0
+        return product
+
+    def _inverse(self, product: np.ndarray, i: int, j: int) -> LagCorrelation:
+        """rho of the pair (i, j) from its product (_product)."""
         eps = self.error(i, j)
-        rho = np.fft.irfft(self.power(i, j), self.length)[: self.n + 1]
+        rho = np.fft.irfft(product, self.length)[: self.n + 1]
         seq = self.seqs[i]
         l1 = float(np.abs(seq.values).sum())
         if (i == j and seq.is_integer_valued and eps < 0.5

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (CapacityError, LagSpectra, Sequence, UNIT_ROUNDOFF,
-                    gamma, moduli_tables, underflow)
+                    gamma, moduli_tables, transform_length, underflow)
 
 SPECTRUM_BUDGET = 1 << 24
 
@@ -204,7 +204,9 @@ def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
     mu (sin, cos)(2 pi aB d_m) with the 2g x B array
     (cos, sin)(2 pi b d_m).  That is O(N) flops and O(sqrt N) trig calls
     per m: O(N KQ0) work once per arc system, however many sequences
-    read W, and two arrays of length N + 1.
+    read W.  While it runs it holds five arrays of N + 1 floats (W, the
+    reciprocals 2/(pi j), the running row, the product and the strided
+    add's operand); it returns W alone.
 
     Error bound, in the rounding model of LagSpectra (u, gamma_k,
     and e0 = 2^-1074 per product or quotient under gradual underflow),
@@ -294,10 +296,55 @@ def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
     return MajorWeights(w, 2.0 * err)
 
 
-def arc_masses(arcs: ArcSystem, spectra: LagSpectra) -> ArcMasses:
+@dataclass
+class ArcKernel:
+    """The major-arc kernel of an arc system for sequences a_1..a_N:
+    c_k E^_k on 0 <= k <= L/2 (arc_masses), L = transform_length(N) the
+    length of LagSpectra, with l1, the computed sum_h |W'(h)| times
+    1 + gamma_{N+2}, and `error`, major_weights' bound Delta."""
+
+    n: int
+    length: int
+    kernel: np.ndarray
+    l1: float
+    error: float
+
+
+def arc_kernel(arcs: ArcSystem, n: int) -> ArcKernel:
+    """The major-arc kernel of `arcs` for sequences of length N, built
+    from major_weights before any sequence is transformed: W, then its
+    even extension E to Z/L and E's transform, whose real part times c_k
+    (1 or 2, applied as a scalar to the slices it multiplies) is the
+    kernel.  major_weights' arrays are freed when it returns, and the
+    extension (L floats) before the transform's real part is copied, so
+    the kernel's L/2 + 1 floats are all that stays.  Arcs that overlap
+    are a ValueError here, before any work."""
+    if not arcs_disjoint(arcs.k_param, arcs.q0, arcs.q):
+        raise ValueError(
+            f"major arcs overlap: need Q > K (2 KQ0 - 1) (and Q > 2K); "
+            f"K={arcs.k_param:.6g}, Q0={arcs.q0:.6g}, Q={arcs.q:.6g}")
+    length = transform_length(n)
+    weights = major_weights(arcs, n)
+    l1 = float(np.abs(weights.w).sum()) * (1.0 + gamma(n + 2))
+    even = np.zeros(length)
+    even[: n + 1] = weights.w
+    error = weights.error
+    del weights
+    even[1 : n + 1] /= 2.0
+    even[length - n :] = even[n:0:-1]
+    spectrum = np.fft.rfft(even)
+    del even
+    kernel = spectrum.real.copy()
+    del spectrum
+    kernel[1 : (length + 1) // 2] *= 2.0
+    return ArcKernel(n, length, kernel, l1, error)
+
+
+def arc_masses(kernel: ArcKernel, spectra: LagSpectra) -> ArcMasses:
     """Exact major- and minor-arc masses of |A|^2 when `spectra` hold one
     sequence a, and of |A|^2, |A~|^2 and A conj(A~) when they hold two,
-    a and a~, from their real FFTs and one of the major-arc weights.
+    a and a~, from their real FFTs and the point's major-arc kernel
+    (arc_kernel, built before the spectra).
 
     A pair's major mass is sum_{h=0}^{N} rho(h) W(h), rho its lag
     correlation and W the weights of major_weights: W(h) is the integral
@@ -317,10 +364,16 @@ def arc_masses(arcs: ArcSystem, spectra: LagSpectra) -> ArcMasses:
     E^ the transform of E, which is real; c_k = 2 for 0 < k < L/2 and 1 at
     k = 0 and at k = L/2 (L even), as P and E^ are even in k.  So a pair
     costs one product of two spectra and one O(L) dot, and no inverse
-    transform; the pairs share W and E^, one transform.  Each sum runs
-    as a pairwise tree, every term through lg = ceil(log2(L/2 + 1))
-    additions.  minor = total - major.  This is exact when the arcs are
-    disjoint, which is checked first.
+    transform; the pairs share W and E^, one transform, which the kernel
+    holds as c_k E^_k.  Each sum runs as a pairwise tree, every term
+    through lg = ceil(log2(L/2 + 1)) additions.  minor = total - major.
+    This is exact when the arcs are disjoint, which arc_kernel checks.
+
+    Memory: besides the kernel (L/2 + 1 floats) and the spectra (L/2 + 1
+    complex values per sequence), which the caller holds, only two
+    buffers live here, reused by every pair: P, and the power-of-two
+    buffer of the tree sums, whose prefix also serves as P's scratch.
+    c_k is applied as a scalar (1 or 2) to slices, never as an array.
 
     Error bound, in the rounding model of LagSpectra (u, gamma_k,
     e0 = 2^-1074; eps the pair's per-lag bound there, P_L = c L log2(L)
@@ -351,40 +404,33 @@ def arc_masses(arcs: ArcSystem, spectra: LagSpectra) -> ArcMasses:
     (ab + eps) Delta + (2 P_L ab + N (ab + eps) + 2) e0 +
     u (|major| + |minor|)], doubled to cover second-order terms and the
     rounding of the bound's own evaluation.  Without major arcs
-    (KQ0 = 0) W = 0, so major = 0 and minor = total.  `spectra` are read,
-    not changed.
+    (KQ0 = 0) W = 0, so major = 0 and minor = total.  `kernel` and
+    `spectra` are read, not changed; a kernel built for another N is a
+    ValueError.
     """
-    if not arcs_disjoint(arcs.k_param, arcs.q0, arcs.q):
-        raise ValueError(
-            f"major arcs overlap: need Q > K (2 KQ0 - 1) (and Q > 2K); "
-            f"K={arcs.k_param:.6g}, Q0={arcs.q0:.6g}, Q={arcs.q:.6g}")
-    n, length = spectra.n, spectra.length
+    if (kernel.n, kernel.length) != (spectra.n, spectra.length):
+        raise ValueError(f"kernel for N={kernel.n} read with spectra of "
+                         f"N={spectra.n}")
+    n, length, l1 = spectra.n, spectra.length, kernel.l1
     pairs = ([(0, 0)] if len(spectra.seqs) == 1
              else [(0, 0), (1, 1), (0, 1)])
-    c = np.full(length // 2 + 1, 2.0)
-    c[0] = 1.0
-    if length % 2 == 0:
-        c[-1] = 1.0
-    weights = major_weights(arcs, n)
-    l1 = float(np.abs(weights.w).sum()) * (1.0 + gamma(n + 2))
-    even = np.zeros(length)
-    even[: n + 1] = weights.w
-    even[1 : n + 1] /= 2.0
-    even[length - n :] = even[n:0:-1]
-    kernel = c * np.fft.rfft(even).real
-    del even
-    levels = 8.0 * math.log2(length) + math.ceil(math.log2(c.size)) + 3
-    buffer = np.zeros(1 << (c.size - 1).bit_length())
+    size, top = length // 2 + 1, (length + 1) // 2
+    levels = 8.0 * math.log2(length) + math.ceil(math.log2(size)) + 3
+    power = np.empty(size)
+    buffer = np.zeros(1 << (size - 1).bit_length())
+    terms = buffer[:size]
     out = []
     for i, j in pairs:
-        power, eps = spectra.power(i, j), spectra.error(i, j)
-        total = _tree_sum(np.multiply(c, power, out=buffer[: c.size]),
-                          buffer) / length
+        spectra.power(i, j, power, terms)
+        eps = spectra.error(i, j)
+        terms[:] = power
+        terms[1:top] *= 2.0
+        total = _tree_sum(terms, buffer) / length
         ab = math.sqrt(spectra.squares[i] * spectra.squares[j])
-        major = _tree_sum(np.multiply(power, kernel, out=buffer[: c.size]),
+        major = _tree_sum(np.multiply(power, kernel.kernel, out=terms),
                           buffer) / length
         err = (eps * (1.0 + l1) + gamma(levels) * ab * l1
-               + (ab + eps) * weights.error + float(underflow(
+               + (ab + eps) * kernel.error + float(underflow(
                    2.0 * spectra.products * ab + n * (ab + eps) + 2.0)))
         minor = total - major
         out.append(ArcMass(total=total, major=major, minor=minor,

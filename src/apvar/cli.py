@@ -1,8 +1,8 @@
 """Command-line front end: verification suites, experiments, tables.
 
 Every invocation writes a run manifest (command echo, versions, wall
-time, output paths) into the output directory; identical flags produce
-byte-identical CSV/JSON outputs.
+time, peak resident memory, output paths) into the output directory;
+identical flags produce byte-identical CSV/JSON outputs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -59,6 +60,11 @@ def _fmt(x) -> str:
 
 def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
                     wall_time: float):
+    """manifest.json in `out_dir`.  `peak_rss_mb` is the process's peak
+    resident set (ru_maxrss) when the manifest is written, in MB of 2^20
+    bytes: for `python -m apvar` that is the run's own peak, but a caller
+    that runs main in its own process sees that process's lifetime peak,
+    earlier work included."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
@@ -68,6 +74,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
         "versions": {"apvar": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "wall_time_s": round(wall_time, 3),
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "outputs": [str(p) for p in outputs],
     }
     (out_dir / "manifest.json").write_text(

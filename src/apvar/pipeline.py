@@ -24,7 +24,8 @@ from .arith import (LagSpectra, Sequence, SieveTable, d_k_of, dot,
                     is_squarefree, mobius, ramanujan_correlations, totient)
 # Bound for perfbench/spans.py, which wraps this name in this module.
 from .arith import sieve_all  # noqa: F401
-from .circle import ArcMasses, ArcSystem, Spectrum, arc_masses, arcs_disjoint
+from .circle import (ArcMasses, ArcSystem, Spectrum, arc_kernel, arc_masses,
+                     arcs_disjoint)
 # Grid path: the validation tests use it and perfbench/spans.py wraps it.
 from .circle import build_spectrum, major_mask, minor_arc_integral  # noqa: F401
 from .dirichlet import (choose_R_chebyshev, f_q_value, polynomial_69,
@@ -229,22 +230,35 @@ def ramanujan_tail(correlations: np.ndarray, phi: np.ndarray,
     d_lo = int(math.floor(q0)) + 1
     ds = np.arange(d_lo, q_max + 1)
     harmonic = np.cumsum(1.0 / np.arange(1, q_max + 1))
-    weights = harmonic[q_max // ds - 1] / ds
-    return math.fsum(weights * correlations[d_lo:] ** 2 / phi[d_lo:])
+    terms = harmonic[q_max // ds - 1]
+    del harmonic
+    # w_d C_d^2 / phi(d), each array of length Q freed when it dies.
+    terms /= ds
+    del ds
+    terms *= correlations[d_lo:] ** 2
+    terms /= phi[d_lo:]
+    return math.fsum(terms)
 
 
 def _chain_terms(seq: Sequence, params: ResolvedParams,
                  tilde: Sequence | None = None):
     """(sweep, tail, masses): the variance_sweep of `seq` over q <= Q, the
     Ramanujan tail from the sweep's C_d and phi, and the arc masses (with
-    `tilde`, also of |A~|^2 and A conj(A~)).  One forward FFT per
-    sequence feeds both: the sweep reads the autocorrelation of `seq`,
-    the only inverse FFT, and arc_masses the spectra themselves."""
+    `tilde`, also of |A~|^2 and A conj(A~)).
+
+    The allocations follow one order, so that the large arrays of one
+    step are gone before the next step's are made: the point's major-arc
+    kernel (arc_kernel) before any spectrum; then one forward FFT per
+    sequence (LagSpectra) and the arc masses, which read the spectra and
+    the kernel; then the spectra are released, the kernel with them, and
+    the one inverse FFT gives the autocorrelation of `seq`
+    (LagSpectra.release), which the sweep reads and which is freed when
+    the sweep returns."""
+    kernel = arc_kernel(params, seq.n)
     spectra = LagSpectra([seq] if tilde is None else [seq, tilde])
-    corr = spectra.correlation(0, 0)
-    masses = arc_masses(params, spectra)
-    del spectra     # freed before the sweep, which reads only `corr`
-    sweep = variance_sweep(seq, int(params.q), corr)
+    masses = arc_masses(kernel, spectra)
+    del kernel
+    sweep = variance_sweep(seq, int(params.q), spectra.release(0))
     tail = ramanujan_tail(sweep.correlations, sweep.phi, params.q0)
     return sweep, tail, masses
 
@@ -489,6 +503,7 @@ def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
         for q in range(1, 31) if is_squarefree(q))
 
     sweep, tail, masses = _chain_terms(seq, params, tilde)
+    del tilde
     lhs = _over_moduli(reduced_class_variances(table, sweep), params)
 
     log_ratio = math.log(params.r / (params.k_param * params.q0))
@@ -542,6 +557,7 @@ def run_theorem2(params: ResolvedParams, table: SieveTable) -> BoundReport:
     tilde = build_tilde_sequence(n, weights, window)
 
     sweep, tail, masses = _chain_terms(seq, params, tilde)
+    del tilde
     lhs = _over_moduli(sweep.v, params)
 
     # The ending's sum over moduli: the paper's asymptotic evaluation of

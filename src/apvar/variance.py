@@ -23,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (LagSpectra, Sequence, convolve_ones, divisors, gamma,
-                    mobius, moduli_tables, multiple_sums, primes_from_spf,
+from .arith import (UNIT_ROUNDOFF, LagSpectra, Sequence, convolve_ones,
+                    divisors, gamma, mobius, moduli_tables, multiple_sums,
                     ramanujan_convolution, ramanujan_row, totient, underflow)
 
 
@@ -140,8 +140,17 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     The multiple sums, the Moebius convolution (C from M) and the divisor
     sum (G from C) are strided numpy updates, split at sqrt(N) or
     sqrt(Q) by the Dirichlet hyperbola method, so each takes about
-    2 sqrt(N) or 2 sqrt(Q) numpy calls; no array is larger than the FFT
-    buffer or a few rows of length q_max.
+    2 sqrt(N) or 2 sqrt(Q) numpy calls.
+
+    Memory: besides `corr` (N + 1 lags, which the caller holds) the sweep
+    keeps the seven rows it returns, of length Q + 1: v, error, T, M, C,
+    mu (int8) and phi.  Each other row of length Q + 1 (the lag counts,
+    C_abs, the bound on C, w_d and its error, G and its error, tau) is
+    freed when it dies, and the error terms are formed in place, one
+    term at a time, with the operations and the order of the formulas
+    below.  At the peak, the last terms of the bound, that leaves the
+    returned rows, tau, G, its error and two temporaries alive: about
+    100 bytes per modulus, which at Q = N outweighs the FFT's arrays.
 
     Error bound, in the standard rounding model (u = 2^-53,
     gamma_k = ku/(1-ku), L the FFT length) with gradual underflow (each
@@ -183,14 +192,18 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     """
     _check_moduli(q_max, 1)
     if corr is None:
-        corr = LagSpectra([seq]).correlation(0, 0)
+        corr = LagSpectra([seq]).release(0)
     n, r, exact = seq.n, corr.rho, corr.exact
     squares = r[0] + 2 * multiple_sums(r, q_max)
     err = np.zeros(q_max + 1)
     if not exact:
         eps, l1 = corr.error, float(np.abs(seq.values).sum())
         lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
-        err[1:] = lags * eps + gamma(lags) * (l1 * l1 + lags * eps)
+        np.multiply(lags, eps, out=err[1:])
+        bound = _gamma_in_place(lags)
+        bound *= l1 * l1 + err[1:]
+        err[1:] += bound
+        del lags, bound
     mu, phi, dk = moduli_tables(q_max, 2)
     m = multiple_sums(seq.int_values() if exact else seq.values, q_max)
     exact_c = exact and float(np.arange(q_max + 1) @ np.abs(m)) < 2.0**62
@@ -199,31 +212,57 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
         ci = ramanujan_convolution(m, mu)
         c = ci.astype(np.float64)
         dc = np.abs(ci - c.astype(np.int64)).astype(np.float64)
+        del ci
         exact_c = not dc.any()
     else:
-        c = ramanujan_convolution(m.astype(np.float64), mu)
+        c = ramanujan_convolution(m.astype(np.float64, copy=False), mu)
         # For a_n >= 0 the multiple sums of |a| are M itself.
         c_abs = ramanujan_convolution(
             m if (seq.values >= 0).all()
             else multiple_sums(np.abs(seq.values), q_max), np.abs(mu))
-        ds = np.arange(q_max + 1)
-        dc = gamma(2 * (n + ds + 1)) * c_abs + underflow(ds)
+        dc = _gamma_in_place(2.0 * (np.arange(q_max + 1) + (n + 1)))
+        dc *= c_abs
+        del c_abs
+        dc += underflow(np.arange(q_max + 1))
     w, dw = np.zeros(q_max + 1), np.zeros(q_max + 1)
     w[1:] = c[1:] ** 2 / phi[1:]
     dw[1:] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
         + gamma(4) * w[1:]
-    g, dg = convolve_ones(w)[1:], convolve_ones(dw)[1:]    # G and its error
+    del dc
+    g = convolve_ones(w)[1:]                   # G
+    del w
+    dg = convolve_ones(dw)[1:]                 # and its error
+    del dw
     tau = dk[2][1:]
-    q = np.arange(1, q_max + 1)
     v = np.zeros(q_max + 1)
-    v[1:] = squares[1:] - g / q
-    err[1:] += ((dg + gamma(tau + 1) * g) / q
-                + gamma(2) * (np.abs(squares[1:]) + np.abs(v[1:]))
-                + underflow(8 * tau + 16))
+    np.divide(g, np.arange(1, q_max + 1), out=v[1:])
+    np.subtract(squares[1:], v[1:], out=v[1:])
+    # err[1:] += (dg + gamma(tau + 1) g) / q
+    #            + gamma(2) (|T| + |V|) + underflow(8 tau + 16),
+    # in dg's place, one term at a time.
+    g *= _gamma_in_place(tau + 1.0)
+    dg += g
+    del g
+    dg /= np.arange(1, q_max + 1)
+    terms = np.abs(squares[1:]) + np.abs(v[1:])
+    terms *= gamma(2)
+    dg += terms
+    del terms
+    dg += underflow(8 * tau + 16)
+    err[1:] += dg
+    del dg
     np.maximum(v, 0.0, out=v)
     return VarianceSweep(v=v, error=err, square_sums=squares,
                          exact_squares=exact, exact_correlations=exact_c,
                          sums=m, correlations=c, mu=mu, phi=phi)
+
+
+def _gamma_in_place(k: np.ndarray) -> np.ndarray:
+    """arith.gamma of the float array k, formed in k's place with one
+    temporary: the same operations in the same order, so bit for bit."""
+    k *= UNIT_ROUNDOFF
+    np.divide(k, 1.0 - k, out=k)
+    return k
 
 
 def variance_rows(seq: Sequence, q_max: int) -> list:
@@ -337,30 +376,37 @@ def reduced_class_variances(table, sweep: VarianceSweep) -> np.ndarray:
     (b, q) > 1 holds only powers p^j <= N of primes p | q, and powers of
     two different primes never share one (see _prime_power_class_squares).
     """
-    q_max = sweep.v.size - 1
     s1 = convolve_ones(sweep.mu * sweep.sums)
-    nr = _prime_power_class_squares(table, q_max)
-    out = np.zeros(q_max + 1)
-    out[1:] = (sweep.square_sums - nr)[1:] - s1[1:] ** 2 / sweep.phi[1:]
+    out = _prime_power_class_squares(table, sweep.phi)
+    # T - NR - S_1^2/phi, in the place of NR.
+    np.subtract(sweep.square_sums, out, out=out)
+    np.square(s1, out=s1)
+    s1[1:] /= sweep.phi[1:]
+    np.subtract(out[1:], s1[1:], out=out[1:])
+    out[0] = 0.0
     return out
 
 
-def _divisors_up_to(x: int, spf: np.ndarray, top: int) -> list:
-    """The divisors d <= top of 1 <= x < spf.size, from the spf table."""
+def _divisors_up_to(x: int, primes: np.ndarray, top: int) -> list:
+    """The divisors d <= top of x >= 1, by trial division by `primes`,
+    which hold every prime up to sqrt(x) in ascending order."""
     divs = [1]
-    while x > 1:
-        p = int(spf[x])
+    trial = primes[: np.searchsorted(primes, math.isqrt(x), "right")]
+    for p in trial[x % trial == 0].tolist():
         powers = [1]
         while x % p == 0:
             x //= p
             powers.append(powers[-1] * p)
         divs = [d * pk for d in divs for pk in powers if d * pk <= top]
+    if x > 1:                                # one prime above sqrt(x) left
+        divs += [d * x for d in divs if d * x <= top]
     return divs
 
 
-def _prime_power_class_squares(table, q_max: int) -> np.ndarray:
+def _prime_power_class_squares(table, phi: np.ndarray) -> np.ndarray:
     """NR[q] = sum of t_b(q)^2 over the classes b mod q with (b, q) > 1,
-    for Lambda, at every q <= q_max, in closed form.
+    for Lambda, at every q <= q_max, in closed form, from the table's
+    Lambda and phi(q) for q <= q_max = phi.size - 1 (a variance_sweep's).
 
     Such a class holds only powers p^i <= N of primes p | q, and for
     p | q the powers p^i and p^j fall in one class exactly when
@@ -376,18 +422,22 @@ def _prime_power_class_squares(table, q_max: int) -> np.ndarray:
     ord_m(p) is the least such t.  So each prime p <= sqrt(N) is one
     strided add of L (log p)^2 over pZ, then one add of
     2 pairs (log p)^2 at the few q = p^a m with m | p^t - 1, t < L (the
-    divisors come from the spf table, as p^t - 1 < N).  A larger prime
+    divisors come by trial division, as p^t - 1 < N).  A larger prime
     has L = 1 and no pair, so it adds (log p)^2 to every q in pZ; those
     are added after the small primes, one multiplier j at a time over all
     such p <= q_max/j, in descending j, so every NR[q] adds its primes in
     ascending order, each as one rounded product of an integer and
-    (log p)^2.
+    (log p)^2.  The primes are those p with phi(p) = p - 1, up to
+    max(sqrt(N), q_max): phi is sieved again only up to sqrt(N), when
+    that exceeds q_max.  No spf table is read.
     """
-    n = table.n
+    n, q_max = table.n, phi.size - 1
     s = math.isqrt(n)
+    if s > q_max:
+        phi = moduli_tables(s)[1]
+    primes = np.flatnonzero(phi == np.arange(-1, phi.size - 1))
     nr = np.zeros(q_max + 1)
-    primes = primes_from_spf(table.spf[: min(q_max, n) + 1])
-    for p in primes[primes <= s].tolist():
+    for p in primes[primes <= min(s, q_max)].tolist():
         sq = table.lam[p] ** 2
         lp, pt = 1, p                        # L_p: p^lp <= N < p^(lp + 1)
         while pt * p <= n:
@@ -397,7 +447,7 @@ def _prime_power_class_squares(table, q_max: int) -> np.ndarray:
         order, pt = {}, 1                    # m -> ord_m(p), m <= q_max/p
         for t in range(1, lp):
             pt *= p
-            for m in _divisors_up_to(pt - 1, table.spf, q_max // p):
+            for m in _divisors_up_to(pt - 1, primes, q_max // p):
                 order.setdefault(m, t)
         qs, counts = [], []
         for m, o in order.items():
@@ -412,7 +462,7 @@ def _prime_power_class_squares(table, q_max: int) -> np.ndarray:
                 q *= p
         if qs:
             nr[qs] += np.array(counts, dtype=np.float64) * sq
-    large = primes[primes > s]
+    large = primes[(primes > s) & (primes <= min(q_max, n))]
     squares = table.lam[large] ** 2
     for j in range(q_max // (s + 1), 0, -1):
         top = np.searchsorted(large, q_max // j, side="right")

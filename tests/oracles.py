@@ -339,6 +339,60 @@ def prime_power_class_squares_pairs(table, q_max: int) -> np.ndarray:
     return nr
 
 
+def _divisors_up_to_spf(x: int, spf: np.ndarray, top: int) -> list:
+    """The divisors d <= top of 1 <= x < spf.size, from the spf table."""
+    divs = [1]
+    while x > 1:
+        p = int(spf[x])
+        powers = [1]
+        while x % p == 0:
+            x //= p
+            powers.append(powers[-1] * p)
+        divs = [d * pk for d in divs for pk in powers if d * pk <= top]
+    return divs
+
+
+def prime_power_class_squares_spf(table, q_max: int) -> np.ndarray:
+    """variance._prime_power_class_squares as it was with the spf table:
+    the same closed form, with the primes <= min(q_max, N) read from the
+    table's spf array and each p^t - 1 factored through it."""
+    n = table.n
+    s = math.isqrt(n)
+    nr = np.zeros(q_max + 1)
+    primes = primes_from_spf(table.spf[: min(q_max, n) + 1])
+    for p in primes[primes <= s].tolist():
+        sq = table.lam[p] ** 2
+        lp, pt = 1, p                        # L_p: p^lp <= N < p^(lp + 1)
+        while pt * p <= n:
+            pt *= p
+            lp += 1
+        nr[p::p] += lp * sq
+        order, pt = {}, 1                    # m -> ord_m(p), m <= q_max/p
+        for t in range(1, lp):
+            pt *= p
+            for m in _divisors_up_to_spf(pt - 1, table.spf, q_max // p):
+                order.setdefault(m, t)
+        qs, counts = [], []
+        for m, o in order.items():
+            q = p * m
+            for a in range(1, lp - o + 1):
+                if q > q_max:
+                    break
+                c = lp - a + 1
+                t = (c - 1) // o
+                qs.append(q)
+                counts.append(2 * (t * c - o * t * (t + 1) // 2))
+                q *= p
+        if qs:
+            nr[qs] += np.array(counts, dtype=np.float64) * sq
+    large = primes[primes > s]
+    squares = table.lam[large] ** 2
+    for j in range(q_max // (s + 1), 0, -1):
+        top = np.searchsorted(large, q_max // j, side="right")
+        nr[j * large[:top]] += squares[:top]
+    return nr
+
+
 # ---------------------------------------------------------------------------
 # The window and residue ingredients over all their terms: phi_hat as the
 # full rectangle sum, the Euler factors one (p, a) at a time, and the

@@ -448,3 +448,24 @@ def test_lag_correlations_at_odd_5_smooth_length(n):
             assert np.array_equal(corr.rho, np.rint(ref).astype(np.int64))
         else:
             assert np.all(np.abs(corr.rho - ref) <= corr.error)
+
+
+def test_release_gives_the_correlation_bit_for_bit(rng, table_1e4):
+    """The autocorrelation a chain takes after dropping its spectra
+    (LagSpectra.release) is correlation(i, i) in dtype, bytes, error and
+    exactness: on a float row, on an exact integer row (d_3, int64) and
+    on the second of a pair; the released object keeps only its bounds."""
+    d3 = Sequence(table_1e4.dk[3])
+    floats = Sequence.from_coeffs(rng.standard_normal(d3.n))
+    for seqs, i in (([floats], 0), ([d3], 0), ([floats, d3], 1),
+                    ([d3, floats], 1)):
+        expected = LagSpectra(seqs).correlation(i, i)
+        spectra = LagSpectra(seqs)
+        eps = spectra.error(i, i)
+        released = spectra.release(i)
+        assert spectra.spectra == []
+        assert spectra.error(i, i) == eps
+        assert released.exact == expected.exact == (seqs[i] is d3)
+        assert released.rho.dtype == expected.rho.dtype
+        assert released.rho.tobytes() == expected.rho.tobytes()
+        assert released.error == expected.error

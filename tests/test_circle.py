@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from apvar.arith import (CapacityError, LagSpectra, Sequence, UNIT_ROUNDOFF,
                          gamma)
-from apvar.circle import (ArcSystem, arc_masses, build_spectrum,
+from apvar.circle import (ArcSystem, arc_kernel, arc_masses, build_spectrum,
                           default_grid_size, major_mask, minor_arc_integral)
 
 from oracles import eval_exp_sum, farey_density_f, is_major
@@ -186,10 +186,11 @@ def test_arc_masses_match_direct_double_sum(rng, table_300, window):
     d2 = Sequence(table_300.dk[2])
     tilde = build_tilde_sequence(300, build_weights("prime_sieve", 12), window)
     check_against_direct(arcs, floats, floats,
-                         arc_masses(arcs, LagSpectra([floats])).a)
-    exact = arc_masses(arcs, LagSpectra([d2])).a
+                         arc_masses(arc_kernel(arcs, 300),
+                                    LagSpectra([floats])).a)
+    exact = arc_masses(arc_kernel(arcs, 300), LagSpectra([d2])).a
     check_against_direct(arcs, d2, d2, exact)
-    pair = arc_masses(arcs, LagSpectra([d2, tilde]))
+    pair = arc_masses(arc_kernel(arcs, 300), LagSpectra([d2, tilde]))
     check_against_direct(arcs, tilde, tilde, pair.tilde)
     check_against_direct(arcs, d2, tilde, pair.cross)
     assert pair.a.major == pytest.approx(exact.major, abs=exact.error)
@@ -209,11 +210,12 @@ def test_arc_masses_leave_spectra_unchanged(rng, table_300):
         before = spectra.correlation(0, 0).rho
         assert before.dtype == dtype
         copies = [x.copy() for x in spectra.spectra]
-        mass = arc_masses(arcs, spectra).a
+        mass = arc_masses(arc_kernel(arcs, 300), spectra).a
         assert all(np.array_equal(x, y)
                    for x, y in zip(spectra.spectra, copies))
         assert np.array_equal(spectra.correlation(0, 0).rho, before)
-        assert mass == arc_masses(arcs, LagSpectra([seq])).a
+        assert mass == arc_masses(arc_kernel(arcs, 300),
+                                  LagSpectra([seq])).a
 
 
 def test_arc_masses_without_major_arcs():
@@ -224,7 +226,7 @@ def test_arc_masses_without_major_arcs():
     assert arcs.kq0 == 0
     eps = LagSpectra([seq]).error(0, 0)
     assert eps > 0
-    mass = arc_masses(arcs, LagSpectra([seq])).a
+    mass = arc_masses(arc_kernel(arcs, seq.n), LagSpectra([seq])).a
     assert mass.major == 0.0
     assert mass.minor == mass.total
     assert mass.error == 2.0 * (eps + UNIT_ROUNDOFF * abs(mass.total))
@@ -295,7 +297,8 @@ def test_spectral_major_matches_lag_dot(rng, table_300, window):
         ab = math.sqrt(float(a @ a) * float(b @ b))
         lag_bound = (corr.error * l1 + (ab + corr.error) * weights.error
                      + 2 * UNIT_ROUNDOFF * math.fsum(np.abs(terms)))
-        mass = getattr(arc_masses(arcs, LagSpectra(seqs)), name)
+        mass = getattr(arc_masses(arc_kernel(arcs, 300), LagSpectra(seqs)),
+                       name)
         assert abs(mass.major - lag_dot) <= mass.error + lag_bound
 
 
@@ -335,7 +338,7 @@ def test_arc_masses_property(coeffs, m_top):
     k_param = 5.0
     arcs = ArcSystem(k_param=k_param, q0=m_top / k_param,
                      q=k_param * (2 * m_top + 1))
-    mass = arc_masses(arcs, LagSpectra([seq])).a
+    mass = arc_masses(arc_kernel(arcs, seq.n), LagSpectra([seq])).a
     check_against_direct(arcs, seq, seq, mass)
     exact = mp_major(seq.values, arcs)
     assert abs(mass.major - exact) <= mass.error + UNIT_ROUNDOFF * abs(exact)
@@ -345,7 +348,7 @@ def test_grid_converges_to_exact(table_1e4):
     n = 2000
     seq = Sequence(table_1e4.dk[2][: n + 1])
     arcs = ArcSystem(k_param=5.0, q0=2.0, q=300.0)
-    exact = arc_masses(arcs, LagSpectra([seq])).a
+    exact = arc_masses(arc_kernel(arcs, n), LagSpectra([seq])).a
     devs = []
     for t in (1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19):
         grid = minor_arc_integral(build_spectrum(seq, t), arcs)
@@ -371,7 +374,7 @@ def test_exact_cauchy_schwarz_matches_grid(table_1e5):
     spec_a = build_spectrum(seq)
     grid = cauchy_schwarz_bound(seq, tilde, params, spec_a,
                                 build_spectrum(tilde, spec_a.t_grid))
-    masses = arc_masses(params, LagSpectra([seq, tilde]))
+    masses = arc_masses(arc_kernel(params, n), LagSpectra([seq, tilde]))
     bound_17 = masses.cross.minor**2 / masses.tilde.minor
     assert abs(bound_17 - grid.bound_17) <= grid.quadrature_error
     assert abs(masses.a.minor - grid.minor_a) <= grid.quadrature_error
@@ -381,8 +384,16 @@ def test_overlapping_arcs_rejected():
     seq = Sequence.from_coeffs(np.ones(600))
     overlapping = ArcSystem(k_param=6.0, q0=2.0, q=100.0)
     with pytest.raises(ValueError, match="K=6.*Q0=2.*Q=100"):
-        arc_masses(overlapping, LagSpectra([seq]))
+        arc_masses(arc_kernel(overlapping, seq.n), LagSpectra([seq]))
     # One arc, about 0, wider than 1/2.
     wide = ArcSystem(k_param=5.0, q0=0.2, q=10.0)
     with pytest.raises(ValueError):
-        arc_masses(wide, LagSpectra([seq]))
+        arc_masses(arc_kernel(wide, seq.n), LagSpectra([seq]))
+
+
+def test_arc_masses_need_the_kernel_of_their_length():
+    """A kernel built for another N (so another transform length) is a
+    ValueError, not a mass."""
+    seq = Sequence.from_coeffs(np.ones(600))
+    with pytest.raises(ValueError, match="N=599.*N=600"):
+        arc_masses(arc_kernel(disjoint_arcs(), 599), LagSpectra([seq]))

@@ -433,8 +433,11 @@ def test_experiment_theorem2_files(tmp_path, capsys):
     assert plot.startswith("q,V\n")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest) == {"command", "config", "versions", "wall_time_s",
-                             "outputs"}
+                             "peak_rss_mb", "outputs"}
     assert len(manifest["outputs"]) == 3
+    # ru_maxrss of this process so far: at least numpy's import.
+    assert isinstance(manifest["peak_rss_mb"], float)
+    assert manifest["peak_rss_mb"] > 10.0
 
 
 def test_experiment_first_ending_plot(tmp_path, capsys):

@@ -1,13 +1,14 @@
 """Lower-bound chain assembly: tails, Cauchy-Schwarz, full small runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from apvar.arith import (LagSpectra, Sequence, divisors, ramanujan_sum,
                          sieve_all, totient)
-from apvar.circle import ArcSystem, arc_masses, build_spectrum
+from apvar.circle import ArcSystem, arc_kernel, arc_masses, build_spectrum
 from apvar.pipeline import (ExperimentConfig, ResolvedParams, assemble_prop13,
                             bulk_residue_predictions, cauchy_schwarz_bound,
                             ramanujan_tail, resolve_params, run_theorem1,
@@ -314,7 +315,8 @@ def test_run_theorem2_pair_is_exact_arc_masses(k, ending):
     p = report.params
     tilde = build_tilde_sequence(n, build_weights("divisor_k", int(p["R"]),
                                                   k=k), build_window(0.05))
-    masses = arc_masses(resolve_params(cfg), LagSpectra([seq, tilde]))
+    masses = arc_masses(arc_kernel(resolve_params(cfg), n),
+                        LagSpectra([seq, tilde]))
     assert report.minor_integral == masses.a.minor
     assert report.cs_numerator == abs(masses.cross.minor)
     assert report.cs_denominator == masses.tilde.minor
@@ -360,7 +362,8 @@ def test_run_theorem1_lhs_and_tail_from_shared_sums():
     params = resolve_params(ExperimentConfig(experiment="theorem1", n=n))
     tilde = build_tilde_sequence(n, build_weights("prime_sieve", int(p["R"])),
                                  build_window(0.05))
-    masses = arc_masses(params, LagSpectra([table.lambda_sequence(), tilde]))
+    masses = arc_masses(arc_kernel(params, n),
+                        LagSpectra([table.lambda_sequence(), tilde]))
     assert report.minor_integral == masses.a.minor
     assert report.cs_denominator == masses.tilde.minor
 
@@ -377,7 +380,7 @@ def test_assemble_prop13_shares_one_autocorrelation(rng):
     assert report.ramanujan_tail == ramanujan_tail_from_scratch(
         seq, 400.0, 3.0)
     assert report.minor_integral == arc_masses(
-        params, LagSpectra([seq])).a.minor
+        arc_kernel(params, 3000), LagSpectra([seq])).a.minor
 
 
 @pytest.mark.parametrize("kind", ["theorem1", "theorem2-first",
@@ -502,3 +505,31 @@ def test_bound_report_serialization(table_1e4):
     header = report.csv_header().split(",")
     row = report.csv_row().split(",")
     assert len(header) == len(row)
+
+
+# Traced peak of each chain at N = 2e5 in bytes per N, measured with the
+# memory plan (kernel before spectra, spectra released before the inverse
+# FFT, lean sweep): 79.4, 75.9 and 116.8; before it, 119.7, 116.2 and
+# 188.8.  Each bound is the measured value plus about 10%.
+@pytest.mark.parametrize("experiment, flags, bound", [
+    ("theorem1", {}, 88.0),
+    ("theorem2", {"k": 2, "ending": "second", "q_exp": 0.8}, 84.0),
+    ("theorem1", {"q_exp": 1.0}, 128.0),
+])
+def test_chain_traced_peak_per_n(experiment, flags, bound):
+    """A chain's traced peak (tracemalloc), over the table arrays it reads
+    (read before tracing starts, so a cached table's first reads do not
+    count), stays within its bound in bytes per N."""
+    n = 2 * 10**5
+    table = sieve_all(n, 2)
+    params = resolve_params(ExperimentConfig(experiment=experiment, n=n,
+                                             **flags))
+    runner = run_theorem1 if experiment == "theorem1" else run_theorem2
+    table.lam, table.dk[2]
+    tracemalloc.start()
+    try:
+        runner(params, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= bound

@@ -17,7 +17,8 @@ from apvar.variance import (_prime_power_class_squares, check_identity_prop1,
                             variance_rows, variance_sweep, variance_total)
 
 from oracles import (cor1_lower_bound, float_sweep_abs_route,
-                     prime_power_class_squares_pairs, psi_counts)
+                     prime_power_class_squares_pairs,
+                     prime_power_class_squares_spf, psi_counts)
 
 
 def brute_variance(seq, q):
@@ -375,11 +376,29 @@ def test_prime_power_class_squares_match_pairs_oracle(table_1e4, table_1e5):
     tables.append((table_1e4, (1, s, s + 1, table_1e4.n)))
     for table, q_maxes in tables:
         for q_max in q_maxes:
-            fast = _prime_power_class_squares(table, q_max)
+            fast = _prime_power_class_squares(table,
+                                              moduli_tables(q_max)[1])
             slow = prime_power_class_squares_pairs(table, q_max)
             assert np.array_equal(fast == 0, slow == 0)
             nz = slow != 0
             assert np.all(np.abs(fast - slow)[nz] <= 1e-15 * slow[nz])
+
+
+def test_prime_power_class_squares_match_spf_route(table_1e4, table_1e5):
+    """The primes from phi and the trial-divided p^t - 1 give NR bit for
+    bit as the spf table did, at Q = N^0.75 and Q = N, at Q < sqrt(N)
+    (where phi is sieved again up to sqrt(N)), at sqrt(N) and just past
+    it, and at Q > N; each q = p^a m is added once per p, so the order
+    of the divisors cannot matter."""
+    s = math.isqrt(table_1e5.n)
+    cases = [(sieve_all(200, 2), (1, 7, 14, 15, 200, 450)),
+             (table_1e4, (40, 99, 100, 101, 750, 10**4)),
+             (table_1e5, (17, s - 1, s, s + 1, 5623, 10**5))]
+    for table, q_maxes in cases:
+        for q_max in q_maxes:
+            fast = _prime_power_class_squares(table, moduli_tables(q_max)[1])
+            slow = prime_power_class_squares_spf(table, q_max)
+            assert fast.tobytes() == slow.tobytes(), (table.n, q_max)
 
 
 def brute_nr(table, q):
@@ -405,7 +424,7 @@ def test_prime_power_class_squares_brute_force():
              (97**2 - 1, (97, 2 * 97, 97**2, 101, 2 * 101, 4096, 3 * 4096))]
     for n, qs in cases:
         table = sieve_all(n, 2)
-        nr = _prime_power_class_squares(table, max(qs))
+        nr = _prime_power_class_squares(table, moduli_tables(max(qs))[1])
         for q in qs:
             exact = brute_nr(table, q)
             bound = gamma(len(factorize(q)) + 1) * float(exact)
