@@ -298,14 +298,15 @@ def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
 
 @dataclass
 class ArcKernel:
-    """The major-arc kernel of an arc system for sequences a_1..a_N:
-    c_k E^_k on 0 <= k <= L/2 (arc_masses), L = transform_length(N) the
-    length of LagSpectra, with l1, the computed sum_h |W'(h)| times
+    """The major-arc kernel of an arc system for sequences a_1..a_N: its
+    `values` c_k E^_k on 0 <= k <= L/2 (arc_masses), L =
+    transform_length(N) the length of LagSpectra, with l1, the computed
+    sum_h |W'(h)| times
     1 + gamma_{N+2}, and `error`, major_weights' bound Delta."""
 
     n: int
     length: int
-    kernel: np.ndarray
+    values: np.ndarray
     l1: float
     error: float
 
@@ -334,10 +335,10 @@ def arc_kernel(arcs: ArcSystem, n: int) -> ArcKernel:
     even[length - n :] = even[n:0:-1]
     spectrum = np.fft.rfft(even)
     del even
-    kernel = spectrum.real.copy()
+    values = spectrum.real.copy()
     del spectrum
-    kernel[1 : (length + 1) // 2] *= 2.0
-    return ArcKernel(n, length, kernel, l1, error)
+    values[1 : (length + 1) // 2] *= 2.0
+    return ArcKernel(n, length, values, l1, error)
 
 
 def arc_masses(kernel: ArcKernel, spectra: LagSpectra) -> ArcMasses:
@@ -427,7 +428,7 @@ def arc_masses(kernel: ArcKernel, spectra: LagSpectra) -> ArcMasses:
         terms[1:top] *= 2.0
         total = _tree_sum(terms, buffer) / length
         ab = math.sqrt(spectra.squares[i] * spectra.squares[j])
-        major = _tree_sum(np.multiply(power, kernel.kernel, out=terms),
+        major = _tree_sum(np.multiply(power, kernel.values, out=terms),
                           buffer) / length
         err = (eps * (1.0 + l1) + gamma(levels) * ab * l1
                + (ab + eps) * kernel.error + float(underflow(

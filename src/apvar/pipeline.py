@@ -503,7 +503,7 @@ def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
         for q in range(1, 31) if is_squarefree(q))
 
     sweep, tail, masses = _chain_terms(seq, params, tilde)
-    del tilde
+    del tilde                   # no later step reads it
     lhs = _over_moduli(reduced_class_variances(table, sweep), params)
 
     log_ratio = math.log(params.r / (params.k_param * params.q0))
@@ -557,7 +557,7 @@ def run_theorem2(params: ResolvedParams, table: SieveTable) -> BoundReport:
     tilde = build_tilde_sequence(n, weights, window)
 
     sweep, tail, masses = _chain_terms(seq, params, tilde)
-    del tilde
+    del tilde                   # no later step reads it
     lhs = _over_moduli(sweep.v, params)
 
     # The ending's sum over moduli: the paper's asymptotic evaluation of

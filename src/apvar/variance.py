@@ -200,7 +200,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
         eps, l1 = corr.error, float(np.abs(seq.values).sum())
         lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
         np.multiply(lags, eps, out=err[1:])
-        bound = _gamma_in_place(lags)
+        bound = _gamma_in_place(lags)        # gamma(lags), in lags' place
         bound *= l1 * l1 + err[1:]
         err[1:] += bound
         del lags, bound
