@@ -391,9 +391,17 @@ def test_overlapping_arcs_rejected():
         arc_masses(arc_kernel(wide, seq.n), LagSpectra([seq]))
 
 
-def test_arc_masses_need_the_kernel_of_their_length():
-    """A kernel built for another N (so another transform length) is a
-    ValueError, not a mass."""
-    seq = Sequence.from_coeffs(np.ones(600))
+def test_arc_masses_read_their_kernel(rng):
+    """arc_masses leaves its kernel unchanged, so one kernel serves any
+    spectra of its N, bit for bit as a fresh one; a kernel built for
+    another N (so another transform length) is a ValueError."""
+    seq = Sequence.from_coeffs(rng.standard_normal(600))
+    kernel = arc_kernel(disjoint_arcs(), 600)
+    values = kernel.values.copy()
+    first = arc_masses(kernel, LagSpectra([seq]))
+    assert kernel.values.tobytes() == values.tobytes()
+    assert arc_masses(kernel, LagSpectra([seq])) == first
+    assert arc_masses(arc_kernel(disjoint_arcs(), 600),
+                      LagSpectra([seq])) == first
     with pytest.raises(ValueError, match="N=599.*N=600"):
         arc_masses(arc_kernel(disjoint_arcs(), 599), LagSpectra([seq]))
