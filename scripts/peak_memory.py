@@ -38,6 +38,7 @@ STAGES = [
     (pipeline, "ramanujan_tail", "  ramanujan tail"),
     (pipeline, "reduced_class_variances", "reduced-class variances"),
     (variance, "_prime_power_class_squares", "  prime-power classes"),
+    (pipeline, "windowed", "windowed"),
     (pipeline, "ramanujan_correlations", "ramanujan correlations"),
     (pipeline, "bulk_residue_predictions", "residue predictions"),
     (pipeline, "_variance_plot", "variance plot"),

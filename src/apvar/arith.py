@@ -40,23 +40,30 @@ class Sequence:
     """Finite coefficient array a_1..a_N.
 
     Stored as an array of length N+1 with a dead zero in slot 0, so that
-    values[n] is a_n for 1 <= n <= N.  is_integer_valued is read from the
-    values: whether every a_n is an integer, which opens the exact paths.
+    values[n] is a_n for 1 <= n <= N.  The array given is shared, not
+    copied: only a dtype other than float64 or a slot 0 other than +0.0
+    makes a copy.  `values` is a read-only view of it, so that no write
+    through a sequence reaches a table other sequences share.
+    is_integer_valued is read from the values: whether every a_n is an
+    integer, which opens the exact paths.
     """
 
     values: np.ndarray
     is_integer_valued: bool = field(init=False)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
+        v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("a sequence needs at least one coefficient")
-        v[0] = 0.0
+        if v[0] != 0.0 or np.signbit(v[0]):
+            v = v.copy()
+            v[0] = 0.0
         finite = np.isfinite(v)
         if not finite.all():
             i = int(np.argmin(finite))
             raise ValueError(f"coefficient a_{i} = {v[i]} is not finite")
-        self.values = v
+        self.values = v.view()
+        self.values.flags.writeable = False
         self.is_integer_valued = bool(np.all(v == np.round(v)))
 
     @property
@@ -391,15 +398,16 @@ class LagSpectra:
         eps = self.error(i, j)
         rho = np.fft.irfft(product, self.length)[: self.n + 1]
         seq = self.seqs[i]
-        l1 = float(np.abs(seq.values).sum())
+        # ||a||_1^2 < 2^62: ||a||_1 < 2^31 exactly when fl(l1 l1) < 2^62.
         if (i == j and seq.is_integer_valued and eps < 0.5
-                and l1 * l1 < 2.0**62):
+                and seq.l1() < 2.0**31):
             return LagCorrelation(np.rint(rho).astype(np.int64), 0.0, True)
         return LagCorrelation(rho.copy(), eps, False)
 
 
-def ramanujan_correlations(seq: Sequence, ds) -> np.ndarray:
-    """C_d = sum_{n<=N} a_n c_d(n) for every d in ds.
+def ramanujan_correlations(values: np.ndarray, ds) -> np.ndarray:
+    """C_d = sum_{n<=N} a_n c_d(n) for every d in ds, of the values
+    a_0..a_N (a_0 is not read).
 
     Precomputes multiple-sums up to max(ds) once and convolves them with
     the Moebius table up to max(ds) (ramanujan_convolution).
@@ -411,7 +419,7 @@ def ramanujan_correlations(seq: Sequence, ds) -> np.ndarray:
         raise ValueError("moduli d must be positive")
     dmax = int(ds.max())
     mu, _, _ = moduli_tables(dmax)
-    return ramanujan_convolution(multiple_sums(seq.values, dmax), mu)[ds]
+    return ramanujan_convolution(multiple_sums(values, dmax), mu)[ds]
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,14 @@ def _bounded(flag: str, value, lo: int) -> float:
     return x
 
 
+def _bounded_int(flag: str, value, lo: int) -> int:
+    """--N or --R as an integer in [lo, MAX_N]: 1e5 is one, 12.7 is not."""
+    x = _bounded(flag, value, lo)
+    if not x.is_integer():
+        raise ValueError(f"{flag}={value} is not an integer")
+    return int(x)
+
+
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
@@ -213,7 +221,7 @@ def cmd_verify(args) -> tuple[int, list]:
 
 def cmd_experiment(args) -> tuple[int, list]:
     # The manifest records the parsed N as n.
-    args.n = n = int(_bounded("--N", args.N, 3))
+    args.n = n = _bounded_int("--N", args.N, 3)
     # theorem1 reads no --k, --delta or --ending: it keeps the defaults.
     config = ExperimentConfig(
         experiment=args.kind, n=n, q_exp=args.Q_exp, epsilon=args.epsilon,
@@ -275,7 +283,7 @@ def _variance_rows(args):
     if q_max > MAX_VARIANCE_MODULI:
         raise ValueError(f"--q-max={q_max} moduli exceeds the limit "
                          f"{MAX_VARIANCE_MODULI}")
-    n = int(_bounded("--N", args.N, 1))
+    n = _bounded_int("--N", args.N, 1)
     try:
         seq = load_sequence(args.seq, n)
     except (ValueError, OSError) as exc:
@@ -290,7 +298,7 @@ def _weights_rows(args):
         raise ValueError(f"--k must be at least 2 for divisor weights, "
                          f"got {args.k}")
     kind = "prime_sieve" if args.kind == "prime" else "divisor_k"
-    weights = build_weights(kind, int(_bounded("--R", args.R, 2)), k=args.k)
+    weights = build_weights(kind, _bounded_int("--R", args.R, 2), k=args.k)
     return "r,b_r", [f"{r},{_fmt(float(b))}" for r, b in weights.to_csv_rows()]
 
 
@@ -302,7 +310,7 @@ def _residues_rows(args):
     # 4 gamma_128 = 5.7e-14 that bounds a zero residue (k = 1, q > 1),
     # and about the floor at N = 5, where the worst gap over k <= 10,
     # q <= N is 0.48 of its bound (measured).
-    n = int(_bounded("--N", args.N, 5))
+    n = _bounded_int("--N", args.N, 5)
     if q_max > n:
         raise ValueError(f"--q-max={q_max} exceeds --N={n}")
     if q_max > MAX_RESIDUE_MODULI:

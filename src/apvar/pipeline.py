@@ -41,10 +41,6 @@ from .windows import SmoothWindow, build_tilde_sequence, build_weights, \
 
 SCHEMA_VERSION = 4
 
-# Allowance multiplier for the unspecified O(N K / Q0 * sum |a_n|^2)
-# term; the per-run fitted constant is reported alongside.
-OTERM_ALLOWANCE = 1.0
-
 
 @dataclass
 class ExperimentConfig:
@@ -347,32 +343,33 @@ def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
               tail: float, masses: ArcMasses, target: float,
               extras: dict | None = None,
               plot: tuple | None = None) -> BoundReport:
-    """The one check of lhs >= Q (1 - slack) minor - tail - allowance x
-    (N K / Q0) sum |a_n|^2, slack = (5 + log K)/K, within minor's error
-    bar.  With A~, the minor masses num = |A conj(A~)|, den = |A~|^2 bound
-    minor below by num^2/den and make Q (1 - slack) num^2/den the final
-    value, with the subtractions reported apart; without A~ (prop13) the
-    final value is the right-hand side itself.  The report keeps the
-    chain's `plot` table."""
+    """The one check of lhs >= Q (1 - slack) minor - tail - oterm,
+    slack = (5 + log K)/K, within minor's error bar, where
+    oterm = (N K / Q0) sum |a_n|^2 is the unspecified O-term at constant
+    1 (reported as `oterm_allowance`; the constant that would just close
+    the gap is `fitted_oterm_constant`).  With A~, the minor masses
+    num = |A conj(A~)|, den = |A~|^2 bound minor below by num^2/den and
+    make Q (1 - slack) num^2/den the final value, with the subtractions
+    reported apart; without A~ (prop13) the final value is the
+    right-hand side itself.  The report keeps the chain's `plot` table."""
     minor = masses.a
     slack = (5.0 + math.log(params.k_param)) / params.k_param
     scale = params.q * (1.0 - slack)
     oterm = params.n * params.k_param / params.q0 * seq.l2()
-    allowance = OTERM_ALLOWANCE * oterm
     rhs_central = scale * minor.minor - tail
     fitted = max(0.0, (rhs_central - lhs) / oterm) if oterm else 0.0
-    sound = lhs >= rhs_central - params.q * minor.error - allowance
+    sound = lhs >= rhs_central - params.q * minor.error - oterm
     extras = dict(extras or {})
     if masses.tilde is None:
         cs_num = cs_den = 0.0
-        final = rhs_central - allowance
+        final = rhs_central - oterm
     else:
         cs_num, cs_den = abs(masses.cross.minor), masses.tilde.minor
         bound = cs_num**2 / cs_den if cs_den > 0 else 0.0
         sound = sound and (
             bound <= minor.minor + minor.error + 1e-9 * abs(minor.minor))
         final = scale * bound
-        extras["final_with_subtractions"] = final - tail - allowance
+        extras["final_with_subtractions"] = final - tail - oterm
         extras["lhs_exceeds_cs_chain"] = bool(
             lhs >= extras["final_with_subtractions"])
     return BoundReport(
@@ -381,7 +378,7 @@ def _assemble(kind: str, params: ResolvedParams, seq: Sequence, lhs: float,
                 "Q0": params.q0, "R": params.r},
         lhs_variance_sum=lhs, minor_integral=minor.minor,
         minor_error=minor.error, ramanujan_tail=tail, slack=slack,
-        oterm_allowance=allowance, fitted_oterm_constant=fitted,
+        oterm_allowance=oterm, fitted_oterm_constant=fitted,
         cs_numerator=cs_num, cs_denominator=cs_den,
         final_lower_bound=final, comparison_target=target,
         ratio=final / target if target else 0.0,
@@ -504,7 +501,7 @@ def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
 
     sweep, tail, masses = _chain_terms(seq, params, tilde)
     del tilde                   # no later step reads it
-    lhs = _over_moduli(reduced_class_variances(table, sweep), params)
+    lhs = _over_moduli(reduced_class_variances(seq, sweep), params)
 
     log_ratio = math.log(params.r / (params.k_param * params.q0))
     target_log = math.log(params.q**2 / n)

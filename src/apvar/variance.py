@@ -197,7 +197,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     squares = r[0] + 2 * multiple_sums(r, q_max)
     err = np.zeros(q_max + 1)
     if not exact:
-        eps, l1 = corr.error, float(np.abs(seq.values).sum())
+        eps, l1 = corr.error, seq.l1()
         lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
         np.multiply(lags, eps, out=err[1:])
         bound = _gamma_in_place(lags)        # gamma(lags), in lags' place
@@ -357,17 +357,18 @@ def check_identity_prop1(seq: Sequence, q: int) -> IdentityCheck:
 def restricted_variance_total(table, q_max: int, q_min: int = 1) -> float:
     """Sum over q_min <= q <= q_max of the reduced-class prime variance
     sum_{(b,q)=1} (psi(N;q,b) - S_1(q)/phi(q))^2, from one variance_sweep
-    of Lambda (reduced_class_variances)."""
+    of the table's Lambda (reduced_class_variances)."""
     _check_moduli(q_max, q_min)
     if q_min > q_max:
         return 0.0
-    sweep = variance_sweep(table.lambda_sequence(), q_max)
-    return math.fsum(reduced_class_variances(table, sweep)[q_min:])
+    seq = table.lambda_sequence()
+    sweep = variance_sweep(seq, q_max)
+    return math.fsum(reduced_class_variances(seq, sweep)[q_min:])
 
 
-def reduced_class_variances(table, sweep: VarianceSweep) -> np.ndarray:
+def reduced_class_variances(seq: Sequence, sweep: VarianceSweep) -> np.ndarray:
     """The reduced-class prime variance of every modulus q <= Q (slot 0
-    unused), from a variance_sweep of Lambda up to Q.
+    unused), from `seq`, Lambda on 1..N, and its variance_sweep up to Q.
 
     It is the full square sum T(q) of the sweep minus the classes b with
     (b, q) > 1, minus S_1(q)^2/phi(q), where
@@ -377,7 +378,7 @@ def reduced_class_variances(table, sweep: VarianceSweep) -> np.ndarray:
     two different primes never share one (see _prime_power_class_squares).
     """
     s1 = convolve_ones(sweep.mu * sweep.sums)
-    out = _prime_power_class_squares(table, sweep.phi)
+    out = _prime_power_class_squares(seq.values, sweep.phi)
     # T - NR - S_1^2/phi, in the place of NR.
     np.subtract(sweep.square_sums, out, out=out)
     np.square(s1, out=s1)
@@ -403,10 +404,11 @@ def _divisors_up_to(x: int, primes: np.ndarray, top: int) -> list:
     return divs
 
 
-def _prime_power_class_squares(table, phi: np.ndarray) -> np.ndarray:
+def _prime_power_class_squares(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """NR[q] = sum of t_b(q)^2 over the classes b mod q with (b, q) > 1,
-    for Lambda, at every q <= q_max, in closed form, from the table's
-    Lambda and phi(q) for q <= q_max = phi.size - 1 (a variance_sweep's).
+    for Lambda, at every q <= q_max, in closed form, from Lambda(n) for
+    n <= N = lam.size - 1 and phi(q) for q <= q_max = phi.size - 1 (a
+    variance_sweep's).
 
     Such a class holds only powers p^i <= N of primes p | q, and for
     p | q the powers p^i and p^j fall in one class exactly when
@@ -431,14 +433,14 @@ def _prime_power_class_squares(table, phi: np.ndarray) -> np.ndarray:
     max(sqrt(N), q_max): phi is sieved again only up to sqrt(N), when
     that exceeds q_max.  No spf table is read.
     """
-    n, q_max = table.n, phi.size - 1
+    n, q_max = lam.size - 1, phi.size - 1
     s = math.isqrt(n)
     if s > q_max:
         phi = moduli_tables(s)[1]
     primes = np.flatnonzero(phi == np.arange(-1, phi.size - 1))
     nr = np.zeros(q_max + 1)
     for p in primes[primes <= min(s, q_max)].tolist():
-        sq = table.lam[p] ** 2
+        sq = lam[p] ** 2
         lp, pt = 1, p                        # L_p: p^lp <= N < p^(lp + 1)
         while pt * p <= n:
             pt *= p
@@ -463,7 +465,7 @@ def _prime_power_class_squares(table, phi: np.ndarray) -> np.ndarray:
         if qs:
             nr[qs] += np.array(counts, dtype=np.float64) * sq
     large = primes[(primes > s) & (primes <= min(q_max, n))]
-    squares = table.lam[large] ** 2
+    squares = lam[large] ** 2
     for j in range(q_max // (s + 1), 0, -1):
         top = np.searchsorted(large, q_max // j, side="right")
         nr[j * large[:top]] += squares[:top]

@@ -274,15 +274,17 @@ def build_window(eps: float) -> SmoothWindow:
     return SmoothWindow(eps=eps)
 
 
-def windowed(values: np.ndarray, window: SmoothWindow) -> Sequence:
-    """The sequence a_n Phi(n/N) of values a_0..a_N: a_n times Phi(n/N)
-    off Phi's plateau, and a_n itself on it, where Phi(n/N) is 1.0."""
+def windowed(values: np.ndarray, window: SmoothWindow) -> np.ndarray:
+    """a_n Phi(n/N) for the values a_0..a_N, as a new array with slot 0
+    at +0.0: a_n times Phi(n/N) off Phi's plateau, and a_n itself on it,
+    where Phi(n/N) is 1.0."""
     n = len(values) - 1
     lo, hi, head, tail = window._grid_edges(n)
     out = np.array(values, dtype=np.float64)
     out[:lo] *= head
     out[hi:] *= tail
-    return Sequence(out)
+    out[0] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +330,8 @@ def build_tilde_sequence(n: int, weights: WeightSet, window: SmoothWindow) -> Se
     for r in range(1, weights.r_max + 1):
         if weights.b[r]:
             acc[r::r] += weights.b[r]
-    return windowed(acc, window)
+    acc = windowed(acc, window)         # the unwindowed sum is freed here
+    return Sequence(acc)
 
 
 def weight_sum_q(weights: WeightSet, q: int) -> float:

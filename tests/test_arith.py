@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -221,7 +222,7 @@ def test_ramanujan_correlation_exact_and_bulk(table_300):
     ds = (1, 2, 12, 30)
     direct = [sum(int(ints[n]) * ramanujan_sum(d, n) for n in range(1, 201))
               for d in ds]
-    assert ramanujan_correlations(seq, ds).tolist() == direct
+    assert ramanujan_correlations(seq.values, ds).tolist() == direct
 
 
 def test_gen_binomial_values():
@@ -271,6 +272,32 @@ def test_sequence_invariants():
         with pytest.raises(ValueError, match="a_2 .* not finite"):
             Sequence.from_coeffs([1.0, bad, 2.0])
 
+
+def test_sequence_shares_the_array_it_is_given(table_300):
+    """A float64 array with slot 0 at +0.0 is wrapped, not copied, and
+    read-only through the sequence; a slot 0 of 3.0 or -0.0 is set to
+    +0.0 in a copy, leaving the caller's array as it was; an int64 d_k is
+    converted once, into the one array the sequence keeps."""
+    lam = table_300.lambda_sequence()
+    assert np.shares_memory(table_300.lam, lam.values)
+    with pytest.raises(ValueError, match="read-only"):
+        lam.values[2] = 0.0
+    assert table_300.lam[2] == math.log(2)
+    for a0 in (3.0, -0.0):
+        given = np.array([a0, 1.0, 2.0])
+        seq = Sequence(given)
+        assert given.tobytes() == np.array([a0, 1.0, 2.0]).tobytes()
+        assert seq.values.tobytes() == np.array([0.0, 1.0, 2.0]).tobytes()
+    d2 = table_300.dk[2]
+    tracemalloc.start()
+    try:
+        seq = Sequence(d2)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert d2.dtype == np.int64 and np.array_equal(seq.values, d2)
+    assert d2.nbytes <= kept < 2 * d2.nbytes
+    assert np.shares_memory(Sequence(seq.values).values, seq.values)
 
 
 @settings(max_examples=200, deadline=None)

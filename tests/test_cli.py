@@ -312,6 +312,9 @@ def test_table_range_guard(tmp_path, capsys):
     (["residues", "--k", "-2", "--N", "100", "--q-max", "3"], "--k"),
     (["weights", "--kind", "divisor", "--k", "1", "--R", "10"], "--k"),
     (["residues", "--k", "1", "--N", "4", "--q-max", "2"], "--N"),
+    (["variance", "--N", "12.7"], "--N"),
+    (["weights", "--R", "100.5"], "--R"),
+    (["residues", "--N", "100.5"], "--N"),
 ])
 def test_table_bad_flags_fail_cleanly(argv, flag, tmp_path, capsys):
     code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
@@ -529,6 +532,7 @@ def test_experiment_validation_errors(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "error" in err
     for argv in (["--N", "abc"], ["--N", "inf"], ["--N", "1"],
+                 ["--N", "20000.9"],
                  ["--N", "1e4", "--R", "inf"], ["--K-exp", "nan"],
                  ["--epsilon", "0.3"], ["--Q-exp", "nan"]):
         code, out, err = run_cli(["experiment", "theorem1", *argv],

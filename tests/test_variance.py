@@ -220,7 +220,7 @@ def test_sweep_correlations_match_ramanujan_correlations(table_1e4, rng):
             Sequence.from_coeffs(rng.standard_normal(n))]
     for i, seq in enumerate(seqs):
         sweep = variance_sweep(seq, q_max)
-        corrs = ramanujan_correlations(seq, range(1, q_max + 1))
+        corrs = ramanujan_correlations(seq.values, range(1, q_max + 1))
         assert np.array_equal(sweep.correlations[1:], corrs), i
         assert np.array_equal(sweep.phi[1:],
                               [totient(d) for d in range(1, q_max + 1)])
@@ -376,7 +376,7 @@ def test_prime_power_class_squares_match_pairs_oracle(table_1e4, table_1e5):
     tables.append((table_1e4, (1, s, s + 1, table_1e4.n)))
     for table, q_maxes in tables:
         for q_max in q_maxes:
-            fast = _prime_power_class_squares(table,
+            fast = _prime_power_class_squares(table.lam,
                                               moduli_tables(q_max)[1])
             slow = prime_power_class_squares_pairs(table, q_max)
             assert np.array_equal(fast == 0, slow == 0)
@@ -396,7 +396,8 @@ def test_prime_power_class_squares_match_spf_route(table_1e4, table_1e5):
              (table_1e5, (17, s - 1, s, s + 1, 5623, 10**5))]
     for table, q_maxes in cases:
         for q_max in q_maxes:
-            fast = _prime_power_class_squares(table, moduli_tables(q_max)[1])
+            fast = _prime_power_class_squares(table.lam,
+                                              moduli_tables(q_max)[1])
             slow = prime_power_class_squares_spf(table, q_max)
             assert fast.tobytes() == slow.tobytes(), (table.n, q_max)
 
@@ -424,7 +425,8 @@ def test_prime_power_class_squares_brute_force():
              (97**2 - 1, (97, 2 * 97, 97**2, 101, 2 * 101, 4096, 3 * 4096))]
     for n, qs in cases:
         table = sieve_all(n, 2)
-        nr = _prime_power_class_squares(table, moduli_tables(max(qs))[1])
+        nr = _prime_power_class_squares(table.lam,
+                                        moduli_tables(max(qs))[1])
         for q in qs:
             exact = brute_nr(table, q)
             bound = gamma(len(factorize(q)) + 1) * float(exact)
