@@ -18,11 +18,13 @@ first).
 
 import sys
 import tracemalloc
+import types
 
 from apvar import arith, circle, cli, pipeline, variance
 
-# (object, attribute, stage name): the functions timed as chain stages,
-# wrapped where their callers look them up.
+# (object, attribute, stage name): the functions timed as chain stages.
+# A module's function counts when that module's code calls it, a class's
+# method at every call.
 STAGES = [
     (cli, "sieve_all", "sieve table"),
     (cli, "run_theorem1", "run_theorem1"),
@@ -49,9 +51,21 @@ class Peaks:
     """The traced peak of each stage.  tracemalloc keeps one peak, which
     each stage resets on entry; the stack carries every open stage's
     highest total so far, so that no enclosing stage loses the part of
-    its peak that came before a nested reset."""
+    its peak that came before a nested reset.
 
-    def __init__(self):
+    Stages are entered and left by a profile hook (`hook`, for
+    sys.setprofile), not by wrappers: a wrapper would hold its call's
+    arguments, so a table a stage drops (run_theorem2's, once d_k's
+    sequence is made) would stay alive as it does not in the command."""
+
+    def __init__(self, stages):
+        # code object -> (the module namespace it counts from, or None for
+        # every caller; the stage name)
+        self._stages = {
+            getattr(obj, attr).__code__:
+                (vars(obj) if isinstance(obj, types.ModuleType) else None,
+                 name)
+            for obj, attr, name in stages}
         self.peaks: dict = {}
         self.order: list = []
         self._stack: list = [0]
@@ -62,22 +76,26 @@ class Peaks:
         self._stack.append(0)
         tracemalloc.reset_peak()
 
-    def _leave(self) -> int:
+    def _leave(self, name):
         peak = max(self._stack.pop(), tracemalloc.get_traced_memory()[1])
         self._stack[-1] = max(self._stack[-1], peak)
-        return peak
+        if name not in self.peaks:
+            self.order.append(name)
+        self.peaks[name] = max(self.peaks.get(name, 0), peak)
 
-    def wrap(self, name, fn):
-        def traced(*args, **kwargs):
+    def hook(self, frame, event, arg):
+        if event not in ("call", "return"):
+            return
+        stage = self._stages.get(frame.f_code)
+        if stage is None:
+            return
+        scope, name = stage
+        if scope is not None and frame.f_back.f_globals is not scope:
+            return
+        if event == "call":
             self._enter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                peak = self._leave()
-                if name not in self.peaks:
-                    self.order.append(name)
-                self.peaks[name] = max(self.peaks.get(name, 0), peak)
-        return traced
+        else:
+            self._leave(name)
 
     def total(self) -> int:
         return max(self._stack[0], tracemalloc.get_traced_memory()[1])
@@ -86,18 +104,15 @@ class Peaks:
 def main(argv: list) -> int:
     n = int(float(argv[argv.index("--N") + 1] if "--N" in argv
                   else cli._FLAGS["--N"]["default"]))
-    peaks = Peaks()
-    saved = [(obj, attr, getattr(obj, attr)) for obj, attr, _ in STAGES]
-    for (obj, attr, name), (_, _, fn) in zip(STAGES, saved):
-        setattr(obj, attr, peaks.wrap(name, fn))
+    peaks = Peaks(STAGES)
     tracemalloc.start()
+    sys.setprofile(peaks.hook)
     try:
         code = cli.main(argv)
         total = peaks.total()
     finally:
+        sys.setprofile(None)
         tracemalloc.stop()
-        for obj, attr, fn in saved:
-            setattr(obj, attr, fn)
     print(f"\n{'stage':<28}{'peak MB':>10}{'bytes/N':>10}")
     for name in peaks.order:
         print(f"{name:<28}{peaks.peaks[name] / 2**20:>10.1f}"

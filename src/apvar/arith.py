@@ -175,10 +175,17 @@ def ramanujan_sum(q: int, n: int) -> int:
     return mu * (totient(q) // totient(d))
 
 
+def _sum_type(a: np.ndarray) -> np.dtype:
+    """The type the divisor-sum kernels sum `a` in: int64 for integers of
+    any width, so that a narrow sieve table sums exactly, else a's own."""
+    return np.dtype(np.int64) if a.dtype.kind in "biu" else a.dtype
+
+
 def multiple_sums(values: np.ndarray, emax: int) -> np.ndarray:
     """M[e] = sum of values[n] over multiples n of e, for 1 <= e <= emax.
 
-    The result has the dtype of `values`, so integer inputs sum exactly.
+    Integer inputs of any width sum exactly, in int64 (_sum_type); any
+    other input sums in its own dtype.
     Dirichlet hyperbola split at s = isqrt(N), N = values.size - 1: each
     e <= s is one strided sum, and the e > s, which have fewer than s
     multiples, are filled together one cofactor j <= s at a time
@@ -191,7 +198,7 @@ def multiple_sums(values: np.ndarray, emax: int) -> np.ndarray:
     for bit, which variance_sweep's rows rely on.
     """
     n = values.size - 1
-    m = np.zeros(emax + 1, dtype=values.dtype)
+    m = np.zeros(emax + 1, dtype=_sum_type(values))
     s = math.isqrt(n)
     for e in range(1, min(s, emax) + 1):
         m[e] = values[e::e].sum()
@@ -210,6 +217,7 @@ def ramanujan_convolution(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
     sum_n a_n c_d(n) for every d at once (c_d(n) = sum_{e | (d,n)} e
     mu(d/e)), done as strided updates rather than a walk over the
     divisors of each d.  `mu` is a Moebius table of length >= m.size.
+    Integer m of any width is widened to int64 first (_sum_type).
     Hyperbola split at s = isqrt(dmax): one update C[e::e] per e <= s,
     then one C[j(s+1)::j] += e m[e] mu(j) over all e > s per cofactor
     j <= s, in descending j, so that every C[d] adds its terms in
@@ -217,6 +225,7 @@ def ramanujan_convolution(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
     That order does not depend on the table length, so C on a prefix of
     m is the prefix of C, bit for bit, which variance_sweep's rows rely on.
     """
+    m = m.astype(_sum_type(m), copy=False)
     dmax = m.size - 1
     s = math.isqrt(dmax)
     c = np.zeros_like(m)
@@ -440,11 +449,27 @@ def gen_binomial(x: int, j: int) -> Fraction:
 # Sieve tables
 
 
+# The type of each integer sieve array on 0..N, the narrowest that holds
+# every value for N <= MEMORY_BUDGET: spf(n) and phi(n) are at most
+# n < 2^31; d(n) <= 2 sqrt(n) < 2^15, as the divisors e <= sqrt(n) pair
+# with the others by e -> n/e; and d_3(n) = sum_{e|n} d(e) <= d(n)^2 <=
+# 4n < 2^31.  d_j for j >= 4 (d_4(n) <= d(n)^3 passes 2^31) is int64,
+# and the recurrence checks that it fits (_spf_recurrence).
+_TABLE_TYPES = {"spf": np.int32, "mu": np.int8, "phi": np.int32,
+                "d2": np.int16, "d3": np.int32}
+
+
+def _table_type(name: str) -> np.dtype:
+    return np.dtype(_TABLE_TYPES.get(name, np.int64))
+
+
 class SieveTable:
     """Immutable arithmetic tables on 1..n.
 
     lam is Lambda(n) as a float (log p); dk maps j -> d_j table for
-    2 <= j <= k.  All arrays have length n+1 with slot 0 unused.  The
+    2 <= j <= k.  The integer arrays have the types of _TABLE_TYPES (d_j
+    for j >= 4 in int64); readers that do integer arithmetic on them
+    widen first.  All arrays have length n+1 with slot 0 unused.  The
     arrays come from one mapping of names (spf, mu, phi, lam, d2..dk) to
     arrays: a fresh sieve's dict, or a cached table's _CachedArrays,
     which reads each array on first access.
@@ -490,21 +515,23 @@ class _DivisorTables(Mapping):
 
 
 def _spf_sieve(n: int) -> np.ndarray:
-    spf = np.zeros(n + 1, dtype=np.int64)
+    """The smallest prime factor of each 2 <= m <= n, slots 0 and 1
+    holding 0; every composite is marked by a prime up to sqrt(n), and
+    the entries still 0 after slot 1 are the primes themselves."""
+    spf = np.zeros(n + 1, dtype=_table_type("spf"))
     for p in range(2, math.isqrt(n) + 1):
         if spf[p] == 0:
             sl = spf[p * p :: p]
             sl[sl == 0] = p
-    idx = np.arange(n + 1)
-    unset = (spf == 0) & (idx >= 2)
-    spf[unset] = idx[unset]
+    primes = np.flatnonzero(spf == 0)[2:]
+    spf[primes] = primes
     return spf
 
 
 def primes_from_spf(spf: np.ndarray) -> np.ndarray:
-    """The primes p < spf.size, read from a smallest-prime-factor table."""
-    idx = np.arange(spf.size)
-    return idx[(idx >= 2) & (spf == idx)]
+    """The primes p < spf.size, read from a smallest-prime-factor table
+    (slot 0, holding 0, is the one other m with spf(m) = m)."""
+    return np.flatnonzero(spf == np.arange(spf.size, dtype=spf.dtype))[1:]
 
 
 # The most indices one block of _spf_recurrence fills, bounding its temporaries.
@@ -513,8 +540,10 @@ _INT64_MAX = 2**63 - 1
 
 
 def _spf_recurrence(spf: np.ndarray, k: int):
-    """(mu, phi, {j: d_j for 2 <= j <= k}) on 0..n, slot 0 holding 0 (mu
-    int8, the rest int64), from the smallest prime factor table spf.
+    """(mu, phi, {j: d_j for 2 <= j <= k}) on 0..n, slot 0 holding 0, each
+    in its _table_type, from the smallest prime factor table spf.  Each
+    block forms its d_j in int64 temporaries (phi in int32, which holds
+    phi(n) <= n) and writes them to the narrow tables.
 
     With p = spf(n) and m = n/p, p | m exactly when spf(m) = p; then the
     exponent e of p in n is one more than in m (else 1), mu(n) = 0 (else
@@ -526,9 +555,9 @@ def _spf_recurrence(spf: np.ndarray, k: int):
     blocks [a, min(2a, a + _BLOCK)) fill in order from earlier ones; the
     exponents fit int8, as e <= log2(n) <= 27 under MEMORY_BUDGET."""
     n = spf.size - 1
-    mu, phi = np.zeros(n + 1, np.int8), np.zeros(n + 1, np.int64)
+    mu, phi = np.zeros(n + 1, np.int8), np.zeros(n + 1, _table_type("phi"))
     exp = np.zeros(n + 1, np.int8)
-    dk = {j: np.zeros(n + 1, np.int64) for j in range(2, k + 1)}
+    dk = {j: np.zeros(n + 1, _table_type(f"d{j}")) for j in range(2, k + 1)}
     for table in (mu, phi, *dk.values()):
         table[1:2] = 1
     a = 2
@@ -558,9 +587,12 @@ def _spf_recurrence(spf: np.ndarray, k: int):
 def moduli_tables(n: int, k: int = 1):
     """(mu, phi, {j: d_j for 2 <= j <= k}) on 0..n, slot 0 holding 0:
     sieve_all's tables without spf and Lambda, for a range of moduli
-    (n = Q, KQ0 or R, not N).  At n = 0 each table is slot 0 alone."""
+    (n = Q, KQ0 or R, not N).  At n = 0 each table is slot 0 alone.  n is
+    held to MEMORY_BUDGET, as in sieve_all, where _TABLE_TYPES hold."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > MEMORY_BUDGET:
+        raise CapacityError(f"n={n} exceeds memory budget {MEMORY_BUDGET}")
     return _spf_recurrence(_spf_sieve(n), k)
 
 
@@ -572,11 +604,12 @@ def convolve_ones(f: np.ndarray) -> np.ndarray:
     in descending j, so every g[q] adds f[q/d] in ascending d as a pass
     per d would (bit for bit, floats included).  That order does not
     depend on n, so g on a prefix of f is the prefix of g, bit for bit,
-    which variance_sweep's rows rely on.
+    which variance_sweep's rows rely on.  Integer f of any width sums in
+    int64 (_sum_type).
     """
     n = len(f) - 1
     s = math.isqrt(n)
-    g = np.zeros_like(f)
+    g = np.zeros(f.size, _sum_type(f))
     for d in range(1, s + 1):
         g[d::d] += f[1 : n // d + 1]
     for j in range(n // (s + 1), 0, -1):

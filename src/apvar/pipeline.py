@@ -485,6 +485,7 @@ def run_theorem1(params: ResolvedParams, table: SieveTable) -> BoundReport:
     n = params.n
     log_n = math.log(n)
     seq = table.lambda_sequence()
+    del table                   # Lambda is all the chain reads of it
     window = build_window(config.epsilon)
     r_int = int(params.r)
     weights = build_weights("prime_sieve", r_int)
@@ -547,6 +548,7 @@ def run_theorem2(params: ResolvedParams, table: SieveTable) -> BoundReport:
     n, k = params.n, config.k
     log_n = math.log(n)
     seq = table.dk_sequence(k)
+    del table                   # the integer d_k dies here; seq is a copy
     window = build_window(config.epsilon)
     kq0 = params.kq0
     r_int = int(params.r)

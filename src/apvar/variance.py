@@ -144,13 +144,14 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
 
     Memory: besides `corr` (N + 1 lags, which the caller holds) the sweep
     keeps the seven rows it returns, of length Q + 1: v, error, T, M, C,
-    mu (int8) and phi.  Each other row of length Q + 1 (the lag counts,
-    C_abs, the bound on C, w_d and its error, G and its error, tau) is
-    freed when it dies, and the error terms are formed in place, one
-    term at a time, with the operations and the order of the formulas
-    below.  At the peak, the last terms of the bound, that leaves the
-    returned rows, tau, G, its error and two temporaries alive: about
-    100 bytes per modulus, which at Q = N outweighs the FFT's arrays.
+    mu (int8) and phi (int32).  Each other row of length Q + 1 (the lag
+    counts, C_abs, the bound on C, w_d and its error, G and its error,
+    tau in int16) is freed when it dies, and the error terms are formed
+    in place, one term at a time, with the operations and the order of
+    the formulas below.  At the peak, the last terms of the bound, that
+    leaves the returned rows, tau, G, its error and two temporaries
+    alive: about 80 bytes per modulus, which at Q = N outweighs the
+    FFT's arrays.
 
     Error bound, in the standard rounding model (u = 2^-53,
     gamma_k = ku/(1-ku), L the FFT length) with gradual underflow (each
@@ -233,7 +234,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     del w
     dg = convolve_ones(dw)[1:]                 # and its error
     del dw
-    tau = dk[2][1:]
+    tau = dk[2][1:]                            # int16: float products only
     v = np.zeros(q_max + 1)
     np.divide(g, np.arange(1, q_max + 1), out=v[1:])
     np.subtract(squares[1:], v[1:], out=v[1:])
@@ -248,7 +249,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     terms *= gamma(2)
     dg += terms
     del terms
-    dg += underflow(8 * tau + 16)
+    dg += underflow(8.0 * tau + 16.0)
     err[1:] += dg
     del dg
     np.maximum(v, 0.0, out=v)

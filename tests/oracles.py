@@ -275,6 +275,16 @@ def convolve_ones_loop(f: np.ndarray) -> np.ndarray:
     return g
 
 
+def spf_sieve_loop(n: int) -> np.ndarray:
+    """spf on 0..n in int64, slots 0 and 1 holding 0: one pass per m from
+    n down to 2, so that the last write to each index is its least
+    divisor above 1, which is prime."""
+    spf = np.zeros(n + 1, dtype=np.int64)
+    for m in range(n, 1, -1):
+        spf[m::m] = m
+    return spf
+
+
 def mu_phi_sieve_loop(n: int, primes: np.ndarray):
     """(mu, phi) on 0..n, one pass per prime."""
     mu = np.ones(n + 1, dtype=np.int8)

@@ -22,7 +22,7 @@ from apvar.arith import (CapacityError, LagSpectra, Sequence, _fft_length,
 
 from oracles import (convolve_ones_loop, lambda_sieve_loop, mu_phi_sieve_loop,
                      multiple_sums_loop, ramanujan_convolution_loop,
-                     ramanujan_row_gcd)
+                     ramanujan_row_gcd, spf_sieve_loop)
 
 
 def direct_ramanujan(q, n):
@@ -128,10 +128,10 @@ def test_sieve_cache_damaged_array_is_sieved_again(tmp_path, monkeypatch,
     sieve_all(500, 3)
     path = tmp_path / "sieve_500_3.bin"
     stored = path.read_bytes()
-    _, length, offset, _ = arith._cache_load(500, 3)._arrays._entries["d3"]
+    dtype, length, offset, _ = arith._cache_load(500, 3)._arrays._entries["d3"]
     damaged = bytearray(stored)
     if damage == "flip":
-        damaged[offset + 8 * length // 2] ^= 0x01
+        damaged[offset + dtype.itemsize * length // 2] ^= 0x01
     else:
         del damaged[offset + 8:]
     path.write_bytes(damaged)
@@ -276,8 +276,8 @@ def test_sequence_invariants():
 def test_sequence_shares_the_array_it_is_given(table_300):
     """A float64 array with slot 0 at +0.0 is wrapped, not copied, and
     read-only through the sequence; a slot 0 of 3.0 or -0.0 is set to
-    +0.0 in a copy, leaving the caller's array as it was; an int64 d_k is
-    converted once, into the one array the sequence keeps."""
+    +0.0 in a copy, leaving the caller's array as it was; the int16 d_2 is
+    converted once, into the one float64 array the sequence keeps."""
     lam = table_300.lambda_sequence()
     assert np.shares_memory(table_300.lam, lam.values)
     with pytest.raises(ValueError, match="read-only"):
@@ -295,8 +295,8 @@ def test_sequence_shares_the_array_it_is_given(table_300):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert d2.dtype == np.int64 and np.array_equal(seq.values, d2)
-    assert d2.nbytes <= kept < 2 * d2.nbytes
+    assert d2.dtype == np.int16 and np.array_equal(seq.values, d2)
+    assert 8 * d2.size <= kept < 16 * d2.size
     assert np.shares_memory(Sequence(seq.values).values, seq.values)
 
 
@@ -323,22 +323,39 @@ def assert_same(fast, loop):
     assert np.array_equal(fast, loop)
 
 
+def assert_typed(table, name, loop):
+    """A sieve array named `name` holds the int64 loop's values in its
+    table type."""
+    assert table.dtype == arith._table_type(name), name
+    assert np.array_equal(table, loop), name
+
+
 def test_divisor_kernels_match_loops_on_integers(table_1e4):
-    """The hyperbola-split kernels are the per-index loops bit for bit on
-    int64 inputs (d_2, d_3 and signed random integers)."""
+    """The hyperbola-split kernels are the int64 per-index loops bit for
+    bit on integers of any width: the table's int16 d_2 and int32 d_3 as
+    stored, and signed random int64 integers, all summed in int64."""
     rng = np.random.default_rng(8)
+    mu_top = moduli_tables(10**4)[0]
     for n in KERNEL_NS:
         inputs = (table_1e4.dk[2][: n + 1], table_1e4.dk[3][: n + 1],
                   rng.integers(-1000, 1000, n + 1))
+        assert [a.dtype for a in inputs] == [np.int16, np.int32, np.int64]
+        for values in inputs:
+            wide = values.astype(np.int64)
+            for table in (mu_top, np.abs(mu_top)):
+                assert_same(ramanujan_convolution(values, table),
+                            ramanujan_convolution_loop(wide, table))
+            assert_same(convolve_ones(values), convolve_ones_loop(wide))
         for emax in kernel_emaxes(n):
             mu, phi, _ = moduli_tables(emax)
             loop_mu, loop_phi = mu_phi_sieve_loop(
                 emax, primes_from_spf(_spf_sieve(emax)))
             assert_same(mu, loop_mu)
-            assert_same(phi, loop_phi)
+            assert_typed(phi, "phi", loop_phi)
             for values in inputs:
                 m = multiple_sums(values, emax)
-                assert_same(m, multiple_sums_loop(values, emax))
+                assert_same(m, multiple_sums_loop(values.astype(np.int64),
+                                                  emax))
                 for table in (mu, np.abs(mu)):
                     assert_same(ramanujan_convolution(m, table),
                                 ramanujan_convolution_loop(m, table))
@@ -374,8 +391,9 @@ RECURRENCE_NS = sorted({1, 2, 3, 10**4} | {2**j + i for j in range(1, 13)
 @pytest.mark.parametrize("block", [7, 64])
 def test_spf_recurrence_matches_loops(block, monkeypatch):
     """mu, phi, Lambda and d_2..d_5 from the spf recurrence are the
-    per-prime sieves and the repeated convolutions with 1, in dtype and
-    value, also when the block cap splits the blocks [a, 2a)."""
+    per-prime sieves and the repeated convolutions with 1 in value, each
+    in its table type, also when the block cap splits the blocks
+    [a, 2a)."""
     monkeypatch.setattr(arith, "_BLOCK", block)
     monkeypatch.delenv("APVAR_CACHE_DIR", raising=False)
     top = max(RECURRENCE_NS)
@@ -391,12 +409,56 @@ def test_spf_recurrence_matches_loops(block, monkeypatch):
         *mu_phi, dk = moduli_tables(n, 5)
         for mu, phi in (mu_phi, (table.mu, table.phi)):
             assert_same(mu, loop_mu[: n + 1])
-            assert_same(phi, loop_phi[: n + 1])
+            assert_typed(phi, "phi", loop_phi[: n + 1])
         assert_same(table.lam, loop_lam[: n + 1])
         assert sorted(dk) == sorted(table.dk) == [2, 3, 4, 5]
         for j in range(2, 6):
-            assert_same(dk[j], loop_dk[j][: n + 1])
-            assert_same(table.dk[j], loop_dk[j][: n + 1])
+            assert_typed(dk[j], f"d{j}", loop_dk[j][: n + 1])
+            assert_typed(table.dk[j], f"d{j}", loop_dk[j][: n + 1])
+
+
+def test_table_types_hold_their_bounds_at_the_budget(tmp_path, monkeypatch):
+    """Each integer sieve array is stored in the narrowest type that its
+    bound at N = MEMORY_BUDGET fits: spf(n), phi(n) <= n; |mu(n)| <= 1;
+    d(n) <= 2 sqrt(n), which int16 stops holding at N = 2^28; and
+    d_3(n) <= d(n)^2 <= 4n; d_4 on is int64.  Fresh and cached tables at
+    three sizes hold those types and the int64 loops' values, within the
+    bounds, and moduli_tables refuses an n past the budget."""
+    top = arith.MEMORY_BUDGET
+    bounds = {"spf": top, "phi": top, "mu": 1, "d2": 2 * math.sqrt(top),
+              "d3": 4 * top}
+    narrower = {np.dtype(np.int32): np.int16, np.dtype(np.int16): np.int8}
+    for name, bound in bounds.items():
+        dtype = arith._table_type(name)
+        assert bound <= np.iinfo(dtype).max, name
+        if dtype in narrower:
+            assert bound > np.iinfo(narrower[dtype]).max, name
+    assert arith._table_type("d4") == np.int64
+    with pytest.raises(CapacityError):
+        moduli_tables(top + 1)
+
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    for n in (1, 1000, 2**16 + 3):
+        loop = {"spf": spf_sieve_loop(n)}
+        primes = np.flatnonzero(loop["spf"] == np.arange(n + 1))[1:]
+        loop["mu"], loop["phi"] = mu_phi_sieve_loop(n, primes)
+        d = np.ones(n + 1, dtype=np.int64)
+        d[0] = 0
+        for j in (2, 3, 4):
+            d = loop[f"d{j}"] = convolve_ones_loop(d)
+        fresh = sieve_all(n, 4)
+        cached = sieve_all(n, 4)
+        assert isinstance(fresh._arrays, dict)
+        assert isinstance(cached._arrays, arith._CachedArrays)
+        for table in (fresh, cached):
+            got = {"spf": table.spf, "mu": table.mu, "phi": table.phi,
+                   **{f"d{j}": table.dk[j] for j in (2, 3, 4)}}
+            for name, a in got.items():
+                assert_typed(a, name, loop[name])
+        ns = np.arange(n + 1)
+        assert np.all(loop["spf"] <= ns) and np.all(loop["phi"] <= ns)
+        assert np.all(loop["d2"] <= 2 * np.sqrt(ns))
+        assert np.all(loop["d3"] <= loop["d2"] ** 2)
 
 
 def test_divisor_tables_stop_before_int64_wraps():
@@ -427,7 +489,7 @@ def test_mobius_totient_at_squares_of_primes():
             loop_mu, loop_phi = mu_phi_sieve_loop(
                 n, primes_from_spf(_spf_sieve(n)))
             assert_same(mu, loop_mu)
-            assert_same(phi, loop_phi)
+            assert_typed(phi, "phi", loop_phi)
 
 
 def test_moduli_tables_at_zero():

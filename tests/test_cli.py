@@ -418,7 +418,9 @@ def test_benchmark_table_bytes_of_cached_and_fresh_tables(tmp_path,
     cached = arith._cache_load(500, 3)
     assert cached is not None
     assert table_bytes((), {}, cached) == fresh
-    assert fresh["arith.sieve_bytes"] == 501 * (8 + 1 + 8 + 8 + 8 + 8)
+    # spf, mu, phi, Lambda, d_2 and d_3 in int32, int8, int32, float64,
+    # int16 and int32.
+    assert fresh["arith.sieve_bytes"] == 501 * (4 + 1 + 4 + 8 + 2 + 4)
 
 
 def test_experiment_theorem2_files(tmp_path, capsys):
