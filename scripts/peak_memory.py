@@ -20,7 +20,7 @@ import sys
 import tracemalloc
 import types
 
-from apvar import arith, circle, cli, pipeline, variance
+from apvar import arith, cli, pipeline, variance
 
 # (object, attribute, stage name): the functions timed as chain stages.
 # A module's function counts when that module's code calls it, a class's
@@ -31,8 +31,8 @@ STAGES = [
     (cli, "run_theorem2", "run_theorem2"),
     (pipeline, "build_tilde_sequence", "tilde sequence"),
     (pipeline, "_chain_terms", "chain terms"),
-    (pipeline, "arc_kernel", "  arc kernel"),
-    (circle, "major_weights", "    major weights"),
+    (pipeline, "major_weights", "  major weights"),
+    (pipeline, "lag_kernel", "  lag kernel"),
     (arith.LagSpectra, "__init__", "  spectra"),
     (pipeline, "arc_masses", "  arc masses"),
     (arith.LagSpectra, "release", "  autocorrelation"),

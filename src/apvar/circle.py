@@ -2,9 +2,10 @@
 
 Major arcs are the points within K/(qQ) of a reduced fraction a/q with
 q <= K*Q0.  arc_masses integrates |A|^2 (and A times a conjugated second
-sum) over them exactly, as one spectral dot per pair against the
-transform of one major-arc weight vector built from Ramanujan sums
-(major_weights), with an a-priori rounding bound.  The discretized
+sum) against any lag weights W exactly, as one spectral dot per pair
+against the kernel lag_kernel builds from W, with an a-priori rounding
+bound.  major_weights gives the major arcs' W, built from Ramanujan
+sums, so that the weighted sum is the major-arc mass.  The discretized
 path -- a power-of-two grid spectrum, its cell classification and
 certified trapezoid sums with a quadrature and boundary budget -- stays
 as its independent check.
@@ -144,7 +145,9 @@ def minor_arc_integral(spec: Spectrum, arcs: ArcSystem) -> MinorArcIntegral:
 @dataclass
 class ArcMass:
     """Integrals of A(alpha) conj(B(alpha)) over the whole circle (`total`,
-    which is sum_n a_n b_n), over the major arcs and over the minor arcs.
+    which is sum_n a_n b_n) and against a kernel's lag weights W
+    (`major`, sum_h rho(h) W(h)): the major-arc mass when W comes from
+    major_weights.  `minor` is total - major, the minor-arc mass then.
     `error` bounds the rounding error of `major` and of `minor`."""
 
     total: float
@@ -163,10 +166,11 @@ class ArcMasses:
 
 
 @dataclass
-class MajorWeights:
-    """The major-arc weights W'(h) of an arc system on the lags 0..N as
-    computed by major_weights, and `error`, an a-priori bound on
-    sum_h |W'(h) - W(h)|, their distance from the exact weights W."""
+class LagWeights:
+    """Lag weights for arc_masses, which gives sum_h rho(h) W(h) for a
+    pair's lag correlation rho: the computed W'(h) on the lags 0..N, and
+    `error`, an a-priori bound on sum_h |W'(h) - W(h)|, their distance
+    from the exact weights W."""
 
     w: np.ndarray
     error: float
@@ -176,10 +180,11 @@ class MajorWeights:
 _CHUNK = 128
 
 
-def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
+def major_weights(arcs: ArcSystem, n: int) -> LagWeights:
     """W(h) for 0 <= h <= n: for real a, b with lag correlation rho
     (LagSpectra), the major-arc integral of A conj(B) is
-    sum_h rho(h) W(h), exact when the arcs are disjoint.
+    sum_h rho(h) W(h), exact when the arcs are disjoint.  Arcs that
+    overlap are a ValueError here, before any work.
 
     With x(h) = sum_n a_{n+h} b_n, A(alpha) conj(B(alpha)) =
     sum_h x(h) e(h alpha).  The integral of e(h alpha) over
@@ -245,6 +250,10 @@ def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
     The sum of these terms is doubled, which covers the rounding of the
     bound's own evaluation.
     """
+    if not arcs_disjoint(arcs.k_param, arcs.q0, arcs.q):
+        raise ValueError(
+            f"major arcs overlap: need Q > K (2 KQ0 - 1) (and Q > 2K); "
+            f"K={arcs.k_param:.6g}, Q0={arcs.q0:.6g}, Q={arcs.q:.6g}")
     m_max, k_param, q = arcs.kq0, arcs.k_param, arcs.q
     mu, phi, dk = moduli_tables(m_max, 2)
     w = np.zeros(n + 1)
@@ -293,39 +302,33 @@ def major_weights(arcs: ArcSystem, n: int) -> MajorWeights:
            + gamma(2) * (2.0 / math.pi) * math.fsum(
                dk[2][ds] * n_d * logs * logs)
            + float(underflow(math.fsum(lags * (6.0 * n_d + 1.0)))))
-    return MajorWeights(w, 2.0 * err)
+    return LagWeights(w, 2.0 * err)
 
 
 @dataclass
-class ArcKernel:
-    """The major-arc kernel of an arc system for sequences a_1..a_N: its
-    `values` c_k E^_k on 0 <= k <= L/2 (arc_masses), L =
-    transform_length(N) the length of LagSpectra, with l1, the computed
-    sum_h |W'(h)| times
-    1 + gamma_{N+2}, and `error`, major_weights' bound Delta."""
+class LagKernel:
+    """The kernel of lag weights W for sequences a_1..a_N: its `values`
+    c_k E^_k on 0 <= k <= L/2 (arc_masses), L = transform_length(N) the
+    length of LagSpectra, with l1, the computed sum_h |W'(h)| times
+    1 + gamma_{N+2}, and `error`, the weights' bound Delta."""
 
     n: int
-    length: int
     values: np.ndarray
     l1: float
     error: float
 
 
-def arc_kernel(arcs: ArcSystem, n: int) -> ArcKernel:
-    """The major-arc kernel of `arcs` for sequences of length N, built
-    from major_weights before any sequence is transformed: W, then its
-    even extension E to Z/L and E's transform, whose real part times c_k
-    (1 or 2, applied as a scalar to the slices it multiplies) is the
-    kernel.  major_weights' arrays are freed when it returns, and the
-    extension (L floats) before the transform's real part is copied, so
-    the kernel's L/2 + 1 floats are all that stays.  Arcs that overlap
-    are a ValueError here, before any work."""
-    if not arcs_disjoint(arcs.k_param, arcs.q0, arcs.q):
-        raise ValueError(
-            f"major arcs overlap: need Q > K (2 KQ0 - 1) (and Q > 2K); "
-            f"K={arcs.k_param:.6g}, Q0={arcs.q0:.6g}, Q={arcs.q:.6g}")
+def lag_kernel(weights: LagWeights) -> LagKernel:
+    """The kernel of `weights` on the lags 0..N, N = weights.w.size - 1,
+    built before any sequence is transformed: W's even extension E to
+    Z/L and E's transform, whose real part times c_k (1 or 2, applied as
+    a scalar to the slices it multiplies) is the kernel.  The weights
+    are freed once copied into the extension (when the caller holds no
+    other reference to them), and the extension (L floats) before the
+    transform's real part is copied, so the kernel's L/2 + 1 floats are
+    all that stays."""
+    n = weights.w.size - 1
     length = transform_length(n)
-    weights = major_weights(arcs, n)
     l1 = float(np.abs(weights.w).sum()) * (1.0 + gamma(n + 2))
     even = np.zeros(length)
     even[: n + 1] = weights.w
@@ -338,21 +341,21 @@ def arc_kernel(arcs: ArcSystem, n: int) -> ArcKernel:
     values = spectrum.real.copy()
     del spectrum
     values[1 : (length + 1) // 2] *= 2.0
-    return ArcKernel(n, length, values, l1, error)
+    return LagKernel(n, values, l1, error)
 
 
-def arc_masses(kernel: ArcKernel, spectra: LagSpectra) -> ArcMasses:
-    """Exact major- and minor-arc masses of |A|^2 when `spectra` hold one
-    sequence a, and of |A|^2, |A~|^2 and A conj(A~) when they hold two,
-    a and a~, from their real FFTs and the point's major-arc kernel
-    (arc_kernel, built before the spectra).
+def arc_masses(kernel: LagKernel, spectra: LagSpectra) -> ArcMasses:
+    """Exact weighted masses of |A|^2 when `spectra` hold one sequence a,
+    and of |A|^2, |A~|^2 and A conj(A~) when they hold two, a and a~,
+    from their real FFTs and a kernel of lag weights W (lag_kernel,
+    built before the spectra).
 
-    A pair's major mass is sum_{h=0}^{N} rho(h) W(h), rho its lag
-    correlation and W the weights of major_weights: W(h) is the integral
-    of e(h alpha) + e(-h alpha) over the major arcs (of 1 at h = 0),
-    which the Ramanujan sums c_q(h) give in closed form, and
-    major_weights derives it and its own bound.  With L > 2N the
-    transform length of LagSpectra and P = Re(X conj Y) on
+    A pair's `major` is sum_{h=0}^{N} rho(h) W(h), rho its lag
+    correlation.  With W from major_weights it is the major-arc mass:
+    there W(h) is the integral of e(h alpha) + e(-h alpha) over the
+    major arcs (of 1 at h = 0), which the Ramanujan sums c_q(h) give in
+    closed form, and major_weights derives it and its own bound.  With
+    L > 2N the transform length of LagSpectra and P = Re(X conj Y) on
     0 <= k <= L/2 the pair's spectral product, let E be the even
     extension of W to Z/L: E(0) = W(0), E(h) = E(L - h) = W(h)/2 for
     1 <= h <= N, and 0 between.  The circular correlation r on Z/L is
@@ -367,8 +370,9 @@ def arc_masses(kernel: ArcKernel, spectra: LagSpectra) -> ArcMasses:
     costs one product of two spectra and one O(L) dot, and no inverse
     transform; the pairs share W and E^, one transform, which the kernel
     holds as c_k E^_k.  Each sum runs as a pairwise tree, every term
-    through lg = ceil(log2(L/2 + 1)) additions.  minor = total - major.
-    This is exact when the arcs are disjoint, which arc_kernel checks.
+    through lg = ceil(log2(L/2 + 1)) additions.  minor = total - major,
+    the minor-arc mass for major_weights' W; that is exact when the arcs
+    are disjoint, which major_weights checks.
 
     Memory: besides the kernel (L/2 + 1 floats) and the spectra (L/2 + 1
     complex values per sequence), which the caller holds, only two
@@ -380,8 +384,8 @@ def arc_masses(kernel: ArcKernel, spectra: LagSpectra) -> ArcMasses:
     e0 = 2^-1074; eps the pair's per-lag bound there, P_L = c L log2(L)
     with c = FFT_ERROR_CONSTANT the e0 count of a transform's output,
     eta <= 8u per level of log2 L), with ab = ||a||_2 ||b||_2, W' the
-    computed weights and E' their extension, Delta the error bound of
-    major_weights on sum_h |W'(h) - W(h)|, and l1 the computed
+    computed weights and E' their extension, Delta the weights' error
+    bound on sum_h |W'(h) - W(h)|, and l1 the computed
     sum_h |W'(h)|, which bounds sum_h |E'(h)| within gamma_{N+2}:
 
     * Spectra: the computed P is the exact transform of a correlation r~
@@ -404,12 +408,12 @@ def arc_masses(kernel: ArcKernel, spectra: LagSpectra) -> ArcMasses:
     So error = 2 [eps (1 + l1) + gamma_{8 log2(L) + lg + 3} ab l1 +
     (ab + eps) Delta + (2 P_L ab + N (ab + eps) + 2) e0 +
     u (|major| + |minor|)], doubled to cover second-order terms and the
-    rounding of the bound's own evaluation.  Without major arcs
-    (KQ0 = 0) W = 0, so major = 0 and minor = total.  `kernel` and
-    `spectra` are read, not changed; a kernel built for another N is a
-    ValueError.
+    rounding of the bound's own evaluation.  W = 0 (major_weights
+    without major arcs, KQ0 = 0) gives major = 0 and minor = total.
+    `kernel` and `spectra` are read, not changed; a kernel built for
+    another N is a ValueError.
     """
-    if (kernel.n, kernel.length) != (spectra.n, spectra.length):
+    if kernel.n != spectra.n:
         raise ValueError(f"kernel for N={kernel.n} read with spectra of "
                          f"N={spectra.n}")
     n, length, l1 = spectra.n, spectra.length, kernel.l1

@@ -24,8 +24,8 @@ from .arith import (LagSpectra, Sequence, SieveTable, d_k_of, dot,
                     is_squarefree, mobius, ramanujan_correlations, totient)
 # Bound for perfbench/spans.py, which wraps this name in this module.
 from .arith import sieve_all  # noqa: F401
-from .circle import (ArcMasses, ArcSystem, Spectrum, arc_kernel, arc_masses,
-                     arcs_disjoint)
+from .circle import (ArcMasses, ArcSystem, Spectrum, arc_masses,
+                     arcs_disjoint, lag_kernel, major_weights)
 # Grid path: the validation tests use it and perfbench/spans.py wraps it.
 from .circle import build_spectrum, major_mask, minor_arc_integral  # noqa: F401
 from .dirichlet import (choose_R_chebyshev, f_q_value, polynomial_69,
@@ -244,13 +244,15 @@ def _chain_terms(seq: Sequence, params: ResolvedParams,
 
     The allocations follow one order, so that the large arrays of one
     step are gone before the next step's are made: the point's major-arc
-    kernel (arc_kernel) before any spectrum; then one forward FFT per
+    kernel before any spectrum (lag_kernel of major_weights, passed
+    unbound, so that lag_kernel holds the only reference to the weights
+    and frees them before its transform); then one forward FFT per
     sequence (LagSpectra) and the arc masses, which read the spectra and
     the kernel; then the spectra are released, the kernel with them, and
     the one inverse FFT gives the autocorrelation of `seq`
     (LagSpectra.release), which the sweep reads and which is freed when
     the sweep returns."""
-    kernel = arc_kernel(params, seq.n)
+    kernel = lag_kernel(major_weights(params, seq.n))
     spectra = LagSpectra([seq] if tilde is None else [seq, tilde])
     masses = arc_masses(kernel, spectra)
     del kernel

@@ -574,6 +574,143 @@ def farey_density_f(alpha: float, arcs: ArcSystem) -> float:
     return total
 
 
+def farey_denominators(q: float, q0: float, k_param: float) -> list:
+    """f's intervals grouped by the reduced denominator r: the list of
+    (r, w, g(r)) over Q0 < r <= Q, w = K/(Q0 Q) the half-width of every
+    interval |alpha - b/r| <= w with (b, r) = 1, and g(r) = H(floor(Q/r))/r
+    its weight in f, H the harmonic numbers.  (a/q with q/(a, q) = r is
+    b/r, q = rm for the m <= Q/r, each weighing 1/q in f.)"""
+    w = k_param / (q0 * q)
+    return [(r, w, math.fsum(1.0 / m for m in range(1, int(q) // r + 1)) / r)
+            for r in range(int(math.floor(q0)) + 1, int(q) + 1)]
+
+
+def farey_weights_direct(n: int, q: float, q0: float, k_param: float):
+    """The lag weights W_f(h), 0 <= h <= n, of f (farey_density_f): for
+    real a, b with lag correlation rho, the integral of f A conj(B) over
+    the circle is sum_h rho(h) W_f(h).  In the direct Ramanujan-sum form,
+    with (r, w, g(r)) from farey_denominators,
+
+      W_f(0) = 2w sum_r phi(r) g(r),
+      W_f(h) = (2 sin(2 pi h w)/(pi h)) S(h),  S(h) = sum_r g(r) c_r(h),
+
+    as the interval about b/r weighs e(h alpha) by
+    e(hb/r) sin(2 pi h w)/(pi h) and the reduced b sum e(hb/r) to c_r(h).
+    Returned as LagWeights with the bound, for these g(r) and w, of
+    sum_h |W_f'(h) - W_f(h)|: S(h) by fsum of products rounded once is
+    within gamma_2 T(h), T(h) = sum_r g(r) |c_r(h)|; the sine's argument
+    carries gamma_3 (2 pi rounded, two products), its value 8u, and the
+    doubling, pi h and the quotient gamma_3, so with the last product
+    W_f'(h) is within (2/(pi h)) (gamma_2 T(h) + |S(h)| (gamma_3 2 pi h w
+    + 8u)) + gamma_4 |W_f'(h)|, and W_f'(0) within gamma_3 |W_f'(0)|.
+    The sum is doubled for the bound's own rounding."""
+    from apvar.circle import LagWeights
+
+    rows = farey_denominators(q, q0, k_param)
+    w = rows[0][1] if rows else 0.0
+    weights, err = np.zeros(n + 1), np.zeros(n + 1)
+    weights[0] = 2.0 * w * math.fsum(totient(r) * g for r, _, g in rows)
+    err[0] = gamma(3) * abs(weights[0])
+    if rows and n:
+        c = np.array([ramanujan_row_gcd(r, n) for r, _, _ in rows])
+        g = np.array([g for _, _, g in rows])[:, None]
+        sums = np.array([math.fsum(col) for col in (g * c).T])
+        totals = (g * np.abs(c)).sum(axis=0)
+        h = np.arange(1, n + 1)
+        factor = 2.0 * np.sin(2.0 * math.pi * h * w) / (math.pi * h)
+        weights[1:] = factor * sums
+        err[1:] = (2.0 / (math.pi * h) * (
+            gamma(2) * totals
+            + np.abs(sums) * (gamma(3) * 2.0 * math.pi * h * w
+                              + 8.0 * UNIT_ROUNDOFF))
+            + gamma(4) * np.abs(weights[1:]))
+    return LagWeights(weights, 2.0 * math.fsum(err))
+
+
+def farey_min_on_minor(arcs: ArcSystem) -> tuple:
+    """(min f, alpha): the smallest value of f (farey_density_f) on the
+    minor arcs, the complement of the closed major arcs
+    |alpha - a/q| <= K/(qQ), q <= KQ0, and a point alpha where f takes
+    it, or (inf, None) when the major arcs cover the circle.
+
+    f is a step function: the weight g(r) summed over f's closed
+    intervals |alpha - b/r| <= w (farey_denominators) that hold alpha.
+    At a breakpoint f is at least its value on either side, so its
+    infimum over the open minor arcs is its least value on an open
+    segment between consecutive breakpoints (of f's intervals and of the
+    major arcs, copies shifted by 1 included) that lies in no major arc.
+    One sweep over the sorted breakpoints gives every segment's value as
+    a running sum; the segments within 1e-9 relative of the least running
+    sum are then evaluated directly by farey_density_f at their
+    midpoints, which the sums' rounding cannot move, and the least of
+    those is returned.
+
+    Breakpoints are sorted as floats, which are within a few ulp of the
+    exact ones (Fractions of the binary K, Q0 and Q), so floats further
+    apart than 1e-12 are in exact order; every run of breakpoints closer
+    than that is re-sorted by its exact values and rounded from them, so
+    that breakpoints that coincide (7/8 - K/(8Q) and 559/640 + w at
+    Q = 800, K = 5) meet and no segment between them is made up.  Only
+    distinct breakpoints that round to one float would merge.  Needs
+    w < 1/2, so that no two copies of one interval overlap."""
+    rows = farey_denominators(arcs.q, arcs.q0, arcs.k_param)
+    w = rows[0][1] if rows else 0.0
+    if w >= 0.5:
+        raise ValueError("need K/(Q0 Q) < 1/2")
+    k, q0, q = (Fraction(x) for x in (arcs.k_param, arcs.q0, arcs.q))
+    # Per breakpoint: its float, b and r of its centre b/r, its side
+    # (-1, +1; 0 for the sentinels at 0 and 1, which bound the segments),
+    # and whether it ends a major arc; then f's step at it.
+    pos, num, den, side, major, d_f = ([np.array(x)] for x in (
+        [0.0, 1.0], [0, 1], [1, 1], [0, 0], [False, False], [0.0, 0.0]))
+
+    def intervals(r, half, weight, is_major):
+        b = np.arange(math.ceil(-half * r), math.floor((1 + half) * r) + 1)
+        b = b[np.gcd(b % r, r) == 1]
+        steps = np.repeat([-1, 1], b.size)
+        pos.append(np.tile(b / r, 2) + steps * half)
+        num.append(np.tile(b, 2))
+        den.append(np.full(steps.size, r))
+        side.append(steps)
+        major.append(np.full(steps.size, is_major))
+        d_f.append(-steps * weight)
+
+    for r, half, g in rows:
+        intervals(r, half, g, False)
+    for m in range(1, arcs.kq0 + 1):
+        intervals(m, arcs.k_param / (m * arcs.q), 0.0, True)
+    pos, num, den, side, major, d_f = (np.concatenate(x) for x in (
+        pos, num, den, side, major, d_f))
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+
+    def exact(i):
+        half = k / (int(den[i]) * q) if major[i] else k / (q0 * q)
+        return Fraction(int(num[i]), int(den[i])) + int(side[i]) * half
+
+    close = np.flatnonzero(np.diff(pos) < 1e-12)
+    runs = np.split(close, np.flatnonzero(np.diff(close) > 1) + 1)
+    for run in (run for run in runs if run.size):
+        span = slice(run[0], run[-1] + 2)
+        values = sorted((exact(i), i) for i in order[span].tolist())
+        order[span] = [i for _, i in values]
+        pos[span] = [float(v) for v, _ in values]
+    f_run = np.cumsum(d_f[order])
+    major_run = np.cumsum(np.where(major, -side, 0)[order])
+    # The last breakpoint at each position opens the segment to the next.
+    last = np.flatnonzero(np.diff(pos) > 0)
+    lo, hi = pos[last], pos[last + 1]
+    minor = (lo >= 0.0) & (hi <= 1.0) & (major_run[last] == 0)
+    if not minor.any():
+        return math.inf, None
+    values = f_run[last][minor]
+    least = values.min()
+    near = np.flatnonzero(values <= least + 1e-9 * max(abs(least), 1.0))
+    mids = (lo[minor][near] + hi[minor][near]) / 2.0
+    return min((farey_density_f(alpha, arcs), alpha)
+               for alpha in mids.tolist())
+
+
 def cor1_lower_bound(seq: Sequence, q: int, q0: int) -> Fraction | float:
     """The nonnegativity-of-H lower bound for qV(q): the sum of H(d) over
     the divisors d > Q0 of q, at most q V(q) = sum_{d|q} H(d) as H >= 0;

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from apvar.arith import (CapacityError, LagSpectra, Sequence, UNIT_ROUNDOFF,
                          gamma)
-from apvar.circle import (ArcSystem, arc_kernel, arc_masses, build_spectrum,
-                          default_grid_size, major_mask, minor_arc_integral)
+from apvar.circle import (ArcSystem, LagWeights, arc_masses, build_spectrum,
+                          default_grid_size, lag_kernel, major_mask,
+                          major_weights, minor_arc_integral)
 
-from oracles import eval_exp_sum, farey_density_f, is_major
+from oracles import (eval_exp_sum, farey_denominators, farey_density_f,
+                     farey_min_on_minor, farey_weights_direct, is_major)
 
 
 def small_arcs():
@@ -90,6 +92,25 @@ def test_farey_density_floor():
         assert farey_density_f(alpha, arcs) >= floor
 
 
+@pytest.mark.parametrize("q, k_param, ratio", [
+    (800, 5.0, 0.789), (1500, 6.0, 0.819), (2000, 8.0, 0.857)])
+def test_farey_floor_on_all_minor_arcs(q, k_param, ratio):
+    """The paper's floor f >= (2K/Q0)(1 - (5 + log K)/K) on all of the
+    minor arcs at Q0 = Q/(4K^2), through the sweep's minimum of f there
+    (farey_min_on_minor), which is ratio times 2K/Q0; f at random minor
+    points (farey_density_f) is never below that minimum."""
+    arcs = ArcSystem(k_param=k_param, q0=q / (4 * k_param**2), q=float(q))
+    scale = 2 * k_param / arcs.q0
+    minimum, alpha = farey_min_on_minor(arcs)
+    assert not is_major(alpha, arcs)[0]
+    assert minimum >= scale * (1 - (5 + math.log(k_param)) / k_param)
+    assert round(minimum / scale, 3) == ratio
+    points = np.random.default_rng(q).random(400)
+    minor = [a for a in points.tolist() if not is_major(a, arcs)[0]]
+    assert len(minor) > 100
+    assert all(farey_density_f(a, arcs) >= minimum for a in minor)
+
+
 def test_farey_enumeration_cap():
     arcs = ArcSystem(k_param=8.0, q0=5.0, q=50000.0)
     with pytest.raises(CapacityError):
@@ -127,19 +148,29 @@ def test_regime_departures():
 # Exact arc masses
 
 
-def direct_major(a, b, arcs):
-    """(value, rounding bound) of the integral of A conj(B) over the major
-    arcs as the direct double sum over n, m and the reduced r/q of
-    w_q(n - m) e((n - m) r/q), w_q(h) = sin(2 pi h d_q)/(pi h), w_q(0) = 2 d_q,
-    d_q = K/(qQ): no FFT and no Ramanujan sums.  The pairs (n, m) are
-    grouped by h = n - m, x(h) = sum_m a_{m+h} b_m by fsum, and e(.) is
-    summed over r and q - r together as a cosine.
+def major_intervals(arcs):
+    """The major arcs of `arcs` as direct_major's list: (q, K/(qQ), 1.0)
+    for q <= KQ0."""
+    return [(q, arcs.k_param / (q * arcs.q), 1.0)
+            for q in range(1, arcs.kq0 + 1)]
+
+
+def direct_major(a, b, intervals):
+    """(value, rounding bound) of the integral of A conj(B) against the
+    intervals |alpha - r/q| <= d_q over the reduced r mod q, each weighted
+    v_q, for the (q, d_q, v_q) in `intervals` (major_intervals, or
+    oracles.farey_denominators for f): the direct double sum over n, m
+    and the reduced r/q of v_q w_q(n - m) e((n - m) r/q),
+    w_q(h) = sin(2 pi h d_q)/(pi h), w_q(0) = 2 d_q: no FFT and no
+    Ramanujan sums.  The pairs (n, m) are grouped by h = n - m,
+    x(h) = sum_m a_{m+h} b_m by fsum, and e(.) is summed over r and q - r
+    together as a cosine.
 
     Bound: x(h) is within 2u X(h), X(h) = sum_m |a_{m+h} b_m|; the sine's
     argument carries gamma_5 and the cosine's gamma_4 (on at most 2 pi),
-    each trig value 4 ulp (8u), the quotient and the products gamma_4, so
-    a term is within X(h) (2 d_q gamma_50 + 8u/(pi |h|)); the final fsum
-    adds u |value|.  The sum is doubled for the bound's own rounding.
+    each trig value 4 ulp (8u), the quotient and the products gamma_5, so
+    a term is within v_q X(h) (2 d_q gamma_50 + 8u/(pi |h|)); the final
+    fsum adds u |value|.  The sum is doubled for the bound's own rounding.
     """
     n = a.size - 1
     hs = np.arange(-(n - 1), n)
@@ -148,19 +179,19 @@ def direct_major(a, b, arcs):
     x_abs = np.array([np.abs(a[1 + h:] * b[1:n + 1 - h]).sum() if h >= 0
                       else np.abs(a[1:n + 1 + h] * b[1 - h:]).sum()
                       for h in hs])
+    safe = np.where(hs == 0, 1, hs)
     terms, bound = [], 0.0
-    for q in range(1, arcs.kq0 + 1):
-        d = arcs.k_param / (q * arcs.q)
-        safe = np.where(hs == 0, 1, hs)
-        w = np.where(hs == 0, 2 * d, np.sin(2 * np.pi * hs * d) / (np.pi * safe))
+    for q, d, weight in intervals:
+        w = np.where(hs == 0, 2 * d,
+                     np.sin(2 * np.pi * hs * d) / (np.pi * safe))
         per_term = x_abs * (2 * d * gamma(50)
-                            + np.where(hs == 0, 0.0,
-                                       8 * UNIT_ROUNDOFF / (np.pi * np.abs(safe))))
-        for r in range(q):
-            if math.gcd(r, q) == 1:
-                terms.extend(x * w * np.cos(2 * np.pi * ((hs * r) % q) / q))
-                bound += float(per_term.sum())
-    value = math.fsum(terms)
+                            + np.where(hs == 0, 0.0, 8 * UNIT_ROUNDOFF
+                                       / (np.pi * np.abs(safe))))
+        rs = np.array([r for r in range(q) if math.gcd(r, q) == 1])
+        cos = np.cos(2 * np.pi * (np.outer(rs, hs) % q) / q)
+        terms.append((weight * x * w * cos).ravel())
+        bound += weight * rs.size * float(per_term.sum())
+    value = math.fsum(np.concatenate(terms)) if terms else 0.0
     return value, 2.0 * (bound + UNIT_ROUNDOFF * abs(value))
 
 
@@ -171,7 +202,7 @@ def disjoint_arcs():
 
 
 def check_against_direct(arcs, a, b, mass):
-    value, bound = direct_major(a.values, b.values, arcs)
+    value, bound = direct_major(a.values, b.values, major_intervals(arcs))
     assert abs(mass.major - value) <= mass.error + bound
     assert mass.major + mass.minor == pytest.approx(mass.total, abs=mass.error)
     assert mass.total == pytest.approx(float(np.dot(a.values, b.values)),
@@ -185,12 +216,12 @@ def test_arc_masses_match_direct_double_sum(rng, table_300, window):
     floats = Sequence.from_coeffs(rng.standard_normal(300))
     d2 = Sequence(table_300.dk[2])
     tilde = build_tilde_sequence(300, build_weights("prime_sieve", 12), window)
+    kernel = lag_kernel(major_weights(arcs, 300))
     check_against_direct(arcs, floats, floats,
-                         arc_masses(arc_kernel(arcs, 300),
-                                    LagSpectra([floats])).a)
-    exact = arc_masses(arc_kernel(arcs, 300), LagSpectra([d2])).a
+                         arc_masses(kernel, LagSpectra([floats])).a)
+    exact = arc_masses(kernel, LagSpectra([d2])).a
     check_against_direct(arcs, d2, d2, exact)
-    pair = arc_masses(arc_kernel(arcs, 300), LagSpectra([d2, tilde]))
+    pair = arc_masses(kernel, LagSpectra([d2, tilde]))
     check_against_direct(arcs, tilde, tilde, pair.tilde)
     check_against_direct(arcs, d2, tilde, pair.cross)
     assert pair.a.major == pytest.approx(exact.major, abs=exact.error)
@@ -210,11 +241,11 @@ def test_arc_masses_leave_spectra_unchanged(rng, table_300):
         before = spectra.correlation(0, 0).rho
         assert before.dtype == dtype
         copies = [x.copy() for x in spectra.spectra]
-        mass = arc_masses(arc_kernel(arcs, 300), spectra).a
+        mass = arc_masses(lag_kernel(major_weights(arcs, 300)), spectra).a
         assert all(np.array_equal(x, y)
                    for x, y in zip(spectra.spectra, copies))
         assert np.array_equal(spectra.correlation(0, 0).rho, before)
-        assert mass == arc_masses(arc_kernel(arcs, 300),
+        assert mass == arc_masses(lag_kernel(major_weights(arcs, 300)),
                                   LagSpectra([seq])).a
 
 
@@ -226,7 +257,8 @@ def test_arc_masses_without_major_arcs():
     assert arcs.kq0 == 0
     eps = LagSpectra([seq]).error(0, 0)
     assert eps > 0
-    mass = arc_masses(arc_kernel(arcs, seq.n), LagSpectra([seq])).a
+    mass = arc_masses(lag_kernel(major_weights(arcs, seq.n)),
+                      LagSpectra([seq])).a
     assert mass.major == 0.0
     assert mass.minor == mass.total
     assert mass.error == 2.0 * (eps + UNIT_ROUNDOFF * abs(mass.total))
@@ -271,15 +303,14 @@ def test_major_weights_match_direct_kernel(n, arcs):
 
 
 def test_spectral_major_matches_lag_dot(rng, table_300, window):
-    """Each pair's spectral major mass against the lag-domain dot
-    <rho, W>, rho from LagSpectra, for a float row, an exact int64
-    row and a cross row, within both bounds."""
-    from apvar.circle import major_weights
+    """Each pair's spectral weighted mass against the lag-domain dot
+    <rho, W>, rho from LagSpectra, for a float row, an exact int64 row
+    and a cross row, within both bounds: for the major-arc weights and
+    for f's (farey_weights_direct), whose kernel lag_kernel builds by the
+    same route."""
     from apvar.windows import build_tilde_sequence, build_weights
 
     arcs = disjoint_arcs()
-    weights = major_weights(arcs, 300)
-    l1 = math.fsum(np.abs(weights.w))
     floats = Sequence.from_coeffs(rng.standard_normal(300))
     d2 = Sequence(table_300.dk[2])
     tilde = build_tilde_sequence(300, build_weights("prime_sieve", 12), window)
@@ -287,19 +318,42 @@ def test_spectral_major_matches_lag_dot(rng, table_300, window):
              (d2, tilde, "a", (0, 0), True),
              (d2, tilde, "tilde", (1, 1), False),
              (d2, tilde, "cross", (0, 1), False)]
-    for seq, aux, name, pair, exact in cases:
-        seqs = [seq] if aux is None else [seq, aux]
-        corr = LagSpectra(seqs).correlation(*pair)
-        assert corr.exact == exact
-        terms = corr.rho.astype(np.float64) * weights.w
-        lag_dot = math.fsum(terms)
-        a, b = seqs[pair[0]].values, seqs[pair[1]].values
-        ab = math.sqrt(float(a @ a) * float(b @ b))
-        lag_bound = (corr.error * l1 + (ab + corr.error) * weights.error
-                     + 2 * UNIT_ROUNDOFF * math.fsum(np.abs(terms)))
-        mass = getattr(arc_masses(arc_kernel(arcs, 300), LagSpectra(seqs)),
-                       name)
-        assert abs(mass.major - lag_dot) <= mass.error + lag_bound
+    farey = farey_weights_direct(300, arcs.q, arcs.q0, arcs.k_param).w
+    for weights in (major_weights(arcs, 300), LagWeights(farey, 0.0)):
+        kernel = lag_kernel(weights)
+        l1 = math.fsum(np.abs(weights.w))
+        for seq, aux, name, pair, exact in cases:
+            seqs = [seq] if aux is None else [seq, aux]
+            corr = LagSpectra(seqs).correlation(*pair)
+            assert corr.exact == exact
+            terms = corr.rho.astype(np.float64) * weights.w
+            lag_dot = math.fsum(terms)
+            a, b = seqs[pair[0]].values, seqs[pair[1]].values
+            ab = math.sqrt(float(a @ a) * float(b @ b))
+            lag_bound = (corr.error * l1 + (ab + corr.error) * weights.error
+                         + 2 * UNIT_ROUNDOFF * math.fsum(np.abs(terms)))
+            mass = getattr(arc_masses(kernel, LagSpectra(seqs)), name)
+            assert abs(mass.major - lag_dot) <= mass.error + lag_bound
+
+
+def test_farey_mass_matches_direct_intervals(rng):
+    """f's weighted mass of |A|^2 through lag_kernel and arc_masses
+    against the direct double sum over f's intervals (direct_major), for
+    random float sequences and points: within the mass's error, which
+    carries the weights' own bound, plus the direct sum's."""
+    for _ in range(12):
+        n = int(rng.integers(1, 301))
+        q = float(rng.integers(2, 121))
+        q0 = float(rng.uniform(1.0, q / 2))
+        k_param = float(rng.uniform(0.5, 8.0))
+        seq = Sequence.from_coeffs(rng.standard_normal(n))
+        weights = farey_weights_direct(n, q, q0, k_param)
+        assert weights.error > 0
+        mass = arc_masses(lag_kernel(weights), LagSpectra([seq])).a
+        value, bound = direct_major(seq.values, seq.values,
+                                    farey_denominators(q, q0, k_param))
+        assert abs(mass.major - value) <= mass.error + bound
+        assert mass.minor == mass.total - mass.major
 
 
 def mp_major(a, arcs):
@@ -338,7 +392,8 @@ def test_arc_masses_property(coeffs, m_top):
     k_param = 5.0
     arcs = ArcSystem(k_param=k_param, q0=m_top / k_param,
                      q=k_param * (2 * m_top + 1))
-    mass = arc_masses(arc_kernel(arcs, seq.n), LagSpectra([seq])).a
+    mass = arc_masses(lag_kernel(major_weights(arcs, seq.n)),
+                      LagSpectra([seq])).a
     check_against_direct(arcs, seq, seq, mass)
     exact = mp_major(seq.values, arcs)
     assert abs(mass.major - exact) <= mass.error + UNIT_ROUNDOFF * abs(exact)
@@ -348,7 +403,8 @@ def test_grid_converges_to_exact(table_1e4):
     n = 2000
     seq = Sequence(table_1e4.dk[2][: n + 1])
     arcs = ArcSystem(k_param=5.0, q0=2.0, q=300.0)
-    exact = arc_masses(arc_kernel(arcs, n), LagSpectra([seq])).a
+    exact = arc_masses(lag_kernel(major_weights(arcs, n)),
+                       LagSpectra([seq])).a
     devs = []
     for t in (1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 19):
         grid = minor_arc_integral(build_spectrum(seq, t), arcs)
@@ -374,7 +430,8 @@ def test_exact_cauchy_schwarz_matches_grid(table_1e5):
     spec_a = build_spectrum(seq)
     grid = cauchy_schwarz_bound(seq, tilde, params, spec_a,
                                 build_spectrum(tilde, spec_a.t_grid))
-    masses = arc_masses(arc_kernel(params, n), LagSpectra([seq, tilde]))
+    masses = arc_masses(lag_kernel(major_weights(params, n)),
+                        LagSpectra([seq, tilde]))
     bound_17 = masses.cross.minor**2 / masses.tilde.minor
     assert abs(bound_17 - grid.bound_17) <= grid.quadrature_error
     assert abs(masses.a.minor - grid.minor_a) <= grid.quadrature_error
@@ -384,11 +441,11 @@ def test_overlapping_arcs_rejected():
     seq = Sequence.from_coeffs(np.ones(600))
     overlapping = ArcSystem(k_param=6.0, q0=2.0, q=100.0)
     with pytest.raises(ValueError, match="K=6.*Q0=2.*Q=100"):
-        arc_masses(arc_kernel(overlapping, seq.n), LagSpectra([seq]))
+        major_weights(overlapping, seq.n)
     # One arc, about 0, wider than 1/2.
     wide = ArcSystem(k_param=5.0, q0=0.2, q=10.0)
     with pytest.raises(ValueError):
-        arc_masses(arc_kernel(wide, seq.n), LagSpectra([seq]))
+        major_weights(wide, seq.n)
 
 
 def test_arc_masses_read_their_kernel(rng):
@@ -396,12 +453,13 @@ def test_arc_masses_read_their_kernel(rng):
     spectra of its N, bit for bit as a fresh one; a kernel built for
     another N (so another transform length) is a ValueError."""
     seq = Sequence.from_coeffs(rng.standard_normal(600))
-    kernel = arc_kernel(disjoint_arcs(), 600)
+    kernel = lag_kernel(major_weights(disjoint_arcs(), 600))
     values = kernel.values.copy()
     first = arc_masses(kernel, LagSpectra([seq]))
     assert kernel.values.tobytes() == values.tobytes()
     assert arc_masses(kernel, LagSpectra([seq])) == first
-    assert arc_masses(arc_kernel(disjoint_arcs(), 600),
+    assert arc_masses(lag_kernel(major_weights(disjoint_arcs(), 600)),
                       LagSpectra([seq])) == first
     with pytest.raises(ValueError, match="N=599.*N=600"):
-        arc_masses(arc_kernel(disjoint_arcs(), 599), LagSpectra([seq]))
+        arc_masses(lag_kernel(major_weights(disjoint_arcs(), 599)),
+                   LagSpectra([seq]))

@@ -8,7 +8,8 @@ import pytest
 
 from apvar.arith import (LagSpectra, Sequence, divisors, ramanujan_sum,
                          sieve_all, totient)
-from apvar.circle import ArcSystem, arc_kernel, arc_masses, build_spectrum
+from apvar.circle import (ArcSystem, arc_masses, build_spectrum, lag_kernel,
+                          major_weights)
 from apvar.pipeline import (ExperimentConfig, ResolvedParams, assemble_prop13,
                             bulk_residue_predictions, cauchy_schwarz_bound,
                             ramanujan_tail, resolve_params, run_theorem1,
@@ -315,7 +316,7 @@ def test_run_theorem2_pair_is_exact_arc_masses(k, ending):
     p = report.params
     tilde = build_tilde_sequence(n, build_weights("divisor_k", int(p["R"]),
                                                   k=k), build_window(0.05))
-    masses = arc_masses(arc_kernel(resolve_params(cfg), n),
+    masses = arc_masses(lag_kernel(major_weights(resolve_params(cfg), n)),
                         LagSpectra([seq, tilde]))
     assert report.minor_integral == masses.a.minor
     assert report.cs_numerator == abs(masses.cross.minor)
@@ -362,7 +363,7 @@ def test_run_theorem1_lhs_and_tail_from_shared_sums():
     params = resolve_params(ExperimentConfig(experiment="theorem1", n=n))
     tilde = build_tilde_sequence(n, build_weights("prime_sieve", int(p["R"])),
                                  build_window(0.05))
-    masses = arc_masses(arc_kernel(params, n),
+    masses = arc_masses(lag_kernel(major_weights(params, n)),
                         LagSpectra([table.lambda_sequence(), tilde]))
     assert report.minor_integral == masses.a.minor
     assert report.cs_denominator == masses.tilde.minor
@@ -380,7 +381,7 @@ def test_assemble_prop13_shares_one_autocorrelation(rng):
     assert report.ramanujan_tail == ramanujan_tail_from_scratch(
         seq, 400.0, 3.0)
     assert report.minor_integral == arc_masses(
-        arc_kernel(params, 3000), LagSpectra([seq])).a.minor
+        lag_kernel(major_weights(params, 3000)), LagSpectra([seq])).a.minor
 
 
 @pytest.mark.parametrize("kind", ["theorem1", "theorem2-first",
@@ -509,14 +510,14 @@ def test_bound_report_serialization(table_1e4):
 
 # Traced peak of each chain at N = 2e5 in bytes per N, measured with the
 # memory plan (kernel before spectra, spectra released before the inverse
-# FFT, lean sweep) and Lambda's sequence sharing the table's array: 71.4,
-# 75.9 and 108.8; with the plan alone, 79.4, 75.9 and 116.8; before it,
-# 119.7, 116.2 and 188.8.  Each bound is the measured value plus about
-# 10%.
+# FFT, lean sweep), Lambda's sequence sharing the table's array and the
+# compact sieve tables: 71.4, 75.9 and 98.8; with the plan alone, 79.4,
+# 75.9 and 116.8; before it, 119.7, 116.2 and 188.8.  Each bound is the
+# measured value plus about 10%.
 @pytest.mark.parametrize("experiment, flags, bound", [
     ("theorem1", {}, 79.0),
     ("theorem2", {"k": 2, "ending": "second", "q_exp": 0.8}, 84.0),
-    ("theorem1", {"q_exp": 1.0}, 120.0),
+    ("theorem1", {"q_exp": 1.0}, 109.0),
 ])
 def test_chain_traced_peak_per_n(experiment, flags, bound):
     """A chain's traced peak (tracemalloc), over the table arrays it reads
@@ -535,3 +536,66 @@ def test_chain_traced_peak_per_n(experiment, flags, bound):
     finally:
         tracemalloc.stop()
     assert peak / n <= bound
+
+
+@pytest.mark.parametrize("experiment, flags", [
+    ("theorem1", {}),
+    ("theorem2", {"k": 2, "ending": "second", "q_exp": 0.8}),
+])
+def test_chains_free_their_table(experiment, flags, monkeypatch):
+    """A chain handed its sieve table with no other reference to it, as
+    `apvar experiment` hands it, has freed the table and its integer d_2
+    by the time it computes the arc masses: the blocks that
+    test_chain_traced_peak_per_n, whose table outlives the run, cannot
+    see."""
+    import weakref
+
+    from apvar import pipeline
+
+    n = 2 * 10**4
+    params = resolve_params(ExperimentConfig(experiment=experiment, n=n,
+                                             **flags))
+    runner = run_theorem1 if experiment == "theorem1" else run_theorem2
+    tables = [sieve_all(n, 2)]
+    refs = [weakref.ref(tables[0]), weakref.ref(tables[0].dk[2])]
+    dead = []
+
+    def recorded(*args):
+        dead.append([ref() is None for ref in refs])
+        return arc_masses(*args)
+
+    monkeypatch.setattr(pipeline, "arc_masses", recorded)
+    runner(params, tables.pop())
+    assert dead == [[True, True]]
+
+
+_CHAIN_STAGES = ["tilde sequence", "  major weights", "  lag kernel",
+                 "  spectra", "  arc masses", "  autocorrelation",
+                 "  variance sweep", "  ramanujan tail", "chain terms"]
+
+
+@pytest.mark.parametrize("argv, stages", [
+    ("experiment theorem1 --N 3000",
+     ["sieve table", *_CHAIN_STAGES, "  prime-power classes",
+      "reduced-class variances", "variance plot", "run_theorem1"]),
+    ("experiment theorem2 --k 2 --ending second --Q-exp 0.8 --N 3000",
+     ["sieve table", *_CHAIN_STAGES, "windowed", "ramanujan correlations",
+      "variance plot", "run_theorem2"]),
+])
+def test_peak_memory_prints_every_stage(argv, stages, tmp_path, capsys):
+    """scripts/peak_memory.py, loaded from its file, runs a chain and
+    prints a row for every stage the chain enters, in the order the
+    stages end, then the whole run: a stage whose function moved or
+    whose caller changed would drop out of the table silently."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parents[1] / "scripts" / "peak_memory.py"
+    spec = importlib.util.spec_from_file_location("peak_memory", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main([*argv.split(), "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[lines.index(next(line for line in lines
+                                   if line.startswith("stage"))) + 1:]
+    assert [line[:28].rstrip() for line in table] == [*stages, "whole run"]
