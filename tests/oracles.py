@@ -606,8 +606,7 @@ def farey_weights_direct(n: int, q: float, q0: float, k_param: float):
     The sum is doubled for the bound's own rounding."""
     from apvar.circle import LagWeights
 
-    rows = farey_denominators(q, q0, k_param)
-    w = rows[0][1] if rows else 0.0
+    rows, w = farey_denominators(q, q0, k_param), k_param / (q0 * q)
     weights, err = np.zeros(n + 1), np.zeros(n + 1)
     weights[0] = 2.0 * w * math.fsum(totient(r) * g for r, _, g in rows)
     err[0] = gamma(3) * abs(weights[0])
@@ -654,8 +653,7 @@ def farey_min_on_minor(arcs: ArcSystem) -> tuple:
     distinct breakpoints that round to one float would merge.  Needs
     w < 1/2, so that no two copies of one interval overlap."""
     rows = farey_denominators(arcs.q, arcs.q0, arcs.k_param)
-    w = rows[0][1] if rows else 0.0
-    if w >= 0.5:
+    if arcs.k_param / (arcs.q0 * arcs.q) >= 0.5:
         raise ValueError("need K/(Q0 Q) < 1/2")
     k, q0, q = (Fraction(x) for x in (arcs.k_param, arcs.q0, arcs.q))
     # Per breakpoint: its float, b and r of its centre b/r, its side
