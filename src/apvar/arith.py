@@ -700,7 +700,9 @@ def _aligned(offset: int) -> int:
 
 def _cache_store(path, arrays: dict):
     """Write a table's arrays to `path` (None: no cache) in one atomic
-    replace."""
+    replace, through a temp file of this write's own, so that writers of
+    the same table, in one process or several, never rename each other's
+    file."""
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -713,7 +715,8 @@ def _cache_store(path, arrays: dict):
     head = "\n".join([f"{_CACHE_FORMAT} {_source_digest().hex()} {len(lines)}",
                       *lines, ""]).encode()
     start = _aligned(len(head))
-    tmp = path.with_suffix(".tmp")
+    tmp = path.with_name(
+        f"{path.stem}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
     with open(tmp, "wb") as fh:
         fh.write(head)
         for offset, a in zip(offsets, arrays.values()):

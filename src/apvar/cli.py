@@ -90,6 +90,22 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _check_out_paths(args) -> None:
+    """--out-dir, and a table's --out, checked before any work and without
+    creating anything: --out-dir must be a directory or lie below one,
+    and --out must name a file in --out-dir or in a directory that
+    exists."""
+    out_dir = Path(args.out_dir)
+    found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not found.is_dir():
+        raise ValueError(f"--out-dir={args.out_dir}: {found} is a file")
+    path = out_dir / args.out if getattr(args, "out", None) else None
+    if path and (path.is_dir() or not (path.parent == out_dir
+                                       or path.parent.is_dir())):
+        raise ValueError(f"--out={args.out}: not a file in --out-dir or in "
+                         f"a directory that exists")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -298,8 +314,8 @@ def _weights_rows(args):
         raise ValueError(f"--k must be at least 2 for divisor weights, "
                          f"got {args.k}")
     kind = "prime_sieve" if args.kind == "prime" else "divisor_k"
-    weights = build_weights(kind, _bounded_int("--R", args.R, 2), k=args.k)
-    return "r,b_r", [f"{r},{_fmt(float(b))}" for r, b in weights.to_csv_rows()]
+    b = build_weights(kind, _bounded_int("--R", args.R, 2), k=args.k)
+    return "r,b_r", [f"{r},{_fmt(x)}" for r, x in enumerate(b.tolist()) if r]
 
 
 def _residues_rows(args):
@@ -412,13 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  A bad flag value, a failed contour or a table
-    past its capacity ends with `error: ...` and exit status 2, writing
-    nothing; otherwise the run's manifest records the command's accepted
-    flags and its outputs."""
+    """Run one command.  A bad flag value or output path, a failed
+    contour or a table past its capacity ends with `error: ...` and exit
+    status 2, writing nothing; otherwise the run's manifest records the
+    command's accepted flags and its outputs."""
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
+        _check_out_paths(args)
         code, outputs = args.func(args)
     except (ValueError, TruncationError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -291,20 +291,10 @@ def windowed(values: np.ndarray, window: SmoothWindow) -> np.ndarray:
 # Sieve weights
 
 
-@dataclass
-class WeightSet:
-    """Truncated sieve coefficients b_r, r <= R (implicitly 0 beyond)."""
-
-    r_max: int
-    b: np.ndarray             # length r_max+1, slot 0 unused
-
-    def to_csv_rows(self):
-        for r in range(1, self.r_max + 1):
-            yield r, self.b[r]
-
-
-def build_weights(kind: str, r_max: int, k: int | None = None) -> WeightSet:
-    """b_r = mu(r) log(R/r) (prime case) or d_{k-1}(r) (divisor case)."""
+def build_weights(kind: str, r_max: int, k: int | None = None) -> np.ndarray:
+    """The truncated sieve coefficients b_0..b_R, R = r_max, slot 0 unused
+    (implicitly 0 beyond R): b_r = mu(r) log(R/r) (prime case) or
+    d_{k-1}(r) (divisor case)."""
     if r_max < 2:
         raise ValueError("R must be at least 2")
     b = np.zeros(r_max + 1)
@@ -319,44 +309,43 @@ def build_weights(kind: str, r_max: int, k: int | None = None) -> WeightSet:
         b[1:] = moduli_tables(r_max, k - 1)[2][k - 1][1:] if k > 2 else 1.0
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
-    return WeightSet(r_max=r_max, b=b)
+    return b
 
 
-def build_tilde_sequence(n: int, weights: WeightSet, window: SmoothWindow) -> Sequence:
-    """The smoothed short divisor sum: a~_n = Phi(n/N) sum_{r|n, r<=R} b_r."""
-    if weights.r_max > n:
+def build_tilde_sequence(n: int, b: np.ndarray, window: SmoothWindow) -> Sequence:
+    """The smoothed short divisor sum: a~_n = Phi(n/N) sum_{r|n, r<=R} b_r,
+    R = b.size - 1."""
+    if b.size > n + 1:
         raise ValueError("R must not exceed N")
     acc = np.zeros(n + 1)
-    for r in range(1, weights.r_max + 1):
-        if weights.b[r]:
-            acc[r::r] += weights.b[r]
+    for r in range(1, b.size):
+        if b[r]:
+            acc[r::r] += b[r]
     acc = windowed(acc, window)         # the unwindowed sum is freed here
     return Sequence(acc)
 
 
-def weight_sum_q(weights: WeightSet, q: int) -> float:
-    """sum over r <= R with q | r of b_r / r; zero for q > R."""
+def weight_sum_q(b: np.ndarray, q: int) -> float:
+    """sum over r <= R = b.size - 1 with q | r of b_r / r; zero for q > R."""
     if q < 1:
         raise ValueError("q must be positive")
-    if q > weights.r_max:
-        return 0.0
-    r = np.arange(q, weights.r_max + 1, q)
-    return float(np.sum(weights.b[r] / r))
+    r = np.arange(q, b.size, q)
+    return float(np.sum(b[r] / r))
 
 
 # ---------------------------------------------------------------------------
 # Numerical check of the rearrangement identity for sum a_n a~_n
 
 
-def check_lemma5(seq: Sequence, weights: WeightSet, window: SmoothWindow):
+def check_lemma5(seq: Sequence, b: np.ndarray, window: SmoothWindow):
     """Rearrangement identity: sum a_n a~_n equals the weighted sum of
-    windowed Ramanujan correlations over q <= R.  Returns (lhs, rhs,
-    relative residual)."""
+    windowed Ramanujan correlations over q <= R = b.size - 1.  Returns
+    (lhs, rhs, relative residual)."""
     n = seq.n
-    tilde = build_tilde_sequence(n, weights, window)
+    tilde = build_tilde_sequence(n, b, window)
     lhs = float(np.dot(seq.values, tilde.values))
-    qs = list(range(1, weights.r_max + 1))
+    qs = list(range(1, b.size))
     corrs = ramanujan_correlations(windowed(seq.values, window), qs)
-    rhs = math.fsum(weight_sum_q(weights, q) * corrs[i] for i, q in enumerate(qs))
+    rhs = math.fsum(weight_sum_q(b, q) * corrs[i] for i, q in enumerate(qs))
     denom = max(abs(lhs), abs(rhs), 1.0)
     return lhs, rhs, abs(lhs - rhs) / denom

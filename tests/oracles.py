@@ -21,7 +21,7 @@ from apvar.circle import ArcSystem
 from apvar.pipeline import ramanujan_tail
 from apvar.variance import _exact_class_sums, exp_variance_H, variance_mod_q
 from apvar.windows import (_FACTORIALS, _MOMENTS, _SAMPLES, SmoothWindow,
-                           WeightSet, weight_sum_q)
+                           weight_sum_q)
 
 EULER_GAMMA = 0.5772156649015329
 FAREY_ENUMERATION_CAP = 10_000
@@ -772,21 +772,22 @@ def singular_constant(k: int, p_cap: int):
     return product, c_k, tail
 
 
-def check_lemma_major(tilde_seq: Sequence, weights: WeightSet,
+def check_lemma_major(tilde_seq: Sequence, b: np.ndarray,
                       window: SmoothWindow, a: int, q: int, beta: float):
-    """Compare A~(a/q + beta) against N Phi^(-N beta) sum_{q|r} b_r/r.
+    """Compare A~(a/q + beta) against N Phi^(-N beta) sum_{q|r} b_r/r,
+    for the weights b_0..b_R of windows.build_weights.
 
     Valid for |beta| <= 1/(2qR), q <= R, (a,q) = 1.  Returns
     (lhs, rhs, error_ratio) where error_ratio is |lhs-rhs| divided by
     B R log N, B = max |b_r| (the shape of the approximation's error term).
     """
     n = tilde_seq.n
-    r_max = weights.r_max
+    r_max = b.size - 1
     if q > r_max or math.gcd(a, q) != 1:
         raise ValueError("need q <= R and (a, q) = 1")
     if abs(beta) > 1.0 / (2.0 * q * r_max) + 1e-15:
         raise ValueError("need |beta| <= 1/(2qR)")
     lhs = eval_exp_sum(tilde_seq, (a / q + beta) % 1.0)
-    rhs = n * window.phi_hat(-n * beta) * weight_sum_q(weights, q)
-    scale = float(np.abs(weights.b).max()) * r_max * math.log(max(n, 2))
+    rhs = n * window.phi_hat(-n * beta) * weight_sum_q(b, q)
+    scale = float(np.abs(b).max()) * r_max * math.log(max(n, 2))
     return lhs, rhs, abs(lhs - rhs) / scale

@@ -4,6 +4,7 @@ import math
 import os
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,30 @@ def test_sieve_cache_file_deleted_after_load(tmp_path, monkeypatch):
     path.unlink()
     assert_fresh(table)
     assert path.is_file()
+
+
+def test_sieve_cache_writers_keep_their_own_temp_files(tmp_path,
+                                                      monkeypatch):
+    """A second writer of the same table that renames its file into place
+    while the first is still writing leaves the first writer's temp file
+    alone: both writes end, the table reads back whole, and no temp file
+    is left."""
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    path = tmp_path / "sieve_500_3.bin"
+    arrays = arith._sieve(500, 3)
+    replace, nested = Path.replace, []
+
+    def replace_after_a_second_writer(self, target):
+        if not nested:
+            nested.append(self)
+            arith._cache_store(path, arrays)
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", replace_after_a_second_writer)
+    arith._cache_store(path, arrays)
+    assert nested
+    assert sorted(os.listdir(tmp_path)) == ["sieve_500_3.bin"]
+    assert_fresh(arith._cache_load(500, 3))
 
 
 def test_sieve_cache_rejects_tables_of_other_sieve_code(tmp_path,

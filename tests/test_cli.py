@@ -70,36 +70,20 @@ def test_manifest_config_lists_the_accepted_flags(tmp_path, capsys):
 
 
 def test_entry_points_run_main(tmp_path):
-    """`python -m apvar` and the two scripts reach the same commands:
-    each script writes the bound report `main` writes for its flags."""
+    """`python -m apvar` reaches the same commands as `main`."""
     import subprocess
     import sys
     from pathlib import Path
 
     import apvar
 
-    root = Path(__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(Path(apvar.__file__).parents[1]))
-
-    def run(*argv):
-        proc = subprocess.run([sys.executable, *argv], env=env, cwd=tmp_path,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    assert run("-m", "apvar", "verify", "windows", "--out-dir",
-               str(tmp_path / "verify")) == "verify windows: PASS\n"
-    for script, flags in (
-            ("run_theorem1.py", ["--N", "2e4"]),
-            ("run_theorem2.py", ["--k", "3", "--ending", "first",
-                                 "--N", "29366", "--Q-exp", "0.8"])):
-        run(str(root / "scripts" / script), *flags,
-            "--out-dir", str(tmp_path / script))
-        kind = script[4:-3]
-        assert main(["experiment", kind, *flags,
-                     "--out-dir", str(tmp_path / kind)]) == 0
-        assert ((tmp_path / script / "bound_report.json").read_bytes()
-                == (tmp_path / kind / "bound_report.json").read_bytes())
+    proc = subprocess.run(
+        [sys.executable, "-m", "apvar", "verify", "windows", "--out-dir",
+         str(tmp_path / "verify")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "verify windows: PASS\n"
 
 
 def test_table_ramanujan(tmp_path, capsys):
@@ -581,6 +565,35 @@ def test_experiment_bad_r_fails_before_sieving(argv, named, tmp_path, capsys,
     assert out == "" and not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, out_dir, flag", [
+    (["table", "ramanujan"], "file/runs", "--out-dir"),
+    (["table", "ramanujan", "--out", "t.csv"], "file", "--out-dir"),
+    (["verify", "windows"], "file/runs", "--out-dir"),
+    (["experiment", "theorem1", "--N", "20000"], "file/runs", "--out-dir"),
+    (["table", "weights", "--R", "10", "--out", "sub/t.csv"], "runs",
+     "--out"),
+    (["table", "weights", "--R", "10", "--out", "."], "runs", "--out"),
+])
+def test_bad_output_paths_fail_before_work(argv, out_dir, flag, tmp_path,
+                                           capsys, monkeypatch):
+    """An --out-dir below or at a regular file, or an --out the table
+    cannot be written to, ends with one error naming the flag before any
+    work, and creates nothing."""
+    import apvar.cli
+
+    def no_sieve(*args):
+        raise AssertionError("sieved before checking the output paths")
+    monkeypatch.setattr(apvar.cli, "sieve_all", no_sieve)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "runs").mkdir()
+    code = main(argv + ["--out-dir", str(tmp_path / out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith(f"error: {flag}=") and out == ""
+    assert sorted(os.listdir(tmp_path)) == ["file", "runs"]
+    assert not any((tmp_path / "runs").iterdir())
+
+
 def cli_leaves() -> dict:
     """{"command leaf": (flags, required flags)} read from the parser."""
     import argparse
@@ -676,8 +689,9 @@ def test_cli_and_theorem1_leave_scipy_unloaded(tmp_path):
 
     code = ("import sys\n"
             "import apvar.cli\n"
-            "from apvar import (ExperimentConfig, resolve_params,\n"
-            "                   run_theorem1, sieve_all)\n"
+            "from apvar.arith import sieve_all\n"
+            "from apvar.pipeline import (ExperimentConfig, resolve_params,\n"
+            "                            run_theorem1)\n"
             "run_theorem1(resolve_params(ExperimentConfig(\n"
             "    experiment='theorem1', n=3000)), sieve_all(3000, 2))\n"
             "apvar.cli.main(['verify', 'windows', '--out-dir', sys.argv[1]])\n"

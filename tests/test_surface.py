@@ -139,3 +139,26 @@ def test_no_module_imports_private_names():
     found = private_imports()
     assert not found, ("src/apvar imports private names across modules: "
                        + "; ".join(found))
+
+
+def package_root_imports() -> list:
+    """Each import in src/apvar/__init__.py of a module of the package,
+    relative or absolute, as written."""
+    out = []
+    for imp in ast.walk(ast.parse((SRC / "__init__.py").read_text())):
+        if isinstance(imp, ast.ImportFrom) and (
+                imp.level or (imp.module or "").split(".")[0] == "apvar"):
+            out.append(f"from {'.' * imp.level}{imp.module or ''} import "
+                       + ", ".join(a.name for a in imp.names))
+        elif isinstance(imp, ast.Import):
+            out.extend(f"import {a.name}" for a in imp.names
+                       if a.name.split(".")[0] == "apvar")
+    return out
+
+
+def test_package_root_imports_nothing_from_the_package():
+    """Each name has one route, through the module that defines it: the
+    package root binds no submodule name."""
+    found = package_root_imports()
+    assert not found, ("src/apvar/__init__.py imports from the package: "
+                       + "; ".join(found))

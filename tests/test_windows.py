@@ -171,25 +171,25 @@ def test_mellin_raises_past_certified_range(window):
 
 def test_prime_weights_formula():
     w = build_weights("prime_sieve", 50)
-    assert w.b[1] == pytest.approx(math.log(50))
-    assert w.b[4] == 0.0
-    assert w.b[6] == pytest.approx(math.log(50 / 6))
-    assert w.b[30] == pytest.approx(-math.log(50 / 30))
-    assert np.abs(w.b).max() == pytest.approx(math.log(50))
+    assert w[1] == pytest.approx(math.log(50))
+    assert w[4] == 0.0
+    assert w[6] == pytest.approx(math.log(50 / 6))
+    assert w[30] == pytest.approx(-math.log(50 / 30))
+    assert np.abs(w).max() == pytest.approx(math.log(50))
     # large R, once sieved by a separate path
     big = build_weights("prime_sieve", 5000)
     for r in (1, 2, 6, 30, 49, 4999):
         expect = mobius(r) * math.log(5000 / r)
-        assert big.b[r] == pytest.approx(expect, abs=1e-12)
+        assert big[r] == pytest.approx(expect, abs=1e-12)
 
 
 def test_divisor_weights_formula():
     w2 = build_weights("divisor_k", 30, k=2)
-    assert np.all(w2.b[1:] == 1.0)
+    assert np.all(w2[1:] == 1.0)
     w3 = build_weights("divisor_k", 30, k=3)
-    assert [w3.b[r] for r in (1, 2, 4, 12)] == [1, 2, 3, 6]
+    assert [w3[r] for r in (1, 2, 4, 12)] == [1, 2, 3, 6]
     big = build_weights("divisor_k", 5000, k=3)
-    assert big.b[4999] == d_k_of(2, 4999)
+    assert big[4999] == d_k_of(2, 4999)
     with pytest.raises(ValueError):
         build_weights("divisor_k", 30)
 
@@ -203,12 +203,12 @@ def test_weights_bit_identical_to_scalar_formulas(r_max, tmp_path,
     r = np.arange(1, r_max + 1, dtype=np.float64)
     mu = np.array([mobius(m) for m in range(1, r_max + 1)])
     expect = np.concatenate([[0.0], mu * np.log(r_max / r) + 0.0])
-    got = build_weights("prime_sieve", r_max).b
+    got = build_weights("prime_sieve", r_max)
     assert got.tobytes() == expect.tobytes()
     for k in (2, 3, 4):
         expect = np.array([0.0] + [float(d_k_of(k - 1, m))
                                    for m in range(1, r_max + 1)])
-        got = build_weights("divisor_k", r_max, k=k).b
+        got = build_weights("divisor_k", r_max, k=k)
         assert got.tobytes() == expect.tobytes(), k
     assert not any(tmp_path.iterdir())
 
@@ -219,7 +219,7 @@ def test_tilde_sequence_bruteforce(window):
     tilde = build_tilde_sequence(n, w, window)
     for m in (1, 7, 12, 60, 119):
         expect = window.phi(m / n) * sum(
-            w.b[r] for r in range(1, 13) if m % r == 0)
+            w[r] for r in range(1, 13) if m % r == 0)
         assert tilde.values[m] == pytest.approx(expect, rel=1e-12)
 
 
@@ -231,8 +231,8 @@ def test_tilde_sequence_edges_bit_identical(eps):
     for n in (2, 3, 7, 10, 11, 97, 1000, 12345, 10**5):
         w = build_weights("prime_sieve", min(n, 12))
         expect = np.zeros(n + 1)
-        for r in range(1, w.r_max + 1):
-            expect[r::r] += w.b[r]
+        for r in range(1, w.size):
+            expect[r::r] += w[r]
         expect *= win.phi(np.arange(n + 1) / n)
         got = build_tilde_sequence(n, w, win).values
         assert got.tobytes() == expect.tobytes(), n
@@ -272,7 +272,7 @@ def test_windowed_computes_phi_once_per_length(monkeypatch):
 def test_weight_sum_q(window):
     w = build_weights("prime_sieve", 100)
     for q in (1, 3, 10, 100):
-        direct = sum(w.b[r] / r for r in range(q, 101, q))
+        direct = sum(w[r] / r for r in range(q, 101, q))
         assert weight_sum_q(w, q) == pytest.approx(direct, rel=1e-12)
     assert weight_sum_q(w, 101) == 0.0
 
