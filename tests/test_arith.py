@@ -188,10 +188,10 @@ def test_sieve_cache_file_deleted_after_load(tmp_path, monkeypatch):
 
 def test_sieve_cache_writers_keep_their_own_temp_files(tmp_path,
                                                       monkeypatch):
-    """A second writer of the same table that renames its file into place
-    while the first is still writing leaves the first writer's temp file
-    alone: both writes end, the table reads back whole, and no temp file
-    is left."""
+    """A second writer of the same table that stores it between the first
+    writer's write and rename leaves the first writer's temp file alone:
+    both stores end, the table reads back whole, and no temp file is
+    left."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
     path = tmp_path / "sieve_500_3.bin"
     arrays = arith._sieve(500, 3)
