@@ -277,21 +277,15 @@ class LagCorrelation:
 
 def transform_length(n: int) -> int:
     """The transform length L of LagSpectra for sequences a_1..a_N: the
-    least 5-smooth integer above 2N (_fft_length)."""
-    return _fft_length(2 * n + 1)
-
-
-def _fft_length(m: int) -> int:
-    """The least 5-smooth integer 2^a 3^b 5^c >= m."""
-    def pow2_at_least(x):
-        return 1 << max(x - 1, 0).bit_length()
-
-    best = pow2_at_least(m)
+    least 5-smooth integer 2^a 3^b 5^c above 2N."""
+    m = 2 * n + 1
+    best = 1 << (m - 1).bit_length()
     p5 = 1
     while p5 < best:
         p35 = p5
         while p35 < best:
-            best = min(best, p35 * pow2_at_least(-(-m // p35)))
+            # p35 times the least power of two >= ceil(m / p35).
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
             p35 *= 3
         p5 *= 5
     return best
@@ -299,13 +293,13 @@ def _fft_length(m: int) -> int:
 
 class LagSpectra:
     """The real FFTs of sequences of one length N at one length L > 2N,
-    with the squared norms ||a||_2^2 of the sequences; the symmetrized
-    lag correlation of a pair (i, j) and its spectral product
-    Re(X conj Y) are read from them.
+    with the squared norms ||a||_2^2 of the sequences; the spectral
+    product Re(X conj Y) of a pair (i, j) and the autocorrelation of a
+    sequence (`release`) are read from them.
 
     For a pair (a, b), rho = irfft(Re(X conj Y)) with X, Y the length-L
     transforms; L > 2N keeps the circular correlation free of aliasing.
-    L is the least 5-smooth integer above 2N (_fft_length), so numpy's
+    L is the least 5-smooth integer above 2N (transform_length), so numpy's
     transforms run radix-2, -3, -4 and -5 passes only; it is at most
     2^ceil(log2(2N + 1)), and never 1.25 times 2N + 1 once that exceeds 8.
     For b = a, rho(h) = r(h) = sum_n a_n a_{n+h} is the autocorrelation.
@@ -342,20 +336,23 @@ class LagSpectra:
     sum_h |r(h)|, is below 2^62.
 
     Memory: the object holds one spectrum of L/2 + 1 complex values per
-    sequence.  A correlation makes the pair's product, L/2 + 1 complex
-    values (the power in the real part, so irfft casts nothing), then
-    the inverse transform's L floats, and keeps N + 1 of them.
-    `correlation` keeps the spectra alive through that; `release`, the
-    chains' route, drops them once the product is formed, so that the
-    inverse FFT runs beside no spectrum.
+    sequence, and none of the sequences, so a sequence the caller drops
+    dies once it is transformed.  `release` makes the product of a
+    sequence with itself, L/2 + 1 complex values (the power in the real
+    part, so irfft casts nothing), drops every spectrum, then runs the
+    inverse transform's L floats and keeps N + 1 of them.
     """
 
     def __init__(self, seqs):
         n = seqs[0].n
         if any(s.n != n for s in seqs):
             raise ValueError("sequences must share their length N")
-        self.seqs, self.n = list(seqs), n
+        self.n = n
         self.length = transform_length(n)
+        # Whether release may round sequence i's lags to int64 (`exact`):
+        # integer values with ||a||_1 < 2^31, so that ||a||_1^2 < 2^62.
+        self.integral = [s.is_integer_valued and s.l1() < 2.0**31
+                         for s in seqs]
         self.spectra = [np.fft.rfft(s.values, self.length) for s in seqs]
         self.squares = [s.l2() for s in seqs]
         # c L log2(L) e0 bounds the underflow of one transform's output.
@@ -378,38 +375,20 @@ class LagSpectra:
         out += np.multiply(x.imag, y.imag, out=scratch)
         return out
 
-    def correlation(self, i: int, j: int) -> LagCorrelation:
-        """The lag correlation of the pair (i, j): one inverse FFT."""
-        return self._inverse(self._product(i, j), i, j)
-
     def release(self, i: int) -> LagCorrelation:
-        """The autocorrelation of sequence i, bit for bit as
-        correlation(i, i) gives it, with every spectrum dropped before the
-        inverse FFT runs: the pair product of sequence i and the inverse
+        """The autocorrelation of sequence i by one inverse FFT, run after
+        every spectrum is dropped: the product of sequence i with itself
+        (its imaginary half is power's scratch, then zeroed) and the inverse
         transform's output are then the only arrays of the transform
         length alive.  Afterwards only `error`, `squares`, `n` and
         `length` can be read."""
-        product = self._product(i, i)
-        self.spectra = []
-        return self._inverse(product, i, i)
-
-    def _product(self, i: int, j: int) -> np.ndarray:
-        """The input of the inverse FFT: Re(X conj Y) as a complex array
-        with zero imaginary parts (its imaginary half is power's
-        scratch), so that irfft casts nothing."""
         product = np.empty(self.length // 2 + 1, np.complex128)
-        self.power(i, j, product.real, product.imag)
+        self.power(i, i, product.real, product.imag)
         product.imag = 0.0
-        return product
-
-    def _inverse(self, product: np.ndarray, i: int, j: int) -> LagCorrelation:
-        """rho of the pair (i, j) from its product (_product)."""
-        eps = self.error(i, j)
+        self.spectra = []
+        eps = self.error(i, i)
         rho = np.fft.irfft(product, self.length)[: self.n + 1]
-        seq = self.seqs[i]
-        # ||a||_1^2 < 2^62: ||a||_1 < 2^31 exactly when fl(l1 l1) < 2^62.
-        if (i == j and seq.is_integer_valued and eps < 0.5
-                and seq.l1() < 2.0**31):
+        if self.integral[i] and eps < 0.5:
             return LagCorrelation(np.rint(rho).astype(np.int64), 0.0, True)
         return LagCorrelation(rho.copy(), eps, False)
 

@@ -417,7 +417,7 @@ def arc_masses(kernel: LagKernel, spectra: LagSpectra) -> ArcMasses:
         raise ValueError(f"kernel for N={kernel.n} read with spectra of "
                          f"N={spectra.n}")
     n, length, l1 = spectra.n, spectra.length, kernel.l1
-    pairs = ([(0, 0)] if len(spectra.seqs) == 1
+    pairs = ([(0, 0)] if len(spectra.squares) == 1
              else [(0, 0), (1, 1), (0, 1)])
     size, top = length // 2 + 1, (length + 1) // 2
     levels = 8.0 * math.log2(length) + math.ceil(math.log2(size)) + 3

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import resource
 import sys
 import time
@@ -90,18 +91,25 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _out_path(args) -> Path:
+    """A table's --out joined to --out-dir, with `.` and `..` resolved
+    lexically (os.path.normpath), so that no directory needs to exist."""
+    return Path(os.path.normpath(Path(args.out_dir) / args.out))
+
+
 def _check_out_paths(args) -> None:
     """--out-dir, and a table's --out, checked before any work and without
     creating anything: --out-dir must be a directory or lie below one,
-    and --out must name a file in --out-dir or in a directory that
-    exists."""
+    and --out (_out_path) must name a file, other than --out-dir itself,
+    in --out-dir or in a directory that exists."""
     out_dir = Path(args.out_dir)
     found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not found.is_dir():
         raise ValueError(f"--out-dir={args.out_dir}: {found} is a file")
-    path = out_dir / args.out if getattr(args, "out", None) else None
-    if path and (path.is_dir() or not (path.parent == out_dir
-                                       or path.parent.is_dir())):
+    home = Path(os.path.normpath(out_dir))
+    path = _out_path(args) if getattr(args, "out", None) else None
+    if path and (path == home or path.is_dir()
+                 or not (path.parent == home or path.parent.is_dir())):
         raise ValueError(f"--out={args.out}: not a file in --out-dir or in "
                          f"a directory that exists")
 
@@ -353,7 +361,7 @@ def cmd_table(args) -> tuple[int, list]:
     if not args.out:
         sys.stdout.write(text)
         return 0, []
-    path = out_dir / args.out
+    path = _out_path(args)
     path.write_text(text, newline="\n")
     return 0, [path]
 

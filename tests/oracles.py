@@ -199,11 +199,23 @@ def ramanujan_tail_from_scratch(seq, q_max, q0) -> float:
     return ramanujan_tail(corrs, phi, q0)
 
 
+def lag_correlation_direct(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(rho, error): rho(h) = (x(h) + x(-h)) / 2 for 0 <= h <= N,
+    x(h) = sum_n a_{n+h} b_n, of value arrays a_0..a_N and b_0..b_N, by
+    np.correlate, each lag a direct sum of at most N + 1 products and no
+    FFT; every lag errs by at most error = gamma_{N+2} ||a||_2 ||b||_2
+    (Cauchy-Schwarz)."""
+    n = a.size - 1
+    full = np.correlate(a, b, "full")          # x(h) at index h + N
+    ab = math.sqrt(math.fsum(a * a) * math.fsum(b * b))
+    return (full[n:] + full[n::-1]) / 2.0, float(gamma(n + 2)) * ab
+
+
 def float_sweep_abs_route(seq, q_max: int) -> tuple:
     """(v, error) of variance_sweep's float route over q <= q_max, with
     the bound's |a| multiple sums taken from multiple_sums(np.abs(a))
     always, through the same kernels in the same order."""
-    corr = LagSpectra([seq]).correlation(0, 0)
+    corr = LagSpectra([seq]).release(0)
     assert not corr.exact
     n, r = seq.n, corr.rho
     squares = r[0] + 2 * multiple_sums(r, q_max)

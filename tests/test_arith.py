@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,18 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apvar import arith
-from apvar.arith import (CapacityError, LagSpectra, Sequence, _fft_length,
-                         _spf_sieve, check_lemma1_matrix, convolve_ones,
-                         d_k_of, divisors, factorize,
-                         gamma, gen_binomial, is_squarefree,
+from apvar.arith import (CapacityError, LagSpectra, Sequence, _spf_sieve,
+                         check_lemma1_matrix, convolve_ones, d_k_of, divisors,
+                         factorize, gamma, gen_binomial, is_squarefree,
                          load_sequence, mobius, moduli_tables, multiple_sums,
                          primes_from_spf, ramanujan_convolution,
                          ramanujan_correlations, ramanujan_row, ramanujan_sum,
-                         sieve_all, totient)
+                         sieve_all, totient, transform_length)
 
-from oracles import (convolve_ones_loop, lambda_sieve_loop, mu_phi_sieve_loop,
-                     multiple_sums_loop, ramanujan_convolution_loop,
-                     ramanujan_row_gcd, spf_sieve_loop)
+from oracles import (convolve_ones_loop, lag_correlation_direct,
+                     lambda_sieve_loop, mu_phi_sieve_loop, multiple_sums_loop,
+                     ramanujan_convolution_loop, ramanujan_row_gcd,
+                     spf_sieve_loop)
 
 
 def direct_ramanujan(q, n):
@@ -535,11 +536,11 @@ def test_fft_length_is_least_5_smooth():
                 x //= p
         return x == 1
 
-    expect = 1
-    for m in range(5000, -1, -1):
-        if m and smooth(m):
-            expect = m
-        assert _fft_length(m) == expect
+    for n in range(2500):
+        expect = 2 * n + 1
+        while not smooth(expect):
+            expect += 1
+        assert transform_length(n) == expect, n
 
 
 @pytest.mark.parametrize("n", [12, 62])
@@ -547,39 +548,59 @@ def test_lag_correlations_at_odd_5_smooth_length(n):
     """With 2N + 1 = 25 or 125 the transforms have odd mixed-radix length;
     every lag is still within its bound of np.correlate, and exact on the
     integer path."""
-    assert _fft_length(2 * n + 1) == 2 * n + 1
+    assert transform_length(n) == 2 * n + 1
     rng = np.random.default_rng(n)
     seqs = [Sequence.from_coeffs(rng.standard_normal(n)),
             Sequence.from_coeffs(rng.integers(-9, 10, n))]
-    spectra = LagSpectra(seqs)
-    for i, j in [(0, 0), (1, 1), (0, 1)]:
-        corr = spectra.correlation(i, j)
-        a, b = seqs[i].values, seqs[j].values
-        full = np.correlate(a, b, "full")          # x(h) at h + n
-        ref = (full[n:] + full[n::-1]) / 2.0
+    for i, seq in enumerate(seqs):
+        corr = LagSpectra(seqs).release(i)
+        ref, ref_error = lag_correlation_direct(seq.values, seq.values)
+        assert corr.exact == (i == 1)
         if corr.exact:
-            assert i == j == 1
             assert np.array_equal(corr.rho, np.rint(ref).astype(np.int64))
         else:
-            assert np.all(np.abs(corr.rho - ref) <= corr.error)
+            assert np.all(np.abs(corr.rho - ref) <= corr.error + ref_error)
 
 
 def test_release_gives_the_correlation_bit_for_bit(rng, table_1e4):
     """The autocorrelation a chain takes after dropping its spectra
-    (LagSpectra.release) is correlation(i, i) in dtype, bytes, error and
-    exactness: on a float row, on an exact integer row (d_3, int64) and
-    on the second of a pair; the released object keeps only its bounds."""
+    (LagSpectra.release): the exact int64 row, bit for bit, on an
+    integer row (d_3), and within its error of np.correlate on a float
+    row; the same bytes, error and exactness for the second of a pair as
+    alone; the released object keeps only its bounds."""
     d3 = Sequence(table_1e4.dk[3])
     floats = Sequence.from_coeffs(rng.standard_normal(d3.n))
     for seqs, i in (([floats], 0), ([d3], 0), ([floats, d3], 1),
                     ([d3, floats], 1)):
-        expected = LagSpectra(seqs).correlation(i, i)
+        seq = seqs[i]
+        alone = LagSpectra([seq]).release(0)
         spectra = LagSpectra(seqs)
         eps = spectra.error(i, i)
         released = spectra.release(i)
         assert spectra.spectra == []
         assert spectra.error(i, i) == eps
-        assert released.exact == expected.exact == (seqs[i] is d3)
-        assert released.rho.dtype == expected.rho.dtype
-        assert released.rho.tobytes() == expected.rho.tobytes()
-        assert released.error == expected.error
+        ref, ref_error = lag_correlation_direct(seq.values, seq.values)
+        if seq is d3:
+            assert released.exact and released.rho.dtype == np.int64
+            assert np.array_equal(released.rho, np.rint(ref).astype(np.int64))
+        else:
+            assert not released.exact and released.error == eps
+            assert np.all(np.abs(released.rho - ref) <= eps + ref_error)
+        assert released.exact == alone.exact
+        assert released.rho.tobytes() == alone.rho.tobytes()
+        assert released.error == alone.error
+
+
+def test_spectra_keep_no_sequence(rng):
+    """LagSpectra keeps spectra, not sequences: a Sequence handed to it
+    dies once the caller drops it, and release still gives the exact
+    int64 row of that integer sequence."""
+    seq = Sequence.from_coeffs(rng.integers(-9, 10, 300))
+    ref = np.rint(lag_correlation_direct(seq.values, seq.values)[0])
+    alive = weakref.ref(seq)
+    spectra = LagSpectra([seq])
+    del seq
+    assert alive() is None
+    corr = spectra.release(0)
+    assert corr.exact and corr.rho.dtype == np.int64
+    assert np.array_equal(corr.rho, ref.astype(np.int64))

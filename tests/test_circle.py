@@ -15,7 +15,8 @@ from apvar.circle import (ArcSystem, LagWeights, arc_masses, build_spectrum,
                           major_weights, minor_arc_integral)
 
 from oracles import (eval_exp_sum, farey_denominators, farey_density_f,
-                     farey_min_on_minor, farey_weights_direct, is_major)
+                     farey_min_on_minor, farey_weights_direct, is_major,
+                     lag_correlation_direct)
 
 
 def small_arcs():
@@ -232,19 +233,24 @@ def test_arc_masses_match_direct_double_sum(rng, table_300, window):
 def test_arc_masses_leave_spectra_unchanged(rng, table_300):
     """arc_masses reads the spectra it is given and changes none of them,
     on a float sequence and on an integer one (whose autocorrelation is
-    the exact int64 row); its masses are those of its own spectra."""
+    the exact int64 row): the autocorrelation released after it is a
+    fresh object's bit for bit, within its bound of np.correlate, and
+    its masses are those of its own spectra."""
     arcs = disjoint_arcs()
     floats = Sequence.from_coeffs(rng.standard_normal(300))
     d2 = Sequence(table_300.dk[2])
     for seq, dtype in ((floats, np.float64), (d2, np.int64)):
         spectra = LagSpectra([seq])
-        before = spectra.correlation(0, 0).rho
-        assert before.dtype == dtype
         copies = [x.copy() for x in spectra.spectra]
         mass = arc_masses(lag_kernel(major_weights(arcs, 300)), spectra).a
         assert all(np.array_equal(x, y)
                    for x, y in zip(spectra.spectra, copies))
-        assert np.array_equal(spectra.correlation(0, 0).rho, before)
+        after = spectra.release(0)
+        assert after.rho.dtype == dtype
+        fresh = LagSpectra([seq]).release(0)
+        assert after.rho.tobytes() == fresh.rho.tobytes()
+        ref, ref_error = lag_correlation_direct(seq.values, seq.values)
+        assert np.all(np.abs(after.rho - ref) <= after.error + ref_error)
         assert mass == arc_masses(lag_kernel(major_weights(arcs, 300)),
                                   LagSpectra([seq])).a
 
@@ -304,8 +310,10 @@ def test_major_weights_match_direct_kernel(n, arcs):
 
 def test_spectral_major_matches_lag_dot(rng, table_300, window):
     """Each pair's spectral weighted mass against the lag-domain dot
-    <rho, W>, rho from LagSpectra, for a float row, an exact int64 row
-    and a cross row, within both bounds: for the major-arc weights and
+    <rho, W> within both bounds, rho from LagSpectra.release for a float
+    row and an exact int64 row and from np.correlate for the cross row
+    (lag_correlation_direct), so that the cross mass's bound, which reads
+    LagSpectra.error(0, 1), is checked too: for the major-arc weights and
     for f's (farey_weights_direct), whose kernel lag_kernel builds by the
     same route."""
     from apvar.windows import build_tilde_sequence, build_weights
@@ -317,20 +325,24 @@ def test_spectral_major_matches_lag_dot(rng, table_300, window):
     cases = [(floats, None, "a", (0, 0), False),
              (d2, tilde, "a", (0, 0), True),
              (d2, tilde, "tilde", (1, 1), False),
-             (d2, tilde, "cross", (0, 1), False)]
+             (d2, tilde, "cross", (0, 1), None)]
     farey = farey_weights_direct(300, arcs.q, arcs.q0, arcs.k_param).w
     for weights in (major_weights(arcs, 300), LagWeights(farey, 0.0)):
         kernel = lag_kernel(weights)
         l1 = math.fsum(np.abs(weights.w))
         for seq, aux, name, pair, exact in cases:
             seqs = [seq] if aux is None else [seq, aux]
-            corr = LagSpectra(seqs).correlation(*pair)
-            assert corr.exact == exact
-            terms = corr.rho.astype(np.float64) * weights.w
-            lag_dot = math.fsum(terms)
             a, b = seqs[pair[0]].values, seqs[pair[1]].values
+            if exact is None:
+                rho, rho_error = lag_correlation_direct(a, b)
+            else:
+                corr = LagSpectra(seqs).release(pair[0])
+                assert corr.exact == exact
+                rho, rho_error = corr.rho.astype(np.float64), corr.error
+            terms = rho * weights.w
+            lag_dot = math.fsum(terms)
             ab = math.sqrt(float(a @ a) * float(b @ b))
-            lag_bound = (corr.error * l1 + (ab + corr.error) * weights.error
+            lag_bound = (rho_error * l1 + (ab + rho_error) * weights.error
                          + 2 * UNIT_ROUNDOFF * math.fsum(np.abs(terms)))
             mass = getattr(arc_masses(kernel, LagSpectra(seqs)), name)
             assert abs(mass.major - lag_dot) <= mass.error + lag_bound

@@ -573,6 +573,9 @@ def test_experiment_bad_r_fails_before_sieving(argv, named, tmp_path, capsys,
     (["table", "weights", "--R", "10", "--out", "sub/t.csv"], "runs",
      "--out"),
     (["table", "weights", "--R", "10", "--out", "."], "runs", "--out"),
+    # --out-dir does not exist yet: `..` and `.` are still directories.
+    (["table", "weights", "--R", "10", "--out", ".."], "new", "--out"),
+    (["table", "weights", "--R", "10", "--out", "."], "new", "--out"),
 ])
 def test_bad_output_paths_fail_before_work(argv, out_dir, flag, tmp_path,
                                            capsys, monkeypatch):
