@@ -76,8 +76,16 @@ class ExperimentConfig:
         if not 0 < self.epsilon < 0.25:
             raise ValueError(
                 f"--epsilon must lie in (0, 1/4), got {self.epsilon}")
-        if self.k_exp is not None and not math.isfinite(self.k_exp):
-            raise ValueError(f"--K-exp must be finite, got {self.k_exp}")
+        if self.k_exp is not None:
+            # The recipes divide by K and square it: a positive finite float.
+            try:
+                k_param = math.log(self.n) ** self.k_exp
+            except OverflowError:
+                k_param = math.inf
+            if not 0 < k_param < math.inf:
+                raise ValueError(
+                    f"--K-exp {self.k_exp}: K = (log N)^K-exp must be a "
+                    f"positive finite float at N={self.n}")
         if self.experiment == "theorem2":
             if self.k < 2:
                 raise ValueError(f"--k must be at least 2, got {self.k}")

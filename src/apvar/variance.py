@@ -389,22 +389,6 @@ def reduced_class_variances(seq: Sequence, sweep: VarianceSweep) -> np.ndarray:
     return out
 
 
-def _divisors_up_to(x: int, primes: np.ndarray, top: int) -> list:
-    """The divisors d <= top of x >= 1, by trial division by `primes`,
-    which hold every prime up to sqrt(x) in ascending order."""
-    divs = [1]
-    trial = primes[: np.searchsorted(primes, math.isqrt(x), "right")]
-    for p in trial[x % trial == 0].tolist():
-        powers = [1]
-        while x % p == 0:
-            x //= p
-            powers.append(powers[-1] * p)
-        divs = [d * pk for d in divs for pk in powers if d * pk <= top]
-    if x > 1:                                # one prime above sqrt(x) left
-        divs += [d * x for d in divs if d * x <= top]
-    return divs
-
-
 def _prime_power_class_squares(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """NR[q] = sum of t_b(q)^2 over the classes b mod q with (b, q) > 1,
     for Lambda, at every q <= q_max, in closed form, from Lambda(n) for
@@ -425,7 +409,7 @@ def _prime_power_class_squares(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
     ord_m(p) is the least such t.  So each prime p <= sqrt(N) is one
     strided add of L (log p)^2 over pZ, then one add of
     2 pairs (log p)^2 at the few q = p^a m with m | p^t - 1, t < L (the
-    divisors come by trial division, as p^t - 1 < N).  A larger prime
+    divisors from arith.divisors, as p^t - 1 < N).  A larger prime
     has L = 1 and no pair, so it adds (log p)^2 to every q in pZ; those
     are added after the small primes, one multiplier j at a time over all
     such p <= q_max/j, in descending j, so every NR[q] adds its primes in
@@ -450,8 +434,9 @@ def _prime_power_class_squares(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
         order, pt = {}, 1                    # m -> ord_m(p), m <= q_max/p
         for t in range(1, lp):
             pt *= p
-            for m in _divisors_up_to(pt - 1, primes, q_max // p):
-                order.setdefault(m, t)
+            for m in divisors(pt - 1):
+                if m <= q_max // p:
+                    order.setdefault(m, t)
         qs, counts = [], []
         for m, o in order.items():
             q = p * m

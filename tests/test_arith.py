@@ -591,6 +591,21 @@ def test_release_gives_the_correlation_bit_for_bit(rng, table_1e4):
         assert released.error == alone.error
 
 
+@pytest.mark.parametrize("n", [1000, 4099])
+def test_release_stays_within_its_fft_bound(n):
+    """A dyadic, non-integer sequence a_n = k_n / 2^10 with |k_n| < 2^10
+    has its lags exact in integers: r(h) = (sum_n k_n k_{n+h}) / 2^20.
+    Every released lag lies within `error` of them, with no reference
+    bound added, so the bound's FFT term is what has to cover the
+    rounding."""
+    rng = np.random.default_rng(n)
+    k = np.concatenate([[0], rng.integers(-1023, 1024, n)])
+    corr = LagSpectra([Sequence(k / 2.0**10)]).release(0)
+    assert not corr.exact
+    exact = np.correlate(k, k, "full")[n:] / 2.0**20
+    assert np.all(np.abs(corr.rho - exact) <= corr.error)
+
+
 def test_spectra_keep_no_sequence(rng):
     """LagSpectra keeps spectra, not sequences: a Sequence handed to it
     dies once the caller drops it, and release still gives the exact

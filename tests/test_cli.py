@@ -520,6 +520,7 @@ def test_experiment_validation_errors(tmp_path, capsys, monkeypatch):
     for argv in (["--N", "abc"], ["--N", "inf"], ["--N", "1"],
                  ["--N", "20000.9"],
                  ["--N", "1e4", "--R", "inf"], ["--K-exp", "nan"],
+                 ["--K-exp", "700"], ["--K-exp", "-700"],
                  ["--epsilon", "0.3"], ["--Q-exp", "nan"]):
         code, out, err = run_cli(["experiment", "theorem1", *argv],
                                  tmp_path, capsys)
@@ -528,6 +529,7 @@ def test_experiment_validation_errors(tmp_path, capsys, monkeypatch):
         assert out == "" and not any(tmp_path.iterdir())
     # --k 20 at N = 7e4: Q N (log N)^399 is past float64.
     for argv in (["--delta", "-1"], ["--delta", "nan"], ["--k", "1"],
+                 ["--K-exp", "700"], ["--K-exp", "-700"],
                  ["--N", "7e4", "--Q-exp", "0.8", "--k", "20"]):
         code, out, err = run_cli(["experiment", "theorem2", *argv],
                                  tmp_path, capsys)
