@@ -1,4 +1,4 @@
-"""Smooth plateau window, its Fourier and Mellin transforms, and sieve weights.
+"""Smooth plateau window, its Mellin transform, and sieve weights.
 
 The window is the usual C-infinity plateau bump built from exp(-1/x)
 cutoffs: identically 1 on [eps, 1-eps], supported in [0, 1].  The chains
@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -61,19 +61,6 @@ class _LogMoments:
             self._mu.append(self._term.sum() / _SAMPLES)
             self._term *= self._log_y
         return np.array(self._mu[: j + 1])
-
-
-@cache
-def _gauss_panels() -> tuple:
-    """(t, w): 10 Gauss-Legendre nodes on each of 256 panels of [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    panels = 256
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mid = (edges[1:] + edges[:-1]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return t, w
 
 
 @dataclass
@@ -133,70 +120,6 @@ class SmoothWindow:
         out = np.ones(t.shape)
         out[edge] = _smoothstep(u[edge]) * _smoothstep(v[edge])
         return out if out.ndim else float(out)
-
-    def phi_hat(self, xi):
-        """Fourier transform Phi^(xi) = int Phi(t) e(-xi t) dt, as the
-        rectangle sum R(xi) = (1/m) sum_(i<m) Phi(i/m) e(-xi i/m),
-        m = 2^16; vectorized over xi.  The sum is spectrally accurate for
-        the same reason as phi_int, which is its value at xi = 0.
-
-        R is m-periodic in xi, so xi is first reduced to
-        psi = xi - m round(xi/m), |psi| <= m/2, which is exact (m is a
-        power of two).  Phi(i/m) is exactly 1.0 on the plateau
-        a <= i <= b (_grid_edges); with c = (a + b)/2 and L = b - a + 1
-        those terms sum to a Dirichlet kernel, so
-            R(xi) = e(-psi c/m) [(L/m) sinc(psi L/m) / sinc(psi/m)
-                                 + (1/m) sum_E Phi(i/m) e(-psi (i - c)/m)],
-        sinc(x) = sin(pi x)/(pi x), and only the edge samples E, the
-        other i < m (6,553 of the 65,536 at eps = 0.05), take a cos and
-        a sin.
-
-        Rounding (u = 2^-53, gamma_k = k u/(1 - k u); cos, sin and the
-        sin inside sinc within 4 ulps, so 8u absolute and relative), with
-        S = (1/m) sum_E Phi(i/m):
-        * Edges: an angle 2 pi psi (i - c)/m rounds three times, pi's own
-          rounding included, and |i - c| <= m/2, so it moves by at most
-          gamma_3 pi |psi|.  With the cos or sin, the product with Phi and
-          numpy's pairwise sum (at most 28 roundings a term for m terms),
-          each component is within (gamma_3 pi |psi| + gamma_37) S.
-        * Plateau: inside the numerator sinc the argument pi psi L/m moves
-          by gamma_3 of itself, and |d/dy sin(y)/y| <= min(0.44, 2/|y|),
-          so with its sin and division it is within 2 gamma_3 + 9u <= 15u.
-          The denominator sinc(psi/m) lies in [2/pi, 1] and is within 13u
-          relative, and |sinc(psi L/m)/sinc(psi/m)| <= 1 (a Dirichlet
-          kernel is at most L).  With the product and quotient the plateau
-          term is within ((pi/2) 15u + 15u) L/m <= 40u.
-        * Phase: e(-psi c/m) is within gamma_3 2 pi |psi| + 12u; the
-          plateau term is at most min(L/m, 1/(2 |psi|)), as
-          |sin(pi psi/m)| >= 2 |psi|/m, so the phase costs at most
-          gamma_3 pi + 12u on it and (gamma_3 2 pi |psi| + 12u) S on the
-          edges.  The sum in the bracket and the final complex product add
-          5u (1 + S).
-        In all, the value is within
-            ((34 |psi| + 72) S + 80) u
-        of the rectangle sum R(xi) of the sampled Phi."""
-        xi = np.asarray(xi, dtype=np.float64)
-        psi = xi.ravel() - _SAMPLES * np.round(xi.ravel() / _SAMPLES)
-        lo, hi, head, tail = self._grid_edges(_SAMPLES)
-        centre = (lo + hi - 1) / 2.0
-        width = (hi - lo) / _SAMPLES
-        edges = np.concatenate([np.arange(lo), np.arange(hi, _SAMPLES)])
-        weights = np.concatenate([head, tail[:-1]])
-        angle = (2.0 * np.pi * psi)[:, None] * ((edges - centre) / _SAMPLES)
-        edge_sum = ((weights * np.cos(angle)).sum(axis=1)
-                    - 1j * (weights * np.sin(angle)).sum(axis=1))
-        plateau = width * np.sinc(psi * width) / np.sinc(psi / _SAMPLES)
-        phase = 2.0 * np.pi * psi * (centre / _SAMPLES)
-        out = ((np.cos(phase) - 1j * np.sin(phase))
-               * (plateau + edge_sum / _SAMPLES))
-        return complex(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
-
-    def phi_hat_quad(self, xi: float) -> complex:
-        """Independent composite Gauss-Legendre evaluation, 10 nodes on
-        each of 256 panels (phi_hat's oracle)."""
-        t, w = _gauss_panels()
-        vals = self.phi(t) * np.exp(-2j * np.pi * xi * t)
-        return complex(np.dot(w, vals))
 
     @cached_property
     def _moments(self) -> _LogMoments:

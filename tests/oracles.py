@@ -416,20 +416,22 @@ def prime_power_class_squares_spf(table, q_max: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The window and residue ingredients over all their terms: phi_hat as the
-# full rectangle sum, the Euler factors one (p, a) at a time, and the
+# The window and residue ingredients over all their terms: the window's
+# Fourier transform, which no chain reads and which lives here for the
+# major-arc lemma check; the Euler factors one (p, a) at a time, and the
 # Mellin series from all _MOMENTS + 1 log-moments, kept to pin the routes
-# that skip the plateau, broadcast the factors and stop at the order used.
+# that broadcast the factors and stop at the order used.
 
 
 def phi_hat_full_sum(window: SmoothWindow, xi):
-    """SmoothWindow.phi_hat as the rectangle sum over all m = 2^16
-    samples, xi unreduced: two dot products a value, with cos and sin.
-    With u = 2^-53 and gamma_k = k u/(1 - k u), the angle 2 pi xi i/m
-    moves by gamma_3 2 pi |xi| i/m, cos and sin add 8u, the product u
-    and a dot product in any order gamma_m, so each component is within
-    (1/m) sum_i Phi(i/m) (gamma_3 2 pi |xi| i/m + 9u + gamma_m)
-    (phi_hat_full_sum_bound)."""
+    """The Fourier transform Phi^(xi) = int Phi(t) e(-xi t) dt as the
+    rectangle sum (1/m) sum_(i<m) Phi(i/m) e(-xi i/m) over all m = 2^16
+    samples, spectrally accurate as phi_int is; vectorized over xi, two
+    dot products a value, with cos and sin.  With u = 2^-53 and
+    gamma_k = k u/(1 - k u), the angle 2 pi xi i/m moves by
+    gamma_3 2 pi |xi| i/m, cos and sin add 8u, the product u and a dot
+    product in any order gamma_m, so each component is within
+    (1/m) sum_i Phi(i/m) (gamma_3 2 pi |xi| i/m + 9u + gamma_m)."""
     xi = np.asarray(xi, dtype=np.float64)
     t = np.arange(_SAMPLES) / _SAMPLES
     out = np.empty(xi.size, dtype=np.complex128)
@@ -439,16 +441,6 @@ def phi_hat_full_sum(window: SmoothWindow, xi):
                          -np.dot(window._samples, np.sin(angle)))
     out /= _SAMPLES
     return complex(out[0]) if xi.ndim == 0 else out.reshape(xi.shape)
-
-
-def phi_hat_full_sum_bound(window: SmoothWindow, xi) -> np.ndarray:
-    """The rounding bound of phi_hat_full_sum's docstring, both
-    components together (a factor sqrt 2)."""
-    t = np.arange(_SAMPLES) / _SAMPLES
-    first = float(np.sum(window._samples * t)) / _SAMPLES
-    return math.sqrt(2.0) * (
-        gamma(3) * 2.0 * math.pi * np.abs(np.asarray(xi)) * first
-        + (9.0 * UNIT_ROUNDOFF + gamma(_SAMPLES)) * window.phi_int)
 
 
 def local_factor_per_pair(p: int, a: int, k: int, s: np.ndarray) -> np.ndarray:
@@ -800,6 +792,6 @@ def check_lemma_major(tilde_seq: Sequence, b: np.ndarray,
     if abs(beta) > 1.0 / (2.0 * q * r_max) + 1e-15:
         raise ValueError("need |beta| <= 1/(2qR)")
     lhs = eval_exp_sum(tilde_seq, (a / q + beta) % 1.0)
-    rhs = n * window.phi_hat(-n * beta) * weight_sum_q(b, q)
+    rhs = n * phi_hat_full_sum(window, -n * beta) * weight_sum_q(b, q)
     scale = float(np.abs(b).max()) * r_max * math.log(max(n, 2))
     return lhs, rhs, abs(lhs - rhs) / scale

@@ -35,6 +35,21 @@ def test_verify_windows_suite(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_windows_reports_plateau_mass(tmp_path, capsys, monkeypatch):
+    """A window whose plateau mass leaves (0.94, 1) fails the suite: at
+    eps = 0.1 the mass is 0.90, and `verify windows` names it and exits 1."""
+    import apvar.cli
+    from apvar.windows import build_window
+
+    monkeypatch.setattr(apvar.cli, "build_window",
+                        lambda eps: build_window(0.1))
+    code, out, _ = run_cli(["verify", "windows"], tmp_path, capsys)
+    assert code == 1
+    assert "verify windows: FAIL" in out
+    assert any(line.startswith("  plateau mass ")
+               for line in out.splitlines())
+
+
 def test_verify_reports_bad_divisors(tmp_path, capsys, monkeypatch):
     """An H(d) off at one divisor d of q fails Proposition 1's identity,
     and the check names d; `verify identities` prints it and exits 1."""
@@ -338,11 +353,13 @@ def test_table_capacity_fails_before_work(argv, flag, tmp_path, capsys,
     (["residues", "--k", "1100", "--N", "1e6", "--q-max", "2"], "contour"),
     (["weights", "--kind", "divisor", "--k", "101", "--R", "65536"],
      "int64"),
+    (["weights", "--kind", "divisor", "--k", "280", "--R", "1024"],
+     "--k=280"),
 ])
 def test_table_past_float_range_fails_cleanly(argv, named, tmp_path, capsys):
     """A --k whose residues leave float64, or whose d_k leaves int64,
     ends with `error:` and exit 2, not nan rows, wrapped values or a
-    traceback."""
+    traceback; the weights table's error names --k and --R."""
     code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
                              capsys)
     assert code == 2
@@ -685,7 +702,7 @@ def test_experiment_outputs_are_deterministic(tmp_path, capsys):
 
 def test_cli_and_theorem1_leave_scipy_unloaded(tmp_path):
     """No module of apvar imports scipy: not the CLI, not the chains, not
-    the window's Fourier transform that `verify windows` checks."""
+    `verify windows`."""
     import subprocess
     import sys
     from pathlib import Path

@@ -1,4 +1,4 @@
-"""Smooth window, its transforms, and sieve-weight calibrations."""
+"""Smooth window, its Mellin transform, and sieve-weight calibrations."""
 
 import math
 
@@ -11,10 +11,7 @@ from apvar.dirichlet import contour_nodes
 from apvar.windows import (_smoothstep, build_tilde_sequence, build_weights,
                            build_window, check_lemma5, weight_sum_q, windowed)
 
-from oracles import (check_lemma_major, mellin_all, mellin_order_all,
-                     phi_hat_full_sum, phi_hat_full_sum_bound)
-
-M = 1 << 16
+from oracles import check_lemma_major, mellin_all, mellin_order_all
 
 
 def test_plateau_shape(window):
@@ -46,48 +43,6 @@ def test_phi_plateau_is_the_formula(eps):
                        formula[::53].tolist() + formula[20001:].tolist()):
         got = win.phi(x)
         assert isinstance(got, float) and got == want, x
-
-
-def test_phi_hat_sum_vs_quadrature(window):
-    """The rectangle sum against Gauss-Legendre up to xi = 300; not
-    higher, where the oracle's own error grows (3e-6 at xi = 1000)."""
-    xis = (0.0, 0.5, 1.7, 9.3, 55.5, 200.0, 300.0)
-    for xi, got in zip(xis, window.phi_hat(np.array(xis))):
-        assert abs(got - window.phi_hat_quad(xi)) <= 1e-12, xi
-        assert window.phi_hat(xi) == got
-    assert window.phi_hat(-3.2) == pytest.approx(
-        np.conj(window.phi_hat(3.2)), abs=1e-12)
-
-
-def _phi_hat_bound(win, xi):
-    """phi_hat's stated rounding bound ((34 |psi| + 72) S + 80) u."""
-    lo, hi, head, tail = win._grid_edges(M)
-    edge_mass = (head.sum() + tail.sum()) / M
-    psi = np.abs(xi - M * np.round(xi / M))
-    return ((34.0 * psi + 72.0) * edge_mass + 80.0) * 2.0**-53
-
-
-@pytest.mark.parametrize("eps", [0.02, 0.05, 0.249])
-def test_phi_hat_within_bound_of_full_sum(eps):
-    """The plateau form against the full rectangle sum over all 2^16
-    samples, within the two routes' stated rounding bounds, on a +-300
-    grid and at xi = m/2, m, m + 0.3 and 10^5 + 0.5, past one period;
-    without the reduction modulo m the closed form errs by 1e-2 at m.
-    A scalar xi gives the array's value bit for bit."""
-    win = build_window(eps)
-    xis = np.concatenate([np.linspace(-300.0, 300.0, 241) + 0.1,
-                          [M / 2, M, M + 0.3, 10**5 + 0.5]])
-    got = win.phi_hat(xis)
-    diff = np.abs(got - phi_hat_full_sum(win, xis))
-    assert np.all(diff <= _phi_hat_bound(win, xis)
-                  + phi_hat_full_sum_bound(win, xis))
-    for x, value in zip(xis[::37].tolist() + xis[-4:].tolist(),
-                        got[::37].tolist() + got[-4:].tolist()):
-        assert win.phi_hat(x) == value, x
-
-
-def test_phi_hat_zero_is_mass(window):
-    assert window.phi_hat(0.0).real == pytest.approx(window.phi_int, abs=1e-10)
 
 
 def test_mellin_at_one(window):
@@ -149,8 +104,8 @@ def test_mellin_bits_equal_all_moments(eps):
 
 
 def test_mellin_shape_follows_input(window):
-    """As phi_hat: a scalar w gives a complex, an array of any size, one
-    included, an array of its shape with the scalar values."""
+    """A scalar w gives a complex, an array of any size, one included,
+    an array of its shape with the scalar values."""
     w = 1.2 + 0.1j
     assert isinstance(window.mellin(w), complex)
     for shape in ((1,), (1, 1), (2, 3)):
