@@ -12,9 +12,10 @@ script checks them all before it runs any, and exits 2 naming each one
 that does not.  The entry's tests then run under pytest in the copy,
 with a sieve cache of their own (APVAR_CACHE_DIR), since the mutated code
 must neither read nor write the tables of the unmutated one.  An entry is
-caught when each of its tests fails.  The script prints `caught` or
-`survived` per entry and exits 1 if a required entry survives, or if
-pytest could not run an entry's tests.
+caught when each of its tests fails.  The script prints `caught`,
+`survived`, or `error: ...` (pytest could not run the tests, or one of
+them errored rather than failed) per entry, and exits 1 unless every
+entry is caught.
 """
 
 import os
@@ -37,7 +38,6 @@ class Mutant:
     old: str                 # occurs exactly once in the file
     new: str
     tests: tuple             # pytest node ids, each of which must fail
-    required: bool = True
 
 
 CATALOG = (
@@ -78,15 +78,16 @@ def check_catalog() -> list:
     return problems
 
 
-def failed_tests(stdout: str) -> set:
-    """The node ids of pytest's `-rf` summary lines."""
+def summary_tests(stdout: str, outcome: str) -> set:
+    """The node ids of pytest's `-rfE` summary lines for `outcome`
+    (`FAILED` or `ERROR`)."""
     return {line.split()[1] for line in stdout.splitlines()
-            if line.startswith("FAILED ")}
+            if line.startswith(outcome + " ")}
 
 
 def run_mutant(m: Mutant) -> str:
     """`caught`, `survived`, or `error: ...` when pytest could not run
-    the entry's tests."""
+    the entry's tests or one of them errored."""
     with tempfile.TemporaryDirectory(prefix="apvar-mutant-") as tmp:
         tmp = Path(tmp)
         for name in COPIED:
@@ -101,13 +102,16 @@ def run_mutant(m: Mutant) -> str:
         env = dict(os.environ, APVAR_CACHE_DIR=str(tmp / "cache"),
                    PYTHONPATH=str(tmp / "src"))
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf",
+            [sys.executable, "-m", "pytest", "-q", "-rfE",
              "-p", "no:cacheprovider", *m.tests],
             cwd=tmp, env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         tail = (proc.stdout + proc.stderr).strip().splitlines()[-1:]
         return f"error: pytest exit {proc.returncode}: {' '.join(tail)}"
-    return ("caught" if set(m.tests) <= failed_tests(proc.stdout)
+    errored = set(m.tests) & summary_tests(proc.stdout, "ERROR")
+    if errored:
+        return f"error: {', '.join(sorted(errored))} errored"
+    return ("caught" if set(m.tests) <= summary_tests(proc.stdout, "FAILED")
             else "survived")
 
 
@@ -121,8 +125,7 @@ def main() -> int:
         t0 = time.perf_counter()
         result = run_mutant(m)
         caught += result == "caught"
-        bad += result.startswith("error") or (
-            result == "survived" and m.required)
+        bad += result != "caught"
         print(f"{m.name}: {result} ({time.perf_counter() - t0:.0f} s)",
               flush=True)
     print(f"{caught} of {len(CATALOG)} caught")

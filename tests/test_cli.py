@@ -354,7 +354,7 @@ def test_table_capacity_fails_before_work(argv, flag, tmp_path, capsys,
     (["weights", "--kind", "divisor", "--k", "101", "--R", "65536"],
      "int64"),
     (["weights", "--kind", "divisor", "--k", "280", "--R", "1024"],
-     "--k=280"),
+     "--k=280 --R=1024:"),
 ])
 def test_table_past_float_range_fails_cleanly(argv, named, tmp_path, capsys):
     """A --k whose residues leave float64, or whose d_k leaves int64,
