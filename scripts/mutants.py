@@ -63,6 +63,31 @@ CATALOG = (
             "test_release_stays_within_its_fft_bound[1000]",
             "tests/test_arith.py::"
             "test_release_stays_within_its_fft_bound[4099]")),
+    Mutant("sweep-t-bound-zero", "src/apvar/variance.py",
+           "    if not exact:\n        eps, l1 = corr.error, seq.l1()",
+           "    if False:\n        eps, l1 = corr.error, seq.l1()",
+           ("tests/test_variance.py::"
+            "test_float_sweep_within_bound_at_zero_variance",)),
+    Mutant("arc-mass-error-hundredth", "src/apvar/circle.py",
+           "error=2.0 * (err + UNIT_ROUNDOFF",
+           "error=0.02 * (err + UNIT_ROUNDOFF",
+           ("tests/test_circle.py::"
+            "test_arc_masses_within_their_bound_on_dyadic_sequences",)),
+    Mutant("sieve-array-digest-unchecked", "src/apvar/arith.py",
+           "if a.size != length or _array_digest(name, a) != digest:",
+           "if a.size != length:",
+           ("tests/test_arith.py::"
+            "test_sieve_cache_damaged_array_is_sieved_again[flip]",)),
+    Mutant("sieve-source-digest-unchecked", "src/apvar/arith.py",
+           "[_CACHE_FORMAT, _source_digest().hex(), name, n + 1]",
+           "[_CACHE_FORMAT, source, name, n + 1]",
+           ("tests/test_arith.py::"
+            "test_sieve_cache_rejects_tables_of_other_sieve_code",)),
+    Mutant("totient-factor-p", "src/apvar/arith.py",
+           "table[a:b] = tm * np.where(same, p, p - 1)",
+           "table[a:b] = tm * np.where(same, p, p)",
+           ("tests/test_arith.py::"
+            "test_mobius_totient_at_squares_of_primes",)),
 )
 
 

@@ -406,7 +406,7 @@ def ramanujan_correlations(values: np.ndarray, ds) -> np.ndarray:
     if ds.min() < 1:
         raise ValueError("moduli d must be positive")
     dmax = int(ds.max())
-    mu, _, _ = moduli_tables(dmax)
+    mu = moduli_tables(dmax, "mu")[0]
     return ramanujan_convolution(multiple_sums(values, dmax), mu)[ds]
 
 
@@ -449,12 +449,12 @@ class SieveTable:
     2 <= j <= k.  The integer arrays have the types of _TABLE_TYPES (d_j
     for j >= 4 in int64); readers that do integer arithmetic on them
     widen first.  All arrays have length n+1 with slot 0 unused.  The
-    arrays come from one mapping of names (spf, mu, phi, lam, d2..dk) to
-    arrays: a fresh sieve's dict, or a cached table's _CachedArrays,
-    which reads each array on first access.
+    arrays are read by name (spf, mu, phi, lam, d2..dk) from a fresh
+    sieve's dict, or from a cached table's _CachedArrays, which reads
+    each array on first access.
     """
 
-    def __init__(self, n: int, k: int, arrays: Mapping):
+    def __init__(self, n: int, k: int, arrays):
         self.n, self.k = n, k
         self._arrays = arrays
         self.dk = _DivisorTables(arrays, k)
@@ -475,7 +475,7 @@ class _DivisorTables(Mapping):
     """The read-only mapping j -> d_j, 2 <= j <= k, over a table's arrays;
     membership and iteration read no array."""
 
-    def __init__(self, arrays: Mapping, k: int):
+    def __init__(self, arrays, k: int):
         self._arrays, self._k = arrays, k
 
     def __getitem__(self, j):
@@ -518,26 +518,27 @@ _BLOCK = 1 << 20
 _INT64_MAX = 2**63 - 1
 
 
-def _spf_recurrence(spf: np.ndarray, k: int):
-    """(mu, phi, {j: d_j for 2 <= j <= k}) on 0..n, slot 0 holding 0, each
-    in its _table_type, from the smallest prime factor table spf.  Each
-    block forms its d_j in int64 temporaries (phi in int32, which holds
-    phi(n) <= n) and writes them to the narrow tables.
+def _spf_recurrence(spf: np.ndarray, names) -> dict:
+    """The tables named (mu, phi or d_j for j >= 2) on 0..n by name, slot 0
+    holding 0, each in its _table_type, from the smallest prime factor
+    table spf; no other table is built.  Each block forms its d_j in
+    int64 temporaries (phi in int32, which holds phi(n) <= n) and writes
+    them to the narrow tables.
 
     With p = spf(n) and m = n/p, p | m exactly when spf(m) = p; then the
     exponent e of p in n is one more than in m (else 1), mu(n) = 0 (else
     -mu(m)), phi(n) = phi(m) p (else phi(m) (p - 1)), and always
-    d_j(n) = d_j(m) (e + j - 1) / e, as d_j(p^e) = C(e + j - 1, j - 1):
-    exact in int64 while the largest intermediate, d_j(m) (e + j - 1) =
-    d_j(n) e, fits; before any entry would leave int64 (d_100(2^16) =
-    C(115, 16) > 2^63) a CapacityError names k and N.  As m <= n/2, the
-    blocks [a, min(2a, a + _BLOCK)) fill in order from earlier ones; the
+    d_j(n) = d_j(m) (e + j - 1) / e, as d_j(p^e) = C(e + j - 1, j - 1), so
+    each table reads only itself, spf and the exponents.  d_j is exact in
+    int64 while the largest intermediate, d_j(m) (e + j - 1) = d_j(n) e,
+    fits; before any entry would leave int64 (d_100(2^16) = C(115, 16) >
+    2^63) a CapacityError names j as k, and N.  As m <= n/2, the blocks
+    [a, min(2a, a + _BLOCK)) fill in order from earlier ones; the
     exponents fit int8, as e <= log2(n) <= 27 under MEMORY_BUDGET."""
     n = spf.size - 1
-    mu, phi = np.zeros(n + 1, np.int8), np.zeros(n + 1, _table_type("phi"))
+    tables = {name: np.zeros(n + 1, _table_type(name)) for name in names}
     exp = np.zeros(n + 1, np.int8)
-    dk = {j: np.zeros(n + 1, _table_type(f"d{j}")) for j in range(2, k + 1)}
-    for table in (mu, phi, *dk.values()):
+    for table in tables.values():
         table[1:2] = 1
     a = 2
     while a <= n:
@@ -546,33 +547,39 @@ def _spf_recurrence(spf: np.ndarray, k: int):
         m = np.arange(a, b) // p
         same = spf[m] == p
         exp[a:b] = e = np.where(same, exp[m] + 1, 1)
-        mu[a:b] = np.where(same, 0, -mu[m])
-        phi[a:b] = phi[m] * np.where(same, p, p - 1)
         e = e.astype(np.int64)
         e_max = int(e.max())
-        for j, d in dk.items():
-            dm = d[m]
-            # d_j(m) (e + j - 1) must fit int64; the block's largest d_j(m)
-            # and e clear most blocks without a per-entry check.
-            if (int(dm.max()) > _INT64_MAX // (e_max + j - 1)
-                    and np.any(dm > _INT64_MAX // (e + (j - 1)))):
-                raise CapacityError(f"d_{j}(n) for some n < {b} exceeds "
-                                    f"int64: no d_k table at k={k}, N={n}")
-            d[a:b] = dm * (e + (j - 1)) // e
+        for name, table in tables.items():
+            tm = table[m]
+            if name == "mu":
+                table[a:b] = np.where(same, 0, -tm)
+            elif name == "phi":
+                table[a:b] = tm * np.where(same, p, p - 1)
+            else:
+                j = int(name[1:])
+                # d_j(m) (e + j - 1) must fit int64; the block's largest
+                # d_j(m) and e clear most blocks without a per-entry check.
+                if (int(tm.max()) > _INT64_MAX // (e_max + j - 1)
+                        and np.any(tm > _INT64_MAX // (e + (j - 1)))):
+                    raise CapacityError(
+                        f"d_{j}(n) for some n < {b} exceeds int64: no d_k "
+                        f"table at k={j}, N={n}")
+                table[a:b] = tm * (e + (j - 1)) // e
         a = b
-    return mu, phi, dk
+    return tables
 
 
-def moduli_tables(n: int, k: int = 1):
-    """(mu, phi, {j: d_j for 2 <= j <= k}) on 0..n, slot 0 holding 0:
-    sieve_all's tables without spf and Lambda, for a range of moduli
-    (n = Q, KQ0 or R, not N).  At n = 0 each table is slot 0 alone.  n is
-    held to MEMORY_BUDGET, as in sieve_all, where _TABLE_TYPES hold."""
+def moduli_tables(n: int, *names) -> tuple:
+    """The tables named ("mu", "phi" or "d<j>", j >= 2) on 0..n, in the
+    order named, slot 0 holding 0: sieve_all's arrays of those names, for
+    a range of moduli (n = Q, KQ0 or R, not N).  At n = 0 each table is
+    slot 0 alone.  n is held to MEMORY_BUDGET, as in sieve_all, where
+    _TABLE_TYPES hold."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MEMORY_BUDGET:
         raise CapacityError(f"n={n} exceeds memory budget {MEMORY_BUDGET}")
-    return _spf_recurrence(_spf_sieve(n), k)
+    return tuple(_spf_recurrence(_spf_sieve(n), names).values())
 
 
 def convolve_ones(f: np.ndarray) -> np.ndarray:
@@ -600,7 +607,7 @@ def _sieve(n: int, k: int) -> dict:
     """The arrays of sieve_all's table on 0..n, by name."""
     spf = _spf_sieve(n)
     primes = primes_from_spf(spf)
-    mu, phi, dk = _spf_recurrence(spf, k)
+    arrays = _spf_recurrence(spf, _table_names(k)[2:])   # mu, phi, d_j
     # math.log of each prime (np.log may differ in the last bit), then its
     # powers p^i <= n for the primes p <= sqrt(n).
     lam = np.zeros(n + 1, dtype=np.float64)
@@ -610,8 +617,13 @@ def _sieve(n: int, k: int) -> dict:
         while pk <= n:
             lam[pk] = lam[p]
             pk *= p
-    return {"spf": spf, "mu": mu, "phi": phi, "lam": lam,
-            **{f"d{j}": d for j, d in dk.items()}}
+    return {"spf": spf, "lam": lam, **arrays}
+
+
+def _table_names(k: int) -> tuple:
+    """The names of the arrays of a table (N, k): spf, lam, then the
+    recurrence's mu, phi and d2..dk."""
+    return ("spf", "lam", "mu", "phi", *(f"d{j}" for j in range(2, k + 1)))
 
 
 def sieve_all(n: int, k: int = 2) -> SieveTable:
@@ -627,39 +639,32 @@ def sieve_all(n: int, k: int = 2) -> SieveTable:
     if cached is not None:
         return cached
     arrays = _sieve(n, k)
-    _cache_store(_cache_path(n, k), arrays)
+    _cache_store(n, arrays)
     return SieveTable(n, k, arrays)
 
 
 # ---------------------------------------------------------------------------
-# Binary sieve cache: one file per (N, k), each array checksummed apart
+# Binary sieve cache: one file per (N, array)
 #
-# A file is a text header, then the raw arrays.  The header's first line
-# is `_CACHE_FORMAT <source digest in hex> <count>`, and each of the next
-# <count> lines is `<name> <dtype> <length> <offset> <sha256>` for one
-# array, its offset counted from the first multiple of _ALIGN bytes after
-# the header, where the arrays start.  Only the header is read when a
-# table is loaded; each array is read and checked on first access.
+# The file of array <name> of the tables on 0..N is sieve_<N>_<name>.bin:
+# one header line, `_CACHE_FORMAT <source digest in hex> <name> <dtype>
+# <length> <sha256>`, then the raw array.  Loading a table reads the
+# header of each of its arrays; each array is read and checked on first
+# access.
 
-_CACHE_FORMAT = "apvar-sieve-table-1"
-_ALIGN = 64
+_CACHE_FORMAT = "apvar-sieve-array-1"
 _LINE = 256     # the longest header line read
 
 
-def _cache_dir():
+def _cache_path(n, name):
     d = os.environ.get(CACHE_ENV)
-    return Path(d) if d else None
-
-
-def _cache_path(n, k):
-    d = _cache_dir()
-    return d / f"sieve_{n}_{k}.bin" if d else None
+    return Path(d) / f"sieve_{n}_{name}.bin" if d else None
 
 
 @lru_cache(maxsize=None)
 def _source_digest() -> bytes:
     """The sha256 of this module's source, read once: the sieve code that
-    made a cached table."""
+    made a cached array."""
     return hashlib.sha256(Path(__file__).read_bytes()).digest()
 
 
@@ -673,67 +678,53 @@ def _array_digest(name: str, a: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _aligned(offset: int) -> int:
-    return -(-offset // _ALIGN) * _ALIGN
-
-
-def _cache_store(path, arrays: dict):
-    """Write a table's arrays to `path` (None: no cache) in one atomic
-    replace, through a temp file of this write's own, so that writers of
-    the same table, in one process or several, never rename each other's
-    file."""
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines, offsets, end = [], [], 0
+def _cache_store(n, arrays: dict):
+    """Write each array of a table on 0..n to its own file (no cache
+    directory: nothing), each in one atomic replace through a temp file
+    of this write's own, so that writers of the same array, in one
+    process or several, never rename each other's file."""
     for name, a in arrays.items():
-        offsets.append(_aligned(end))
-        lines.append(f"{name} {a.dtype.str} {a.size} {offsets[-1]} "
-                     f"{_array_digest(name, a)}")
-        end = offsets[-1] + a.nbytes
-    head = "\n".join([f"{_CACHE_FORMAT} {_source_digest().hex()} {len(lines)}",
-                      *lines, ""]).encode()
-    start = _aligned(len(head))
-    tmp = path.with_name(
-        f"{path.stem}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(head)
-        for offset, a in zip(offsets, arrays.values()):
-            fh.write(bytes(start + offset - fh.tell()))
+        path = _cache_path(n, name)
+        if path is None:
+            return
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(
+            f"{path.stem}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
+        with open(tmp, "wb") as fh:
+            fh.write(f"{_CACHE_FORMAT} {_source_digest().hex()} {name} "
+                     f"{a.dtype.str} {a.size} {_array_digest(name, a)}\n"
+                     .encode())
             fh.write(np.ascontiguousarray(a))
-    tmp.replace(path)
+        tmp.replace(path)
 
 
 def _cache_load(n, k):
-    """The cached table (N, k) from its file's header alone, or None when
-    the file is missing or unreadable, was made by other sieve code, or
-    lacks one of the table's arrays."""
-    path = _cache_path(n, k)
-    if path is None:
-        return None
-    names = ["spf", "mu", "phi", "lam", *(f"d{j}" for j in range(2, k + 1))]
-    try:
-        with open(path, "rb") as fh:
-            tag, source, count = fh.readline(_LINE).decode().split()
-            if (tag != _CACHE_FORMAT or source != _source_digest().hex()
-                    or int(count) != len(names)):
+    """The cached table (N, k) from the header lines of its arrays' files
+    alone, or None when a file is missing or unreadable, or holds an
+    array of other sieve code, another name or another length."""
+    entries = {}
+    for name in _table_names(k):
+        path = _cache_path(n, name)
+        if path is None:
+            return None
+        try:
+            with open(path, "rb") as fh:
+                head = fh.readline(_LINE)
+            tag, source, stored, dtype, length, digest = head.decode().split()
+            if ([tag, source, stored, int(length)]
+                    != [_CACHE_FORMAT, _source_digest().hex(), name, n + 1]):
                 return None
-            rows = [fh.readline(_LINE).decode().split() for _ in names]
-            start = _aligned(fh.tell())
-        entries = {name: (np.dtype(dtype), int(length), start + int(offset),
-                          digest)
-                   for name, dtype, length, offset, digest in rows}
-    except (OSError, ValueError, TypeError):
-        return None
-    if any(name not in entries or entries[name][1] != n + 1 for name in names):
-        return None
-    return SieveTable(n, k, _CachedArrays(path, n, k, entries))
+            entries[name] = (path, np.dtype(dtype), n + 1, len(head), digest)
+        except (OSError, ValueError, TypeError):
+            return None
+    return SieveTable(n, k, _CachedArrays(n, k, entries))
 
 
-def _read_verified(path, name, entry):
-    """One cached array, read at its offset and checked against its
-    sha256; None when the read fails, comes up short or does not match."""
-    dtype, length, offset, digest = entry
+def _read_verified(name, entry):
+    """One cached array, read after its file's header line and checked
+    against its sha256; None when the read fails, comes up short or does
+    not match."""
+    path, dtype, length, offset, digest = entry
     try:
         a = np.fromfile(path, dtype, count=length, offset=offset)
     except OSError:
@@ -743,34 +734,28 @@ def _read_verified(path, name, entry):
     return a
 
 
-class _CachedArrays(Mapping):
-    """The arrays of one cached table file by name, each read and verified
-    on first access.  When one fails its check the table is sieved once
-    in memory and stored again, and every array is served from that
-    sieve from then on."""
+class _CachedArrays:
+    """The arrays of one cached table by name, each read from its file
+    and verified on first access.  When one fails its check the table is
+    sieved once in memory and every array stored again, and every array
+    is served from that sieve from then on."""
 
-    def __init__(self, path, n, k, entries):
-        self._path, self._n, self._k = path, n, k
+    def __init__(self, n, k, entries):
+        self._n, self._k = n, k
         self._entries = entries
         self._arrays = {}
 
     def __getitem__(self, name):
         a = self._arrays.get(name)
         if a is None:
-            a = _read_verified(self._path, name, self._entries[name])
+            a = _read_verified(name, self._entries[name])
             if a is None:
                 self._arrays = _sieve(self._n, self._k)
-                _cache_store(self._path, self._arrays)
+                _cache_store(self._n, self._arrays)
                 a = self._arrays[name]
             else:
                 self._arrays[name] = a
         return a
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self):
-        return len(self._entries)
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ def major_weights(arcs: ArcSystem, n: int) -> LagWeights:
             f"major arcs overlap: need Q > K (2 KQ0 - 1) (and Q > 2K); "
             f"K={arcs.k_param:.6g}, Q0={arcs.q0:.6g}, Q={arcs.q:.6g}")
     m_max, k_param, q = arcs.kq0, arcs.k_param, arcs.q
-    mu, phi, dk = moduli_tables(m_max, 2)
+    mu, phi, d2 = moduli_tables(m_max, "mu", "phi", "d2")
     w = np.zeros(n + 1)
     w[0] = math.fsum(2.0 * k_param / (np.arange(1, m_max + 1) * q) * phi[1:])
     inv = np.zeros(n + 1)
@@ -300,7 +300,7 @@ def major_weights(arcs: ArcSystem, n: int) -> LagWeights:
            + gamma(2 * widest + adds + 49) * (2.0 / math.pi) * math.fsum(
                logs * n_d)
            + gamma(2) * (2.0 / math.pi) * math.fsum(
-               dk[2][ds] * n_d * logs * logs)
+               d2[ds] * n_d * logs * logs)
            + float(underflow(math.fsum(lags * (6.0 * n_d + 1.0)))))
     return LagWeights(w, 2.0 * err)
 

@@ -318,7 +318,9 @@ def _weights_rows(args):
         b = build_weights(kind, r_max, k=args.k)
     except CapacityError as exc:
         raise CapacityError(f"--k={args.k} --R={r_max}: {exc}") from None
-    return "r,b_r", [f"{r},{_fmt(x)}" for r, x in enumerate(b.tolist()) if r]
+    # b is float64: each row is _fmt's float form, without a call per row.
+    return "r,b_r", [f"{r},{x:.12g}"
+                     for r, x in enumerate(b[1:].tolist(), start=1)]
 
 
 def _residues_rows(args):
@@ -337,7 +339,10 @@ def _residues_rows(args):
                          f"{MAX_RESIDUE_MODULI}")
     if args.k < 1:
         raise ValueError(f"--k must be at least 1, got {args.k}")
-    preds = residues(range(1, q_max + 1), args.k, n)
+    try:
+        preds = residues(range(1, q_max + 1), args.k, n)
+    except TruncationError as exc:
+        raise TruncationError(f"--k={args.k} --N={n}: {exc}") from None
     return "q,k,N,value,error", [
         f"{q},{args.k},{n},{pred.value:.12g},{pred.error:.3g}"
         for q, pred in enumerate(preds, start=1)]

@@ -205,7 +205,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
         bound *= l1 * l1 + err[1:]
         err[1:] += bound
         del lags, bound
-    mu, phi, dk = moduli_tables(q_max, 2)
+    mu, phi, d2 = moduli_tables(q_max, "mu", "phi", "d2")
     m = multiple_sums(seq.int_values() if exact else seq.values, q_max)
     exact_c = exact and float(np.arange(q_max + 1) @ np.abs(m)) < 2.0**62
     if exact_c:
@@ -234,7 +234,7 @@ def variance_sweep(seq: Sequence, q_max: int, corr=None) -> VarianceSweep:
     del w
     dg = convolve_ones(dw)[1:]                 # and its error
     del dw
-    tau = dk[2][1:]                            # int16: float products only
+    tau = d2[1:]                               # int16: float products only
     v = np.zeros(q_max + 1)
     np.divide(g, np.arange(1, q_max + 1), out=v[1:])
     np.subtract(squares[1:], v[1:], out=v[1:])
@@ -421,7 +421,7 @@ def _prime_power_class_squares(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
     n, q_max = lam.size - 1, phi.size - 1
     s = math.isqrt(n)
     if s > q_max:
-        phi = moduli_tables(s)[1]
+        phi = moduli_tables(s, "phi")[0]
     primes = np.flatnonzero(phi == np.arange(-1, phi.size - 1))
     nr = np.zeros(q_max + 1)
     for p in primes[primes <= min(s, q_max)].tolist():

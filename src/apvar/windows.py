@@ -222,14 +222,14 @@ def build_weights(kind: str, r_max: int, k: int | None = None) -> np.ndarray:
         raise ValueError("R must be at least 2")
     b = np.zeros(r_max + 1)
     if kind == "prime_sieve":
-        mu, _, _ = moduli_tables(r_max)
+        mu = moduli_tables(r_max, "mu")[0]
         r = np.arange(1, r_max + 1, dtype=np.float64)
         # + 0.0 turns b_R = mu(R) log 1 = -0.0 into +0.0, and no other bit.
         b[1:] = mu[1:] * np.log(r_max / r) + 0.0
     elif kind == "divisor_k":
         if k is None or k < 2:
             raise ValueError("divisor weights need k >= 2")
-        b[1:] = moduli_tables(r_max, k - 1)[2][k - 1][1:] if k > 2 else 1.0
+        b[1:] = moduli_tables(r_max, f"d{k - 1}")[0][1:] if k > 2 else 1.0
     else:
         raise ValueError(f"unknown weight kind {kind!r}")
     return b

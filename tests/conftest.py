@@ -9,14 +9,16 @@ import pytest
 # sieves are computed once.  A table's checksum covers the source of
 # apvar/arith.py, so tables cached by other sieve code are sieved again.
 # In the default folder, files that no sieve code reads any longer are
-# deleted: `.npz` tables of the old cache format and `.tmp` files left by
-# interrupted writes.  A folder set in APVAR_CACHE_DIR is left as it is.
+# deleted: tables of the old cache formats (`.npz` files, and one `.bin`
+# file per (N, k), whose names end in a digit where an array's end in its
+# name) and `.tmp` files left by interrupted writes.  A folder set in
+# APVAR_CACHE_DIR is left as it is.
 _DEFAULT_CACHE = "APVAR_CACHE_DIR" not in os.environ
 _CACHE = os.environ.setdefault(
     "APVAR_CACHE_DIR", os.path.join(tempfile.gettempdir(), "apvar-test-cache"))
 os.makedirs(_CACHE, exist_ok=True)
 if _DEFAULT_CACHE:
-    for _pattern in ("sieve_*.npz", "sieve_*.tmp"):
+    for _pattern in ("sieve_*.npz", "sieve_*_[0-9]*.bin", "sieve_*.tmp"):
         for _path in glob.glob(os.path.join(_CACHE, _pattern)):
             os.remove(_path)
 

@@ -194,7 +194,7 @@ def dk_correlation_residue(q: int, k: int, n: int) -> float:
 def ramanujan_tail_from_scratch(seq, q_max, q0) -> float:
     """pipeline.ramanujan_tail of `seq` over q <= q_max with mu, phi and
     every C_d computed afresh, not taken from a variance sweep."""
-    mu, phi, _ = moduli_tables(int(q_max))
+    mu, phi = moduli_tables(int(q_max), "mu", "phi")
     corrs = ramanujan_convolution(multiple_sums(seq.values, int(q_max)), mu)
     return ramanujan_tail(corrs, phi, q0)
 
@@ -223,7 +223,7 @@ def float_sweep_abs_route(seq, q_max: int) -> tuple:
     eps, l1 = corr.error, float(np.abs(seq.values).sum())
     lags = 1.0 + 2.0 * (n // np.arange(1, q_max + 1))
     err[1:] = lags * eps + gamma(lags) * (l1 * l1 + lags * eps)
-    mu, phi, dk = moduli_tables(q_max, 2)
+    mu, phi, d2 = moduli_tables(q_max, "mu", "phi", "d2")
     m = multiple_sums(seq.values, q_max)
     c = ramanujan_convolution(m.astype(np.float64), mu)
     c_abs = ramanujan_convolution(
@@ -235,7 +235,7 @@ def float_sweep_abs_route(seq, q_max: int) -> tuple:
     dw[1:] = (2.0 * np.abs(c[1:]) + dc[1:]) * dc[1:] / phi[1:] \
         + gamma(4) * w[1:]
     g, dg = convolve_ones(w)[1:], convolve_ones(dw)[1:]
-    tau = dk[2][1:]
+    tau = d2[1:]
     q = np.arange(1, q_max + 1)
     v = np.zeros(q_max + 1)
     v[1:] = squares[1:] - g / q

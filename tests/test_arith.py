@@ -106,31 +106,40 @@ def assert_fresh(table):
         assert got[name].tobytes() == a.tobytes(), name
 
 
+def table_files(n, k):
+    """The cache files of the table (n, k): one per array."""
+    return sorted(f"sieve_{n}_{name}.bin"
+                  for name in ("spf", "mu", "phi", "lam",
+                               *(f"d{j}" for j in range(2, k + 1))))
+
+
 def test_sieve_cache_roundtrip(tmp_path, monkeypatch):
-    """A table is stored as one file, and read back from it, every array
-    equals an uncached sieve's by dtype and bytes."""
+    """A table is stored as one file per array, and read back from them
+    every array equals an uncached sieve's by dtype and bytes."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
     for n, k in ((1, 2), (500, 3), (2**16 + 3, 4)):
         sieve_all(n, k)
-        assert (tmp_path / f"sieve_{n}_{k}.bin").is_file()
+        assert set(table_files(n, k)) <= set(os.listdir(tmp_path))
         cached = arith._cache_load(n, k)
         assert cached is not None
         assert_fresh(cached)
         assert_fresh(sieve_all(n, k))
-    assert sorted(os.listdir(tmp_path)) == [
-        "sieve_1_2.bin", "sieve_500_3.bin", f"sieve_{2**16 + 3}_4.bin"]
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        table_files(1, 2) + table_files(500, 3) + table_files(2**16 + 3, 4))
 
 
 @pytest.mark.parametrize("damage", ["flip", "truncate"])
 def test_sieve_cache_damaged_array_is_sieved_again(tmp_path, monkeypatch,
                                                    damage):
-    """A flipped byte of d_3's data, or a file cut short inside it, gives
-    the fresh d_3 on access, and the file is written again."""
+    """A flipped byte of d_3's data, or d_3's file cut short inside it,
+    gives the fresh d_3 on access, and the file is written again."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
     sieve_all(500, 3)
-    path = tmp_path / "sieve_500_3.bin"
+    path = tmp_path / "sieve_500_d3.bin"
     stored = path.read_bytes()
-    dtype, length, offset, _ = arith._cache_load(500, 3)._arrays._entries["d3"]
+    _, dtype, length, offset, _ = \
+        arith._cache_load(500, 3)._arrays._entries["d3"]
+    assert offset + dtype.itemsize * length == len(stored)
     damaged = bytearray(stored)
     if damage == "flip":
         damaged[offset + dtype.itemsize * length // 2] ^= 0x01
@@ -145,18 +154,22 @@ def test_sieve_cache_damaged_array_is_sieved_again(tmp_path, monkeypatch,
 
 def test_sieve_cache_rejects_unparseable_or_incomplete_files(tmp_path,
                                                            monkeypatch):
-    """A file that is not a table, or whose header lacks one of the
-    table's arrays, is not loaded; sieve_all sieves and stores it again."""
+    """A table one of whose arrays has no file, or a file that is not
+    that array's (another array's, or junk), is not loaded; sieve_all
+    sieves it and stores every array again, so that a table (N, 3)
+    stored after (N, 2) leaves one file per array of N."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
     sieve_all(500, 2)
-    path = tmp_path / "sieve_500_3.bin"
-    path.write_bytes((tmp_path / "sieve_500_2.bin").read_bytes())
     assert arith._cache_load(500, 3) is None
-    for junk in (b"", b"\xff" * 4096, b"apvar-sieve-table-1 00 x\n"):
+    path = tmp_path / "sieve_500_d3.bin"
+    path.write_bytes((tmp_path / "sieve_500_d2.bin").read_bytes())
+    assert arith._cache_load(500, 3) is None
+    for junk in (b"", b"\xff" * 4096, b"apvar-sieve-array-1 00 x\n"):
         path.write_bytes(junk)
         assert arith._cache_load(500, 3) is None
     assert_fresh(sieve_all(500, 3))
     assert arith._cache_load(500, 3) is not None
+    assert sorted(os.listdir(tmp_path)) == table_files(500, 3)
 
 
 def test_sieve_cache_reads_only_the_arrays_used(tmp_path, monkeypatch):
@@ -166,8 +179,8 @@ def test_sieve_cache_reads_only_the_arrays_used(tmp_path, monkeypatch):
     read = []
     verified = arith._read_verified
     monkeypatch.setattr(arith, "_read_verified",
-                        lambda path, name, entry:
-                        read.append(name) or verified(path, name, entry))
+                        lambda name, entry:
+                        read.append(name) or verified(name, entry))
     table = sieve_all(500, 3)
     assert 3 in table.dk and sorted(table.dk) == [2, 3] and read == []
     d3 = table.dk[3]
@@ -176,15 +189,15 @@ def test_sieve_cache_reads_only_the_arrays_used(tmp_path, monkeypatch):
 
 
 def test_sieve_cache_file_deleted_after_load(tmp_path, monkeypatch):
-    """A table whose file is gone before its arrays are read still gives
-    every array right on first access, and stores the file again."""
+    """A table whose files are gone before its arrays are read still
+    gives every array right on first access, and stores them again."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
     sieve_all(500, 3)
     table = sieve_all(500, 3)
-    path = tmp_path / "sieve_500_3.bin"
-    path.unlink()
+    for name in table_files(500, 3):
+        (tmp_path / name).unlink()
     assert_fresh(table)
-    assert path.is_file()
+    assert sorted(os.listdir(tmp_path)) == table_files(500, 3)
 
 
 def test_sieve_cache_writers_keep_their_own_temp_files(tmp_path,
@@ -194,20 +207,19 @@ def test_sieve_cache_writers_keep_their_own_temp_files(tmp_path,
     both stores end, the table reads back whole, and no temp file is
     left."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
-    path = tmp_path / "sieve_500_3.bin"
     arrays = arith._sieve(500, 3)
     replace, nested = Path.replace, []
 
     def replace_after_a_second_writer(self, target):
         if not nested:
             nested.append(self)
-            arith._cache_store(path, arrays)
+            arith._cache_store(500, arrays)
         return replace(self, target)
 
     monkeypatch.setattr(Path, "replace", replace_after_a_second_writer)
-    arith._cache_store(path, arrays)
+    arith._cache_store(500, arrays)
     assert nested
-    assert sorted(os.listdir(tmp_path)) == ["sieve_500_3.bin"]
+    assert sorted(os.listdir(tmp_path)) == table_files(500, 3)
     assert_fresh(arith._cache_load(500, 3))
 
 
@@ -361,7 +373,7 @@ def test_divisor_kernels_match_loops_on_integers(table_1e4):
     bit on integers of any width: the table's int16 d_2 and int32 d_3 as
     stored, and signed random int64 integers, all summed in int64."""
     rng = np.random.default_rng(8)
-    mu_top = moduli_tables(10**4)[0]
+    mu_top = moduli_tables(10**4, "mu")[0]
     for n in KERNEL_NS:
         inputs = (table_1e4.dk[2][: n + 1], table_1e4.dk[3][: n + 1],
                   rng.integers(-1000, 1000, n + 1))
@@ -373,7 +385,7 @@ def test_divisor_kernels_match_loops_on_integers(table_1e4):
                             ramanujan_convolution_loop(wide, table))
             assert_same(convolve_ones(values), convolve_ones_loop(wide))
         for emax in kernel_emaxes(n):
-            mu, phi, _ = moduli_tables(emax)
+            mu, phi = moduli_tables(emax, "mu", "phi")
             loop_mu, loop_phi = mu_phi_sieve_loop(
                 emax, primes_from_spf(_spf_sieve(emax)))
             assert_same(mu, loop_mu)
@@ -396,7 +408,7 @@ def test_divisor_kernels_match_loops_on_floats():
     for n in KERNEL_NS:
         values = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-3, 4, n + 1)
         for emax in kernel_emaxes(n):
-            mu, _, _ = moduli_tables(emax)
+            mu = moduli_tables(emax, "mu")[0]
             m = rng.standard_normal(emax + 1)
             assert_same(ramanujan_convolution(m, mu),
                         ramanujan_convolution_loop(m, mu))
@@ -432,14 +444,14 @@ def test_spf_recurrence_matches_loops(block, monkeypatch):
         d = loop_dk[j] = convolve_ones_loop(d)
     for n in RECURRENCE_NS:
         table = sieve_all(n, 5)
-        *mu_phi, dk = moduli_tables(n, 5)
-        for mu, phi in (mu_phi, (table.mu, table.phi)):
+        mu, phi, *dk = moduli_tables(n, "mu", "phi", "d2", "d3", "d4", "d5")
+        for mu, phi in ((mu, phi), (table.mu, table.phi)):
             assert_same(mu, loop_mu[: n + 1])
             assert_typed(phi, "phi", loop_phi[: n + 1])
         assert_same(table.lam, loop_lam[: n + 1])
-        assert sorted(dk) == sorted(table.dk) == [2, 3, 4, 5]
+        assert sorted(table.dk) == [2, 3, 4, 5]
         for j in range(2, 6):
-            assert_typed(dk[j], f"d{j}", loop_dk[j][: n + 1])
+            assert_typed(dk[j - 2], f"d{j}", loop_dk[j][: n + 1])
             assert_typed(table.dk[j], f"d{j}", loop_dk[j][: n + 1])
 
 
@@ -499,10 +511,10 @@ def test_divisor_tables_stop_before_int64_wraps():
                       for m in range(2, n + 1)]
     worst = [exact[m] * factorize(m)[0][1] for m in range(2, n + 1)]
     assert max(worst) <= 2**63 - 1
-    assert moduli_tables(n, top)[2][top].tolist() == exact
+    assert moduli_tables(n, f"d{top}")[0].tolist() == exact
     for k, size in ((top + 1, n), (100, 2**16)):
         with pytest.raises(CapacityError, match=f"k={k}, N={size}"):
-            moduli_tables(size, k)
+            moduli_tables(size, f"d{k}")
 
 
 def test_mobius_totient_at_squares_of_primes():
@@ -511,7 +523,7 @@ def test_mobius_totient_at_squares_of_primes():
     (p + 1)^2."""
     for p in (2, 3, 5, 7, 11, 31, 97, 101):
         for n in (p * p - 1, p * p, p * p + 1, (p + 1) ** 2):
-            mu, phi, _ = moduli_tables(n)
+            mu, phi = moduli_tables(n, "mu", "phi")
             loop_mu, loop_phi = mu_phi_sieve_loop(
                 n, primes_from_spf(_spf_sieve(n)))
             assert_same(mu, loop_mu)
@@ -519,14 +531,40 @@ def test_mobius_totient_at_squares_of_primes():
 
 
 def test_moduli_tables_at_zero():
-    """moduli_tables(0, k) is slot 0 alone, every table holding 0; a
-    negative n is a ValueError."""
-    mu, phi, dk = moduli_tables(0, 3)
-    assert sorted(dk) == [2, 3]
-    for table in (mu, phi, *dk.values()):
+    """moduli_tables at n = 0 is slot 0 alone, every table named holding
+    0; a negative n is a ValueError."""
+    tables = moduli_tables(0, "mu", "phi", "d2", "d3")
+    assert len(tables) == 4
+    for table in tables:
         assert table.tolist() == [0]
     with pytest.raises(ValueError):
         moduli_tables(-1)
+
+
+def test_moduli_callers_build_only_what_they_read(monkeypatch, table_300):
+    """Each caller of moduli_tables names the one table it reads, and the
+    recurrence builds no other: mu for the prime sieve weights and the
+    Ramanujan correlations, d_{k-1} alone for the divisor weights, and
+    phi for Lambda's prime-power classes when sqrt(N) passes Q."""
+    from apvar.variance import _prime_power_class_squares
+    from apvar.windows import build_weights
+
+    phi = moduli_tables(10, "phi")[0]
+    names = []
+    recurrence = arith._spf_recurrence
+    monkeypatch.setattr(arith, "_spf_recurrence", lambda spf, wanted:
+                        names.append(tuple(wanted)) or recurrence(spf, wanted))
+    calls = [(lambda: build_weights("prime_sieve", 100), ("mu",)),
+             (lambda: build_weights("divisor_k", 100, k=5), ("d4",)),
+             (lambda: ramanujan_correlations(table_300.lam, range(1, 50)),
+              ("mu",)),
+             (lambda: _prime_power_class_squares(table_300.lam, phi),
+              ("phi",))]
+    assert math.isqrt(table_300.n) > phi.size - 1
+    for call, wanted in calls:
+        names.clear()
+        call()
+        assert names == [wanted]
 
 
 def test_fft_length_is_least_5_smooth():

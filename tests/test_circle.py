@@ -270,6 +270,27 @@ def test_arc_masses_without_major_arcs():
     assert mass.error == 2.0 * (eps + UNIT_ROUNDOFF * abs(mass.total))
 
 
+def test_arc_masses_within_their_bound_on_dyadic_sequences():
+    """Dyadic sequences a_n = k_n / 2^10, |k_n| < 2^10, at small N, where
+    the transform is shortest and the bound tightest, with no major arc
+    (W = 0): the total and the minor mass lie within the mass's `error`
+    of the exact sum of k_n^2 / 2^20, with no reference bound added, and
+    the major mass is 0."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(10)
+    arcs = ArcSystem(k_param=0.5, q0=1.0, q=10.0)
+    for n in (1, 2, 4, 8):
+        kernel = lag_kernel(major_weights(arcs, n))
+        for k in rng.integers(-1023, 1024, (100, n)):
+            seq = Sequence.from_coeffs(k / 2.0**10)
+            mass = arc_masses(kernel, LagSpectra([seq])).a
+            exact = Fraction(int(k @ k), 2**20)
+            assert mass.major == 0.0
+            for value in (mass.total, mass.minor):
+                assert abs(Fraction(value) - exact) <= Fraction(mass.error)
+
+
 @pytest.mark.parametrize("n, arcs", [
     (200, ArcSystem(k_param=5.0, q0=3.0, q=400.0)),
     # M = 450: 137 squarefree m in (225, 450] share D = 1, so that group

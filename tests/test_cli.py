@@ -355,11 +355,14 @@ def test_table_capacity_fails_before_work(argv, flag, tmp_path, capsys,
      "int64"),
     (["weights", "--kind", "divisor", "--k", "280", "--R", "1024"],
      "--k=280 --R=1024:"),
+    (["residues", "--k", "280", "--N", "1e6", "--q-max", "3"],
+     "--k=280 --N=1000000:"),
 ])
 def test_table_past_float_range_fails_cleanly(argv, named, tmp_path, capsys):
     """A --k whose residues leave float64, or whose d_k leaves int64,
     ends with `error:` and exit 2, not nan rows, wrapped values or a
-    traceback; the weights table's error names --k and --R."""
+    traceback; the residue table's error names --k and --N, the weights
+    table's --k and --R."""
     code, out, err = run_cli(["table", *argv, "--out", "t.csv"], tmp_path,
                              capsys)
     assert code == 2

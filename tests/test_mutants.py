@@ -1,6 +1,7 @@
 """The mutant catalog of scripts/mutants.py stays runnable: each entry's
-old text occurs once in its file and each test it names exists.  The
-catalog itself runs on demand (`python scripts/mutants.py`)."""
+name is its own, its old text occurs once in its file and differs from
+its new text, and each test it names exists.  The catalog itself runs on
+demand (`python scripts/mutants.py`)."""
 
 import ast
 import importlib.util
@@ -21,6 +22,17 @@ def test_catalog_old_texts_occur_once():
     mutants = load_mutants()
     assert mutants.CATALOG
     assert mutants.check_catalog() == []
+
+
+def test_catalog_entries_are_distinct_edits():
+    """No two entries share a name, and no entry's new text is its old
+    text, which would leave the code as it is and read `survived` only
+    when the catalog runs."""
+    mutants = load_mutants()
+    names = [m.name for m in mutants.CATALOG]
+    assert len(set(names)) == len(names)
+    for m in mutants.CATALOG:
+        assert m.new != m.old, m.name
 
 
 def test_catalog_tests_exist():

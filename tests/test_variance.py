@@ -192,7 +192,7 @@ def test_variance_rows_exact_match_per_q_oracle(n, q_max):
 def test_totient_divides_along_divisors():
     """phi(d) | phi(q) for every d | q <= 10^4: the single denominator
     q phi(q) of variance_rows."""
-    _, phi, _ = moduli_tables(10**4)
+    phi = moduli_tables(10**4, "phi")[0]
     for d in range(1, 10**4 + 1):
         assert not np.any(phi[d::d] % phi[d]), d
 
@@ -246,14 +246,40 @@ def test_nonnegative_float_sweep_matches_abs_route(table_1e4, rng):
         assert np.array_equal(sweep.error, err)
 
 
+def test_float_sweep_within_bound_at_zero_variance():
+    """Dyadic sequences a_n = k_n / 2^10 whose sum over every class mod 60
+    is 0 (the first k_n of each class cancels the others), so that
+    V(q) = T(q) = 0 and C_d = 0 for q, d | 60: there the correlations'
+    part of the bound is of order u^2, and the rounding of the FFT lags
+    in T(q) has to be covered by T's own part.  Every v(q), q <= 60, lies
+    within error[q] of the exact V(q) (brute_variance in Fractions), with
+    no reference bound added; at some q | 60 that rounding leaves
+    v(q) > 0."""
+    rng = np.random.default_rng(11)
+    rounded = []
+    for n in (600, 601, 1200):
+        k = rng.integers(-1023, 1024, n)
+        for i in range(60):                  # each class mod 60 sums to 0
+            k[i] -= k[i::60].sum()
+        seq = Sequence.from_coeffs(k / 2.0**10)
+        sweep = variance_sweep(seq, 60)
+        assert not sweep.exact_squares
+        for q in range(1, 61):
+            exact = brute_variance(seq, q)
+            assert abs(Fraction(float(sweep.v[q])) - exact) \
+                <= Fraction(float(sweep.error[q])), (n, q)
+        rounded += [sweep.v[q] > 0 for q in divisors(60)]
+    assert any(rounded)
+
+
 def test_sweep_keeps_its_mobius_table(table_1e4):
     """The sweep's mu, which the reduced-class LHS reads in place of the
-    sieve table's, is moduli_tables(q_max)[0] in dtype and bytes, also
+    sieve table's, is moduli_tables(q_max, "mu")[0] in dtype and bytes, also
     past N."""
     seq = table_1e4.lambda_sequence()
     for q_max in (1, 2, 5623, 12000):
         mu = variance_sweep(seq, q_max).mu
-        expected = moduli_tables(q_max)[0]
+        expected = moduli_tables(q_max, "mu")[0]
         assert mu.dtype == expected.dtype
         assert mu.tobytes() == expected.tobytes()
 
@@ -377,7 +403,7 @@ def test_prime_power_class_squares_match_pairs_oracle(table_1e4, table_1e5):
     for table, q_maxes in tables:
         for q_max in q_maxes:
             fast = _prime_power_class_squares(table.lam,
-                                              moduli_tables(q_max)[1])
+                                              moduli_tables(q_max, "phi")[0])
             slow = prime_power_class_squares_pairs(table, q_max)
             assert np.array_equal(fast == 0, slow == 0)
             nz = slow != 0
@@ -397,7 +423,7 @@ def test_prime_power_class_squares_match_spf_route(table_1e4, table_1e5):
     for table, q_maxes in cases:
         for q_max in q_maxes:
             fast = _prime_power_class_squares(table.lam,
-                                              moduli_tables(q_max)[1])
+                                              moduli_tables(q_max, "phi")[0])
             slow = prime_power_class_squares_spf(table, q_max)
             assert fast.tobytes() == slow.tobytes(), (table.n, q_max)
 
@@ -426,7 +452,7 @@ def test_prime_power_class_squares_brute_force():
     for n, qs in cases:
         table = sieve_all(n, 2)
         nr = _prime_power_class_squares(table.lam,
-                                        moduli_tables(max(qs))[1])
+                                        moduli_tables(max(qs), "phi")[0])
         for q in qs:
             exact = brute_nr(table, q)
             bound = gamma(len(factorize(q)) + 1) * float(exact)
