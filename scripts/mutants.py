@@ -77,12 +77,38 @@ CATALOG = (
            "if a.size != length or _array_digest(name, a) != digest:",
            "if a.size != length:",
            ("tests/test_arith.py::"
-            "test_sieve_cache_damaged_array_is_sieved_again[flip]",)),
+            "test_sieve_cache_damaged_array_is_sieved_again[flip]",
+            "tests/test_arith.py::"
+            "test_sieve_cache_damaged_array_is_computed_alone[flip-d3]")),
     Mutant("sieve-source-digest-unchecked", "src/apvar/arith.py",
            "[_CACHE_FORMAT, _source_digest().hex(), name, n + 1]",
            "[_CACHE_FORMAT, source, name, n + 1]",
            ("tests/test_arith.py::"
             "test_sieve_cache_rejects_tables_of_other_sieve_code",)),
+    Mutant("sieve-recompute-stores-every-array", "src/apvar/arith.py",
+           "_cache_store(self.n, arrays)",
+           "_cache_store(self.n, {**self._arrays, **arrays})",
+           ("tests/test_arith.py::"
+            "test_partial_cache_computes_only_its_missing_array",
+            "tests/test_arith.py::"
+            "test_sieve_cache_damaged_array_is_computed_alone[flip-d3]")),
+    Mutant("sieve-recompute-sieves-valid-spf", "src/apvar/arith.py",
+           'arrays = _computed(self.n, names, self._read("spf"))',
+           "arrays = _computed(self.n, names, None)",
+           ("tests/test_arith.py::"
+            "test_partial_cache_computes_only_its_missing_array",
+            "tests/test_arith.py::"
+            "test_sieve_cache_damaged_array_is_computed_alone[delete-mu]",
+            "tests/test_arith.py::"
+            "test_load_sequence_reads_or_computes_its_array_alone")),
+    Mutant("sieve-all-stores-nothing", "src/apvar/arith.py",
+           "    arrays.compute([name for name, e in arrays.entries.items() "
+           "if e is None])",
+           "    arrays._arrays.update(_computed(n, [\n"
+           "        name for name, e in arrays.entries.items() if e is None]))",
+           ("tests/test_arith.py::"
+            "test_partial_cache_computes_only_its_missing_array",
+            "tests/test_arith.py::test_sieve_cache_roundtrip")),
     Mutant("totient-factor-p", "src/apvar/arith.py",
            "table[a:b] = tm * np.where(same, p, p - 1)",
            "table[a:b] = tm * np.where(same, p, p)",

@@ -449,9 +449,9 @@ class SieveTable:
     2 <= j <= k.  The integer arrays have the types of _TABLE_TYPES (d_j
     for j >= 4 in int64); readers that do integer arithmetic on them
     widen first.  All arrays have length n+1 with slot 0 unused.  The
-    arrays are read by name (spf, mu, phi, lam, d2..dk) from a fresh
-    sieve's dict, or from a cached table's _CachedArrays, which reads
-    each array on first access.
+    arrays are read by name (spf, mu, phi, lam, d2..dk) from an _Arrays,
+    one rule for each array: from memory, else from its own cache file,
+    checked on first access, else computed alone from spf and stored.
     """
 
     def __init__(self, n: int, k: int, arrays):
@@ -571,15 +571,16 @@ def _spf_recurrence(spf: np.ndarray, names) -> dict:
 
 def moduli_tables(n: int, *names) -> tuple:
     """The tables named ("mu", "phi" or "d<j>", j >= 2) on 0..n, in the
-    order named, slot 0 holding 0: sieve_all's arrays of those names, for
-    a range of moduli (n = Q, KQ0 or R, not N).  At n = 0 each table is
-    slot 0 alone.  n is held to MEMORY_BUDGET, as in sieve_all, where
-    _TABLE_TYPES hold."""
+    order named, slot 0 holding 0: sieve_all's arrays of those names
+    (_computed, uncached), for a range of moduli (n = Q, KQ0 or R, not N).
+    At n = 0 each table is slot 0 alone.  n is held to MEMORY_BUDGET, as
+    in sieve_all, where _TABLE_TYPES hold."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MEMORY_BUDGET:
         raise CapacityError(f"n={n} exceeds memory budget {MEMORY_BUDGET}")
-    return tuple(_spf_recurrence(_spf_sieve(n), names).values())
+    tables = _computed(n, names)
+    return tuple(tables[name] for name in names)
 
 
 def convolve_ones(f: np.ndarray) -> np.ndarray:
@@ -603,43 +604,44 @@ def convolve_ones(f: np.ndarray) -> np.ndarray:
     return g
 
 
-def _sieve(n: int, k: int) -> dict:
-    """The arrays of sieve_all's table on 0..n, by name."""
-    spf = _spf_sieve(n)
-    primes = primes_from_spf(spf)
-    arrays = _spf_recurrence(spf, _table_names(k)[2:])   # mu, phi, d_j
-    # math.log of each prime (np.log may differ in the last bit), then its
-    # powers p^i <= n for the primes p <= sqrt(n).
-    lam = np.zeros(n + 1, dtype=np.float64)
-    lam[primes] = np.fromiter(map(math.log, primes), np.float64, primes.size)
-    for p in primes[: np.searchsorted(primes, math.isqrt(n), "right")].tolist():
-        pk = p * p
-        while pk <= n:
-            lam[pk] = lam[p]
-            pk *= p
-    return {"spf": spf, "lam": lam, **arrays}
-
-
-def _table_names(k: int) -> tuple:
-    """The names of the arrays of a table (N, k): spf, lam, then the
-    recurrence's mu, phi and d2..dk."""
-    return ("spf", "lam", "mu", "phi", *(f"d{j}" for j in range(2, k + 1)))
+def _computed(n: int, names, spf=None) -> dict:
+    """The arrays named (spf, lam, mu, phi or d<j>) on 0..n by name, slot
+    0 holding 0: mu, phi and the d_j in one _spf_recurrence pass over spf,
+    Lambda from its primes.  spf is sieved when it is not given, and then
+    returned with them, named or not; it is named only then."""
+    arrays = {}
+    if spf is None:
+        spf = arrays["spf"] = _spf_sieve(n)
+    recurrence = [name for name in names if name not in ("spf", "lam")]
+    if recurrence:
+        arrays.update(_spf_recurrence(spf, recurrence))
+    if "lam" in names:
+        # math.log of each prime (np.log may differ in the last bit), then
+        # its powers p^i <= n for the primes p <= sqrt(n).
+        primes = primes_from_spf(spf)
+        lam = arrays["lam"] = np.zeros(n + 1, dtype=np.float64)
+        lam[primes] = np.fromiter(map(math.log, primes), float, primes.size)
+        for p in primes[primes <= math.isqrt(n)].tolist():
+            pk = p * p
+            while pk <= n:
+                lam[pk] = lam[p]
+                pk *= p
+    return arrays
 
 
 def sieve_all(n: int, k: int = 2) -> SieveTable:
-    """Tables for Lambda, mu, phi, spf and d_j (2 <= j <= k) on 1..n."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Tables for Lambda, mu, phi, spf and d_j (2 <= j <= k) on 1..n.
+
+    The arrays of (n, k) that have no valid cache file (with no cache
+    directory: all of them) are computed now, in one pass (_computed), and
+    stored; each other array is read from its file on first access, and
+    computed alone should that fail (_Arrays).
+    """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if n > MEMORY_BUDGET:
-        raise CapacityError(f"n={n} exceeds memory budget {MEMORY_BUDGET}")
-
-    cached = _cache_load(n, k)
-    if cached is not None:
-        return cached
-    arrays = _sieve(n, k)
-    _cache_store(n, arrays)
+    arrays = _Arrays(n, ("spf", "lam", "mu", "phi",
+                         *(f"d{j}" for j in range(2, k + 1))))
+    arrays.compute([name for name, e in arrays.entries.items() if e is None])
     return SieveTable(n, k, arrays)
 
 
@@ -648,9 +650,8 @@ def sieve_all(n: int, k: int = 2) -> SieveTable:
 #
 # The file of array <name> of the tables on 0..N is sieve_<N>_<name>.bin:
 # one header line, `_CACHE_FORMAT <source digest in hex> <name> <dtype>
-# <length> <sha256>`, then the raw array.  Loading a table reads the
-# header of each of its arrays; each array is read and checked on first
-# access.
+# <length> <sha256>`, then the raw array.  An _Arrays reads the header of
+# each array it is named; each array is read and checked on first access.
 
 _CACHE_FORMAT = "apvar-sieve-array-1"
 _LINE = 256     # the longest header line read
@@ -698,26 +699,24 @@ def _cache_store(n, arrays: dict):
         tmp.replace(path)
 
 
-def _cache_load(n, k):
-    """The cached table (N, k) from the header lines of its arrays' files
-    alone, or None when a file is missing or unreadable, or holds an
-    array of other sieve code, another name or another length."""
-    entries = {}
-    for name in _table_names(k):
-        path = _cache_path(n, name)
-        if path is None:
+def _cache_entry(n, name):
+    """The header of array <name>'s file on 0..n, from its line alone, or
+    None with no cache directory, or when the file is missing or
+    unreadable, or holds an array of other sieve code, another name or
+    another length."""
+    path = _cache_path(n, name)
+    if path is None:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            head = fh.readline(_LINE)
+        tag, source, stored, dtype, length, digest = head.decode().split()
+        if ([tag, source, stored, int(length)]
+                != [_CACHE_FORMAT, _source_digest().hex(), name, n + 1]):
             return None
-        try:
-            with open(path, "rb") as fh:
-                head = fh.readline(_LINE)
-            tag, source, stored, dtype, length, digest = head.decode().split()
-            if ([tag, source, stored, int(length)]
-                    != [_CACHE_FORMAT, _source_digest().hex(), name, n + 1]):
-                return None
-            entries[name] = (path, np.dtype(dtype), n + 1, len(head), digest)
-        except (OSError, ValueError, TypeError):
-            return None
-    return SieveTable(n, k, _CachedArrays(n, k, entries))
+        return path, np.dtype(dtype), n + 1, len(head), digest
+    except (OSError, ValueError, TypeError):
+        return None
 
 
 def _read_verified(name, entry):
@@ -734,28 +733,42 @@ def _read_verified(name, entry):
     return a
 
 
-class _CachedArrays:
-    """The arrays of one cached table by name, each read from its file
-    and verified on first access.  When one fails its check the table is
-    sieved once in memory and every array stored again, and every array
-    is served from that sieve from then on."""
+class _Arrays:
+    """The arrays of one table on 0..n by name.  The header of spf and of
+    each array named is read once, here.  An array is served from memory,
+    else from its own file (its sha256 checked on first access), else
+    computed alone from spf and stored (`compute`)."""
 
-    def __init__(self, n, k, entries):
-        self._n, self._k = n, k
-        self._entries = entries
+    def __init__(self, n, names):
+        if n < 1:
+            raise ValueError("n must be positive")
+        if n > MEMORY_BUDGET:
+            raise CapacityError(f"n={n} exceeds memory budget {MEMORY_BUDGET}")
+        self.n = n
+        self.entries = {name: _cache_entry(n, name)
+                        for name in dict.fromkeys(("spf", *names))}
         self._arrays = {}
 
+    def _read(self, name):
+        """The array from memory, else from its valid file (then kept in
+        memory), else None."""
+        if name not in self._arrays and self.entries[name] is not None:
+            self._arrays[name] = _read_verified(name, self.entries[name])
+        return self._arrays.get(name)
+
     def __getitem__(self, name):
-        a = self._arrays.get(name)
-        if a is None:
-            a = _read_verified(name, self._entries[name])
-            if a is None:
-                self._arrays = _sieve(self._n, self._k)
-                _cache_store(self._n, self._arrays)
-                a = self._arrays[name]
-            else:
-                self._arrays[name] = a
-        return a
+        if self._read(name) is None:
+            self.compute([name])
+        return self._arrays[name]
+
+    def compute(self, names):
+        """Compute the arrays named in one pass from spf, and store them.
+        spf comes from memory or its valid file; failing both (as when it
+        is named) it is sieved, and kept and stored too."""
+        if names:
+            arrays = _computed(self.n, names, self._read("spf"))
+            _cache_store(self.n, arrays)
+            self._arrays.update(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +777,8 @@ class _CachedArrays:
 
 def load_sequence(name: str, n: int) -> Sequence:
     """Resolve one of: lambda, d2, d3, d4, ones, file:<path>.
+
+    A sieve sequence reads or computes its one array alone (_Arrays).
 
     A file holds rows `n,a_n`, each n an integer >= 1 given once; rows with
     n > N are dropped, and the coefficients must be finite (Sequence)."""
@@ -793,11 +808,9 @@ def load_sequence(name: str, n: int) -> Sequence:
         return Sequence(vals)
     if name == "ones":
         return Sequence.from_coeffs(np.ones(n))
-    if name == "lambda":
-        return sieve_all(n, 2).lambda_sequence()
-    if name in ("d2", "d3", "d4"):
-        j = int(name[1])
-        return sieve_all(n, j).dk_sequence(j)
+    if name in ("lambda", "d2", "d3", "d4"):
+        array = "lam" if name == "lambda" else name
+        return Sequence(_Arrays(n, [array])[array])
     raise ValueError(f"unknown sequence {name!r}")
 
 

@@ -1,5 +1,6 @@
 """Multiplicative-function tables, Ramanujan sums, and sieve caches."""
 
+import functools
 import math
 import os
 import tracemalloc
@@ -95,15 +96,38 @@ def test_sieve_tables_match_bruteforce(table_300):
     assert t.lam[6] == 0.0
 
 
+@functools.lru_cache(maxsize=None)
+def loop_arrays(n, k):
+    """Every array of the table (n, k) by name from the loop oracles: the
+    integer arrays in int64 (mu in int8), Lambda in float64."""
+    spf = spf_sieve_loop(n)
+    primes = np.flatnonzero(spf == np.arange(n + 1))[1:]
+    mu, phi = mu_phi_sieve_loop(n, primes)
+    arrays = {"spf": spf, "mu": mu, "phi": phi,
+              "lam": lambda_sieve_loop(n, primes)}
+    d = np.ones(n + 1, dtype=np.int64)
+    d[0] = 0
+    for j in range(2, k + 1):
+        d = arrays[f"d{j}"] = convolve_ones_loop(d)
+    return arrays
+
+
+def table_arrays(table):
+    """The arrays of `table` by name, each read through its attribute."""
+    return {"spf": table.spf, "mu": table.mu, "phi": table.phi,
+            "lam": table.lam, **{f"d{j}": d for j, d in table.dk.items()}}
+
+
 def assert_fresh(table):
-    """Every array of `table` is an uncached sieve's, by dtype and bytes."""
-    fresh = arith._sieve(table.n, table.k)
-    got = {"spf": table.spf, "mu": table.mu, "phi": table.phi,
-           "lam": table.lam, **{f"d{j}": d for j, d in table.dk.items()}}
-    assert sorted(got) == sorted(fresh)
-    for name, a in fresh.items():
-        assert got[name].dtype == a.dtype, name
-        assert got[name].tobytes() == a.tobytes(), name
+    """Every array of `table` holds the loop oracles' values in its table
+    type (Lambda in float64), byte for byte."""
+    got, loop = table_arrays(table), loop_arrays(table.n, table.k)
+    assert sorted(got) == sorted(loop)
+    for name, a in loop.items():
+        dtype = (np.dtype(np.float64) if name == "lam"
+                 else arith._table_type(name))
+        assert got[name].dtype == dtype, name
+        assert got[name].tobytes() == a.astype(dtype).tobytes(), name
 
 
 def table_files(n, k):
@@ -113,17 +137,37 @@ def table_files(n, k):
                                *(f"d{j}" for j in range(2, k + 1))))
 
 
-def test_sieve_cache_roundtrip(tmp_path, monkeypatch):
-    """A table is stored as one file per array, and read back from them
-    every array equals an uncached sieve's by dtype and bytes."""
+def file_states(folder):
+    """Each file in `folder` by name: its bytes, inode and mtime.  A store
+    renames a new file into place, so it changes the inode."""
+    return {f.name: (f.read_bytes(), f.stat().st_ino, f.stat().st_mtime_ns)
+            for f in folder.iterdir()}
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The sieve work done while the test runs, in order: "spf" for each
+    spf sieve, and the names each _spf_recurrence pass is given."""
+    calls = []
+    sieve, recurrence = arith._spf_sieve, arith._spf_recurrence
+    monkeypatch.setattr(arith, "_spf_sieve",
+                        lambda n: calls.append("spf") or sieve(n))
+    monkeypatch.setattr(arith, "_spf_recurrence", lambda spf, names:
+                        calls.append(tuple(names)) or recurrence(spf, names))
+    return calls
+
+
+def test_sieve_cache_roundtrip(tmp_path, monkeypatch, computed):
+    """A table is stored as one file per array, and read back from them,
+    computing nothing, every array equals the loop oracles' by dtype and
+    bytes."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
     for n, k in ((1, 2), (500, 3), (2**16 + 3, 4)):
         sieve_all(n, k)
         assert set(table_files(n, k)) <= set(os.listdir(tmp_path))
-        cached = arith._cache_load(n, k)
-        assert cached is not None
-        assert_fresh(cached)
+        computed.clear()
         assert_fresh(sieve_all(n, k))
+        assert computed == []
     assert sorted(os.listdir(tmp_path)) == sorted(
         table_files(1, 2) + table_files(500, 3) + table_files(2**16 + 3, 4))
 
@@ -137,38 +181,139 @@ def test_sieve_cache_damaged_array_is_sieved_again(tmp_path, monkeypatch,
     sieve_all(500, 3)
     path = tmp_path / "sieve_500_d3.bin"
     stored = path.read_bytes()
-    _, dtype, length, offset, _ = \
-        arith._cache_load(500, 3)._arrays._entries["d3"]
-    assert offset + dtype.itemsize * length == len(stored)
+    offset = stored.index(b"\n") + 1
+    itemsize = arith._table_type("d3").itemsize
+    assert offset + itemsize * 501 == len(stored)
     damaged = bytearray(stored)
     if damage == "flip":
-        damaged[offset + dtype.itemsize * length // 2] ^= 0x01
+        damaged[offset + itemsize * 501 // 2] ^= 0x01
     else:
         del damaged[offset + 8:]
     path.write_bytes(damaged)
     table = sieve_all(500, 3)
-    assert np.array_equal(table.dk[3], arith._sieve(500, 3)["d3"])
+    assert np.array_equal(table.dk[3], loop_arrays(500, 3)["d3"])
     assert path.read_bytes() == stored
     assert_fresh(table)
 
 
-def test_sieve_cache_rejects_unparseable_or_incomplete_files(tmp_path,
-                                                           monkeypatch):
-    """A table one of whose arrays has no file, or a file that is not
-    that array's (another array's, or junk), is not loaded; sieve_all
-    sieves it and stores every array again, so that a table (N, 3)
-    stored after (N, 2) leaves one file per array of N."""
+@pytest.mark.parametrize("name", ["spf", "lam", "mu", "d3"])
+@pytest.mark.parametrize("damage", ["flip", "truncate", "delete"])
+def test_sieve_cache_damaged_array_is_computed_alone(tmp_path, monkeypatch,
+                                                     computed, damage, name):
+    """One array's file with a flipped byte, cut short or deleted is
+    computed again alone and its file written again alone: spf by a sieve
+    and no recurrence; Lambda from the stored spf, with neither; mu or d_3
+    from the stored spf by one recurrence pass that names it alone.  Every
+    other file keeps its bytes, inode and mtime."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
-    sieve_all(500, 2)
-    assert arith._cache_load(500, 3) is None
-    path = tmp_path / "sieve_500_d3.bin"
-    path.write_bytes((tmp_path / "sieve_500_d2.bin").read_bytes())
-    assert arith._cache_load(500, 3) is None
-    for junk in (b"", b"\xff" * 4096, b"apvar-sieve-array-1 00 x\n"):
-        path.write_bytes(junk)
-        assert arith._cache_load(500, 3) is None
+    sieve_all(500, 3)
+    before = file_states(tmp_path)
+    path = tmp_path / f"sieve_500_{name}.bin"
+    stored = before.pop(path.name)[0]
+    offset = stored.index(b"\n") + 1
+    if damage == "flip":
+        damaged = bytearray(stored)
+        damaged[(offset + len(stored)) // 2] ^= 0x01
+        path.write_bytes(damaged)
+    elif damage == "truncate":
+        path.write_bytes(stored[: offset + 8])
+    else:
+        path.unlink()
+    computed.clear()
     assert_fresh(sieve_all(500, 3))
-    assert arith._cache_load(500, 3) is not None
+    assert computed == {"spf": ["spf"], "lam": [], "mu": [("mu",)],
+                        "d3": [("d3",)]}[name]
+    after = file_states(tmp_path)
+    assert after.pop(path.name)[0] == stored
+    assert after == before
+
+
+def test_partial_cache_computes_only_its_missing_array(
+        tmp_path, monkeypatch, computed):
+    """Over a cached (N, 2), the table (N, 3) computes d_3 alone, in one
+    recurrence pass over the stored spf that names d_3 alone and no spf
+    sieve, and stores d_3's file alone: every file of (N, 2) keeps its
+    bytes, inode and mtime."""
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    n = 2**12 + 1
+    sieve_all(n, 2)
+    before = file_states(tmp_path)
+    computed.clear()
+    table = sieve_all(n, 3)
+    assert computed == [("d3",)]
+    after = file_states(tmp_path)
+    assert sorted(after) == table_files(n, 3)
+    assert {name: after[name] for name in before} == before
+    assert_fresh(table)
+    assert computed == [("d3",)]
+
+
+def test_no_cache_directory_writes_nothing_and_computes_each_array_once(
+        tmp_path, monkeypatch, computed):
+    """With APVAR_CACHE_DIR unset a table is one spf sieve and one
+    recurrence pass, each array is computed once however often it is read,
+    a sequence computes its own array alone, and no file is written."""
+    monkeypatch.delenv("APVAR_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    table = sieve_all(500, 3)
+    assert computed == ["spf", ("mu", "phi", "d2", "d3")]
+    assert_fresh(table)
+    assert_fresh(table)
+    assert computed == ["spf", ("mu", "phi", "d2", "d3")]
+    computed.clear()
+    assert np.array_equal(load_sequence("d3", 500).values,
+                          loop_arrays(500, 3)["d3"])
+    assert computed == ["spf", ("d3",)]
+    assert os.listdir(tmp_path) == []
+
+
+def test_load_sequence_reads_or_computes_its_array_alone(
+        tmp_path, monkeypatch, computed):
+    """A sieve sequence reads or computes its one array: a cold d_2 sieves
+    spf and passes the recurrence d2 alone, and stores spf and d2; Lambda
+    then comes from the stored spf with neither, and d_3 from one pass
+    naming it alone; read again, none computes or writes anything."""
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    n, loop = 1000, loop_arrays(1000, 3)
+    files = []
+    for seq, name, work in (("d2", "d2", ["spf", ("d2",)]),
+                            ("lambda", "lam", []), ("d3", "d3", [("d3",)])):
+        computed.clear()
+        values = load_sequence(seq, n).values
+        assert computed == work, seq
+        files += ["spf", name] if seq == "d2" else [name]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            f"sieve_{n}_{f}.bin" for f in files)
+        assert np.array_equal(values, loop[name]), seq
+    before = file_states(tmp_path)
+    computed.clear()
+    for seq in ("d2", "lambda", "d3"):
+        load_sequence(seq, n)
+    assert computed == []
+    assert file_states(tmp_path) == before
+
+
+def test_sieve_cache_rejects_unparseable_or_incomplete_files(tmp_path,
+                                                           monkeypatch,
+                                                           computed):
+    """An array of a table that has no file, or a file that is not that
+    array's (another array's, or junk), is not read: sieve_all computes
+    it alone and stores it, so that a table (N, 3) stored after (N, 2)
+    leaves one file per array of N."""
+    monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
+    sieve_all(500, 3)
+    path = tmp_path / "sieve_500_d3.bin"
+    stored = path.read_bytes()
+    path.unlink()
+    sieve_all(500, 2)
+    for junk in (None, (tmp_path / "sieve_500_d2.bin").read_bytes(), b"",
+                 b"\xff" * 4096, b"apvar-sieve-array-1 00 x\n"):
+        if junk is not None:
+            path.write_bytes(junk)
+        computed.clear()
+        assert_fresh(sieve_all(500, 3))
+        assert computed == [("d3",)]
+        assert path.read_bytes() == stored
     assert sorted(os.listdir(tmp_path)) == table_files(500, 3)
 
 
@@ -200,48 +345,47 @@ def test_sieve_cache_file_deleted_after_load(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == table_files(500, 3)
 
 
-def test_sieve_cache_writers_keep_their_own_temp_files(tmp_path,
-                                                      monkeypatch):
+def test_sieve_cache_writers_keep_their_own_temp_files(
+        tmp_path, monkeypatch, computed):
     """A second writer of the same table that stores it between the first
     writer's write and rename leaves the first writer's temp file alone:
     both stores end, the table reads back whole, and no temp file is
     left."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
-    arrays = arith._sieve(500, 3)
     replace, nested = Path.replace, []
 
     def replace_after_a_second_writer(self, target):
         if not nested:
             nested.append(self)
-            arith._cache_store(500, arrays)
+            sieve_all(500, 3)
         return replace(self, target)
 
     monkeypatch.setattr(Path, "replace", replace_after_a_second_writer)
-    arith._cache_store(500, arrays)
+    sieve_all(500, 3)
     assert nested
     assert sorted(os.listdir(tmp_path)) == table_files(500, 3)
-    assert_fresh(arith._cache_load(500, 3))
+    computed.clear()
+    assert_fresh(sieve_all(500, 3))
+    assert computed == []
 
 
 def test_sieve_cache_rejects_tables_of_other_sieve_code(tmp_path,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        computed):
     """A cached table's checksum covers the source of arith.py: under
-    another source digest it is not read back but sieved again, and then
-    stored under the new digest."""
+    another source digest it is not read back but sieved again, in one
+    spf sieve and one recurrence pass, and then stored under the new
+    digest, from which it is read back."""
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
-    table = sieve_all(500, 3)
-    assert arith._cache_load(500, 3) is not None
+    sieve_all(500, 3)
+    computed.clear()
+    sieve_all(500, 3)
+    assert computed == []
     monkeypatch.setattr(arith, "_source_digest", lambda: b"other sieve code")
-    assert arith._cache_load(500, 3) is None
-    sieved = []
-    recurrence = arith._spf_recurrence
-    monkeypatch.setattr(arith, "_spf_recurrence",
-                        lambda *args: sieved.append(args) or recurrence(*args))
-    again = sieve_all(500, 3)
-    assert len(sieved) == 1
-    assert np.array_equal(again.mu, table.mu)
-    assert np.array_equal(again.dk[3], table.dk[3])
-    assert arith._cache_load(500, 3) is not None
+    assert_fresh(sieve_all(500, 3))
+    assert computed == ["spf", ("mu", "phi", "d2", "d3")]
+    assert_fresh(sieve_all(500, 3))
+    assert computed == ["spf", ("mu", "phi", "d2", "d3")]
 
 
 def test_capacity_guard():
@@ -455,13 +599,15 @@ def test_spf_recurrence_matches_loops(block, monkeypatch):
             assert_typed(table.dk[j], f"d{j}", loop_dk[j][: n + 1])
 
 
-def test_table_types_hold_their_bounds_at_the_budget(tmp_path, monkeypatch):
+def test_table_types_hold_their_bounds_at_the_budget(tmp_path, monkeypatch,
+                                                    computed):
     """Each integer sieve array is stored in the narrowest type that its
     bound at N = MEMORY_BUDGET fits: spf(n), phi(n) <= n; |mu(n)| <= 1;
     d(n) <= 2 sqrt(n), which int16 stops holding at N = 2^28; and
-    d_3(n) <= d(n)^2 <= 4n; d_4 on is int64.  Fresh and cached tables at
-    three sizes hold those types and the int64 loops' values, within the
-    bounds, and moduli_tables refuses an n past the budget."""
+    d_3(n) <= d(n)^2 <= 4n; d_4 on is int64.  Fresh tables (computed) and
+    cached ones (read from their files, computing nothing) at three sizes
+    hold those types and the int64 loops' values, within the bounds, and
+    moduli_tables refuses an n past the budget."""
     top = arith.MEMORY_BUDGET
     bounds = {"spf": top, "phi": top, "mu": 1, "d2": 2 * math.sqrt(top),
               "d3": 4 * top}
@@ -477,22 +623,17 @@ def test_table_types_hold_their_bounds_at_the_budget(tmp_path, monkeypatch):
 
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
     for n in (1, 1000, 2**16 + 3):
-        loop = {"spf": spf_sieve_loop(n)}
-        primes = np.flatnonzero(loop["spf"] == np.arange(n + 1))[1:]
-        loop["mu"], loop["phi"] = mu_phi_sieve_loop(n, primes)
-        d = np.ones(n + 1, dtype=np.int64)
-        d[0] = 0
-        for j in (2, 3, 4):
-            d = loop[f"d{j}"] = convolve_ones_loop(d)
+        loop = loop_arrays(n, 4)
+        computed.clear()
         fresh = sieve_all(n, 4)
+        assert computed == ["spf", ("mu", "phi", "d2", "d3", "d4")]
         cached = sieve_all(n, 4)
-        assert isinstance(fresh._arrays, dict)
-        assert isinstance(cached._arrays, arith._CachedArrays)
         for table in (fresh, cached):
-            got = {"spf": table.spf, "mu": table.mu, "phi": table.phi,
-                   **{f"d{j}": table.dk[j] for j in (2, 3, 4)}}
+            got = table_arrays(table)
+            del got["lam"]
             for name, a in got.items():
                 assert_typed(a, name, loop[name])
+        assert len(computed) == 2
         ns = np.arange(n + 1)
         assert np.all(loop["spf"] <= ns) and np.all(loop["phi"] <= ns)
         assert np.all(loop["d2"] <= 2 * np.sqrt(ns))

@@ -419,9 +419,13 @@ def test_benchmark_table_bytes_of_cached_and_fresh_tables(tmp_path,
     fresh = table_bytes((), {}, arith.sieve_all(500, 3))
     monkeypatch.setenv("APVAR_CACHE_DIR", str(tmp_path))
     arith.sieve_all(500, 3)
-    cached = arith._cache_load(500, 3)
-    assert cached is not None
-    assert table_bytes((), {}, cached) == fresh
+
+    def computed(*args):
+        raise AssertionError("a cached table computes no array")
+
+    monkeypatch.setattr(arith, "_spf_sieve", computed)
+    monkeypatch.setattr(arith, "_spf_recurrence", computed)
+    assert table_bytes((), {}, arith.sieve_all(500, 3)) == fresh
     # spf, mu, phi, Lambda, d_2 and d_3 in int32, int8, int32, float64,
     # int16 and int32.
     assert fresh["arith.sieve_bytes"] == 501 * (4 + 1 + 4 + 8 + 2 + 4)
